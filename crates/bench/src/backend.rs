@@ -70,18 +70,10 @@ pub fn backend_record() -> Json {
     }
     let batch = backend_batch();
     let oracle = batch
-        .cross
-        .iter()
-        .map(|v| {
-            obj(vec![
-                ("entry", Json::str(&v.entry)),
-                ("matched", Json::Bool(v.matched)),
-                ("s1", Json::str(&v.s1)),
-                ("bytecode", Json::str(&v.bytecode)),
-                ("injected", Json::Bool(v.injected)),
-            ])
-        })
-        .collect();
+        .to_json()
+        .get("cross")
+        .cloned()
+        .unwrap_or(Json::Arr(Vec::new()));
     let miscompiles = batch
         .incidents
         .iter()
@@ -95,7 +87,7 @@ pub fn backend_record() -> Json {
         ),
         ("backend", Json::str(BackendSelect::Both.as_str())),
         ("functions", Json::Arr(functions)),
-        ("oracle", Json::Arr(oracle)),
+        ("oracle", oracle),
         ("miscompiles", Json::uint(miscompiles)),
     ])
 }
@@ -114,7 +106,7 @@ mod tests {
             assert!(
                 v.matched,
                 "{}: s1={} bytecode={}",
-                v.entry, v.s1, v.bytecode
+                v.entry, v.reference, v.subject
             );
         }
         assert!(batch
@@ -142,7 +134,7 @@ mod tests {
         assert_eq!(batch.cross.len(), 1);
         let v = &batch.cross[0];
         assert!(v.injected);
-        assert!(!v.matched, "s1={} bytecode={}", v.s1, v.bytecode);
+        assert!(!v.matched, "s1={} bytecode={}", v.reference, v.subject);
         let incident = batch
             .incidents
             .iter()

@@ -14,35 +14,7 @@ pub enum CompileError {
     /// A guarded-compilation validator rejected the tree (well-formedness
     /// or back-translation round trip).
     Guard(crate::guard::GuardError),
-    /// A pipeline pass exceeded its per-pass wall-clock budget.
-    Overrun(PassOverrun),
 }
-
-/// Details of a per-pass budget overrun: which pass of which function
-/// ran long, and by how much.
-#[derive(Debug, Clone)]
-pub struct PassOverrun {
-    /// The function being compiled.
-    pub function: String,
-    /// The pass that ran over budget.
-    pub pass: &'static str,
-    /// How long the pass actually took.
-    pub elapsed: std::time::Duration,
-    /// The configured budget it exceeded.
-    pub budget: std::time::Duration,
-}
-
-impl fmt::Display for PassOverrun {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "pass budget exceeded: {} of {} took {:?} (budget {:?})",
-            self.pass, self.function, self.elapsed, self.budget
-        )
-    }
-}
-
-impl std::error::Error for PassOverrun {}
 
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -51,7 +23,6 @@ impl fmt::Display for CompileError {
             CompileError::Convert(e) => write!(f, "{e}"),
             CompileError::Codegen(e) => write!(f, "{e}"),
             CompileError::Guard(e) => write!(f, "{e}"),
-            CompileError::Overrun(e) => write!(f, "{e}"),
         }
     }
 }
@@ -63,7 +34,6 @@ impl std::error::Error for CompileError {
             CompileError::Convert(e) => Some(e),
             CompileError::Codegen(e) => Some(e),
             CompileError::Guard(e) => Some(e),
-            CompileError::Overrun(e) => Some(e),
         }
     }
 }

@@ -37,13 +37,13 @@ mod pipeline;
 
 pub use artifact::Artifact;
 pub use dossier::Dossier;
-pub use error::{CompileError, PassOverrun};
+pub use error::CompileError;
 pub use guard::GuardError;
 pub use phases::{phases, trip_phase_faults, Phase, PhaseStatus};
 pub use pipeline::BytecodeBackend;
 pub use pipeline::{
-    backend_for, Backend, BackendKind, Pass, PassCx, PassInfo, Pipeline, PipelineOptions,
-    S1Backend, UnitAnalyses, UnitAnnotations, UnitState,
+    backend_for, Backend, BackendKind, Pass, PassCx, PassInfo, PassWatch, Pipeline,
+    PipelineOptions, S1Backend, UnitAnalyses, UnitAnnotations, UnitState,
 };
 pub use s1lisp_bytecode::{BcTrap, Evaluator};
 pub use s1lisp_trace::fault::{FaultPlan, FaultSite};
@@ -150,11 +150,6 @@ pub struct Compiler {
     /// Seeded fault plan for deterministic failure drills; `None` (the
     /// default) injects nothing.
     pub fault_plan: Option<FaultPlan>,
-    /// Per-pass wall-clock budget: a pipeline pass that runs longer
-    /// than this fails the function with [`CompileError::Overrun`]
-    /// naming the pass, instead of one whole-job watchdog guessing.
-    /// `None` (the default) never times out.
-    pub pass_budget: Option<std::time::Duration>,
     /// Which code-generation backend closes the pipeline (default:
     /// the S-1 backend).  Also salts
     /// [`Compiler::options_fingerprint`], so per-backend artifacts
@@ -189,7 +184,6 @@ impl Compiler {
             tension_branches: true,
             guard: false,
             fault_plan: None,
-            pass_budget: None,
             backend: BackendKind::default(),
             functions: Vec::new(),
             program: Program::new(),
@@ -381,7 +375,6 @@ impl Compiler {
             tension_branches: self.tension_branches,
             guard: self.guard,
             fault_plan: self.fault_plan.clone(),
-            pass_budget: self.pass_budget,
         })
     }
 
@@ -574,6 +567,31 @@ impl Compiler {
             e.set_global(name, v.clone());
         }
         e
+    }
+
+    /// Runs `entry` on this compiler's own engine — the simulator for
+    /// S-1 code, the stack evaluator for bytecode — with the globals
+    /// installed and `fuel` instructions to spend, and prints the
+    /// outcome: the value, or `trap: …`.  This is the form the
+    /// differential oracle compares and the compile server's `run`
+    /// answers with.
+    pub fn run_printed(&self, entry: &str, args: &[Value], fuel: u64) -> String {
+        let outcome = match self.backend {
+            BackendKind::S1 => {
+                let mut m = self.machine();
+                m.fuel_per_run = fuel;
+                m.run(entry, args).map_err(|t| t.to_string())
+            }
+            BackendKind::Bytecode => {
+                let mut e = self.evaluator();
+                e.fuel_per_run = fuel;
+                e.run(entry, args).map_err(|t| t.to_string())
+            }
+        };
+        match outcome {
+            Ok(v) => v.to_string(),
+            Err(t) => format!("trap: {t}"),
+        }
     }
 
     /// The artifacts of a compiled function.

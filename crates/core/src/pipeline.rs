@@ -19,8 +19,11 @@
 //! passes back to Table 1 rows ([`PassInfo::table1`]) is cross-checked
 //! against [`phases()`](crate::phases::phases) by test.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use s1lisp_analysis::{Complexity, Effects, EnvInfo, SpecialPlacement};
 use s1lisp_annotate::{Annotations, BindingInfo, PdlInfo, RepInfo};
@@ -29,10 +32,10 @@ use s1lisp_codegen::CodegenOptions;
 use s1lisp_opt::{OptOptions, Optimizer, Transcript};
 use s1lisp_reader::pretty;
 use s1lisp_s1sim::Program;
-use s1lisp_trace::fault::FaultPlan;
+use s1lisp_trace::fault::{FaultPlan, FaultSite};
 use s1lisp_trace::TraceSink;
 
-use crate::error::{CompileError, PassOverrun};
+use crate::error::CompileError;
 use crate::{guard, phases};
 
 // ------------------------------------------------------------ unit state
@@ -302,7 +305,7 @@ pub fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
 
 /// Options a [`Pipeline`] schedule is built from — the code-shaping
 /// switches of [`Compiler`](crate::Compiler), plus the cross-cutting
-/// guard/fault/budget machinery.
+/// guard and fault machinery.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineOptions {
     /// Which backend closes the schedule.
@@ -320,13 +323,64 @@ pub struct PipelineOptions {
     /// Seeded fault plan for the fault-injection pass; `None` disables
     /// it.
     pub fault_plan: Option<FaultPlan>,
-    /// Per-pass wall-clock budget: a pass that runs longer fails the
-    /// unit with [`CompileError::Overrun`].  Checked after each pass
-    /// returns (a soft budget — it cannot interrupt a hung pass, which
-    /// remains the watchdog's job), so the compilation service can
-    /// attribute overruns to a phase without spawning a thread per
-    /// function.
-    pub pass_budget: Option<Duration>,
+}
+
+// ------------------------------------------------------------- watchdog
+
+thread_local! {
+    static WATCH: RefCell<Option<PassWatch>> = const { RefCell::new(None) };
+}
+
+/// Set once any watch is installed; until then [`Pipeline::run`] skips
+/// the thread-local lookup, a measurable cost on unwatched compiles.
+static WATCHING: AtomicBool = AtomicBool::new(false);
+
+/// A watchdog's window onto a compile on another thread: the budget it
+/// enforces, and a slot that every [`Pipeline::run`] on a thread the
+/// watch is [installed](PassWatch::install) on fills with each pass as
+/// it starts — so on expiry the watchdog can name the pass that ran
+/// over.
+#[derive(Clone, Debug)]
+pub struct PassWatch {
+    budget: Duration,
+    pass: Arc<Mutex<Option<&'static str>>>,
+}
+
+impl PassWatch {
+    /// A watch over a compile allowed `budget` of wall-clock time.
+    pub fn new(budget: Duration) -> PassWatch {
+        PassWatch {
+            budget,
+            pass: Arc::new(Mutex::new(None)),
+        }
+    }
+
+    /// Watches the pipeline runs of the calling thread from now on.
+    pub fn install(&self) {
+        WATCHING.store(true, Ordering::Relaxed);
+        WATCH.with(|w| *w.borrow_mut() = Some(self.clone()));
+    }
+
+    /// The pass the watched thread last entered, if any.
+    pub fn pass(&self) -> Option<&'static str> {
+        *self.pass.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn enter(name: &'static str) {
+        if !WATCHING.load(Ordering::Relaxed) {
+            return;
+        }
+        WATCH.with(|w| {
+            if let Some(watch) = &*w.borrow() {
+                *watch.pass.lock().unwrap_or_else(|e| e.into_inner()) = Some(name);
+            }
+        });
+    }
+
+    /// The budget of the watch installed on this thread, if any.
+    fn installed_budget() -> Option<Duration> {
+        WATCH.with(|w| w.borrow().as_ref().map(|watch| watch.budget))
+    }
 }
 
 // ------------------------------------------------------------- pipeline
@@ -336,14 +390,12 @@ pub struct PipelineOptions {
 /// [`UnitState`].
 pub struct Pipeline {
     passes: Vec<(Box<dyn Pass + Send + Sync>, bool)>,
-    pass_budget: Option<Duration>,
 }
 
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("passes", &self.pass_names())
-            .field("pass_budget", &self.pass_budget)
             .finish()
     }
 }
@@ -398,36 +450,23 @@ impl Pipeline {
             (Box::new(PdlPass), true),
         ];
         passes.extend(backend_for(options.backend).passes(options));
-        Pipeline {
-            passes,
-            pass_budget: options.pass_budget,
-        }
+        Pipeline { passes }
     }
 
-    /// Runs every enabled pass, in order, over one unit.
+    /// Runs every enabled pass, in order, over one unit, recording each
+    /// pass in the thread's [`PassWatch`] (if one is installed) as it
+    /// starts.
     ///
     /// # Errors
     ///
-    /// The first pass failure, or a [`CompileError::Overrun`] when a
-    /// pass exceeds the configured budget.
+    /// The first pass failure.
     pub fn run(&self, unit: &mut UnitState, cx: &mut PassCx<'_>) -> Result<(), CompileError> {
         for (pass, enabled) in &self.passes {
             if !enabled {
                 continue;
             }
-            let start = self.pass_budget.map(|_| Instant::now());
+            PassWatch::enter(pass.name());
             pass.run(unit, cx)?;
-            if let (Some(budget), Some(start)) = (self.pass_budget, start) {
-                let elapsed = start.elapsed();
-                if elapsed > budget {
-                    return Err(CompileError::Overrun(PassOverrun {
-                        function: unit.name.clone(),
-                        pass: pass.name(),
-                        elapsed,
-                        budget,
-                    }));
-                }
-            }
         }
         Ok(())
     }
@@ -449,11 +488,6 @@ impl Pipeline {
     /// The pass names, in schedule order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|(p, _)| p.name()).collect()
-    }
-
-    /// The configured per-pass budget, if any.
-    pub fn pass_budget(&self) -> Option<Duration> {
-        self.pass_budget
     }
 
     /// Reorders the named passes into the given order, keeping their
@@ -498,10 +532,12 @@ impl Pipeline {
 
 // ------------------------------------------------------------- passes
 
-/// Cross-cutting: trips any armed per-phase panic faults for the
-/// function (one deterministic decision per Table-1 phase key) at the
-/// head of the pipeline, where the service's isolation layer catches
-/// the panic.
+/// Cross-cutting: trips the armed fault sites for the function at the
+/// head of the pipeline.  An armed overrun stalls just past the budget
+/// of the thread's [`PassWatch`] (and is inert without one), so the
+/// watchdog times out naming this pass; per-phase panics (one
+/// deterministic decision per Table-1 phase key) are caught by the
+/// service's isolation layer.
 struct FaultTripPass {
     plan: Option<FaultPlan>,
 }
@@ -517,6 +553,11 @@ impl Pass for FaultTripPass {
 
     fn run(&self, unit: &mut UnitState, _cx: &mut PassCx<'_>) -> Result<(), CompileError> {
         if let Some(plan) = &self.plan {
+            if let Some(budget) = PassWatch::installed_budget() {
+                if plan.fires(FaultSite::Overrun, &unit.name) {
+                    std::thread::sleep(budget + budget / 4 + Duration::from_millis(20));
+                }
+            }
             phases::trip_phase_faults(plan, &unit.name);
         }
         Ok(())
@@ -1153,29 +1194,20 @@ mod tests {
     }
 
     #[test]
-    fn pass_budget_overrun_is_a_structured_error() {
-        let mut c = Compiler::new();
-        c.pass_budget = Some(Duration::ZERO);
-        let err = c
-            .compile_str("(defun sq (x) (* x x))")
-            .expect_err("zero budget must overrun");
-        match err {
-            CompileError::Overrun(o) => {
-                assert_eq!(o.function, "sq");
-                assert!(!o.pass.is_empty());
-                assert_eq!(o.budget, Duration::ZERO);
-                assert!(err_to_string(&CompileError::Overrun(o)).contains("pass budget"));
-            }
-            other => panic!("expected overrun, got {other}"),
-        }
-        // A sane budget compiles normally.
-        let mut c = Compiler::new();
-        c.pass_budget = Some(Duration::from_secs(60));
-        c.compile_str("(defun sq (x) (* x x))").unwrap();
-        assert!(c.disassemble("sq").is_some());
-    }
-
-    fn err_to_string(e: &CompileError) -> String {
-        e.to_string()
+    fn a_watch_names_the_pass_its_thread_entered_last() {
+        let watch = PassWatch::new(Duration::from_secs(60));
+        assert_eq!(watch.pass(), None);
+        let watched = watch.clone();
+        std::thread::spawn(move || {
+            watched.install();
+            Compiler::new()
+                .compile_str("(defun sq (x) (* x x))")
+                .unwrap();
+        })
+        .join()
+        .unwrap();
+        let last = Compiler::new().pipeline().pass_names().last().copied();
+        assert_eq!(watch.pass(), last);
+        assert_eq!(last, Some("Peephole optimizer"));
     }
 }

@@ -13,18 +13,20 @@
 //!   LRU in memory, optionally persisted to disk as JSON.  A cache hit
 //!   skips every phase after Preliminary.
 //! * **Robustness** — per-function panic isolation (`catch_unwind`), an
-//!   optional per-function time budget with a watchdog thread, and
-//!   graceful degradation: a function whose pipeline panics or runs
-//!   over budget is recompiled with transformations off and the fault
-//!   is recorded as an [`Incident`].
+//!   optional per-function time budget with a watchdog thread that
+//!   names the pass it caught running over, and graceful degradation:
+//!   a function whose pipeline panics or runs over budget is recompiled
+//!   with transformations off and the fault is recorded as an
+//!   [`Incident`].
 //! * **Observability** — cache hit/miss/evict counters, queue depth,
 //!   per-worker and per-phase totals, one [`JobRecord`] per function,
 //!   all serializable for `report --json service`.
 //! * **Guarded compilation** — with [`ServiceConfig::guard`] set, every
 //!   job runs the phase validators (Table-2 well-formedness and the
-//!   back-translation round trip) and a differential execution oracle
-//!   compares each [`OracleCase`] against a transformations-off
-//!   reference compile on the simulator; a seeded [`FaultPlan`] can
+//!   back-translation round trip) and the differential oracle runs each
+//!   [`OracleCase`] on the batch's options and on a transformations-off
+//!   reference compile (with [`BackendSelect::Both`], also on bytecode
+//!   against S-1); a seeded [`FaultPlan`] can
 //!   deterministically inject cache I/O errors, corrupt reads, phase
 //!   panics, watchdog overruns, and miscompiles to drill the whole
 //!   containment surface ([`GuardReport`]).
@@ -51,12 +53,14 @@ mod service;
 pub use cache::{ArtifactCache, CacheStats};
 pub use s1lisp::{BackendKind, FaultPlan, FaultSite};
 pub use service::{
-    unit_decls, BatchResult, BatchStats, CompileService, CrossVerdict, GuardReport, Incident,
-    IncidentKind, JobRecord, OracleVerdict, Outcome, WorkerStats,
+    unit_decls, BatchResult, BatchStats, CompileService, GuardReport, Incident, IncidentKind,
+    JobRecord, OracleVerdict, Outcome, WorkerStats,
 };
 
 use std::path::PathBuf;
 use std::time::Duration;
+
+use s1lisp::Compiler;
 
 /// One compilation unit: a named batch of top-level forms.
 #[derive(Clone, Debug)]
@@ -97,10 +101,10 @@ pub enum FaultMode {
     Hang(Duration),
 }
 
-/// One differential-oracle case: after a guarded batch, call `entry`
-/// with the given arguments on both the batch-configured compilation
-/// and a transformations-off reference compilation, and demand
-/// identical results.  Arguments are printed datums (`"3"`, `"-1.5"`,
+/// One differential-oracle case: after a guarded (or
+/// [`BackendSelect::Both`]) batch, call `entry` with the given
+/// arguments on each witness of each check and demand that subject and
+/// reference agree.  Arguments are printed datums (`"3"`, `"-1.5"`,
 /// `"(1 2)"`) so the configuration stays plain cross-thread data.
 #[derive(Clone, Debug)]
 pub struct OracleCase {
@@ -150,12 +154,11 @@ pub struct BatchTuning {
 ///
 /// [`BackendSelect::Both`] is the cross-backend oracle mode: jobs
 /// compile (and cache, and ship) S-1 artifacts exactly as
-/// [`BackendSelect::S1`] does, and after the batch every
-/// [`OracleCase`] additionally runs on a bytecode compilation of the
-/// same units — S-1 on the simulator against bytecode on the stack
-/// evaluator, under the same fuel.  A disagreement is an
-/// [`IncidentKind::Miscompile`]; the S-1 artifact is what ships either
-/// way.
+/// [`BackendSelect::S1`] does, and the oracle gains one witness pair —
+/// bytecode on the stack evaluator against S-1 on the simulator, both
+/// with the batch's options, under the same fuel.  A disagreement is
+/// an [`IncidentKind::Miscompile`]; the S-1 artifact is what ships
+/// either way.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendSelect {
     /// The paper's S-1 backend (code generation + peephole).
@@ -197,7 +200,7 @@ impl BackendSelect {
         }
     }
 
-    /// True when the post-batch cross-backend oracle runs.
+    /// True when the oracle checks bytecode against S-1.
     pub fn cross_checked(self) -> bool {
         self == BackendSelect::Both
     }
@@ -249,21 +252,15 @@ pub struct ServiceConfig {
     pub codegen_options: s1lisp::CodegenOptions,
     /// Whether jobs run branch tensioning.
     pub tension_branches: bool,
-    /// Which backend jobs compile with, and whether the post-batch
-    /// cross-backend oracle runs ([`BackendSelect::Both`]).  The
-    /// backend salts the option fingerprint, so the artifact cache is
+    /// Which backend jobs compile with, and whether the oracle checks
+    /// bytecode against S-1 ([`BackendSelect::Both`]).  The backend
+    /// salts the option fingerprint, so the artifact cache is
     /// partitioned per backend automatically.
     pub backend: BackendSelect,
-    /// Per-function wall-clock budget; `None` disables the watchdog.
+    /// Per-function wall-clock budget, enforced by a watchdog thread;
+    /// an overrun is an [`IncidentKind::Timeout`] naming the pass it
+    /// caught, then a degraded recompile.  `None` disables it.
     pub time_budget: Option<Duration>,
-    /// Per-*pass* wall-clock budget, enforced by the pipeline itself
-    /// between passes: an overrun fails the function with a structured
-    /// [`s1lisp::PassOverrun`] naming the slow pass, and the service
-    /// routes it to the degraded path like a watchdog timeout.  Unlike
-    /// [`ServiceConfig::time_budget`] it needs no watchdog thread, but
-    /// it cannot interrupt a pass that hangs outright — configure both
-    /// for full coverage.  `None` disables it.
-    pub pass_budget: Option<Duration>,
     /// In-memory cache entries to keep (LRU beyond this).
     pub cache_capacity: usize,
     /// Directory for the persistent cache tier; `None` disables it.
@@ -275,15 +272,16 @@ pub struct ServiceConfig {
     pub fault: Option<FaultInjection>,
     /// Guarded compilation: run the phase validators (well-formedness +
     /// back-translation round trip) on every job, route violations to
-    /// the degraded path, and run the differential oracle over
-    /// [`ServiceConfig::oracle`] after the batch.
+    /// the degraded path, and have the oracle check the batch's options
+    /// against the transformations-off reference.
     pub guard: bool,
     /// Seeded deterministic fault plan arming the cache, phase,
     /// overrun, and oracle injection sites; `None` injects nothing.
     pub fault_plan: Option<FaultPlan>,
-    /// Differential-oracle cases, run when `guard` is set.
+    /// Oracle cases, run after the batch on every witness pair that
+    /// `guard` and [`BackendSelect::Both`] turn on.
     pub oracle: Vec<OracleCase>,
-    /// Instruction budget per oracle execution (both sides), so a
+    /// Instruction budget per oracle execution (every witness), so a
     /// diverging or runaway artifact traps instead of hanging.
     pub oracle_fuel: u64,
 }
@@ -299,7 +297,6 @@ impl Default for ServiceConfig {
             tension_branches: true,
             backend: BackendSelect::S1,
             time_budget: None,
-            pass_budget: None,
             cache_capacity: 512,
             cache_dir: None,
             disk_max_entries: None,
@@ -319,5 +316,25 @@ impl ServiceConfig {
             jobs,
             ..ServiceConfig::default()
         }
+    }
+
+    /// The compiler batch jobs, oracle witnesses and the compile
+    /// server's `run` replay all start from: this configuration's
+    /// code-shaping options and primary backend, with every source
+    /// transformation and CSE off under `transformations_off` (tenant
+    /// demotion, degraded retry, oracle reference).  Guard validators
+    /// and the fault plan stay off; first-attempt jobs arm them.
+    pub fn compiler(&self, transformations_off: bool) -> Compiler {
+        let mut c = Compiler::new();
+        if transformations_off {
+            c.opt_options = s1lisp::OptOptions::none();
+        } else {
+            c.opt_options = self.opt_options.clone();
+            c.cse = self.cse;
+        }
+        c.codegen_options = self.codegen_options.clone();
+        c.tension_branches = self.tension_branches;
+        c.backend = self.backend.primary();
+        c
     }
 }

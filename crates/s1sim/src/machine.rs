@@ -982,7 +982,9 @@ impl Machine {
                 };
                 let mut list = Word::NIL;
                 for &w in extra.iter().rev() {
-                    let addr = self.alloc(2, ObjKind::Cons)?;
+                    // The unconsed words are still on the stack; the
+                    // list built so far is not.
+                    let addr = self.alloc_holding(2, ObjKind::Cons, &[&[list]])?;
                     self.heap.write(addr, w);
                     self.heap.write(addr + 1, list);
                     list = Word::Ptr(Tag::Cons, addr);
@@ -1338,11 +1340,37 @@ impl Machine {
 
     /// Heap allocation with collect-and-retry.
     pub(crate) fn alloc(&mut self, size: usize, kind: ObjKind) -> Result<u64, Trap> {
+        self.alloc_holding(size, kind, &[])
+    }
+
+    /// [`Machine::alloc`] for host code holding words no machine root
+    /// reaches — a list under construction, the elements still to be
+    /// consed onto it.  A collection the allocation triggers marks every
+    /// `held` word; the fast path never looks at them.
+    #[inline]
+    pub(crate) fn alloc_holding(
+        &mut self,
+        size: usize,
+        kind: ObjKind,
+        held: &[&[Word]],
+    ) -> Result<u64, Trap> {
         if let Some(a) = self.heap.try_alloc(size, kind) {
             self.stats.heap = self.heap.allocs;
             return Ok(a);
         }
+        self.collect_and_alloc(size, kind, held)
+    }
+
+    /// The slow path: collect, then retry once.
+    #[cold]
+    fn collect_and_alloc(
+        &mut self,
+        size: usize,
+        kind: ObjKind,
+        held: &[&[Word]],
+    ) -> Result<u64, Trap> {
         let mut roots: Vec<Word> = Vec::with_capacity(self.sp + 64);
+        roots.extend(held.iter().flat_map(|h| h.iter().copied()));
         roots.extend_from_slice(&self.regs);
         roots.extend_from_slice(&self.stack[..self.sp]);
         roots.extend(self.specials.iter().map(|&(_, w)| w));
@@ -1360,7 +1388,7 @@ impl Machine {
     /// Builds machine data from a host [`Value`] (allocating on the
     /// heap for structure).
     pub fn inject(&mut self, v: &Value) -> Result<Word, Trap> {
-        runtime::inject(self, v)
+        runtime::inject(self, v, &mut Vec::new())
     }
 
     /// Reads machine data back into a host [`Value`].

@@ -158,8 +158,12 @@ pub(crate) fn cdr(m: &Machine, w: Word) -> Result<Word, Trap> {
     }
 }
 
-fn cons(m: &mut Machine, car: Word, cdr: Word) -> Result<Word, Trap> {
-    let addr = m.alloc(2, ObjKind::Cons)?;
+/// Conses `car` onto `cdr`, keeping both — and every `held` word —
+/// alive across a collection the allocation triggers: runtime routines
+/// run with their arguments already popped, so no machine root need
+/// reach them.
+fn cons(m: &mut Machine, car: Word, cdr: Word, held: &[Word]) -> Result<Word, Trap> {
+    let addr = m.alloc_holding(2, ObjKind::Cons, &[&[car, cdr], held])?;
     m.heap.write(addr, car);
     m.heap.write(addr + 1, cdr);
     Ok(Word::Ptr(Tag::Cons, addr))
@@ -203,8 +207,8 @@ fn list_words(m: &Machine, mut w: Word, who: &str) -> Result<Vec<Word>, Trap> {
 
 fn from_words(m: &mut Machine, words: &[Word], tail: Word) -> Result<Word, Trap> {
     let mut out = tail;
-    for &w in words.iter().rev() {
-        out = cons(m, w, out)?;
+    for (i, &w) in words.iter().enumerate().rev() {
+        out = cons(m, w, out, &words[..i])?;
     }
     Ok(out)
 }
@@ -512,7 +516,7 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
         }
         "cons" => {
             arity(args, 2, "cons")?;
-            cons(m, args[0], args[1])?
+            cons(m, args[0], args[1], &[])?
         }
         "car" => {
             arity(args, 1, "car")?;
@@ -723,13 +727,15 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
 
 // ---- host boundary ----
 
-/// Builds machine data from a host value.
-pub(crate) fn inject(m: &mut Machine, v: &Value) -> Result<Word, Trap> {
+/// Builds machine data from a host value.  `held` are the car words
+/// already built for enclosing conses, not yet reachable from any
+/// machine root (empty at the top level).
+pub(crate) fn inject(m: &mut Machine, v: &Value, held: &mut Vec<Word>) -> Result<Word, Trap> {
     Ok(match v {
         Value::Nil => Word::NIL,
         Value::Fixnum(n) => Word::fixnum(*n),
         Value::Flonum(x) => {
-            let addr = m.alloc(1, ObjKind::Flonum)?;
+            let addr = m.alloc_holding(1, ObjKind::Flonum, &[held])?;
             m.heap.write(addr, Word::F(*x));
             Word::Ptr(Tag::SingleFlonum, addr)
         }
@@ -747,9 +753,11 @@ pub(crate) fn inject(m: &mut Machine, v: &Value) -> Result<Word, Trap> {
         }
         Value::Char(c) => Word::Ptr(Tag::Char, u64::from(u32::from(*c))),
         Value::Cons(cell) => {
-            let a = inject(m, &cell.car.borrow())?;
-            let d = inject(m, &cell.cdr.borrow())?;
-            cons(m, a, d)?
+            let a = inject(m, &cell.car.borrow(), held)?;
+            held.push(a);
+            let d = inject(m, &cell.cdr.borrow(), held);
+            held.pop();
+            cons(m, a, d?, held)?
         }
         Value::Func(_) => {
             let name = v

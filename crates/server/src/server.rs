@@ -36,10 +36,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use s1lisp::{Compiler, FaultSite, Value};
-use s1lisp_driver::{
-    unit_decls, BatchTuning, CompileService, IncidentKind, ServiceConfig, SourceUnit,
-};
+use s1lisp::{FaultSite, Value};
+use s1lisp_driver::{CompileService, IncidentKind, ServiceConfig};
 use s1lisp_reader::{read_str, Interner};
 use s1lisp_trace::json;
 use s1lisp_trace::metrics::{MetricsRegistry, TIME_BUCKETS_US};
@@ -458,7 +456,7 @@ fn worker_loop(shared: &Shared) {
                 .map(|s| (*s).to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "panic".to_string());
-            accrue_incident(shared, &work.tenant, 1);
+            charge_incident(shared, &work.tenant);
             Response {
                 id: work.req.id,
                 op: work.req.op.as_str().to_string(),
@@ -510,15 +508,11 @@ fn elapsed_us(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Bumps the tenant's incident ledger and demotes it once the budget
-/// is exhausted.  Returns whether the tenant is (now) degraded.
-fn accrue_incident(shared: &Shared, tenant: &Arc<Mutex<TenantState>>, n: u64) -> bool {
-    let mut st = tenant.lock().expect("tenant poisoned");
-    st.incidents += n;
-    if st.incidents >= shared.config.incident_budget {
-        st.degraded = true;
-    }
-    st.degraded
+/// Charges one incident to the tenant.  Returns whether it is (now)
+/// demoted.
+fn charge_incident(shared: &Shared, tenant: &Mutex<TenantState>) -> bool {
+    let budget = shared.config.incident_budget;
+    tenant.lock().expect("tenant poisoned").charge(1, budget)
 }
 
 /// Serves one queued request.  SLO timings are filled in by the caller.
@@ -584,36 +578,17 @@ fn process(shared: &Shared, work: &Work) -> Response {
 }
 
 fn serve_compile(shared: &Shared, work: &Work, unit: &str, source: &str, resp: &mut Response) {
-    // Snapshot the namespace under the lock, but compile outside it:
-    // the batch service may fan out to its own workers, and a tenant's
-    // single-in-flight guarantee already serializes its requests.
-    let (tenant_name, specials, tuning) = {
-        let st = work.tenant.lock().expect("tenant poisoned");
-        (
-            st.name.clone(),
-            st.specials.clone(),
-            BatchTuning {
-                key_salt: st.fingerprint,
-                transformations_off: st.degraded,
-            },
-        )
-    };
-    resp.tenant = tenant_name;
-    // The tenant's accumulated specials precede the unit, so free
-    // references in this unit see every `proclaim` the tenant has made
-    // — the namespace semantics a resident compiler would give it.  A
-    // fresh tenant gets no prefix: its artifacts are byte-identical to
-    // a plain `compile_batch` of the same unit (pinned by test).
-    let full_source = if specials.is_empty() {
-        source.to_string()
-    } else {
-        format!(
-            "(proclaim (quote (special {})))\n{source}",
-            specials.join(" ")
-        )
-    };
-    let units = [SourceUnit::new(unit, full_source)];
-    let batch = shared.service.compile_batch_with(&units, tuning);
+    // The mutation's journal record is fsynced in `commit`, before the
+    // worker can frame the success response — the heart of the
+    // durability contract.
+    let batch = TenantState::compile_unit(
+        &work.tenant,
+        &shared.service,
+        unit,
+        source,
+        shared.config.incident_budget,
+        |st| resp.durable = journal_mutation(shared, st, unit, source),
+    );
     let incidents: Vec<WireIncident> = batch
         .incidents
         .iter()
@@ -623,41 +598,15 @@ fn serve_compile(shared: &Shared, work: &Work, unit: &str, source: &str, resp: &
             recovered: i.recovered,
         })
         .collect();
-    let any_degraded_artifact = batch.artifacts.iter().any(|a| a.degraded);
-    let (tenant_degraded, durable) = {
-        let mut st = work.tenant.lock().expect("tenant poisoned");
-        // Absorb the unit's own declarations (from the *raw* source:
-        // the prefix is the tenant's existing state, not news).
-        if let Ok((specials, globals)) = unit_decls(source) {
-            for s in specials {
-                st.absorb_special(&s);
-            }
-            st.globals.extend(globals);
-        }
-        let mut durable = false;
-        if batch.failures.is_empty() {
-            st.sources.push(source.to_string());
-            // The mutation's journal record is fsynced here, before the
-            // worker can frame the success response — the heart of the
-            // durability contract.
-            durable = journal_mutation(shared, &mut st, unit, source);
-        }
-        for a in &batch.artifacts {
-            st.artifacts.insert(a.name.clone(), a.clone());
-        }
-        st.incidents += incidents.len() as u64;
-        if st.incidents >= shared.config.incident_budget {
-            st.degraded = true;
-        }
-        (st.degraded, durable)
-    };
-    resp.durable = durable;
+    let st = work.tenant.lock().expect("tenant poisoned");
+    resp.tenant = st.name.clone();
+    resp.slo.degraded = st.degraded || batch.artifacts.iter().any(|a| a.degraded);
+    drop(st);
     resp.ok = batch.failures.is_empty();
     resp.error = batch
         .failures
         .first()
         .map(|(scope, e)| format!("{scope}: {e}"));
-    resp.slo.degraded = tenant_degraded || tuning.transformations_off || any_degraded_artifact;
     resp.slo.incident_kind = incidents.first().map(|i| i.kind.clone());
     resp.body = Body::Compile {
         artifacts: batch.artifacts,
@@ -670,7 +619,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     let st = work.tenant.lock().expect("tenant poisoned");
     resp.tenant = st.name.clone();
     resp.slo.degraded = st.degraded;
-    let sources: Vec<String> = st.sources.clone();
+    let (sources, demoted) = (st.sources.clone(), st.degraded);
     drop(st);
     // The seeded fault plan's simulator-trap site fires here too, so a
     // fault storm exercises the run path; the trap is contained to this
@@ -678,7 +627,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     // incident.
     if let Some(plan) = &shared.config.service.fault_plan {
         if plan.fires(FaultSite::SimTrap, entry) {
-            resp.slo.degraded = accrue_incident(shared, &work.tenant, 1);
+            resp.slo.degraded = charge_incident(shared, &work.tenant);
             resp.slo.incident_kind = Some("sim-trap".to_string());
             resp.body = Body::Run {
                 value: "trap: injected simulator fault".to_string(),
@@ -689,13 +638,9 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
     // Rebuild the tenant's world in a fresh compiler (a `Compiler`
     // holds `Rc`s and cannot live across worker threads): replaying
     // the compiled sources in order reconstructs specials, globals,
-    // and functions exactly.
-    let cfg = &shared.config.service;
-    let mut c = Compiler::new();
-    c.opt_options = cfg.opt_options.clone();
-    c.cse = cfg.cse;
-    c.codegen_options = cfg.codegen_options.clone();
-    c.tension_branches = cfg.tension_branches;
+    // and functions exactly.  A demoted tenant runs what it compiles:
+    // transformations off.
+    let mut c = shared.config.service.compiler(demoted);
     for src in &sources {
         if let Err(e) = c.compile_str(src) {
             resp.ok = false;
@@ -715,13 +660,9 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
             }
         }
     }
-    let mut m = c.machine();
-    m.fuel_per_run = shared.config.run_fuel;
-    let value = match m.run(entry, &values) {
-        Ok(v) => v.to_string(),
-        Err(t) => format!("trap: {t}"),
+    resp.body = Body::Run {
+        value: c.run_printed(entry, &values, shared.config.run_fuel),
     };
-    resp.body = Body::Run { value };
 }
 
 /// Gives a tenant its journal on first contact (recovered tenants
@@ -901,49 +842,29 @@ fn recover_one(
     for a in &snap.artifacts {
         st.artifacts.insert(a.name.clone(), a.clone());
     }
-    // Replay the tail exactly as serve_compile would have: specials
-    // prefix from the state *before* this record, then absorb its
-    // declarations.
+    // Replay the tail exactly as serve_compile would have (the journal
+    // is attached afterwards, so nothing is re-journaled).
+    let tenant = Mutex::new(st);
     let mut last_seq = snap.applied_seq;
     for rec in &scan.records {
         last_seq = rec.seq;
-        let full_source = if st.specials.is_empty() {
-            rec.source.clone()
+        let batch = TenantState::compile_unit(
+            &tenant,
+            service,
+            &rec.unit,
+            &rec.source,
+            config.incident_budget,
+            |_| {},
+        );
+        if batch.failures.is_empty() {
+            metrics.counter("server.recovery.replayed_records").inc();
         } else {
-            format!(
-                "(proclaim (quote (special {})))\n{}",
-                st.specials.join(" "),
-                rec.source
-            )
-        };
-        let units = [SourceUnit::new(&rec.unit, full_source)];
-        let tuning = BatchTuning {
-            key_salt: fp,
-            transformations_off: st.degraded,
-        };
-        let batch = service.compile_batch_with(&units, tuning);
-        if let Ok((specials, globals)) = unit_decls(&rec.source) {
-            for s in specials {
-                st.absorb_special(&s);
-            }
-            st.globals.extend(globals);
-        }
-        if !batch.failures.is_empty() {
             // The record was acknowledged, so this should not happen
             // outside a fault storm; count it and keep the rest.
             metrics.counter("server.recovery.replay_failures").inc();
-            continue;
         }
-        st.sources.push(rec.source.clone());
-        for a in batch.artifacts {
-            st.artifacts.insert(a.name.clone(), a);
-        }
-        st.incidents += batch.incidents.len() as u64;
-        if st.incidents >= config.incident_budget {
-            st.degraded = true;
-        }
-        metrics.counter("server.recovery.replayed_records").inc();
     }
+    let mut st = tenant.into_inner().expect("tenant poisoned");
     // Re-attach the journal and compact what was just replayed into a
     // fresh snapshot, so the next crash recovers from here.
     match TenantJournal::open(state_dir, fp, plan) {

@@ -20,13 +20,16 @@
 //! threads.  Instead the state keeps the tenant's compiled sources in
 //! order and replays them into a fresh compiler when a `run` request
 //! needs a live machine; compilation itself goes through the batch
-//! service's hermetic jobs and needs no resident compiler at all.
+//! service's hermetic jobs ([`TenantState::compile_unit`], for live
+//! requests and journal replay alike) and needs no resident compiler at
+//! all.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use s1lisp::Artifact;
 use s1lisp_ast::Fnv1a64;
+use s1lisp_driver::{unit_decls, BatchResult, BatchTuning, CompileService, SourceUnit};
 
 use crate::journal::TenantJournal;
 
@@ -82,6 +85,67 @@ impl TenantState {
         if !self.specials.iter().any(|s| s == name) {
             self.specials.push(name.to_string());
         }
+    }
+
+    /// Compiles one unit into the tenant's namespace — the one way a
+    /// compile reaches tenant state, live or in journal replay.  The
+    /// tenant's specials prefix the unit (none for a fresh tenant, so
+    /// its artifacts are byte-identical to a plain `compile_batch`),
+    /// and the batch compiles under the tenant's salt and demotion with
+    /// the lock released: a tenant's single-in-flight guarantee already
+    /// serializes its requests.  Then the unit's declarations are
+    /// absorbed, a clean compile's source is logged and `commit` runs
+    /// under the lock (the live server journals there), the artifacts
+    /// are stored, and the incidents are charged against
+    /// `incident_budget`.
+    pub fn compile_unit(
+        tenant: &Mutex<TenantState>,
+        service: &CompileService,
+        unit: &str,
+        source: &str,
+        incident_budget: u64,
+        commit: impl FnOnce(&mut TenantState),
+    ) -> BatchResult {
+        let (full_source, tuning) = {
+            let st = tenant.lock().expect("tenant poisoned");
+            let prefix = if st.specials.is_empty() {
+                String::new()
+            } else {
+                format!("(proclaim (quote (special {})))\n", st.specials.join(" "))
+            };
+            let tuning = BatchTuning {
+                key_salt: st.fingerprint,
+                transformations_off: st.degraded,
+            };
+            (prefix + source, tuning)
+        };
+        let batch = service.compile_batch_with(&[SourceUnit::new(unit, full_source)], tuning);
+        let mut st = tenant.lock().expect("tenant poisoned");
+        // The unit's own declarations, from the *raw* source: the
+        // prefix is the tenant's existing state, not news.
+        if let Ok((specials, globals)) = unit_decls(source) {
+            for s in specials {
+                st.absorb_special(&s);
+            }
+            st.globals.extend(globals);
+        }
+        if batch.failures.is_empty() {
+            st.sources.push(source.to_string());
+            commit(&mut st);
+        }
+        for a in &batch.artifacts {
+            st.artifacts.insert(a.name.clone(), a.clone());
+        }
+        st.charge(batch.incidents.len() as u64, incident_budget);
+        batch
+    }
+
+    /// Charges `n` incidents to the tenant's ledger, demoting it once
+    /// they reach `budget`.  Returns whether the tenant is demoted.
+    pub fn charge(&mut self, n: u64, budget: u64) -> bool {
+        self.incidents += n;
+        self.degraded |= self.incidents >= budget;
+        self.degraded
     }
 }
 

@@ -186,13 +186,17 @@ fn budget_overrun_times_out_and_recovers() {
 }
 
 #[test]
-fn pass_budget_overrun_degrades_with_the_pass_named() {
-    // A zero per-pass budget trips on the first pass of every job; the
-    // service routes the structured overrun to the same degraded path
-    // as a watchdog timeout, but the incident detail names the pass.
+fn watchdog_overrun_degrades_with_the_pass_named() {
+    use s1lisp_driver::{FaultPlan, FaultSite};
+
+    // An armed overrun stalls inside the pipeline's fault-injection
+    // pass, just past the watchdog's budget.  The watchdog gives up on
+    // every job, names the pass it caught each one in, and the service
+    // routes both to the degraded path.
     let config = ServiceConfig {
         jobs: 2,
-        pass_budget: Some(Duration::ZERO),
+        time_budget: Some(Duration::from_millis(200)),
+        fault_plan: Some(FaultPlan::new(3).arm(FaultSite::Overrun, 1000)),
         ..ServiceConfig::default()
     };
     let units = [SourceUnit::new(
@@ -202,22 +206,22 @@ fn pass_budget_overrun_degrades_with_the_pass_named() {
     let batch = CompileService::new(config).compile_batch(&units);
     assert!(batch.failures.is_empty(), "{:?}", batch.failures);
     assert_eq!(batch.incidents.len(), 2);
+    let passes = s1lisp::Compiler::new().pipeline().pass_names();
     for i in &batch.incidents {
         assert_eq!(i.kind, IncidentKind::Timeout);
         assert!(i.recovered, "{} not recovered", i.function);
-        assert!(
-            i.detail.contains("pass budget exceeded"),
-            "detail should name the budget: {}",
-            i.detail
-        );
+        let named = passes
+            .iter()
+            .find(|p| i.detail.ends_with(&format!("in pass {p}")));
+        assert_eq!(named, Some(&"Fault injection"), "{}", i.detail);
     }
-    // The degraded retries ran budget-free and produced artifacts.
+    // The degraded retries ran unwatched and produced artifacts.
     assert!(batch.artifact("sq").unwrap().degraded);
     assert!(batch.artifact("inc").unwrap().degraded);
     // A generous budget compiles everything cleanly.
     let config = ServiceConfig {
         jobs: 2,
-        pass_budget: Some(Duration::from_secs(60)),
+        time_budget: Some(Duration::from_secs(60)),
         ..ServiceConfig::default()
     };
     let batch = CompileService::new(config).compile_batch(&units);

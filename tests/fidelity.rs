@@ -114,6 +114,50 @@ fn machine_data_round_trips_through_gc() {
     assert_eq!(again, keep);
 }
 
+/// A collection triggered while the runtime holds a half-built list
+/// (`list`, `list*`, `append`, `reverse`, rest arguments, injected
+/// arguments) must not reclaim it.  deriv-bench conses its whole result
+/// through `list`; on a small heap it collects mid-build within a few
+/// runs.  Each run's result is compared with the interpreter's *inside*
+/// the machine, by a compiled walk bounded by the reference tree, so a
+/// corrupted or circular result fails the comparison instead of
+/// overflowing the host stack on read-back.
+#[test]
+fn runtime_list_builders_survive_collection() {
+    let mut c = Compiler::new();
+    c.compile_str(s1lisp_bench::corpus::DERIV).unwrap();
+    c.compile_str(
+        "(defun same (a b)
+           (cond ((consp a)
+                  (and (consp b) (same (car a) (car b)) (same (cdr a) (cdr b))))
+                 (t (eq a b))))
+         (defun check (n x expected) (same (deriv-bench n x) expected))",
+    )
+    .unwrap();
+    let x = Value::from_datum(&s1lisp_reader::read_str("x", &mut c.interner).unwrap());
+    let expected = c
+        .interpreter()
+        .call("deriv-bench", &[fx(20), x.clone()])
+        .unwrap();
+    let t = Value::from_datum(&s1lisp_reader::read_str("t", &mut c.interner).unwrap());
+    let mut m = s1lisp_s1sim::Machine::with_sizes(c.program().clone(), 1 << 16, 4096);
+    m.fuel_per_run = 50_000_000;
+    for run in 0..40 {
+        let got = m.run("check", &[fx(20), x.clone(), expected.clone()]);
+        assert_eq!(
+            got,
+            Ok(t.clone()),
+            "run {run} after {} collections",
+            m.stats.heap.collections
+        );
+    }
+    assert!(
+        m.stats.heap.collections > 3,
+        "{} collections",
+        m.stats.heap.collections
+    );
+}
+
 /// inject ∘ extract is the identity on function-free values, even
 /// with a heap small enough to collect mid-test.
 #[test]

@@ -10,7 +10,8 @@
 //!   recovered `Incident`, and the same seed replays the same incident
 //!   set;
 //! * an injected miscompile is caught by the oracle, which ships the
-//!   transformations-off reference artifact marked degraded;
+//!   transformations-off reference artifact marked degraded — also when
+//!   the cross-backend check judges the same batch;
 //! * `BatchResult::load_globals` makes a batch directly runnable on a
 //!   machine, `defvar` initializers included.
 
@@ -199,7 +200,7 @@ fn clean_oracle_agrees_on_every_case() {
     let report = batch.guard.expect("guard report");
     assert_eq!(report.oracle.len(), 5);
     for v in &report.oracle {
-        assert!(v.matched, "{}: {} vs {}", v.entry, v.optimized, v.reference);
+        assert!(v.matched, "{}: {} vs {}", v.entry, v.subject, v.reference);
         assert!(!v.injected);
     }
 }
@@ -246,4 +247,84 @@ fn load_globals_makes_a_batch_runnable() {
         loaded.run("accumulate", &[Value::Fixnum(3)]).unwrap(),
         Value::Fixnum(6)
     );
+}
+
+/// Both oracles on one batch: the guard's optimized-vs-reference check
+/// and the cross-backend S-1-vs-bytecode check, with the miscompile
+/// site armed on every case.  Each check flags each case once; the
+/// guard ships the transformations-off reference (marked degraded),
+/// the cross-backend check keeps the S-1 artifact it already ships,
+/// and the batch stays contained.
+#[test]
+fn guard_and_cross_backend_oracles_judge_one_batch_together() {
+    use s1lisp_driver::BackendSelect;
+
+    let cfg = ServiceConfig {
+        jobs: 2,
+        guard: true,
+        backend: BackendSelect::Both,
+        fault_plan: Some(FaultPlan::new(5).arm(FaultSite::Miscompile, 1000)),
+        oracle: vec![
+            OracleCase::new("exptl", ["3", "10", "1"]),
+            OracleCase::new("quadratic", ["1.0", "-3.0", "2.0"]),
+        ],
+        ..ServiceConfig::default()
+    };
+    let batch = CompileService::new(cfg).compile_batch(&service_units());
+    assert!(batch.failures.is_empty(), "{:?}", batch.failures);
+    let json = batch.to_json();
+    let field = |path: &[&str]| {
+        let mut j = &json;
+        for key in path {
+            j = j.get(key).unwrap_or_else(|| panic!("no {key}"));
+        }
+        j.to_string()
+    };
+    assert_eq!(
+        field(&["cross"]),
+        concat!(
+            r#"[{"entry":"exptl","matched":false,"s1":"59049","#,
+            r#""bytecode":"59049 [injected miscompile]","injected":true},"#,
+            r#"{"entry":"quadratic","matched":false,"s1":"(2.0 1.0)","#,
+            r#""bytecode":"(2.0 1.0) [injected miscompile]","injected":true}]"#
+        )
+    );
+    assert_eq!(
+        field(&["guard", "oracle"]),
+        concat!(
+            r#"[{"entry":"exptl","matched":false,"#,
+            r#""optimized":"59049 [injected miscompile]","reference":"59049","injected":true},"#,
+            r#"{"entry":"quadratic","matched":false,"#,
+            r#""optimized":"(2.0 1.0) [injected miscompile]","reference":"(2.0 1.0)","#,
+            r#""injected":true}]"#
+        )
+    );
+    // Cross-backend incidents first, then the guard's, each in case
+    // order.
+    assert_eq!(
+        field(&["incidents"]),
+        concat!(
+            r#"[{"function":"exptl","unit":"e1","kind":"miscompile","#,
+            r#""detail":"cross-backend mismatch: s1 gave 59049, "#,
+            r#"bytecode gave 59049 [injected miscompile]","recovered":true},"#,
+            r#"{"function":"quadratic","unit":"e2","kind":"miscompile","#,
+            r#""detail":"cross-backend mismatch: s1 gave (2.0 1.0), "#,
+            r#"bytecode gave (2.0 1.0) [injected miscompile]","recovered":true},"#,
+            r#"{"function":"exptl","unit":"e1","kind":"miscompile","#,
+            r#""detail":"oracle mismatch: optimized gave 59049 [injected miscompile], "#,
+            r#"reference gave 59049","recovered":true},"#,
+            r#"{"function":"quadratic","unit":"e2","kind":"miscompile","#,
+            r#""detail":"oracle mismatch: optimized gave (2.0 1.0) [injected miscompile], "#,
+            r#"reference gave (2.0 1.0)","recovered":true}]"#
+        )
+    );
+    assert_eq!(field(&["guard", "contained"]), "true");
+    for name in ["exptl", "quadratic"] {
+        let shipped = batch.artifact(name).unwrap();
+        assert!(shipped.degraded, "{name}");
+        assert_eq!(shipped.transformations, 0, "{name}");
+        assert_eq!(shipped.backend, "s1", "{name}");
+        let record = batch.records.iter().find(|r| r.function == name).unwrap();
+        assert_eq!(record.outcome, Outcome::Degraded, "{name}");
+    }
 }

@@ -351,3 +351,66 @@ fn incident_budget_demotes_only_the_offending_tenant() {
     handle.shutdown();
     handle.join();
 }
+
+/// A demoted tenant's `run` executes what the tenant now compiles —
+/// transformations off — not the optimized code its budget demoted.
+/// The two compiles of `spin` retire different instruction counts, so
+/// a run fuel between them tells them apart: the healthy tenant's run
+/// finishes, the demoted tenant's runs out.
+#[test]
+fn run_replays_a_demoted_tenant_with_transformations_off() {
+    const SPIN: &str = "(defun spin (n)
+      (prog ((i 0))
+       top (cond ((< i n) (setq i (+ i (if (null nil) 1 2))) (go top)))
+       (return i)))";
+    // The least run fuel on which each compile finishes `(spin 1000)`.
+    let least_fuel = |transformations_off| {
+        let mut c = ServiceConfig::default().compiler(transformations_off);
+        c.compile_str(SPIN).unwrap();
+        let (mut short, mut enough) = (0u64, 1 << 24);
+        while enough - short > 1 {
+            let fuel = (short + enough) / 2;
+            if c.run_printed("spin", &[s1lisp::Value::Fixnum(1000)], fuel) == "1000" {
+                enough = fuel;
+            } else {
+                short = fuel;
+            }
+        }
+        enough
+    };
+    let (optimized, reference) = (least_fuel(false), least_fuel(true));
+    assert!(optimized < reference, "{optimized} vs {reference}");
+    let handle = start(ServerConfig {
+        incident_budget: 1,
+        run_fuel: (optimized + reference) / 2,
+        service: ServiceConfig {
+            fault: Some(FaultInjection {
+                function: "boom".into(),
+                mode: FaultMode::Panic,
+            }),
+            ..ServiceConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&handle);
+    let value = |r: &s1lisp_server::Response| match &r.body {
+        Body::Run { value } => value.clone(),
+        _ => panic!("run body expected, got ok={} {:?}", r.ok, r.error),
+    };
+
+    assert!(client.hello("healthy", None).unwrap().ok);
+    assert!(client.compile("spin", SPIN).unwrap().ok);
+    let run = client.run("spin", &["1000"]).unwrap();
+    assert!(!run.slo.degraded);
+    assert_eq!(value(&run), "1000");
+
+    assert!(client.hello("victim", None).unwrap().ok);
+    assert!(client.compile("spin", SPIN).unwrap().ok);
+    let faulted = client.compile("boom", "(defun boom (x) (* x x))").unwrap();
+    assert!(faulted.slo.degraded, "the incident demotes the tenant");
+    let run = client.run("spin", &["1000"]).unwrap();
+    assert!(run.slo.degraded);
+    assert!(value(&run).starts_with("trap:"), "{}", value(&run));
+    handle.shutdown();
+    handle.join();
+}
