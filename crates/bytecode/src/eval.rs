@@ -1,11 +1,21 @@
 //! The stack-frame bytecode evaluator.
 //!
 //! An explicit frame stack (no host recursion), a shared operand
-//! stack, a deep-binding special stack, and a `catch`-handler stack.
+//! stack, one shared slot stack holding every frame's slots, a
+//! deep-binding special stack, and a `catch`-handler stack.
 //! Primitives are *not* reimplemented: every global that is not a
 //! bytecode proto dispatches through [`s1lisp_interp::call_builtin`],
 //! so both backends share one reference definition of `+`, `car`,
 //! `$fadd`, and friends.
+//!
+//! [`Evaluator::new`] links the module once, as the S-1 loader resolves
+//! call targets and special cells ahead of time: every constant-pool
+//! entry of every proto gets a linked [`Entry`] — the constant
+//! materialised as a value (structured constants shared module-wide,
+//! so a quoted list is one object, as an S-1 heap constant is), and,
+//! for a symbol, its resolved callee and its special-variable number.
+//! The dispatch loop then calls, loads constants and reads specials
+//! without allocating, formatting or hashing a name.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -13,9 +23,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use s1lisp_interp::{call_builtin, Function, Value};
-use s1lisp_reader::{Interner, Symbol};
+use s1lisp_reader::{Datum, Interner, Symbol};
 
-use crate::{FuncProto, Module, Op};
+use crate::{FuncProto, Insn, Module, Op};
 
 /// A runtime trap: wrong arity, undefined function, uncaught throw,
 /// fuel exhaustion, …  The cross-backend oracle treats any trap on
@@ -80,330 +90,136 @@ impl BcValue {
     /// Closures degrade to a named function value — they keep working
     /// through `funcall`/`apply` by name lookup, which is all the
     /// dialect's builtins ever do with them.
-    fn as_value(&self) -> Result<Value, BcTrap> {
+    fn into_value(self) -> Result<Value, BcTrap> {
         match self {
-            BcValue::V(v) => Ok(v.clone()),
+            BcValue::V(v) => Ok(v),
             BcValue::Closure(c) => Ok(Value::Func(Function::Global(c.name.clone()))),
             BcValue::Cell(_) => trap("value cell escaped onto the data path"),
         }
     }
 }
 
-struct Frame {
+/// What a global name calls, resolved once.
+#[derive(Clone, Copy, Debug)]
+enum Callee {
+    /// The latest module proto of that name.
+    Proto(usize),
+    /// `throw`, handled by the evaluator (before any proto).
+    Throw,
+    /// `apply`, handled by the evaluator (before any proto).
+    Apply,
+    /// Everything else goes to the shared builtins, which answer
+    /// `undefined function …` for a name they do not know — at the
+    /// call, so defining a function that names a missing global is
+    /// not an error.
+    Builtin,
+}
+
+/// Resolves a global function name: `throw` and `apply` first, then the
+/// module's latest definition, then the builtins.
+fn resolve(module: &Module, name: &str) -> Callee {
+    match name {
+        "throw" => Callee::Throw,
+        "apply" => Callee::Apply,
+        _ => module.lookup(name).map_or(Callee::Builtin, Callee::Proto),
+    }
+}
+
+/// One constant-pool entry, linked.
+struct Entry {
+    /// The constant as a value, materialised once; every `Const` of it
+    /// pushes this same object.
+    value: BcValue,
+    /// Set for a symbol entry.
+    name: Option<Name>,
+}
+
+/// What a symbol constant names, as a callee and as a special.
+struct Name {
+    sym: Symbol,
+    callee: Callee,
+    special: usize,
+}
+
+impl Entry {
+    fn name(&self) -> Result<&Name, BcTrap> {
+        match &self.name {
+            Some(n) => Ok(n),
+            None => trap("name operand is not a symbol constant"),
+        }
+    }
+}
+
+/// A proto with its linked constant pool.
+struct Linked {
     proto: Rc<FuncProto>,
-    pc: usize,
-    /// Operand-stack height at frame entry (crop targets are relative
-    /// to this).
-    base: usize,
-    slots: Vec<BcValue>,
-    captures: Vec<Rc<RefCell<BcValue>>>,
-    argc: usize,
-    specials_base: usize,
-    handlers_base: usize,
+    entries: Vec<Entry>,
 }
 
-struct Handler {
-    tag: BcValue,
-    pc: usize,
-    frame_ix: usize,
-    stack_h: usize,
-    specials_h: usize,
+/// Special variables by number: the link step and
+/// [`Evaluator::set_global`] intern names into one id space, and each
+/// id has one global value slot.
+#[derive(Default)]
+struct Specials {
+    ids: HashMap<String, usize>,
+    globals: Vec<Option<Value>>,
 }
 
-/// Runs [`Module`] code under a fuel budget.
-pub struct Evaluator {
+impl Specials {
+    fn id(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.globals.len();
+        self.ids.insert(name.to_string(), id);
+        self.globals.push(None);
+        id
+    }
+}
+
+/// The linked, read-only side of an evaluator.
+struct Image {
     module: Module,
-    /// Instruction budget per [`Evaluator::run`] call; exhaustion is a
-    /// trap (the bytecode analog of the simulator's fuel).
-    pub fuel_per_run: u64,
-    /// Instructions retired by the most recent `run`.
-    pub last_run_insns: u64,
-    globals: HashMap<String, Value>,
+    protos: Vec<Linked>,
     t: Symbol,
 }
 
-impl Evaluator {
-    /// An evaluator over `module` with the default fuel budget.
-    pub fn new(module: Module) -> Evaluator {
-        let mut interner = Interner::new();
-        Evaluator {
+impl Image {
+    /// Links every proto's constant pool.  Conses and strings are shared
+    /// across the module by printed form, as the S-1 program's constant
+    /// and string tables share them.
+    fn link(module: Module, specials: &mut Specials) -> Image {
+        let mut shared: HashMap<String, BcValue> = HashMap::new();
+        let mut protos = Vec::with_capacity(module.len());
+        for ix in 0..module.len() {
+            let proto = module.proto(ix).clone();
+            let entries = proto
+                .consts
+                .iter()
+                .map(|d| Entry {
+                    value: match d {
+                        Datum::Cons(_) | Datum::Str(_) => shared
+                            .entry(d.to_string())
+                            .or_insert_with(|| BcValue::V(Value::from_datum(d)))
+                            .clone(),
+                        _ => BcValue::V(Value::from_datum(d)),
+                    },
+                    name: match d {
+                        Datum::Sym(s) => Some(Name {
+                            sym: s.clone(),
+                            callee: resolve(&module, s.as_str()),
+                            special: specials.id(s.as_str()),
+                        }),
+                        _ => None,
+                    },
+                })
+                .collect();
+            protos.push(Linked { proto, entries });
+        }
+        Image {
             module,
-            fuel_per_run: 100_000_000,
-            last_run_insns: 0,
-            globals: HashMap::new(),
-            t: interner.intern("t"),
-        }
-    }
-
-    /// The module being run.
-    pub fn module(&self) -> &Module {
-        &self.module
-    }
-
-    /// Sets a global variable (special values read fall back here, as
-    /// with the simulator's global table).
-    pub fn set_global(&mut self, name: &str, value: Value) {
-        self.globals.insert(name.to_string(), value);
-    }
-
-    /// Calls `entry` with `args`, returning its value or a trap.
-    pub fn run(&mut self, entry: &str, args: &[Value]) -> Result<Value, BcTrap> {
-        let Some(ix) = self.module.lookup(entry) else {
-            return trap(format!("undefined function {entry}"));
-        };
-        let mut st = State {
-            stack: Vec::new(),
-            frames: Vec::new(),
-            handlers: Vec::new(),
-            specials: Vec::new(),
-        };
-        let argv: Vec<BcValue> = args.iter().map(|v| BcValue::V(v.clone())).collect();
-        self.last_run_insns = 0;
-        self.exec(&mut st, ix, argv)
-    }
-
-    fn exec(
-        &mut self,
-        st: &mut State,
-        entry_ix: usize,
-        args: Vec<BcValue>,
-    ) -> Result<Value, BcTrap> {
-        push_frame(&self.module, st, entry_ix, args, Vec::new())?;
-        let mut fuel = self.fuel_per_run;
-        loop {
-            if fuel == 0 {
-                return trap("fuel exhausted");
-            }
-            fuel -= 1;
-            self.last_run_insns += 1;
-            let frame = st.frames.last_mut().expect("live frame");
-            let Some(&insn) = frame.proto.code.get(frame.pc) else {
-                return trap("pc ran off the end of the code");
-            };
-            frame.pc += 1;
-            let (a, b) = (insn.a as usize, insn.b as usize);
-            match insn.op {
-                Op::Const => {
-                    let d = &frame.proto.consts[a];
-                    st.stack.push(BcValue::V(Value::from_datum(d)));
-                }
-                Op::Nil => st.stack.push(BcValue::nil()),
-                Op::Dup => {
-                    let v = top(st)?.clone();
-                    st.stack.push(v);
-                }
-                Op::Pop => {
-                    pop(st)?;
-                }
-                Op::Load => {
-                    let v = frame.slots[a].clone();
-                    st.stack.push(v);
-                }
-                Op::Store => {
-                    let v = pop(st)?;
-                    st.frames.last_mut().unwrap().slots[a] = v;
-                }
-                Op::LoadCell => match &frame.slots[a] {
-                    BcValue::Cell(c) => {
-                        let v = c.borrow().clone();
-                        st.stack.push(v);
-                    }
-                    _ => return trap("load through a non-cell slot"),
-                },
-                Op::StoreCell => {
-                    let v = pop(st)?;
-                    match &st.frames.last().unwrap().slots[a] {
-                        BcValue::Cell(c) => *c.borrow_mut() = v,
-                        _ => return trap("store through a non-cell slot"),
-                    }
-                }
-                Op::NewCell => {
-                    let old = std::mem::replace(&mut frame.slots[a], BcValue::nil());
-                    frame.slots[a] = BcValue::Cell(Rc::new(RefCell::new(old)));
-                }
-                Op::PushCellSlot => match &frame.slots[a] {
-                    BcValue::Cell(c) => st.stack.push(BcValue::Cell(c.clone())),
-                    _ => return trap("capture of a non-cell slot"),
-                },
-                Op::LoadCapture => {
-                    let v = frame.captures[a].borrow().clone();
-                    st.stack.push(v);
-                }
-                Op::StoreCapture => {
-                    let v = pop(st)?;
-                    *st.frames.last().unwrap().captures[a].borrow_mut() = v;
-                }
-                Op::PushCellCapture => {
-                    let c = frame.captures[a].clone();
-                    st.stack.push(BcValue::Cell(c));
-                }
-                Op::BoxTop => {
-                    let v = pop(st)?;
-                    st.stack.push(BcValue::Cell(Rc::new(RefCell::new(v))));
-                }
-                Op::LoadSpecial => {
-                    let name = self.const_name(&frame.proto, a)?;
-                    let v = match st.specials.iter().rev().find(|(n, _)| *n == name) {
-                        Some((_, v)) => v.clone(),
-                        None => match self.globals.get(&name) {
-                            Some(v) => BcValue::V(v.clone()),
-                            None => return trap(format!("unbound variable {name}")),
-                        },
-                    };
-                    st.stack.push(v);
-                }
-                Op::StoreSpecial => {
-                    let name = self.const_name(&frame.proto, a)?;
-                    let v = pop(st)?;
-                    match st.specials.iter_mut().rev().find(|(n, _)| *n == name) {
-                        Some(slot) => slot.1 = v,
-                        None => {
-                            self.globals.insert(name, v.as_value()?);
-                        }
-                    }
-                }
-                Op::BindSpecial => {
-                    let name = self.const_name(&frame.proto, a)?;
-                    let v = pop(st)?;
-                    st.specials.push((name, v));
-                }
-                Op::Unbind => {
-                    let n = st.specials.len().saturating_sub(a);
-                    st.specials.truncate(n);
-                }
-                Op::Jump => st.frames.last_mut().unwrap().pc = a,
-                Op::JumpIfNil => {
-                    let v = pop(st)?;
-                    if !v.is_true() {
-                        st.frames.last_mut().unwrap().pc = a;
-                    }
-                }
-                Op::JumpIfTrue => {
-                    let v = pop(st)?;
-                    if v.is_true() {
-                        st.frames.last_mut().unwrap().pc = a;
-                    }
-                }
-                Op::ArgSup => {
-                    if frame.argc > a {
-                        frame.pc = b;
-                    }
-                }
-                Op::Call | Op::TailCall => {
-                    let name = self.const_name(&frame.proto, a)?;
-                    let args = pop_n(st, b)?;
-                    let tail = insn.op == Op::TailCall;
-                    if let Some(r) = self.call_global(st, &name, args, tail)? {
-                        if let Some(v) = self.settle(st, r)? {
-                            return Ok(v);
-                        }
-                    }
-                }
-                Op::CallDyn => {
-                    let args = pop_n(st, a)?;
-                    let callee = pop(st)?;
-                    match callee {
-                        BcValue::Closure(c) => {
-                            push_frame(&self.module, st, c.proto, args, c.captures.clone())?;
-                        }
-                        BcValue::V(Value::Func(Function::Global(name))) => {
-                            if let Some(r) = self.call_global(st, &name, args, false)? {
-                                if let Some(v) = self.settle(st, r)? {
-                                    return Ok(v);
-                                }
-                            }
-                        }
-                        other => {
-                            return trap(format!("not a function: {}", other.as_value()?));
-                        }
-                    }
-                }
-                Op::MakeClosure => {
-                    let cells = pop_n(st, b)?;
-                    let mut captures = Vec::with_capacity(cells.len());
-                    for c in cells {
-                        match c {
-                            BcValue::Cell(rc) => captures.push(rc),
-                            _ => return trap("closure capture is not a cell"),
-                        }
-                    }
-                    let name = self.module.proto(a).name.clone();
-                    st.stack.push(BcValue::Closure(Rc::new(BcClosure {
-                        proto: a,
-                        captures,
-                        name,
-                    })));
-                }
-                Op::List => {
-                    let items = pop_n(st, a)?;
-                    let mut vs = Vec::with_capacity(items.len());
-                    for i in &items {
-                        vs.push(i.as_value()?);
-                    }
-                    st.stack.push(BcValue::V(Value::list(vs)));
-                }
-                Op::Eql => {
-                    let y = pop(st)?;
-                    let x = pop(st)?;
-                    let v = self.bool_value(x.eql(&y));
-                    st.stack.push(v);
-                }
-                Op::Return => {
-                    let v = pop(st)?;
-                    if let Some(out) = self.settle(st, v)? {
-                        return Ok(out);
-                    }
-                }
-                Op::Catch => {
-                    let tag = pop(st)?;
-                    st.handlers.push(Handler {
-                        tag,
-                        pc: a,
-                        frame_ix: st.frames.len() - 1,
-                        stack_h: st.stack.len(),
-                        specials_h: st.specials.len(),
-                    });
-                }
-                Op::EndCatch => {
-                    if st.handlers.pop().is_none() {
-                        return trap("end.catch without a handler");
-                    }
-                }
-                Op::Uncatch => {
-                    let n = st.handlers.len().saturating_sub(a);
-                    st.handlers.truncate(n);
-                }
-                Op::Throw => {
-                    let value = pop(st)?;
-                    let tag = pop(st)?;
-                    self.do_throw(st, tag, value)?;
-                }
-                Op::Crop => {
-                    st.stack.truncate(frame.base + a);
-                }
-                Op::CropKeep => {
-                    let v = pop(st)?;
-                    st.stack.truncate(st.frames.last().unwrap().base + a);
-                    st.stack.push(v);
-                }
-                Op::GlobalFn => {
-                    let name = self.const_name(&frame.proto, a)?;
-                    st.stack
-                        .push(BcValue::V(Value::Func(Function::Global(name))));
-                }
-                Op::AddNum => self.arith(st, "+", |x, y| x.checked_add(y))?,
-                Op::SubNum => self.arith(st, "-", |x, y| x.checked_sub(y))?,
-                Op::MulNum => self.arith(st, "*", |x, y| x.checked_mul(y))?,
-                Op::LtNum => self.compare(st, "<", |x, y| x < y)?,
-                Op::NumEq => self.compare(st, "=", |x, y| x == y)?,
-            }
-        }
-    }
-
-    fn const_name(&self, proto: &FuncProto, a: usize) -> Result<String, BcTrap> {
-        match proto.consts.get(a) {
-            Some(s1lisp_reader::Datum::Sym(s)) => Ok(s.as_str().to_string()),
-            _ => trap("name operand is not a symbol constant"),
+            protos,
+            t: Interner::new().intern("t"),
         }
     }
 
@@ -415,46 +231,6 @@ impl Evaluator {
         }
     }
 
-    /// Fused arithmetic: fixnum fast path, with the interpreter builtin
-    /// as the single source of truth for everything else (flonums,
-    /// contagion, overflow).
-    fn arith(
-        &mut self,
-        st: &mut State,
-        name: &str,
-        fast: fn(i64, i64) -> Option<i64>,
-    ) -> Result<(), BcTrap> {
-        let y = pop(st)?;
-        let x = pop(st)?;
-        if let (BcValue::V(Value::Fixnum(a)), BcValue::V(Value::Fixnum(b))) = (&x, &y) {
-            if let Some(r) = fast(*a, *b) {
-                st.stack.push(BcValue::V(Value::Fixnum(r)));
-                return Ok(());
-            }
-        }
-        let v = self.builtin(name, &[x.as_value()?, y.as_value()?])?;
-        st.stack.push(BcValue::V(v));
-        Ok(())
-    }
-
-    fn compare(
-        &mut self,
-        st: &mut State,
-        name: &str,
-        fast: fn(i64, i64) -> bool,
-    ) -> Result<(), BcTrap> {
-        let y = pop(st)?;
-        let x = pop(st)?;
-        if let (BcValue::V(Value::Fixnum(a)), BcValue::V(Value::Fixnum(b))) = (&x, &y) {
-            let v = self.bool_value(fast(*a, *b));
-            st.stack.push(v);
-            return Ok(());
-        }
-        let v = self.builtin(name, &[x.as_value()?, y.as_value()?])?;
-        st.stack.push(BcValue::V(v));
-        Ok(())
-    }
-
     fn builtin(&self, name: &str, args: &[Value]) -> Result<Value, BcTrap> {
         match call_builtin(name, args, &self.t) {
             Some(Ok(v)) => Ok(v),
@@ -462,210 +238,636 @@ impl Evaluator {
             None => trap(format!("undefined function {name}")),
         }
     }
+}
 
-    /// Calls the named global: a module proto (frame push / frame
-    /// replacement), a builtin, or the `throw`/`apply` special cases.
-    /// `Ok(Some(v))` means a builtin produced `v` in tail position and
-    /// the caller must settle it.
-    fn call_global(
+struct Frame {
+    /// Index of the running proto.
+    proto: usize,
+    pc: usize,
+    /// Operand-stack height at frame entry (crop targets are relative
+    /// to this).
+    base: usize,
+    /// Where this frame's slots start on the slot stack.
+    slots: usize,
+    closure: Option<Rc<BcClosure>>,
+    argc: usize,
+    specials_base: usize,
+    handlers_base: usize,
+}
+
+struct Handler {
+    tag: BcValue,
+    pc: usize,
+    frame_ix: usize,
+    stack_h: usize,
+    slots_h: usize,
+    specials_h: usize,
+}
+
+/// Runs [`Module`] code under a fuel budget.
+pub struct Evaluator {
+    image: Image,
+    specials: Specials,
+    st: State,
+    /// Instruction budget per [`Evaluator::run`] call; exhaustion is a
+    /// trap (the bytecode analog of the simulator's fuel).
+    pub fuel_per_run: u64,
+    /// Instructions retired by the most recent `run`.
+    pub last_run_insns: u64,
+}
+
+impl Evaluator {
+    /// An evaluator over `module` (linked here, once) with the default
+    /// fuel budget.
+    pub fn new(module: Module) -> Evaluator {
+        let mut specials = Specials::default();
+        let image = Image::link(module, &mut specials);
+        Evaluator {
+            image,
+            specials,
+            st: State::default(),
+            fuel_per_run: 100_000_000,
+            last_run_insns: 0,
+        }
+    }
+
+    /// The module being run.
+    pub fn module(&self) -> &Module {
+        &self.image.module
+    }
+
+    /// Sets a global variable (special values read fall back here, as
+    /// with the simulator's global table).
+    pub fn set_global(&mut self, name: &str, value: Value) {
+        let id = self.specials.id(name);
+        self.specials.globals[id] = Some(value);
+    }
+
+    /// Calls `entry` with `args`, returning its value or a trap.
+    pub fn run(&mut self, entry: &str, args: &[Value]) -> Result<Value, BcTrap> {
+        let Some(ix) = self.image.module.lookup(entry) else {
+            return trap(format!("undefined function {entry}"));
+        };
+        let st = &mut self.st;
+        st.clear();
+        st.stack.extend(args.iter().map(|v| BcValue::V(v.clone())));
+        let mut fuel = self.fuel_per_run;
+        let out = match st.enter(&self.image, ix, args.len(), None) {
+            Ok(()) => st.exec(&self.image, &mut self.specials, &mut fuel),
+            Err(t) => Err(t),
+        };
+        self.last_run_insns = self.fuel_per_run - fuel;
+        st.clear();
+        out
+    }
+}
+
+/// The running frame's code, linked pool and bases, cached out of the
+/// frame stack and reloaded after every call, return and throw.
+struct Cursor<'a> {
+    code: &'a [Insn],
+    entries: &'a [Entry],
+    pc: usize,
+    slots: usize,
+    base: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn load(image: &'a Image, st: &State) -> Cursor<'a> {
+        let f = st.frames.last().expect("live frame");
+        let linked = &image.protos[f.proto];
+        Cursor {
+            code: &linked.proto.code,
+            entries: &linked.entries,
+            pc: f.pc,
+            slots: f.slots,
+            base: f.base,
+        }
+    }
+}
+
+/// Per-run machine state, kept between runs so its buffers are reused.
+#[derive(Default)]
+struct State {
+    stack: Vec<BcValue>,
+    slots: Vec<BcValue>,
+    frames: Vec<Frame>,
+    handlers: Vec<Handler>,
+    specials: Vec<(usize, BcValue)>,
+    /// Scratch argument vector for builtin calls.
+    argv: Vec<Value>,
+}
+
+impl State {
+    fn clear(&mut self) {
+        self.stack.clear();
+        self.slots.clear();
+        self.frames.clear();
+        self.handlers.clear();
+        self.specials.clear();
+        self.argv.clear();
+    }
+
+    /// Runs until the entry frame returns or a trap, spending `fuel`.
+    /// Inlined into its one caller, [`Evaluator::run`], so the counter
+    /// stays a local the loop can keep in a register.
+    #[inline(always)]
+    #[allow(clippy::too_many_lines)]
+    fn exec(
         &mut self,
-        st: &mut State,
+        image: &Image,
+        specials: &mut Specials,
+        fuel: &mut u64,
+    ) -> Result<Value, BcTrap> {
+        let mut cur = Cursor::load(image, self);
+        loop {
+            if *fuel == 0 {
+                return trap("fuel exhausted");
+            }
+            *fuel -= 1;
+            let Some(&insn) = cur.code.get(cur.pc) else {
+                return trap("pc ran off the end of the code");
+            };
+            cur.pc += 1;
+            let (a, b) = (insn.a as usize, insn.b as usize);
+            match insn.op {
+                Op::Const => self.stack.push(cur.entries[a].value.clone()),
+                Op::Nil => self.stack.push(BcValue::nil()),
+                Op::Dup => {
+                    let v = self.top()?.clone();
+                    self.stack.push(v);
+                }
+                Op::Pop => {
+                    self.pop()?;
+                }
+                Op::Load => {
+                    let v = self.slots[cur.slots + a].clone();
+                    self.stack.push(v);
+                }
+                Op::Store => {
+                    let v = self.pop()?;
+                    self.slots[cur.slots + a] = v;
+                }
+                Op::LoadCell => match &self.slots[cur.slots + a] {
+                    BcValue::Cell(c) => {
+                        let v = c.borrow().clone();
+                        self.stack.push(v);
+                    }
+                    _ => return trap("load through a non-cell slot"),
+                },
+                Op::StoreCell => {
+                    let v = self.pop()?;
+                    match &self.slots[cur.slots + a] {
+                        BcValue::Cell(c) => *c.borrow_mut() = v,
+                        _ => return trap("store through a non-cell slot"),
+                    }
+                }
+                Op::NewCell => {
+                    let slot = &mut self.slots[cur.slots + a];
+                    let old = std::mem::replace(slot, BcValue::nil());
+                    *slot = BcValue::Cell(Rc::new(RefCell::new(old)));
+                }
+                Op::PushCellSlot => match &self.slots[cur.slots + a] {
+                    BcValue::Cell(c) => {
+                        let c = c.clone();
+                        self.stack.push(BcValue::Cell(c));
+                    }
+                    _ => return trap("capture of a non-cell slot"),
+                },
+                Op::LoadCapture => {
+                    let v = self.captures()[a].borrow().clone();
+                    self.stack.push(v);
+                }
+                Op::StoreCapture => {
+                    let v = self.pop()?;
+                    *self.captures()[a].borrow_mut() = v;
+                }
+                Op::PushCellCapture => {
+                    let c = self.captures()[a].clone();
+                    self.stack.push(BcValue::Cell(c));
+                }
+                Op::BoxTop => {
+                    let v = self.pop()?;
+                    self.stack.push(BcValue::Cell(Rc::new(RefCell::new(v))));
+                }
+                Op::LoadSpecial => {
+                    let name = cur.entries[a].name()?;
+                    let id = name.special;
+                    let v = match self.specials.iter().rev().find(|(n, _)| *n == id) {
+                        Some((_, v)) => v.clone(),
+                        None => match &specials.globals[id] {
+                            Some(v) => BcValue::V(v.clone()),
+                            None => return trap(format!("unbound variable {}", name.sym)),
+                        },
+                    };
+                    self.stack.push(v);
+                }
+                Op::StoreSpecial => {
+                    let id = cur.entries[a].name()?.special;
+                    let v = self.pop()?;
+                    match self.specials.iter_mut().rev().find(|(n, _)| *n == id) {
+                        Some(slot) => slot.1 = v,
+                        None => specials.globals[id] = Some(v.into_value()?),
+                    }
+                }
+                Op::BindSpecial => {
+                    let id = cur.entries[a].name()?.special;
+                    let v = self.pop()?;
+                    self.specials.push((id, v));
+                }
+                Op::Unbind => {
+                    let n = self.specials.len().saturating_sub(a);
+                    self.specials.truncate(n);
+                }
+                Op::Jump => cur.pc = a,
+                Op::JumpIfNil => {
+                    if !self.pop()?.is_true() {
+                        cur.pc = a;
+                    }
+                }
+                Op::JumpIfTrue => {
+                    if self.pop()?.is_true() {
+                        cur.pc = a;
+                    }
+                }
+                Op::ArgSup => {
+                    if self.frames.last().expect("live frame").argc > a {
+                        cur.pc = b;
+                    }
+                }
+                Op::Call | Op::TailCall => {
+                    let name = cur.entries[a].name()?;
+                    self.need(b)?;
+                    let tail = insn.op == Op::TailCall;
+                    if let (Callee::Builtin, false) = (name.callee, tail) {
+                        // Leaves the frame as it is: no cursor reload.
+                        let v = self.builtin(image, name.sym.as_str(), b)?;
+                        self.stack.push(v);
+                        continue;
+                    }
+                    self.save(cur.pc);
+                    if let Some(v) = self.call(image, name.callee, name.sym.as_str(), b, tail)? {
+                        return Ok(v);
+                    }
+                    cur = Cursor::load(image, self);
+                }
+                Op::CallDyn => {
+                    self.need(a + 1)?;
+                    let callee = self.stack.remove(self.stack.len() - a - 1);
+                    self.save(cur.pc);
+                    let done = match callee {
+                        BcValue::Closure(c) => {
+                            self.enter(image, c.proto, a, Some(c))?;
+                            None
+                        }
+                        BcValue::V(Value::Func(Function::Global(name))) => {
+                            self.call(image, resolve(&image.module, &name), &name, a, false)?
+                        }
+                        other => {
+                            return trap(format!("not a function: {}", other.into_value()?));
+                        }
+                    };
+                    if let Some(v) = done {
+                        return Ok(v);
+                    }
+                    cur = Cursor::load(image, self);
+                }
+                Op::MakeClosure => {
+                    self.need(b)?;
+                    let mut captures = Vec::with_capacity(b);
+                    let from = self.stack.len() - b;
+                    for c in self.stack.drain(from..) {
+                        match c {
+                            BcValue::Cell(rc) => captures.push(rc),
+                            _ => return trap("closure capture is not a cell"),
+                        }
+                    }
+                    let name = image.protos[a].proto.name.clone();
+                    self.stack.push(BcValue::Closure(Rc::new(BcClosure {
+                        proto: a,
+                        captures,
+                        name,
+                    })));
+                }
+                Op::List => {
+                    self.need(a)?;
+                    let from = self.stack.len() - a;
+                    let mut list = Value::Nil;
+                    for v in self.stack.drain(from..).rev() {
+                        list = Value::cons(v.into_value()?, list);
+                    }
+                    self.stack.push(BcValue::V(list));
+                }
+                Op::Eql => {
+                    let y = self.pop()?;
+                    let x = self.pop()?;
+                    self.stack.push(image.bool_value(x.eql(&y)));
+                }
+                Op::Return => {
+                    let v = self.pop()?;
+                    if let Some(out) = self.settle(v)? {
+                        return Ok(out);
+                    }
+                    cur = Cursor::load(image, self);
+                }
+                Op::Catch => {
+                    let tag = self.pop()?;
+                    self.handlers.push(Handler {
+                        tag,
+                        pc: a,
+                        frame_ix: self.frames.len() - 1,
+                        stack_h: self.stack.len(),
+                        slots_h: self.slots.len(),
+                        specials_h: self.specials.len(),
+                    });
+                }
+                Op::EndCatch => {
+                    if self.handlers.pop().is_none() {
+                        return trap("end.catch without a handler");
+                    }
+                }
+                Op::Uncatch => {
+                    let n = self.handlers.len().saturating_sub(a);
+                    self.handlers.truncate(n);
+                }
+                Op::Throw => {
+                    let value = self.pop()?;
+                    let tag = self.pop()?;
+                    self.save(cur.pc);
+                    self.throw(tag, value)?;
+                    cur = Cursor::load(image, self);
+                }
+                Op::Crop => self.stack.truncate(cur.base + a),
+                Op::CropKeep => {
+                    let v = self.pop()?;
+                    self.stack.truncate(cur.base + a);
+                    self.stack.push(v);
+                }
+                Op::GlobalFn => {
+                    let name = cur.entries[a].name()?.sym.as_str().to_string();
+                    self.stack
+                        .push(BcValue::V(Value::Func(Function::Global(name))));
+                }
+                Op::AddNum => self.arith(image, "+", |x, y| x.checked_add(y))?,
+                Op::SubNum => self.arith(image, "-", |x, y| x.checked_sub(y))?,
+                Op::MulNum => self.arith(image, "*", |x, y| x.checked_mul(y))?,
+                Op::LtNum => self.compare(image, "<", |x, y| x < y)?,
+                Op::NumEq => self.compare(image, "=", |x, y| x == y)?,
+            }
+        }
+    }
+
+    fn top(&self) -> Result<&BcValue, BcTrap> {
+        match self.stack.last() {
+            Some(v) => Ok(v),
+            None => trap("operand stack underflow"),
+        }
+    }
+
+    fn pop(&mut self) -> Result<BcValue, BcTrap> {
+        match self.stack.pop() {
+            Some(v) => Ok(v),
+            None => trap("operand stack underflow"),
+        }
+    }
+
+    /// Checks that `n` operands are on the stack.
+    fn need(&self, n: usize) -> Result<(), BcTrap> {
+        if self.stack.len() < n {
+            return trap("operand stack underflow");
+        }
+        Ok(())
+    }
+
+    /// Records the running frame's pc before control leaves it.
+    fn save(&mut self, pc: usize) {
+        self.frames.last_mut().expect("live frame").pc = pc;
+    }
+
+    fn captures(&self) -> &[Rc<RefCell<BcValue>>] {
+        match &self.frames.last().expect("live frame").closure {
+            Some(c) => &c.captures,
+            None => &[],
+        }
+    }
+
+    /// Fused arithmetic: fixnum fast path, with the interpreter builtin
+    /// as the single source of truth for everything else (flonums,
+    /// contagion, overflow).
+    fn arith(
+        &mut self,
+        image: &Image,
         name: &str,
-        args: Vec<BcValue>,
+        fast: fn(i64, i64) -> Option<i64>,
+    ) -> Result<(), BcTrap> {
+        let y = self.pop()?;
+        let x = self.pop()?;
+        if let (BcValue::V(Value::Fixnum(a)), BcValue::V(Value::Fixnum(b))) = (&x, &y) {
+            if let Some(r) = fast(*a, *b) {
+                self.stack.push(BcValue::V(Value::Fixnum(r)));
+                return Ok(());
+            }
+        }
+        let v = image.builtin(name, &[x.into_value()?, y.into_value()?])?;
+        self.stack.push(BcValue::V(v));
+        Ok(())
+    }
+
+    fn compare(
+        &mut self,
+        image: &Image,
+        name: &str,
+        fast: fn(i64, i64) -> bool,
+    ) -> Result<(), BcTrap> {
+        let y = self.pop()?;
+        let x = self.pop()?;
+        if let (BcValue::V(Value::Fixnum(a)), BcValue::V(Value::Fixnum(b))) = (&x, &y) {
+            self.stack.push(image.bool_value(fast(*a, *b)));
+            return Ok(());
+        }
+        let v = image.builtin(name, &[x.into_value()?, y.into_value()?])?;
+        self.stack.push(BcValue::V(v));
+        Ok(())
+    }
+
+    /// Calls `callee` (named `name`) on the top `argc` operands: a proto
+    /// call pushes a frame (a tail call replaces the current one), a
+    /// builtin runs at once.  `Ok(Some(v))` when that finished the run.
+    fn call(
+        &mut self,
+        image: &Image,
+        callee: Callee,
+        name: &str,
+        argc: usize,
         tail: bool,
-    ) -> Result<Option<BcValue>, BcTrap> {
-        if name == "throw" {
-            if args.len() == 2 {
-                let mut it = args.into_iter();
-                let tag = it.next().unwrap();
-                let value = it.next().unwrap();
-                self.do_throw(st, tag, value)?;
-                return Ok(None);
+    ) -> Result<Option<Value>, BcTrap> {
+        match callee {
+            Callee::Throw => {
+                if argc != 2 {
+                    return trap("throw: wants tag and value");
+                }
+                let value = self.pop()?;
+                let tag = self.pop()?;
+                self.throw(tag, value)?;
+                Ok(None)
             }
-            return trap("throw: wants tag and value");
-        }
-        if name == "apply" {
-            return self.do_apply(st, args, tail);
-        }
-        if let Some(ix) = self.module.lookup(name) {
-            if tail {
-                replace_frame(&self.module, st, ix, args)?;
-            } else {
-                push_frame(&self.module, st, ix, args, Vec::new())?;
+            Callee::Apply => self.apply(image, argc, tail),
+            Callee::Proto(ix) => {
+                if tail {
+                    self.unwind_for_tail_call(argc);
+                }
+                self.enter(image, ix, argc, None)?;
+                Ok(None)
             }
-            return Ok(None);
+            Callee::Builtin => {
+                let v = self.builtin(image, name, argc)?;
+                if tail {
+                    return self.settle(v);
+                }
+                self.stack.push(v);
+                Ok(None)
+            }
         }
-        let mut argv = Vec::with_capacity(args.len());
-        for a in &args {
-            argv.push(a.as_value()?);
+    }
+
+    /// Runs builtin `name` on the top `argc` operands, passed through
+    /// the reused scratch vector.
+    fn builtin(&mut self, image: &Image, name: &str, argc: usize) -> Result<BcValue, BcTrap> {
+        let from = self.stack.len() - argc;
+        self.argv.clear();
+        for v in self.stack.drain(from..) {
+            self.argv.push(v.into_value()?);
         }
-        let v = BcValue::V(self.builtin(name, &argv)?);
-        if tail {
-            return Ok(Some(v));
-        }
-        st.stack.push(v);
-        Ok(None)
+        Ok(BcValue::V(image.builtin(name, &self.argv)?))
     }
 
     /// `(apply f a b '(c d))` — the last argument spreads.
-    fn do_apply(
-        &mut self,
-        st: &mut State,
-        args: Vec<BcValue>,
-        tail: bool,
-    ) -> Result<Option<BcValue>, BcTrap> {
-        if args.is_empty() {
+    fn apply(&mut self, image: &Image, argc: usize, tail: bool) -> Result<Option<Value>, BcTrap> {
+        if argc == 0 {
             return trap("apply: wants a function");
         }
-        let mut it = args.into_iter();
-        let callee = it.next().unwrap();
-        let mut spread: Vec<BcValue> = it.collect();
-        let Some(last) = spread.pop() else {
+        let from = self.stack.len() - argc;
+        let callee = self.stack.remove(from);
+        if argc == 1 {
             return trap("apply: wants an argument list");
-        };
-        let mut rest = last.as_value()?;
+        }
+        let mut rest = self.pop()?.into_value()?;
         loop {
             match rest {
                 Value::Nil => break,
                 Value::Cons(ref cell) => {
                     let car = cell.car.borrow().clone();
                     let cdr = cell.cdr.borrow().clone();
-                    spread.push(BcValue::V(car));
+                    self.stack.push(BcValue::V(car));
                     rest = cdr;
                 }
                 _ => return trap("apply: last argument is not a list"),
             }
         }
+        let n = self.stack.len() - from;
         match callee {
             BcValue::Closure(c) => {
-                push_frame(&self.module, st, c.proto, spread, c.captures.clone())?;
+                self.enter(image, c.proto, n, Some(c))?;
                 Ok(None)
             }
             BcValue::V(Value::Func(Function::Global(name))) => {
-                self.call_global(st, &name, spread, tail)
+                self.call(image, resolve(&image.module, &name), &name, n, tail)
             }
-            other => trap(format!("apply: not a function: {}", other.as_value()?)),
+            other => trap(format!("apply: not a function: {}", other.into_value()?)),
         }
     }
 
     /// Unwinds to the innermost armed handler whose tag is `eql`.
-    fn do_throw(&mut self, st: &mut State, tag: BcValue, value: BcValue) -> Result<(), BcTrap> {
-        let Some(ix) = st.handlers.iter().rposition(|h| h.tag.eql(&tag)) else {
-            return trap(format!("no catcher for tag {}", tag.as_value()?));
+    fn throw(&mut self, tag: BcValue, value: BcValue) -> Result<(), BcTrap> {
+        let Some(ix) = self.handlers.iter().rposition(|h| h.tag.eql(&tag)) else {
+            return trap(format!("no catcher for tag {}", tag.into_value()?));
         };
-        let h = st.handlers.remove(ix);
-        st.handlers.truncate(ix);
-        st.frames.truncate(h.frame_ix + 1);
-        st.stack.truncate(h.stack_h);
-        st.specials.truncate(h.specials_h);
-        st.frames.last_mut().unwrap().pc = h.pc;
-        st.stack.push(value);
+        self.handlers.truncate(ix + 1);
+        let h = self.handlers.pop().expect("handler found above");
+        self.frames.truncate(h.frame_ix + 1);
+        self.stack.truncate(h.stack_h);
+        self.slots.truncate(h.slots_h);
+        self.specials.truncate(h.specials_h);
+        self.save(h.pc);
+        self.stack.push(value);
         Ok(())
     }
 
     /// Returns `result` from the current frame.  `Ok(Some(v))` when the
     /// run is complete (the entry frame returned).
-    fn settle(&mut self, st: &mut State, result: BcValue) -> Result<Option<Value>, BcTrap> {
-        let frame = st.frames.pop().expect("live frame");
-        st.stack.truncate(frame.base);
-        st.specials.truncate(frame.specials_base);
-        st.handlers.truncate(frame.handlers_base);
-        if st.frames.is_empty() {
-            return Ok(Some(result.as_value()?));
+    fn settle(&mut self, result: BcValue) -> Result<Option<Value>, BcTrap> {
+        let frame = self.frames.pop().expect("live frame");
+        self.stack.truncate(frame.base);
+        self.slots.truncate(frame.slots);
+        self.specials.truncate(frame.specials_base);
+        self.handlers.truncate(frame.handlers_base);
+        if self.frames.is_empty() {
+            return Ok(Some(result.into_value()?));
         }
-        st.stack.push(result);
+        self.stack.push(result);
         Ok(None)
     }
-}
 
-struct State {
-    stack: Vec<BcValue>,
-    frames: Vec<Frame>,
-    handlers: Vec<Handler>,
-    specials: Vec<(String, BcValue)>,
-}
+    /// Genuine tail call: the current frame is unwound first, so
+    /// recursion depth stays constant (the bytecode analog of the
+    /// compiler's tail-call-to-jump transformation).  The top `argc`
+    /// operands slide down to the frame's operand base.
+    fn unwind_for_tail_call(&mut self, argc: usize) {
+        let old = self.frames.pop().expect("live frame");
+        let from = self.stack.len() - argc;
+        self.stack.drain(old.base..from);
+        self.slots.truncate(old.slots);
+        self.specials.truncate(old.specials_base);
+        self.handlers.truncate(old.handlers_base);
+    }
 
-fn top(st: &State) -> Result<&BcValue, BcTrap> {
-    match st.stack.last() {
-        Some(v) => Ok(v),
-        None => trap("operand stack underflow"),
-    }
-}
-
-fn pop(st: &mut State) -> Result<BcValue, BcTrap> {
-    match st.stack.pop() {
-        Some(v) => Ok(v),
-        None => trap("operand stack underflow"),
-    }
-}
-
-/// Pops `n` values, restoring push (left-to-right) order.
-fn pop_n(st: &mut State, n: usize) -> Result<Vec<BcValue>, BcTrap> {
-    if st.stack.len() < n {
-        return trap("operand stack underflow");
-    }
-    Ok(st.stack.split_off(st.stack.len() - n))
-}
-
-/// Binds `args` into a fresh frame for proto `ix`.  Parameters occupy
-/// slots `0..n` in declaration order; excess arguments collect into the
-/// `&rest` slot as a list.
-fn push_frame(
-    module: &Module,
-    st: &mut State,
-    ix: usize,
-    args: Vec<BcValue>,
-    captures: Vec<Rc<RefCell<BcValue>>>,
-) -> Result<(), BcTrap> {
-    let proto = module.proto(ix).clone();
-    if proto.ncaptures as usize != captures.len() {
-        return trap(format!("closure {} escaped its environment", proto.name));
-    }
-    let argc = args.len();
-    let npos = (proto.required + proto.optional) as usize;
-    if argc < proto.required as usize {
-        return trap(format!("too few arguments to {}", proto.name));
-    }
-    if argc > npos && !proto.rest {
-        return trap(format!("too many arguments to {}", proto.name));
-    }
-    let mut slots = vec![BcValue::nil(); proto.nslots as usize];
-    let mut rest = Vec::new();
-    for (i, v) in args.into_iter().enumerate() {
-        if i < npos {
-            slots[i] = v;
-        } else {
-            rest.push(v.as_value()?);
+    /// Enters proto `ix` with the top `argc` operands as its arguments,
+    /// moving them onto the slot stack.  Parameters occupy slots `0..n`
+    /// in declaration order; excess arguments collect into the `&rest`
+    /// slot as a list.
+    fn enter(
+        &mut self,
+        image: &Image,
+        ix: usize,
+        argc: usize,
+        closure: Option<Rc<BcClosure>>,
+    ) -> Result<(), BcTrap> {
+        let proto = &image.protos[ix].proto;
+        let ncaptures = closure.as_ref().map_or(0, |c| c.captures.len());
+        if proto.ncaptures as usize != ncaptures {
+            return trap(format!("closure {} escaped its environment", proto.name));
         }
+        let npos = (proto.required + proto.optional) as usize;
+        if argc < proto.required as usize {
+            return trap(format!("too few arguments to {}", proto.name));
+        }
+        if argc > npos && !proto.rest {
+            return trap(format!("too many arguments to {}", proto.name));
+        }
+        let from = self.stack.len() - argc;
+        let mut rest = Value::Nil;
+        if argc > npos {
+            for v in self.stack.drain(from + npos..).rev() {
+                rest = Value::cons(v.into_value()?, rest);
+            }
+        }
+        let slots = self.slots.len();
+        self.slots.extend(self.stack.drain(from..));
+        self.slots
+            .resize(slots + proto.nslots as usize, BcValue::nil());
+        if proto.rest {
+            self.slots[slots + npos] = BcValue::V(rest);
+        }
+        self.frames.push(Frame {
+            proto: ix,
+            pc: 0,
+            base: self.stack.len(),
+            slots,
+            closure,
+            argc,
+            specials_base: self.specials.len(),
+            handlers_base: self.handlers.len(),
+        });
+        Ok(())
     }
-    if proto.rest {
-        slots[npos] = BcValue::V(Value::list(rest));
-    }
-    st.frames.push(Frame {
-        proto,
-        pc: 0,
-        base: st.stack.len(),
-        slots,
-        captures,
-        argc,
-        specials_base: st.specials.len(),
-        handlers_base: st.handlers.len(),
-    });
-    Ok(())
-}
-
-/// Genuine tail call: the current frame is unwound first, so recursion
-/// depth stays constant (the bytecode analog of the compiler's
-/// tail-call-to-jump transformation).
-fn replace_frame(
-    module: &Module,
-    st: &mut State,
-    ix: usize,
-    args: Vec<BcValue>,
-) -> Result<(), BcTrap> {
-    let old = st.frames.pop().expect("live frame");
-    st.stack.truncate(old.base);
-    st.specials.truncate(old.specials_base);
-    st.handlers.truncate(old.handlers_base);
-    push_frame(module, st, ix, args, Vec::new())
 }

@@ -305,3 +305,55 @@ fn gc_stress_allocation_churn() {
         (go top)))";
     assert_eq!(agree(src, "gc-stress", &[fx(20)]), "done");
 }
+
+#[test]
+fn linking_keeps_late_binding() {
+    // A function naming a global nobody defines links without complaint
+    // and traps only when the call is made.
+    let (mut eval, _) = build("(defun f (x) (g x)) (defun h () 7)");
+    assert_eq!(eval.run("h", &[]).unwrap(), fx(7));
+    let err = eval.run("f", &[fx(1)]).unwrap_err();
+    assert_eq!(err.message, "undefined function g");
+
+    // Defined twice across units: calls go to the latest definition,
+    // including calls linked from a unit between the two.
+    let (mut eval, _) = build("(defun g () 1) (defun f () (g)) (defun g () 2)");
+    assert_eq!(eval.run("f", &[]).unwrap(), fx(2));
+    assert_eq!(eval.run("g", &[]).unwrap(), fx(2));
+
+    // A special set before (and between) runs is what `LoadSpecial`
+    // reads.
+    let (mut eval, _) = build("(proclaim '(special *k*)) (defun rd () *k*)");
+    eval.set_global("*k*", fx(5));
+    assert_eq!(eval.run("rd", &[]).unwrap(), fx(5));
+    eval.set_global("*k*", fx(6));
+    assert_eq!(eval.run("rd", &[]).unwrap(), fx(6));
+
+    // A store to a special with no binding creates its global.
+    let (mut eval, _) = build(
+        "(proclaim '(special *n*))
+         (defun wr (v) (setq *n* v))
+         (defun rd () *n*)",
+    );
+    let err = eval.run("rd", &[]).unwrap_err();
+    assert_eq!(err.message, "unbound variable *n*");
+    eval.run("wr", &[fx(3)]).unwrap();
+    assert_eq!(eval.run("rd", &[]).unwrap(), fx(3));
+
+    // `funcall`/`apply` on a global function value still resolve the
+    // name when called: a proto, a builtin, or a trap.
+    let (mut eval, _) = build(
+        "(defun sq (x) (* x x))
+         (defun call-it (f x) (funcall f x))
+         (defun app (f x) (apply f (list x)))",
+    );
+    for entry in ["call-it", "app"] {
+        let sq = Value::global_function("sq");
+        assert_eq!(eval.run(entry, &[sq, fx(3)]).unwrap(), fx(9), "{entry}");
+        let inc = Value::global_function("1+");
+        assert_eq!(eval.run(entry, &[inc, fx(3)]).unwrap(), fx(4), "{entry}");
+        let missing = Value::global_function("nonesuch");
+        let err = eval.run(entry, &[missing, fx(3)]).unwrap_err();
+        assert_eq!(err.message, "undefined function nonesuch", "{entry}");
+    }
+}

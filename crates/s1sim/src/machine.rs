@@ -28,6 +28,10 @@ pub(crate) const SPECIAL_BASE: u64 = 1 << 50;
 /// Base address of global value slots.
 pub(crate) const GLOBAL_BASE: u64 = 1 << 51;
 
+/// Runtime-routine arguments a call copies into a fixed on-stack
+/// buffer; only a call with more than this many spills to the heap.
+const RT_ARGS_INLINE: usize = 8;
+
 /// A run-time failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Trap {
@@ -229,8 +233,6 @@ impl Machine {
 
     /// Reads the global value of a special variable.
     pub fn global(&self, name: &str) -> Option<Result<Value, Trap>> {
-        let sym = self.program.lookup_fn(name); // placeholder to silence
-        let _ = sym;
         let id = self.program.symbols.iter().position(|s| s == name)? as u32;
         let w = self.globals.iter().find(|(s, _)| *s == id)?.1;
         Some(self.extract(w))
@@ -395,9 +397,7 @@ impl Machine {
                             // #'1+ passed around): route through the
                             // runtime as a leaf call.
                             let rt_name = self.program.names().resolve(new_fn).into_owned();
-                            let args: Vec<Word> = self.stack[self.sp - nargs..self.sp].to_vec();
-                            self.sp -= nargs;
-                            match runtime::rt_call_owned(self, &rt_name, &args)? {
+                            match self.rt_call_popped(&rt_name, nargs)? {
                                 runtime::RtResult::Value(w) => {
                                     self.regs[Reg::A.0 as usize] = w;
                                     if tail {
@@ -433,13 +433,7 @@ impl Machine {
                     };
                     if tail {
                         self.stats.tail_calls += 1;
-                        // Move the freshly pushed args down onto the frame
-                        // base, discarding the old frame contents.
-                        let args: Vec<Word> = self.stack[self.sp - nargs..self.sp].to_vec();
-                        self.sp = self.fp;
-                        for w in args {
-                            self.push(w)?;
-                        }
+                        self.slide_args_to_frame(nargs);
                     } else {
                         self.stats.calls += 1;
                         self.ctrl.push(Frame {
@@ -471,11 +465,7 @@ impl Machine {
                 }
                 Step::TailJmp { nargs, target } => {
                     self.stats.tail_calls += 1;
-                    let args: Vec<Word> = self.stack[self.sp - nargs..self.sp].to_vec();
-                    self.sp = self.fp;
-                    for w in args {
-                        self.push(w)?;
-                    }
+                    self.slide_args_to_frame(nargs);
                     self.regs[Reg::RTA.0 as usize] = Word::Raw(nargs as i64);
                     pc = code.labels[target as usize];
                 }
@@ -931,10 +921,7 @@ impl Machine {
                         p.attribute(fnid, RT_CALL_COST + 2 * u64::from(nargs));
                     }
                 }
-                let n = nargs as usize;
-                let args: Vec<Word> = self.stack[self.sp - n..self.sp].to_vec();
-                self.sp -= n;
-                let result = runtime::rt_call(self, name, &args)?;
+                let result = self.rt_call_popped(name, nargs as usize)?;
                 match result {
                     runtime::RtResult::Value(w) => {
                         self.write(dst, w)?;
@@ -1231,6 +1218,31 @@ impl Machine {
         Ok(())
     }
 
+    /// Moves the top `nargs` words (a tail call's freshly pushed
+    /// arguments) down onto the frame base, discarding the old frame
+    /// contents.
+    fn slide_args_to_frame(&mut self, nargs: usize) {
+        let from = self.sp - nargs;
+        self.stack.copy_within(from..self.sp, self.fp);
+        self.sp = self.fp + nargs;
+    }
+
+    /// Pops the top `n` words and calls runtime routine `name` on them.
+    /// The routine takes `&mut self`, so its arguments are copied out
+    /// of the stack first, into a fixed buffer on the host stack.
+    fn rt_call_popped(&mut self, name: &str, n: usize) -> Result<runtime::RtResult, Trap> {
+        self.sp -= n;
+        let args = self.sp..self.sp + n;
+        if n <= RT_ARGS_INLINE {
+            let mut buf = [Word::NIL; RT_ARGS_INLINE];
+            buf[..n].copy_from_slice(&self.stack[args]);
+            runtime::rt_call(self, name, &buf[..n])
+        } else {
+            let spilled = self.stack[args].to_vec();
+            runtime::rt_call(self, name, &spilled)
+        }
+    }
+
     fn push(&mut self, w: Word) -> Result<(), Trap> {
         if self.sp >= self.stack.len() {
             return Err(Trap::StackOverflow);
@@ -1393,7 +1405,7 @@ impl Machine {
 
     /// Reads machine data back into a host [`Value`].
     pub fn extract(&self, w: Word) -> Result<Value, Trap> {
-        runtime::extract(self, w, 0)
+        runtime::extract(self, w)
     }
 }
 

@@ -7,6 +7,7 @@
 //! `%CALL (REF SQ …)` runtime entries visible in the paper's Table 4.
 
 use s1lisp_interp::Value;
+use s1lisp_reader::{Interner, Symbol};
 
 use crate::heap::ObjKind;
 use crate::machine::{Machine, Trap};
@@ -280,13 +281,6 @@ fn compare_chain(
         }
     }
     Ok(Word::T)
-}
-
-/// Dispatches a runtime routine by (possibly owned) name, trapping with
-/// `UndefinedFunction` when the name is not a primitive — used when a
-/// global function *value* turns out to be a builtin.
-pub(crate) fn rt_call_owned(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtResult, Trap> {
-    rt_call(m, name, args)
 }
 
 /// Dispatches a runtime routine by name.
@@ -645,7 +639,7 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
         "error" => {
             let mut msg = String::new();
             for &a in args {
-                let v = extract(m, a, 0)?;
+                let v = extract(m, a)?;
                 msg.push_str(&format!("{v} "));
             }
             return Err(Trap::LispError(msg.trim_end().to_string()));
@@ -770,62 +764,90 @@ pub(crate) fn inject(m: &mut Machine, v: &Value, held: &mut Vec<Word>) -> Result
 }
 
 /// Reads machine data back into a host value.
-pub(crate) fn extract(m: &Machine, w: Word, depth: usize) -> Result<Value, Trap> {
-    if depth > 100_000 {
-        return Err(wrong("extract: structure too deep or circular"));
+pub(crate) fn extract(m: &Machine, w: Word) -> Result<Value, Trap> {
+    ReadBack {
+        m,
+        names: Interner::new(),
+        by_id: Vec::new(),
     }
-    Ok(match w {
-        Word::Ptr(Tag::Nil, _) => Value::Nil,
-        Word::Ptr(Tag::T, _) => {
-            let mut i = s1lisp_reader::Interner::new();
-            Value::Sym(i.intern("t"))
+    .value(w, 0)
+}
+
+/// One read-back: its symbols are made once per symbol id (and `t`
+/// once), however often they occur in the structure.
+struct ReadBack<'m> {
+    m: &'m Machine,
+    names: Interner,
+    by_id: Vec<Option<Symbol>>,
+}
+
+impl ReadBack<'_> {
+    fn symbol(&mut self, id: u64) -> Result<Symbol, Trap> {
+        let i = id as usize;
+        if let Some(Some(sym)) = self.by_id.get(i) {
+            return Ok(sym.clone());
         }
-        Word::Ptr(Tag::Fixnum, n) => Value::Fixnum(n as i64),
-        Word::Raw(n) => Value::Fixnum(n),
-        Word::F(x) => Value::Flonum(x),
-        Word::Ptr(Tag::SingleFlonum, addr) => match m.read_mem(addr)? {
+        let name = self
+            .m
+            .program
+            .symbols
+            .get(i)
+            .ok_or_else(|| wrong("bad symbol id"))?;
+        let sym = self.names.intern(name);
+        if self.by_id.len() <= i {
+            self.by_id.resize(i + 1, None);
+        }
+        self.by_id[i] = Some(sym.clone());
+        Ok(sym)
+    }
+
+    fn value(&mut self, w: Word, depth: usize) -> Result<Value, Trap> {
+        if depth > 100_000 {
+            return Err(wrong("extract: structure too deep or circular"));
+        }
+        let m = self.m;
+        Ok(match w {
+            Word::Ptr(Tag::Nil, _) => Value::Nil,
+            Word::Ptr(Tag::T, _) => Value::Sym(self.names.intern("t")),
+            Word::Ptr(Tag::Fixnum, n) => Value::Fixnum(n as i64),
+            Word::Raw(n) => Value::Fixnum(n),
             Word::F(x) => Value::Flonum(x),
-            other => return Err(wrong(format!("corrupt flonum: {other}"))),
-        },
-        Word::Ptr(Tag::Symbol, id) => {
-            let name = m
-                .program
-                .symbols
-                .get(id as usize)
-                .ok_or_else(|| wrong("bad symbol id"))?;
-            let mut i = s1lisp_reader::Interner::new();
-            Value::Sym(i.intern(name))
-        }
-        Word::Ptr(Tag::String, id) => {
-            let s = m
-                .program
-                .strings
-                .get(id as usize)
-                .ok_or_else(|| wrong("bad string id"))?;
-            Value::Str(std::rc::Rc::from(s.as_str()))
-        }
-        Word::Ptr(Tag::Char, c) => {
-            Value::Char(char::from_u32(c as u32).ok_or_else(|| wrong("bad character"))?)
-        }
-        Word::Ptr(Tag::Cons, addr) => Value::cons(
-            extract(m, m.read_mem(addr)?, depth + 1)?,
-            extract(m, m.read_mem(addr + 1)?, depth + 1)?,
-        ),
-        Word::Ptr(Tag::Function, id) => {
-            let name = m
-                .program
-                .fn_names
-                .get(id as usize)
-                .ok_or_else(|| wrong("bad function id"))?;
-            Value::global_function(name)
-        }
-        Word::Ptr(Tag::Closure, addr) => {
-            let Word::Raw(fnid) = m.heap.read(addr + 1) else {
-                return Err(wrong("corrupt closure"));
-            };
-            let name = m.program.names().resolve(fnid as u32);
-            Value::global_function(&format!("#closure-{name}"))
-        }
-        Word::Ptr(t, _) => return Err(wrong(format!("cannot extract {t:?}"))),
-    })
+            Word::Ptr(Tag::SingleFlonum, addr) => match m.read_mem(addr)? {
+                Word::F(x) => Value::Flonum(x),
+                other => return Err(wrong(format!("corrupt flonum: {other}"))),
+            },
+            Word::Ptr(Tag::Symbol, id) => Value::Sym(self.symbol(id)?),
+            Word::Ptr(Tag::String, id) => {
+                let s = m
+                    .program
+                    .strings
+                    .get(id as usize)
+                    .ok_or_else(|| wrong("bad string id"))?;
+                Value::Str(std::rc::Rc::from(s.as_str()))
+            }
+            Word::Ptr(Tag::Char, c) => {
+                Value::Char(char::from_u32(c as u32).ok_or_else(|| wrong("bad character"))?)
+            }
+            Word::Ptr(Tag::Cons, addr) => Value::cons(
+                self.value(m.read_mem(addr)?, depth + 1)?,
+                self.value(m.read_mem(addr + 1)?, depth + 1)?,
+            ),
+            Word::Ptr(Tag::Function, id) => {
+                let name = m
+                    .program
+                    .fn_names
+                    .get(id as usize)
+                    .ok_or_else(|| wrong("bad function id"))?;
+                Value::global_function(name)
+            }
+            Word::Ptr(Tag::Closure, addr) => {
+                let Word::Raw(fnid) = m.heap.read(addr + 1) else {
+                    return Err(wrong("corrupt closure"));
+                };
+                let name = m.program.names().resolve(fnid as u32);
+                Value::global_function(&format!("#closure-{name}"))
+            }
+            Word::Ptr(t, _) => return Err(wrong(format!("cannot extract {t:?}"))),
+        })
+    }
 }

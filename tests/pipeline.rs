@@ -2,7 +2,7 @@
 //! compiler configuration, the compiled code on the S-1 simulator must
 //! agree with the reference interpreter.
 
-use s1lisp::{CodegenOptions, Compiler, OptOptions, Value};
+use s1lisp::{BackendKind, CodegenOptions, Compiler, OptOptions, Value};
 use s1lisp_suite::{build_with, check_agree, corpus, fl, fx};
 
 /// The option grid: full, no source-level optimization, no codegen
@@ -112,6 +112,29 @@ fn multi_function_programs_link_late() {
     c.compile_str("(defun g (x) (* x 10))").unwrap();
     let mut m = c.machine();
     assert_eq!(m.run("f", &[fx(1)]).unwrap(), fx(20));
+}
+
+#[test]
+fn quoted_literals_keep_their_identity_on_both_engines() {
+    // A quoted list is one object, as an S-1 heap constant is: two
+    // evaluations of the same literal are `eq`, and a destructive
+    // update through one is seen by the next, on either engine.
+    let src = "(defun lit () '(a b))
+               (defun same () (eq (lit) (lit)))
+               (defun poke () (rplaca (lit) 'z))
+               (defun peek () (car (lit)))
+               (defun poke-then-peek () (poke) (peek))";
+    for backend in [BackendKind::S1, BackendKind::Bytecode] {
+        let mut c = Compiler::new();
+        c.backend = backend;
+        c.compile_str(src).unwrap();
+        assert_eq!(c.run_printed("same", &[], 10_000), "t", "{backend:?}");
+        assert_eq!(
+            c.run_printed("poke-then-peek", &[], 10_000),
+            "z",
+            "{backend:?}"
+        );
+    }
 }
 
 #[test]
