@@ -18,15 +18,6 @@ use s1lisp_trace::json::Json;
 
 use crate::service::{oracle_cases, service_units};
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// Batch-compiles the corpus in cross-backend oracle mode
 /// ([`BackendSelect::Both`]): S-1 artifacts, with every oracle case
 /// also run on the bytecode evaluator.
@@ -51,7 +42,7 @@ fn unit_rows(unit: &SourceUnit, rows: &mut Vec<Json>) {
     for name in module.names() {
         let ix = module.lookup(name).expect("listed name resolves");
         let proto = module.proto(ix);
-        rows.push(obj(vec![
+        rows.push(Json::obj(vec![
             ("unit", Json::str(&unit.name)),
             ("function", Json::str(name)),
             ("backend", Json::str(BackendKind::Bytecode.name())),
@@ -79,7 +70,7 @@ pub fn backend_record() -> Json {
         .iter()
         .filter(|i| i.kind == s1lisp_driver::IncidentKind::Miscompile)
         .count() as u64;
-    obj(vec![
+    Json::obj(vec![
         ("id", Json::str("backend")),
         (
             "title",

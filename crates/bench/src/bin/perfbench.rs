@@ -9,8 +9,9 @@
 //! cargo run --release -p s1lisp-bench --bin perfbench -- --check # CI smoke
 //! ```
 //!
-//! `--check` runs one trial of the smallest workload on each side,
-//! validates the emitted entries against the committed schema goldens
+//! `--check` builds the record table's two perfbench smoke entries (one
+//! trial of the smallest workload on each side), validates them against
+//! their committed schema goldens
 //! (`crates/bench/tests/golden/perfbench_*_schema.txt`), and exits
 //! nonzero on any mismatch — without touching the trajectory files.
 //! No thresholds are gated: the trajectory records, it does not judge.
@@ -21,25 +22,8 @@
 //! every workload that fell more than N percent (default 20) below its
 //! best baseline.  The trajectory files are never modified.
 
-use s1lisp_bench::perfbench;
-use s1lisp_trace::json;
-
-const SIM_SCHEMA: &str = include_str!("../../tests/golden/perfbench_sim_schema.txt");
-const SERVICE_SCHEMA: &str = include_str!("../../tests/golden/perfbench_service_schema.txt");
-
-fn check_schema(label: &str, entry: &json::Json, golden: &str) -> bool {
-    let got = json::schema(entry);
-    if got == golden.trim() {
-        println!("perfbench --check: {label} schema ok");
-        true
-    } else {
-        eprintln!(
-            "perfbench --check: {label} schema mismatch\n  want: {}\n  got:  {got}",
-            golden.trim()
-        );
-        false
-    }
-}
+use s1lisp_bench::{compare_golden, lookup, perfbench, schema_of};
+use s1lisp_trace::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -104,20 +88,26 @@ fn main() {
         std::process::exit(i32::from(regressed));
     }
     if check {
-        let sim = perfbench::smoke_sim_entry(&root);
-        let service = perfbench::smoke_service_entry(&root);
-        let sim_rows = sim.get("workloads").and_then(json::Json::as_arr);
-        let service_rows = service.get("batches").and_then(json::Json::as_arr);
-        let serve_rows = service.get("serves").and_then(json::Json::as_arr);
-        let nonempty = sim_rows.is_some_and(|r| !r.is_empty())
-            && service_rows.is_some_and(|r| !r.is_empty())
-            && serve_rows.is_some_and(|r| !r.is_empty());
-        if !nonempty {
-            eprintln!("perfbench --check: empty workload rows");
-            std::process::exit(1);
+        let mut ok = true;
+        for id in ["perfbench-sim", "perfbench-service"] {
+            let row = lookup(id).expect("the smoke entries are record-table rows");
+            let entry = row.build(&Default::default());
+            let empty_rows = ["workloads", "batches", "serves"]
+                .iter()
+                .filter_map(|key| entry.get(key))
+                .any(|rows| rows.as_arr().is_none_or(<[Json]>::is_empty));
+            if empty_rows {
+                eprintln!("perfbench --check: {id} has empty workload rows");
+                ok = false;
+            }
+            match compare_golden(row.golden, &format!("{}\n", schema_of(&entry))) {
+                Ok(()) => println!("perfbench --check: {id} schema ok"),
+                Err(e) => {
+                    eprintln!("perfbench --check: {id} schema mismatch: {e}");
+                    ok = false;
+                }
+            }
         }
-        let ok = check_schema("sim", &sim, SIM_SCHEMA)
-            & check_schema("service", &service, SERVICE_SCHEMA);
         std::process::exit(i32::from(!ok));
     }
     let trials = trials.max(1);

@@ -13,9 +13,11 @@
 //! cargo run -p s1lisp-bench --bin report -- --chrome-trace # trace JSON
 //! ```
 //!
-//! `--json` emits one machine-readable record per experiment (the shape
-//! pinned by `tests/golden_json.rs`) instead of the human-readable text.
-//! Special ids: `trap` selects the trap post-mortem demonstration
+//! `--json` emits one machine-readable record per id instead of the
+//! human-readable text.  The ids are the rows of the record table
+//! (`s1lisp_bench::records`), each with its schema pinned by a golden
+//! file; an unknown id prints the full list to stderr and is skipped.
+//! Besides e1..e12: `trap` selects the trap post-mortem demonstration
 //! record; `service` batch-compiles the whole corpus through the
 //! parallel compilation service (`--jobs N` workers, `--cache-dir D`
 //! for a persistent artifact cache — run it twice with the same
@@ -77,28 +79,18 @@ fn main() {
         println!("{}", s1lisp_bench::chrome_trace());
         return;
     }
-    if metrics {
-        if json {
-            println!(
-                "{}",
-                s1lisp_trace::json::Json::Arr(vec![s1lisp_bench::metrics_record()])
-            );
-        } else {
-            print!("{}", s1lisp_bench::metrics_report());
+    if metrics || passes {
+        if !json {
+            let text = if metrics {
+                s1lisp_bench::metrics_report()
+            } else {
+                s1lisp_bench::passes_report()
+            };
+            print!("{text}");
+            return;
         }
-        return;
-    }
-    if passes {
-        // The pass schedule is static — print it and stop.
-        if json {
-            println!(
-                "{}",
-                s1lisp_trace::json::Json::Arr(vec![s1lisp_bench::passes_record()])
-            );
-        } else {
-            print!("{}", s1lisp_bench::passes_report());
-        }
-        return;
+        // Under --json these are the record table's rows of the same name.
+        args = vec![if metrics { "metrics" } else { "passes" }.to_string()];
     }
     let mut jobs = 1usize;
     let mut cache_dir: Option<PathBuf> = None;
@@ -143,42 +135,20 @@ fn main() {
         rest
     };
     if json {
-        let records: Vec<s1lisp_trace::json::Json> = selected
+        let cfg = s1lisp_driver::ServiceConfig {
+            jobs,
+            cache_dir,
+            backend,
+            ..s1lisp_driver::ServiceConfig::default()
+        };
+        let records = selected
             .iter()
-            .filter_map(|id| {
-                let rec = match id.as_str() {
-                    "trap" => Some(s1lisp_bench::trap_record()),
-                    "metrics" => Some(s1lisp_bench::metrics_record()),
-                    "serve" => Some(s1lisp_bench::serve_record()),
-                    "durability" => Some(s1lisp_bench::durability_record()),
-                    "service" => Some(s1lisp_bench::service_record_for(
-                        jobs,
-                        cache_dir.clone(),
-                        backend,
-                    )),
-                    "backend" => Some(s1lisp_bench::backend_record()),
-                    "service-fault" | "guard" | "guard-miscompile" => {
-                        // Injected panics are the record's subject;
-                        // keep their backtraces off stderr.
-                        let prev = std::panic::take_hook();
-                        std::panic::set_hook(Box::new(|_| {}));
-                        let rec = match id.as_str() {
-                            "service-fault" => s1lisp_bench::service_fault_record(),
-                            "guard" => s1lisp_bench::guard_record(),
-                            _ => s1lisp_bench::guard_miscompile_record(),
-                        };
-                        std::panic::set_hook(prev);
-                        Some(rec)
-                    }
-                    _ => s1lisp_bench::json_record(id),
-                };
-                if rec.is_none() {
-                    eprintln!(
-                        "unknown experiment {id} (want e1..e12, trap, serve, durability, \
-                         service, backend, or guard)"
-                    );
+            .filter_map(|id| match s1lisp_bench::lookup(id) {
+                Ok(row) => Some(row.build(&cfg)),
+                Err(unknown) => {
+                    eprintln!("{unknown}");
+                    None
                 }
-                rec
             })
             .collect();
         println!("{}", s1lisp_trace::json::Json::Arr(records));

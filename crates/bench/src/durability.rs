@@ -17,15 +17,6 @@ use std::path::PathBuf;
 use s1lisp_server::{tenant_fingerprint, Body, CompileServer, ServeClient, ServerConfig};
 use s1lisp_trace::json::Json;
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// Mutations acknowledged per tenant before the simulated crash.
 const MUTATIONS: usize = 6;
 
@@ -124,10 +115,7 @@ pub fn durability_record() -> Json {
     let flipped_state = recovered.tenant("flipped").expect("quarantined tenant");
     let flipped = flipped_state.lock().expect("tenant lock");
 
-    let counter = |snap: &s1lisp_trace::metrics::MetricsSnapshot, name: &str| {
-        Json::uint(snap.counter(name).unwrap_or(0))
-    };
-    let record = obj(vec![
+    let record = Json::obj(vec![
         ("id", Json::str("durability")),
         (
             "title",
@@ -141,7 +129,7 @@ pub fn durability_record() -> Json {
         ("durable_acks", Json::uint(durable_acks)),
         (
             "torn",
-            obj(vec![
+            Json::obj(vec![
                 ("recovered_sources", Json::uint(torn.sources.len() as u64)),
                 ("byte_identical_artifacts", Json::Bool(byte_identical)),
                 ("incidents", Json::uint(torn.incidents)),
@@ -149,7 +137,7 @@ pub fn durability_record() -> Json {
         ),
         (
             "flipped",
-            obj(vec![
+            Json::obj(vec![
                 (
                     "recovered_sources",
                     Json::uint(flipped.sources.len() as u64),
@@ -163,42 +151,25 @@ pub fn durability_record() -> Json {
         ),
         (
             "journal",
-            obj(vec![
-                ("appends", counter(&life_one, "server.journal.appends")),
-                ("bytes", counter(&life_one, "server.journal.bytes")),
-                ("snapshots", counter(&life_one, "server.journal.snapshots")),
-                ("io_errors", counter(&life_one, "server.journal.io_errors")),
-            ]),
+            life_one.counters_obj(
+                "server.journal.",
+                &["appends", "bytes", "snapshots", "io_errors"],
+            ),
         ),
         (
             "recovery",
-            obj(vec![
-                ("tenants", counter(&recovery, "server.recovery.tenants")),
-                (
+            recovery.counters_obj(
+                "server.recovery.",
+                &[
+                    "tenants",
                     "replayed_records",
-                    counter(&recovery, "server.recovery.replayed_records"),
-                ),
-                (
                     "torn_tails",
-                    counter(&recovery, "server.recovery.torn_tails"),
-                ),
-                (
                     "corrupt_journals",
-                    counter(&recovery, "server.recovery.corrupt_journals"),
-                ),
-                (
                     "stale_records",
-                    counter(&recovery, "server.recovery.stale_records"),
-                ),
-                (
                     "quarantined",
-                    counter(&recovery, "server.recovery.quarantined"),
-                ),
-                (
                     "replay_failures",
-                    counter(&recovery, "server.recovery.replay_failures"),
-                ),
-            ]),
+                ],
+            ),
         ),
     ]);
     drop(torn);

@@ -13,8 +13,9 @@
 //!
 //! Fixed keys are [`Json::Obj`] fields (schema); histograms keyed by rule
 //! or opcode name are [`Json::Map`]s (only the value type is schema).
-//! The golden tests pin [`s1lisp_trace::json::schema`] of these records
-//! so the surface stays machine-stable while measured values vary.
+//! Every experiment's record is a row of the record table
+//! ([`crate::records`]), all pinned to one schema golden, so the surface
+//! stays machine-stable while measured values vary.
 //!
 //! The run section carries a `post_mortem` field: `null` on success,
 //! and the machine's [`PostMortem`](s1lisp_s1sim::PostMortem) JSON when
@@ -89,15 +90,6 @@ pub(crate) fn workload(id: &str) -> Option<Workload> {
     })
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn compile_section(c: &Compiler) -> Json {
     let sink = c.trace().expect("tracing was enabled");
     let phases = sink
@@ -110,7 +102,7 @@ fn compile_section(c: &Compiler) -> Json {
                     .map(|&(n, v)| (n.to_string(), Json::uint(v)))
                     .collect(),
             );
-            obj(vec![
+            Json::obj(vec![
                 ("phase", Json::str(p.phase)),
                 ("spans", Json::uint(p.spans)),
                 (
@@ -127,7 +119,7 @@ fn compile_section(c: &Compiler) -> Json {
             .map(|(r, n)| (r.to_string(), Json::uint(n)))
             .collect(),
     );
-    obj(vec![
+    Json::obj(vec![
         ("phases", Json::Arr(phases)),
         ("rules", rules),
         ("code_size_words", Json::uint(c.code_size_words() as u64)),
@@ -170,13 +162,13 @@ fn run_section(c: &Compiler, wl: &Workload) -> Json {
         .into_iter()
         .map(|(fnid, cycles)| {
             let name = names.resolve(fnid);
-            obj(vec![
+            Json::obj(vec![
                 ("function", Json::str(&*name)),
                 ("cycles", Json::uint(cycles)),
             ])
         })
         .collect();
-    obj(vec![
+    Json::obj(vec![
         ("entry", Json::str(wl.entry)),
         ("value", Json::str(value)),
         ("stats", stats),
@@ -186,24 +178,27 @@ fn run_section(c: &Compiler, wl: &Workload) -> Json {
     ])
 }
 
+/// Compiles a workload with tracing, runs it with a profile attached,
+/// and renders the record.
+fn record(id: &str, title: &str, wl: &Workload) -> Json {
+    let mut c = Compiler::new();
+    c.enable_trace();
+    c.compile_str(wl.src).expect("workload compiles");
+    Json::obj(vec![
+        ("id", Json::str(id)),
+        ("title", Json::str(title)),
+        ("compile", compile_section(&c)),
+        ("run", run_section(&c, wl)),
+    ])
+}
+
 /// The JSON record for one experiment, or `None` for an unknown id.
 pub fn json_record(id: &str) -> Option<Json> {
     let title = crate::all_experiments()
         .into_iter()
         .find(|e| e.id == id)?
         .title;
-    let wl = workload(id)?;
-    let mut c = Compiler::new();
-    c.enable_trace();
-    c.compile_str(wl.src).expect("workload compiles");
-    let compile = compile_section(&c);
-    let run = run_section(&c, &wl);
-    Some(obj(vec![
-        ("id", Json::str(id)),
-        ("title", Json::str(title)),
-        ("compile", compile),
-        ("run", run),
-    ]))
+    Some(record(id, title, &workload(id)?))
 }
 
 /// A demonstration record whose workload deliberately traps (`car` of a
@@ -220,50 +215,5 @@ pub fn trap_record() -> Json {
         args: vec![fx(5)],
         globals: Vec::new(),
     };
-    let mut c = Compiler::new();
-    c.enable_trace();
-    c.compile_str(wl.src).expect("trap workload compiles");
-    let compile = compile_section(&c);
-    let run = run_section(&c, &wl);
-    obj(vec![
-        ("id", Json::str("trap")),
-        ("title", Json::str("Trap post-mortem demonstration")),
-        ("compile", compile),
-        ("run", run),
-    ])
-}
-
-/// Records for every experiment, in index order.
-pub fn all_json_records() -> Json {
-    Json::Arr(
-        crate::all_experiments()
-            .iter()
-            .filter_map(|e| json_record(e.id))
-            .collect(),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use s1lisp_trace::json;
-
-    #[test]
-    fn every_experiment_has_a_record_and_it_parses() {
-        for e in crate::all_experiments() {
-            let rec = json_record(e.id).unwrap_or_else(|| panic!("no record for {}", e.id));
-            let text = rec.to_string();
-            json::parse(&text).unwrap_or_else(|err| panic!("{}: {err}", e.id));
-        }
-    }
-
-    #[test]
-    fn records_share_one_schema() {
-        let sigs: Vec<String> = ["e1", "e7", "e12"]
-            .iter()
-            .map(|id| json::schema(&json_record(id).unwrap()))
-            .collect();
-        assert_eq!(sigs[0], sigs[1]);
-        assert_eq!(sigs[1], sigs[2]);
-    }
+    record("trap", "Trap post-mortem demonstration", &wl)
 }

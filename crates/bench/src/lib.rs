@@ -16,6 +16,7 @@ pub mod json_report;
 pub mod metrics_report;
 pub mod passes;
 pub mod perfbench;
+pub mod records;
 pub mod serve;
 pub mod service;
 
@@ -24,12 +25,13 @@ pub use durability::durability_record;
 pub use experiments::{all_experiments, run_experiment, Experiment};
 pub use explain::{corpus_functions, explain_function};
 pub use flame::{batch_events, chrome_trace, flame_report};
-pub use json_report::{all_json_records, json_record, trap_record};
+pub use json_report::{json_record, trap_record};
 pub use metrics_report::{collect_metrics, metrics_record, metrics_report};
 pub use passes::{passes_record, passes_report};
+pub use records::{check_golden, compare_golden, lookup, records, schema_of, Record};
 pub use serve::serve_record;
 pub use service::{
     guard_batch, guard_miscompile_record, guard_record, oracle_cases, service_batch,
-    service_batch_for, service_fault_record, service_record, service_record_for, service_report,
-    service_units, GUARD_SEED,
+    service_batch_for, service_fault_record, service_record_for, service_report, service_units,
+    GUARD_SEED,
 };

@@ -58,13 +58,13 @@ pub fn collect_metrics() -> MetricsSnapshot {
 /// The machine-readable `metrics` record (schema-pinned by golden test).
 pub fn metrics_record() -> Json {
     let snap = collect_metrics();
-    Json::Obj(vec![
-        ("id".to_string(), Json::str("metrics")),
+    Json::obj(vec![
+        ("id", Json::str("metrics")),
         (
-            "title".to_string(),
+            "title",
             Json::str("Unified metrics snapshot over the pinned workload"),
         ),
-        ("metrics".to_string(), snap.to_json()),
+        ("metrics", snap.to_json()),
     ])
 }
 

@@ -20,24 +20,24 @@ pub fn passes_record() -> Json {
         .describe()
         .into_iter()
         .map(|p| {
-            Json::Obj(vec![
-                ("name".to_string(), Json::str(p.name)),
+            Json::obj(vec![
+                ("name", Json::str(p.name)),
                 (
-                    "table1".to_string(),
+                    "table1",
                     Json::Arr(p.table1.iter().map(|r| Json::str(*r)).collect()),
                 ),
-                ("module".to_string(), Json::str(p.module)),
-                ("enabled".to_string(), Json::Bool(p.enabled)),
+                ("module", Json::str(p.module)),
+                ("enabled", Json::Bool(p.enabled)),
             ])
         })
         .collect();
-    Json::Obj(vec![
-        ("id".to_string(), Json::str("passes")),
+    Json::obj(vec![
+        ("id", Json::str("passes")),
         (
-            "title".to_string(),
+            "title",
             Json::str("Per-function pass schedule (Table 1 as data)"),
         ),
-        ("passes".to_string(), Json::Arr(passes)),
+        ("passes", Json::Arr(passes)),
     ])
 }
 

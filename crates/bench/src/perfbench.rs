@@ -108,15 +108,6 @@ fn percentile(series: &[u64], p: u64) -> u64 {
     sorted[rank - 1]
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// `(median, p90)` of a series.
 fn stats(series: &[u64]) -> (u64, u64) {
     (percentile(series, 50), percentile(series, 90))
@@ -159,7 +150,7 @@ fn run_sim_kernel(k: &SimKernel, warmup: usize, trials: usize) -> Json {
         .live_samples
         .last()
         .map_or(0, |s| s.live_words);
-    obj(vec![
+    Json::obj(vec![
         ("id", Json::str(k.id)),
         ("entry", Json::str(k.entry)),
         ("insns", Json::uint(insns)),
@@ -213,7 +204,7 @@ fn run_bc_kernel(k: &SimKernel, warmup: usize, trials: usize) -> Json {
     }
     let (median_ps, p90_ps) = stats(&per_sec);
     let (median_ns, p90_ns) = stats(&wall_ns);
-    obj(vec![
+    Json::obj(vec![
         ("id", Json::str(format!("bc-{}", k.id))),
         ("entry", Json::str(k.entry)),
         ("insns", Json::uint(insns)),
@@ -262,7 +253,7 @@ fn run_service_batch(jobs: usize, warmup: usize, trials: usize) -> Json {
     let warm = service.compile_batch(&units);
     let (median_ps, p90_ps) = stats(&per_sec);
     let (median_us, p90_us) = stats(&wall_us_series);
-    obj(vec![
+    Json::obj(vec![
         ("jobs", Json::uint(jobs as u64)),
         ("functions", Json::uint(batch.stats.functions as u64)),
         ("median_functions_per_sec", Json::uint(median_ps)),
@@ -405,7 +396,7 @@ fn run_serve_load(clients: usize, warmup: usize, trials: usize) -> Json {
         }
     }
     let (median_ps, _) = stats(&per_sec);
-    obj(vec![
+    Json::obj(vec![
         ("clients", Json::uint(clients as u64)),
         ("requests", Json::uint(requests)),
         ("median_requests_per_sec", Json::uint(median_ps)),
@@ -480,7 +471,7 @@ pub fn sim_entry(repo_root: &Path, warmup: usize, trials: usize) -> Json {
     );
     let mut fields = entry_header(repo_root, warmup, trials);
     fields.push(("workloads", Json::Arr(workloads)));
-    obj(fields)
+    Json::obj(fields)
 }
 
 /// One `BENCH_service.json` entry: batches at `jobs = 1/2/8`, plus
@@ -497,7 +488,7 @@ pub fn service_entry(repo_root: &Path, warmup: usize, trials: usize) -> Json {
     let mut fields = entry_header(repo_root, warmup, trials);
     fields.push(("batches", Json::Arr(batches)));
     fields.push(("serves", Json::Arr(serves)));
-    obj(fields)
+    Json::obj(fields)
 }
 
 /// A 1-trial smoke entry over the smallest kernel on both backends —
@@ -509,7 +500,7 @@ pub fn smoke_sim_entry(repo_root: &Path) -> Json {
     ];
     let mut fields = entry_header(repo_root, 0, 1);
     fields.push(("workloads", Json::Arr(workloads)));
-    obj(fields)
+    Json::obj(fields)
 }
 
 /// A 1-trial smoke entry with a single `jobs = 1` batch and a single
@@ -521,7 +512,7 @@ pub fn smoke_service_entry(repo_root: &Path) -> Json {
     let mut fields = entry_header(repo_root, 0, 1);
     fields.push(("batches", Json::Arr(batches)));
     fields.push(("serves", Json::Arr(serves)));
-    obj(fields)
+    Json::obj(fields)
 }
 
 /// The repo root this workspace builds from.
@@ -798,7 +789,7 @@ mod tests {
             ("schema".to_string(), Json::uint(1)),
             (
                 "workloads".to_string(),
-                Json::Arr(vec![obj(vec![
+                Json::Arr(vec![Json::obj(vec![
                     ("id", Json::str("tak")),
                     ("median_insns_per_sec", Json::uint(median)),
                 ])]),
@@ -811,7 +802,7 @@ mod tests {
             ("schema".to_string(), Json::uint(1)),
             (
                 "batches".to_string(),
-                Json::Arr(vec![obj(vec![
+                Json::Arr(vec![Json::obj(vec![
                     ("jobs", Json::uint(jobs)),
                     ("median_functions_per_sec", Json::uint(median)),
                 ])]),
@@ -844,11 +835,11 @@ mod tests {
         let fresh = Json::Obj(vec![(
             "batches".to_string(),
             Json::Arr(vec![
-                obj(vec![
+                Json::obj(vec![
                     ("jobs", Json::uint(8)),
                     ("median_functions_per_sec", Json::uint(100)),
                 ]),
-                obj(vec![
+                Json::obj(vec![
                     ("jobs", Json::uint(2)),
                     ("median_functions_per_sec", Json::uint(100)),
                 ]),
@@ -865,14 +856,14 @@ mod tests {
     fn compare_keys_serve_rows_by_client_count() {
         let baseline = Json::Obj(vec![(
             "serves".to_string(),
-            Json::Arr(vec![obj(vec![
+            Json::Arr(vec![Json::obj(vec![
                 ("clients", Json::uint(4)),
                 ("median_requests_per_sec", Json::uint(1000)),
             ])]),
         )]);
         let fresh = Json::Obj(vec![(
             "serves".to_string(),
-            Json::Arr(vec![obj(vec![
+            Json::Arr(vec![Json::obj(vec![
                 ("clients", Json::uint(4)),
                 ("median_requests_per_sec", Json::uint(900)),
             ])]),

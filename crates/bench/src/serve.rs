@@ -11,15 +11,6 @@
 use s1lisp_server::{CompileServer, Response, ServeClient, ServerConfig};
 use s1lisp_trace::json::Json;
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// The source both tenants compile.  `cell` is a plain (unstarred)
 /// name: the tenant that proclaims it special gets deep-binding code,
 /// the other gets an ordinary lexical `let` — same value, different
@@ -66,8 +57,7 @@ pub fn serve_record() -> Json {
     record(alpha.shutdown());
     let snapshot = handle.metrics_snapshot();
     handle.join();
-    let counter = |name: &str| Json::uint(snapshot.counter(name).unwrap_or(0));
-    obj(vec![
+    Json::obj(vec![
         ("id", Json::str("serve")),
         (
             "title",
@@ -80,13 +70,16 @@ pub fn serve_record() -> Json {
         ("responses", Json::Arr(responses)),
         (
             "server",
-            obj(vec![
-                ("requests", counter("server.requests")),
-                ("errors", counter("server.errors")),
-                ("rejected", counter("server.rejected")),
-                ("incidents", counter("server.incidents")),
-                ("degraded_responses", counter("server.degraded_responses")),
-            ]),
+            snapshot.counters_obj(
+                "server.",
+                &[
+                    "requests",
+                    "errors",
+                    "rejected",
+                    "incidents",
+                    "degraded_responses",
+                ],
+            ),
         ),
     ])
 }

@@ -7,7 +7,8 @@
 //! optimizer panic showing the degraded path ([`service_fault_record`]),
 //! a guarded batch under a seeded fault storm ([`guard_record`]), and a
 //! guaranteed oracle miscompile ([`guard_miscompile_record`]).  All are
-//! schema-pinned by `tests/golden_json.rs`.
+//! rows of the record table ([`crate::records`]), schema-pinned by
+//! their goldens.
 
 use std::path::PathBuf;
 
@@ -57,26 +58,35 @@ pub fn service_batch_for(
     CompileService::new(cfg).compile_batch(&service_units())
 }
 
-fn record(id: &str, title: &str, batch: &BatchResult) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::str(id)),
-        ("title".to_string(), Json::str(title)),
-        ("batch".to_string(), batch.to_json()),
+/// The machine-readable `service` record, at a worker count, an
+/// optional persistent cache directory and a backend selection.
+pub fn service_record_for(jobs: usize, cache_dir: Option<PathBuf>, backend: BackendSelect) -> Json {
+    Json::obj(vec![
+        ("id", Json::str("service")),
+        (
+            "title",
+            Json::str("Compilation service batch over the experiment corpus"),
+        ),
+        (
+            "batch",
+            service_batch_for(jobs, cache_dir, backend).to_json(),
+        ),
     ])
 }
 
-/// The machine-readable `service` record.
-pub fn service_record(jobs: usize, cache_dir: Option<PathBuf>) -> Json {
-    service_record_for(jobs, cache_dir, BackendSelect::S1)
-}
-
-/// [`service_record`] with an explicit backend selection.
-pub fn service_record_for(jobs: usize, cache_dir: Option<PathBuf>, backend: BackendSelect) -> Json {
-    record(
-        "service",
-        "Compilation service batch over the experiment corpus",
-        &service_batch_for(jobs, cache_dir, backend),
-    )
+/// The `{id, title, batch}` record of a batch that injects panics.  The
+/// panics are the record's subject, so the panic hook stays silent while
+/// the batch runs and their backtraces stay off stderr.
+fn quiet_batch_record(id: &str, title: &str, build: impl FnOnce() -> BatchResult) -> Json {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let batch = build();
+    std::panic::set_hook(prev);
+    Json::obj(vec![
+        ("id", Json::str(id)),
+        ("title", Json::str(title)),
+        ("batch", batch.to_json()),
+    ])
 }
 
 /// A demonstration record with a panic injected into one function's
@@ -92,11 +102,10 @@ pub fn service_fault_record() -> Json {
         }),
         ..ServiceConfig::default()
     };
-    let batch = CompileService::new(cfg).compile_batch(&service_units());
-    record(
+    quiet_batch_record(
         "service-fault",
         "Compilation service degraded-path demonstration",
-        &batch,
+        || CompileService::new(cfg).compile_batch(&service_units()),
     )
 }
 
@@ -151,13 +160,13 @@ pub fn guard_batch(seed: u64, cache_dir: Option<PathBuf>) -> BatchResult {
 pub fn guard_record() -> Json {
     let dir = std::env::temp_dir().join(format!("s1lisp-guard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let batch = guard_batch(GUARD_SEED, Some(dir.clone()));
-    let _ = std::fs::remove_dir_all(&dir);
-    record(
+    let record = quiet_batch_record(
         "guard",
         "Guarded batch under a seeded deterministic fault storm",
-        &batch,
-    )
+        || guard_batch(GUARD_SEED, Some(dir.clone())),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    record
 }
 
 /// The machine-readable `guard-miscompile` record: every oracle case's
@@ -171,11 +180,10 @@ pub fn guard_miscompile_record() -> Json {
         oracle: vec![OracleCase::new("quadratic", ["1.0", "-3.0", "2.0"])],
         ..ServiceConfig::default()
     };
-    let batch = CompileService::new(cfg).compile_batch(&service_units());
-    record(
+    quiet_batch_record(
         "guard-miscompile",
         "Differential oracle shipping the unoptimized artifact",
-        &batch,
+        || CompileService::new(cfg).compile_batch(&service_units()),
     )
 }
 

@@ -4,65 +4,48 @@
 //! source and the compiler's decisions, so any byte of drift means a
 //! pipeline phase changed behavior — the paper-style transcript, the
 //! representation verdicts, the TN packing, or the emitted code.
-//! Regenerate deliberately with
-//! `cargo run -p s1lisp-bench --bin explain -- --no-wall <fn>`.
+//! Every file here goes through `s1lisp_bench::check_golden`, so
+//! `UPDATE_GOLDEN=1 cargo test -p s1lisp-bench --tests` regenerates
+//! them with the rest of the goldens.
 
-use s1lisp_bench::{corpus_functions, explain_function};
+use s1lisp_bench::{check_golden, corpus_functions, explain_function};
 
-fn pinned(name: &str, golden: &str) {
-    let text = explain_function(name, false).unwrap_or_else(|| panic!("no dossier for {name}"));
-    assert_eq!(
-        text, golden,
-        "dossier for {name} drifted; regenerate the golden if intentional"
-    );
+fn dossier(name: &str) -> String {
+    explain_function(name, false).unwrap_or_else(|| panic!("no dossier for {name}"))
 }
 
 #[test]
 fn exptl_dossier_matches_golden() {
     // e1's workhorse: the paper's recursive exponentiation example.
-    pinned("exptl", include_str!("golden/dossier_exptl.txt"));
+    check_golden("dossier_exptl.txt", &dossier("exptl")).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 fn testfn_dossier_matches_golden() {
     // e8: the §7 transcript function — rewrites, rep decisions, pdl
     // boxes, and a mixed register/slot TN packing all in one dossier.
-    pinned("testfn", include_str!("golden/dossier_testfn.txt"));
+    check_golden("dossier_testfn.txt", &dossier("testfn")).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 fn tak_dossier_matches_golden() {
     // e12's ablation headliner.
-    pinned("tak", include_str!("golden/dossier_tak.txt"));
+    check_golden("dossier_tak.txt", &dossier("tak")).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The full-corpus byte-identity pin: every experiment function's
 /// rendered dossier (sources, transcript, phase rows, rep verdicts, TN
 /// packing, assembly), concatenated in corpus order.  Any refactor of
-/// the pipeline must leave this file untouched; regenerate deliberately
-/// with `UPDATE_GOLDEN=1 cargo test -p s1lisp-bench corpus_dossiers`.
+/// the pipeline must leave this file untouched.
 #[test]
 fn corpus_dossiers_match_golden() {
     let mut all = String::new();
     for f in corpus_functions() {
-        let text = explain_function(&f, false).unwrap_or_else(|| panic!("no dossier for {f}"));
-        all.push_str(&text);
+        all.push_str(&dossier(&f));
         if !all.ends_with('\n') {
             all.push('\n');
         }
         all.push_str("========\n");
     }
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = format!(
-            "{}/tests/golden/corpus_dossiers.txt",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        std::fs::write(path, &all).expect("golden rewrite");
-        return;
-    }
-    assert_eq!(
-        all,
-        include_str!("golden/corpus_dossiers.txt"),
-        "corpus dossiers drifted; UPDATE_GOLDEN=1 to regenerate if intentional"
-    );
+    check_golden("corpus_dossiers.txt", &all).unwrap_or_else(|e| panic!("{e}"));
 }

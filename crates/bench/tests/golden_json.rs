@@ -1,219 +1,74 @@
-//! Golden tests pinning the `report --json` record shape, and the
+//! Golden tests for the machine-readable records: every row of the
+//! record table (`s1lisp_bench::records`) — e1..e12, the demonstration
+//! records, the perfbench smoke entries and the chrome trace — built
+//! through the lookup `report --json` uses and compared with its schema
+//! golden; plus the bit-identical trap post-mortem and the
 //! zero-overhead guarantee for execution profiling.
 //!
-//! The golden file holds the canonical type signature
-//! (`s1lisp_trace::json::schema`) of an experiment record.  Measured
-//! *values* are free to vary run to run; renaming a field, changing a
-//! counter's type, or restructuring the record breaks the golden and
-//! must be a deliberate schema bump.
+//! A schema golden holds a record's canonical type signature
+//! (`s1lisp_bench::schema_of`).  Measured *values* are free to vary run
+//! to run; renaming a field, changing a counter's type, or
+//! restructuring a record breaks the golden and must be a deliberate
+//! schema bump: `UPDATE_GOLDEN=1 cargo test -p s1lisp-bench --tests`
+//! regenerates every golden.
 
-use s1lisp_bench::{
-    backend_record, durability_record, guard_miscompile_record, guard_record, json_record,
-    metrics_record, passes_record, perfbench, serve_record, service_fault_record, service_record,
-    trap_record,
-};
+use s1lisp_bench::{check_golden, lookup, records, schema_of, trap_record};
 use s1lisp_trace::json::{self, Json};
 
-const GOLDEN: &str = include_str!("golden/report_schema.txt");
-const TRAP_GOLDEN: &str = include_str!("golden/trap_schema.txt");
-const SERVICE_GOLDEN: &str = include_str!("golden/service_schema.txt");
-const SERVICE_FAULT_GOLDEN: &str = include_str!("golden/service_fault_schema.txt");
-const GUARD_GOLDEN: &str = include_str!("golden/guard_schema.txt");
-const GUARD_MISCOMPILE_GOLDEN: &str = include_str!("golden/guard_miscompile_schema.txt");
-const PASSES_GOLDEN: &str = include_str!("golden/passes_schema.txt");
-const METRICS_GOLDEN: &str = include_str!("golden/metrics_schema.txt");
-const PERFBENCH_SIM_GOLDEN: &str = include_str!("golden/perfbench_sim_schema.txt");
-const PERFBENCH_SERVICE_GOLDEN: &str = include_str!("golden/perfbench_service_schema.txt");
-const SERVE_GOLDEN: &str = include_str!("golden/serve_schema.txt");
-const DURABILITY_GOLDEN: &str = include_str!("golden/durability_schema.txt");
-const BACKEND_GOLDEN: &str = include_str!("golden/backend_schema.txt");
-
-/// Dynamic maps in a record are int-valued histograms; an *empty* one
-/// carries no value type, so pad it with a sentinel entry before
-/// computing the signature.  (An experiment whose workload fires no
-/// optimizer rules has `rules: {}` — same schema, no entries.)
-fn pad_empty_maps(v: Json) -> Json {
-    match v {
-        Json::Map(entries) if entries.is_empty() => {
-            Json::Map(vec![("_".to_string(), Json::Int(0))])
+#[test]
+fn every_record_schema_matches_its_golden() {
+    let cfg = Default::default();
+    let mut drifted = Vec::new();
+    for row in records() {
+        let rec = lookup(row.id).expect("a table id resolves").build(&cfg);
+        json::parse(&rec.to_string()).expect("a record is well-formed JSON");
+        if let Err(e) = check_golden(row.golden, &format!("{}\n", schema_of(&rec))) {
+            drifted.push(format!("{}: {e}", row.id));
         }
-        Json::Map(entries) => Json::Map(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k, pad_empty_maps(v)))
-                .collect(),
-        ),
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k, pad_empty_maps(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.into_iter().map(pad_empty_maps).collect()),
-        other => other,
+        if row.id == "e8" {
+            // e8 (testfn) fires optimizer rules, so its `rules` map is
+            // populated: the pinned schema is not an artifact of padding.
+            let rules = rec.get("compile").and_then(|c| c.get("rules"));
+            assert!(
+                rules.and_then(Json::entries).is_some_and(|m| !m.is_empty()),
+                "testfn should fire rules"
+            );
+        }
     }
-}
-
-fn pinned_schema(id: &str) -> String {
-    let rec = json_record(id).unwrap_or_else(|| panic!("no record for {id}"));
-    // The record must also be well-formed JSON text.
-    json::parse(&rec.to_string()).unwrap_or_else(|e| panic!("{id}: bad JSON: {e}"));
-    json::schema(&pad_empty_maps(rec))
+    assert!(drifted.is_empty(), "{}", drifted.join("\n"));
 }
 
 #[test]
-fn e1_schema_matches_golden() {
-    assert_eq!(pinned_schema("e1"), GOLDEN.trim());
-}
-
-#[test]
-fn e12_schema_matches_golden() {
-    assert_eq!(pinned_schema("e12"), GOLDEN.trim());
-}
-
-#[test]
-fn e8_schema_matches_golden_with_rules_populated() {
-    // e8 (testfn) fires optimizer rules, so its `rules` map is
-    // populated — the schema must still be the canonical one.
-    let rec = json_record("e8").unwrap();
-    let rules_nonempty = match &rec {
-        Json::Obj(fields) => fields.iter().any(|(k, v)| {
-            k == "compile"
-                && matches!(v, Json::Obj(inner)
-                    if inner.iter().any(|(k2, v2)| k2 == "rules"
-                        && matches!(v2, Json::Map(m) if !m.is_empty())))
-        }),
-        _ => false,
-    };
-    assert!(rules_nonempty, "testfn should fire rules");
-    assert_eq!(pinned_schema("e8"), GOLDEN.trim());
-}
-
-#[test]
-fn trap_record_schema_matches_golden() {
-    let rec = trap_record();
-    json::parse(&rec.to_string()).expect("trap record is well-formed JSON");
-    assert_eq!(json::schema(&pad_empty_maps(rec)), TRAP_GOLDEN.trim());
-}
-
-/// Compares a record's padded schema against a golden file;
-/// `UPDATE_GOLDEN=1 cargo test -p s1lisp-bench` rewrites the file
-/// instead, for deliberate schema bumps.
-fn check_schema(rec: Json, golden: &str, file: &str) {
-    json::parse(&rec.to_string()).expect("record is well-formed JSON");
-    let sig = json::schema(&pad_empty_maps(rec));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-        std::fs::write(path, format!("{sig}\n")).expect("golden rewrite");
-        return;
+fn report_looks_up_every_table_id() {
+    for row in records() {
+        let found = lookup(row.id).expect("a table id resolves");
+        assert_eq!((found.id, found.golden), (row.id, row.golden));
     }
-    assert_eq!(sig, golden.trim());
-}
-
-#[test]
-fn service_record_schema_matches_golden() {
-    // jobs = 2, no disk tier: the canonical clean batch record.
-    check_schema(
-        service_record(2, None),
-        SERVICE_GOLDEN,
-        "service_schema.txt",
-    );
-}
-
-#[test]
-fn serve_record_schema_matches_golden() {
-    // A scripted two-tenant daemon session: every wire response shape
-    // (success, auth refusal, unknown-function error, run, explain,
-    // ping, shutdown) plus the server counters, pinned as one record.
-    check_schema(serve_record(), SERVE_GOLDEN, "serve_schema.txt");
-}
-
-#[test]
-fn durability_record_schema_matches_golden() {
-    // The crash drill: a durable burst, a torn tail, a mid-log flip,
-    // and the recovery verdict with both lifetimes' counters.
-    check_schema(
-        durability_record(),
-        DURABILITY_GOLDEN,
-        "durability_schema.txt",
-    );
-}
-
-#[test]
-fn backend_record_schema_matches_golden() {
-    // The bytecode footprint table plus the cross-backend oracle
-    // verdicts, in one record.
-    check_schema(backend_record(), BACKEND_GOLDEN, "backend_schema.txt");
-}
-
-#[test]
-fn service_fault_record_schema_matches_golden() {
-    // The faulted batch has a populated incidents array, so its schema
-    // is pinned separately from the clean record's.
-    check_schema(
-        service_fault_record(),
-        SERVICE_FAULT_GOLDEN,
-        "service_fault_schema.txt",
-    );
-}
-
-#[test]
-fn guard_record_schema_matches_golden() {
-    // The injected phase panics are the record's subject; keep their
-    // backtraces off test stderr.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let rec = guard_record();
-    std::panic::set_hook(prev);
-    check_schema(rec, GUARD_GOLDEN, "guard_schema.txt");
-}
-
-#[test]
-fn passes_record_schema_matches_golden() {
-    // The pass schedule as data; a pass rename or a new pass is a
-    // deliberate schema/golden bump, caught here and by the core
-    // crate's phases() cross-check.
-    check_schema(passes_record(), PASSES_GOLDEN, "passes_schema.txt");
-}
-
-#[test]
-fn guard_miscompile_record_schema_matches_golden() {
-    check_schema(
-        guard_miscompile_record(),
-        GUARD_MISCOMPILE_GOLDEN,
-        "guard_miscompile_schema.txt",
-    );
-}
-
-#[test]
-fn metrics_record_schema_matches_golden() {
-    // The unified registry snapshot: sim, heap, pipeline, cache, and
-    // service metrics in one record.  A renamed metric or a reshaped
-    // histogram is a deliberate golden bump.
-    check_schema(metrics_record(), METRICS_GOLDEN, "metrics_schema.txt");
-}
-
-#[test]
-fn perfbench_sim_entry_schema_matches_golden() {
-    // The smoke entry (1 trial, smallest kernel) shares its schema with
-    // the full trajectory entry — pinned so `perfbench --check` and the
-    // committed BENCH_sim.json baseline stay in lockstep.
-    let root = std::env::temp_dir();
-    check_schema(
-        perfbench::smoke_sim_entry(&root),
-        PERFBENCH_SIM_GOLDEN,
-        "perfbench_sim_schema.txt",
-    );
-}
-
-#[test]
-fn perfbench_service_entry_schema_matches_golden() {
-    let root = std::env::temp_dir();
-    check_schema(
-        perfbench::smoke_service_entry(&root),
-        PERFBENCH_SERVICE_GOLDEN,
-        "perfbench_service_schema.txt",
-    );
+    // The binary routes through the same lookup: `passes` builds (it
+    // once fell outside a hand-written id list), and an unknown id's
+    // message names every id in the table.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--json", "passes", "nonesuch"])
+        .output()
+        .expect("report runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let built = json::parse(&stdout).expect("a JSON array");
+    let ids: Vec<&str> = built
+        .as_arr()
+        .expect("an array")
+        .iter()
+        .filter_map(|r| r.get("id").and_then(Json::as_str))
+        .collect();
+    assert_eq!(ids, ["passes"]);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    let words: Vec<&str> = stderr
+        .split(|c: char| c.is_whitespace() || ",:()".contains(c))
+        .collect();
+    assert!(words.contains(&"nonesuch"), "{stderr}");
+    for row in records() {
+        assert!(words.contains(&row.id), "{} missing from: {stderr}", row.id);
+    }
 }
 
 #[test]

@@ -1,25 +1,11 @@
 //! Golden tests for the profiling layer: the folded-stack text for the
-//! pinned tak kernel (byte-golden — it is pure simulated-machine state,
-//! so two runs must agree exactly), the chrome-trace event schema, and
-//! the self/cumulative reconciliation contract.
+//! pinned tak kernel (byte-golden through `s1lisp_bench::check_golden`
+//! — it is pure simulated-machine state, so two runs must agree
+//! exactly) and the self/cumulative reconciliation contract.  The
+//! chrome-trace event schema is a row of the record table, checked by
+//! `golden_json.rs`.
 
-use s1lisp_bench::{chrome_trace, flame_report};
-use s1lisp_trace::chrome;
-use s1lisp_trace::json::{self, Json};
-
-const TAK_FOLDED_GOLDEN: &str = include_str!("golden/tak_folded.txt");
-const CHROME_TRACE_GOLDEN: &str = include_str!("golden/chrome_trace_schema.txt");
-
-/// Compares `got` against a golden file; `UPDATE_GOLDEN=1 cargo test -p
-/// s1lisp-bench` rewrites the file instead, for deliberate bumps.
-fn check_golden(got: &str, golden: &str, file: &str) {
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-        std::fs::write(path, got).expect("golden rewrite");
-        return;
-    }
-    assert_eq!(got.trim_end(), golden.trim_end());
-}
+use s1lisp_bench::{check_golden, flame_report};
 
 #[test]
 fn tak_folded_stacks_match_golden_byte_for_byte() {
@@ -29,44 +15,7 @@ fn tak_folded_stacks_match_golden_byte_for_byte() {
     // counts; a codegen change that shifts cycles is a deliberate bump.
     let folded = flame_report("tak").unwrap();
     assert_eq!(folded, flame_report("tak").unwrap(), "byte-deterministic");
-    check_golden(&folded, TAK_FOLDED_GOLDEN, "tak_folded.txt");
-}
-
-/// See golden_json.rs: empty dynamic maps carry no value type, so pad
-/// them with a sentinel before computing the signature.
-fn pad_empty_maps(v: Json) -> Json {
-    match v {
-        Json::Map(entries) if entries.is_empty() => {
-            Json::Map(vec![("_".to_string(), Json::Int(0))])
-        }
-        Json::Map(entries) => Json::Map(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k, pad_empty_maps(v)))
-                .collect(),
-        ),
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k, pad_empty_maps(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.into_iter().map(pad_empty_maps).collect()),
-        other => other,
-    }
-}
-
-#[test]
-fn chrome_trace_schema_matches_golden() {
-    let trace = chrome_trace();
-    // Every event carries the six required trace-event fields.
-    let n = chrome::validate_trace(&trace).expect("valid trace");
-    assert!(n > 0);
-    json::parse(&trace.to_string()).expect("well-formed JSON");
-    // Durations are host wall time, but the event *structure* (count,
-    // order, field shapes) is deterministic — pinned as a schema.
-    let sig = format!("{}\n", json::schema(&pad_empty_maps(trace)));
-    check_golden(&sig, CHROME_TRACE_GOLDEN, "chrome_trace_schema.txt");
+    check_golden("tak_folded.txt", &folded).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]

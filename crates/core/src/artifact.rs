@@ -50,42 +50,26 @@ pub struct Artifact {
     pub degraded: bool,
 }
 
-fn str_arr(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(Json::str).collect())
-}
-
-fn count_map(pairs: &[(String, u64)]) -> Json {
-    Json::Map(
-        pairs
-            .iter()
-            .map(|(k, n)| (k.clone(), Json::uint(*n)))
-            .collect(),
-    )
-}
-
 impl Artifact {
     /// Serializes for the on-disk cache tier and the `service` report
-    /// record.  The fingerprint is a 16-digit hex string (JSON integers
-    /// are `i64`; the key is a full `u64`).
+    /// record.  The fingerprint is a 16-digit hex string
+    /// ([`Json::fingerprint`]).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::str(&self.name)),
-            ("backend".into(), Json::str(&self.backend)),
-            (
-                "fingerprint".into(),
-                Json::Str(format!("{:016x}", self.fingerprint)),
-            ),
-            ("converted".into(), Json::str(&self.converted)),
-            ("optimized".into(), Json::str(&self.optimized)),
-            ("transformations".into(), Json::uint(self.transformations)),
-            ("rules".into(), count_map(&self.rules)),
-            ("phase_spans".into(), count_map(&self.phase_spans)),
-            ("tn_map".into(), str_arr(&self.tn_map)),
-            ("coercions".into(), str_arr(&self.coercions)),
-            ("assembly".into(), Json::str(&self.assembly)),
-            ("insns".into(), Json::uint(self.insns)),
-            ("dossier".into(), Json::str(&self.dossier)),
-            ("degraded".into(), Json::Bool(self.degraded)),
+        Json::obj(vec![
+            ("name", Json::str(&self.name)),
+            ("backend", Json::str(&self.backend)),
+            ("fingerprint", Json::fingerprint(self.fingerprint)),
+            ("converted", Json::str(&self.converted)),
+            ("optimized", Json::str(&self.optimized)),
+            ("transformations", Json::uint(self.transformations)),
+            ("rules", Json::counts(&self.rules)),
+            ("phase_spans", Json::counts(&self.phase_spans)),
+            ("tn_map", Json::strs(&self.tn_map)),
+            ("coercions", Json::strs(&self.coercions)),
+            ("assembly", Json::str(&self.assembly)),
+            ("insns", Json::uint(self.insns)),
+            ("dossier", Json::str(&self.dossier)),
+            ("degraded", Json::Bool(self.degraded)),
         ])
     }
 
@@ -93,36 +77,20 @@ impl Artifact {
     /// parse).  Returns `None` on any missing or mistyped field, so a
     /// corrupt disk-cache entry degrades to a cache miss.
     pub fn from_json(j: &Json) -> Option<Artifact> {
-        let s = |key: &str| Some(j.get(key)?.as_str()?.to_string());
-        let n = |key: &str| u64::try_from(j.get(key)?.as_int()?).ok();
-        let strs = |key: &str| {
-            j.get(key)?
-                .as_arr()?
-                .iter()
-                .map(|v| Some(v.as_str()?.to_string()))
-                .collect::<Option<Vec<String>>>()
-        };
-        let counts = |key: &str| {
-            j.get(key)?
-                .entries()?
-                .iter()
-                .map(|(k, v)| Some((k.clone(), u64::try_from(v.as_int()?).ok()?)))
-                .collect::<Option<Vec<(String, u64)>>>()
-        };
         Some(Artifact {
-            name: s("name")?,
-            backend: s("backend")?,
-            fingerprint: u64::from_str_radix(j.get("fingerprint")?.as_str()?, 16).ok()?,
-            converted: s("converted")?,
-            optimized: s("optimized")?,
-            transformations: n("transformations")?,
-            rules: counts("rules")?,
-            phase_spans: counts("phase_spans")?,
-            tn_map: strs("tn_map")?,
-            coercions: strs("coercions")?,
-            assembly: s("assembly")?,
-            insns: n("insns")?,
-            dossier: s("dossier")?,
+            name: j.get_str("name")?,
+            backend: j.get_str("backend")?,
+            fingerprint: j.get_fingerprint("fingerprint")?,
+            converted: j.get_str("converted")?,
+            optimized: j.get_str("optimized")?,
+            transformations: j.get_u64("transformations")?,
+            rules: j.get_counts("rules")?,
+            phase_spans: j.get_counts("phase_spans")?,
+            tn_map: j.get_strs("tn_map")?,
+            coercions: j.get_strs("coercions")?,
+            assembly: j.get_str("assembly")?,
+            insns: j.get_u64("insns")?,
+            dossier: j.get_str("dossier")?,
             degraded: j.get("degraded")?.as_bool()?,
         })
     }

@@ -223,16 +223,6 @@ pub struct GuardReport {
     pub contained: bool,
 }
 
-/// A JSON object from `(key, value)` fields, in order.
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 impl GuardReport {
     /// The machine-readable form embedded in `report --json guard`.
     pub fn to_json(&self) -> Json {
@@ -240,14 +230,14 @@ impl GuardReport {
             .armed
             .iter()
             .map(|(site, rate)| {
-                obj(vec![
+                Json::obj(vec![
                     ("site", Json::str(site)),
                     ("permille", Json::uint(u64::from(*rate))),
                 ])
             })
             .collect();
         let oracle = self.oracle.iter().map(|v| Check::Guard.json(v)).collect();
-        obj(vec![
+        Json::obj(vec![
             ("seed", Json::uint(self.seed)),
             ("armed", Json::Arr(armed)),
             ("oracle", Json::Arr(oracle)),
@@ -347,7 +337,7 @@ impl BatchResult {
 
     /// The machine-readable form behind `report --json service`.
     pub fn to_json(&self) -> Json {
-        let cache = obj(vec![
+        let cache = Json::obj(vec![
             ("hits", Json::uint(self.stats.cache.hits)),
             ("misses", Json::uint(self.stats.cache.misses)),
             ("evictions", Json::uint(self.stats.cache.evictions)),
@@ -365,7 +355,7 @@ impl BatchResult {
             .workers
             .iter()
             .map(|w| {
-                obj(vec![
+                Json::obj(vec![
                     ("worker", Json::uint(w.worker as u64)),
                     ("jobs", Json::uint(w.jobs)),
                     ("wall_us", Json::uint(w.wall_us)),
@@ -377,7 +367,7 @@ impl BatchResult {
             .phase_totals
             .iter()
             .map(|(phase, spans, wall)| {
-                obj(vec![
+                Json::obj(vec![
                     ("phase", Json::str(phase)),
                     ("spans", Json::uint(*spans)),
                     ("wall_us", Json::uint(*wall)),
@@ -388,7 +378,7 @@ impl BatchResult {
             .records
             .iter()
             .map(|r| {
-                obj(vec![
+                Json::obj(vec![
                     ("seq", Json::uint(r.seq as u64)),
                     ("unit", Json::str(&r.unit)),
                     ("function", Json::str(&r.function)),
@@ -412,7 +402,7 @@ impl BatchResult {
             .incidents
             .iter()
             .map(|i| {
-                obj(vec![
+                Json::obj(vec![
                     ("function", Json::str(&i.function)),
                     ("unit", Json::str(&i.unit)),
                     ("kind", Json::str(i.kind.as_str())),
@@ -425,7 +415,7 @@ impl BatchResult {
             .failures
             .iter()
             .map(|(scope, error)| {
-                obj(vec![
+                Json::obj(vec![
                     ("scope", Json::str(scope)),
                     ("error", Json::str(error)),
                 ])
@@ -434,7 +424,9 @@ impl BatchResult {
         let globals = self
             .globals
             .iter()
-            .map(|(name, init)| obj(vec![("name", Json::str(name)), ("init", Json::str(init))]))
+            .map(|(name, init)| {
+                Json::obj(vec![("name", Json::str(name)), ("init", Json::str(init))])
+            })
             .collect();
         let cross = self
             .cross
@@ -442,7 +434,7 @@ impl BatchResult {
             .map(|v| Check::CrossBackend.json(v))
             .collect();
         let artifacts = self.artifacts.iter().map(Artifact::to_json).collect();
-        obj(vec![
+        Json::obj(vec![
             ("workers_used", Json::uint(self.stats.workers_used as u64)),
             ("schedule", Json::str(self.stats.schedule.as_str())),
             ("functions", Json::uint(self.stats.functions as u64)),
@@ -1104,7 +1096,7 @@ impl Check {
 
     fn json(self, v: &OracleVerdict) -> Json {
         let [(k0, v0), (k1, v1)] = self.sides(v);
-        obj(vec![
+        Json::obj(vec![
             ("entry", Json::str(&v.entry)),
             ("matched", Json::Bool(v.matched)),
             (k0, Json::str(v0)),

@@ -145,15 +145,7 @@ impl PostMortem {
     /// A stable machine-readable form (fixed field set; see the golden
     /// schema test in `crates/bench`).
     pub fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        obj(vec![
+        Json::obj(vec![
             ("trap", Json::str(&self.trap)),
             ("function", Json::str(&self.function)),
             ("pc", Json::uint(u64::from(self.pc))),
@@ -177,7 +169,7 @@ impl PostMortem {
                     self.frames
                         .iter()
                         .map(|f| {
-                            obj(vec![
+                            Json::obj(vec![
                                 ("function", Json::str(&f.function)),
                                 ("ret_pc", Json::uint(u64::from(f.ret_pc))),
                             ])
@@ -191,7 +183,7 @@ impl PostMortem {
                     self.last_retired
                         .iter()
                         .map(|r| {
-                            obj(vec![
+                            Json::obj(vec![
                                 ("function", Json::str(&r.function)),
                                 ("pc", Json::uint(u64::from(r.pc))),
                                 ("opcode", Json::str(r.opcode)),
@@ -206,7 +198,7 @@ impl PostMortem {
                     self.per_fn_cycles
                         .iter()
                         .map(|(f, c)| {
-                            obj(vec![("function", Json::str(f)), ("cycles", Json::uint(*c))])
+                            Json::obj(vec![("function", Json::str(f)), ("cycles", Json::uint(*c))])
                         })
                         .collect(),
                 ),

@@ -47,6 +47,7 @@
 //! so recovery drills replay exactly from their seed while the on-disk
 //! log stays intact.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -113,20 +114,20 @@ pub struct JournalRecord {
 
 impl JournalRecord {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("seq".into(), Json::uint(self.seq)),
-            ("tenant".into(), Json::str(&self.tenant)),
-            ("unit".into(), Json::str(&self.unit)),
-            ("source".into(), Json::str(&self.source)),
+        Json::obj(vec![
+            ("seq", Json::uint(self.seq)),
+            ("tenant", Json::str(&self.tenant)),
+            ("unit", Json::str(&self.unit)),
+            ("source", Json::str(&self.source)),
         ])
     }
 
     fn from_json(j: &Json) -> Option<JournalRecord> {
         Some(JournalRecord {
-            seq: u64::try_from(j.get("seq")?.as_int()?).ok()?,
-            tenant: j.get("tenant")?.as_str()?.to_string(),
-            unit: j.get("unit")?.as_str()?.to_string(),
-            source: j.get("source")?.as_str()?.to_string(),
+            seq: j.get_u64("seq")?,
+            tenant: j.get_str("tenant")?,
+            unit: j.get_str("unit")?,
+            source: j.get_str("source")?,
         })
     }
 }
@@ -231,124 +232,72 @@ pub fn scan_journal(
     scan
 }
 
-/// The on-disk snapshot of one tenant: everything
-/// [`TenantState`] remembers, plus the journal sequence number the
-/// snapshot has absorbed.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TenantSnapshot {
-    /// The tenant name.
-    pub tenant: String,
-    /// The tenant's cache-key salt (also names its state directory).
-    pub fingerprint: u64,
-    /// The last journal `seq` this snapshot includes; recovery skips
-    /// journal records at or below it.
-    pub applied_seq: u64,
-    /// Proclaimed specials, in first-proclaimed order.
-    pub specials: Vec<String>,
-    /// `defvar` globals as `(name, printed initial value)`.
-    pub globals: Vec<(String, String)>,
-    /// The compiled-source replay log.
-    pub sources: Vec<String>,
-    /// Incidents accrued.
-    pub incidents: u64,
-    /// Whether the tenant is demoted to transformations-off compiles.
-    pub degraded: bool,
-    /// Latest artifact per function, sorted by name for determinism.
-    pub artifacts: Vec<Artifact>,
-}
-
-impl TenantSnapshot {
-    /// Captures a snapshot of `st` as of journal position
+/// `snapshot.json` is the persisted form of [`TenantState`]: its
+/// durable fields plus the journal sequence number the snapshot has
+/// absorbed (`applied_seq`; recovery skips journal records at or below
+/// it).  Artifacts are written sorted by name, for determinism.
+impl TenantState {
+    /// The `snapshot.json` body for this state as of journal position
     /// `applied_seq`.
-    pub fn of(st: &TenantState, applied_seq: u64) -> TenantSnapshot {
-        let mut artifacts: Vec<Artifact> = st.artifacts.values().cloned().collect();
+    pub fn snapshot_json(&self, applied_seq: u64) -> Json {
+        let mut artifacts: Vec<&Artifact> = self.artifacts.values().collect();
         artifacts.sort_by(|a, b| a.name.cmp(&b.name));
-        TenantSnapshot {
-            tenant: st.name.clone(),
-            fingerprint: st.fingerprint,
-            applied_seq,
-            specials: st.specials.clone(),
-            globals: st.globals.clone(),
-            sources: st.sources.clone(),
-            incidents: st.incidents,
-            degraded: st.degraded,
-            artifacts,
-        }
-    }
-
-    /// The serialized form `snapshot.json` holds.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("tenant".into(), Json::str(&self.tenant)),
+        let globals = self
+            .globals
+            .iter()
+            .map(|(n, v)| Json::Arr(vec![Json::str(n), Json::str(v)]))
+            .collect();
+        Json::obj(vec![
+            ("tenant", Json::str(&self.name)),
+            ("fingerprint", Json::fingerprint(self.fingerprint)),
+            ("applied_seq", Json::uint(applied_seq)),
+            ("specials", Json::strs(&self.specials)),
+            ("globals", Json::Arr(globals)),
+            ("sources", Json::strs(&self.sources)),
+            ("incidents", Json::uint(self.incidents)),
+            ("degraded", Json::Bool(self.degraded)),
             (
-                "fingerprint".into(),
-                Json::Str(format!("{:016x}", self.fingerprint)),
-            ),
-            ("applied_seq".into(), Json::uint(self.applied_seq)),
-            (
-                "specials".into(),
-                Json::Arr(self.specials.iter().map(Json::str).collect()),
-            ),
-            (
-                "globals".into(),
-                Json::Arr(
-                    self.globals
-                        .iter()
-                        .map(|(n, v)| Json::Arr(vec![Json::str(n), Json::str(v)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "sources".into(),
-                Json::Arr(self.sources.iter().map(Json::str).collect()),
-            ),
-            ("incidents".into(), Json::uint(self.incidents)),
-            ("degraded".into(), Json::Bool(self.degraded)),
-            (
-                "artifacts".into(),
-                Json::Arr(self.artifacts.iter().map(Artifact::to_json).collect()),
+                "artifacts",
+                Json::Arr(artifacts.into_iter().map(Artifact::to_json).collect()),
             ),
         ])
     }
 
-    /// Rebuilds a snapshot from [`TenantSnapshot::to_json`] output.
-    /// `None` on any missing or mistyped field — a corrupt snapshot
-    /// quarantines the tenant rather than half-loading it.
-    pub fn from_json(j: &Json) -> Option<TenantSnapshot> {
-        let strs = |key: &str| {
-            j.get(key)?
-                .as_arr()?
-                .iter()
-                .map(|v| Some(v.as_str()?.to_string()))
-                .collect::<Option<Vec<String>>>()
-        };
-        Some(TenantSnapshot {
-            tenant: j.get("tenant")?.as_str()?.to_string(),
-            fingerprint: u64::from_str_radix(j.get("fingerprint")?.as_str()?, 16).ok()?,
-            applied_seq: u64::try_from(j.get("applied_seq")?.as_int()?).ok()?,
-            specials: strs("specials")?,
-            globals: j
-                .get("globals")?
-                .as_arr()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr()?;
-                    Some((
-                        pair.first()?.as_str()?.to_string(),
-                        pair.get(1)?.as_str()?.to_string(),
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-            sources: strs("sources")?,
-            incidents: u64::try_from(j.get("incidents")?.as_int()?).ok()?,
+    /// Reads a [`TenantState::snapshot_json`] body back as the state
+    /// and its `applied_seq`.  `None` on any missing or mistyped field
+    /// — a corrupt snapshot quarantines the tenant rather than
+    /// half-loading it.
+    pub fn from_snapshot(j: &Json) -> Option<(TenantState, u64)> {
+        let globals = j
+            .get("globals")?
+            .as_arr()?
+            .iter()
+            .map(|pair| {
+                let pair = pair.as_arr()?;
+                Some((
+                    pair.first()?.as_str()?.to_string(),
+                    pair.get(1)?.as_str()?.to_string(),
+                ))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let artifacts = j
+            .get("artifacts")?
+            .as_arr()?
+            .iter()
+            .map(|a| Artifact::from_json(a).map(|a| (a.name.clone(), a)))
+            .collect::<Option<HashMap<_, _>>>()?;
+        let st = TenantState {
+            name: j.get_str("tenant")?,
+            fingerprint: j.get_fingerprint("fingerprint")?,
+            specials: j.get_strs("specials")?,
+            globals,
+            sources: j.get_strs("sources")?,
+            incidents: j.get_u64("incidents")?,
             degraded: j.get("degraded")?.as_bool()?,
-            artifacts: j
-                .get("artifacts")?
-                .as_arr()?
-                .iter()
-                .map(Artifact::from_json)
-                .collect::<Option<Vec<_>>>()?,
-        })
+            artifacts,
+            ..TenantState::default()
+        };
+        Some((st, j.get_u64("applied_seq")?))
     }
 }
 
@@ -509,7 +458,7 @@ impl TenantJournal {
         }
     }
 
-    /// Writes a snapshot body (see [`TenantSnapshot::to_json`])
+    /// Writes a snapshot body (see [`TenantState::snapshot_json`])
     /// atomically and durably, then truncates the journal it absorbs.
     /// A crash between the two steps is safe: the truncated-away
     /// records are at or below the snapshot's `applied_seq` and
@@ -657,10 +606,11 @@ mod tests {
                 degraded: false,
             },
         );
-        let snap = TenantSnapshot::of(&st, 5);
-        let text = snap.to_json().to_string();
+        let text = st.snapshot_json(5).to_string();
         let parsed = json::parse(&text).expect("well-formed");
-        assert_eq!(TenantSnapshot::from_json(&parsed), Some(snap));
+        let (back, applied_seq) = TenantState::from_snapshot(&parsed).expect("snapshot reads");
+        assert_eq!(applied_seq, 5);
+        assert_eq!(back.snapshot_json(5).to_string(), text);
         // A truncated snapshot fails closed.
         assert!(json::parse(&text[..text.len() / 2]).is_err());
     }

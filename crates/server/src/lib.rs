@@ -48,7 +48,7 @@ pub mod server;
 pub mod tenant;
 
 pub use client::{RetryPolicy, ServeClient};
-pub use journal::{scan_journal, JournalRecord, JournalScan, TenantJournal, TenantSnapshot};
+pub use journal::{scan_journal, JournalRecord, JournalScan, TenantJournal};
 pub use proto::{read_frame, write_frame, Body, Op, Request, Response, Slo, WireIncident};
 pub use queue::{AdmissionQueue, QueueConfig, QueueFull};
 pub use server::{CompileServer, ServerConfig, ServerHandle, Stopper};

@@ -139,15 +139,6 @@ pub struct Request {
     pub op: Op,
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 impl Request {
     /// The wire form.
     pub fn to_json(&self) -> Json {
@@ -166,12 +157,12 @@ impl Request {
             }
             Op::Run { entry, args } => {
                 fields.push(("entry", Json::str(entry)));
-                fields.push(("args", Json::Arr(args.iter().map(Json::str).collect())));
+                fields.push(("args", Json::strs(args)));
             }
             Op::Explain { name } => fields.push(("name", Json::str(name))),
             Op::Sync | Op::Ping | Op::Shutdown => {}
         }
-        obj(fields)
+        Json::obj(fields)
     }
 
     /// Parses a request frame.
@@ -180,25 +171,16 @@ impl Request {
     ///
     /// A description of the first missing or mistyped field.
     pub fn from_json(j: &Json) -> Result<Request, String> {
-        let id = j
-            .get("id")
-            .and_then(Json::as_int)
-            .and_then(|n| u64::try_from(n).ok())
-            .ok_or("request wants an integer id")?;
-        let op = j
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("request wants an op string")?;
+        let id = j.get_u64("id").ok_or("request wants an integer id")?;
+        let op = j.get_str("op").ok_or("request wants an op string")?;
         let s = |key: &str| {
-            j.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
+            j.get_str(key)
                 .ok_or_else(|| format!("{op} wants a {key} string"))
         };
-        let op = match op {
+        let op = match op.as_str() {
             "hello" => Op::Hello {
                 tenant: s("tenant")?,
-                token: j.get("token").and_then(Json::as_str).map(str::to_string),
+                token: j.get_str("token"),
             },
             "compile" => Op::Compile {
                 unit: s("unit")?,
@@ -206,17 +188,13 @@ impl Request {
             },
             "run" => Op::Run {
                 entry: s("entry")?,
-                args: j
-                    .get("args")
-                    .and_then(Json::as_arr)
-                    .ok_or("run wants an args array")?
-                    .iter()
-                    .map(|a| {
-                        a.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "run args must be printed-datum strings".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
+                args: {
+                    j.get("args")
+                        .and_then(Json::as_arr)
+                        .ok_or("run wants an args array")?;
+                    j.get_strs("args")
+                        .ok_or("run args must be printed-datum strings")?
+                },
             },
             "explain" => Op::Explain { name: s("name")? },
             "sync" => Op::Sync,
@@ -246,7 +224,7 @@ pub struct Slo {
 
 impl Slo {
     fn to_json(&self) -> Json {
-        obj(vec![
+        Json::obj(vec![
             ("degraded", Json::Bool(self.degraded)),
             (
                 "incident_kind",
@@ -258,15 +236,11 @@ impl Slo {
     }
 
     fn from_json(j: &Json) -> Option<Slo> {
-        let n = |key: &str| u64::try_from(j.get(key)?.as_int()?).ok();
         Some(Slo {
             degraded: j.get("degraded")?.as_bool()?,
-            incident_kind: j
-                .get("incident_kind")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            queue_wait_us: n("queue_wait_us")?,
-            wall_us: n("wall_us")?,
+            incident_kind: j.get_str("incident_kind"),
+            queue_wait_us: j.get_u64("queue_wait_us")?,
+            wall_us: j.get_u64("wall_us")?,
         })
     }
 }
@@ -356,7 +330,7 @@ impl Response {
                 let incidents = incidents
                     .iter()
                     .map(|i| {
-                        obj(vec![
+                        Json::obj(vec![
                             ("function", Json::str(&i.function)),
                             ("kind", Json::str(&i.kind)),
                             ("recovered", Json::Bool(i.recovered)),
@@ -366,14 +340,14 @@ impl Response {
                 let failures = failures
                     .iter()
                     .map(|(scope, error)| {
-                        obj(vec![
+                        Json::obj(vec![
                             ("scope", Json::str(scope)),
                             ("error", Json::str(error)),
                         ])
                     })
                     .collect();
                 (
-                    obj(vec![
+                    Json::obj(vec![
                         ("artifacts", Json::Arr(artifacts)),
                         ("incidents", Json::Arr(incidents)),
                         ("failures", Json::Arr(failures)),
@@ -385,7 +359,7 @@ impl Response {
             Body::Run { value } => (Json::Null, Json::str(value), Json::Null),
             Body::Explain { dossier } => (Json::Null, Json::Null, Json::str(dossier)),
         };
-        obj(vec![
+        Json::obj(vec![
             ("id", Json::uint(self.id)),
             ("op", Json::str(&self.op)),
             ("tenant", Json::str(&self.tenant)),
@@ -406,16 +380,8 @@ impl Response {
     ///
     /// A description of the first missing or mistyped field.
     pub fn from_json(j: &Json) -> Result<Response, String> {
-        let id = j
-            .get("id")
-            .and_then(Json::as_int)
-            .and_then(|n| u64::try_from(n).ok())
-            .ok_or("response wants an integer id")?;
-        let op = j
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("response wants an op")?
-            .to_string();
+        let id = j.get_u64("id").ok_or("response wants an integer id")?;
+        let op = j.get_str("op").ok_or("response wants an op")?;
         let body = if let Some(c) = j.get("compile").filter(|c| **c != Json::Null) {
             let artifacts = c
                 .get("artifacts")
@@ -431,8 +397,8 @@ impl Response {
                 .iter()
                 .map(|i| {
                     Some(WireIncident {
-                        function: i.get("function")?.as_str()?.to_string(),
-                        kind: i.get("kind")?.as_str()?.to_string(),
+                        function: i.get_str("function")?,
+                        kind: i.get_str("kind")?,
                         recovered: i.get("recovered")?.as_bool()?,
                     })
                 })
@@ -443,12 +409,7 @@ impl Response {
                 .and_then(Json::as_arr)
                 .ok_or("compile body wants failures")?
                 .iter()
-                .map(|f| {
-                    Some((
-                        f.get("scope")?.as_str()?.to_string(),
-                        f.get("error")?.as_str()?.to_string(),
-                    ))
-                })
+                .map(|f| Some((f.get_str("scope")?, f.get_str("error")?)))
                 .collect::<Option<Vec<_>>>()
                 .ok_or("malformed failure")?;
             Body::Compile {
@@ -456,35 +417,23 @@ impl Response {
                 incidents,
                 failures,
             }
-        } else if let Some(v) = j.get("value").and_then(Json::as_str) {
-            Body::Run {
-                value: v.to_string(),
-            }
-        } else if let Some(d) = j.get("dossier").and_then(Json::as_str) {
-            Body::Explain {
-                dossier: d.to_string(),
-            }
+        } else if let Some(value) = j.get_str("value") {
+            Body::Run { value }
+        } else if let Some(dossier) = j.get_str("dossier") {
+            Body::Explain { dossier }
         } else {
             Body::None
         };
         Ok(Response {
             id,
             op,
-            tenant: j
-                .get("tenant")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
+            tenant: j.get_str("tenant").unwrap_or_default(),
             ok: j
                 .get("ok")
                 .and_then(Json::as_bool)
                 .ok_or("response wants ok")?,
-            error: j.get("error").and_then(Json::as_str).map(str::to_string),
-            retry_after_ms: j
-                .get("retry_after_ms")
-                .and_then(Json::as_int)
-                .and_then(|n| u64::try_from(n).ok())
-                .unwrap_or(0),
+            error: j.get_str("error"),
+            retry_after_ms: j.get_u64("retry_after_ms").unwrap_or(0),
             durable: j.get("durable").and_then(Json::as_bool).unwrap_or(false),
             slo: j
                 .get("slo")

@@ -42,7 +42,7 @@ use s1lisp_reader::{read_str, Interner};
 use s1lisp_trace::json;
 use s1lisp_trace::metrics::{MetricsRegistry, TIME_BUCKETS_US};
 
-use crate::journal::{scan_journal, TenantJournal, TenantSnapshot};
+use crate::journal::{scan_journal, TenantJournal};
 use crate::proto::{read_frame, write_frame, Body, Op, Request, Response, Slo, WireIncident};
 use crate::queue::{AdmissionQueue, QueueConfig};
 use crate::tenant::{tenant_fingerprint, TenantRegistry, TenantState};
@@ -741,9 +741,7 @@ fn snapshot_tenant(metrics: &MetricsRegistry, st: &mut TenantState) -> bool {
     if journal.disabled() {
         return false;
     }
-    let body = TenantSnapshot::of(st, journal.next_seq() - 1)
-        .to_json()
-        .to_string();
+    let body = st.snapshot_json(journal.next_seq() - 1).to_string();
     let journal = st.journal.as_mut().expect("present above");
     match journal.write_snapshot(&body) {
         Ok(()) => {
@@ -798,9 +796,9 @@ fn recover_one(
     let snapshot = std::fs::read_to_string(dir.join("snapshot.json"))
         .ok()
         .and_then(|text| json::parse(&text).ok())
-        .and_then(|j| TenantSnapshot::from_json(&j));
+        .and_then(|j| TenantState::from_snapshot(&j));
     let journal_bytes = std::fs::read(dir.join("journal.log")).unwrap_or_default();
-    let Some(snap) = snapshot else {
+    let Some((st, applied_seq)) = snapshot else {
         // Unreadable or missing snapshot.  Journal records carry the
         // tenant name; with one we can quarantine to a fresh namespace,
         // without one the directory is inert and left untouched.
@@ -813,14 +811,14 @@ fn recover_one(
         }
         return;
     };
-    let fp = snap.fingerprint;
-    let scan = scan_journal(&journal_bytes, snap.applied_seq, |idx| {
+    let fp = st.fingerprint;
+    let scan = scan_journal(&journal_bytes, applied_seq, |idx| {
         plan.as_ref()
             .is_some_and(|p| p.fires(FaultSite::JournalCorrupt, &format!("{fp:016x}:{idx}")))
     });
     if scan.corrupt {
         metrics.counter("server.recovery.corrupt_journals").inc();
-        quarantine_tenant(dir, &snap.tenant, config, registry, metrics);
+        quarantine_tenant(dir, &st.name, config, registry, metrics);
         return;
     }
     if scan.torn_tail {
@@ -829,23 +827,10 @@ fn recover_one(
     metrics
         .counter("server.recovery.stale_records")
         .add(scan.stale);
-    let mut st = TenantState {
-        name: snap.tenant.clone(),
-        fingerprint: fp,
-        specials: snap.specials.clone(),
-        globals: snap.globals.clone(),
-        sources: snap.sources.clone(),
-        incidents: snap.incidents,
-        degraded: snap.degraded,
-        ..TenantState::default()
-    };
-    for a in &snap.artifacts {
-        st.artifacts.insert(a.name.clone(), a.clone());
-    }
     // Replay the tail exactly as serve_compile would have (the journal
     // is attached afterwards, so nothing is re-journaled).
     let tenant = Mutex::new(st);
-    let mut last_seq = snap.applied_seq;
+    let mut last_seq = applied_seq;
     for rec in &scan.records {
         last_seq = rec.seq;
         let batch = TenantState::compile_unit(

@@ -47,18 +47,18 @@ impl TraceEvent {
             .iter()
             .map(|(name, value)| (name.clone(), Json::uint(*value)))
             .collect();
-        let args = Json::Obj(vec![
-            ("unit".to_string(), Json::str(&self.unit)),
-            ("counters".to_string(), Json::Map(counters)),
+        let args = Json::obj(vec![
+            ("unit", Json::str(&self.unit)),
+            ("counters", Json::Map(counters)),
         ]);
-        Json::Obj(vec![
-            ("name".to_string(), Json::str(&self.name)),
-            ("ph".to_string(), Json::str("X")),
-            ("ts".to_string(), Json::uint(self.ts_us)),
-            ("dur".to_string(), Json::uint(self.dur_us)),
-            ("pid".to_string(), Json::uint(self.pid)),
-            ("tid".to_string(), Json::uint(self.tid)),
-            ("args".to_string(), args),
+        Json::obj(vec![
+            ("name", Json::str(&self.name)),
+            ("ph", Json::str("X")),
+            ("ts", Json::uint(self.ts_us)),
+            ("dur", Json::uint(self.dur_us)),
+            ("pid", Json::uint(self.pid)),
+            ("tid", Json::uint(self.tid)),
+            ("args", args),
         ])
     }
 }

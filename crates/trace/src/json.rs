@@ -41,6 +41,39 @@ impl Json {
         Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
     }
 
+    /// A fixed-field object ([`Json::Obj`]), keys in the given order.
+    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// An array of strings; [`Json::get_strs`] reads it back.
+    pub fn strs(items: &[String]) -> Json {
+        Json::Arr(items.iter().map(Json::str).collect())
+    }
+
+    /// A count map (a [`Json::Map`] of unsigned counters, in order);
+    /// [`Json::get_counts`] reads it back.
+    pub fn counts(pairs: &[(String, u64)]) -> Json {
+        Json::Map(
+            pairs
+                .iter()
+                .map(|(k, n)| (k.clone(), Json::uint(*n)))
+                .collect(),
+        )
+    }
+
+    /// A 64-bit fingerprint as a 16-digit hex string (JSON integers
+    /// here are `i64`; a fingerprint is a full `u64`);
+    /// [`Json::get_fingerprint`] reads it back.
+    pub fn fingerprint(fp: u64) -> Json {
+        Json::Str(format!("{fp:016x}"))
+    }
+
     /// The value of a field, for [`Json::Obj`] and [`Json::Map`]
     /// (first occurrence wins).
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -91,6 +124,49 @@ impl Json {
             Json::Obj(fields) | Json::Map(fields) => Some(fields),
             _ => None,
         }
+    }
+
+    /// The integer inside a [`Json::Int`], when it is not negative.
+    pub fn as_u64(&self) -> Option<u64> {
+        u64::try_from(self.as_int()?).ok()
+    }
+
+    // Typed field readers for decoders: each is `None` when the field
+    // is missing or has the wrong type, so a decoder can `?` through a
+    // record and reject any damaged one whole.
+
+    /// Field `key` as a `u64` (an integer that is not negative).
+    pub fn get_u64(&self, key: &str) -> Option<u64> {
+        self.get(key)?.as_u64()
+    }
+
+    /// Field `key` as an owned string.
+    pub fn get_str(&self, key: &str) -> Option<String> {
+        Some(self.get(key)?.as_str()?.to_string())
+    }
+
+    /// Field `key` as an array of strings ([`Json::strs`]).
+    pub fn get_strs(&self, key: &str) -> Option<Vec<String>> {
+        self.get(key)?
+            .as_arr()?
+            .iter()
+            .map(|v| Some(v.as_str()?.to_string()))
+            .collect()
+    }
+
+    /// Field `key` as a count map ([`Json::counts`]; a parsed object
+    /// reads the same).
+    pub fn get_counts(&self, key: &str) -> Option<Vec<(String, u64)>> {
+        self.get(key)?
+            .entries()?
+            .iter()
+            .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+            .collect()
+    }
+
+    /// Field `key` as a hex fingerprint ([`Json::fingerprint`]).
+    pub fn get_fingerprint(&self, key: &str) -> Option<u64> {
+        u64::from_str_radix(self.get(key)?.as_str()?, 16).ok()
     }
 }
 
@@ -371,18 +447,9 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn obj(fields: &[(&str, Json)]) -> Json {
-        Json::Obj(
-            fields
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), v.clone()))
-                .collect(),
-        )
-    }
-
     #[test]
     fn serialization_round_trips() {
-        let v = obj(&[
+        let v = Json::obj(vec![
             ("id", Json::str("e1")),
             ("n", Json::Int(42)),
             ("x", Json::Float(1.5)),
@@ -404,10 +471,10 @@ mod tests {
 
     #[test]
     fn schema_distinguishes_fixed_and_dynamic_objects() {
-        let v = obj(&[
+        let v = Json::obj(vec![
             (
                 "phases",
-                Json::Arr(vec![obj(&[
+                Json::Arr(vec![Json::obj(vec![
                     ("phase", Json::str("Preliminary")),
                     ("wall_ns", Json::Int(12)),
                 ])]),
@@ -422,10 +489,10 @@ mod tests {
             "{phases:[{phase:str,wall_ns:int}],rules:map<int>}"
         );
         // Different dynamic keys, same schema.
-        let v2 = obj(&[
+        let v2 = Json::obj(vec![
             (
                 "phases",
-                Json::Arr(vec![obj(&[
+                Json::Arr(vec![Json::obj(vec![
                     ("phase", Json::str("Code generation")),
                     ("wall_ns", Json::Int(99)),
                 ])]),
@@ -457,6 +524,40 @@ mod tests {
         assert!(v.get("missing").is_none());
         assert!(Json::Int(1).get("k").is_none());
         assert!(Json::Str("s".into()).as_int().is_none());
+    }
+
+    #[test]
+    fn typed_readers_reject_missing_and_mistyped_fields() {
+        let v = parse(
+            r#"{"n":3,"neg":-1,"s":"x","xs":["a","b"],"mixed":["a",1],
+                "m":{"k":2},"badm":{"k":-2},"fp":"00000000000000ff"}"#,
+        )
+        .unwrap();
+        assert_eq!(v.get_u64("n"), Some(3));
+        assert_eq!(v.get_u64("neg"), None);
+        assert_eq!(v.get_u64("s"), None);
+        assert_eq!(v.get_str("s").as_deref(), Some("x"));
+        assert_eq!(v.get_str("n"), None);
+        assert_eq!(v.get_strs("xs"), Some(vec!["a".into(), "b".into()]));
+        assert_eq!(v.get_strs("mixed"), None);
+        assert_eq!(v.get_counts("m"), Some(vec![("k".into(), 2)]));
+        assert_eq!(v.get_counts("badm"), None);
+        assert_eq!(v.get_fingerprint("fp"), Some(0xff));
+        assert_eq!(v.get_fingerprint("s"), None);
+        assert_eq!(v.get_fingerprint("missing"), None);
+        // The writers and readers are inverses.
+        let w = Json::obj(vec![
+            ("fp", Json::fingerprint(u64::MAX)),
+            ("m", Json::counts(&[("k".into(), 2)])),
+            ("xs", Json::strs(&["a".into()])),
+        ]);
+        assert_eq!(
+            w.to_string(),
+            r#"{"fp":"ffffffffffffffff","m":{"k":2},"xs":["a"]}"#
+        );
+        assert_eq!(w.get_fingerprint("fp"), Some(u64::MAX));
+        assert_eq!(w.get_counts("m"), Some(vec![("k".into(), 2)]));
+        assert_eq!(w.get_strs("xs"), Some(vec!["a".into()]));
     }
 
     #[test]

@@ -316,6 +316,13 @@ impl MetricsSnapshot {
             .map(|&(_, v)| v)
     }
 
+    /// Counters `<prefix><name>` for each of `names`, as a fixed-field
+    /// object keyed by `name` (0 for a counter never registered).
+    pub fn counters_obj(&self, prefix: &str, names: &[&str]) -> Json {
+        let value = |name: &str| self.counter(&format!("{prefix}{name}")).unwrap_or(0);
+        Json::obj(names.iter().map(|&n| (n, Json::uint(value(n)))).collect())
+    }
+
     /// The value of gauge `name`, if registered.
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -394,28 +401,25 @@ impl MetricsSnapshot {
                         .buckets
                         .iter()
                         .map(|&(le, count)| {
-                            Json::Obj(vec![
-                                ("le".to_string(), Json::uint(le)),
-                                ("n".to_string(), Json::uint(count)),
-                            ])
+                            Json::obj(vec![("le", Json::uint(le)), ("n", Json::uint(count))])
                         })
                         .collect();
                     (
                         n.clone(),
-                        Json::Obj(vec![
-                            ("count".to_string(), Json::uint(h.count)),
-                            ("sum".to_string(), Json::uint(h.sum)),
-                            ("overflow".to_string(), Json::uint(h.overflow)),
-                            ("buckets".to_string(), Json::Arr(buckets)),
+                        Json::obj(vec![
+                            ("count", Json::uint(h.count)),
+                            ("sum", Json::uint(h.sum)),
+                            ("overflow", Json::uint(h.overflow)),
+                            ("buckets", Json::Arr(buckets)),
                         ]),
                     )
                 })
                 .collect(),
         );
-        Json::Obj(vec![
-            ("counters".to_string(), counters),
-            ("gauges".to_string(), gauges),
-            ("histograms".to_string(), histograms),
+        Json::obj(vec![
+            ("counters", counters),
+            ("gauges", gauges),
+            ("histograms", histograms),
         ])
     }
 
