@@ -18,9 +18,13 @@
 //!
 //! `--compare [--tolerance N]` is the judging mode: measure the full
 //! matrix fresh, compare each workload's median throughput against the
-//! *best* entry in the committed trajectory, and exit nonzero listing
-//! every workload that fell more than N percent (default 20) below its
-//! best baseline.  The trajectory files are never modified.
+//! *best* entry in the committed trajectory, and its exact columns
+//! (`insns`, `gc_collections`, `journal_appends`) against the *latest*
+//! entry measured with the same warmup and trials.  It exits nonzero
+//! listing every workload that fell more than N percent (default 20)
+//! below its best baseline or whose exact columns changed at all; a
+//! commit that changes them on purpose appends its new entry.  The
+//! trajectory files are never modified.
 
 use s1lisp_bench::{compare_golden, lookup, perfbench, schema_of};
 use s1lisp_trace::json::Json;
@@ -57,7 +61,10 @@ fn main() {
     let root = perfbench::repo_root();
     if compare {
         let trials = trials.max(1);
-        println!("perfbench --compare: tolerance {tolerance}% below best baseline");
+        println!(
+            "perfbench --compare: tolerance {tolerance}% below best baseline, \
+             exact columns equal to the latest entry"
+        );
         let mut regressed = false;
         for (file, entry) in [
             (

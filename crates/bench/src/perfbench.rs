@@ -275,7 +275,7 @@ fn run_service_batch(jobs: usize, warmup: usize, trials: usize) -> Json {
 
 /// The unit every load client compiles into its tenant at session
 /// start; the timed requests then `run` it through the full admission
-/// queue → worker → tenant-replay path.
+/// queue → worker → tenant-image path.
 const SERVE_UNIT: &str = "(defun poke (x) (* (+ x 3) 2))";
 
 /// Timed `run` requests per client in one serve burst.
@@ -579,18 +579,30 @@ pub const DEFAULT_COMPARE_TOLERANCE: u64 = 20;
 pub struct Comparison {
     /// Workload key (`"tak"`, …, or `"jobs=8"`).
     pub workload: String,
-    /// The throughput metric compared.
+    /// The column compared.
     pub metric: &'static str,
-    /// Freshly measured median.
+    /// Freshly measured value.
     pub measured: u64,
-    /// Best (maximum) median for this workload across the baseline
-    /// trajectory.
+    /// For a throughput column, the best (maximum) median for this
+    /// workload across the baseline trajectory; for an exact column,
+    /// the value in the latest entry measured with the same warmup and
+    /// trials.
     pub baseline: u64,
-    /// The pass floor: `baseline * (100 - tolerance) / 100`.
+    /// The pass floor: `baseline * (100 - tolerance) / 100` for a
+    /// throughput column, the baseline itself for an exact one.
     pub floor: u64,
-    /// Whether `measured` fell below `floor`.
+    /// Whether the column is an exact count, which must equal its
+    /// baseline.
+    pub exact: bool,
+    /// Whether `measured` fell below `floor` (throughput) or differs
+    /// from `baseline` (exact).
     pub regressed: bool,
 }
+
+/// Deterministic columns: a change in any of them is a change in the
+/// work done, never noise, so `--compare` requires them to equal the
+/// latest entry's.
+pub const EXACT_COLUMNS: [&str; 3] = ["insns", "gc_collections", "journal_appends"];
 
 /// The `(key, throughput-metric)` pair a trajectory row is compared by:
 /// sim rows are keyed by `id`, service rows by `jobs=N`, serve rows by
@@ -614,28 +626,49 @@ fn entry_rows(entry: &Json) -> Vec<&Json> {
         .collect()
 }
 
+/// The row keyed `workload` in `entry`, if it has one.
+fn row_for<'a>(entry: &'a Json, workload: &str) -> Option<&'a Json> {
+    entry_rows(entry)
+        .into_iter()
+        .find(|r| row_key_metric(r).is_some_and(|(k, _)| k == workload))
+}
+
+/// An entry's `(warmup, trials)`: cumulative exact columns (collections
+/// over every run, journal appends over every burst) depend on them.
+fn run_shape(entry: &Json) -> (Option<i64>, Option<i64>) {
+    let field = |name| entry.get(name).and_then(Json::as_int);
+    (field("warmup"), field("trials"))
+}
+
 /// Compares a freshly measured entry against a baseline trajectory.
 ///
-/// For every workload row in `fresh`, the baseline is the *best*
-/// (maximum) median recorded for that workload anywhere in
+/// Throughput: for every workload row in `fresh`, the baseline is the
+/// *best* (maximum) median recorded for that workload anywhere in
 /// `baselines` — comparing against the best ever, not the latest,
 /// keeps a slow regression from ratcheting the bar down one tolerable
 /// step at a time.  A workload passes while its measured median stays
-/// at or above `baseline * (100 - tolerance_percent) / 100`; workloads
-/// with no baseline row (new kernels) are skipped, not failed.
+/// at or above `baseline * (100 - tolerance_percent) / 100`.
+///
+/// Exact columns ([`EXACT_COLUMNS`]): each must equal its value in the
+/// *latest* baseline entry measured with the same warmup and trials
+/// that has a row for the workload.  An intended change appends its new
+/// entry in the same commit.
+///
+/// Workloads with no baseline row (new kernels) are skipped, not
+/// failed.
 pub fn compare_entry(fresh: &Json, baselines: &[Json], tolerance_percent: u64) -> Vec<Comparison> {
     let tolerance = tolerance_percent.min(100);
+    let int = |row: &Json, column: &str| row.get(column).and_then(Json::as_int);
     let mut out = Vec::new();
     for row in entry_rows(fresh) {
         let Some((workload, metric)) = row_key_metric(row) else {
             continue;
         };
-        let measured = row.get(metric).and_then(Json::as_int).unwrap_or(0).max(0) as u64;
+        let measured = int(row, metric).unwrap_or(0).max(0) as u64;
         let baseline = baselines
             .iter()
-            .flat_map(entry_rows)
-            .filter(|r| row_key_metric(r).is_some_and(|(k, _)| k == workload))
-            .filter_map(|r| r.get(metric).and_then(Json::as_int))
+            .filter_map(|e| row_for(e, &workload))
+            .filter_map(|r| int(r, metric))
             .max()
             .unwrap_or(-1);
         if baseline < 0 {
@@ -644,13 +677,36 @@ pub fn compare_entry(fresh: &Json, baselines: &[Json], tolerance_percent: u64) -
         let baseline = baseline as u64;
         let floor = baseline * (100 - tolerance) / 100;
         out.push(Comparison {
-            workload,
+            workload: workload.clone(),
             metric,
             measured,
             baseline,
             floor,
+            exact: false,
             regressed: measured < floor,
         });
+        let latest = baselines
+            .iter()
+            .rev()
+            .filter(|e| run_shape(e) == run_shape(fresh))
+            .find_map(|e| row_for(e, &workload));
+        for column in EXACT_COLUMNS {
+            let (Some(measured), Some(baseline)) =
+                (int(row, column), latest.and_then(|r| int(r, column)))
+            else {
+                continue;
+            };
+            let (measured, baseline) = (measured.max(0) as u64, baseline.max(0) as u64);
+            out.push(Comparison {
+                workload: workload.clone(),
+                metric: column,
+                measured,
+                baseline,
+                floor: baseline,
+                exact: true,
+                regressed: measured != baseline,
+            });
+        }
     }
     out
 }
@@ -660,10 +716,19 @@ pub fn format_comparisons(comparisons: &[Comparison]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for c in comparisons {
-        let verdict = if c.regressed { "REGRESSED" } else { "ok" };
+        let verdict = match (c.regressed, c.exact) {
+            (false, _) => "ok",
+            (true, false) => "REGRESSED",
+            (true, true) => "CHANGED",
+        };
+        let against = if c.exact {
+            "latest-exact"
+        } else {
+            "best-baseline"
+        };
         let _ = writeln!(
             out,
-            "  {:<10} {:<24} measured={:>12} best-baseline={:>12} floor={:>12}  {}",
+            "  {:<10} {:<24} measured={:>12} {against}={:>12} floor={:>12}  {}",
             c.workload, c.metric, c.measured, c.baseline, c.floor, verdict
         );
     }
@@ -873,6 +938,60 @@ mod tests {
         assert_eq!(got[0].workload, "clients=4");
         assert_eq!(got[0].metric, "median_requests_per_sec");
         assert!(!got[0].regressed);
+    }
+
+    /// A sim-style entry with one `tak` row: throughput, retired
+    /// instructions and collections, measured with `trials` trials.
+    fn fab_exact(median: u64, insns: u64, collections: u64, trials: u64) -> Json {
+        Json::Obj(vec![
+            ("warmup".to_string(), Json::uint(1)),
+            ("trials".to_string(), Json::uint(trials)),
+            (
+                "workloads".to_string(),
+                Json::Arr(vec![Json::obj(vec![
+                    ("id", Json::str("tak")),
+                    ("insns", Json::uint(insns)),
+                    ("median_insns_per_sec", Json::uint(median)),
+                    ("gc_collections", Json::uint(collections)),
+                ])]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn compare_fails_any_change_in_an_exact_column_from_the_latest_entry() {
+        let baselines = [fab_exact(1000, 500, 3, 5), fab_exact(900, 400, 3, 5)];
+        // Throughput within tolerance, exact columns equal to the latest
+        // entry's (not the first's): all pass.
+        let got = compare_entry(&fab_exact(950, 400, 3, 5), &baselines, 20);
+        let columns: Vec<_> = got.iter().map(|c| (c.metric, c.exact)).collect();
+        assert_eq!(
+            columns,
+            [
+                ("median_insns_per_sec", false),
+                ("insns", true),
+                ("gc_collections", true)
+            ]
+        );
+        assert!(got.iter().all(|c| !c.regressed), "{got:?}");
+        // One more instruction, or one fewer collection, fails however
+        // fast the run was.
+        for fresh in [fab_exact(2000, 401, 3, 5), fab_exact(2000, 400, 2, 5)] {
+            let got = compare_entry(&fresh, &baselines, 50);
+            assert_eq!(got.iter().filter(|c| c.regressed).count(), 1, "{got:?}");
+            assert!(got.iter().all(|c| c.exact || !c.regressed));
+            assert!(format_comparisons(&got).contains("CHANGED"));
+        }
+    }
+
+    #[test]
+    fn compare_checks_exact_columns_only_against_entries_of_the_same_shape() {
+        // Collections accumulate over warmup + trials: a 9-trial run is
+        // not comparable with the 5-trial baseline's count.
+        let baselines = [fab_exact(1000, 400, 3, 5)];
+        let got = compare_entry(&fab_exact(1000, 400, 6, 9), &baselines, 20);
+        assert_eq!(got.len(), 1);
+        assert!(!got[0].exact && !got[0].regressed);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::fmt;
 
 use s1lisp_annotate::{Annotations, VarAlloc};
 use s1lisp_ast::{subtree_nodes, CallFunc, Lambda, NodeId, NodeKind, ProgItem, Tree, VarId};
+use s1lisp_interp::Const;
 use s1lisp_reader::Datum;
 
 use crate::{FuncProto, Insn, Op};
@@ -76,7 +77,7 @@ struct ProgScope {
 /// Per-proto emission state.
 struct FnCtx {
     code: Vec<Insn>,
-    consts: Vec<Datum>,
+    consts: Vec<Const>,
     const_keys: HashMap<String, u32>,
     slots: HashMap<VarId, u32>,
     nslots: u32,
@@ -104,7 +105,7 @@ impl FnCtx {
             return k;
         }
         let k = self.consts.len() as u32;
-        self.consts.push(d.clone());
+        self.consts.push(Const::from_datum(d));
         self.const_keys.insert(key, k);
         k
     }

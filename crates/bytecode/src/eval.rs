@@ -21,9 +21,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use s1lisp_interp::{call_builtin, Function, Value};
-use s1lisp_reader::{Datum, Interner, Symbol};
+use s1lisp_interp::{call_builtin, Const, Function, Value};
+use s1lisp_reader::{Interner, Symbol};
 
 use crate::{FuncProto, Insn, Module, Op};
 
@@ -152,7 +153,7 @@ impl Entry {
 
 /// A proto with its linked constant pool.
 struct Linked {
-    proto: Rc<FuncProto>,
+    proto: Arc<FuncProto>,
     entries: Vec<Entry>,
 }
 
@@ -189,26 +190,27 @@ impl Image {
     /// across the module by printed form, as the S-1 program's constant
     /// and string tables share them.
     fn link(module: Module, specials: &mut Specials) -> Image {
+        let mut names = Interner::new();
         let mut shared: HashMap<String, BcValue> = HashMap::new();
         let mut protos = Vec::with_capacity(module.len());
         for ix in 0..module.len() {
-            let proto = module.proto(ix).clone();
+            let proto = Arc::clone(module.proto(ix));
             let entries = proto
                 .consts
                 .iter()
-                .map(|d| Entry {
-                    value: match d {
-                        Datum::Cons(_) | Datum::Str(_) => shared
-                            .entry(d.to_string())
-                            .or_insert_with(|| BcValue::V(Value::from_datum(d)))
+                .map(|k| Entry {
+                    value: match k {
+                        Const::Cons(_) | Const::Str(_) => shared
+                            .entry(k.to_string())
+                            .or_insert_with(|| BcValue::V(k.to_value(&mut names)))
                             .clone(),
-                        _ => BcValue::V(Value::from_datum(d)),
+                        _ => BcValue::V(k.to_value(&mut names)),
                     },
-                    name: match d {
-                        Datum::Sym(s) => Some(Name {
-                            sym: s.clone(),
-                            callee: resolve(&module, s.as_str()),
-                            special: specials.id(s.as_str()),
+                    name: match k {
+                        Const::Sym(s) => Some(Name {
+                            sym: names.intern(s),
+                            callee: resolve(&module, s),
+                            special: specials.id(s),
                         }),
                         _ => None,
                     },
@@ -219,7 +221,7 @@ impl Image {
         Image {
             module,
             protos,
-            t: Interner::new().intern("t"),
+            t: names.intern("t"),
         }
     }
 

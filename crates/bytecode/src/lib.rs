@@ -37,9 +37,9 @@ pub use eval::{BcTrap, Evaluator};
 
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
-use s1lisp_reader::Datum;
+use s1lisp_interp::Const;
 
 /// Bytes per encoded instruction (fixed width).
 pub const INSN_BYTES: usize = 8;
@@ -285,7 +285,7 @@ pub struct FuncProto {
     /// The code.
     pub code: Vec<Insn>,
     /// The constant pool.
-    pub consts: Vec<Datum>,
+    pub consts: Vec<Const>,
 }
 
 impl FuncProto {
@@ -299,7 +299,7 @@ impl FuncProto {
 /// `Program`.
 #[derive(Clone, Debug, Default)]
 pub struct Module {
-    protos: Vec<Rc<FuncProto>>,
+    protos: Vec<Arc<FuncProto>>,
     index: HashMap<String, usize>,
 }
 
@@ -321,7 +321,7 @@ impl Module {
                 }
             }
             self.index.insert(p.name.clone(), self.protos.len());
-            self.protos.push(Rc::new(p));
+            self.protos.push(Arc::new(p));
         }
     }
 
@@ -331,7 +331,7 @@ impl Module {
     }
 
     /// The proto at `ix`.
-    pub fn proto(&self, ix: usize) -> &Rc<FuncProto> {
+    pub fn proto(&self, ix: usize) -> &Arc<FuncProto> {
         &self.protos[ix]
     }
 

@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use s1lisp_analysis::{primop, tail_nodes_from};
 use s1lisp_annotate::{Annotations, LambdaStrategy, Rep, VarAlloc};
 use s1lisp_ast::{clip_form, CallFunc, Lambda, NodeId, NodeKind, ProgItem, Tree, VarId};
-use s1lisp_interp::Value;
+use s1lisp_interp::Const;
 use s1lisp_reader::{Datum, Symbol};
 use s1lisp_s1sim::{
     Asm, CallTarget, Cond, FuncCode, Insn, Label, Operand, Program, Reg, Tag, Word,
@@ -1088,7 +1088,7 @@ impl<'a> Gen<'a> {
             }
             (d, _) => {
                 // Structured or boxed constants live in static space.
-                let idx = self.program.const_id(Value::from_datum(d));
+                let idx = self.program.const_id(Const::from_datum(d));
                 let dst = self.alloc_place();
                 self.asm.push(Insn::LoadConst { dst: dst.op, idx });
                 dst
@@ -2530,6 +2530,7 @@ fn within_lambda(tree: &Tree, v: VarId) -> bool {
 mod tests {
     use super::*;
     use s1lisp_frontend::Frontend;
+    use s1lisp_interp::Value;
     use s1lisp_opt::Optimizer;
     use s1lisp_reader::{read_all_str, Interner};
     use s1lisp_s1sim::Machine;
@@ -2859,6 +2860,7 @@ mod tests {
 mod backtracking_tests {
     use super::*;
     use s1lisp_frontend::Frontend;
+    use s1lisp_interp::Value;
     use s1lisp_opt::Optimizer;
     use s1lisp_reader::{read_all_str, Interner};
     use s1lisp_s1sim::Machine;

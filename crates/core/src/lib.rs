@@ -32,6 +32,7 @@ mod artifact;
 mod dossier;
 mod error;
 mod guard;
+mod image;
 mod phases;
 mod pipeline;
 
@@ -39,6 +40,7 @@ pub use artifact::Artifact;
 pub use dossier::Dossier;
 pub use error::CompileError;
 pub use guard::GuardError;
+pub use image::Image;
 pub use phases::{phases, trip_phase_faults, Phase, PhaseStatus};
 pub use pipeline::BytecodeBackend;
 pub use pipeline::{
@@ -56,6 +58,7 @@ pub use s1lisp_trace::{MemorySink, PhaseAgg, TraceSink};
 
 use s1lisp_ast::{unparse, Tree};
 use s1lisp_frontend::Frontend;
+use s1lisp_interp::Const;
 use s1lisp_reader::{pretty, read_all_str, Interner};
 use s1lisp_trace::NullSink;
 
@@ -161,7 +164,7 @@ pub struct Compiler {
     bytecode: s1lisp_bytecode::Module,
     interp_sources: Vec<s1lisp_frontend::Function>,
     specials: Vec<String>,
-    globals: Vec<(String, Value)>,
+    globals: Vec<(String, Const)>,
     eval_counter: u32,
     /// Telemetry sink; `None` (the default) makes tracing free.
     trace: Option<MemorySink>,
@@ -354,7 +357,7 @@ impl Compiler {
         sink.span_end(sp);
         for (name, init) in std::mem::take(&mut fe.defvar_inits) {
             self.globals
-                .push((name.as_str().to_string(), Value::from_datum(&init)));
+                .push((name.as_str().to_string(), Const::from_datum(&init)));
         }
         Ok(fns
             .into_iter()
@@ -487,7 +490,7 @@ impl Compiler {
         let inits = std::mem::take(&mut fe.defvar_inits);
         for (gname, init) in inits {
             self.globals
-                .push((gname.as_str().to_string(), Value::from_datum(&init)));
+                .push((gname.as_str().to_string(), Const::from_datum(&init)));
         }
         let mut eval_names = Vec::new();
         for f in fns {
@@ -512,11 +515,7 @@ impl Compiler {
     /// A fresh machine loaded with everything compiled so far (with
     /// `defvar` initial values installed).
     pub fn machine(&self) -> Machine {
-        let mut m = Machine::new(self.program.clone());
-        for (name, v) in &self.globals {
-            let _ = m.set_global(name, v);
-        }
-        m
+        image::machine(self.program.clone(), &self.globals)
     }
 
     /// A reference interpreter over the same (unoptimized-semantics)
@@ -526,8 +525,9 @@ impl Compiler {
         for f in &self.interp_sources {
             interp.define(f.clone());
         }
+        let mut names = Interner::new();
         for (name, v) in &self.globals {
-            interp.set_global(name, v.clone());
+            interp.set_global(name, v.to_value(&mut names));
         }
         interp
     }
@@ -562,36 +562,23 @@ impl Compiler {
     /// far (with `defvar` initial values installed) — the bytecode
     /// backend's analog of [`Compiler::machine`].
     pub fn evaluator(&self) -> Evaluator {
-        let mut e = Evaluator::new(self.bytecode.clone());
-        for (name, v) in &self.globals {
-            e.set_global(name, v.clone());
-        }
-        e
+        image::evaluator(self.bytecode.clone(), &self.globals)
     }
 
-    /// Runs `entry` on this compiler's own engine — the simulator for
-    /// S-1 code, the stack evaluator for bytecode — with the globals
-    /// installed and `fuel` instructions to spend, and prints the
-    /// outcome: the value, or `trap: …`.  This is the form the
-    /// differential oracle compares and the compile server's `run`
-    /// answers with.
-    pub fn run_printed(&self, entry: &str, args: &[Value], fuel: u64) -> String {
-        let outcome = match self.backend {
-            BackendKind::S1 => {
-                let mut m = self.machine();
-                m.fuel_per_run = fuel;
-                m.run(entry, args).map_err(|t| t.to_string())
-            }
-            BackendKind::Bytecode => {
-                let mut e = self.evaluator();
-                e.fuel_per_run = fuel;
-                e.run(entry, args).map_err(|t| t.to_string())
-            }
-        };
-        match outcome {
-            Ok(v) => v.to_string(),
-            Err(t) => format!("trap: {t}"),
+    /// Links what this compiler has compiled so far into an [`Image`]:
+    /// the active backend's code and the `defvar` initial values.
+    pub fn image(&self) -> Image {
+        let globals = self.globals.clone();
+        match self.backend {
+            BackendKind::S1 => Image::s1(self.program.clone(), globals),
+            BackendKind::Bytecode => Image::bytecode(self.bytecode.clone(), globals),
         }
+    }
+
+    /// Runs `entry` on this compiler's own engine through its
+    /// [`Image`] (see [`Image::run_printed`]): the value, or `trap: …`.
+    pub fn run_printed(&self, entry: &str, args: &[Value], fuel: u64) -> String {
+        self.image().run_printed(entry, args, fuel)
     }
 
     /// The artifacts of a compiled function.

@@ -319,7 +319,7 @@ impl ServiceConfig {
     }
 
     /// The compiler batch jobs, oracle witnesses and the compile
-    /// server's `run` replay all start from: this configuration's
+    /// server's tenant images all start from: this configuration's
     /// code-shaping options and primary backend, with every source
     /// transformation and CSE off under `transformations_off` (tenant
     /// demotion, degraded retry, oracle reference).  Guard validators

@@ -42,4 +42,4 @@ mod value;
 pub use builtins::{call_builtin, eval_primop, NAMES as BUILTIN_NAMES};
 pub use error::LispError;
 pub use eval::{Interp, InterpStats};
-pub use value::{Function, Value};
+pub use value::{Const, Function, Value};

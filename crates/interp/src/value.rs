@@ -3,9 +3,10 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use s1lisp_ast::{NodeId, Tree};
-use s1lisp_reader::{Datum, Symbol};
+use s1lisp_reader::{Datum, Interner, Symbol};
 
 /// A mutable cons cell in the interpreter's "heap".
 #[derive(Debug)]
@@ -217,6 +218,84 @@ impl fmt::Display for Value {
     }
 }
 
+/// A quoted constant: an immutable, thread-safe snapshot of source
+/// structure.
+///
+/// Linked code keeps its constant pools and `defvar` initial values in
+/// this form, so a linked program can be shared across threads.  Each
+/// engine materialises a constant into its own mutable heap when it
+/// needs one.  A constant prints exactly like the datum it came from,
+/// which is the key both engines deduplicate constants by.
+#[derive(Clone, Debug)]
+pub enum Const {
+    /// The empty list.
+    Nil,
+    /// Machine integer.
+    Fixnum(i64),
+    /// Floating-point number.
+    Flonum(f64),
+    /// Symbol, by spelling.
+    Sym(Arc<str>),
+    /// String.
+    Str(Arc<str>),
+    /// Character.
+    Char(char),
+    /// Pair: (car, cdr).
+    Cons(Arc<(Const, Const)>),
+}
+
+impl Const {
+    /// Snapshots a (quoted) source datum.
+    pub fn from_datum(d: &Datum) -> Const {
+        match d {
+            Datum::Nil => Const::Nil,
+            Datum::Fixnum(n) => Const::Fixnum(*n),
+            Datum::Flonum(x) => Const::Flonum(*x),
+            Datum::Sym(s) => Const::Sym(Arc::from(s.as_str())),
+            Datum::Str(s) => Const::Str(Arc::from(&**s)),
+            Datum::Char(c) => Const::Char(*c),
+            Datum::Cons(c) => Const::Cons(Arc::new((
+                Const::from_datum(&c.car()),
+                Const::from_datum(&c.cdr()),
+            ))),
+        }
+    }
+
+    /// A fresh datum with this structure, its symbols interned in
+    /// `names`.
+    pub fn to_datum(&self, names: &mut Interner) -> Datum {
+        match self {
+            Const::Nil => Datum::Nil,
+            Const::Fixnum(n) => Datum::Fixnum(*n),
+            Const::Flonum(x) => Datum::Flonum(*x),
+            Const::Sym(s) => Datum::Sym(names.intern(s)),
+            Const::Str(s) => Datum::string(s),
+            Const::Char(c) => Datum::Char(*c),
+            Const::Cons(c) => Datum::cons(c.0.to_datum(names), c.1.to_datum(names)),
+        }
+    }
+
+    /// A fresh run-time value with this structure (new, mutable conses
+    /// on every call), its symbols interned in `names`.
+    pub fn to_value(&self, names: &mut Interner) -> Value {
+        match self {
+            Const::Nil => Value::Nil,
+            Const::Fixnum(n) => Value::Fixnum(*n),
+            Const::Flonum(x) => Value::Flonum(*x),
+            Const::Sym(s) => Value::Sym(names.intern(s)),
+            Const::Str(s) => Value::Str(Rc::from(&**s)),
+            Const::Char(c) => Value::Char(*c),
+            Const::Cons(c) => Value::cons(c.0.to_value(names), c.1.to_value(names)),
+        }
+    }
+}
+
+impl fmt::Display for Const {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.to_datum(&mut Interner::new()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +330,19 @@ mod tests {
             Value::Func(Function::Global("car".into())).to_string(),
             "#<function car>"
         );
+    }
+
+    #[test]
+    fn constants_print_and_materialise_like_their_datum() {
+        let mut i = Interner::new();
+        let d = s1lisp_reader::read_str("(1 2.5 sym \"s\" #\\a (nested) . t)", &mut i).unwrap();
+        let k = Const::from_datum(&d);
+        assert_eq!(k.to_string(), d.to_string());
+        assert_eq!(
+            k.to_value(&mut i).to_string(),
+            Value::from_datum(&d).to_string()
+        );
+        assert!(k.to_datum(&mut i).equal(&d));
     }
 
     #[test]

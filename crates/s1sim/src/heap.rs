@@ -27,15 +27,29 @@ pub enum ObjKind {
     Block,
 }
 
+/// The contents of a never-written or swept word.
+const UNUSED: Word = Word::Ptr(Tag::Gc, 0);
+
+/// The smallest step the word array grows by.
+const MIN_GROWTH: usize = 1024;
+
 /// The heap: a word array with a bump/free-list allocator.
+///
+/// The capacity fixes when a collection runs; the word array and its
+/// mark bits are only as long as the bump frontier has reached, and
+/// grow geometrically towards the capacity as it advances.  A heap of
+/// 2^20 words that a run touches 300 words of costs 1024 words.
 #[derive(Clone, Debug)]
 pub struct Heap {
     words: Vec<Word>,
+    /// Words the heap may hand out before an allocation must collect.
+    capacity: usize,
     /// Next never-used address (bump frontier).
     frontier: usize,
     /// Free blocks from previous collections: (address, size).
     free: Vec<(usize, usize)>,
-    /// Mark bits, one per word (object marks live on the header word).
+    /// Mark bits, one per word of `words` (object marks live on the
+    /// header word).
     marks: Vec<bool>,
     /// Allocation counters by kind.
     pub allocs: AllocStats,
@@ -134,10 +148,11 @@ impl Heap {
     pub fn new(capacity: usize) -> Heap {
         assert!((capacity as u64) < STACK_BASE, "heap too large");
         Heap {
-            words: vec![Word::Ptr(Tag::Gc, 0); capacity],
+            words: Vec::new(),
+            capacity,
             frontier: 1, // address 0 is reserved (nil's address)
             free: Vec::new(),
-            marks: vec![false; capacity],
+            marks: Vec::new(),
             allocs: AllocStats::default(),
             telemetry: HeapTelemetry::default(),
         }
@@ -192,7 +207,19 @@ impl Heap {
 
     /// Words still available without collecting.
     pub fn headroom(&self) -> usize {
-        (self.words.len() - self.frontier) + self.free.iter().map(|&(_, s)| s).sum::<usize>()
+        (self.capacity - self.frontier) + self.free.iter().map(|&(_, s)| s).sum::<usize>()
+    }
+
+    /// Grows the word array (and its marks) to at least `len` words:
+    /// doubling, at least [`MIN_GROWTH`], never past the capacity.
+    fn grow_to(&mut self, len: usize) {
+        assert!(len <= self.capacity, "heap address {len} beyond capacity");
+        let len = len
+            .max(2 * self.words.len())
+            .max(MIN_GROWTH)
+            .min(self.capacity);
+        self.words.resize(len, UNUSED);
+        self.marks.resize(len, false);
     }
 
     /// Attempts to allocate `size` words, returning the base address, or
@@ -208,9 +235,12 @@ impl Heap {
             let (addr, s) = self.free.swap_remove(pos);
             self.free.push((addr + size, s - size));
             addr
-        } else if self.frontier + size <= self.words.len() {
+        } else if self.frontier + size <= self.capacity {
             let addr = self.frontier;
             self.frontier += size;
+            if self.frontier > self.words.len() {
+                self.grow_to(self.frontier);
+            }
             addr
         } else {
             return None;
@@ -227,14 +257,24 @@ impl Heap {
         Some(addr as u64)
     }
 
-    /// Reads heap word `addr`.
+    /// Reads heap word `addr` (never-written words read as unused).
     pub fn read(&self, addr: u64) -> Word {
-        self.words[addr as usize]
+        match self.words.get(addr as usize) {
+            Some(&w) => w,
+            None => {
+                assert!((addr as usize) < self.capacity, "heap read at {addr}");
+                UNUSED
+            }
+        }
     }
 
     /// Writes heap word `addr`.
     pub fn write(&mut self, addr: u64, w: Word) {
-        self.words[addr as usize] = w;
+        let a = addr as usize;
+        if a >= self.words.len() {
+            self.grow_to(a + 1);
+        }
+        self.words[a] = w;
     }
 
     /// Runs a mark–sweep collection.  `roots` yields every word the
@@ -248,18 +288,19 @@ impl Heap {
             .iter()
             .filter_map(|&r| object_extent(self, r))
             .collect();
-        // Mark.
+        // Mark.  Words past the grown length were never written, so
+        // they hold no object and reference nothing.
         while let Some((addr, size)) = work.pop() {
-            if self.marks[addr as usize] {
+            let (addr, end) = (addr as usize, (addr as usize + size).min(self.words.len()));
+            if addr >= end || self.marks[addr] {
                 continue;
             }
-            for i in 0..size {
-                self.marks[addr as usize + i] = true;
+            for i in addr..end {
+                self.marks[i] = true;
             }
-            for i in 0..size {
-                let w = self.words[addr as usize + i];
-                if let Some((child, csize)) = object_extent(self, w) {
-                    if !self.marks[child as usize] {
+            for i in addr..end {
+                if let Some((child, csize)) = object_extent(self, self.words[i]) {
+                    if self.marks.get(child as usize) == Some(&false) {
                         work.push((child, csize));
                     }
                 }
@@ -280,7 +321,7 @@ impl Heap {
             }
             let start = i;
             while i < self.frontier && !self.marks[i] {
-                self.words[i] = Word::Ptr(Tag::Gc, 0);
+                self.words[i] = UNUSED;
                 i += 1;
             }
             let len = i - start;

@@ -5,9 +5,10 @@
 //! above them, the return value in register A, tail calls reusing the
 //! current frame (§2's "parameter-passing goto").
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use s1lisp_interp::Value;
+use s1lisp_reader::Interner;
 
 use crate::heap::{Heap, ObjKind};
 use crate::insn::{CallTarget, Cond, Insn, Operand, Reg};
@@ -360,7 +361,7 @@ impl Machine {
     fn execute(
         &mut self,
         mut fnid: u32,
-        mut code: Rc<FuncCode>,
+        mut code: Arc<FuncCode>,
         fault: &mut FaultSite,
     ) -> Result<Word, Trap> {
         let base_ctrl = self.ctrl.len();
@@ -565,7 +566,7 @@ impl Machine {
     // ---- instruction semantics ----
 
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, insn: Insn, code: &Rc<FuncCode>, pc: &mut usize) -> Result<Step, Trap> {
+    fn step(&mut self, insn: Insn, code: &Arc<FuncCode>, pc: &mut usize) -> Result<Step, Trap> {
         let _ = pc;
         let _ = code;
         match insn {
@@ -992,8 +993,8 @@ impl Machine {
                             .program
                             .constants
                             .get(i)
-                            .cloned()
-                            .ok_or_else(|| Trap::WrongType("bad constant index".into()))?;
+                            .ok_or_else(|| Trap::WrongType("bad constant index".into()))?
+                            .to_value(&mut Interner::new());
                         let w = self.inject(&v)?;
                         self.const_cache[i] = Some(w);
                         w
@@ -1052,7 +1053,7 @@ impl Machine {
         }
     }
 
-    fn current_fnid(&mut self, code: &Rc<FuncCode>) -> u32 {
+    fn current_fnid(&mut self, code: &Arc<FuncCode>) -> u32 {
         self.program.fn_id(&code.name)
     }
 
@@ -1830,7 +1831,8 @@ mod new_insn_tests {
     #[test]
     fn load_const_materializes_once() {
         let mut p = Program::new();
-        let idx = p.const_id(Value::list([fx(1), fx(2)]));
+        let list = s1lisp_reader::read_str("(1 2)", &mut Interner::new()).unwrap();
+        let idx = p.const_id(s1lisp_interp::Const::from_datum(&list));
         let mut a = Asm::new("k", 0);
         a.push(Insn::LoadConst {
             dst: Operand::Reg(Reg::A),

@@ -2,7 +2,9 @@
 //! name tables.
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
+
+use s1lisp_interp::Const;
 
 use crate::insn::Insn;
 
@@ -66,7 +68,7 @@ pub struct Program {
     fn_ids: HashMap<String, u32>,
     /// Function bodies, indexed like [`Program::fn_names`] (`None` until
     /// defined).
-    pub functions: Vec<Option<Rc<FuncCode>>>,
+    pub functions: Vec<Option<Arc<FuncCode>>>,
     /// Interned symbols (for special variables, quoted symbols, catch
     /// tags).
     pub symbols: Vec<String>,
@@ -76,7 +78,7 @@ pub struct Program {
     string_ids: HashMap<String, u32>,
     /// Static constants (quoted structure), materialized lazily by the
     /// machine.
-    pub constants: Vec<s1lisp_interp::Value>,
+    pub constants: Vec<Const>,
     constant_ids: HashMap<String, u32>,
 }
 
@@ -142,12 +144,12 @@ impl Program {
             );
         }
         let id = self.fn_id(&code.name.clone());
-        self.functions[id as usize] = Some(Rc::new(code));
+        self.functions[id as usize] = Some(Arc::new(code));
         id
     }
 
     /// The code of function `id`, if defined.
-    pub fn func(&self, id: u32) -> Option<&Rc<FuncCode>> {
+    pub fn func(&self, id: u32) -> Option<&Arc<FuncCode>> {
         self.functions.get(id as usize)?.as_ref()
     }
 
@@ -165,7 +167,7 @@ impl Program {
     /// Registers a static constant, returning its table index.  Equal
     /// (printed-form-identical) constants share one entry, so repeated
     /// quoted structure is materialized once per machine.
-    pub fn const_id(&mut self, v: s1lisp_interp::Value) -> u32 {
+    pub fn const_id(&mut self, v: Const) -> u32 {
         let key = v.to_string();
         if let Some(&id) = self.constant_ids.get(&key) {
             return id;

@@ -15,7 +15,7 @@
 //! through it.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -84,7 +84,8 @@ impl ServeClient {
     /// Propagates the connect failure.
     pub fn connect(addr: &str) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
-        let r = stream.try_clone()?;
+        stream.set_nodelay(true)?;
+        let r = BufReader::new(stream.try_clone()?);
         Ok(ServeClient::from_parts(Box::new(r), Box::new(stream), None))
     }
 
@@ -110,7 +111,7 @@ impl ServeClient {
             .take()
             .ok_or_else(|| protocol_error("no stdout"))?;
         Ok(ServeClient::from_parts(
-            Box::new(r),
+            Box::new(BufReader::new(r)),
             Box::new(w),
             Some(child),
         ))

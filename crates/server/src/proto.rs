@@ -21,7 +21,10 @@ use s1lisp_trace::json::Json;
 /// not look like an allocation request.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame: the length and the payload from
+/// one buffer in one `write_all`, so a frame never leaves as a 4-byte
+/// segment for Nagle's algorithm to hold back behind the peer's
+/// delayed ack.
 ///
 /// # Errors
 ///
@@ -34,8 +37,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         ));
     }
     let len = u32::try_from(payload.len()).expect("bounded above");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -448,6 +453,29 @@ impl Response {
 mod tests {
     use super::*;
     use s1lisp_trace::json;
+
+    /// A writer that records each `write` call separately.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_length_then_payload() {
+        let mut w = Writes::default();
+        write_frame(&mut w, b"hello").unwrap();
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.0, [b"\0\0\0\x05hello".to_vec(), b"\0\0\0\0".to_vec()]);
+    }
 
     #[test]
     fn frames_round_trip_and_eof_is_clean_only_at_boundaries() {

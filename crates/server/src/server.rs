@@ -27,7 +27,7 @@
 //! the tenant's [`ServerConfig::incident_budget`]; once exhausted the
 //! tenant compiles with transformations off until the server restarts.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -323,9 +323,9 @@ fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
 }
 
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let reply: Reply = Arc::new(Mutex::new(Box::new(stream.try_clone()?)));
-    let mut reader = stream;
-    serve_frames(shared, &mut reader, &reply)
+    serve_frames(shared, &mut BufReader::new(stream), &reply)
 }
 
 fn send(reply: &Reply, resp: &Response) {
@@ -616,11 +616,11 @@ fn serve_compile(shared: &Shared, work: &Work, unit: &str, source: &str, resp: &
 }
 
 fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &mut Response) {
-    let st = work.tenant.lock().expect("tenant poisoned");
-    resp.tenant = st.name.clone();
-    resp.slo.degraded = st.degraded;
-    let (sources, demoted) = (st.sources.clone(), st.degraded);
-    drop(st);
+    {
+        let st = work.tenant.lock().expect("tenant poisoned");
+        resp.tenant = st.name.clone();
+        resp.slo.degraded = st.degraded;
+    }
     // The seeded fault plan's simulator-trap site fires here too, so a
     // fault storm exercises the run path; the trap is contained to this
     // request and accrues against the tenant's budget like any other
@@ -635,19 +635,14 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
             return;
         }
     }
-    // Rebuild the tenant's world in a fresh compiler (a `Compiler`
-    // holds `Rc`s and cannot live across worker threads): replaying
-    // the compiled sources in order reconstructs specials, globals,
-    // and functions exactly.  A demoted tenant runs what it compiles:
-    // transformations off.
-    let mut c = shared.config.service.compiler(demoted);
-    for src in &sources {
-        if let Err(e) = c.compile_str(src) {
+    let image = match TenantState::image(&work.tenant, &shared.config.service) {
+        Ok(image) => image,
+        Err(e) => {
             resp.ok = false;
             resp.error = Some(format!("tenant replay failed: {e}"));
             return;
         }
-    }
+    };
     let mut interner = Interner::new();
     let mut values = Vec::new();
     for a in args {
@@ -661,7 +656,7 @@ fn serve_run(shared: &Shared, work: &Work, entry: &str, args: &[String], resp: &
         }
     }
     resp.body = Body::Run {
-        value: c.run_printed(entry, &values, shared.config.run_fuel),
+        value: image.run_printed(entry, &values, shared.config.run_fuel),
     };
 }
 

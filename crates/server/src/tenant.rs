@@ -14,22 +14,27 @@
 //!   across tenants, no timing side-channel on another tenant's
 //!   artifacts.
 //!
-//! The per-tenant [`Compiler`](s1lisp::Compiler) is **not** kept alive
-//! between requests — `Compiler` is not `Send` (its program holds
-//! `Rc`s), and requests for one tenant may serve on different worker
-//! threads.  Instead the state keeps the tenant's compiled sources in
-//! order and replays them into a fresh compiler when a `run` request
-//! needs a live machine; compilation itself goes through the batch
-//! service's hermetic jobs ([`TenantState::compile_unit`], for live
-//! requests and journal replay alike) and needs no resident compiler at
-//! all.
+//! A tenant's compiles go through the batch service's hermetic jobs
+//! ([`TenantState::compile_unit`], for live requests and journal replay
+//! alike) and need no resident compiler.  Its runs go through its
+//! linked [`Image`] ([`TenantState::image`]): the primary backend's code
+//! and `defvar` initial values, immutable and shared across worker
+//! threads.  The image is tagged with the `(sources.len(), degraded)`
+//! it was linked from and is relinked — the one replay of the source
+//! log left — only by the first `run` after a compile or a demotion
+//! moved that tag.  Each `run` then gets a fresh engine from the image,
+//! so it starts from the `defvar` initial values and sees no earlier
+//! run's mutations.  Recovery restores only the source log; the first
+//! `run` links the image.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use s1lisp::Artifact;
+use s1lisp::{Artifact, CompileError, Image};
 use s1lisp_ast::Fnv1a64;
-use s1lisp_driver::{unit_decls, BatchResult, BatchTuning, CompileService, SourceUnit};
+use s1lisp_driver::{
+    unit_decls, BatchResult, BatchTuning, CompileService, ServiceConfig, SourceUnit,
+};
 
 use crate::journal::TenantJournal;
 
@@ -49,8 +54,8 @@ pub struct TenantState {
     pub globals: Vec<(String, String)>,
     /// Latest artifact per function name.
     pub artifacts: HashMap<String, Artifact>,
-    /// Successfully compiled unit sources, in arrival order — the
-    /// replay log a `run` request rebuilds its machine from.
+    /// Successfully compiled unit sources, in arrival order — the log
+    /// the tenant's image is linked from.
     pub sources: Vec<String>,
     /// Incidents accrued across the tenant's lifetime.
     pub incidents: u64,
@@ -68,6 +73,9 @@ pub struct TenantState {
     /// how a quarantined-at-recovery tenant learns its history was
     /// lost (`incident_kind = "recovery"`).
     pub pending_incident: Option<String>,
+    /// The linked image and the `(sources.len(), degraded)` it was
+    /// linked from.
+    pub image: Option<((usize, bool), Arc<Image>)>,
 }
 
 impl TenantState {
@@ -138,6 +146,39 @@ impl TenantState {
         }
         st.charge(batch.incidents.len() as u64, incident_budget);
         batch
+    }
+
+    /// The tenant's linked image, relinked first if a compile or a
+    /// demotion changed the namespace since it was built.  Relinking
+    /// compiles the source log into a fresh compiler — transformations
+    /// off for a demoted tenant, which runs what it compiles — with the
+    /// lock released, after dropping the stale image.
+    ///
+    /// # Errors
+    ///
+    /// A source in the log that no longer compiles.
+    pub fn image(
+        tenant: &Mutex<TenantState>,
+        service: &ServiceConfig,
+    ) -> Result<Arc<Image>, CompileError> {
+        let (key, sources) = {
+            let mut st = tenant.lock().expect("tenant poisoned");
+            let key = (st.sources.len(), st.degraded);
+            if let Some((built, image)) = &st.image {
+                if *built == key {
+                    return Ok(Arc::clone(image));
+                }
+            }
+            st.image = None;
+            (key, st.sources.clone())
+        };
+        let mut c = service.compiler(key.1);
+        for src in &sources {
+            c.compile_str(src)?;
+        }
+        let image = Arc::new(c.image());
+        tenant.lock().expect("tenant poisoned").image = Some((key, Arc::clone(&image)));
+        Ok(image)
     }
 
     /// Charges `n` incidents to the tenant's ledger, demoting it once

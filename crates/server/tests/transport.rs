@@ -55,6 +55,28 @@ fn tcp_pipelines_and_matches_out_of_order_responses() {
     handle.join();
 }
 
+/// Request/response round trips on one connection cost their work, not
+/// a delayed-ack timer: a frame leaves in one write and neither side
+/// waits on Nagle's algorithm, so 50 sequential pings finish in well
+/// under a second (about four seconds when each frame was two writes).
+#[test]
+fn sequential_pings_on_one_connection_are_not_held_back() {
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+    assert!(client.hello("alice", None).unwrap().ok);
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        assert!(client.ping().unwrap().ok);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 pings took {elapsed:?}"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn tcp_serves_two_connections_concurrently() {
     let handle = start(ServerConfig::default());

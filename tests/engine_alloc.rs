@@ -4,9 +4,12 @@
 //! loop (`loopn`: calls, tail calls, a quoted result) and a special
 //! reader (`accumulate`: special reads, runtime routines).
 //!
-//! A counting global allocator tallies allocations per thread, so tests
-//! running in parallel do not see each other's.  Run it optimised too:
-//! `cargo test --release --test engine_alloc`.
+//! A fresh simulator costs its stack, not its heap's capacity: the heap
+//! grows with use, so `Machine::new` allocates under 2 MiB.
+//!
+//! A counting global allocator tallies allocation calls and bytes per
+//! thread, so tests running in parallel do not see each other's.  Run
+//! it optimised too: `cargo test --release --test engine_alloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,28 +20,32 @@ use s1lisp_bench::corpus;
 struct Counting;
 
 thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// (allocation calls, bytes requested) on this thread.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: allocations during thread teardown are not counted.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCS.try_with(|n| {
+        let (calls, total) = n.get();
+        n.set((calls + 1, total + bytes as u64));
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -50,11 +57,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made on this thread while `f` runs.
-fn allocations(f: impl FnOnce()) -> u64 {
+/// Allocation calls and bytes requested on this thread while `f` runs.
+fn allocations(f: impl FnOnce()) -> (u64, u64) {
     let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.with(Cell::get) - before
+    let after = ALLOCS.with(Cell::get);
+    (after.0 - before.0, after.1 - before.1)
 }
 
 /// A kernel: its source, its entry, and the globals it reads.
@@ -77,10 +85,10 @@ const KERNELS: [Kernel; 2] = [
     },
 ];
 
-/// Allocations of one run at n = 100 and at n = 100 000, after a
+/// Allocation calls and bytes of one run at n = 100 and at n = 100 000, after a
 /// warm-up run at n = 100 000 that lets every reused buffer reach its
 /// working size.
-fn small_and_large(mut run: impl FnMut(i64)) -> (u64, u64) {
+fn small_and_large(mut run: impl FnMut(i64)) -> ((u64, u64), (u64, u64)) {
     run(100_000);
     let small = allocations(|| run(100));
     let large = allocations(|| run(100_000));
@@ -128,4 +136,11 @@ fn evaluator_runs_allocate_independently_of_iterations() {
             k.entry
         );
     }
+}
+
+#[test]
+fn a_fresh_machine_allocates_under_two_mib() {
+    let c = compiler(corpus::LOOPN, BackendKind::S1);
+    let (_, bytes) = allocations(|| drop(c.machine()));
+    assert!(bytes < 2 << 20, "Machine::new allocated {bytes} bytes");
 }

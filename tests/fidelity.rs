@@ -215,3 +215,58 @@ fn corpus_back_translations_reparse() {
         }
     }
 }
+
+/// When the collector runs, and what it finds live, depends only on the
+/// heap's capacity — not on how much of the word array exists yet.  On
+/// a 4096-word heap, gc-stress (one run) and deriv-bench (eight runs)
+/// allocate, collect and sample their live sets exactly as pinned.
+#[test]
+fn collection_decisions_are_pinned_on_a_small_heap() {
+    use s1lisp_s1sim::{AllocStats, Machine};
+    let conses = |conses: u64, collections: u64| AllocStats {
+        conses,
+        words: 2 * conses,
+        collections,
+        ..AllocStats::default()
+    };
+    let cases = [
+        (
+            s1lisp_bench::corpus::GC_STRESS,
+            "gc-stress",
+            "(12)",
+            1,
+            conses(6000, 3),
+            &[(1, 1094, 3000, 1), (2, 1094, 3000, 2), (3, 1094, 3000, 2)][..],
+        ),
+        (
+            s1lisp_bench::corpus::DERIV,
+            "deriv-bench",
+            "(20 x)",
+            8,
+            conses(2880, 1),
+            &[(1, 494, 3600, 1)][..],
+        ),
+    ];
+    for (src, entry, args, runs, allocs, live) in cases {
+        let mut c = Compiler::new();
+        c.compile_str(src).unwrap();
+        let args: Vec<Value> = s1lisp_reader::read_str(args, &mut c.interner)
+            .unwrap()
+            .iter()
+            .map(|d| Value::from_datum(&d))
+            .collect();
+        let mut m = Machine::with_sizes(c.program().clone(), 1 << 16, 4096);
+        for _ in 0..runs {
+            m.run(entry, &args).unwrap();
+        }
+        assert_eq!(m.heap.allocs, allocs, "{entry}");
+        let samples: Vec<(u64, u64, u64, u64)> = m
+            .heap
+            .telemetry()
+            .live_samples
+            .iter()
+            .map(|s| (s.collection, s.live_words, s.reclaimed_words, s.free_blocks))
+            .collect();
+        assert_eq!(samples, live, "{entry}");
+    }
+}

@@ -4,7 +4,9 @@
 
 use s1lisp::Compiler;
 use s1lisp_bench::service_units;
-use s1lisp_driver::{CompileService, FaultInjection, FaultMode, ServiceConfig, SourceUnit};
+use s1lisp_driver::{
+    BackendSelect, CompileService, FaultInjection, FaultMode, ServiceConfig, SourceUnit,
+};
 use s1lisp_server::{
     Body, CompileServer, Op, QueueConfig, ServeClient, ServerConfig, ServerHandle,
 };
@@ -413,4 +415,55 @@ fn run_replays_a_demoted_tenant_with_transformations_off() {
     assert!(value(&run).starts_with("trap:"), "{}", value(&run));
     handle.shutdown();
     handle.join();
+}
+
+/// Every `run` starts from the tenant's compiled world, on both
+/// backends: a `setq` of a `defvar`'d special is gone by the next run,
+/// a compile that redefines `f` is seen by the next run, and a run that
+/// exhausts its fuel and traps leaves the next run correct.
+#[test]
+fn every_run_starts_from_the_tenants_compiled_world() {
+    fn run(client: &mut ServeClient, entry: &str, args: &[&str]) -> String {
+        let resp = client.run(entry, args).unwrap();
+        match resp.body {
+            Body::Run { value } => value,
+            _ => panic!("{entry}: ok={} {:?}", resp.ok, resp.error),
+        }
+    }
+    fn compile(client: &mut ServeClient, unit: &str, source: &str) {
+        let resp = client.compile(unit, source).unwrap();
+        assert!(resp.ok, "{unit}: {:?}", resp.error);
+    }
+    for backend in [BackendSelect::S1, BackendSelect::Bytecode] {
+        let handle = start(ServerConfig {
+            run_fuel: 100_000,
+            service: ServiceConfig {
+                backend,
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let c = &mut connect(&handle);
+        assert!(c.hello("world", None).unwrap().ok);
+        compile(
+            c,
+            "world",
+            "(defvar *count* 10)
+             (defun bump () (setq *count* (+ *count* 1)))
+             (defun f (x) (* x 2))
+             (defun spin (n) (if (zerop n) 'done (spin (- n 1))))",
+        );
+        assert_eq!(run(c, "bump", &[]), "11", "{backend:?}");
+        assert_eq!(run(c, "bump", &[]), "11", "{backend:?}: a setq leaked");
+        assert_eq!(run(c, "f", &["5"]), "10", "{backend:?}");
+        compile(c, "redefine", "(defun f (x) (* x 3))");
+        assert_eq!(run(c, "f", &["5"]), "15", "{backend:?}: stale f");
+        let trapped = run(c, "spin", &["1000000"]);
+        assert!(trapped.starts_with("trap:"), "{backend:?}: {trapped}");
+        assert_eq!(run(c, "spin", &["10"]), "done", "{backend:?}");
+        assert_eq!(run(c, "bump", &[]), "11", "{backend:?}");
+        assert_eq!(run(c, "f", &["5"]), "15", "{backend:?}");
+        handle.shutdown();
+        handle.join();
+    }
 }
