@@ -39,7 +39,7 @@ fn walk(tree: &Tree, node: NodeId, map: &mut HashMap<NodeId, Complexity>) -> u32
             // Primitive: roughly one instruction; user call: frame setup,
             // argument pushes, call, result fetch.
             CallFunc::Global(g) => {
-                if crate::primops::primop(g.as_str()).is_some() {
+                if s1lisp_ast::primop(g.as_str()).is_some() {
                     1
                 } else {
                     4

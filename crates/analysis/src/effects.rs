@@ -13,9 +13,7 @@
 
 use std::collections::HashMap;
 
-use s1lisp_ast::{CallFunc, NodeId, NodeKind, Tree};
-
-use crate::primops::primop;
+use s1lisp_ast::{CallFunc, NodeId, NodeKind, Prim, Tree};
 
 /// The side-effect classification of one subtree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -121,14 +119,14 @@ fn walk(tree: &Tree, node: NodeId, map: &mut HashMap<NodeId, Effects>) -> Effect
             ..Effects::default()
         },
         NodeKind::Call { func, .. } => match func {
-            CallFunc::Global(g) => match primop(g.as_str()) {
+            CallFunc::Global(g) => match Prim::from_name(g.as_str()) {
                 Some(p) => Effects {
-                    writes_heap: p.writes,
-                    allocates: p.allocates,
-                    reads_heap: p.reads_mutable,
+                    writes_heap: p.info().writes,
+                    allocates: p.info().allocates,
+                    reads_heap: p.info().reads_mutable,
                     // throw/error are control transfers.
-                    control: matches!(p.name, "throw" | "error" | "apply"),
-                    calls_unknown: p.name == "apply",
+                    control: matches!(p, Prim::Throw | Prim::Error | Prim::Apply),
+                    calls_unknown: p == Prim::Apply,
                     ..Effects::default()
                 },
                 None => Effects::unknown_call(),

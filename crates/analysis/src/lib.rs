@@ -24,23 +24,21 @@
 //!   one deep-binding search per special variable so that later accesses
 //!   go through a cached pointer in constant time.
 //!
-//! The [`mod@primops`] table is the shared vocabulary of "known primitive
-//! operations": purity, allocation, pdl-safety, associativity, identity
-//! elements.
+//! The facts about "known primitive operations" these phases consult
+//! (purity, allocation, pdl-safety) come from the primitive table in
+//! `s1lisp-ast`.
 
 #![warn(missing_docs)]
 
 pub mod complexity;
 pub mod effects;
 pub mod env;
-pub mod primops;
 pub mod specials;
 pub mod tails;
 
 pub use complexity::{complexity, Complexity};
 pub use effects::{effects, Effects};
 pub use env::{environment, EnvInfo};
-pub use primops::{primop, Identity, NumKind, Primop};
 pub use specials::{special_placements, SpecialPlacement};
 pub use tails::{tail_nodes, tail_nodes_from, value_producers};
 

@@ -18,8 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use s1lisp_analysis::primop;
-use s1lisp_ast::{CallFunc, NodeId, NodeKind, ProgItem, Tree};
+use s1lisp_ast::{primop, CallFunc, NodeId, NodeKind, ProgItem, Tree};
 
 use crate::binding::{BindingInfo, VarAlloc};
 use crate::rep::{Rep, RepInfo};

@@ -13,8 +13,9 @@
 
 use std::collections::HashMap;
 
-use s1lisp_analysis::{primop, NumKind};
-use s1lisp_ast::{CallFunc, DeclaredType, NodeId, NodeKind, ProgItem, Tree, VarId};
+use s1lisp_ast::{
+    primop, CallFunc, DeclaredType, NodeId, NodeKind, NumKind, ProgItem, Tree, VarId,
+};
 
 use crate::binding::{BindingInfo, VarAlloc};
 

@@ -17,16 +17,22 @@
 //! structure, which has back-pointers to the binding and all the
 //! references" — that little structure is [`Var`], and the back-pointers
 //! are maintained by [`Tree::rebuild_backlinks`].
+//!
+//! The crate also owns the table of known primitive operations
+//! ([`Prim`], [`primop`]): the one list of names, arities and
+//! optimizer-visible facts that every later layer reads.
 
 #![warn(missing_docs)]
 
 mod hash;
+mod prim;
 mod tree;
 mod unparse;
 mod validate;
 mod visit;
 
 pub use hash::{fingerprint, fnv1a_str, Fnv1a64};
+pub use prim::{primop, Identity, NumKind, Prim, Primop};
 pub use tree::{
     CallFunc, CaseqClause, DeclaredType, Lambda, Node, NodeId, NodeKind, OptParam, ProgItem, Tree,
     Var, VarId,

@@ -129,8 +129,8 @@ impl Lambda {
 /// lambda-expression (`let`), calling a known primitive operation (to be
 /// compiled in-line), and calling a user- or system-defined function."
 /// Lambda calls are `Expr` whose node is a `Lambda`; the primitive/user
-/// distinction among `Global`s is made by the analysis crate's primop
-/// table.
+/// distinction among `Global`s is made by the primitive table
+/// ([`crate::Prim`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CallFunc {
     /// A named global function (primitive or user-defined).

@@ -427,19 +427,43 @@ fn civil_date(unix_time: u64) -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// `git rev-parse HEAD` in `repo_root`, or `"unknown"` outside a
-/// checkout (the harness must run anywhere the crate builds).
+/// `git rev-parse HEAD` in `repo_root`, labelled by [`rev_label`], or
+/// `"unknown"` outside a checkout (the harness must run anywhere the
+/// crate builds).
 fn git_rev(repo_root: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .current_dir(repo_root)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(repo_root)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(rev) if !rev.trim().is_empty() => {
+            let changed = git(&["diff", "--name-only", "HEAD"]).unwrap_or_default();
+            rev_label(rev.trim(), &changed)
+        }
+        _ => "unknown".to_string(),
+    }
+}
+
+/// The `rev` an entry records: `rev`, plus `+dirty` when `changed` (the
+/// paths `git diff --name-only HEAD` prints, one per line) names a file
+/// other than a `BENCH_*.json` log, so an entry measured on an
+/// uncommitted tree never passes for its parent commit.
+fn rev_label(rev: &str, changed: &str) -> String {
+    let is_log = |file: &str| file.starts_with("BENCH_") && file.ends_with(".json");
+    let dirty = changed
+        .lines()
+        .filter_map(|path| path.rsplit('/').next())
+        .any(|file| !file.is_empty() && !is_log(file));
+    if dirty {
+        format!("{rev}+dirty")
+    } else {
+        rev.to_string()
+    }
 }
 
 fn entry_header(repo_root: &Path, warmup: usize, trials: usize) -> Vec<(&'static str, Json)> {
@@ -803,6 +827,24 @@ pub fn summarize_entry(entry: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rev_label_marks_trees_with_changes_beyond_the_logs() {
+        assert_eq!(rev_label("abc", ""), "abc");
+        assert_eq!(
+            rev_label("abc", "BENCH_sim.json\nBENCH_service.json\n"),
+            "abc"
+        );
+        assert_eq!(
+            rev_label("abc", "crates/bench/src/perfbench.rs\n"),
+            "abc+dirty"
+        );
+        assert_eq!(
+            rev_label("abc", "BENCH_sim.json\nROADMAP.md\n"),
+            "abc+dirty"
+        );
+        assert_eq!(rev_label("abc", "BENCH_notes.md\n"), "abc+dirty");
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

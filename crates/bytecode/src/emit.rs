@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use s1lisp_annotate::{Annotations, VarAlloc};
-use s1lisp_ast::{subtree_nodes, CallFunc, Lambda, NodeId, NodeKind, ProgItem, Tree, VarId};
+use s1lisp_ast::{subtree_nodes, CallFunc, Lambda, NodeId, NodeKind, Prim, ProgItem, Tree, VarId};
 use s1lisp_interp::Const;
 use s1lisp_reader::Datum;
 
@@ -514,9 +514,9 @@ impl<'a> Emitter<'a> {
         args: &[NodeId],
         tail: bool,
     ) -> Result<(), EmitError> {
-        let name = g.as_str();
+        let prim = Prim::from_name(g.as_str());
         // `throw` compiles straight to the unwinder.
-        if name == "throw" && args.len() == 2 {
+        if prim == Some(Prim::Throw) && args.len() == 2 {
             let h = cx.height;
             self.node(cx, args[0], false)?;
             self.node(cx, args[1], false)?;
@@ -525,7 +525,7 @@ impl<'a> Emitter<'a> {
             return Ok(());
         }
         // `(%function 'f)` is a constant function value.
-        if name == "%function" && args.len() == 1 {
+        if prim == Some(Prim::Function) && args.len() == 1 {
             if let NodeKind::Constant(Datum::Sym(s)) = self.tree.kind(args[0]) {
                 let k = cx.sym_const(&s.clone());
                 cx.op(Op::GlobalFn, k, 0);
@@ -536,12 +536,12 @@ impl<'a> Emitter<'a> {
         // Fused numeric opcodes where representation analysis lowered
         // the generic operator to machine arithmetic.
         if args.len() == 2 && self.ann.rep.lowered.contains_key(&node) {
-            let fused = match name {
-                "+" => Some(Op::AddNum),
-                "-" => Some(Op::SubNum),
-                "*" => Some(Op::MulNum),
-                "<" => Some(Op::LtNum),
-                "=" => Some(Op::NumEq),
+            let fused = match prim {
+                Some(Prim::Add) => Some(Op::AddNum),
+                Some(Prim::Sub) => Some(Op::SubNum),
+                Some(Prim::Mul) => Some(Op::MulNum),
+                Some(Prim::Lt) => Some(Op::LtNum),
+                Some(Prim::NumEq) => Some(Op::NumEq),
                 _ => None,
             };
             if let Some(op) = fused {

@@ -3,10 +3,11 @@
 //! An explicit frame stack (no host recursion), a shared operand
 //! stack, one shared slot stack holding every frame's slots, a
 //! deep-binding special stack, and a `catch`-handler stack.
-//! Primitives are *not* reimplemented: every global that is not a
-//! bytecode proto dispatches through [`s1lisp_interp::call_builtin`],
-//! so both backends share one reference definition of `+`, `car`,
-//! `$fadd`, and friends.
+//! Primitives are *not* reimplemented: a global that names a row of the
+//! primitive table ([`Prim`]) dispatches on its number through
+//! [`s1lisp_interp::call_builtin`], so both backends share one reference
+//! definition of `+`, `car`, `+$f`, and friends.  Only `throw` and
+//! `apply`, which unwind and spread frames, run here.
 //!
 //! [`Evaluator::new`] links the module once, as the S-1 loader resolves
 //! call targets and special cells ahead of time: every constant-pool
@@ -23,6 +24,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use s1lisp_ast::Prim;
 use s1lisp_interp::{call_builtin, Const, Function, Value};
 use s1lisp_reader::{Interner, Symbol};
 
@@ -103,26 +105,22 @@ impl BcValue {
 /// What a global name calls, resolved once.
 #[derive(Clone, Copy, Debug)]
 enum Callee {
+    /// A primitive: `throw` and `apply` run in the evaluator, every
+    /// other row in the shared builtins.
+    Prim(Prim),
     /// The latest module proto of that name.
     Proto(usize),
-    /// `throw`, handled by the evaluator (before any proto).
-    Throw,
-    /// `apply`, handled by the evaluator (before any proto).
-    Apply,
-    /// Everything else goes to the shared builtins, which answer
-    /// `undefined function …` for a name they do not know — at the
-    /// call, so defining a function that names a missing global is
-    /// not an error.
-    Builtin,
+    /// Neither: traps `undefined function …` at the call, so defining a
+    /// function that names a missing global is not an error.
+    Undefined,
 }
 
-/// Resolves a global function name: `throw` and `apply` first, then the
-/// module's latest definition, then the builtins.
+/// Resolves a global function name: the primitive table first, then the
+/// module's latest definition.
 fn resolve(module: &Module, name: &str) -> Callee {
-    match name {
-        "throw" => Callee::Throw,
-        "apply" => Callee::Apply,
-        _ => module.lookup(name).map_or(Callee::Builtin, Callee::Proto),
+    match Prim::from_name(name) {
+        Some(p) => Callee::Prim(p),
+        None => module.lookup(name).map_or(Callee::Undefined, Callee::Proto),
     }
 }
 
@@ -233,12 +231,8 @@ impl Image {
         }
     }
 
-    fn builtin(&self, name: &str, args: &[Value]) -> Result<Value, BcTrap> {
-        match call_builtin(name, args, &self.t) {
-            Some(Ok(v)) => Ok(v),
-            Some(Err(e)) => trap(e.to_string()),
-            None => trap(format!("undefined function {name}")),
-        }
+    fn builtin(&self, p: Prim, args: &[Value]) -> Result<Value, BcTrap> {
+        call_builtin(p, args, &self.t).or_else(|e| trap(e.to_string()))
     }
 }
 
@@ -501,11 +495,13 @@ impl State {
                     let name = cur.entries[a].name()?;
                     self.need(b)?;
                     let tail = insn.op == Op::TailCall;
-                    if let (Callee::Builtin, false) = (name.callee, tail) {
-                        // Leaves the frame as it is: no cursor reload.
-                        let v = self.builtin(image, name.sym.as_str(), b)?;
-                        self.stack.push(v);
-                        continue;
+                    if let Callee::Prim(p) = name.callee {
+                        if !tail && !matches!(p, Prim::Throw | Prim::Apply) {
+                            // Leaves the frame as it is: no cursor reload.
+                            let v = self.builtin(image, p, b)?;
+                            self.stack.push(v);
+                            continue;
+                        }
                     }
                     self.save(cur.pc);
                     if let Some(v) = self.call(image, name.callee, name.sym.as_str(), b, tail)? {
@@ -610,11 +606,11 @@ impl State {
                     self.stack
                         .push(BcValue::V(Value::Func(Function::Global(name))));
                 }
-                Op::AddNum => self.arith(image, "+", |x, y| x.checked_add(y))?,
-                Op::SubNum => self.arith(image, "-", |x, y| x.checked_sub(y))?,
-                Op::MulNum => self.arith(image, "*", |x, y| x.checked_mul(y))?,
-                Op::LtNum => self.compare(image, "<", |x, y| x < y)?,
-                Op::NumEq => self.compare(image, "=", |x, y| x == y)?,
+                Op::AddNum => self.arith(image, Prim::Add, |x, y| x.checked_add(y))?,
+                Op::SubNum => self.arith(image, Prim::Sub, |x, y| x.checked_sub(y))?,
+                Op::MulNum => self.arith(image, Prim::Mul, |x, y| x.checked_mul(y))?,
+                Op::LtNum => self.compare(image, Prim::Lt, |x, y| x < y)?,
+                Op::NumEq => self.compare(image, Prim::NumEq, |x, y| x == y)?,
             }
         }
     }
@@ -659,7 +655,7 @@ impl State {
     fn arith(
         &mut self,
         image: &Image,
-        name: &str,
+        p: Prim,
         fast: fn(i64, i64) -> Option<i64>,
     ) -> Result<(), BcTrap> {
         let y = self.pop()?;
@@ -670,7 +666,7 @@ impl State {
                 return Ok(());
             }
         }
-        let v = image.builtin(name, &[x.into_value()?, y.into_value()?])?;
+        let v = image.builtin(p, &[x.into_value()?, y.into_value()?])?;
         self.stack.push(BcValue::V(v));
         Ok(())
     }
@@ -678,7 +674,7 @@ impl State {
     fn compare(
         &mut self,
         image: &Image,
-        name: &str,
+        p: Prim,
         fast: fn(i64, i64) -> bool,
     ) -> Result<(), BcTrap> {
         let y = self.pop()?;
@@ -687,7 +683,7 @@ impl State {
             self.stack.push(image.bool_value(fast(*a, *b)));
             return Ok(());
         }
-        let v = image.builtin(name, &[x.into_value()?, y.into_value()?])?;
+        let v = image.builtin(p, &[x.into_value()?, y.into_value()?])?;
         self.stack.push(BcValue::V(v));
         Ok(())
     }
@@ -704,7 +700,7 @@ impl State {
         tail: bool,
     ) -> Result<Option<Value>, BcTrap> {
         match callee {
-            Callee::Throw => {
+            Callee::Prim(Prim::Throw) => {
                 if argc != 2 {
                     return trap("throw: wants tag and value");
                 }
@@ -713,7 +709,15 @@ impl State {
                 self.throw(tag, value)?;
                 Ok(None)
             }
-            Callee::Apply => self.apply(image, argc, tail),
+            Callee::Prim(Prim::Apply) => self.apply(image, argc, tail),
+            Callee::Prim(p) => {
+                let v = self.builtin(image, p, argc)?;
+                if tail {
+                    return self.settle(v);
+                }
+                self.stack.push(v);
+                Ok(None)
+            }
             Callee::Proto(ix) => {
                 if tail {
                     self.unwind_for_tail_call(argc);
@@ -721,26 +725,19 @@ impl State {
                 self.enter(image, ix, argc, None)?;
                 Ok(None)
             }
-            Callee::Builtin => {
-                let v = self.builtin(image, name, argc)?;
-                if tail {
-                    return self.settle(v);
-                }
-                self.stack.push(v);
-                Ok(None)
-            }
+            Callee::Undefined => trap(format!("undefined function {name}")),
         }
     }
 
-    /// Runs builtin `name` on the top `argc` operands, passed through
+    /// Runs primitive `p` on the top `argc` operands, passed through
     /// the reused scratch vector.
-    fn builtin(&mut self, image: &Image, name: &str, argc: usize) -> Result<BcValue, BcTrap> {
+    fn builtin(&mut self, image: &Image, p: Prim, argc: usize) -> Result<BcValue, BcTrap> {
         let from = self.stack.len() - argc;
         self.argv.clear();
         for v in self.stack.drain(from..) {
             self.argv.push(v.into_value()?);
         }
-        Ok(BcValue::V(image.builtin(name, &self.argv)?))
+        Ok(BcValue::V(image.builtin(p, &self.argv)?))
     }
 
     /// `(apply f a b '(c d))` — the last argument spreads.

@@ -23,7 +23,8 @@
 //! analysis's lowering decisions select fused numeric opcodes.
 //!
 //! Primitive semantics are *shared*, not reimplemented: the evaluator
-//! dispatches unknown globals through
+//! resolves each global name against the primitive table once, at link
+//! time, and dispatches primitive calls on their number through
 //! [`s1lisp_interp::call_builtin`], so both backends answer to the
 //! same reference definition of every primitive.
 

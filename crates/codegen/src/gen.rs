@@ -2,9 +2,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use s1lisp_analysis::{primop, tail_nodes_from};
+use s1lisp_analysis::tail_nodes_from;
 use s1lisp_annotate::{Annotations, LambdaStrategy, Rep, VarAlloc};
-use s1lisp_ast::{clip_form, CallFunc, Lambda, NodeId, NodeKind, ProgItem, Tree, VarId};
+use s1lisp_ast::{
+    clip_form, primop, CallFunc, Lambda, NodeId, NodeKind, Prim, ProgItem, Tree, VarId,
+};
 use s1lisp_interp::Const;
 use s1lisp_reader::{Datum, Symbol};
 use s1lisp_s1sim::{
@@ -547,7 +549,7 @@ impl<'a> Gen<'a> {
                 NodeKind::Call {
                     func: CallFunc::Global(g),
                     ..
-                } if (primop(g.as_str()).is_none() || matches!(g.as_str(), "apply" | "throw")) => {
+                } if leaves_function(g) => {
                     found = true;
                     break;
                 }
@@ -1152,8 +1154,8 @@ impl<'a> Gen<'a> {
         if let Some(v) = self.try_inline(node, name, args)? {
             return Ok(v);
         }
-        if primop(name).is_some() {
-            return self.gen_rt_call(node, name, args);
+        if let Some(prim) = Prim::from_name(name) {
+            return self.gen_rt_call(node, prim, args);
         }
         // A full call to a user (or not-yet-defined) function.
         for &a in args {
@@ -1171,8 +1173,8 @@ impl<'a> Gen<'a> {
     }
 
     /// Primitives compiled via the run-time system.
-    fn gen_rt_call(&mut self, node: NodeId, name: &str, args: &[NodeId]) -> R<Val> {
-        let unsafe_op = primop(name).map(|p| !p.pdl_safe).unwrap_or(false);
+    fn gen_rt_call(&mut self, node: NodeId, prim: Prim, args: &[NodeId]) -> R<Val> {
+        let unsafe_op = !prim.info().pdl_safe;
         for &a in args {
             let v = self.gen_into(a, Rep::Pointer)?;
             let v = if unsafe_op { self.certify(a, v)? } else { v };
@@ -1180,9 +1182,8 @@ impl<'a> Gen<'a> {
             self.release(v);
         }
         let dst = self.alloc_place();
-        let static_name = primop(name).map(|p| p.name).expect("primop");
         self.asm.push(Insn::RtCall {
-            name: static_name,
+            prim,
             nargs: args.len() as u8,
             dst: dst.op,
         });
@@ -1204,7 +1205,7 @@ impl<'a> Gen<'a> {
         // Comparisons and type predicates: compile as a test and
         // materialize (in test position `gen_test` intercepts them
         // before this point).
-        if is_test_op(name) && test_arity_ok(name, args.len()) {
+        if has_inline_test(name, args.len()) {
             return self.materialize_test(node).map(Some);
         }
         match (name, args) {
@@ -2135,7 +2136,7 @@ impl<'a> Gen<'a> {
                         self.release(kv);
                         let t = self.alloc_place();
                         self.asm.push(Insn::RtCall {
-                            name: "eql",
+                            prim: Prim::Eql,
                             nargs: 2,
                             dst: t.op,
                         });
@@ -2505,18 +2506,36 @@ fn dense_fixnum_plan(clauses: &[s1lisp_ast::CaseqClause]) -> Option<DensePlan> {
     Some(DensePlan { min, span, slots })
 }
 
-fn is_test_op(name: &str) -> bool {
+/// Whether a call to global `g` transfers control out of the function:
+/// a user function, or `apply` or `throw`.
+fn leaves_function(g: &Symbol) -> bool {
     matches!(
-        name,
-        "=" | "/=" | "<" | ">" | "<=" | ">=" | "zerop" | "null" | "not" | "eq" | "consp" | "atom"
+        Prim::from_name(g.as_str()),
+        None | Some(Prim::Apply | Prim::Throw)
     )
 }
 
-fn test_arity_ok(name: &str, n: usize) -> bool {
-    match name {
-        "zerop" | "null" | "not" | "consp" | "atom" => n == 1,
-        _ => n == 2,
-    }
+/// Comparisons and type predicates that `gen_test_call` compiles as a
+/// test.  Each test form takes exactly its row's least argument count;
+/// a chained comparison such as `(< a b c)` goes to the runtime.
+fn has_inline_test(name: &str, nargs: usize) -> bool {
+    Prim::from_name(name).is_some_and(|p| {
+        matches!(
+            p,
+            Prim::NumEq
+                | Prim::NumNe
+                | Prim::Lt
+                | Prim::Gt
+                | Prim::Le
+                | Prim::Ge
+                | Prim::Zerop
+                | Prim::Null
+                | Prim::Not
+                | Prim::Eq
+                | Prim::Consp
+                | Prim::Atom
+        ) && nargs == p.info().min_args
+    })
 }
 
 /// Whether a (special) variable has any reference (we only cache specials

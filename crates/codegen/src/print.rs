@@ -176,7 +176,9 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
                 .unwrap_or("?"),
             o(src)
         ),
-        I::RtCall { name, nargs, dst } => format!("(%CALLRT {name} {nargs} {})", o(dst)),
+        I::RtCall { prim, nargs, dst } => {
+            format!("(%CALLRT {} {nargs} {})", prim.name(), o(dst))
+        }
         I::PushCatch { tag, target } => format!("(%CATCH {} L{target:04})", o(tag)),
         I::PopCatch => "(%UNCATCH)".to_string(),
         I::Throw { tag, value } => format!("(%THROW {} {})", o(tag), o(value)),

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use s1lisp_ast::{CaseqClause, Lambda, NodeId, NodeKind, OptParam, ProgItem, Tree, VarId};
+use s1lisp_ast::{CaseqClause, Lambda, NodeId, NodeKind, OptParam, Prim, ProgItem, Tree, VarId};
 use s1lisp_reader::{Datum, Interner, Symbol};
 
 use crate::error::ConvertError;
@@ -63,7 +63,8 @@ impl<'a> Frontend<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConvertError`] on malformed source.
+    /// Returns a [`ConvertError`] on malformed source, or when `name` is
+    /// a primitive's.
     pub fn convert_defun(&mut self, form: &Datum) -> Result<Function, ConvertError> {
         let items = form
             .proper_list()
@@ -78,6 +79,12 @@ impl<'a> Frontend<'a> {
             .as_symbol()
             .ok_or_else(|| ConvertError::new("defun name must be a symbol", form))?
             .clone();
+        // Every layer, the optimizer's folds included, takes a primitive's
+        // name to mean the primitive.
+        if Prim::from_name(name.as_str()).is_some() {
+            let message = format!("cannot redefine primitive {}", name.as_str());
+            return Err(ConvertError::new(message, form));
+        }
         let mut cx = Cx::new(self);
         let lambda = cx.convert_lambda(params, body)?;
         let mut tree = cx.tree;

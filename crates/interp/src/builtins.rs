@@ -1,9 +1,13 @@
 //! Built-in (primitive) functions of the dialect.
 //!
 //! These are the "known primitive operations" of Table 2's `call` node.
-//! The same operation set is understood by the compiler's primop table
-//! (`s1lisp-analysis`) and by the S-1 code generator; the interpreter
-//! gives their reference semantics.
+//! Which operations exist, and how many arguments each takes, is the
+//! primitive table's decision ([`Prim`], in `s1lisp-ast`); this module
+//! gives their reference semantics.  [`call_builtin`] checks the
+//! argument count against the table once and then dispatches on the
+//! primitive's number, so no arm re-checks it.  The bytecode evaluator
+//! calls the same entry point, and the S-1 run-time system implements
+//! the same rows on machine words.
 //!
 //! Generic arithmetic (`+`, `*`, …) operates on fixnums and flonums with
 //! fixnum→flonum contagion.  The `$f`-suffixed operators are the paper's
@@ -12,18 +16,26 @@
 //! the `&`-suffixed ones are fixnum-specific.  `sinc$f` is sine with the
 //! argument in *cycles* (the S-1 `SIN` instruction's convention).
 
-use s1lisp_reader::Symbol;
+use s1lisp_ast::Prim;
+use s1lisp_reader::{Datum, Interner, Symbol};
 
 use crate::error::LispError;
 use crate::value::Value;
 
-/// Calls builtin `name`, or returns `None` if `name` is not a builtin.
+/// Calls primitive `p` on `args`, after checking the argument count
+/// against the primitive table.
 ///
 /// Public so that alternative execution engines (the bytecode
 /// evaluator) share the primitives' reference semantics verbatim
 /// instead of reimplementing them.
-pub fn call_builtin(name: &str, args: &[Value], t: &Symbol) -> Option<Result<Value, LispError>> {
-    dispatch(name, args, t)
+///
+/// # Errors
+///
+/// A [`LispError`] for a wrong argument count or any run-time error of
+/// the primitive.
+pub fn call_builtin(p: Prim, args: &[Value], t: &Symbol) -> Result<Value, LispError> {
+    p.check_arity(args.len()).map_err(LispError::new)?;
+    dispatch(p, args, t)
 }
 
 /// Evaluates a primitive on constant (datum) operands, for the
@@ -31,109 +43,13 @@ pub fn call_builtin(name: &str, args: &[Value], t: &Symbol) -> Option<Result<Val
 /// functions known to be free of side effects on constant operands, a
 /// very convenient thing to do in LISP").
 ///
-/// Returns `None` if `name` is not a builtin, if evaluation signals an
-/// error (the compiler then leaves the form for run time), or if the
-/// result has no datum form.
-pub fn eval_primop(name: &str, args: &[s1lisp_reader::Datum]) -> Option<s1lisp_reader::Datum> {
-    let t = s1lisp_reader::Interner::new().intern("t");
+/// Returns `None` if evaluation signals an error (the compiler then
+/// leaves the form for run time), or if the result has no datum form.
+pub fn eval_primop(p: Prim, args: &[Datum]) -> Option<Datum> {
+    let t = Interner::new().intern("t");
     let argv: Vec<Value> = args.iter().map(Value::from_datum).collect();
-    let result = call_builtin(name, &argv, &t)?.ok()?;
-    result.to_datum()
+    call_builtin(p, &argv, &t).ok()?.to_datum()
 }
-
-/// All builtin names (kept in sync with `dispatch` by the
-/// `dispatch_covers_all_names` test).
-pub const NAMES: &[&str] = &[
-    "+",
-    "-",
-    "*",
-    "/",
-    "1+",
-    "1-",
-    "abs",
-    "min",
-    "max",
-    "floor",
-    "ceiling",
-    "truncate",
-    "round",
-    "mod",
-    "rem",
-    "expt",
-    "=",
-    "/=",
-    "<",
-    ">",
-    "<=",
-    ">=",
-    "zerop",
-    "oddp",
-    "evenp",
-    "plusp",
-    "minusp",
-    "+$f",
-    "-$f",
-    "*$f",
-    "/$f",
-    "max$f",
-    "min$f",
-    "abs$f",
-    "+&",
-    "-&",
-    "*&",
-    "sqrt",
-    "sqrt$f",
-    "sin",
-    "cos",
-    "sin$f",
-    "cos$f",
-    "sinc$f",
-    "cosc$f",
-    "atan",
-    "exp",
-    "log",
-    "float",
-    "fix",
-    "null",
-    "not",
-    "atom",
-    "consp",
-    "listp",
-    "symbolp",
-    "numberp",
-    "fixnump",
-    "flonump",
-    "stringp",
-    "functionp",
-    "eq",
-    "eql",
-    "equal",
-    "cons",
-    "car",
-    "cdr",
-    "caar",
-    "cadr",
-    "cdar",
-    "cddr",
-    "caddr",
-    "cdddr",
-    "list",
-    "list*",
-    "append",
-    "reverse",
-    "length",
-    "nth",
-    "nthcdr",
-    "last",
-    "assq",
-    "assoc",
-    "memq",
-    "member",
-    "rplaca",
-    "rplacd",
-    "identity",
-    "error",
-];
 
 fn err(msg: impl Into<String>) -> LispError {
     LispError::new(msg)
@@ -165,28 +81,6 @@ fn fix(v: &Value, who: &str) -> Result<i64, LispError> {
 
 fn both_fix(args: &[Value]) -> bool {
     args.iter().all(|a| matches!(a, Value::Fixnum(_)))
-}
-
-fn arity(args: &[Value], n: usize, who: &str) -> Result<(), LispError> {
-    if args.len() == n {
-        Ok(())
-    } else {
-        Err(err(format!(
-            "{who}: wants {n} arguments, got {}",
-            args.len()
-        )))
-    }
-}
-
-fn at_least(args: &[Value], n: usize, who: &str) -> Result<(), LispError> {
-    if args.len() >= n {
-        Ok(())
-    } else {
-        Err(err(format!(
-            "{who}: wants at least {n} arguments, got {}",
-            args.len()
-        )))
-    }
 }
 
 fn bool_v(b: bool, t: &Symbol) -> Value {
@@ -232,7 +126,6 @@ fn compare_chain(
     t: &Symbol,
     ok: fn(f64, f64) -> bool,
 ) -> Result<Value, LispError> {
-    at_least(args, 2, who)?;
     for w in args.windows(2) {
         if !ok(num(&w[0], who)?, num(&w[1], who)?) {
             return Ok(Value::Nil);
@@ -273,239 +166,204 @@ fn list_items(v: &Value, who: &str) -> Result<Vec<Value>, LispError> {
     }
 }
 
+/// Runs `p` on `args`, whose count the table has already accepted.
 #[allow(clippy::too_many_lines)]
-fn dispatch(name: &str, args: &[Value], t: &Symbol) -> Option<Result<Value, LispError>> {
-    let r = match name {
+fn dispatch(p: Prim, args: &[Value], t: &Symbol) -> Result<Value, LispError> {
+    let who = p.name();
+    match p {
         // ---- generic arithmetic ----
-        "+" => fold_generic(args, "+", Some(0), i64::checked_add, |a, b| a + b),
-        "-" => {
+        Prim::Add => fold_generic(args, who, Some(0), i64::checked_add, |a, b| a + b),
+        Prim::Sub => {
             if args.len() == 1 {
                 match &args[0] {
                     Value::Fixnum(n) => n
                         .checked_neg()
                         .map(Value::Fixnum)
                         .ok_or_else(|| err("-: fixnum overflow")),
-                    v => num(v, "-").map(|x| Value::Flonum(-x)),
+                    v => num(v, who).map(|x| Value::Flonum(-x)),
                 }
             } else {
-                fold_generic(args, "-", None, i64::checked_sub, |a, b| a - b)
+                fold_generic(args, who, None, i64::checked_sub, |a, b| a - b)
             }
         }
-        "*" => fold_generic(args, "*", Some(1), i64::checked_mul, |a, b| a * b),
-        "/" => {
+        Prim::Mul => fold_generic(args, who, Some(1), i64::checked_mul, |a, b| a * b),
+        Prim::Div => {
             if both_fix(args) && args.iter().skip(1).any(|v| matches!(v, Value::Fixnum(0))) {
                 Err(err("/: division by zero"))
             } else if args.len() == 1 {
-                num(&args[0], "/").map(|x| Value::Flonum(1.0 / x))
+                num(&args[0], who).map(|x| Value::Flonum(1.0 / x))
             } else {
                 // Fixnum division truncates (the dialect has no rationals;
                 // see DESIGN.md).
-                fold_generic(args, "/", None, i64::checked_div, |a, b| a / b)
+                fold_generic(args, who, None, i64::checked_div, |a, b| a / b)
             }
         }
-        "1+" => arity(args, 1, "1+").and_then(|()| match &args[0] {
-            Value::Fixnum(n) => n
-                .checked_add(1)
-                .map(Value::Fixnum)
-                .ok_or_else(|| err("1+: fixnum overflow")),
-            v => num(v, "1+").map(|x| Value::Flonum(x + 1.0)),
-        }),
-        "1-" => arity(args, 1, "1-").and_then(|()| match &args[0] {
-            Value::Fixnum(n) => n
-                .checked_sub(1)
-                .map(Value::Fixnum)
-                .ok_or_else(|| err("1-: fixnum overflow")),
-            v => num(v, "1-").map(|x| Value::Flonum(x - 1.0)),
-        }),
-        "abs" => arity(args, 1, "abs").and_then(|()| match &args[0] {
+        Prim::OnePlus | Prim::OneMinus => {
+            let delta = if p == Prim::OnePlus { 1 } else { -1 };
+            match &args[0] {
+                Value::Fixnum(n) => n
+                    .checked_add(delta)
+                    .map(Value::Fixnum)
+                    .ok_or_else(|| err(format!("{who}: fixnum overflow"))),
+                v => num(v, who).map(|x| Value::Flonum(x + delta as f64)),
+            }
+        }
+        Prim::Abs => match &args[0] {
             Value::Fixnum(n) => Ok(Value::Fixnum(n.abs())),
-            v => num(v, "abs").map(|x| Value::Flonum(x.abs())),
-        }),
-        "min" => fold_generic(args, "min", None, |a, b| Some(a.min(b)), f64::min),
-        "max" => fold_generic(args, "max", None, |a, b| Some(a.max(b)), f64::max),
-        "floor" => round_like(args, "floor", f64::floor, |a, b| a.div_euclid(b)),
-        "ceiling" => round_like(args, "ceiling", f64::ceil, |a, b| {
+            v => num(v, who).map(|x| Value::Flonum(x.abs())),
+        },
+        Prim::Min => fold_generic(args, who, None, |a, b| Some(a.min(b)), f64::min),
+        Prim::Max => fold_generic(args, who, None, |a, b| Some(a.max(b)), f64::max),
+        Prim::Floor => round_like(args, who, f64::floor, |a, b| a.div_euclid(b)),
+        Prim::Ceiling => round_like(args, who, f64::ceil, |a, b| {
             a.div_euclid(b) + i64::from(a.rem_euclid(b) != 0)
         }),
-        "truncate" => round_like(args, "truncate", f64::trunc, |a, b| a / b),
-        "round" => round_like(
+        Prim::Truncate => round_like(args, who, f64::trunc, |a, b| a / b),
+        Prim::Round => round_like(
             args,
-            "round",
+            who,
             |x| x.round_ties_even(),
             |a, b| {
                 let q = a as f64 / b as f64;
                 q.round_ties_even() as i64
             },
         ),
-        "mod" => arity(args, 2, "mod").and_then(|()| match (&args[0], &args[1]) {
+        Prim::Mod => match (&args[0], &args[1]) {
             (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => Ok(Value::Fixnum(a.rem_euclid(*b))),
             (Value::Fixnum(_), Value::Fixnum(_)) => Err(err("mod: division by zero")),
-            (a, b) => Ok(Value::Flonum(num(a, "mod")?.rem_euclid(num(b, "mod")?))),
-        }),
-        "rem" => arity(args, 2, "rem").and_then(|()| match (&args[0], &args[1]) {
+            (a, b) => Ok(Value::Flonum(num(a, who)?.rem_euclid(num(b, who)?))),
+        },
+        Prim::Rem => match (&args[0], &args[1]) {
             (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => Ok(Value::Fixnum(a % b)),
             (Value::Fixnum(_), Value::Fixnum(_)) => Err(err("rem: division by zero")),
-            (a, b) => Ok(Value::Flonum(num(a, "rem")? % num(b, "rem")?)),
-        }),
-        "expt" => arity(args, 2, "expt").and_then(|()| match (&args[0], &args[1]) {
+            (a, b) => Ok(Value::Flonum(num(a, who)? % num(b, who)?)),
+        },
+        Prim::Expt => match (&args[0], &args[1]) {
             (Value::Fixnum(b), Value::Fixnum(e)) if *e >= 0 => {
                 let e = u32::try_from(*e).map_err(|_| err("expt: exponent too large"))?;
                 b.checked_pow(e)
                     .map(Value::Fixnum)
                     .ok_or_else(|| err("expt: fixnum overflow"))
             }
-            (b, e) => Ok(Value::Flonum(num(b, "expt")?.powf(num(e, "expt")?))),
-        }),
+            (b, e) => Ok(Value::Flonum(num(b, who)?.powf(num(e, who)?))),
+        },
         // ---- comparisons and numeric predicates ----
-        "=" => compare_chain(args, "=", t, |a, b| a == b),
-        "/=" => compare_chain(args, "/=", t, |a, b| a != b),
-        "<" => compare_chain(args, "<", t, |a, b| a < b),
-        ">" => compare_chain(args, ">", t, |a, b| a > b),
-        "<=" => compare_chain(args, "<=", t, |a, b| a <= b),
-        ">=" => compare_chain(args, ">=", t, |a, b| a >= b),
-        "zerop" => arity(args, 1, "zerop")
-            .and_then(|()| num(&args[0], "zerop").map(|x| bool_v(x == 0.0, t))),
-        "plusp" => arity(args, 1, "plusp")
-            .and_then(|()| num(&args[0], "plusp").map(|x| bool_v(x > 0.0, t))),
-        "minusp" => arity(args, 1, "minusp")
-            .and_then(|()| num(&args[0], "minusp").map(|x| bool_v(x < 0.0, t))),
-        "oddp" => arity(args, 1, "oddp")
-            .and_then(|()| fix(&args[0], "oddp").map(|n| bool_v(n.rem_euclid(2) == 1, t))),
-        "evenp" => arity(args, 1, "evenp")
-            .and_then(|()| fix(&args[0], "evenp").map(|n| bool_v(n.rem_euclid(2) == 0, t))),
+        Prim::NumEq => compare_chain(args, who, t, |a, b| a == b),
+        Prim::NumNe => compare_chain(args, who, t, |a, b| a != b),
+        Prim::Lt => compare_chain(args, who, t, |a, b| a < b),
+        Prim::Gt => compare_chain(args, who, t, |a, b| a > b),
+        Prim::Le => compare_chain(args, who, t, |a, b| a <= b),
+        Prim::Ge => compare_chain(args, who, t, |a, b| a >= b),
+        Prim::Zerop => num(&args[0], who).map(|x| bool_v(x == 0.0, t)),
+        Prim::Plusp => num(&args[0], who).map(|x| bool_v(x > 0.0, t)),
+        Prim::Minusp => num(&args[0], who).map(|x| bool_v(x < 0.0, t)),
+        Prim::Oddp => fix(&args[0], who).map(|n| bool_v(n.rem_euclid(2) == 1, t)),
+        Prim::Evenp => fix(&args[0], who).map(|n| bool_v(n.rem_euclid(2) == 0, t)),
         // ---- type-specific arithmetic ----
-        "+$f" => binf(args, "+$f", |a, b| a + b),
-        "-$f" => {
+        Prim::AddF => binf(args, who, |a, b| a + b),
+        Prim::SubF => {
             if args.len() == 1 {
-                flo(&args[0], "-$f").map(|x| Value::Flonum(-x))
+                flo(&args[0], who).map(|x| Value::Flonum(-x))
             } else {
-                binf(args, "-$f", |a, b| a - b)
+                binf(args, who, |a, b| a - b)
             }
         }
-        "*$f" => binf(args, "*$f", |a, b| a * b),
-        "/$f" => binf(args, "/$f", |a, b| a / b),
-        "max$f" => binf(args, "max$f", f64::max),
-        "min$f" => binf(args, "min$f", f64::min),
-        "abs$f" => arity(args, 1, "abs$f")
-            .and_then(|()| flo(&args[0], "abs$f").map(|x| Value::Flonum(x.abs()))),
-        "+&" => bini(args, "+&", i64::checked_add),
-        "-&" => bini(args, "-&", i64::checked_sub),
-        "*&" => bini(args, "*&", i64::checked_mul),
+        Prim::MulF => binf(args, who, |a, b| a * b),
+        Prim::DivF => binf(args, who, |a, b| a / b),
+        Prim::MaxF => binf(args, who, f64::max),
+        Prim::MinF => binf(args, who, f64::min),
+        Prim::AbsF => un_flo(args, who, f64::abs),
+        Prim::AddI => bini(args, who, i64::checked_add),
+        Prim::SubI => bini(args, who, i64::checked_sub),
+        Prim::MulI => bini(args, who, i64::checked_mul),
         // ---- transcendental ----
-        "sqrt" => un_num(args, "sqrt", f64::sqrt),
-        "sqrt$f" => un_flo(args, "sqrt$f", f64::sqrt),
-        "sin" => un_num(args, "sin", f64::sin),
-        "cos" => un_num(args, "cos", f64::cos),
-        "sin$f" => un_flo(args, "sin$f", f64::sin),
-        "cos$f" => un_flo(args, "cos$f", f64::cos),
+        Prim::Sqrt => un_num(args, who, f64::sqrt),
+        Prim::SqrtF => un_flo(args, who, f64::sqrt),
+        Prim::Sin => un_num(args, who, f64::sin),
+        Prim::Cos => un_num(args, who, f64::cos),
+        Prim::SinF => un_flo(args, who, f64::sin),
+        Prim::CosF => un_flo(args, who, f64::cos),
         // Sine/cosine with argument in *cycles*: the S-1's native
         // convention (§7: "the S-1 SIN instruction assumes its argument
         // to be in cycles").
-        "sinc$f" => un_flo(args, "sinc$f", |x| (x * 2.0 * std::f64::consts::PI).sin()),
-        "cosc$f" => un_flo(args, "cosc$f", |x| (x * 2.0 * std::f64::consts::PI).cos()),
-        "atan" => match args.len() {
-            1 => un_num(args, "atan", f64::atan),
-            2 => num(&args[0], "atan")
-                .and_then(|y| Ok(Value::Flonum(y.atan2(num(&args[1], "atan")?)))),
-            _ => Err(err("atan: wants 1 or 2 arguments")),
+        Prim::SincF => un_flo(args, who, |x| (x * 2.0 * std::f64::consts::PI).sin()),
+        Prim::CoscF => un_flo(args, who, |x| (x * 2.0 * std::f64::consts::PI).cos()),
+        Prim::Atan => match args {
+            [y, x] => Ok(Value::Flonum(num(y, who)?.atan2(num(x, who)?))),
+            _ => un_num(args, who, f64::atan),
         },
-        "exp" => un_num(args, "exp", f64::exp),
-        "log" => un_num(args, "log", f64::ln),
-        "float" => arity(args, 1, "float").and_then(|()| num(&args[0], "float").map(Value::Flonum)),
-        "fix" => arity(args, 1, "fix")
-            .and_then(|()| num(&args[0], "fix").map(|x| Value::Fixnum(x as i64))),
+        Prim::Exp => un_num(args, who, f64::exp),
+        Prim::Log => un_num(args, who, f64::ln),
+        Prim::Float => num(&args[0], who).map(Value::Flonum),
+        Prim::Fix => num(&args[0], who).map(|x| Value::Fixnum(x as i64)),
         // ---- predicates ----
-        "null" | "not" => arity(args, 1, name).map(|()| bool_v(!args[0].is_true(), t)),
-        "atom" => arity(args, 1, "atom").map(|()| bool_v(!matches!(args[0], Value::Cons(_)), t)),
-        "consp" => arity(args, 1, "consp").map(|()| bool_v(matches!(args[0], Value::Cons(_)), t)),
-        "listp" => arity(args, 1, "listp")
-            .map(|()| bool_v(matches!(args[0], Value::Cons(_) | Value::Nil), t)),
-        "symbolp" => {
-            arity(args, 1, "symbolp").map(|()| bool_v(matches!(args[0], Value::Sym(_)), t))
-        }
-        "numberp" => arity(args, 1, "numberp")
-            .map(|()| bool_v(matches!(args[0], Value::Fixnum(_) | Value::Flonum(_)), t)),
-        "fixnump" => {
-            arity(args, 1, "fixnump").map(|()| bool_v(matches!(args[0], Value::Fixnum(_)), t))
-        }
-        "flonump" => {
-            arity(args, 1, "flonump").map(|()| bool_v(matches!(args[0], Value::Flonum(_)), t))
-        }
-        "stringp" => {
-            arity(args, 1, "stringp").map(|()| bool_v(matches!(args[0], Value::Str(_)), t))
-        }
-        "functionp" => {
-            arity(args, 1, "functionp").map(|()| bool_v(matches!(args[0], Value::Func(_)), t))
-        }
-        "eq" => arity(args, 2, "eq").map(|()| bool_v(args[0].eq_p(&args[1]), t)),
-        "eql" => arity(args, 2, "eql").map(|()| bool_v(args[0].eql_p(&args[1]), t)),
-        "equal" => arity(args, 2, "equal").map(|()| bool_v(args[0].equal_p(&args[1]), t)),
+        Prim::Null | Prim::Not => Ok(bool_v(!args[0].is_true(), t)),
+        Prim::Atom => Ok(bool_v(!matches!(args[0], Value::Cons(_)), t)),
+        Prim::Consp => Ok(bool_v(matches!(args[0], Value::Cons(_)), t)),
+        Prim::Listp => Ok(bool_v(matches!(args[0], Value::Cons(_) | Value::Nil), t)),
+        Prim::Symbolp => Ok(bool_v(matches!(args[0], Value::Sym(_)), t)),
+        Prim::Numberp => Ok(bool_v(
+            matches!(args[0], Value::Fixnum(_) | Value::Flonum(_)),
+            t,
+        )),
+        Prim::Fixnump => Ok(bool_v(matches!(args[0], Value::Fixnum(_)), t)),
+        Prim::Flonump => Ok(bool_v(matches!(args[0], Value::Flonum(_)), t)),
+        Prim::Stringp => Ok(bool_v(matches!(args[0], Value::Str(_)), t)),
+        Prim::Functionp => Ok(bool_v(matches!(args[0], Value::Func(_)), t)),
+        Prim::Eq => Ok(bool_v(args[0].eq_p(&args[1]), t)),
+        Prim::Eql => Ok(bool_v(args[0].eql_p(&args[1]), t)),
+        Prim::Equal => Ok(bool_v(args[0].equal_p(&args[1]), t)),
         // ---- lists ----
-        "cons" => arity(args, 2, "cons").map(|()| Value::cons(args[0].clone(), args[1].clone())),
-        "car" => arity(args, 1, "car").and_then(|()| car_of(&args[0], "car")),
-        "cdr" => arity(args, 1, "cdr").and_then(|()| cdr_of(&args[0], "cdr")),
-        "caar" => arity(args, 1, "caar").and_then(|()| car_of(&car_of(&args[0], "caar")?, "caar")),
-        "cadr" => arity(args, 1, "cadr").and_then(|()| car_of(&cdr_of(&args[0], "cadr")?, "cadr")),
-        "cdar" => arity(args, 1, "cdar").and_then(|()| cdr_of(&car_of(&args[0], "cdar")?, "cdar")),
-        "cddr" => arity(args, 1, "cddr").and_then(|()| cdr_of(&cdr_of(&args[0], "cddr")?, "cddr")),
-        "caddr" => arity(args, 1, "caddr")
-            .and_then(|()| car_of(&cdr_of(&cdr_of(&args[0], "caddr")?, "caddr")?, "caddr")),
-        "cdddr" => arity(args, 1, "cdddr")
-            .and_then(|()| cdr_of(&cdr_of(&cdr_of(&args[0], "cdddr")?, "cdddr")?, "cdddr")),
-        "list" => Ok(Value::list(args.iter().cloned())),
-        "list*" => at_least(args, 1, "list*").map(|()| {
-            let (last, init) = args.split_last().unwrap();
-            let mut out = last.clone();
-            for v in init.iter().rev() {
-                out = Value::cons(v.clone(), out);
-            }
-            out
+        Prim::Cons => Ok(Value::cons(args[0].clone(), args[1].clone())),
+        Prim::Car => car_of(&args[0], who),
+        Prim::Cdr => cdr_of(&args[0], who),
+        Prim::Caar => car_of(&car_of(&args[0], who)?, who),
+        Prim::Cadr => car_of(&cdr_of(&args[0], who)?, who),
+        Prim::Cdar => cdr_of(&car_of(&args[0], who)?, who),
+        Prim::Cddr => cdr_of(&cdr_of(&args[0], who)?, who),
+        Prim::Caddr => car_of(&cdr_of(&cdr_of(&args[0], who)?, who)?, who),
+        Prim::Cdddr => cdr_of(&cdr_of(&cdr_of(&args[0], who)?, who)?, who),
+        Prim::List => Ok(Value::list(args.iter().cloned())),
+        Prim::ListStar => Ok(match args.split_last() {
+            Some((last, init)) => init
+                .iter()
+                .rev()
+                .fold(last.clone(), |out, v| Value::cons(v.clone(), out)),
+            None => Value::Nil,
         }),
-        "append" => {
+        Prim::Append => {
+            let Some((last, init)) = args.split_last() else {
+                return Ok(Value::Nil);
+            };
             let mut items = Vec::new();
-            let mut result = Ok(Value::Nil);
-            if let Some((last, init)) = args.split_last() {
-                for a in init {
-                    match list_items(a, "append") {
-                        Ok(mut v) => items.append(&mut v),
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                if result.is_ok() {
-                    let mut out = last.clone();
-                    for v in items.into_iter().rev() {
-                        out = Value::cons(v, out);
-                    }
-                    result = Ok(out);
-                }
+            for a in init {
+                items.append(&mut list_items(a, who)?);
             }
-            result
+            let mut out = last.clone();
+            for v in items.into_iter().rev() {
+                out = Value::cons(v, out);
+            }
+            Ok(out)
         }
-        "reverse" => arity(args, 1, "reverse").and_then(|()| {
-            list_items(&args[0], "reverse").map(|mut v| {
-                v.reverse();
-                Value::list(v)
-            })
+        Prim::Reverse => list_items(&args[0], who).map(|mut v| {
+            v.reverse();
+            Value::list(v)
         }),
-        "length" => arity(args, 1, "length")
-            .and_then(|()| list_items(&args[0], "length").map(|v| Value::Fixnum(v.len() as i64))),
-        "nth" => arity(args, 2, "nth").and_then(|()| {
-            let n = fix(&args[0], "nth")?;
-            let items = list_items(&args[1], "nth")?;
+        Prim::Length => list_items(&args[0], who).map(|v| Value::Fixnum(v.len() as i64)),
+        Prim::Nth => {
+            let n = fix(&args[0], who)?;
+            let items = list_items(&args[1], who)?;
             Ok(items.get(n as usize).cloned().unwrap_or(Value::Nil))
-        }),
-        "nthcdr" => arity(args, 2, "nthcdr").and_then(|()| {
-            let n = fix(&args[0], "nthcdr")?;
+        }
+        Prim::Nthcdr => {
+            let n = fix(&args[0], who)?;
             let mut cur = args[1].clone();
             for _ in 0..n {
-                cur = cdr_of(&cur, "nthcdr")?;
+                cur = cdr_of(&cur, who)?;
             }
             Ok(cur)
-        }),
-        "last" => arity(args, 1, "last").and_then(|()| {
+        }
+        Prim::Last => {
             let mut cur = args[0].clone();
             loop {
                 match &cur {
@@ -516,13 +374,13 @@ fn dispatch(name: &str, args: &[Value], t: &Symbol) -> Option<Result<Value, Lisp
                     _ => return Ok(cur),
                 }
             }
-        }),
-        "assq" | "assoc" => arity(args, 2, name).and_then(|()| {
-            let items = list_items(&args[1], name)?;
+        }
+        Prim::Assq | Prim::Assoc => {
+            let items = list_items(&args[1], who)?;
             for pair in items {
                 if let Value::Cons(c) = &pair {
                     let key = c.car.borrow().clone();
-                    let hit = if name == "assq" {
+                    let hit = if p == Prim::Assq {
                         key.eq_p(&args[0])
                     } else {
                         key.equal_p(&args[0])
@@ -533,14 +391,14 @@ fn dispatch(name: &str, args: &[Value], t: &Symbol) -> Option<Result<Value, Lisp
                 }
             }
             Ok(Value::Nil)
-        }),
-        "memq" | "member" => arity(args, 2, name).and_then(|()| {
+        }
+        Prim::Memq | Prim::Member => {
             let mut cur = args[1].clone();
             loop {
                 match &cur {
                     Value::Cons(c) => {
                         let head = c.car.borrow().clone();
-                        let hit = if name == "memq" {
+                        let hit = if p == Prim::Memq {
                             head.eq_p(&args[0])
                         } else {
                             head.equal_p(&args[0])
@@ -554,32 +412,27 @@ fn dispatch(name: &str, args: &[Value], t: &Symbol) -> Option<Result<Value, Lisp
                     _ => return Ok(Value::Nil),
                 }
             }
-        }),
-        "rplaca" => arity(args, 2, "rplaca").and_then(|()| match &args[0] {
+        }
+        Prim::Rplaca | Prim::Rplacd => match &args[0] {
             Value::Cons(c) => {
-                *c.car.borrow_mut() = args[1].clone();
+                let slot = if p == Prim::Rplaca { &c.car } else { &c.cdr };
+                *slot.borrow_mut() = args[1].clone();
                 Ok(args[0].clone())
             }
-            other => Err(err(format!("rplaca: not a cons: {other}"))),
-        }),
-        "rplacd" => arity(args, 2, "rplacd").and_then(|()| match &args[0] {
-            Value::Cons(c) => {
-                *c.cdr.borrow_mut() = args[1].clone();
-                Ok(args[0].clone())
-            }
-            other => Err(err(format!("rplacd: not a cons: {other}"))),
-        }),
-        "identity" => arity(args, 1, "identity").map(|()| args[0].clone()),
-        "error" => Err(err(format!(
+            other => Err(err(format!("{who}: not a cons: {other}"))),
+        },
+        Prim::Identity => Ok(args[0].clone()),
+        Prim::Error => Err(err(format!(
             "error: {}",
             args.iter()
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
                 .join(" ")
         ))),
-        _ => return None,
-    };
-    Some(r)
+        // The evaluator runs these before dispatch; as function values
+        // they have never been callable.
+        Prim::Throw | Prim::Apply | Prim::Function => Err(err(format!("undefined function {who}"))),
+    }
 }
 
 fn round_like(
@@ -604,7 +457,6 @@ fn round_like(
 }
 
 fn binf(args: &[Value], who: &str, f: fn(f64, f64) -> f64) -> Result<Value, LispError> {
-    at_least(args, 2, who)?;
     let mut acc = flo(&args[0], who)?;
     for v in &args[1..] {
         acc = f(acc, flo(v, who)?);
@@ -613,7 +465,6 @@ fn binf(args: &[Value], who: &str, f: fn(f64, f64) -> f64) -> Result<Value, Lisp
 }
 
 fn bini(args: &[Value], who: &str, f: fn(i64, i64) -> Option<i64>) -> Result<Value, LispError> {
-    at_least(args, 2, who)?;
     let mut acc = fix(&args[0], who)?;
     for v in &args[1..] {
         acc = f(acc, fix(v, who)?).ok_or_else(|| err(format!("{who}: fixnum overflow")))?;
@@ -622,43 +473,31 @@ fn bini(args: &[Value], who: &str, f: fn(i64, i64) -> Option<i64>) -> Result<Val
 }
 
 fn un_num(args: &[Value], who: &str, f: fn(f64) -> f64) -> Result<Value, LispError> {
-    arity(args, 1, who)?;
     Ok(Value::Flonum(f(num(&args[0], who)?)))
 }
 
 fn un_flo(args: &[Value], who: &str, f: fn(f64) -> f64) -> Result<Value, LispError> {
-    arity(args, 1, who)?;
     Ok(Value::Flonum(f(flo(&args[0], who)?)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s1lisp_reader::Interner;
 
     fn t() -> Symbol {
         Interner::new().intern("t")
     }
 
+    fn prim(name: &str) -> Prim {
+        Prim::from_name(name).expect("a primitive")
+    }
+
     fn call(name: &str, args: &[Value]) -> Value {
-        call_builtin(name, args, &t()).unwrap().unwrap()
+        call_builtin(prim(name), args, &t()).unwrap()
     }
 
     fn call_err(name: &str, args: &[Value]) -> LispError {
-        call_builtin(name, args, &t()).unwrap().unwrap_err()
-    }
-
-    #[test]
-    fn dispatch_covers_all_names() {
-        // Every name in NAMES must dispatch (with possibly an arity
-        // error, but never None).
-        for name in NAMES {
-            assert!(
-                dispatch(name, &[Value::Fixnum(4), Value::Fixnum(2)], &t()).is_some(),
-                "{name} not dispatched"
-            );
-        }
-        assert!(dispatch("no-such-fn", &[], &t()).is_none());
+        call_builtin(prim(name), args, &t()).unwrap_err()
     }
 
     #[test]

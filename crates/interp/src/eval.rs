@@ -10,7 +10,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use s1lisp_ast::{CallFunc, Lambda, NodeId, NodeKind, ProgItem, Tree, VarId};
+use s1lisp_ast::{CallFunc, Lambda, NodeId, NodeKind, Prim, ProgItem, Tree, VarId};
 use s1lisp_frontend::Function as FeFunction;
 use s1lisp_reader::{Interner, Symbol};
 
@@ -197,11 +197,7 @@ impl Interp {
             match self.apply_lambda(&tree, &l, None, args, depth, &def.name) {
                 Err(Flow::TailCall(name, next_args)) => {
                     let Some(next) = self.functions.get(&name) else {
-                        // A builtin in tail position: evaluate directly.
-                        return match crate::builtins::call_builtin(&name, &next_args, &self.t) {
-                            Some(r) => r.map_err(Flow::Err),
-                            None => Err(rt_err(format!("undefined function {name}"))),
-                        };
+                        return self.call_global(&name, next_args, depth);
                     };
                     def = next.clone();
                     args = next_args;
@@ -226,17 +222,20 @@ impl Interp {
                 };
                 self.apply_lambda(&c.tree, &l, c.env.clone(), args, depth, &c.name)
             }
-            Value::Func(Function::Global(name)) => {
-                if let Some(def) = self.functions.get(name) {
-                    let def = def.clone();
-                    return self.apply_def(&def, args, depth);
-                }
-                match builtins::call_builtin(name, &args, &self.t) {
-                    Some(r) => r.map_err(Flow::Err),
-                    None => Err(rt_err(format!("undefined function {name}"))),
-                }
-            }
+            Value::Func(Function::Global(name)) => self.call_global(name, args, depth),
             other => Err(rt_err(format!("not a function: {other}"))),
+        }
+    }
+
+    /// Calls the global function `name`: a definition, else a primitive.
+    fn call_global(&self, name: &str, args: Vec<Value>, depth: usize) -> R {
+        if let Some(def) = self.functions.get(name) {
+            let def = def.clone();
+            return self.apply_def(&def, args, depth);
+        }
+        match Prim::from_name(name) {
+            Some(p) => builtins::call_builtin(p, &args, &self.t).map_err(Flow::Err),
+            None => Err(rt_err(format!("undefined function {name}"))),
         }
     }
 
@@ -497,16 +496,12 @@ impl Interp {
                 for &a in args {
                     argv.push(self.eval(tree, a, env, depth)?);
                 }
-                match name {
-                    "throw" => {
-                        if argv.len() != 2 {
-                            return Err(rt_err("throw: wants tag and value"));
-                        }
-                        let value = argv.pop().unwrap();
-                        let tag = argv.pop().unwrap();
-                        Err(Flow::Throw(tag, value))
-                    }
-                    "apply" => {
+                match Prim::from_name(name) {
+                    Some(Prim::Throw) => match <[Value; 2]>::try_from(argv) {
+                        Ok([tag, value]) => Err(Flow::Throw(tag, value)),
+                        Err(_) => Err(rt_err("throw: wants tag and value")),
+                    },
+                    Some(Prim::Apply) => {
                         if argv.len() < 2 {
                             return Err(rt_err("apply: wants function and arguments"));
                         }
@@ -531,27 +526,17 @@ impl Interp {
                         }
                         self.apply_value(&f, rest, depth)
                     }
-                    "%function" => {
+                    Some(Prim::Function) => {
                         let [Value::Sym(s)] = argv.as_slice() else {
                             return Err(rt_err("%function: wants a symbol"));
                         };
                         Ok(Value::Func(Function::Global(s.as_str().to_string())))
                     }
-                    _ => {
-                        if tail && self.tco {
-                            // §2: "a procedure call in this case is more
-                            // akin to a parameter-passing goto".
-                            return Err(Flow::TailCall(name.to_string(), argv));
-                        }
-                        if let Some(def) = self.functions.get(name) {
-                            let def = def.clone();
-                            return self.apply_def(&def, argv, depth);
-                        }
-                        match builtins::call_builtin(name, &argv, &self.t) {
-                            Some(r) => r.map_err(Flow::Err),
-                            None => Err(rt_err(format!("undefined function {name}"))),
-                        }
-                    }
+                    Some(p) => builtins::call_builtin(p, &argv, &self.t).map_err(Flow::Err),
+                    // §2: "a procedure call in this case is more akin to a
+                    // parameter-passing goto".
+                    None if tail && self.tco => Err(Flow::TailCall(name.to_string(), argv)),
+                    None => self.call_global(name, argv, depth),
                 }
             }
         }

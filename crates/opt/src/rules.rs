@@ -7,8 +7,10 @@
 
 use std::collections::HashMap;
 
-use s1lisp_analysis::{complexity, effects, primop, Complexity, Effects};
-use s1lisp_ast::{subtree_nodes, unparse, CallFunc, Lambda, NodeId, NodeKind, Tree, VarId};
+use s1lisp_analysis::{complexity, effects, Complexity, Effects};
+use s1lisp_ast::{
+    primop, subtree_nodes, unparse, CallFunc, Lambda, NodeId, NodeKind, Prim, Tree, VarId,
+};
 use s1lisp_reader::Datum;
 
 use crate::Optimizer;
@@ -463,9 +465,9 @@ fn constant_fold(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     else {
         return false;
     };
-    if !primop(g.as_str()).map(|p| p.pure_math).unwrap_or(false) {
+    let Some(p) = Prim::from_name(g.as_str()).filter(|p| p.info().pure_math) else {
         return false;
-    }
+    };
     let mut datums = Vec::with_capacity(args.len());
     for a in &args {
         let NodeKind::Constant(d) = tree.kind(*a) else {
@@ -473,7 +475,7 @@ fn constant_fold(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         };
         datums.push(d.clone());
     }
-    let Some(result) = s1lisp_interp::eval_primop(g.as_str(), &datums) else {
+    let Some(result) = s1lisp_interp::eval_primop(p, &datums) else {
         return false;
     };
     let b = before(o, tree, node);

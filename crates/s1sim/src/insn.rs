@@ -7,6 +7,8 @@
 //! be in three distinct places, provided that one of them is one of the
 //! two registers named RTA and RTB" (§3).
 
+use s1lisp_ast::Prim;
+
 use crate::word::{Tag, Word};
 
 /// A register name.  R0–R31 exist; a few have fixed conventions
@@ -630,8 +632,8 @@ pub enum Insn {
     /// Call a run-time-system routine (a "known primitive operation" too
     /// large to compile in line) on the top `nargs` stack words.
     RtCall {
-        /// Routine name (from the primop table).
-        name: &'static str,
+        /// The primitive the routine implements.
+        prim: Prim,
         /// Argument count.
         nargs: u8,
         /// Destination for the result.

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use s1lisp_ast::Prim;
 use s1lisp_interp::Value;
 use s1lisp_reader::Interner;
 
@@ -396,9 +397,16 @@ impl Machine {
                         None => {
                             // A function *value* naming a primitive (e.g.
                             // #'1+ passed around): route through the
-                            // runtime as a leaf call.
-                            let rt_name = self.program.names().resolve(new_fn).into_owned();
-                            match self.rt_call_popped(&rt_name, nargs)? {
+                            // runtime as a leaf call.  Anything else is
+                            // undefined; its arguments are popped as a
+                            // call would pop them.
+                            let name = self.program.names().resolve(new_fn);
+                            let Some(prim) = Prim::from_name(&name) else {
+                                let name = name.into_owned();
+                                self.sp -= nargs;
+                                return Err(Trap::UndefinedFunction(name));
+                            };
+                            match self.rt_call_popped(prim, nargs)? {
                                 runtime::RtResult::Value(w) => {
                                     self.regs[Reg::A.0 as usize] = w;
                                     if tail {
@@ -909,7 +917,7 @@ impl Machine {
                 self.write_mem(addr, v)?;
                 Ok(Step::Next)
             }
-            Insn::RtCall { name, nargs, dst } => {
+            Insn::RtCall { prim, nargs, dst } => {
                 // A runtime routine is a subroutine of many instructions
                 // on the real machine; charge an approximate open-coded
                 // length (entry/exit, dispatch, per-argument type
@@ -922,7 +930,7 @@ impl Machine {
                         p.attribute(fnid, RT_CALL_COST + 2 * u64::from(nargs));
                     }
                 }
-                let result = self.rt_call_popped(name, nargs as usize)?;
+                let result = self.rt_call_popped(prim, nargs as usize)?;
                 match result {
                     runtime::RtResult::Value(w) => {
                         self.write(dst, w)?;
@@ -1228,19 +1236,20 @@ impl Machine {
         self.sp = self.fp + nargs;
     }
 
-    /// Pops the top `n` words and calls runtime routine `name` on them.
-    /// The routine takes `&mut self`, so its arguments are copied out
-    /// of the stack first, into a fixed buffer on the host stack.
-    fn rt_call_popped(&mut self, name: &str, n: usize) -> Result<runtime::RtResult, Trap> {
+    /// Pops the top `n` words and calls the runtime routine for `prim`
+    /// on them.  The routine takes `&mut self`, so its arguments are
+    /// copied out of the stack first, into a fixed buffer on the host
+    /// stack.
+    fn rt_call_popped(&mut self, prim: Prim, n: usize) -> Result<runtime::RtResult, Trap> {
         self.sp -= n;
         let args = self.sp..self.sp + n;
         if n <= RT_ARGS_INLINE {
             let mut buf = [Word::NIL; RT_ARGS_INLINE];
             buf[..n].copy_from_slice(&self.stack[args]);
-            runtime::rt_call(self, name, &buf[..n])
+            runtime::rt_call(self, prim, &buf[..n])
         } else {
             let spilled = self.stack[args].to_vec();
-            runtime::rt_call(self, name, &spilled)
+            runtime::rt_call(self, prim, &spilled)
         }
     }
 
@@ -1816,7 +1825,7 @@ mod new_insn_tests {
             src: Operand::arg(1),
         });
         a.push(Insn::RtCall {
-            name: "length",
+            prim: Prim::Length,
             nargs: 1,
             dst: Operand::Reg(Reg::A),
         });

@@ -5,7 +5,14 @@
 //! These routines are what the compiled code reaches through
 //! [`Insn::RtCall`](crate::Insn::RtCall) — the moral equivalent of the
 //! `%CALL (REF SQ …)` runtime entries visible in the paper's Table 4.
+//!
+//! Each routine is a row of the primitive table ([`Prim`]): the
+//! instruction carries the row's number, and [`rt_call`] checks the
+//! argument count against the table once, before it reads any argument,
+//! then dispatches with an exhaustive `match`.  A wrong-arity call is a
+//! `WrongNumberOfArguments` trap, never an out-of-bounds read.
 
+use s1lisp_ast::Prim;
 use s1lisp_interp::Value;
 use s1lisp_reader::{Interner, Symbol};
 
@@ -221,17 +228,6 @@ fn fix_of(m: &Machine, w: Word, who: &str) -> Result<i64, Trap> {
     }
 }
 
-fn arity(args: &[Word], n: usize, who: &str) -> Result<(), Trap> {
-    if args.len() == n {
-        Ok(())
-    } else {
-        Err(Trap::WrongNumberOfArguments(format!(
-            "{who}: wants {n}, got {}",
-            args.len()
-        )))
-    }
-}
-
 fn fold_num(
     m: &mut Machine,
     args: &[Word],
@@ -267,14 +263,8 @@ fn fold_num(
 fn compare_chain(
     m: &Machine,
     args: &[Word],
-    who: &str,
     ok: fn(std::cmp::Ordering) -> bool,
 ) -> Result<Word, Trap> {
-    if args.len() < 2 {
-        return Err(Trap::WrongNumberOfArguments(format!(
-            "{who}: wants at least 2 arguments"
-        )));
-    }
     for pair in args.windows(2) {
         if !ok(num_compare(m, pair[0], pair[1])?) {
             return Ok(Word::NIL);
@@ -283,14 +273,36 @@ fn compare_chain(
     Ok(Word::T)
 }
 
-/// Dispatches a runtime routine by name.
+/// A flonum argument of a `$f` routine.
+fn flonum_arg(m: &Machine, w: Word, who: &str) -> Result<f64, Trap> {
+    match num_of(m, w)? {
+        Num::Flo(x) => Ok(x),
+        Num::Int(_) => Err(wrong(format!("{who}: not a flonum"))),
+    }
+}
+
+/// `floor`, `ceiling`, `truncate` or `round` of a float.
+fn round_to(prim: Prim, f: f64) -> i64 {
+    (match prim {
+        Prim::Floor => f.floor(),
+        Prim::Ceiling => f.ceil(),
+        Prim::Truncate => f.trunc(),
+        _ => f.round_ties_even(),
+    }) as i64
+}
+
+/// Runs the routine for `prim`: one arity check against the primitive
+/// table, before any argument is read, then dispatch on the number.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtResult, Trap> {
+pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtResult, Trap> {
     use std::cmp::Ordering::{Equal, Greater, Less};
-    let v = match name {
-        "+" => fold_num(m, args, "+", Some(0), i64::checked_add, |a, b| a + b)?,
-        "*" => fold_num(m, args, "*", Some(1), i64::checked_mul, |a, b| a * b)?,
-        "-" => {
+    prim.check_arity(args.len())
+        .map_err(Trap::WrongNumberOfArguments)?;
+    let name = prim.name();
+    let v = match prim {
+        Prim::Add => fold_num(m, args, name, Some(0), i64::checked_add, |a, b| a + b)?,
+        Prim::Mul => fold_num(m, args, name, Some(1), i64::checked_mul, |a, b| a * b)?,
+        Prim::Sub => {
             if args.len() == 1 {
                 let n = num_of(m, args[0])?;
                 let r = match n {
@@ -299,10 +311,10 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
                 };
                 make_num(m, r)?
             } else {
-                fold_num(m, args, "-", None, i64::checked_sub, |a, b| a - b)?
+                fold_num(m, args, name, None, i64::checked_sub, |a, b| a - b)?
             }
         }
-        "/" => {
+        Prim::Div => {
             if args
                 .iter()
                 .skip(1)
@@ -317,12 +329,11 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
                 let x = num_of(m, args[0])?.as_f64();
                 make_num(m, Num::Flo(1.0 / x))?
             } else {
-                fold_num(m, args, "/", None, i64::checked_div, |a, b| a / b)?
+                fold_num(m, args, name, None, i64::checked_div, |a, b| a / b)?
             }
         }
-        "1+" | "1-" => {
-            arity(args, 1, name)?;
-            let delta = if name == "1+" { 1 } else { -1 };
+        Prim::OnePlus | Prim::OneMinus => {
+            let delta = if prim == Prim::OnePlus { 1 } else { -1 };
             let r = match num_of(m, args[0])? {
                 Num::Int(v) => Num::Int(
                     v.checked_add(delta)
@@ -332,67 +343,34 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
             };
             make_num(m, r)?
         }
-        "abs" => {
-            arity(args, 1, "abs")?;
+        Prim::Abs => {
             let r = match num_of(m, args[0])? {
                 Num::Int(v) => Num::Int(v.abs()),
                 Num::Flo(x) => Num::Flo(x.abs()),
             };
             make_num(m, r)?
         }
-        "min" => fold_num(m, args, "min", None, |a, b| Some(a.min(b)), f64::min)?,
-        "max" => fold_num(m, args, "max", None, |a, b| Some(a.max(b)), f64::max)?,
-        "floor" | "ceiling" | "truncate" | "round" => {
-            let (q, who) = (name, name);
-            let r = match args {
-                [x] => match num_of(m, *x)? {
-                    Num::Int(n) => n,
-                    Num::Flo(f) => match q {
-                        "floor" => f.floor() as i64,
-                        "ceiling" => f.ceil() as i64,
-                        "truncate" => f.trunc() as i64,
-                        _ => f.round_ties_even() as i64,
+        Prim::Min => fold_num(m, args, name, None, |a, b| Some(a.min(b)), f64::min)?,
+        Prim::Max => fold_num(m, args, name, None, |a, b| Some(a.max(b)), f64::max)?,
+        Prim::Floor | Prim::Ceiling | Prim::Truncate | Prim::Round => {
+            let x = num_of(m, args[0])?;
+            let r = match (x, args.get(1)) {
+                (Num::Int(n), None) => n,
+                (Num::Flo(f), None) => round_to(prim, f),
+                (x, Some(&b)) => match (x, num_of(m, b)?) {
+                    (Num::Int(_), Num::Int(0)) => return Err(Trap::DivisionByZero),
+                    (Num::Int(p), Num::Int(q)) => match prim {
+                        Prim::Floor => p.div_euclid(q),
+                        Prim::Ceiling => p.div_euclid(q) + i64::from(p.rem_euclid(q) != 0),
+                        Prim::Truncate => p / q,
+                        _ => (p as f64 / q as f64).round_ties_even() as i64,
                     },
+                    (x, y) => round_to(prim, x.as_f64() / y.as_f64()),
                 },
-                [a, b] => {
-                    let x = num_of(m, *a)?;
-                    let y = num_of(m, *b)?;
-                    match (x, y) {
-                        (Num::Int(p), Num::Int(q2)) => {
-                            if q2 == 0 {
-                                return Err(Trap::DivisionByZero);
-                            }
-                            match q {
-                                "floor" => p.div_euclid(q2),
-                                "ceiling" => p.div_euclid(q2) + i64::from(p.rem_euclid(q2) != 0),
-                                "truncate" => p / q2,
-                                _ => {
-                                    let f = p as f64 / q2 as f64;
-                                    f.round_ties_even() as i64
-                                }
-                            }
-                        }
-                        _ => {
-                            let f = x.as_f64() / y.as_f64();
-                            match q {
-                                "floor" => f.floor() as i64,
-                                "ceiling" => f.ceil() as i64,
-                                "truncate" => f.trunc() as i64,
-                                _ => f.round_ties_even() as i64,
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    return Err(Trap::WrongNumberOfArguments(format!(
-                        "{who}: wants 1 or 2 arguments"
-                    )))
-                }
             };
             Word::fixnum(r)
         }
-        "mod" | "rem" => {
-            arity(args, 2, name)?;
+        Prim::Mod | Prim::Rem => {
             let x = num_of(m, args[0])?;
             let y = num_of(m, args[1])?;
             let r = match (x, y) {
@@ -400,7 +378,7 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
                     if b == 0 {
                         return Err(Trap::DivisionByZero);
                     }
-                    Num::Int(if name == "mod" {
+                    Num::Int(if prim == Prim::Mod {
                         a.rem_euclid(b)
                     } else {
                         a % b
@@ -408,7 +386,7 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
                 }
                 _ => {
                     let (a, b) = (x.as_f64(), y.as_f64());
-                    Num::Flo(if name == "mod" {
+                    Num::Flo(if prim == Prim::Mod {
                         a.rem_euclid(b)
                     } else {
                         a % b
@@ -417,8 +395,7 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
             };
             make_num(m, r)?
         }
-        "expt" => {
-            arity(args, 2, "expt")?;
+        Prim::Expt => {
             let b = num_of(m, args[0])?;
             let e = num_of(m, args[1])?;
             let r = match (b, e) {
@@ -430,150 +407,110 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
             };
             make_num(m, r)?
         }
-        "=" => compare_chain(m, args, "=", |o| o == Equal)?,
-        "/=" => compare_chain(m, args, "/=", |o| o != Equal)?,
-        "<" => compare_chain(m, args, "<", |o| o == Less)?,
-        ">" => compare_chain(m, args, ">", |o| o == Greater)?,
-        "<=" => compare_chain(m, args, "<=", |o| o != Greater)?,
-        ">=" => compare_chain(m, args, ">=", |o| o != Less)?,
-        "zerop" | "plusp" | "minusp" => {
-            arity(args, 1, name)?;
+        Prim::NumEq => compare_chain(m, args, |o| o == Equal)?,
+        Prim::NumNe => compare_chain(m, args, |o| o != Equal)?,
+        Prim::Lt => compare_chain(m, args, |o| o == Less)?,
+        Prim::Gt => compare_chain(m, args, |o| o == Greater)?,
+        Prim::Le => compare_chain(m, args, |o| o != Greater)?,
+        Prim::Ge => compare_chain(m, args, |o| o != Less)?,
+        Prim::Zerop | Prim::Plusp | Prim::Minusp => {
             let x = num_of(m, args[0])?.as_f64();
-            boolean(match name {
-                "zerop" => x == 0.0,
-                "plusp" => x > 0.0,
+            boolean(match prim {
+                Prim::Zerop => x == 0.0,
+                Prim::Plusp => x > 0.0,
                 _ => x < 0.0,
             })
         }
-        "oddp" | "evenp" => {
-            arity(args, 1, name)?;
+        Prim::Oddp | Prim::Evenp => {
             let n = fix_of(m, args[0], name)?;
-            boolean((n.rem_euclid(2) == 1) == (name == "oddp"))
+            boolean((n.rem_euclid(2) == 1) == (prim == Prim::Oddp))
         }
-        "sqrt" | "sin" | "cos" | "atan" | "exp" | "log" => {
+        Prim::Sqrt | Prim::Sin | Prim::Cos | Prim::Atan | Prim::Exp | Prim::Log => {
             let x = num_of(m, args[0])?.as_f64();
-            let r = match name {
-                "sqrt" => x.sqrt(),
-                "sin" => x.sin(),
-                "cos" => x.cos(),
-                "atan" => {
-                    if args.len() == 2 {
-                        x.atan2(num_of(m, args[1])?.as_f64())
-                    } else {
-                        x.atan()
-                    }
-                }
-                "exp" => x.exp(),
+            let r = match prim {
+                Prim::Sqrt => x.sqrt(),
+                Prim::Sin => x.sin(),
+                Prim::Cos => x.cos(),
+                Prim::Atan => match args.get(1) {
+                    Some(&y) => x.atan2(num_of(m, y)?.as_f64()),
+                    None => x.atan(),
+                },
+                Prim::Exp => x.exp(),
                 _ => x.ln(),
             };
             make_num(m, Num::Flo(r))?
         }
-        "float" => {
-            arity(args, 1, "float")?;
+        Prim::Float => {
             let x = num_of(m, args[0])?.as_f64();
             make_num(m, Num::Flo(x))?
         }
-        "fix" => {
-            arity(args, 1, "fix")?;
-            Word::fixnum(num_of(m, args[0])?.as_f64() as i64)
-        }
-        "null" | "not" => {
-            arity(args, 1, name)?;
-            boolean(!args[0].is_true())
-        }
-        "atom" => boolean(!matches!(args[0], Word::Ptr(Tag::Cons, _))),
-        "consp" => boolean(matches!(args[0], Word::Ptr(Tag::Cons, _))),
-        "listp" => boolean(matches!(args[0], Word::Ptr(Tag::Cons | Tag::Nil, _))),
-        "symbolp" => boolean(matches!(args[0], Word::Ptr(Tag::Symbol | Tag::T, _))),
-        "numberp" => boolean(matches!(
+        Prim::Fix => Word::fixnum(num_of(m, args[0])?.as_f64() as i64),
+        Prim::Null | Prim::Not => boolean(!args[0].is_true()),
+        Prim::Atom => boolean(!matches!(args[0], Word::Ptr(Tag::Cons, _))),
+        Prim::Consp => boolean(matches!(args[0], Word::Ptr(Tag::Cons, _))),
+        Prim::Listp => boolean(matches!(args[0], Word::Ptr(Tag::Cons | Tag::Nil, _))),
+        Prim::Symbolp => boolean(matches!(args[0], Word::Ptr(Tag::Symbol | Tag::T, _))),
+        Prim::Numberp => boolean(matches!(
             args[0],
             Word::Ptr(Tag::Fixnum | Tag::SingleFlonum, _)
         )),
-        "fixnump" => boolean(matches!(args[0], Word::Ptr(Tag::Fixnum, _))),
-        "flonump" => boolean(matches!(args[0], Word::Ptr(Tag::SingleFlonum, _))),
-        "stringp" => boolean(matches!(args[0], Word::Ptr(Tag::String, _))),
-        "functionp" => boolean(matches!(
+        Prim::Fixnump => boolean(matches!(args[0], Word::Ptr(Tag::Fixnum, _))),
+        Prim::Flonump => boolean(matches!(args[0], Word::Ptr(Tag::SingleFlonum, _))),
+        Prim::Stringp => boolean(matches!(args[0], Word::Ptr(Tag::String, _))),
+        Prim::Functionp => boolean(matches!(
             args[0],
             Word::Ptr(Tag::Function | Tag::Closure, _)
         )),
-        "eq" => {
-            arity(args, 2, "eq")?;
-            boolean(word_eq(args[0], args[1]))
-        }
-        "eql" => {
-            arity(args, 2, "eql")?;
-            boolean(word_eql(m, args[0], args[1]))
-        }
-        "equal" => {
-            arity(args, 2, "equal")?;
-            boolean(word_equal(m, args[0], args[1], 0)?)
-        }
-        "cons" => {
-            arity(args, 2, "cons")?;
-            cons(m, args[0], args[1], &[])?
-        }
-        "car" => {
-            arity(args, 1, "car")?;
-            car(m, args[0])?
-        }
-        "cdr" => {
-            arity(args, 1, "cdr")?;
-            cdr(m, args[0])?
-        }
-        "caar" => car(m, car(m, args[0])?)?,
-        "cadr" => car(m, cdr(m, args[0])?)?,
-        "cdar" => cdr(m, car(m, args[0])?)?,
-        "cddr" => cdr(m, cdr(m, args[0])?)?,
-        "caddr" => car(m, cdr(m, cdr(m, args[0])?)?)?,
-        "cdddr" => cdr(m, cdr(m, cdr(m, args[0])?)?)?,
-        "list" => from_words(m, args, Word::NIL)?,
-        "list*" => {
-            if args.is_empty() {
-                return Err(Trap::WrongNumberOfArguments("list*: wants ≥ 1".into()));
-            }
-            let (last, init) = args.split_last().expect("nonempty");
-            from_words(m, init, *last)?
-        }
-        "append" => {
+        Prim::Eq => boolean(word_eq(args[0], args[1])),
+        Prim::Eql => boolean(word_eql(m, args[0], args[1])),
+        Prim::Equal => boolean(word_equal(m, args[0], args[1], 0)?),
+        Prim::Cons => cons(m, args[0], args[1], &[])?,
+        Prim::Car => car(m, args[0])?,
+        Prim::Cdr => cdr(m, args[0])?,
+        Prim::Caar => car(m, car(m, args[0])?)?,
+        Prim::Cadr => car(m, cdr(m, args[0])?)?,
+        Prim::Cdar => cdr(m, car(m, args[0])?)?,
+        Prim::Cddr => cdr(m, cdr(m, args[0])?)?,
+        Prim::Caddr => car(m, cdr(m, cdr(m, args[0])?)?)?,
+        Prim::Cdddr => cdr(m, cdr(m, cdr(m, args[0])?)?)?,
+        Prim::List => from_words(m, args, Word::NIL)?,
+        Prim::ListStar => match args.split_last() {
+            Some((last, init)) => from_words(m, init, *last)?,
+            None => Word::NIL,
+        },
+        Prim::Append => {
             let mut all = Vec::new();
             let tail = match args.split_last() {
                 None => Word::NIL,
                 Some((last, init)) => {
                     for &a in init {
-                        all.extend(list_words(m, a, "append")?);
+                        all.extend(list_words(m, a, name)?);
                     }
                     *last
                 }
             };
             from_words(m, &all, tail)?
         }
-        "reverse" => {
-            arity(args, 1, "reverse")?;
-            let mut ws = list_words(m, args[0], "reverse")?;
+        Prim::Reverse => {
+            let mut ws = list_words(m, args[0], name)?;
             ws.reverse();
             from_words(m, &ws, Word::NIL)?
         }
-        "length" => {
-            arity(args, 1, "length")?;
-            Word::fixnum(list_words(m, args[0], "length")?.len() as i64)
-        }
-        "nth" => {
-            arity(args, 2, "nth")?;
-            let n = fix_of(m, args[0], "nth")?;
-            let ws = list_words(m, args[1], "nth")?;
+        Prim::Length => Word::fixnum(list_words(m, args[0], name)?.len() as i64),
+        Prim::Nth => {
+            let n = fix_of(m, args[0], name)?;
+            let ws = list_words(m, args[1], name)?;
             ws.get(n as usize).copied().unwrap_or(Word::NIL)
         }
-        "nthcdr" => {
-            arity(args, 2, "nthcdr")?;
-            let n = fix_of(m, args[0], "nthcdr")?;
+        Prim::Nthcdr => {
+            let n = fix_of(m, args[0], name)?;
             let mut w = args[1];
             for _ in 0..n {
                 w = cdr(m, w)?;
             }
             w
         }
-        "last" => {
-            arity(args, 1, "last")?;
+        Prim::Last => {
             let mut w = args[0];
             while let Word::Ptr(Tag::Cons, addr) = w {
                 let next = m.read_mem(addr + 1)?;
@@ -585,13 +522,12 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
             }
             w
         }
-        "assq" | "assoc" => {
-            arity(args, 2, name)?;
+        Prim::Assq | Prim::Assoc => {
             let mut found = Word::NIL;
             for pair in list_words(m, args[1], name)? {
                 if let Word::Ptr(Tag::Cons, addr) = pair {
                     let key = m.read_mem(addr)?;
-                    let hit = if name == "assq" {
+                    let hit = if prim == Prim::Assq {
                         word_eq(key, args[0])
                     } else {
                         word_equal(m, key, args[0], 0)?
@@ -604,13 +540,12 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
             }
             found
         }
-        "memq" | "member" => {
-            arity(args, 2, name)?;
+        Prim::Memq | Prim::Member => {
             let mut w = args[1];
             let mut found = Word::NIL;
             while let Word::Ptr(Tag::Cons, addr) = w {
                 let head = m.read_mem(addr)?;
-                let hit = if name == "memq" {
+                let hit = if prim == Prim::Memq {
                     word_eq(head, args[0])
                 } else {
                     word_equal(m, head, args[0], 0)?
@@ -623,20 +558,16 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
             }
             found
         }
-        "rplaca" | "rplacd" => {
-            arity(args, 2, name)?;
+        Prim::Rplaca | Prim::Rplacd => {
             let Word::Ptr(Tag::Cons, addr) = args[0] else {
                 return Err(wrong(format!("{name}: not a cons")));
             };
-            let slot = if name == "rplaca" { addr } else { addr + 1 };
+            let slot = if prim == Prim::Rplaca { addr } else { addr + 1 };
             m.write_mem(slot, args[1])?;
             args[0]
         }
-        "identity" => {
-            arity(args, 1, "identity")?;
-            args[0]
-        }
-        "error" => {
+        Prim::Identity => args[0],
+        Prim::Error => {
             let mut msg = String::new();
             for &a in args {
                 let v = extract(m, a)?;
@@ -644,15 +575,16 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
             }
             return Err(Trap::LispError(msg.trim_end().to_string()));
         }
-        "throw" => {
-            arity(args, 2, "throw")?;
+        Prim::Throw => {
             return Ok(RtResult::Throw {
                 tag: args[0],
                 value: args[1],
             });
         }
-        "%function" => {
-            arity(args, 1, "%function")?;
+        // Compiled `apply` calls become `Insn::Apply`; as a function
+        // value it has never been callable.
+        Prim::Apply => return Err(Trap::UndefinedFunction(name.to_string())),
+        Prim::Function => {
             let Word::Ptr(Tag::Symbol, sym) = args[0] else {
                 return Err(wrong("%function: wants a symbol"));
             };
@@ -662,59 +594,49 @@ pub(crate) fn rt_call(m: &mut Machine, name: &str, args: &[Word]) -> Result<RtRe
         }
         // The type-specific operators normally compile in line; the
         // runtime versions exist for `funcall`/`apply` through values.
-        "+$f" | "-$f" | "*$f" | "/$f" | "max$f" | "min$f" | "abs$f" | "sqrt$f" | "sin$f"
-        | "cos$f" | "sinc$f" | "cosc$f" => {
-            let mut xs = Vec::with_capacity(args.len());
-            for &a in args {
-                match num_of(m, a)? {
-                    Num::Flo(x) => xs.push(x),
-                    Num::Int(_) => return Err(wrong(format!("{name}: not a flonum"))),
-                }
-            }
-            let r = match (name, xs.as_slice()) {
-                ("-$f", [x]) => -x,
-                ("abs$f", [x]) => x.abs(),
-                ("sqrt$f", [x]) => x.sqrt(),
-                ("sin$f", [x]) => x.sin(),
-                ("cos$f", [x]) => x.cos(),
-                ("sinc$f", [x]) => (x * std::f64::consts::TAU).sin(),
-                ("cosc$f", [x]) => (x * std::f64::consts::TAU).cos(),
-                (_, [x, rest @ ..]) => {
-                    let mut acc = *x;
-                    for y in rest {
-                        acc = match name {
-                            "+$f" => acc + y,
-                            "-$f" => acc - y,
-                            "*$f" => acc * y,
-                            "/$f" => acc / y,
-                            "max$f" => acc.max(*y),
-                            _ => acc.min(*y),
-                        };
-                    }
-                    acc
-                }
-                _ => {
-                    return Err(Trap::WrongNumberOfArguments(format!(
-                        "{name}: bad argument count"
-                    )))
-                }
+        Prim::AbsF | Prim::SqrtF | Prim::SinF | Prim::CosF | Prim::SincF | Prim::CoscF => {
+            let x = flonum_arg(m, args[0], name)?;
+            let r = match prim {
+                Prim::AbsF => x.abs(),
+                Prim::SqrtF => x.sqrt(),
+                Prim::SinF => x.sin(),
+                Prim::CosF => x.cos(),
+                Prim::SincF => (x * std::f64::consts::TAU).sin(),
+                _ => (x * std::f64::consts::TAU).cos(),
             };
             make_num(m, Num::Flo(r))?
         }
-        "+&" | "-&" | "*&" => {
+        Prim::AddF | Prim::SubF | Prim::MulF | Prim::DivF | Prim::MaxF | Prim::MinF => {
+            let mut acc = flonum_arg(m, args[0], name)?;
+            if args.len() == 1 {
+                acc = -acc; // only `-$f` takes one argument
+            }
+            for &a in &args[1..] {
+                let y = flonum_arg(m, a, name)?;
+                acc = match prim {
+                    Prim::AddF => acc + y,
+                    Prim::SubF => acc - y,
+                    Prim::MulF => acc * y,
+                    Prim::DivF => acc / y,
+                    Prim::MaxF => acc.max(y),
+                    _ => acc.min(y),
+                };
+            }
+            make_num(m, Num::Flo(acc))?
+        }
+        Prim::AddI | Prim::SubI | Prim::MulI => {
             let mut acc = fix_of(m, args[0], name)?;
             for &a in &args[1..] {
                 let y = fix_of(m, a, name)?;
-                acc = match name {
-                    "+&" => acc.checked_add(y),
-                    "-&" => acc.checked_sub(y),
+                acc = match prim {
+                    Prim::AddI => acc.checked_add(y),
+                    Prim::SubI => acc.checked_sub(y),
                     _ => acc.checked_mul(y),
                 }
                 .ok_or_else(|| wrong(format!("{name}: overflow")))?;
             }
             Word::fixnum(acc)
         }
-        other => return Err(Trap::UndefinedFunction(other.to_string())),
     };
     Ok(RtResult::Value(v))
 }

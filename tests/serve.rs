@@ -467,3 +467,35 @@ fn every_run_starts_from_the_tenants_compiled_world() {
         handle.join();
     }
 }
+
+/// A served `run` whose code calls a primitive with the wrong number of
+/// arguments answers `ok` with a `trap: …` value on both backends, and
+/// charges the tenant no incident: a wrong-arity call is the program's
+/// error, not the server's.
+#[test]
+fn wrong_arity_primitive_run_is_a_trap_not_an_incident() {
+    for backend in [BackendSelect::S1, BackendSelect::Bytecode] {
+        let handle = start(ServerConfig {
+            service: ServiceConfig {
+                backend,
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let c = &mut connect(&handle);
+        assert!(c.hello("arity", None).unwrap().ok);
+        let compiled = c.compile("arity", "(defun f () (atom))").unwrap();
+        assert!(compiled.ok, "{backend:?}: {:?}", compiled.error);
+        let run = c.run("f", &[]).unwrap();
+        assert!(run.ok, "{backend:?}: {:?}", run.error);
+        assert_eq!(run.slo.incident_kind, None, "{backend:?}");
+        let Body::Run { value } = &run.body else {
+            panic!("{backend:?}: run body expected");
+        };
+        assert!(value.starts_with("trap:"), "{backend:?}: {value}");
+        let tenant = handle.tenant("arity").expect("tenant");
+        assert_eq!(tenant.lock().unwrap().incidents, 0, "{backend:?}");
+        handle.shutdown();
+        handle.join();
+    }
+}
