@@ -266,10 +266,6 @@ pub struct Node {
     /// make it a general graph").  Maintained by
     /// [`Tree::rebuild_backlinks`].
     pub parent: Option<NodeId>,
-    /// Per-node re-analysis flag: "a system of flags, one per node to
-    /// indicate which nodes require re-analysis, effectively permits
-    /// re-analysis to be performed incrementally" (§4.2).
-    pub dirty: bool,
 }
 
 /// The internal program tree: an arena of nodes and variables.
@@ -315,11 +311,7 @@ impl Tree {
     /// Adds a node with the given kind, returning its id.
     pub fn add(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            kind,
-            parent: None,
-            dirty: true,
-        });
+        self.nodes.push(Node { kind, parent: None });
         id
     }
 
@@ -343,12 +335,10 @@ impl Tree {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node.  Marks it dirty.
+    /// Mutable access to a node.
     #[inline]
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        let n = &mut self.nodes[id.index()];
-        n.dirty = true;
-        n
+        &mut self.nodes[id.index()]
     }
 
     /// Shorthand for the node's kind.
@@ -357,7 +347,7 @@ impl Tree {
         &self.node(id).kind
     }
 
-    /// Replaces the construct at `id`, marking the node dirty.
+    /// Replaces the construct at `id`.
     pub fn replace(&mut self, id: NodeId, kind: NodeKind) {
         self.node_mut(id).kind = kind;
     }

@@ -14,7 +14,7 @@
 //! Fixed keys are [`Json::Obj`] fields (schema); histograms keyed by rule
 //! or opcode name are [`Json::Map`]s (only the value type is schema).
 //! Every experiment's record is a row of the record table
-//! ([`crate::records`]), all pinned to one schema golden, so the surface
+//! ([`crate::records()`]), all pinned to one schema golden, so the surface
 //! stays machine-stable while measured values vary.
 //!
 //! The run section carries a `post_mortem` field: `null` on success,

@@ -7,7 +7,7 @@
 //! optimizer panic showing the degraded path ([`service_fault_record`]),
 //! a guarded batch under a seeded fault storm ([`guard_record`]), and a
 //! guaranteed oracle miscompile ([`guard_miscompile_record`]).  All are
-//! rows of the record table ([`crate::records`]), schema-pinned by
+//! rows of the record table ([`crate::records()`]), schema-pinned by
 //! their goldens.
 
 use std::path::PathBuf;

@@ -45,7 +45,7 @@ pub use phases::{phases, trip_phase_faults, Phase, PhaseStatus};
 pub use pipeline::BytecodeBackend;
 pub use pipeline::{
     backend_for, Backend, BackendKind, Pass, PassCx, PassInfo, PassWatch, Pipeline,
-    PipelineOptions, S1Backend, UnitAnalyses, UnitAnnotations, UnitState,
+    PipelineOptions, S1Backend, UnitAnnotations, UnitState,
 };
 pub use s1lisp_bytecode::{BcTrap, Evaluator};
 pub use s1lisp_trace::fault::{FaultPlan, FaultSite};
@@ -245,33 +245,30 @@ impl Compiler {
     /// Returns a [`CompileError`] for read, conversion, or
     /// code-generation failures.
     pub fn compile_str(&mut self, source: &str) -> Result<Vec<String>, CompileError> {
-        // Detach the sink so `compile_function` can borrow the rest of
-        // `self`.  With `None`, recording is a virtual no-op per phase
-        // boundary (the analysis passes still run — their results feed
-        // the pipeline's `UnitState` — but nothing is stored per node
-        // or instruction).
+        self.with_sink(|c, sink| {
+            let pending = c.convert_str_with(source, sink)?;
+            let mut names = Vec::new();
+            for p in pending {
+                names.push(c.compile_function(p.inner, sink)?);
+            }
+            Ok(names)
+        })
+    }
+
+    /// Runs `f` with this compiler's trace sink detached, so `f` can
+    /// borrow the rest of the compiler.  With tracing off, `f` gets a
+    /// [`NullSink`]: recording is then a virtual no-op per phase
+    /// boundary, and nothing is stored per node or instruction.
+    fn with_sink<R>(&mut self, f: impl FnOnce(&mut Compiler, &mut dyn TraceSink) -> R) -> R {
         let mut trace = self.trace.take();
         let mut null = NullSink;
         let sink: &mut dyn TraceSink = match trace.as_mut() {
             Some(s) => s,
             None => &mut null,
         };
-        let result = self.compile_str_with(source, sink);
+        let result = f(self, sink);
         self.trace = trace;
         result
-    }
-
-    fn compile_str_with(
-        &mut self,
-        source: &str,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Vec<String>, CompileError> {
-        let pending = self.convert_str_with(source, sink)?;
-        let mut names = Vec::new();
-        for p in pending {
-            names.push(self.compile_function(p.inner, sink)?);
-        }
-        Ok(names)
     }
 
     /// Runs only the Preliminary phase — read + convert + `defvar`
@@ -283,15 +280,7 @@ impl Compiler {
     ///
     /// Returns a [`CompileError`] for read or conversion failures.
     pub fn convert_str(&mut self, source: &str) -> Result<Vec<PendingFunction>, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.convert_str_with(source, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.convert_str_with(source, sink))
     }
 
     /// Runs a converted function through the rest of the pipeline
@@ -301,15 +290,7 @@ impl Compiler {
     ///
     /// Returns a [`CompileError`] for code-generation failures.
     pub fn compile_pending(&mut self, pending: PendingFunction) -> Result<String, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.compile_function(pending.inner, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.compile_function(pending.inner, sink))
     }
 
     /// Like [`Compiler::compile_pending`], but through an explicit
@@ -326,15 +307,7 @@ impl Compiler {
         pending: PendingFunction,
         pipeline: &Pipeline,
     ) -> Result<String, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.run_unit(pending.inner, pipeline, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.run_unit(pending.inner, pipeline, sink))
     }
 
     fn convert_str_with(
@@ -441,15 +414,7 @@ impl Compiler {
     /// The outer `Result` carries compile-time failures; the inner one
     /// carries run-time traps.
     pub fn eval(&mut self, expr: &str) -> Result<Result<Value, Trap>, CompileError> {
-        let mut trace = self.trace.take();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match trace.as_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
-        let result = self.eval_with(expr, sink);
-        self.trace = trace;
-        result
+        self.with_sink(|c, sink| c.eval_with(expr, sink))
     }
 
     fn eval_with(
@@ -627,12 +592,11 @@ impl Compiler {
     }
 
     /// A fingerprint of every switch that can change emitted code: the
-    /// source-level optimization options (except `trace`, which only
-    /// affects logging), CSE, the code-generation options, and branch
-    /// tensioning.  Mixed with a tree fingerprint this keys the
-    /// compilation service's artifact cache, so two compilers produce
-    /// the same key exactly when they would produce the same artifact
-    /// for the same converted tree.
+    /// source-level optimization options, CSE, the code-generation
+    /// options, and branch tensioning.  Mixed with a tree fingerprint
+    /// this keys the compilation service's artifact cache, so two
+    /// compilers produce the same key exactly when they would produce
+    /// the same artifact for the same converted tree.
     ///
     /// The canonical string is salted with the crate version and a
     /// hand-bumped [`CACHE_SCHEMA_VERSION`], so artifacts cached on disk
@@ -1151,10 +1115,6 @@ mod artifact_tests {
         let mut c = Compiler::new();
         c.tension_branches = false;
         assert_ne!(base, c.options_fingerprint());
-        // The optimizer's trace flag does not shape code.
-        let mut c = Compiler::new();
-        c.opt_options.trace = true;
-        assert_eq!(base, c.options_fingerprint());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper presents compilation as an explicit ordered table of
 //! phases; this module reifies that order as data.  Each phase is a
 //! [`Pass`] over a shared [`UnitState`] (the function's tree plus the
-//! analyses and annotations accumulated so far), and a [`Pipeline`] is
+//! transcript and annotations accumulated so far), and a [`Pipeline`] is
 //! the ordered schedule [`Compiler::compile_str`](crate::Compiler)
 //! merely runs.  The cross-cutting machinery — trace spans, per-pass
 //! counters, the fault-injection trip points of
@@ -20,14 +20,12 @@
 //! against [`phases()`](crate::phases::phases) by test.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use s1lisp_analysis::{Complexity, Effects, EnvInfo, SpecialPlacement};
 use s1lisp_annotate::{Annotations, BindingInfo, PdlInfo, RepInfo};
-use s1lisp_ast::{unparse, NodeId, Tree};
+use s1lisp_ast::{unparse, Tree};
 use s1lisp_codegen::CodegenOptions;
 use s1lisp_opt::{OptOptions, Optimizer, Transcript};
 use s1lisp_reader::pretty;
@@ -39,30 +37,6 @@ use crate::error::CompileError;
 use crate::{guard, phases};
 
 // ------------------------------------------------------------ unit state
-
-/// Everything the analysis passes computed for one function, carried in
-/// the [`UnitState`] for downstream passes (and external consumers like
-/// the scheduling heuristics) to read instead of recomputing.
-///
-/// Each field is `None` until its pass has run.  The emission passes do
-/// not *require* them — per the paper, analysis is co-routined inside
-/// the optimizer and the annotators re-derive what they need — so a
-/// custom pipeline may omit analysis passes entirely.
-#[derive(Debug, Default)]
-pub struct UnitAnalyses {
-    /// Per-subtree read/write sets and referent back-pointers.
-    pub environment: Option<EnvInfo>,
-    /// Side-effect class per node.
-    pub effects: Option<HashMap<NodeId, Effects>>,
-    /// Object-code size estimate per node (the root's entry is the
-    /// whole-function estimate the service's size-sorted scheduling
-    /// uses).
-    pub complexity: Option<HashMap<NodeId, Complexity>>,
-    /// Nodes in tail position.
-    pub tails: Option<HashSet<NodeId>>,
-    /// Special-variable lookup placements.
-    pub placements: Option<Vec<SpecialPlacement>>,
-}
 
 /// The machine-dependent annotations, accumulated pass by pass.
 #[derive(Debug, Default)]
@@ -77,8 +51,8 @@ pub struct UnitAnnotations {
 
 /// The state one function accumulates as it moves through a
 /// [`Pipeline`]: the (mutable) converted tree, the back-translated
-/// source snapshots, the optimizer's transcript, and the analysis and
-/// annotation results.
+/// source snapshots, the optimizer's transcript, and the annotation
+/// results.
 #[derive(Debug)]
 pub struct UnitState {
     func: s1lisp_frontend::Function,
@@ -91,8 +65,6 @@ pub struct UnitState {
     pub transcript: Transcript,
     /// Source-level transformations applied so far (optimizer + CSE).
     pub transformations: usize,
-    /// Analysis results, filled by the analysis passes.
-    pub analyses: UnitAnalyses,
     /// Machine-dependent annotations, filled by the annotation passes.
     pub annotations: UnitAnnotations,
 }
@@ -109,7 +81,6 @@ impl UnitState {
             converted,
             transcript: Transcript::default(),
             transformations: 0,
-            analyses: UnitAnalyses::default(),
             annotations: UnitAnnotations::default(),
         }
     }
@@ -587,6 +558,11 @@ impl Pass for GuardPass {
     }
 }
 
+// The five analysis passes below run and time their Table-1 phase and
+// count what it found; their results are dropped after the span ends.
+// Analysis is co-routined inside the optimizer (which re-runs what it
+// consults every round), and the annotators re-derive what they need.
+
 /// Environment analysis (Table 1): read/write sets per subtree.
 struct EnvironmentPass;
 
@@ -605,12 +581,11 @@ impl Pass for EnvironmentPass {
 
     fn run(&self, unit: &mut UnitState, cx: &mut PassCx<'_>) -> Result<(), CompileError> {
         let sp = cx.sink.span_begin("Environment analysis", &unit.name);
-        let env = s1lisp_analysis::environment(unit.tree());
+        let _env = s1lisp_analysis::environment(unit.tree());
         if cx.sink.enabled() {
             cx.sink.add("nodes", unit.tree().node_count() as u64);
         }
         cx.sink.span_end(sp);
-        unit.analyses.environment = Some(env);
         Ok(())
     }
 }
@@ -638,7 +613,6 @@ impl Pass for EffectsPass {
             cx.sink.add("classified_nodes", fx.len() as u64);
         }
         cx.sink.span_end(sp);
-        unit.analyses.effects = Some(fx);
         Ok(())
     }
 }
@@ -666,7 +640,6 @@ impl Pass for ComplexityPass {
             cx.sink.add("estimated_nodes", cxm.len() as u64);
         }
         cx.sink.span_end(sp);
-        unit.analyses.complexity = Some(cxm);
         Ok(())
     }
 }
@@ -694,7 +667,6 @@ impl Pass for TailsPass {
             cx.sink.add("tail_nodes", tails.len() as u64);
         }
         cx.sink.span_end(sp);
-        unit.analyses.tails = Some(tails);
         Ok(())
     }
 }
@@ -722,56 +694,15 @@ impl Pass for SpecialsPass {
             cx.sink.add("placements", placements.len() as u64);
         }
         cx.sink.span_end(sp);
-        unit.analyses.placements = Some(placements);
         Ok(())
     }
 }
 
-/// Source-level optimization (Table 1, §5): the fixpoint of
-/// [`Optimizer::round`] over the tree, preceded by the optional unroll
-/// stage; under guarded compilation each applied round is validated
-/// with [`Optimizer::check_round`].
+/// Source-level optimization (Table 1, §5): [`Optimizer::fixpoint`],
+/// guarded under guarded compilation.
 struct SourceOptPass {
     options: OptOptions,
     guard: bool,
-}
-
-impl SourceOptPass {
-    fn fixpoint(opt: &mut Optimizer, tree: &mut Tree, name: &str) -> usize {
-        let mut total = 0;
-        if opt.options.unroll {
-            total += opt.unroll_stage(tree, name);
-        }
-        for _ in 0..opt.options.max_rounds {
-            let applied = opt.round(tree);
-            total += applied;
-            if applied == 0 {
-                break;
-            }
-        }
-        tree.rebuild_backlinks();
-        total
-    }
-
-    fn fixpoint_checked(opt: &mut Optimizer, tree: &mut Tree, name: &str) -> Result<usize, String> {
-        let mut total = 0;
-        if opt.options.unroll {
-            total += opt.unroll_stage(tree, name);
-            opt.check_round(tree, 0)?;
-        }
-        for round in 1..=opt.options.max_rounds {
-            let applied = opt.round(tree);
-            total += applied;
-            if applied > 0 {
-                opt.check_round(tree, round)?;
-            }
-            if applied == 0 {
-                break;
-            }
-        }
-        tree.rebuild_backlinks();
-        Ok(total)
-    }
 }
 
 impl Pass for SourceOptPass {
@@ -792,11 +723,7 @@ impl Pass for SourceOptPass {
         let sp = cx.sink.span_begin("Source-level optimization", &name);
         let nodes_before = unit.tree().node_count();
         let mut opt = Optimizer::with_options(self.options.clone());
-        let result = if self.guard {
-            Self::fixpoint_checked(&mut opt, unit.tree_mut(), &name)
-        } else {
-            Ok(Self::fixpoint(&mut opt, unit.tree_mut(), &name))
-        };
+        let result = opt.fixpoint(unit.tree_mut(), Some(&name), self.guard);
         if cx.sink.enabled() {
             cx.sink
                 .add("transformations", *result.as_ref().unwrap_or(&0) as u64);

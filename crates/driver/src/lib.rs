@@ -54,7 +54,7 @@ pub use cache::{ArtifactCache, CacheStats};
 pub use s1lisp::{BackendKind, FaultPlan, FaultSite};
 pub use service::{
     unit_decls, BatchResult, BatchStats, CompileService, GuardReport, Incident, IncidentKind,
-    JobRecord, OracleVerdict, Outcome, WorkerStats,
+    JobRecord, OracleVerdict, Outcome, UnitDecls, WorkerStats,
 };
 
 use std::path::PathBuf;

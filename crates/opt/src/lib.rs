@@ -29,6 +29,13 @@
 //! the paper's §7 debugging output, and every intermediate tree remains
 //! back-translatable to source.
 //!
+//! [`Optimizer::fixpoint`] is the one driver: each round re-runs the
+//! side-effects and complexity analyses over the whole tree, then
+//! applies the first applicable rule.  The paper's per-node flags
+//! ("re-analysis to be performed incrementally", §4.2) are not
+//! reproduced; both analyses are recomputed in full before every
+//! rewrite.
+//!
 //! Common sub-expression elimination (§4.3 — designed but "not yet
 //! implemented" in 1982) is provided as the optional [`cse`] phase.
 //!
@@ -92,13 +99,12 @@ pub struct OptOptions {
     /// paper's "integration of the procedure within itself achieves loop
     /// unrolling", gated off by default exactly as in 1982 ("the
     /// heuristics … are so conservative as to avoid loop unrolling
-    /// completely").  Requires [`Optimizer::optimize_named`].
+    /// completely").  Requires the function's name, passed to
+    /// [`Optimizer::fixpoint`].
     pub unroll: bool,
     /// Upper bound on applied transformations (each is found by a full
     /// tree scan, after which analyses are re-run).
     pub max_rounds: usize,
-    /// Record a transcript entry per transformation.
-    pub trace: bool,
 }
 
 impl Default for OptOptions {
@@ -115,7 +121,6 @@ impl Default for OptOptions {
             sin_to_cycles: true,
             unroll: false,
             max_rounds: 2000,
-            trace: true,
         }
     }
 }
@@ -135,7 +140,6 @@ impl OptOptions {
             sin_to_cycles: false,
             unroll: false,
             max_rounds: 0,
-            trace: false,
         }
     }
 }
@@ -167,125 +171,80 @@ impl Optimizer {
         }
     }
 
-    /// Rewrites `tree` to a fixpoint (or until `max_rounds`), returning
-    /// the number of transformations applied.
-    ///
-    /// Analyses are re-run between rounds, mirroring the paper's
-    /// co-routining of analysis and optimization; per-node dirty flags are
-    /// cleared on visited nodes so a quiescent round ends the loop.
+    /// Rewrites `tree` to a fixpoint, unguarded and without a
+    /// function name (so no unrolling): [`Optimizer::fixpoint`] for
+    /// callers that cannot fail.
     pub fn optimize(&mut self, tree: &mut Tree) -> usize {
-        self.optimize_named(tree, None)
+        self.fixpoint(tree, None, false)
+            .expect("an unguarded fixpoint cannot fail")
     }
 
-    /// Like [`Optimizer::optimize`], but knowing the function's own name
-    /// enables self-call transformations (loop unrolling).
-    pub fn optimize_named(&mut self, tree: &mut Tree, self_name: Option<&str>) -> usize {
-        let mut total = 0;
-        if self.options.unroll {
-            if let Some(name) = self_name {
-                total += self.unroll_stage(tree, name);
-            }
-        }
-        for _ in 0..self.options.max_rounds {
-            let applied = self.round(tree);
-            total += applied;
-            if applied == 0 {
-                break;
-            }
-        }
-        tree.rebuild_backlinks();
-        total
-    }
-
-    /// The optional unroll stage of the fixpoint: integrate one
-    /// self-recursive call of `self_name` by beta-conversion (§5's "the
-    /// integration of the procedure within itself achieves loop
-    /// unrolling"), returning the number of transformations applied.
-    /// Rebuilds backlinks first; runs regardless of
-    /// [`OptOptions::unroll`], which callers gate on.
+    /// The fixpoint driver: rewrites `tree` until no rule applies or
+    /// [`OptOptions::max_rounds`] transformations have been applied,
+    /// returning the number applied.
     ///
-    /// This and [`Optimizer::round`] are the primitives a fixpoint
-    /// driver (the pass manager's source-level-optimization pass, or
-    /// [`Optimizer::optimize_named`] itself) loops over.
-    pub fn unroll_stage(&mut self, tree: &mut Tree, self_name: &str) -> usize {
-        tree.rebuild_backlinks();
-        rules::unroll_once(self, tree, self_name)
-    }
-
-    /// One transformation round: rebuild backlinks (re-running the
-    /// analyses the rules consult, mirroring the paper's co-routining of
-    /// analysis and optimization), then scan the whole tree once
-    /// applying every enabled rule.  Returns the number of
-    /// transformations applied; `0` means the tree is at a fixpoint.
-    pub fn round(&mut self, tree: &mut Tree) -> usize {
-        tree.rebuild_backlinks();
-        rules::run_round(self, tree)
-    }
-
-    /// Like [`Optimizer::optimize_named`], but *guarded*: after the
-    /// unroll stage and after every transformation round the tree is
-    /// checked against the Table-2 well-formedness invariants
-    /// ([`s1lisp_ast::well_formed`]).  A violation stops optimization
-    /// immediately and reports which round (and most recent rule) broke
-    /// the tree, so the caller can route the function to a degraded
-    /// recompile instead of emitting code from a corrupt tree.
+    /// Each round rebuilds backlinks and re-runs the analyses the rules
+    /// consult (the paper's co-routining of analysis and optimization),
+    /// then applies the first applicable rule.  With
+    /// [`OptOptions::unroll`] on, knowing the function's own name
+    /// (`self_name`) first integrates one self-recursive call (§5's
+    /// "the integration of the procedure within itself achieves loop
+    /// unrolling").  A successful run leaves the backlinks current.
+    ///
+    /// With `guard` on, the tree is checked against the Table-2
+    /// well-formedness invariants ([`s1lisp_ast::well_formed`]) after
+    /// the unroll stage and after every round that applied a rewrite.
+    /// A violation stops optimization immediately, so the caller can
+    /// route the function to a degraded recompile instead of emitting
+    /// code from a corrupt tree.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first invariant violated.
-    pub fn optimize_checked(
+    /// Only when guarded: the first invariant violated, naming the
+    /// stage (`after unroll` or `after round N`) and the most recent
+    /// transcript rule.
+    pub fn fixpoint(
         &mut self,
         tree: &mut Tree,
         self_name: Option<&str>,
+        guard: bool,
     ) -> Result<usize, String> {
         let mut total = 0;
-        if self.options.unroll {
-            if let Some(name) = self_name {
-                total += self.unroll_stage(tree, name);
-                self.check_round(tree, 0)?;
+        if let (true, Some(name)) = (self.options.unroll, self_name) {
+            tree.rebuild_backlinks();
+            total += rules::unroll_once(self, tree, name);
+            if guard {
+                self.check(tree, 0)?;
             }
         }
         for round in 1..=self.options.max_rounds {
-            let applied = self.round(tree);
-            total += applied;
-            if applied > 0 {
-                self.check_round(tree, round)?;
-            }
+            tree.rebuild_backlinks();
+            let applied = rules::run_round(self, tree);
             if applied == 0 {
                 break;
+            }
+            total += applied;
+            if guard {
+                self.check(tree, round)?;
             }
         }
         tree.rebuild_backlinks();
         Ok(total)
     }
 
-    /// Validates the tree against the Table-2 well-formedness
-    /// invariants after fixpoint stage `round` (`0` = the unroll
-    /// stage), blaming the most recent transcript rule in the error.
-    /// Public so external fixpoint drivers (the guarded
-    /// source-level-optimization pass) can interleave validation with
-    /// [`Optimizer::round`] exactly as [`Optimizer::optimize_checked`]
-    /// does.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first invariant violated.
-    pub fn check_round(&self, tree: &Tree, round: usize) -> Result<(), String> {
-        if let Err(e) = s1lisp_ast::well_formed(tree) {
-            let last_rule = self
-                .transcript
-                .entries
-                .last()
-                .map(|e| e.rule)
-                .unwrap_or("(none)");
+    /// Validates the tree against the Table-2 invariants after round
+    /// `round` (`0` = the unroll stage), blaming the most recent
+    /// transcript rule in the error.
+    fn check(&self, tree: &Tree, round: usize) -> Result<(), String> {
+        s1lisp_ast::well_formed(tree).map_err(|e| {
+            let last_rule = self.transcript.entries.last().map_or("(none)", |e| e.rule);
             let stage = if round == 0 {
                 "after unroll".to_string()
             } else {
                 format!("after round {round}")
             };
-            return Err(format!("{e} ({stage}, last rule {last_rule})"));
-        }
-        Ok(())
+            format!("{e} ({stage}, last rule {last_rule})")
+        })
     }
 }
 
@@ -385,6 +344,42 @@ mod tests {
         let n = opt.optimize(&mut f.tree);
         assert_eq!(n, 0);
         assert_eq!(unparse(&f.tree, f.tree.root).to_string(), before);
+    }
+
+    /// `(lambda () (frotz x (+ 1 2)))` with `x` bound nowhere: a
+    /// Table-2 violation no rule repairs, next to a foldable call.
+    fn unbound_var_beside_foldable_call() -> Tree {
+        let mut i = Interner::new();
+        let mut t = Tree::new();
+        let x = t.add_var(i.intern("x"));
+        let rx = t.var_ref(x);
+        let one = t.constant(s1lisp_reader::Datum::Fixnum(1));
+        let two = t.constant(s1lisp_reader::Datum::Fixnum(2));
+        let sum = t.call_global(i.intern("+"), vec![one, two]);
+        let call = t.call_global(i.intern("frotz"), vec![rx, sum]);
+        t.root = t.lambda(vec![], call);
+        t
+    }
+
+    #[test]
+    fn guarded_fixpoint_stops_at_the_first_ill_formed_round() {
+        let mut tree = unbound_var_beside_foldable_call();
+        let err = Optimizer::new()
+            .fixpoint(&mut tree, None, true)
+            .unwrap_err();
+        assert!(err.contains("lexical variable x"), "{err}");
+        assert!(
+            err.contains("(after round 1, last rule META-COMPILE-TIME-EVAL)"),
+            "{err}"
+        );
+
+        let mut tree = unbound_var_beside_foldable_call();
+        let mut opt = Optimizer::new();
+        assert_eq!(opt.fixpoint(&mut tree, None, false), Ok(1));
+        assert_eq!(
+            unparse(&tree, tree.root).to_string(),
+            "(lambda () (frotz x '3))"
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Each rule inspects one node and either rewrites it (returning `true`)
 //! or leaves it alone.  One driver scan applies the *first* applicable
-//! rule and returns, so backlinks and analyses are recomputed between
-//! rewrites — the paper's incremental re-analysis, made simple.
+//! rule and returns, so backlinks and analyses are recomputed in full
+//! between rewrites.
 
 use std::collections::HashMap;
 
@@ -54,7 +54,7 @@ pub(crate) fn unroll_once(o: &mut Optimizer, tree: &mut Tree, self_name: &str) -
         let NodeKind::Call { args, .. } = tree.kind(site).clone() else {
             continue;
         };
-        let b = before(o, tree, site);
+        let b = before(tree, site);
         // A fresh copy of the whole function as a manifest lambda,
         // called with the site's arguments: ((lambda (params') body')
         // args…).  The beta rules then integrate it.
@@ -144,18 +144,12 @@ fn apply_beta(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool
 
 /// Records a transformation, with before-form captured by the caller.
 fn record(o: &mut Optimizer, tree: &Tree, rule: &'static str, before: String, node: NodeId) {
-    if o.options.trace {
-        let after = unparse(tree, node).to_string();
-        o.transcript.record(rule, before, after);
-    }
+    let after = unparse(tree, node).to_string();
+    o.transcript.record(rule, before, after);
 }
 
-fn before(o: &Optimizer, tree: &Tree, node: NodeId) -> String {
-    if o.options.trace {
-        unparse(tree, node).to_string()
-    } else {
-        String::new()
-    }
+fn before(tree: &Tree, node: NodeId) -> String {
+    unparse(tree, node).to_string()
 }
 
 /// The called manifest lambda of a let, if `node` is one.
@@ -184,7 +178,7 @@ fn if_constant_test(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         return false;
     };
     let chosen = if d.is_true() { then } else { els };
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     let kind = tree.kind(chosen).clone();
     tree.replace(node, kind);
     record(o, tree, "META-IF-CONSTANT-TEST", b, node);
@@ -213,7 +207,7 @@ fn caseq_constant_key(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool 
             }
         }
     }
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     let kind = tree.kind(chosen).clone();
     tree.replace(node, kind);
     record(o, tree, "META-CASEQ-CONSTANT-KEY", b, node);
@@ -247,7 +241,7 @@ fn if_known_test(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
             if !matches!(*tree.kind(it), NodeKind::VarRef(w) if w == v) {
                 continue;
             }
-            let b = before(o, tree, inner);
+            let b = before(tree, inner);
             let chosen = if truth { ithen } else { iels };
             let kind = tree.kind(chosen).clone();
             tree.replace(inner, kind);
@@ -268,7 +262,7 @@ fn if_lift(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     };
     match tree.kind(test).clone() {
         NodeKind::Progn(body) => {
-            let b = before(o, tree, node);
+            let b = before(tree, node);
             let (&last, init) = body.split_last().expect("progn non-empty");
             let inner_if = tree.if_(last, then, els);
             let mut new_body = init.to_vec();
@@ -287,7 +281,7 @@ fn if_lift(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
             if !l.is_simple() {
                 return false;
             }
-            let b = before(o, tree, node);
+            let b = before(tree, node);
             let inner_if = tree.if_(l.body, then, els);
             l.body = inner_if;
             tree.replace(f, NodeKind::Lambda(l));
@@ -329,7 +323,7 @@ fn if_distribute(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     else {
         return false;
     };
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     let f = tree.add_var(o.gensym("f"));
     let g = tree.add_var(o.gensym("g"));
     let call = |tree: &mut Tree, v: VarId| {
@@ -371,7 +365,7 @@ fn assoc_commut_nary(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     if args.len() <= 2 || !primop(g.as_str()).map(|p| p.assoc_commut).unwrap_or(false) {
         return false;
     }
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     let mut rev = args;
     rev.reverse();
     let mut acc = tree.call_global(g.clone(), vec![rev[0], rev[1]]);
@@ -410,7 +404,7 @@ fn reverse_arguments(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     {
         return false;
     }
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     tree.replace(
         node,
         NodeKind::Call {
@@ -447,7 +441,7 @@ fn identity_elimination(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> boo
     } else {
         return false;
     };
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     let kind = tree.kind(survivor).clone();
     tree.replace(node, kind);
     record(o, tree, "META-IDENTITY-ELIMINATION", b, node);
@@ -478,7 +472,7 @@ fn constant_fold(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let Some(result) = s1lisp_interp::eval_primop(p, &datums) else {
         return false;
     };
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     tree.replace(node, NodeKind::Constant(result));
     record(o, tree, "META-COMPILE-TIME-EVAL", b, node);
     true
@@ -505,7 +499,7 @@ fn sin_to_cycles(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let [x] = args.as_slice() else {
         return false;
     };
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     let factor = tree.constant(Datum::Flonum(INVERSE_TWO_PI));
     let scaled = tree.call_global(o.intern("*$f"), vec![*x, factor]);
     tree.replace(
@@ -531,7 +525,7 @@ fn call_lambda(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     if !args.is_empty() || !l.required.is_empty() || !l.is_simple() {
         return false;
     }
-    let b = before(o, tree, node);
+    let b = before(tree, node);
     let kind = tree.kind(l.body).clone();
     tree.replace(node, kind);
     record(o, tree, "META-CALL-LAMBDA", b, node);
@@ -556,7 +550,7 @@ fn delete_unused_argument(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: 
         if !cx.eff(args[j]).deletable() {
             continue;
         }
-        let b = before(o, tree, node);
+        let b = before(tree, node);
         remove_param(tree, node, f, j);
         record(o, tree, "META-DELETE-UNUSED-ARGUMENT", b, node);
         return true;
@@ -598,7 +592,7 @@ fn substitute(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool
         let aj = args[j];
         if is_trivial(tree, aj) {
             // Constant propagation / renaming: substitute everywhere.
-            let b = before(o, tree, node);
+            let b = before(tree, node);
             for &r in &var.refs {
                 let copy = tree.copy_subtree(aj);
                 let kind = tree.kind(copy).clone();
@@ -617,7 +611,7 @@ fn substitute(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool
             if !path_allows_move(tree, node, r) {
                 continue;
             }
-            let b = before(o, tree, node);
+            let b = before(tree, node);
             let kind = tree.kind(aj).clone();
             tree.replace(r, kind);
             remove_param(tree, node, f, j);
@@ -632,7 +626,7 @@ fn substitute(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool
             && var.refs.len() <= 3
             && var.refs.iter().all(|&r| path_allows_move(tree, node, r))
         {
-            let b = before(o, tree, node);
+            let b = before(tree, node);
             for &r in &var.refs {
                 let copy = tree.copy_subtree(aj);
                 let kind = tree.kind(copy).clone();
@@ -943,21 +937,6 @@ mod more_tests {
     }
 
     #[test]
-    fn trace_off_records_nothing() {
-        let mut i = Interner::new();
-        let form = read_str("(defun f () (let ((x 2)) (+ x 3)))", &mut i).unwrap();
-        let mut fe = Frontend::new(&mut i);
-        let mut f = fe.convert_defun(&form).unwrap();
-        let mut o = Optimizer::with_options(OptOptions {
-            trace: false,
-            ..OptOptions::default()
-        });
-        let n = o.optimize(&mut f.tree);
-        assert!(n > 0);
-        assert!(o.transcript.entries.is_empty());
-    }
-
-    #[test]
     fn caseq_key_constant_folds_through_arms() {
         let (out, _) = optimize_with(
             "(defun f () (caseq (+ 1 1) ((1) 'one) ((2) 'two) (t 'other)))",
@@ -1031,7 +1010,7 @@ mod unroll_tests {
             unroll: true,
             ..OptOptions::default()
         });
-        o.optimize_named(&mut f.tree, Some(name));
+        o.fixpoint(&mut f.tree, Some(name), false).unwrap();
         (
             unparse(&f.tree, f.tree.root).to_string(),
             std::mem::take(&mut o.transcript),
@@ -1073,7 +1052,7 @@ mod unroll_tests {
         let mut fe = Frontend::new(&mut i);
         let mut f = fe.convert_defun(&form).unwrap();
         let mut o = Optimizer::new();
-        o.optimize_named(&mut f.tree, Some("countdown"));
+        o.fixpoint(&mut f.tree, Some("countdown"), false).unwrap();
         assert_eq!(o.transcript.count("META-UNROLL-INTEGRATE-SELF"), 0);
     }
 }

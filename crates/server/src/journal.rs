@@ -9,9 +9,8 @@
 //! survives `kill -9`; a mutation whose record never reached stable
 //! storage was never acknowledged as durable.  Periodic snapshots
 //! (`snapshot.json`, temp-then-rename + fsync via the shared
-//! [`fsio`](s1lisp_driver::fsio) discipline) absorb the journal and
-//! truncate it, so recovery replays a short tail instead of the
-//! tenant's whole history.
+//! [`fsio`] discipline) absorb the journal and truncate it, so recovery
+//! replays a short tail instead of the tenant's whole history.
 //!
 //! # Record format
 //!

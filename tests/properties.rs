@@ -194,7 +194,9 @@ fn backends_agree_on_random_programs() {
 }
 
 /// The optimizer never changes what a program denotes: optimized and
-/// unoptimized *interpretations* agree (no simulator involved).
+/// unoptimized *interpretations* agree (no simulator involved).  The
+/// guarded optimizer, which checks Table-2 well-formedness between
+/// rounds, rewrites exactly as the unguarded one does.
 #[test]
 fn optimizer_preserves_interpretation() {
     let mut rng = SplitMix64::new(0x5115_0008);
@@ -205,6 +207,12 @@ fn optimizer_preserves_interpretation() {
         let args = [Value::Fixnum(a), Value::Fixnum(b), Value::Fixnum(3)];
         let mut opt = Compiler::new();
         opt.compile_str(&src).unwrap();
+        let mut guarded = Compiler::new();
+        guarded.guard = true;
+        guarded.compile_str(&src).unwrap();
+        let (u, g) = (opt.function("f").unwrap(), guarded.function("f").unwrap());
+        assert_eq!(g.transcript.entries, u.transcript.entries, "{src}");
+        assert_eq!(g.optimized, u.optimized, "{src}");
         let mut plain = Compiler::unoptimized();
         plain.compile_str(&src).unwrap();
         let i1 = opt.interpreter(); // interprets the optimized tree
