@@ -170,14 +170,3 @@ pub fn pdl_annotation_traced(
     sink.span_end(sp);
     pdl
 }
-
-impl Annotations {
-    /// [`Annotations::compute`], with each phase under its Table-1
-    /// trace span for `unit`.
-    pub fn compute_traced(tree: &Tree, unit: &str, sink: &mut dyn TraceSink) -> Annotations {
-        let binding = binding_annotation_traced(tree, unit, sink);
-        let rep = rep_annotation_traced(tree, &binding, unit, sink);
-        let pdl = pdl_annotation_traced(tree, &binding, &rep, unit, sink);
-        Annotations { binding, rep, pdl }
-    }
-}

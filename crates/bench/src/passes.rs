@@ -1,13 +1,14 @@
 //! The `passes` report: the per-function pass schedule (Table 1 as
-//! data), as the live [`s1lisp::Pipeline`] describes itself (`report
-//! --passes`).
+//! data), as a default compiler's [`s1lisp::Compiler::pipeline`] builds
+//! it (`report --passes`).
 //!
-//! The record lists every scheduled pass — name, the Table-1 rows it
-//! implements, the implementing module, and whether the default options
-//! enable it — so schedule drift is visible in one place.  The shape is
-//! schema-pinned by `tests/golden_json.rs`; the pass names themselves
-//! are cross-checked against `phases()` by the core crate's pipeline
-//! tests.
+//! The record lists every scheduled [`s1lisp::Pass`] — its name, the
+//! Table-1 rows it implements, the implementing module (the pass's row
+//! of metadata), and whether the default options enable it — so
+//! schedule drift is visible in one place.  The text is byte-pinned by
+//! `tests/golden/passes.txt` and the JSON shape by
+//! `tests/golden_json.rs`; the rows themselves are cross-checked
+//! against `phases()` by the core crate's pipeline tests.
 
 use s1lisp::Compiler;
 use s1lisp_trace::json::Json;
@@ -17,17 +18,16 @@ use s1lisp_trace::json::Json;
 pub fn passes_record() -> Json {
     let passes = Compiler::new()
         .pipeline()
-        .describe()
         .into_iter()
-        .map(|p| {
+        .map(|(p, enabled)| {
             Json::obj(vec![
-                ("name", Json::str(p.name)),
+                ("name", Json::str(p.name())),
                 (
                     "table1",
-                    Json::Arr(p.table1.iter().map(|r| Json::str(*r)).collect()),
+                    Json::Arr(p.table1().iter().map(|r| Json::str(*r)).collect()),
                 ),
-                ("module", Json::str(p.module)),
-                ("enabled", Json::Bool(p.enabled)),
+                ("module", Json::str(p.module())),
+                ("enabled", Json::Bool(enabled)),
             ])
         })
         .collect();
@@ -50,18 +50,18 @@ pub fn passes_report() -> String {
         "{:<34} {:<8} {:<42} table-1 rows",
         "pass", "enabled", "module"
     );
-    for p in Compiler::new().pipeline().describe() {
-        let rows = if p.table1.is_empty() {
+    for (p, enabled) in Compiler::new().pipeline() {
+        let rows = if p.table1().is_empty() {
             "(cross-cutting)".to_string()
         } else {
-            p.table1.join(", ")
+            p.table1().join(", ")
         };
         let _ = writeln!(
             out,
             "{:<34} {:<8} {:<42} {}",
-            p.name,
-            if p.enabled { "yes" } else { "no" },
-            p.module,
+            p.name(),
+            if enabled { "yes" } else { "no" },
+            p.module(),
             rows
         );
     }
@@ -87,5 +87,8 @@ mod tests {
         // Cross-cutting wrappers show up too, disabled by default.
         assert!(text.contains("Fault injection"));
         assert!(text.contains("Guard: conversion"));
+        // Byte-golden: the schedule's names, modules, rows and default
+        // enablement are all pinned.
+        crate::check_golden("passes.txt", &text).unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -48,39 +48,25 @@ type R<T> = Result<T, CodegenError>;
 /// Returns a [`CodegenError`] for constructs outside the compilable
 /// subset (`go` across a closure boundary, `&optional` in a `let`, …).
 pub fn compile(name: &str, tree: &Tree, program: &mut Program, opts: &CodegenOptions) -> R<()> {
-    compile_traced(name, tree, program, opts, &mut NullSink)
-}
-
-/// [`compile`], recording per-phase telemetry into `sink`: one span per
-/// Table 1 annotation phase, a "Target annotation" span per function
-/// around TN packing, and "Code generation" spans around each emit pass
-/// (functions whose packing promotes variables are emitted twice, so
-/// they contribute two spans — the counters describe only the final
-/// code).
-///
-/// # Errors
-///
-/// Same failure modes as [`compile`].
-pub fn compile_traced(
-    name: &str,
-    tree: &Tree,
-    program: &mut Program,
-    opts: &CodegenOptions,
-    sink: &mut dyn TraceSink,
-) -> R<()> {
-    // The three annotation phases, spanned and counted individually
-    // (`Annotations::compute`, opened up for telemetry).
-    let ann = Annotations::compute_traced(tree, name, sink);
-    emit_annotated(name, tree, &ann, program, opts, sink)
+    emit_annotated(
+        name,
+        tree,
+        &Annotations::compute(tree),
+        program,
+        opts,
+        &mut NullSink,
+    )
 }
 
 /// The emission back half of the pipeline: TNBIND + code generation
 /// over an already-annotated tree.  Runs the per-lambda work loop —
-/// pass-1 emit, TN packing ("Target annotation" spans), and the pass-2
-/// re-emit when packing promoted variables to registers — exactly as
-/// [`compile_traced`] does after its annotation spans.  This is the
-/// entry point the pass manager uses, with the annotations carried in
-/// the unit state rather than recomputed here.
+/// pass-1 emit, TN packing (a "Target annotation" span per function),
+/// and the pass-2 re-emit when packing promoted variables to registers
+/// ("Code generation" spans around each emit pass, so such functions
+/// contribute two; the counters describe only the final code).  This is
+/// the entry point the pass manager uses, with the annotations carried
+/// in the unit state rather than recomputed here; [`compile`] is the
+/// same work over freshly computed annotations, untraced.
 ///
 /// # Errors
 ///

@@ -35,7 +35,7 @@ pub mod array_demo;
 mod gen;
 mod print;
 
-pub use gen::{compile, compile_traced, emit_annotated, CodegenError};
+pub use gen::{compile, emit_annotated, CodegenError};
 pub use print::disassemble;
 
 /// Branch tensioning — "the elimination of branches to branch

@@ -42,11 +42,7 @@ pub use error::CompileError;
 pub use guard::GuardError;
 pub use image::Image;
 pub use phases::{phases, trip_phase_faults, Phase, PhaseStatus};
-pub use pipeline::BytecodeBackend;
-pub use pipeline::{
-    backend_for, Backend, BackendKind, Pass, PassCx, PassInfo, PassWatch, Pipeline,
-    PipelineOptions, S1Backend, UnitAnnotations, UnitState,
-};
+pub use pipeline::{BackendKind, Pass, PassWatch};
 pub use s1lisp_bytecode::{BcTrap, Evaluator};
 pub use s1lisp_trace::fault::{FaultPlan, FaultSite};
 
@@ -56,10 +52,10 @@ pub use s1lisp_opt::{OptOptions, Transcript};
 pub use s1lisp_s1sim::{Machine, MachineStats, Program, Trap};
 pub use s1lisp_trace::{MemorySink, PhaseAgg, TraceSink};
 
-use s1lisp_ast::{unparse, Tree};
+use s1lisp_ast::Tree;
 use s1lisp_frontend::Frontend;
 use s1lisp_interp::Const;
-use s1lisp_reader::{pretty, read_all_str, Interner};
+use s1lisp_reader::{read_all_str, Interner};
 use s1lisp_trace::NullSink;
 
 /// Hand-bumped artifact-compatibility integer folded into
@@ -293,23 +289,6 @@ impl Compiler {
         self.with_sink(|c, sink| c.compile_function(pending.inner, sink))
     }
 
-    /// Like [`Compiler::compile_pending`], but through an explicit
-    /// [`Pipeline`] instead of the one this compiler's options build —
-    /// the hook for schedule experiments (e.g. the property test that
-    /// permutes the pure analysis passes and asserts byte-identical
-    /// artifacts).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CompileError`] for pass failures.
-    pub fn compile_pending_with(
-        &mut self,
-        pending: PendingFunction,
-        pipeline: &Pipeline,
-    ) -> Result<String, CompileError> {
-        self.with_sink(|c, sink| c.run_unit(pending.inner, pipeline, sink))
-    }
-
     fn convert_str_with(
         &mut self,
         source: &str,
@@ -336,65 +315,6 @@ impl Compiler {
             .into_iter()
             .map(|inner| PendingFunction { inner })
             .collect())
-    }
-
-    /// The per-function pass schedule this compiler's options build:
-    /// the [`Pipeline`] that [`Compiler::compile_str`],
-    /// [`Compiler::eval`], and the compilation service all run, and
-    /// that `report --passes` and the Table-1 cross-check describe.
-    pub fn pipeline(&self) -> Pipeline {
-        Pipeline::from_options(&PipelineOptions {
-            backend: self.backend,
-            opt_options: self.opt_options.clone(),
-            cse: self.cse,
-            codegen_options: self.codegen_options.clone(),
-            tension_branches: self.tension_branches,
-            guard: self.guard,
-            fault_plan: self.fault_plan.clone(),
-        })
-    }
-
-    /// Runs one converted function through the whole Table 1 pipeline
-    /// (the pass schedule of [`Compiler::pipeline`]) and records its
-    /// artifacts.  Shared by [`Compiler::compile_str`] and
-    /// [`Compiler::eval`], so both paths produce identical spans and
-    /// dossiers.
-    fn compile_function(
-        &mut self,
-        f: s1lisp_frontend::Function,
-        sink: &mut dyn TraceSink,
-    ) -> Result<String, CompileError> {
-        let pipeline = self.pipeline();
-        self.run_unit(f, &pipeline, sink)
-    }
-
-    /// Runs one converted function through an explicit [`Pipeline`].
-    fn run_unit(
-        &mut self,
-        f: s1lisp_frontend::Function,
-        pipeline: &Pipeline,
-        sink: &mut dyn TraceSink,
-    ) -> Result<String, CompileError> {
-        let mut unit = UnitState::new(f);
-        let mut cx = PassCx {
-            sink,
-            program: &mut self.program,
-            bytecode: &mut self.bytecode,
-        };
-        pipeline.run(&mut unit, &mut cx)?;
-        let name = unit.name.clone();
-        let optimized = pretty(&unparse(unit.tree(), unit.tree().root), 78);
-        let (func, converted, transcript, transformations) = unit.into_parts();
-        self.functions.push(CompiledFunction {
-            name: name.clone(),
-            converted,
-            optimized,
-            transcript,
-            tree: func.tree.clone(),
-            transformations,
-        });
-        self.interp_sources.push(func);
-        Ok(name)
     }
 
     /// Proclaims a variable special for subsequent compilations.
@@ -632,10 +552,10 @@ impl Compiler {
             u8::from(g.backtracking_pack),
             u8::from(self.tension_branches),
         );
-        // The backend salt keeps per-backend artifacts apart: the same
+        // The backend name keeps per-backend artifacts apart: the same
         // tree under the same switches emits different code per
         // backend, so their cache keys must differ too.
-        let canonical = format!("{canonical} backend:{}", self.backend.salt());
+        let canonical = format!("{canonical} backend:{}", self.backend.name());
         s1lisp_ast::fnv1a_str(&canonical)
     }
 

@@ -1,8 +1,9 @@
 //! The phase structure of the compiler — Table 1 of the paper,
 //! reproduced as data (experiment E1).
 //!
-//! This table is descriptive; the *executable* schedule lives in
-//! [`crate::pipeline`].  The two cannot drift: the
+//! This table is descriptive; the *executable* schedule is the
+//! [`Pass`](crate::Pass) enum in [`crate::pipeline`], whose rows name
+//! the Table-1 rows each pass implements.  The two cannot drift: the
 //! `pipeline_is_consistent_with_table_1` test in `pipeline.rs` asserts
 //! that every Table-1 row here (except `Preliminary` and rows marked
 //! [`PhaseStatus::Subsumed`]) is claimed by exactly one scheduled pass,

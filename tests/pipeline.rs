@@ -2,6 +2,8 @@
 //! compiler configuration, the compiled code on the S-1 simulator must
 //! agree with the reference interpreter.
 
+use std::collections::BTreeSet;
+
 use s1lisp::{BackendKind, CodegenOptions, Compiler, OptOptions, Value};
 use s1lisp_suite::{build_with, check_agree, corpus, fl, fx};
 
@@ -174,4 +176,32 @@ fn stats_expose_the_headline_behaviours() {
     m.run("loopn", &[fx(100_000)]).unwrap();
     assert_eq!(m.stats.max_call_depth, 0);
     assert_eq!(m.stats.tail_calls, 100_000);
+}
+
+/// On either backend, a traced compile records a span for exactly the
+/// Table-1 rows its enabled passes claim, plus Preliminary: every
+/// claimed row runs under its own span, and no span names a row the
+/// schedule does not claim.
+#[test]
+fn traced_spans_are_exactly_the_rows_of_the_enabled_passes() {
+    for backend in [BackendKind::S1, BackendKind::Bytecode] {
+        let mut c = Compiler::new();
+        c.backend = backend;
+        c.cse = true;
+        c.guard = true;
+        c.enable_trace();
+        for (id, src) in corpus() {
+            c.compile_str(src)
+                .unwrap_or_else(|e| panic!("{id} on {backend:?}: {e}"));
+        }
+        let mut want: BTreeSet<&str> = c
+            .pipeline()
+            .into_iter()
+            .filter(|&(_, enabled)| enabled)
+            .flat_map(|(pass, _)| pass.table1().iter().copied())
+            .collect();
+        want.insert("Preliminary");
+        let got: BTreeSet<&str> = c.trace().unwrap().spans().iter().map(|r| r.phase).collect();
+        assert_eq!(got, want, "{backend:?}");
+    }
 }

@@ -227,69 +227,6 @@ fn optimizer_preserves_interpretation() {
     }
 }
 
-// ---------------------------------------------------- pass commutation
-
-/// The four analysis passes are pure observers of the tree: any
-/// permutation of their schedule slots produces byte-identical
-/// artifacts (assembly, back-translated sources, transcripts,
-/// transformation counts) over a seeded fuzz corpus.
-#[test]
-fn analysis_passes_commute_under_any_permutation() {
-    const QUARTET: [&str; 4] = [
-        "Environment analysis",
-        "Side-effects analysis",
-        "Complexity analysis",
-        "Tail-recursion analysis",
-    ];
-
-    fn permutations(items: &[&'static str]) -> Vec<Vec<&'static str>> {
-        if items.len() <= 1 {
-            return vec![items.to_vec()];
-        }
-        let mut out = Vec::new();
-        for (i, &head) in items.iter().enumerate() {
-            let mut rest = items.to_vec();
-            rest.remove(i);
-            for mut tail in permutations(&rest) {
-                tail.insert(0, head);
-                out.push(tail);
-            }
-        }
-        out
-    }
-
-    let mut rng = SplitMix64::new(0x5115_000c);
-    let programs: Vec<String> = (0..8)
-        .map(|k| format!("(defun p{k} (a b c) {})", random_expr(&mut rng, 3)))
-        .collect();
-
-    // Compile the corpus through a pipeline with the quartet in the
-    // given order and render every artifact the compiler records.
-    let compile_with = |order: &[&'static str]| -> String {
-        let mut c = Compiler::new();
-        let mut pipeline = c.pipeline();
-        assert!(pipeline.permute(order), "{order:?} did not resolve");
-        let mut out = String::new();
-        for src in &programs {
-            for p in c.convert_str(src).unwrap() {
-                let name = c.compile_pending_with(p, &pipeline).unwrap();
-                out.push_str(&c.disassemble(&name).unwrap());
-            }
-        }
-        for f in &c.functions {
-            out.push_str(&f.converted);
-            out.push_str(&f.optimized);
-            out.push_str(&format!("{}{:?}", f.transformations, f.transcript));
-        }
-        out
-    };
-
-    let baseline = compile_with(&QUARTET);
-    for order in permutations(&QUARTET) {
-        assert_eq!(baseline, compile_with(&order), "{order:?} diverged");
-    }
-}
-
 /// The compilation service is scheduling-invariant on random programs:
 /// serial and parallel batches agree byte for byte, and each hermetic
 /// job matches a classic single-function compile of the same form.
