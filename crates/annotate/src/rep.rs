@@ -13,9 +13,7 @@
 
 use std::collections::HashMap;
 
-use s1lisp_ast::{
-    primop, CallFunc, DeclaredType, NodeId, NodeKind, NumKind, ProgItem, Tree, VarId,
-};
+use s1lisp_ast::{CallFunc, DeclaredType, NodeId, NodeKind, NumKind, Prim, ProgItem, Tree, VarId};
 
 use crate::binding::{BindingInfo, VarAlloc};
 
@@ -132,39 +130,64 @@ impl RepInfo {
 }
 
 /// Representation of a typed primitive's operands and result, if the
-/// operation is type-specific.  Only *known* primitives qualify — a user
-/// function that happens to be named with a `$f` suffix is still a
-/// general call.
-fn typed_op(name: &str) -> Option<(Rep, Rep)> {
-    primop(name)?;
-    if name.ends_with("$f") {
-        return Some((Rep::Swflo, Rep::Swflo));
+/// operation is type-specific: the `$f` family is single-word float,
+/// the `&` family fixnum.
+fn typed_op(prim: Prim) -> Option<(Rep, Rep)> {
+    match prim {
+        Prim::AddF
+        | Prim::SubF
+        | Prim::MulF
+        | Prim::DivF
+        | Prim::MaxF
+        | Prim::MinF
+        | Prim::AbsF
+        | Prim::SqrtF
+        | Prim::SinF
+        | Prim::CosF
+        | Prim::SincF
+        | Prim::CoscF => Some((Rep::Swflo, Rep::Swflo)),
+        Prim::AddI | Prim::SubI | Prim::MulI => Some((Rep::Swfix, Rep::Swfix)),
+        _ => None,
     }
-    if name.ends_with('&') {
-        return Some((Rep::Swfix, Rep::Swfix));
-    }
-    None
 }
 
 /// Generic operators eligible for float lowering (their all-float
 /// reference semantics coincide with the `$f` instructions).
-pub fn lowerable(name: &str) -> bool {
+fn lowerable(prim: Prim) -> bool {
     matches!(
-        name,
-        "+" | "-" | "*" | "/" | "max" | "min" | "1+" | "1-"
+        prim,
+        Prim::Add
+            | Prim::Sub
+            | Prim::Mul
+            | Prim::Div
+            | Prim::Max
+            | Prim::Min
+            | Prim::OnePlus
+            | Prim::OneMinus
             // Unary transcendentals whose S-1 instruction uses the same
             // convention as the generic operator (sin/cos are *not* here:
             // the hardware takes cycles, the generic functions radians).
-            | "sqrt" | "exp" | "log" | "atan"
+            | Prim::Sqrt
+            | Prim::Exp
+            | Prim::Log
+            | Prim::Atan
     )
 }
 
 /// Generic operators with a fixnum instruction twin (the S-1 has all
 /// sixteen rounding modes as primitive instructions, §3).
-pub fn lowerable_int(name: &str) -> bool {
+fn lowerable_int(prim: Prim) -> bool {
     matches!(
-        name,
-        "+" | "-" | "*" | "/" | "1+" | "1-" | "rem" | "mod" | "floor"
+        prim,
+        Prim::Add
+            | Prim::Sub
+            | Prim::Mul
+            | Prim::Div
+            | Prim::OnePlus
+            | Prim::OneMinus
+            | Prim::Rem
+            | Prim::Mod
+            | Prim::Floor
     )
 }
 
@@ -291,7 +314,8 @@ fn want_pass(tree: &Tree, node: NodeId, want: Rep, info: &mut RepInfo) {
         }
         NodeKind::Call { func, args } => match func {
             CallFunc::Global(g) => {
-                let arg_want = typed_op(g.as_str())
+                let arg_want = Prim::from_name(g.as_str())
+                    .and_then(typed_op)
                     .map(|(operand, _)| operand)
                     .or_else(|| info.lowered.get(&node).copied());
                 for &a in args {
@@ -381,12 +405,12 @@ fn is_pass(tree: &Tree, node: NodeId, info: &mut RepInfo) -> Rep {
         NodeKind::Progn(body) => info.is(*body.last().expect("non-empty")),
         NodeKind::Call { func, args } => match func {
             CallFunc::Global(g) => {
-                if let Some((_, result)) = typed_op(g.as_str()) {
+                let prim = Prim::from_name(g.as_str());
+                let result = prim.map(|p| p.info().result);
+                if let Some((_, result)) = prim.and_then(typed_op) {
                     result
-                } else if matches!(
-                    primop(g.as_str()).map(|p| p.result),
-                    Some(NumKind::Generic | NumKind::Flonum)
-                ) && lowerable(g.as_str())
+                } else if matches!(result, Some(NumKind::Generic | NumKind::Flonum))
+                    && prim.is_some_and(lowerable)
                     && !args.is_empty()
                     && args.iter().all(|&a| {
                         info.is(a) == Rep::Swflo
@@ -400,8 +424,8 @@ fn is_pass(tree: &Tree, node: NodeId, info: &mut RepInfo) -> Rep {
                     // as) raw floats — compile like the $f twin.
                     info.lowered.insert(node, Rep::Swflo);
                     Rep::Swflo
-                } else if primop(g.as_str()).map(|p| p.result) == Some(NumKind::Generic)
-                    && lowerable_int(g.as_str())
+                } else if result == Some(NumKind::Generic)
+                    && prim.is_some_and(lowerable_int)
                     && !args.is_empty()
                     && args.iter().all(|&a| {
                         info.is(a) == Rep::Swfix
@@ -417,7 +441,7 @@ fn is_pass(tree: &Tree, node: NodeId, info: &mut RepInfo) -> Rep {
                     info.lowered.insert(node, Rep::Swfix);
                     Rep::Swfix
                 } else {
-                    match primop(g.as_str()).map(|p| p.result) {
+                    match result {
                         // A comparison "delivers" a jump when one is
                         // wanted; otherwise it materializes t/nil.
                         Some(NumKind::Boolean) if want == Rep::Jump => Rep::Jump,
@@ -474,6 +498,21 @@ mod tests {
     use s1lisp_ast::subtree_nodes;
     use s1lisp_frontend::Frontend;
     use s1lisp_reader::{read_str, Interner};
+
+    #[test]
+    fn typed_ops_are_the_suffixed_rows() {
+        for &prim in Prim::ALL {
+            let name = prim.name();
+            let want = if name.ends_with("$f") {
+                Some((Rep::Swflo, Rep::Swflo))
+            } else if name.ends_with('&') {
+                Some((Rep::Swfix, Rep::Swfix))
+            } else {
+                None
+            };
+            assert_eq!(typed_op(prim), want, "{name}");
+        }
+    }
 
     fn annotate(src: &str) -> (Tree, RepInfo) {
         let mut i = Interner::new();

@@ -3,8 +3,9 @@
 //!
 //! ```sh
 //! # CI smoke: concurrent tenants against an in-process daemon must be
-//! # byte-identical to a plain service batch; with --serve-bin, also
-//! # drive a spawned `serve --stdio` child and check clean shutdown.
+//! # byte-identical to a plain service batch, and a unit the frontend
+//! # rejects must be refused without breaking runs; with --serve-bin,
+//! # also drive a spawned `serve --stdio` child and check clean shutdown.
 //! cargo run -p s1lisp-bench --bin serve_client -- --selftest
 //! cargo run -p s1lisp-bench --bin serve_client -- --selftest \
 //!     --serve-bin target/release/serve
@@ -20,7 +21,7 @@ use std::collections::HashMap;
 
 use s1lisp_bench::service_units;
 use s1lisp_driver::{CompileService, ServiceConfig};
-use s1lisp_server::{Body, CompileServer, ServeClient, ServerConfig};
+use s1lisp_server::{Body, CompileServer, Response, ServeClient, ServerConfig};
 
 fn fail(msg: &str) -> ! {
     eprintln!("serve_client: {msg}");
@@ -81,9 +82,33 @@ fn compile_corpus_and_compare(
     compared
 }
 
+/// The namespace smoke, on a fresh tenant: a unit the frontend rejects
+/// (`(quote)` denotes no constant) is refused with `ok:false`, and a
+/// function defined before it still runs.
+fn rejected_unit_leaves_runs_working(client: &mut ServeClient, tenant: &str) {
+    let answer = |resp: std::io::Result<Response>| {
+        resp.unwrap_or_else(|e| fail(&format!("{tenant}: transport: {e}")))
+    };
+    if !answer(client.hello(tenant, None)).ok
+        || !answer(client.compile("smoke", "(defun dbl (x) (+ x x))")).ok
+    {
+        fail(&format!("{tenant}: hello or compile refused"));
+    }
+    if answer(client.compile("bad", "(defvar *x* (quote)) (defun f () *x*)")).ok {
+        fail(&format!(
+            "{tenant}: a unit the frontend rejects was acknowledged"
+        ));
+    }
+    let run = answer(client.run("dbl", &["21"]));
+    if run.body != (Body::Run { value: "42".into() }) {
+        fail(&format!("{tenant}: run after the rejected unit: {run:?}"));
+    }
+}
+
 /// The CI smoke: an in-process TCP daemon serving two concurrent
 /// tenants byte-identically to `compile_batch`, and (with `serve_bin`)
-/// a spawned `serve --stdio` child doing the same plus a clean exit.
+/// a spawned `serve --stdio` child doing the same plus a clean exit;
+/// both also pass the namespace smoke.
 fn selftest(serve_bin: Option<&str>) {
     let baseline = baseline_artifacts();
 
@@ -106,24 +131,18 @@ fn selftest(serve_bin: Option<&str>) {
         .into_iter()
         .map(|t| t.join().unwrap_or_else(|_| fail("client thread panicked")))
         .sum();
+    let mut client = ServeClient::connect(&format!("127.0.0.1:{port}"))
+        .unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    rejected_unit_leaves_runs_working(&mut client, "tcp-run");
     handle.shutdown();
     handle.join();
-    println!("serve_client --selftest: tcp ok, {compared} artifacts byte-identical across 2 concurrent tenants");
+    println!("serve_client --selftest: tcp ok, {compared} artifacts byte-identical across 2 concurrent tenants, rejected unit refused");
 
     if let Some(bin) = serve_bin {
         let mut client = ServeClient::spawn_stdio(bin, &[])
             .unwrap_or_else(|e| fail(&format!("spawn {bin}: {e}")));
         let compared = compile_corpus_and_compare(&mut client, "stdio", &baseline);
-        let hello = client.hello("stdio-run", None).expect("hello");
-        assert!(hello.ok);
-        let compile = client
-            .compile("smoke", "(defun dbl (x) (+ x x))")
-            .expect("compile");
-        assert!(compile.ok);
-        let run = client.run("dbl", &["21"]).expect("run");
-        if run.body != (Body::Run { value: "42".into() }) {
-            fail(&format!("stdio run: {run:?}"));
-        }
+        rejected_unit_leaves_runs_working(&mut client, "stdio-run");
         let bye = client.shutdown().expect("shutdown");
         assert!(bye.ok);
         match client.wait_exit() {
@@ -132,7 +151,7 @@ fn selftest(serve_bin: Option<&str>) {
             Err(e) => fail(&format!("wait: {e}")),
         }
         println!(
-            "serve_client --selftest: stdio ok, {compared} artifacts byte-identical, clean exit"
+            "serve_client --selftest: stdio ok, {compared} artifacts byte-identical, rejected unit refused, clean exit"
         );
     }
 }

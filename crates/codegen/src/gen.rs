@@ -757,6 +757,19 @@ impl<'a> Gen<'a> {
                 })
                 .map(|v| self.tree.var(v).name.as_str().to_string())
                 .collect();
+            // A name some inner binding rebinds would have its pointer
+            // cached before that binding exists; it is searched for at
+            // each access instead.
+            let rebound: HashSet<&str> = self
+                .tree
+                .var_ids()
+                .filter(|&v| {
+                    let var = self.tree.var(v);
+                    var.special && var.binder.is_some() && !all.contains(&v)
+                })
+                .map(|v| self.tree.var(v).name.as_str())
+                .collect();
+            needed.retain(|name| !rebound.contains(name.as_str()));
             needed.sort();
             needed.dedup();
             for name in needed {
@@ -1136,11 +1149,11 @@ impl<'a> Gen<'a> {
     fn gen_global_call(&mut self, node: NodeId, g: &Symbol, args: &[NodeId], tail: bool) -> R<Val> {
         debug_assert!(!tail);
         let name = g.as_str();
-        // Inline selections.
-        if let Some(v) = self.try_inline(node, name, args)? {
-            return Ok(v);
-        }
         if let Some(prim) = Prim::from_name(name) {
+            // Inline selections, else the run-time system.
+            if let Some(v) = self.try_inline(node, prim, args)? {
+                return Ok(v);
+            }
             return self.gen_rt_call(node, prim, args);
         }
         // A full call to a user (or not-yet-defined) function.
@@ -1187,15 +1200,15 @@ impl<'a> Gen<'a> {
 
     /// Inline code for selected primitives.  Returns `None` to fall back
     /// to the runtime.
-    fn try_inline(&mut self, node: NodeId, name: &str, args: &[NodeId]) -> R<Option<Val>> {
+    fn try_inline(&mut self, node: NodeId, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
         // Comparisons and type predicates: compile as a test and
         // materialize (in test position `gen_test` intercepts them
         // before this point).
-        if has_inline_test(name, args.len()) {
+        if has_inline_test(prim, args.len()) {
             return self.materialize_test(node).map(Some);
         }
-        match (name, args) {
-            ("car", [x]) => {
+        match (prim, args) {
+            (Prim::Car, [x]) => {
                 let v = self.gen_into(*x, Rep::Pointer)?;
                 let dst = self.alloc_place();
                 self.asm.push(Insn::Car {
@@ -1205,7 +1218,7 @@ impl<'a> Gen<'a> {
                 self.release(v);
                 Ok(Some(dst))
             }
-            ("cdr", [x]) => {
+            (Prim::Cdr, [x]) => {
                 let v = self.gen_into(*x, Rep::Pointer)?;
                 let dst = self.alloc_place();
                 self.asm.push(Insn::Cdr {
@@ -1215,7 +1228,7 @@ impl<'a> Gen<'a> {
                 self.release(v);
                 Ok(Some(dst))
             }
-            ("cons", [a, d]) => {
+            (Prim::Cons, [a, d]) => {
                 let va = self.gen_into(*a, Rep::Pointer)?;
                 let va = self.certify(*a, va)?;
                 let va = if self.sibling_unsafe(*d) {
@@ -1235,7 +1248,7 @@ impl<'a> Gen<'a> {
                 self.release(vd);
                 Ok(Some(dst))
             }
-            ("throw", [tag, value]) => {
+            (Prim::Throw, [tag, value]) => {
                 let vt = self.gen_into(*tag, Rep::Pointer)?;
                 let vt = if self.sibling_unsafe(*value) {
                     self.protect(vt)
@@ -1252,7 +1265,7 @@ impl<'a> Gen<'a> {
                 self.release(vv);
                 Ok(Some(Val::con(Word::NIL)))
             }
-            ("apply", [f, rest @ ..]) if !rest.is_empty() => {
+            (Prim::Apply, [f, rest @ ..]) if !rest.is_empty() => {
                 if rest.len() != 1 {
                     // General apply spreads only the last list; compile
                     // the multi-arg form via the runtime? Simpler: only
@@ -1275,7 +1288,7 @@ impl<'a> Gen<'a> {
                 self.release(lv);
                 Ok(Some(self.own(Val::borrowed(Operand::Reg(Reg::A)))))
             }
-            ("%function", [x]) => {
+            (Prim::Function, [x]) => {
                 if let NodeKind::Constant(Datum::Sym(s)) = self.tree.kind(*x) {
                     let id = self.program.fn_id(s.as_str());
                     let dst = self.alloc_place();
@@ -1289,11 +1302,11 @@ impl<'a> Gen<'a> {
             }
             _ if self.opts.representation_analysis => {
                 match self.ann.rep.lowered.get(&node) {
-                    Some(Rep::Swflo) => return self.inline_lowered_generic(node, name, args),
-                    Some(Rep::Swfix) => return self.inline_lowered_int(node, name, args),
+                    Some(Rep::Swflo) => return self.inline_lowered_generic(prim, args),
+                    Some(Rep::Swfix) => return self.inline_lowered_int(prim, args),
                     _ => {}
                 }
-                self.try_inline_typed(node, name, args)
+                self.try_inline_typed(prim, args)
             }
             _ => Ok(None),
         }
@@ -1301,27 +1314,21 @@ impl<'a> Gen<'a> {
 
     /// A generic arithmetic call deduced to be all-float (the type
     /// inference extension): compile with the float instructions.
-    fn inline_lowered_generic(
-        &mut self,
-        node: NodeId,
-        name: &str,
-        args: &[NodeId],
-    ) -> R<Option<Val>> {
-        let _ = node;
+    fn inline_lowered_generic(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
         // Unary transcendentals first.
-        if let ("sqrt" | "exp" | "log" | "atan", [x]) = (name, args) {
+        if let (Prim::Sqrt | Prim::Exp | Prim::Log | Prim::Atan, [x]) = (prim, args) {
             let v = self.gen_into(*x, Rep::Swflo)?;
             let dst = self.alloc_place();
-            let insn = match name {
-                "sqrt" => Insn::FSqrt {
+            let insn = match prim {
+                Prim::Sqrt => Insn::FSqrt {
                     dst: dst.op,
                     src: v.op,
                 },
-                "exp" => Insn::FExp {
+                Prim::Exp => Insn::FExp {
                     dst: dst.op,
                     src: v.op,
                 },
-                "log" => Insn::FLog {
+                Prim::Log => Insn::FLog {
                     dst: dst.op,
                     src: v.op,
                 },
@@ -1334,22 +1341,22 @@ impl<'a> Gen<'a> {
             self.release(v);
             return Ok(Some(dst));
         }
-        let op = match name {
-            "+" | "1+" => FloatOp::Add,
-            "-" | "1-" => FloatOp::Sub,
-            "*" => FloatOp::Mult,
-            "/" => FloatOp::Div,
-            "max" => FloatOp::Max,
-            "min" => FloatOp::Min,
+        let op = match prim {
+            Prim::Add | Prim::OnePlus => FloatOp::Add,
+            Prim::Sub | Prim::OneMinus => FloatOp::Sub,
+            Prim::Mul => FloatOp::Mult,
+            Prim::Div => FloatOp::Div,
+            Prim::Max => FloatOp::Max,
+            Prim::Min => FloatOp::Min,
             _ => return Ok(None),
         };
-        match (name, args) {
-            ("1+" | "1-", [x]) => {
+        match (prim, args) {
+            (Prim::OnePlus | Prim::OneMinus, [x]) => {
                 let v = self.gen_into(*x, Rep::Swflo)?;
                 let one = Val::con(Word::F(1.0));
                 Ok(Some(self.emit_float(op, v, one)))
             }
-            ("-", [x]) => {
+            (Prim::Sub, [x]) => {
                 let v = self.gen_into(*x, Rep::Swflo)?;
                 let dst = self.alloc_place();
                 self.asm.push(Insn::FNeg {
@@ -1359,7 +1366,7 @@ impl<'a> Gen<'a> {
                 self.release(v);
                 Ok(Some(dst))
             }
-            ("/", [x]) => {
+            (Prim::Div, [x]) => {
                 let v = self.gen_into(*x, Rep::Swflo)?;
                 Ok(Some(self.emit_float(
                     FloatOp::Div,
@@ -1367,7 +1374,7 @@ impl<'a> Gen<'a> {
                     v,
                 )))
             }
-            (_, [x]) if matches!(name, "+" | "*" | "max" | "min") => {
+            (Prim::Add | Prim::Mul | Prim::Max | Prim::Min, [x]) => {
                 // Single-operand identity-ish forms.
                 Ok(Some(self.gen_into(*x, Rep::Swflo)?))
             }
@@ -1387,21 +1394,18 @@ impl<'a> Gen<'a> {
     }
 
     /// Typed arithmetic, inline (the payoff of representation analysis).
-    fn try_inline_typed(&mut self, node: NodeId, name: &str, args: &[NodeId]) -> R<Option<Val>> {
-        let _ = node;
-        let float_op = |n: &str| {
-            Some(match n {
-                "+$f" => FloatOp::Add,
-                "-$f" => FloatOp::Sub,
-                "*$f" => FloatOp::Mult,
-                "/$f" => FloatOp::Div,
-                "max$f" => FloatOp::Max,
-                "min$f" => FloatOp::Min,
-                _ => return None,
-            })
+    fn try_inline_typed(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
+        let float_op = match prim {
+            Prim::AddF => Some(FloatOp::Add),
+            Prim::SubF => Some(FloatOp::Sub),
+            Prim::MulF => Some(FloatOp::Mult),
+            Prim::DivF => Some(FloatOp::Div),
+            Prim::MaxF => Some(FloatOp::Max),
+            Prim::MinF => Some(FloatOp::Min),
+            _ => None,
         };
-        if let Some(op) = float_op(name) {
-            if args.len() == 1 && name == "-$f" {
+        if let Some(op) = float_op {
+            if args.len() == 1 && prim == Prim::SubF {
                 let v = self.gen_into(args[0], Rep::Swflo)?;
                 let dst = self.alloc_place();
                 self.asm.push(Insn::FNeg {
@@ -1424,15 +1428,13 @@ impl<'a> Gen<'a> {
             }
             return Ok(Some(acc));
         }
-        let unary = |n: &str| {
-            Some(match n {
-                "sinc$f" => UnFloat::Sin,
-                "cosc$f" => UnFloat::Cos,
-                "sqrt$f" => UnFloat::Sqrt,
-                _ => return None,
-            })
+        let unary = match prim {
+            Prim::SincF => Some(UnFloat::Sin),
+            Prim::CoscF => Some(UnFloat::Cos),
+            Prim::SqrtF => Some(UnFloat::Sqrt),
+            _ => None,
         };
-        if let Some(op) = unary(name) {
+        if let Some(op) = unary {
             if args.len() != 1 {
                 return Ok(None);
             }
@@ -1456,15 +1458,13 @@ impl<'a> Gen<'a> {
             self.release(v);
             return Ok(Some(dst));
         }
-        let int_op = |n: &str| {
-            Some(match n {
-                "+&" => IntOp::Add,
-                "-&" => IntOp::Sub,
-                "*&" => IntOp::Mult,
-                _ => return None,
-            })
+        let int_op = match prim {
+            Prim::AddI => Some(IntOp::Add),
+            Prim::SubI => Some(IntOp::Sub),
+            Prim::MulI => Some(IntOp::Mult),
+            _ => None,
         };
-        if let Some(op) = int_op(name) {
+        if let Some(op) = int_op {
             if args.len() < 2 {
                 return Ok(None);
             }
@@ -1484,25 +1484,24 @@ impl<'a> Gen<'a> {
     /// All-fixnum generic arithmetic deduced by type inference: fixnum
     /// instruction selection (fixnums are immediate words, so no
     /// conversions are involved).
-    fn inline_lowered_int(&mut self, node: NodeId, name: &str, args: &[NodeId]) -> R<Option<Val>> {
-        let _ = node;
-        let op = match name {
-            "+" | "1+" => IntOp::Add,
-            "-" | "1-" => IntOp::Sub,
-            "*" => IntOp::Mult,
-            "/" => IntOp::Div,
-            "floor" => IntOp::DivFloor,
-            "rem" => IntOp::Rem,
-            "mod" => IntOp::ModFloor,
+    fn inline_lowered_int(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
+        let op = match prim {
+            Prim::Add | Prim::OnePlus => IntOp::Add,
+            Prim::Sub | Prim::OneMinus => IntOp::Sub,
+            Prim::Mul => IntOp::Mult,
+            Prim::Div => IntOp::Div,
+            Prim::Floor => IntOp::DivFloor,
+            Prim::Rem => IntOp::Rem,
+            Prim::Mod => IntOp::ModFloor,
             _ => return Ok(None),
         };
-        match (name, args) {
-            ("1+" | "1-", [x]) => {
+        match (prim, args) {
+            (Prim::OnePlus | Prim::OneMinus, [x]) => {
                 let v = self.gen_into(*x, Rep::Pointer)?;
                 let one = Val::con(Word::fixnum(1));
                 Ok(Some(self.emit_int(op, v, one)))
             }
-            ("-", [x]) => {
+            (Prim::Sub, [x]) => {
                 let v = self.gen_into(*x, Rep::Pointer)?;
                 let dst = self.alloc_place();
                 self.asm.push(Insn::Neg {
@@ -1512,9 +1511,9 @@ impl<'a> Gen<'a> {
                 self.release(v);
                 Ok(Some(dst))
             }
-            ("floor" | "mod" | "rem", [_]) => Ok(None), // unary floor is identity via rt
-            ("/", [_]) => Ok(None),                     // (/ n) is a float reciprocal
-            (_, [x]) if matches!(name, "+" | "*") => Ok(Some(self.gen_into(*x, Rep::Pointer)?)),
+            (Prim::Floor | Prim::Mod | Prim::Rem, [_]) => Ok(None), // unary floor is identity via rt
+            (Prim::Div, [_]) => Ok(None),                           // (/ n) is a float reciprocal
+            (Prim::Add | Prim::Mul, [x]) => Ok(Some(self.gen_into(*x, Rep::Pointer)?)),
             (_, [first, rest @ ..]) if !rest.is_empty() => {
                 let mut acc = self.gen_into(*first, Rep::Pointer)?;
                 for &b in rest {
@@ -1691,19 +1690,17 @@ impl<'a> Gen<'a> {
         tl: Label,
         fl: Label,
     ) -> R<()> {
-        let name = g.as_str();
-        let cond = |n: &str| {
-            Some(match n {
-                "=" => Cond::Eq,
-                "/=" => Cond::Ne,
-                "<" => Cond::Lt,
-                "<=" => Cond::Le,
-                ">" => Cond::Gt,
-                ">=" => Cond::Ge,
-                _ => return None,
-            })
+        let prim = Prim::from_name(g.as_str());
+        let cond = match prim {
+            Some(Prim::NumEq) => Some(Cond::Eq),
+            Some(Prim::NumNe) => Some(Cond::Ne),
+            Some(Prim::Lt) => Some(Cond::Lt),
+            Some(Prim::Le) => Some(Cond::Le),
+            Some(Prim::Gt) => Some(Cond::Gt),
+            Some(Prim::Ge) => Some(Cond::Ge),
+            _ => None,
         };
-        if let (Some(c), [a, b]) = (cond(name), args) {
+        if let (Some(c), [a, b]) = (cond, args) {
             let va = self.gen(*a)?;
             let va = if self.sibling_unsafe(*b) {
                 self.protect(va)
@@ -1722,8 +1719,8 @@ impl<'a> Gen<'a> {
             self.asm.push(Insn::Jmp { target: fl });
             return Ok(());
         }
-        match (name, args) {
-            ("zerop", [x]) => {
+        match (prim, args) {
+            (Some(Prim::Zerop), [x]) => {
                 let v = self.gen(*x)?;
                 self.asm.push(Insn::JmpIf {
                     cond: Cond::Eq,
@@ -1735,8 +1732,8 @@ impl<'a> Gen<'a> {
                 self.asm.push(Insn::Jmp { target: fl });
                 Ok(())
             }
-            ("null" | "not", [x]) => self.gen_test(*x, fl, tl),
-            ("eq", [a, b]) => {
+            (Some(Prim::Null | Prim::Not), [x]) => self.gen_test(*x, fl, tl),
+            (Some(Prim::Eq), [a, b]) => {
                 let va = self.gen_into(*a, Rep::Pointer)?;
                 let va = if self.sibling_unsafe(*b) {
                     self.protect(va)
@@ -1754,8 +1751,8 @@ impl<'a> Gen<'a> {
                 self.asm.push(Insn::Jmp { target: fl });
                 Ok(())
             }
-            ("consp", [x]) => self.tag_test(*x, Tag::Cons, tl, fl),
-            ("atom", [x]) => self.tag_test(*x, Tag::Cons, fl, tl),
+            (Some(Prim::Consp), [x]) => self.tag_test(*x, Tag::Cons, tl, fl),
+            (Some(Prim::Atom), [x]) => self.tag_test(*x, Tag::Cons, fl, tl),
             _ => {
                 let v = self.gen_into(node, Rep::Pointer)?;
                 self.asm.push(Insn::JmpNotNil {
@@ -2504,24 +2501,22 @@ fn leaves_function(g: &Symbol) -> bool {
 /// Comparisons and type predicates that `gen_test_call` compiles as a
 /// test.  Each test form takes exactly its row's least argument count;
 /// a chained comparison such as `(< a b c)` goes to the runtime.
-fn has_inline_test(name: &str, nargs: usize) -> bool {
-    Prim::from_name(name).is_some_and(|p| {
-        matches!(
-            p,
-            Prim::NumEq
-                | Prim::NumNe
-                | Prim::Lt
-                | Prim::Gt
-                | Prim::Le
-                | Prim::Ge
-                | Prim::Zerop
-                | Prim::Null
-                | Prim::Not
-                | Prim::Eq
-                | Prim::Consp
-                | Prim::Atom
-        ) && nargs == p.info().min_args
-    })
+fn has_inline_test(prim: Prim, nargs: usize) -> bool {
+    matches!(
+        prim,
+        Prim::NumEq
+            | Prim::NumNe
+            | Prim::Lt
+            | Prim::Gt
+            | Prim::Le
+            | Prim::Ge
+            | Prim::Zerop
+            | Prim::Null
+            | Prim::Not
+            | Prim::Eq
+            | Prim::Consp
+            | Prim::Atom
+    ) && nargs == prim.info().min_args
 }
 
 /// Whether a (special) variable has any reference (we only cache specials

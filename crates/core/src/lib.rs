@@ -53,9 +53,9 @@ pub use s1lisp_s1sim::{Machine, MachineStats, Program, Trap};
 pub use s1lisp_trace::{MemorySink, PhaseAgg, TraceSink};
 
 use s1lisp_ast::Tree;
-use s1lisp_frontend::Frontend;
+use s1lisp_frontend::{toplevel, Frontend};
 use s1lisp_interp::Const;
-use s1lisp_reader::{read_all_str, Interner};
+use s1lisp_reader::{read_all_str, Datum, Interner};
 use s1lisp_trace::NullSink;
 
 /// Hand-bumped artifact-compatibility integer folded into
@@ -241,14 +241,24 @@ impl Compiler {
     /// Returns a [`CompileError`] for read, conversion, or
     /// code-generation failures.
     pub fn compile_str(&mut self, source: &str) -> Result<Vec<String>, CompileError> {
-        self.with_sink(|c, sink| {
-            let pending = c.convert_str_with(source, sink)?;
-            let mut names = Vec::new();
-            for p in pending {
-                names.push(c.compile_function(p.inner, sink)?);
-            }
-            Ok(names)
-        })
+        self.with_sink(|c, sink| c.compile_unit(source, false, sink))
+    }
+
+    /// The Preliminary phase over the whole unit, then the rest of the
+    /// pipeline one function at a time; `eval` as in
+    /// [`Compiler::convert_str_with`].
+    fn compile_unit(
+        &mut self,
+        source: &str,
+        eval: bool,
+        sink: &mut dyn TraceSink,
+    ) -> Result<Vec<String>, CompileError> {
+        let pending = self.convert_str_with(source, eval, sink)?;
+        let mut names = Vec::new();
+        for p in pending {
+            names.push(self.compile_function(p.inner, sink)?);
+        }
+        Ok(names)
     }
 
     /// Runs `f` with this compiler's trace sink detached, so `f` can
@@ -276,7 +286,7 @@ impl Compiler {
     ///
     /// Returns a [`CompileError`] for read or conversion failures.
     pub fn convert_str(&mut self, source: &str) -> Result<Vec<PendingFunction>, CompileError> {
-        self.with_sink(|c, sink| c.convert_str_with(source, sink))
+        self.with_sink(|c, sink| c.convert_str_with(source, false, sink))
     }
 
     /// Runs a converted function through the rest of the pipeline
@@ -289,13 +299,29 @@ impl Compiler {
         self.with_sink(|c, sink| c.compile_function(pending.inner, sink))
     }
 
+    /// Reads and converts `source`.  Under `eval` (a REPL's input) each
+    /// form that declares nothing is an expression, compiled as the
+    /// nullary function `%evalN-k` (`N` counts evaluations, `k` is the
+    /// form's position).
     fn convert_str_with(
         &mut self,
         source: &str,
+        eval: bool,
         sink: &mut dyn TraceSink,
     ) -> Result<Vec<PendingFunction>, CompileError> {
         let sp = sink.span_begin("Preliminary", "(read+convert)");
-        let forms = read_all_str(source, &mut self.interner)?;
+        let mut forms = read_all_str(source, &mut self.interner)?;
+        if eval {
+            self.eval_counter += 1;
+            let defun = Datum::Sym(self.interner.intern("defun"));
+            for (k, form) in forms.iter_mut().enumerate() {
+                if toplevel(form)?.is_none() {
+                    let name = format!("%eval{}-{k}", self.eval_counter);
+                    let name = Datum::Sym(self.interner.intern(&name));
+                    *form = Datum::list([defun.clone(), name, Datum::Nil, form.clone()]);
+                }
+            }
+        }
         let mut fe = Frontend::new(&mut self.interner);
         for s in &self.specials {
             let sym = fe.interner.intern(s);
@@ -323,73 +349,24 @@ impl Compiler {
     }
 
     /// Compiles and immediately evaluates expressions (REPL convenience):
-    /// each non-`defun` form is wrapped in a nullary function, compiled
-    /// with the current options, and run on a fresh machine that sees
-    /// everything compiled so far.  `defun`s define persistently; global
-    /// variable mutations do *not* persist across `eval` calls (each call
-    /// gets a fresh machine).
+    /// `expr` compiles as a [`Compiler::compile_str`] unit in which each
+    /// form that declares nothing (no `defun`, `defvar` or `proclaim`)
+    /// becomes a nullary function, and those functions run in order on a
+    /// fresh machine that sees everything compiled so far.  `defun`s
+    /// define persistently; global variable mutations do *not* persist
+    /// across `eval` calls (each call gets a fresh machine).
     ///
     /// # Errors
     ///
     /// The outer `Result` carries compile-time failures; the inner one
     /// carries run-time traps.
     pub fn eval(&mut self, expr: &str) -> Result<Result<Value, Trap>, CompileError> {
-        self.with_sink(|c, sink| c.eval_with(expr, sink))
-    }
-
-    fn eval_with(
-        &mut self,
-        expr: &str,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Result<Value, Trap>, CompileError> {
-        let sp = sink.span_begin("Preliminary", "(read+convert)");
-        let forms = read_all_str(expr, &mut self.interner)?;
-        let mut fe = Frontend::new(&mut self.interner);
-        for s in &self.specials {
-            let sym = fe.interner.intern(s);
-            fe.proclaim_special(sym);
-        }
-        self.eval_counter += 1;
-        let name = format!("%eval{}", self.eval_counter);
-        let mut last = Value::Nil;
-        let mut fns = Vec::new();
-        for (k, form) in forms.iter().enumerate() {
-            // defuns define; other forms evaluate.
-            let head = form.car().and_then(|h| h.as_symbol().cloned());
-            if matches!(
-                head.as_ref().map(|s| s.as_str()),
-                Some("defun" | "defvar" | "proclaim")
-            ) {
-                fns.extend(fe.convert_toplevel(std::slice::from_ref(form))?);
-            } else {
-                let fname = format!("{name}-{k}");
-                let f = fe.convert_expr(&fname, form)?;
-                fns.push(f);
-            }
-        }
-        if sink.enabled() {
-            sink.add("toplevel_forms", forms.len() as u64);
-            sink.add("functions", fns.len() as u64);
-        }
-        sink.span_end(sp);
-        let inits = std::mem::take(&mut fe.defvar_inits);
-        for (gname, init) in inits {
-            self.globals
-                .push((gname.as_str().to_string(), Const::from_datum(&init)));
-        }
-        let mut eval_names = Vec::new();
-        for f in fns {
-            // The same per-function pipeline as `compile_str`: eval'd
-            // forms get spans, transcripts, tensioned branches, and
-            // `explain` dossiers too.
-            let fname = self.compile_function(f, sink)?;
-            if fname.starts_with("%eval") {
-                eval_names.push(fname);
-            }
-        }
+        let names = self.with_sink(|c, sink| c.compile_unit(expr, true, sink))?;
+        let expressions = format!("%eval{}-", self.eval_counter);
         let mut m = self.machine();
-        for fname in eval_names {
-            match m.run(&fname, &[]) {
+        let mut last = Value::Nil;
+        for name in names.iter().filter(|n| n.starts_with(&expressions)) {
+            match m.run(name, &[]) {
                 Ok(v) => last = v,
                 Err(t) => return Ok(Err(t)),
             }

@@ -5,7 +5,11 @@
 //! a batch service without touching phase semantics:
 //!
 //! * **Fan-out** — a [`CompileService`] splits compilation units into
-//!   hermetic per-function jobs and runs them on `jobs` worker threads
+//!   hermetic per-function jobs, reading each top-level form through
+//!   the frontend's classifier (`s1lisp_frontend::declaration`, the
+//!   dispatch `Compiler::compile_str` uses, so a unit fails the batch
+//!   exactly when it fails a serial compile), and runs them on `jobs`
+//!   worker threads
 //!   (`std::thread` + `mpsc`; `jobs = 1` degenerates to the serial path
 //!   on the caller's thread).
 //! * **Memoization** — an [`ArtifactCache`] keyed by the converted
@@ -53,8 +57,8 @@ mod service;
 pub use cache::{ArtifactCache, CacheStats};
 pub use s1lisp::{BackendKind, FaultPlan, FaultSite};
 pub use service::{
-    unit_decls, BatchResult, BatchStats, CompileService, GuardReport, Incident, IncidentKind,
-    JobRecord, OracleVerdict, Outcome, UnitDecls, WorkerStats,
+    BatchResult, BatchStats, CompileService, GuardReport, Incident, IncidentKind, JobRecord,
+    OracleVerdict, Outcome, WorkerStats,
 };
 
 use std::path::PathBuf;

@@ -28,7 +28,8 @@ use s1lisp::{
     Artifact, BackendKind, CompileError, Compiler, FaultPlan, FaultSite, Machine, PassWatch, Value,
 };
 use s1lisp_ast::Fnv1a64;
-use s1lisp_reader::{read_all_str, read_str, Datum, Interner};
+use s1lisp_frontend::{declaration, TopLevel};
+use s1lisp_reader::{read_all_str, read_str, Interner};
 use s1lisp_trace::json::Json;
 use s1lisp_trace::metrics::{Histogram, MetricsRegistry, TIME_BUCKETS_US};
 
@@ -259,9 +260,12 @@ pub struct BatchResult {
     /// Failures as `(scope, message)`, where scope is `unit <name>` for
     /// split failures and the function name for per-job ones.
     pub failures: Vec<(String, String)>,
-    /// `defvar` globals seen while splitting: (name, printed initial
-    /// value).
+    /// `defvar` globals seen while splitting: (name, initializer as
+    /// written).
     pub globals: Vec<(String, String)>,
+    /// Specials proclaimed or `defvar`ed by the units that split, in
+    /// declaration order (a name may repeat).
+    pub specials: Vec<String>,
     /// Batch telemetry.
     pub stats: BatchStats,
     /// Guarded-compilation summary; `None` unless the batch ran with
@@ -293,9 +297,9 @@ impl BatchResult {
 
     /// Installs the batch's `defvar` globals into a machine, making a
     /// batch-compiled program directly runnable like a serial
-    /// [`Compiler::machine`]: each printed initializer is re-read,
-    /// converted to a value (one `quote` level stripped, as `defvar`
-    /// does), and set as the global.  Returns the number installed.
+    /// [`Compiler::machine`]: each global is re-read as the `defvar` it
+    /// came from, its initial value taken by the frontend's
+    /// [`declaration`] rule, and set.  Returns the number installed.
     ///
     /// # Errors
     ///
@@ -303,27 +307,20 @@ impl BatchResult {
     /// or install.
     pub fn load_globals(&self, m: &mut Machine) -> Result<usize, String> {
         let mut interner = Interner::new();
-        let mut installed = 0;
         for (name, init) in &self.globals {
-            let datum = read_str(init, &mut interner).map_err(|e| format!("global {name}: {e}"))?;
-            let quoted = datum
-                .car()
-                .and_then(|h| h.as_symbol().cloned())
-                .is_some_and(|s| s.as_str() == "quote");
-            let datum = if quoted {
-                datum
-                    .cdr()
-                    .and_then(|d| d.car())
-                    .ok_or_else(|| format!("global {name}: malformed quote"))?
-            } else {
-                datum
+            let form = read_str(&format!("(defvar {name} {init})"), &mut interner)
+                .map_err(|e| format!("global {name}: {e}"))?;
+            let Ok(TopLevel::Defvar {
+                init: Some((_, value)),
+                ..
+            }) = declaration(&form)
+            else {
+                return Err(format!("global {name}: not a constant initializer"));
             };
-            let value = Value::from_datum(&datum);
-            m.set_global(name, &value)
+            m.set_global(name, &Value::from_datum(&value))
                 .map_err(|t| format!("global {name}: {t}"))?;
-            installed += 1;
         }
-        Ok(installed)
+        Ok(self.globals.len())
     }
 
     /// Cache hits as a percentage of functions, rounded down (100 ⇔
@@ -889,12 +886,14 @@ impl CompileService {
         let before = self.cache.stats();
         let mut jobs = Vec::new();
         let mut globals = Vec::new();
+        let mut specials = Vec::new();
         let mut failures = Vec::new();
         for unit in units {
             match split_unit(unit, jobs.len()) {
                 Ok(split) => {
                     jobs.extend(split.jobs);
                     globals.extend(split.globals);
+                    specials.extend(split.specials);
                 }
                 Err(e) => failures.push((format!("unit {}", unit.name), e)),
             }
@@ -987,6 +986,7 @@ impl CompileService {
             incidents,
             failures,
             globals,
+            specials,
             stats: BatchStats {
                 workers_used,
                 schedule: config.schedule,
@@ -1283,31 +1283,10 @@ struct SplitUnit {
     specials: Vec<String>,
 }
 
-/// The declarations one unit contributes to a long-lived session: the
-/// specials it proclaims (or `defvar`s), in order, and its `defvar`
-/// globals as `(name, printed constant initializer)` pairs.
-pub type UnitDecls = (Vec<String>, Vec<(String, String)>);
-
-/// Extracts the [`UnitDecls`] of one unit.
-///
-/// This is the compile server's linking hook: after serving a tenant's
-/// unit, the tenant's namespace absorbs these so every *subsequent*
-/// request compiles against them — the load-link-on-demand shape, with
-/// exactly the dispatch rules of the batch splitter.
-///
-/// # Errors
-///
-/// A description of the first malformed or unsupported top-level form.
-pub fn unit_decls(source: &str) -> Result<UnitDecls, String> {
-    let unit = SourceUnit::new("decls", source);
-    let split = split_unit(&unit, 0)?;
-    Ok((split.specials, split.globals))
-}
-
-/// Splits one unit into hermetic jobs, mirroring the top-level dispatch
-/// of `Frontend::convert_toplevel`: `defun`s become jobs; `proclaim`ed
-/// and `defvar`ed names accumulate into the specials every *subsequent*
-/// job carries; `defvar` constant initializers are recorded as globals.
+/// Splits one unit into hermetic jobs by the frontend's top-level
+/// dispatch ([`declaration`]): `defun`s become jobs; `proclaim`ed and
+/// `defvar`ed names accumulate into the specials every *subsequent* job
+/// carries; `defvar` constant initializers are recorded as globals.
 fn split_unit(unit: &SourceUnit, first_seq: usize) -> Result<SplitUnit, String> {
     let mut interner = Interner::new();
     let forms = read_all_str(&unit.source, &mut interner).map_err(|e| e.to_string())?;
@@ -1315,67 +1294,23 @@ fn split_unit(unit: &SourceUnit, first_seq: usize) -> Result<SplitUnit, String> 
     let mut jobs = Vec::new();
     let mut globals = Vec::new();
     for form in &forms {
-        let head = form.car().and_then(|h| h.as_symbol().cloned());
-        match head.as_ref().map(|s| s.as_str()) {
-            Some("defun") => {
-                let fn_name = form
-                    .cdr()
-                    .and_then(|d| d.car())
-                    .and_then(|d| d.as_symbol().cloned())
-                    .ok_or("malformed defun")?;
-                jobs.push(Job {
-                    seq: first_seq + jobs.len(),
-                    unit: unit.name.clone(),
-                    fn_name: fn_name.as_str().to_string(),
-                    form: form.to_string(),
-                    specials: specials.clone(),
-                    tuning: BatchTuning::default(),
-                });
-            }
-            Some("defvar") => {
-                let rest = form.cdr().unwrap_or(Datum::Nil);
-                let name = rest
-                    .car()
-                    .and_then(|d| d.as_symbol().cloned())
-                    .ok_or("malformed defvar")?;
+        match declaration(form).map_err(|e| e.to_string())? {
+            TopLevel::Defun(name) => jobs.push(Job {
+                seq: first_seq + jobs.len(),
+                unit: unit.name.clone(),
+                fn_name: name.as_str().to_string(),
+                form: form.to_string(),
+                specials: specials.clone(),
+                tuning: BatchTuning::default(),
+            }),
+            TopLevel::Defvar { name, init } => {
                 specials.push(name.as_str().to_string());
-                if let Some(init) = rest.cdr().and_then(|d| d.car()) {
-                    let constant = init.is_self_evaluating()
-                        || init.is_nil()
-                        || init.as_symbol().is_some_and(|s| s.as_str() == "t")
-                        || init
-                            .car()
-                            .and_then(|h| h.as_symbol().cloned())
-                            .is_some_and(|s| s.as_str() == "quote");
-                    if !constant {
-                        return Err(format!("defvar initializer must be a constant: {form}"));
-                    }
+                if let Some((init, _)) = init {
                     globals.push((name.as_str().to_string(), init.to_string()));
                 }
             }
-            Some("proclaim") => {
-                let spec = form
-                    .cdr()
-                    .and_then(|d| d.car())
-                    .and_then(|d| d.cdr()?.car())
-                    .ok_or("malformed proclaim")?;
-                let items = spec.proper_list().ok_or("malformed proclaim")?;
-                if items
-                    .first()
-                    .and_then(|h| h.as_symbol().map(|s| s.as_str()))
-                    == Some("special")
-                {
-                    for s in &items[1..] {
-                        if let Some(sym) = s.as_symbol() {
-                            specials.push(sym.as_str().to_string());
-                        }
-                    }
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "unsupported top-level form (want defun/defvar/proclaim): {form}"
-                ))
+            TopLevel::Proclaim(names) => {
+                specials.extend(names.iter().map(|s| s.as_str().to_string()));
             }
         }
     }

@@ -66,19 +66,7 @@ impl<'a> Frontend<'a> {
     /// Returns a [`ConvertError`] on malformed source, or when `name` is
     /// a primitive's.
     pub fn convert_defun(&mut self, form: &Datum) -> Result<Function, ConvertError> {
-        let items = form
-            .proper_list()
-            .ok_or_else(|| ConvertError::new("malformed defun", form))?;
-        let [head, name, params, body @ ..] = items.as_slice() else {
-            return Err(ConvertError::new("defun needs name, params, body", form));
-        };
-        if head.as_symbol().map(|s| s.as_str()) != Some("defun") {
-            return Err(ConvertError::new("not a defun", form));
-        }
-        let name = name
-            .as_symbol()
-            .ok_or_else(|| ConvertError::new("defun name must be a symbol", form))?
-            .clone();
+        let (name, items) = defun_parts(form)?;
         // Every layer, the optimizer's folds included, takes a primitive's
         // name to mean the primitive.
         if Prim::from_name(name.as_str()).is_some() {
@@ -86,33 +74,18 @@ impl<'a> Frontend<'a> {
             return Err(ConvertError::new(message, form));
         }
         let mut cx = Cx::new(self);
-        let lambda = cx.convert_lambda(params, body)?;
+        let lambda = cx.convert_lambda(&items[2], &items[3..])?;
         let mut tree = cx.tree;
         tree.root = lambda;
         tree.rebuild_backlinks();
         Ok(Function { name, tree })
     }
 
-    /// Converts a bare expression into a nullary function named `name`
-    /// (convenient for REPL-style evaluation and tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConvertError`] on malformed source.
-    pub fn convert_expr(&mut self, name: &str, expr: &Datum) -> Result<Function, ConvertError> {
-        let name = self.interner.intern(name);
-        let mut cx = Cx::new(self);
-        let body = cx.convert(expr)?;
-        let mut tree = cx.tree;
-        let lambda = tree.lambda(Vec::new(), body);
-        tree.root = lambda;
-        tree.rebuild_backlinks();
-        Ok(Function { name, tree })
-    }
-
-    /// Converts a sequence of top-level forms: `defun`s become functions;
-    /// `(proclaim '(special …))` and `(defvar name [init])` register
-    /// special variables.
+    /// Converts a sequence of top-level forms, each classified by
+    /// [`declaration`]: `defun`s become functions; `proclaim`ed and
+    /// `defvar`ed names become special for the forms after them; and
+    /// `defvar` constant initializers are recorded in
+    /// [`Frontend::defvar_inits`].
     ///
     /// # Errors
     ///
@@ -121,76 +94,147 @@ impl<'a> Frontend<'a> {
     pub fn convert_toplevel(&mut self, forms: &[Datum]) -> Result<Vec<Function>, ConvertError> {
         let mut out = Vec::new();
         for form in forms {
-            let head = form.car().and_then(|h| h.as_symbol().cloned());
-            match head.as_ref().map(|s| s.as_str()) {
-                Some("defun") => out.push(self.convert_defun(form)?),
-                Some("defvar") => {
-                    let rest = form.cdr().unwrap_or(Datum::Nil);
-                    let name = rest
-                        .car()
-                        .and_then(|d| d.as_symbol().cloned())
-                        .ok_or_else(|| ConvertError::new("malformed defvar", form))?;
+            match declaration(form)? {
+                TopLevel::Defun(_) => out.push(self.convert_defun(form)?),
+                TopLevel::Defvar { name, init } => {
                     self.proclaim_special(name.clone());
-                    // Constant initializers are recorded; the dialect has
-                    // no load-time evaluation, so anything else is an
-                    // error rather than a silent drop.
-                    if let Some(init) = rest.cdr().and_then(|d| d.car()) {
-                        let constant = match &init {
-                            d if d.is_self_evaluating() || d.is_nil() => Some(init.clone()),
-                            Datum::Cons(c)
-                                if c.car()
-                                    .as_symbol()
-                                    .map(|s| s.as_str() == "quote")
-                                    .unwrap_or(false) =>
-                            {
-                                c.cdr().car()
-                            }
-                            Datum::Sym(s) if s.as_str() == "t" => Some(init.clone()),
-                            _ => None,
-                        };
-                        match constant {
-                            Some(v) => self.defvar_inits.push((name, v)),
-                            None => {
-                                return Err(ConvertError::new(
-                                    "defvar initializer must be a constant",
-                                    form,
-                                ))
-                            }
-                        }
+                    if let Some((_, value)) = init {
+                        self.defvar_inits.push((name, value));
                     }
                 }
-                Some("proclaim") => {
-                    // (proclaim '(special a b c))
-                    let spec = form
-                        .cdr()
-                        .and_then(|d| d.car())
-                        .and_then(|d| d.cdr()?.car()) // strip quote
-                        .ok_or_else(|| ConvertError::new("malformed proclaim", form))?;
-                    let items = spec
-                        .proper_list()
-                        .ok_or_else(|| ConvertError::new("malformed proclaim", form))?;
-                    if items
-                        .first()
-                        .and_then(|h| h.as_symbol().map(|s| s.as_str()))
-                        == Some("special")
-                    {
-                        for s in &items[1..] {
-                            if let Some(sym) = s.as_symbol() {
-                                self.proclaim_special(sym.clone());
-                            }
-                        }
+                TopLevel::Proclaim(names) => {
+                    for name in names {
+                        self.proclaim_special(name);
                     }
-                }
-                _ => {
-                    return Err(ConvertError::new(
-                        "unsupported top-level form (want defun/defvar/proclaim)",
-                        form,
-                    ))
                 }
             }
         }
         Ok(out)
     }
+}
+
+/// What one top-level form declares — the Preliminary phase's one
+/// top-level dispatch, shared by every layer that reads a unit.
+#[derive(Clone, Debug)]
+pub enum TopLevel {
+    /// `(defun name params body…)`: a function named `name`.
+    Defun(Symbol),
+    /// `(defvar name [init])`: `name` is special and, with an
+    /// initializer, a global with a constant initial value.
+    Defvar {
+        /// The variable.
+        name: Symbol,
+        /// The initializer as written and the constant it denotes (one
+        /// `quote` level stripped).
+        init: Option<(Datum, Datum)>,
+    },
+    /// `(proclaim '(special name…))`: the names proclaimed special
+    /// (none when the declaration is not `special`).
+    Proclaim(Vec<Symbol>),
+}
+
+/// Classifies a top-level form, or `Ok(None)` when it declares nothing:
+/// an expression, which only a REPL accepts at top level.
+///
+/// The dialect has no load-time evaluation, so a `defvar` initializer
+/// must be a constant: a self-evaluating datum, `()`, `t`, or a `quote`
+/// form.
+///
+/// # Errors
+///
+/// Returns a [`ConvertError`] for a malformed `defun`, `defvar` or
+/// `proclaim`, and for a `defvar` whose initializer is not a constant.
+pub fn toplevel(form: &Datum) -> Result<Option<TopLevel>, ConvertError> {
+    let head = form.car().and_then(|h| h.as_symbol().cloned());
+    let decl = match head.as_ref().map(|s| s.as_str()) {
+        Some("defun") => TopLevel::Defun(defun_parts(form)?.0),
+        Some("defvar") => {
+            let rest = form.cdr().unwrap_or(Datum::Nil);
+            let name = rest
+                .car()
+                .and_then(|d| d.as_symbol().cloned())
+                .ok_or_else(|| ConvertError::new("malformed defvar", form))?;
+            let init = match rest.cdr().and_then(|d| d.car()) {
+                None => None,
+                Some(init) => {
+                    let value = match &init {
+                        d if d.is_self_evaluating() || d.is_nil() => Some(init.clone()),
+                        Datum::Cons(c)
+                            if c.car().as_symbol().is_some_and(|s| s.as_str() == "quote") =>
+                        {
+                            c.cdr().car()
+                        }
+                        Datum::Sym(s) if s.as_str() == "t" => Some(init.clone()),
+                        _ => None,
+                    };
+                    let value = value.ok_or_else(|| {
+                        ConvertError::new("defvar initializer must be a constant", form)
+                    })?;
+                    Some((init, value))
+                }
+            };
+            TopLevel::Defvar { name, init }
+        }
+        Some("proclaim") => {
+            // (proclaim '(special a b c))
+            let spec = form
+                .cdr()
+                .and_then(|d| d.car())
+                .and_then(|d| d.cdr()?.car()) // strip quote
+                .ok_or_else(|| ConvertError::new("malformed proclaim", form))?;
+            let items = spec
+                .proper_list()
+                .ok_or_else(|| ConvertError::new("malformed proclaim", form))?;
+            let special = items
+                .first()
+                .and_then(|h| h.as_symbol().map(|s| s.as_str()))
+                == Some("special");
+            let names = if special {
+                items[1..]
+                    .iter()
+                    .filter_map(|s| s.as_symbol().cloned())
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            TopLevel::Proclaim(names)
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(decl))
+}
+
+/// The name of a `(defun name params body…)` form and the form's items.
+fn defun_parts(form: &Datum) -> Result<(Symbol, Vec<Datum>), ConvertError> {
+    let items = form
+        .proper_list()
+        .ok_or_else(|| ConvertError::new("malformed defun", form))?;
+    let [head, name, _params, ..] = items.as_slice() else {
+        return Err(ConvertError::new("defun needs name, params, body", form));
+    };
+    if head.as_symbol().map(|s| s.as_str()) != Some("defun") {
+        return Err(ConvertError::new("not a defun", form));
+    }
+    let name = name
+        .as_symbol()
+        .ok_or_else(|| ConvertError::new("defun name must be a symbol", form))?
+        .clone();
+    Ok((name, items))
+}
+
+/// [`toplevel`] for a compilation unit, where every form must declare
+/// something.
+///
+/// # Errors
+///
+/// As [`toplevel`], and for a form that declares nothing.
+pub fn declaration(form: &Datum) -> Result<TopLevel, ConvertError> {
+    toplevel(form)?.ok_or_else(|| {
+        ConvertError::new(
+            "unsupported top-level form (want defun/defvar/proclaim)",
+            form,
+        )
+    })
 }
 
 /// Per-function conversion context.

@@ -18,6 +18,15 @@
 //! scoped) variables are exempt from renaming — their spelling *is* their
 //! identity at run time.
 //!
+//! What a top-level form declares is decided here and nowhere else:
+//! [`toplevel`] classifies one form as a [`TopLevel`] — a `defun`, a
+//! `defvar` with its constant initializer, or a `proclaim` — or as an
+//! expression, and [`declaration`] is the same for a compilation unit,
+//! where every form must declare.  [`Frontend::convert_toplevel`], the
+//! batch driver's unit splitter and its global loader, and the REPL's
+//! `Compiler::eval` all dispatch through it, so they agree on which
+//! units are well formed.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,5 +48,5 @@ mod convert;
 mod error;
 mod macros;
 
-pub use convert::{Frontend, Function};
+pub use convert::{declaration, toplevel, Frontend, Function, TopLevel};
 pub use error::ConvertError;

@@ -383,7 +383,7 @@ impl Machine {
                 p.retire(fnid, pc, insn.opcode());
             }
             pc += 1;
-            match self.step(insn, &code, &mut pc)? {
+            match self.step(insn, fnid, &code, &mut pc)? {
                 Step::Next => {}
                 Step::Jump(target) => pc = code.labels[target as usize],
                 Step::Call {
@@ -573,10 +573,16 @@ impl Machine {
 
     // ---- instruction semantics ----
 
+    /// Executes `insn` of function `fnid`, whose code is `code`; `pc`
+    /// already points past it.
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, insn: Insn, code: &Arc<FuncCode>, pc: &mut usize) -> Result<Step, Trap> {
-        let _ = pc;
-        let _ = code;
+    fn step(
+        &mut self,
+        insn: Insn,
+        fnid: u32,
+        code: &Arc<FuncCode>,
+        pc: &mut usize,
+    ) -> Result<Step, Trap> {
         match insn {
             Insn::Mov { dst, src } => {
                 self.stats.moves += 1;
@@ -924,11 +930,8 @@ impl Machine {
                 // checking) so instruction counts stay comparable with
                 // inline code.
                 self.stats.insns += RT_CALL_COST + 2 * u64::from(nargs);
-                if self.profile.is_some() {
-                    let fnid = self.current_fnid(code);
-                    if let Some(p) = self.profile.as_deref_mut() {
-                        p.attribute(fnid, RT_CALL_COST + 2 * u64::from(nargs));
-                    }
+                if let Some(p) = self.profile.as_deref_mut() {
+                    p.attribute(fnid, RT_CALL_COST + 2 * u64::from(nargs));
                 }
                 let result = self.rt_call_popped(prim, nargs as usize)?;
                 match result {
@@ -942,7 +945,6 @@ impl Machine {
             Insn::PushCatch { tag, target } => {
                 let tag = self.read(tag)?;
                 let resume = code.labels[target as usize];
-                let fnid = self.current_fnid(code);
                 self.catches.push(CatchFrame {
                     tag,
                     fnid,
@@ -1012,7 +1014,6 @@ impl Machine {
                 Ok(Step::Next)
             }
             Insn::LocalCall { target } => {
-                let fnid = self.current_fnid(code);
                 self.ctrl.push(Frame {
                     ret_fn: fnid,
                     ret_pc: *pc,
@@ -1059,10 +1060,6 @@ impl Machine {
                 })
             }
         }
-    }
-
-    fn current_fnid(&mut self, code: &Arc<FuncCode>) -> u32 {
-        self.program.fn_id(&code.name)
     }
 
     fn callee(&mut self, f: CallTarget) -> Result<Callee, Trap> {

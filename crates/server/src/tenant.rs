@@ -14,6 +14,12 @@
 //!   across tenants, no timing side-channel on another tenant's
 //!   artifacts.
 //!
+//! The namespace has one model, the log of successfully compiled unit
+//! sources: a unit's specials and globals are absorbed, and its
+//! artifacts stored, only when it is logged, so the specials prefix,
+//! the journal, the snapshot and the linked image all describe the
+//! logged units and a failed unit changes none of them.
+//!
 //! A tenant's compiles go through the batch service's hermetic jobs
 //! ([`TenantState::compile_unit`], for live requests and journal replay
 //! alike) and need no resident compiler.  Its runs go through its
@@ -32,9 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use s1lisp::{Artifact, CompileError, Image};
 use s1lisp_ast::Fnv1a64;
-use s1lisp_driver::{
-    unit_decls, BatchResult, BatchTuning, CompileService, ServiceConfig, SourceUnit,
-};
+use s1lisp_driver::{BatchResult, BatchTuning, CompileService, ServiceConfig, SourceUnit};
 
 use crate::journal::TenantJournal;
 
@@ -101,11 +105,13 @@ impl TenantState {
     /// its artifacts are byte-identical to a plain `compile_batch`),
     /// and the batch compiles under the tenant's salt and demotion with
     /// the lock released: a tenant's single-in-flight guarantee already
-    /// serializes its requests.  Then the unit's declarations are
-    /// absorbed, a clean compile's source is logged and `commit` runs
-    /// under the lock (the live server journals there), the artifacts
-    /// are stored, and the incidents are charged against
-    /// `incident_budget`.
+    /// serializes its requests.  Only a clean compile changes the
+    /// namespace: its specials and globals are absorbed from the
+    /// batch's own split, its source is logged and its artifacts are
+    /// stored, and then `commit` runs under the lock (the live server
+    /// journals there, and a snapshot it takes holds the whole unit).
+    /// A failed unit leaves the namespace as it was.  Either way the
+    /// incidents are charged against `incident_budget`.
     pub fn compile_unit(
         tenant: &Mutex<TenantState>,
         service: &CompileService,
@@ -129,20 +135,18 @@ impl TenantState {
         };
         let batch = service.compile_batch_with(&[SourceUnit::new(unit, full_source)], tuning);
         let mut st = tenant.lock().expect("tenant poisoned");
-        // The unit's own declarations, from the *raw* source: the
-        // prefix is the tenant's existing state, not news.
-        if let Ok((specials, globals)) = unit_decls(source) {
-            for s in specials {
-                st.absorb_special(&s);
-            }
-            st.globals.extend(globals);
-        }
         if batch.failures.is_empty() {
+            // The batch's split leads with the prefix's specials, which
+            // the tenant already holds in this order.
+            for s in &batch.specials {
+                st.absorb_special(s);
+            }
+            st.globals.extend(batch.globals.iter().cloned());
             st.sources.push(source.to_string());
+            for a in &batch.artifacts {
+                st.artifacts.insert(a.name.clone(), a.clone());
+            }
             commit(&mut st);
-        }
-        for a in &batch.artifacts {
-            st.artifacts.insert(a.name.clone(), a.clone());
         }
         st.charge(batch.incidents.len() as u64, incident_budget);
         batch
@@ -150,9 +154,12 @@ impl TenantState {
 
     /// The tenant's linked image, relinked first if a compile or a
     /// demotion changed the namespace since it was built.  Relinking
-    /// compiles the source log into a fresh compiler — transformations
-    /// off for a demoted tenant, which runs what it compiles — with the
-    /// lock released, after dropping the stale image.
+    /// compiles the source log into a fresh compiler as one unit, so
+    /// each logged unit sees the specials its predecessors declared, as
+    /// its served compile did through the specials prefix —
+    /// transformations off for a demoted tenant, which runs what it
+    /// compiles — with the lock released, after dropping the stale
+    /// image.
     ///
     /// # Errors
     ///
@@ -173,9 +180,7 @@ impl TenantState {
             (key, st.sources.clone())
         };
         let mut c = service.compiler(key.1);
-        for src in &sources {
-            c.compile_str(src)?;
-        }
+        c.compile_str(&sources.join("\n"))?;
         let image = Arc::new(c.image());
         tenant.lock().expect("tenant poisoned").image = Some((key, Arc::clone(&image)));
         Ok(image)

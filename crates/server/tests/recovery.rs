@@ -425,6 +425,31 @@ fn snapshots_compact_the_journal_and_sync_forces_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot taken while acknowledging a unit holds that unit's
+/// artifacts: recovered from snapshots alone (cadence 1, no sync), the
+/// tenant still has every function it was acknowledged for.
+#[test]
+fn a_snapshot_holds_the_artifacts_of_the_unit_that_took_it() {
+    let dir = state_dir("snapshot-artifacts");
+    let mut config = durable_config(&dir);
+    config.snapshot_every = 1;
+    let handle = start(config);
+    let mut client = connect(&handle);
+    assert!(client.hello("alice", None).unwrap().ok);
+    for i in 0..2 {
+        let resp = client.compile(&format!("u{i}"), &unit_source(i)).unwrap();
+        assert!(resp.ok && resp.durable);
+    }
+    handle.shutdown();
+    handle.join();
+    let recovered = CompileServer::new(durable_config(&dir));
+    let state = recovered.tenant("alice").expect("tenant recovered");
+    let mut names: Vec<String> = state.lock().unwrap().artifacts.keys().cloned().collect();
+    names.sort();
+    assert_eq!(names, ["f0", "f1"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn memory_only_servers_never_claim_durability() {
     let handle = start(ServerConfig::default());

@@ -15,9 +15,10 @@
 //! * [`NullSink`] — the default, all methods no-ops: tracing disabled
 //!   costs nothing beyond a dead-branch check at phase boundaries.
 //! * [`MemorySink`] — aggregates spans per phase (call counts, wall
-//!   time, counter totals), keeps the event log, and retains every span
-//!   as a [`SpanRec`] so per-unit (per-function) views can be rebuilt —
-//!   the substrate of `Compiler::explain`'s compilation dossiers.
+//!   time, counter totals) and retains every span, with its counters
+//!   and events, as a [`SpanRec`] so per-unit (per-function) views can
+//!   be rebuilt — the substrate of `Compiler::explain`'s compilation
+//!   dossiers.
 //! * [`json`] — a dependency-free JSON model with a stable field order
 //!   and a schema extractor, so `report --json` output can be pinned by
 //!   golden tests.
@@ -43,4 +44,4 @@ pub mod metrics;
 pub mod rng;
 mod sink;
 
-pub use sink::{Event, MemorySink, NullSink, PhaseAgg, SpanId, SpanRec, TraceSink};
+pub use sink::{MemorySink, NullSink, PhaseAgg, SpanId, SpanRec, TraceSink};

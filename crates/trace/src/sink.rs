@@ -37,7 +37,9 @@ pub trait TraceSink {
     /// phase.
     fn add(&mut self, counter: &'static str, delta: u64);
 
-    /// Records a free-form event under the innermost open span's phase.
+    /// Records a free-form event on the innermost open span; every
+    /// caller records inside one, and a [`MemorySink`] drops an event
+    /// recorded outside any span.
     fn event(&mut self, name: &'static str, detail: &str);
 }
 
@@ -101,20 +103,6 @@ impl PhaseAgg {
     }
 }
 
-/// One recorded event.
-#[derive(Clone, Debug)]
-pub struct Event {
-    /// Phase of the innermost span open at record time (`"(toplevel)"`
-    /// if none).
-    pub phase: &'static str,
-    /// Unit of the innermost span open at record time (empty if none).
-    pub unit: String,
-    /// Event name.
-    pub name: &'static str,
-    /// Free-form detail.
-    pub detail: String,
-}
-
 /// One recorded span: phase, unit, tree position, wall time, and the
 /// counters and events attributed to it while it was innermost.
 ///
@@ -161,8 +149,9 @@ impl fmt::Debug for OpenSpan {
     }
 }
 
-/// A sink that aggregates spans per phase, keeps the event log, and
-/// retains every span as a [`SpanRec`] for per-unit queries.
+/// A sink that aggregates spans per phase and retains every span as a
+/// [`SpanRec`] — its counters and events included — for per-unit
+/// queries.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     phases: Vec<PhaseAgg>,
@@ -170,8 +159,6 @@ pub struct MemorySink {
     arena: Vec<OpenSpan>,
     records: Vec<SpanRec>,
     open: Vec<u32>,
-    /// Every recorded event, in order.
-    pub events: Vec<Event>,
 }
 
 /// Counters recorded outside any span land on this pseudo-phase.
@@ -323,22 +310,11 @@ impl TraceSink for MemorySink {
     }
 
     fn event(&mut self, name: &'static str, detail: &str) {
-        let idx = self.innermost();
-        let phase = self.phases[idx].phase;
-        let unit = match self.open.last() {
-            Some(&s) => {
-                let rec = &mut self.records[s as usize];
-                rec.events.push((name, detail.to_string()));
-                rec.unit.clone()
-            }
-            None => String::new(),
-        };
-        self.events.push(Event {
-            phase,
-            unit,
-            name,
-            detail: detail.to_string(),
-        });
+        if let Some(&s) = self.open.last() {
+            self.records[s as usize]
+                .events
+                .push((name, detail.to_string()));
+        }
     }
 }
 
@@ -397,10 +373,12 @@ mod tests {
         let sp = s.span_begin("Source-level optimization", "f");
         s.event("rule", "META-SUBSTITUTE");
         s.span_end(sp);
-        assert_eq!(s.events.len(), 1);
-        assert_eq!(s.events[0].phase, "Source-level optimization");
-        assert_eq!(s.events[0].unit, "f");
-        assert_eq!(s.events[0].detail, "META-SUBSTITUTE");
+        let [span] = s.spans() else {
+            panic!("one span expected");
+        };
+        assert_eq!(span.phase, "Source-level optimization");
+        assert_eq!(span.unit, "f");
+        assert_eq!(span.events, [("rule", "META-SUBSTITUTE".to_string())]);
     }
 
     #[test]

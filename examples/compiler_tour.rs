@@ -226,7 +226,7 @@ fn main() {
     alpha.hello("alpha", None).expect("hello");
     alpha
         .compile("decls", "(proclaim (quote (special cell)))")
-        .expect("proclaim");
+        .expect("compile the declaration");
     let a = alpha.compile("lib", shared).expect("compile");
 
     let mut beta = ServeClient::connect(&addr).expect("connect");

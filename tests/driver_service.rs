@@ -335,3 +335,60 @@ fn split_preserves_unit_level_specials_ordering() {
     assert!(!before.assembly.contains("%SPEC"), "{}", before.assembly);
     assert!(after.assembly.contains("%SPEC"), "{}", after.assembly);
 }
+
+/// The batch splitter and the serial compiler read a unit's top-level
+/// forms by one rule: over a table of edge units, `compile_batch`
+/// reports a failure exactly when `Compiler::compile_str` errors, and a
+/// batch that compiled can install its globals, with the values the
+/// serial compile gives them.
+#[test]
+fn batch_and_serial_compiles_agree_on_every_edge_unit() {
+    use s1lisp::{Compiler, Machine};
+
+    let edges = [
+        "(defvar *x* (quote)) (defun f () *x*)",
+        "(defvar *x* (quote a b)) (defun f () *x*)",
+        "(defvar *x* (quote (1 2))) (defun f () *x*)",
+        "(defvar *x* (compute-it)) (defun f () *x*)",
+        "(defvar *x* t) (defun f () *x*)",
+        "(defvar *x* \"s\") (defun f () *x*)",
+        "(defvar *x*) (defun f () *x*)",
+        "(defvar 5 1)",
+        "(defvar)",
+        "(defun 5 (x) x)",
+        "(defun f)",
+        "(defun)",
+        "(proclaim)",
+        "(proclaim 5)",
+        "(proclaim (quote x))",
+        "(proclaim (quote (special a 5))) (defun f (a) a)",
+        "(proclaim (quote (inline f)))",
+        "(frob 1)",
+    ];
+    let service = CompileService::new(ServiceConfig::default());
+    for src in edges {
+        let batch = service.compile_batch(&[SourceUnit::new("edge", src)]);
+        let mut c = Compiler::new();
+        let serial = c.compile_str(src);
+        assert_eq!(
+            batch.failures.is_empty(),
+            serial.is_ok(),
+            "{src}: batch {:?}, serial {serial:?}",
+            batch.failures
+        );
+        if !batch.failures.is_empty() {
+            continue;
+        }
+        let mut m = Machine::new(c.program().clone());
+        batch
+            .load_globals(&mut m)
+            .unwrap_or_else(|e| panic!("{src}: {e}"));
+        if c.function("f").is_some() {
+            assert_eq!(
+                m.run("f", &[]).map_err(|t| t.to_string()),
+                c.machine().run("f", &[]).map_err(|t| t.to_string()),
+                "{src}"
+            );
+        }
+    }
+}

@@ -270,3 +270,41 @@ fn collection_decisions_are_pinned_on_a_small_heap() {
         assert_eq!(samples, live, "{entry}");
     }
 }
+
+/// §4.4's cached special lookups are deep binding's fast path, not a
+/// change of meaning: a function that rebinds a special it reads sees
+/// the inner binding inside the `let` and the outer one outside it, on
+/// the S-1 backend (cached and uncached), the bytecode evaluator and the
+/// interpreter alike.
+#[test]
+fn rebinding_a_special_is_seen_through_the_lookup_cache() {
+    let cases = [
+        (
+            "(proclaim '(special cell))
+             (defun poke (x) (let ((cell (+ x 21))) (* cell 2)))",
+            "poke",
+            0,
+            42,
+        ),
+        (
+            "(defvar *depth* 1)
+             (defun nest (n) (+ *depth* (let ((*depth* n)) (* *depth* 10))))",
+            "nest",
+            5,
+            51,
+        ),
+    ];
+    for (src, entry, arg, want) in cases {
+        let mut uncached = Compiler::new();
+        uncached.codegen_options.cache_specials = false;
+        let mut bytecode = Compiler::new();
+        bytecode.backend = s1lisp::BackendKind::Bytecode;
+        for mut c in [Compiler::new(), Compiler::unoptimized(), uncached, bytecode] {
+            c.compile_str(src).unwrap();
+            let got = c.run_printed(entry, &[fx(arg)], 100_000);
+            assert_eq!(got, want.to_string(), "{entry} on {:?}", c.backend);
+            let interpreted = c.interpreter().call(entry, &[fx(arg)]).unwrap();
+            assert_eq!(interpreted, fx(want), "{entry} interpreted");
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! Compile-server contracts: byte-identity with `compile_batch`,
-//! tenant isolation, backpressure, fairness, and incident-budget
-//! demotion.
+//! tenant isolation, backpressure, fairness, incident-budget demotion,
+//! and a tenant namespace that only clean compiles change.
 
 use s1lisp::Compiler;
 use s1lisp_bench::service_units;
@@ -498,4 +498,115 @@ fn wrong_arity_primitive_run_is_a_trap_not_an_incident() {
         handle.shutdown();
         handle.join();
     }
+}
+
+/// A unit whose `defvar` initializer the frontend rejects (`(quote)`
+/// denotes no constant) is refused as a whole: `ok:false`, nothing
+/// logged, and a function defined earlier still runs.
+#[test]
+fn a_unit_the_frontend_rejects_is_refused_and_runs_still_answer() {
+    let handle = start(ServerConfig::default());
+    let c = &mut connect(&handle);
+    assert!(c.hello("probe", None).unwrap().ok);
+    let defined = c.compile("dbl", "(defun dbl (x) (+ x x))").unwrap();
+    assert!(defined.ok, "{:?}", defined.error);
+    let bad = c
+        .compile("bad", "(defvar *x* (quote)) (defun f () *x*)")
+        .unwrap();
+    assert!(!bad.ok, "the unit compile_str rejects was acknowledged");
+    let run = c.run("dbl", &["21"]).unwrap();
+    assert_eq!(
+        run.body,
+        Body::Run { value: "42".into() },
+        "{:?}",
+        run.error
+    );
+    let tenant = handle.tenant("probe").expect("tenant");
+    assert_eq!(tenant.lock().unwrap().sources, ["(defun dbl (x) (+ x x))"]);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A rejected unit changes nothing, its `proclaim` included: after it,
+/// a unit binding `q` compiles and runs exactly as `compile_str` of the
+/// tenant's logged sources does, and `q` is not special.
+#[test]
+fn a_rejected_unit_leaves_the_tenant_namespace_unchanged() {
+    let handle = start(ServerConfig::default());
+    let c = &mut connect(&handle);
+    assert!(c.hello("probe", None).unwrap().ok);
+    let rejected = c
+        .compile(
+            "rejected",
+            "(proclaim (quote (special q))) (defun car (x) x)",
+        )
+        .unwrap();
+    assert!(!rejected.ok);
+    let compiled = c.compile("h", "(defun g () q) (defun h2 (q) (g))").unwrap();
+    assert!(compiled.ok, "{:?}", compiled.error);
+    let Body::Compile { artifacts, .. } = &compiled.body else {
+        panic!("compile body expected");
+    };
+    let served = artifacts.iter().find(|a| a.name == "h2").expect("h2");
+    let run = c.run("h2", &["5"]).unwrap();
+    let Body::Run { value } = &run.body else {
+        panic!("run body expected: {:?}", run.error);
+    };
+
+    let tenant = handle.tenant("probe").expect("tenant");
+    let st = tenant.lock().unwrap();
+    assert!(!st.specials.iter().any(|s| s == "q"), "{:?}", st.specials);
+    let mut serial = Compiler::new();
+    serial
+        .compile_str(&st.sources.join("\n"))
+        .expect("the logged sources compile");
+    let reference = serial.artifact("h2").expect("serial h2");
+    assert_eq!(served.assembly, reference.assembly);
+    let fuel = ServerConfig::default().run_fuel;
+    assert_eq!(
+        *value,
+        serial.run_printed("h2", &[s1lisp::Value::Fixnum(5)], fuel)
+    );
+    drop(st);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A `proclaim` in one unit governs the units compiled after it, in the
+/// served artifact and in the linked image alike: `q` is special in
+/// `h2`, so `g` sees the binding `h2` makes, exactly as a compiler with
+/// `q` proclaimed compiles and runs the same unit.
+#[test]
+fn a_proclaim_governs_later_units_in_artifacts_and_runs() {
+    const UNIT: &str = "(defun g () q) (defun h2 (q) (g))";
+    let handle = start(ServerConfig::default());
+    let c = &mut connect(&handle);
+    assert!(c.hello("proclaimer", None).unwrap().ok);
+    assert!(
+        c.compile("decl", "(proclaim (quote (special q)))")
+            .unwrap()
+            .ok
+    );
+    let compiled = c.compile("h", UNIT).unwrap();
+    assert!(compiled.ok, "{:?}", compiled.error);
+    let Body::Compile { artifacts, .. } = &compiled.body else {
+        panic!("compile body expected");
+    };
+    let served = artifacts.iter().find(|a| a.name == "h2").expect("h2");
+    assert!(
+        served.assembly.contains("%SPECBIND q"),
+        "{}",
+        served.assembly
+    );
+    let run = c.run("h2", &["5"]).unwrap();
+
+    let mut reference = Compiler::for_tenant(["q"]);
+    reference.compile_str(UNIT).expect("reference compile");
+    assert_eq!(served.assembly, reference.artifact("h2").unwrap().assembly);
+    let fuel = ServerConfig::default().run_fuel;
+    let want = reference.run_printed("h2", &[s1lisp::Value::Fixnum(5)], fuel);
+    assert_eq!(want, "5");
+    assert_eq!(run.body, Body::Run { value: want });
+    handle.shutdown();
+    handle.join();
 }
