@@ -8,8 +8,6 @@
 //! The unit is an abstract "instruction"; the estimates only need to be
 //! *ordered* sensibly, not exact.
 
-use std::collections::HashMap;
-
 use s1lisp_ast::{CallFunc, NodeId, NodeKind, Tree};
 
 /// Estimated object-code size of a subtree, in abstract instructions.
@@ -22,14 +20,32 @@ impl Complexity {
     pub const TRIVIAL: Complexity = Complexity(1);
 }
 
-/// Computes size estimates for every subtree.
-pub fn complexity(tree: &Tree) -> HashMap<NodeId, Complexity> {
-    let mut map = HashMap::new();
-    walk(tree, tree.root, &mut map);
-    map
+/// Computes size estimates for every subtree reachable from
+/// [`Tree::root`]: a dense table indexed by [`NodeId::index`], `None`
+/// for the nodes the root does not reach.
+pub fn complexity(tree: &Tree) -> Vec<Option<Complexity>> {
+    let mut table = vec![None; tree.node_count()];
+    walk(tree, tree.root, &mut table);
+    table
 }
 
-fn walk(tree: &Tree, node: NodeId, map: &mut HashMap<NodeId, Complexity>) -> u32 {
+fn walk(tree: &Tree, node: NodeId, table: &mut [Option<Complexity>]) {
+    for c in tree.children(node) {
+        walk(tree, c, table);
+    }
+    let size = node_complexity(tree, node, |c| table[c.index()].unwrap_or_default());
+    table[node.index()] = Some(size);
+}
+
+/// The estimate for `node` from its children's (`child` looks one up):
+/// its own instructions plus theirs — the step [`complexity`] repeats
+/// bottom-up, and the one an incremental client re-runs on a node whose
+/// children changed.
+pub fn node_complexity(
+    tree: &Tree,
+    node: NodeId,
+    child: impl Fn(NodeId) -> Complexity,
+) -> Complexity {
     let own = match tree.kind(node) {
         NodeKind::Constant(_) | NodeKind::VarRef(_) => 1,
         NodeKind::Setq { .. } => 1,
@@ -60,12 +76,11 @@ fn walk(tree: &Tree, node: NodeId, map: &mut HashMap<NodeId, Complexity>) -> u32
         NodeKind::Go(_) => 1,
         NodeKind::Return(_) => 1,
     };
-    let mut total = own;
-    for c in tree.children(node) {
-        total += walk(tree, c, map);
-    }
-    map.insert(node, Complexity(total));
-    total
+    Complexity(
+        tree.children(node)
+            .into_iter()
+            .fold(own, |total, c| total + child(c).0),
+    )
 }
 
 #[cfg(test)]
@@ -74,7 +89,7 @@ mod tests {
     use s1lisp_frontend::Frontend;
     use s1lisp_reader::{read_str, Interner};
 
-    fn measure(src: &str) -> (Tree, HashMap<NodeId, Complexity>) {
+    fn measure(src: &str) -> (Tree, Vec<Option<Complexity>>) {
         let mut i = Interner::new();
         let form = read_str(src, &mut i).unwrap();
         let mut fe = Frontend::new(&mut i);
@@ -89,28 +104,28 @@ mod tests {
         let NodeKind::Lambda(l) = tree.kind(tree.root) else {
             panic!()
         };
-        assert_eq!(c[&l.body], Complexity::TRIVIAL);
+        assert_eq!(c[l.body.index()], Some(Complexity::TRIVIAL));
     }
 
     #[test]
     fn bigger_trees_cost_more() {
         let (t1, c1) = measure("(defun f (x) (+ x 1))");
         let (t2, c2) = measure("(defun f (x) (+ (* x x) (sqrt (+ x 1))))");
-        assert!(c2[&t2.root] > c1[&t1.root]);
+        assert!(c2[t2.root.index()] > c1[t1.root.index()]);
     }
 
     #[test]
     fn user_calls_cost_more_than_primitives() {
         let (t1, c1) = measure("(defun f (x) (+ x x))");
         let (t2, c2) = measure("(defun f (x) (frotz x x))");
-        assert!(c2[&t2.root] > c1[&t1.root]);
+        assert!(c2[t2.root.index()] > c1[t1.root.index()]);
     }
 
     #[test]
     fn every_node_has_an_estimate() {
         let (tree, c) = measure("(defun f (a b) (if a (list a b) (cons b a)))");
         for id in s1lisp_ast::subtree_nodes(&tree, tree.root) {
-            assert!(c.contains_key(&id));
+            assert!(c[id.index()].is_some());
         }
     }
 }

@@ -11,8 +11,6 @@
 //! duplicated)", and rule 3 substitutes a once-referenced expression only
 //! under "certain complicated conditions regarding side effects".
 
-use std::collections::HashMap;
-
 use s1lisp_ast::{CallFunc, NodeId, NodeKind, Prim, Tree};
 
 /// The side-effect classification of one subtree.
@@ -96,15 +94,43 @@ impl Effects {
     }
 }
 
-/// Computes the side-effect classification of every subtree.
-pub fn effects(tree: &Tree) -> HashMap<NodeId, Effects> {
-    let mut map = HashMap::new();
-    walk(tree, tree.root, &mut map);
-    map
+/// Computes the side-effect classification of every subtree reachable
+/// from [`Tree::root`]: a dense table indexed by [`NodeId::index`],
+/// `None` for the nodes the root does not reach.
+pub fn effects(tree: &Tree) -> Vec<Option<Effects>> {
+    let mut table = vec![None; tree.node_count()];
+    walk(tree, tree.root, false, &mut table);
+    table
 }
 
-fn walk(tree: &Tree, node: NodeId, map: &mut HashMap<NodeId, Effects>) -> Effects {
-    let mut e = match tree.kind(node) {
+fn walk(tree: &Tree, node: NodeId, called: bool, table: &mut [Option<Effects>]) {
+    for c in tree.children(node) {
+        walk(tree, c, is_called_lambda(tree, node, c), table);
+    }
+    let e = node_effects(tree, node, called, |c| table[c.index()].unwrap_or_default());
+    table[node.index()] = Some(e);
+}
+
+/// Whether `child` is the manifest lambda that `parent` calls in place
+/// (the lambda of a `let`): its body runs as part of the call.
+pub fn is_called_lambda(tree: &Tree, parent: NodeId, child: NodeId) -> bool {
+    matches!(tree.kind(parent), NodeKind::Call { func: CallFunc::Expr(f), .. } if *f == child)
+        && matches!(tree.kind(child), NodeKind::Lambda(_))
+}
+
+/// The classification of `node` from its children's (`child` looks one
+/// up) — the step [`effects`] repeats bottom-up, and the one an
+/// incremental client re-runs on a node whose children changed.
+/// `called` says whether `node` is a lambda its parent calls in place
+/// ([`is_called_lambda`]): such a lambda's body runs, where any other
+/// lambda expression only allocates its closure.
+pub fn node_effects(
+    tree: &Tree,
+    node: NodeId,
+    called: bool,
+    child: impl Fn(NodeId) -> Effects,
+) -> Effects {
+    let own = match tree.kind(node) {
         NodeKind::Constant(_) => Effects::default(),
         NodeKind::VarRef(_) => Effects {
             reads_vars: true,
@@ -143,45 +169,17 @@ fn walk(tree: &Tree, node: NodeId, map: &mut HashMap<NodeId, Effects>) -> Effect
         },
         // A lambda *expression* evaluates to a closure: it allocates,
         // but its body does not run.
-        NodeKind::Lambda(_) => {
-            return {
-                // Analyze the body for its own sake (inner nodes need
-                // entries) but do not propagate body effects upward.
-                for c in tree.children(node) {
-                    walk(tree, c, map);
-                }
-                let e = Effects {
-                    allocates: true,
-                    ..Effects::default()
-                };
-                map.insert(node, e);
-                e
-            };
+        NodeKind::Lambda(_) if !called => {
+            return Effects {
+                allocates: true,
+                ..Effects::default()
+            }
         }
         _ => Effects::default(),
     };
-    // A called lambda (let) runs its body: include children effects.
-    let called_lambda = match tree.kind(node) {
-        NodeKind::Call {
-            func: CallFunc::Expr(f),
-            ..
-        } => matches!(tree.kind(*f), NodeKind::Lambda(_)).then_some(*f),
-        _ => None,
-    };
-    for c in tree.children(node) {
-        if Some(c) == called_lambda {
-            // The lambda's body executes as part of the let; its
-            // closure-allocation effect does not occur.
-            for inner in tree.children(c) {
-                e = e.union(walk(tree, inner, map));
-            }
-            map.insert(c, e);
-            continue;
-        }
-        e = e.union(walk(tree, c, map));
-    }
-    map.insert(node, e);
-    e
+    tree.children(node)
+        .into_iter()
+        .fold(own, |e, c| e.union(child(c)))
 }
 
 #[cfg(test)]
@@ -190,7 +188,7 @@ mod tests {
     use s1lisp_frontend::Frontend;
     use s1lisp_reader::{read_str, Interner};
 
-    fn analyze(src: &str) -> (Tree, HashMap<NodeId, Effects>) {
+    fn analyze(src: &str) -> (Tree, Vec<Option<Effects>>) {
         let mut i = Interner::new();
         let form = read_str(src, &mut i).unwrap();
         let mut fe = Frontend::new(&mut i);
@@ -209,7 +207,7 @@ mod tests {
     #[test]
     fn pure_arithmetic_is_pure() {
         let (tree, e) = analyze("(defun f (x) (+ (* x x) 1))");
-        let eff = e[&body(&tree)];
+        let eff = e[body(&tree).index()].unwrap();
         assert!(!eff.is_pure()); // reads x
         assert!(eff.deletable());
         assert!(eff.duplicable());
@@ -219,7 +217,7 @@ mod tests {
     #[test]
     fn cons_allocates_but_is_deletable() {
         let (tree, e) = analyze("(defun f (x) (cons x x))");
-        let eff = e[&body(&tree)];
+        let eff = e[body(&tree).index()].unwrap();
         assert!(eff.allocates);
         assert!(eff.deletable());
         assert!(!eff.duplicable());
@@ -228,7 +226,7 @@ mod tests {
     #[test]
     fn rplaca_writes_heap() {
         let (tree, e) = analyze("(defun f (x) (rplaca x 1))");
-        let eff = e[&body(&tree)];
+        let eff = e[body(&tree).index()].unwrap();
         assert!(eff.writes_heap);
         assert!(!eff.deletable());
     }
@@ -236,7 +234,7 @@ mod tests {
     #[test]
     fn unknown_calls_are_worst_case() {
         let (tree, e) = analyze("(defun f (x) (frotz x))");
-        let eff = e[&body(&tree)];
+        let eff = e[body(&tree).index()].unwrap();
         assert!(eff.calls_unknown);
         assert!(eff.control);
         assert!(!eff.deletable());
@@ -245,7 +243,7 @@ mod tests {
     #[test]
     fn lambda_expression_only_allocates() {
         let (tree, e) = analyze("(defun f (x) (lambda () (rplaca x 1)))");
-        let eff = e[&body(&tree)];
+        let eff = e[body(&tree).index()].unwrap();
         assert!(eff.allocates);
         assert!(!eff.writes_heap, "body does not run at closure creation");
     }
@@ -253,7 +251,7 @@ mod tests {
     #[test]
     fn let_body_effects_propagate() {
         let (tree, e) = analyze("(defun f (x) (let ((y 1)) (rplaca x y)))");
-        let eff = e[&body(&tree)];
+        let eff = e[body(&tree).index()].unwrap();
         assert!(eff.writes_heap);
         // The manifest lambda of a let does not count as allocation.
         assert!(!eff.allocates);
@@ -287,7 +285,7 @@ mod tests {
         let (tree, e) = analyze(
             "(defun f (x) (prog () top (setq x (- x 1)) (if (zerop x) (return x)) (go top)))",
         );
-        let eff = e[&body(&tree)];
+        let eff = e[body(&tree).index()].unwrap();
         assert!(eff.writes_vars);
         assert!(eff.control);
     }
@@ -308,7 +306,7 @@ mod more_effect_tests {
         let NodeKind::Lambda(l) = f.tree.kind(f.tree.root) else {
             panic!()
         };
-        e[&l.body]
+        e[l.body.index()].unwrap()
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! "The next two phases (source-program analysis and source-level
 //! optimization) are actually executed in a complicated co-routining
 //! manner for efficiency."  In this reproduction the analyses are pure
-//! functions from a tree to maps of per-node facts.  The optimizer
-//! (`s1lisp-opt`) re-runs the side-effects and complexity analyses in
-//! full before every rewrite; the paper's per-node flags for
-//! incremental re-analysis are not reproduced.
+//! functions from a tree to per-node facts.  Side effects and
+//! complexity are synthesized bottom-up into dense tables indexed by
+//! `NodeId`, and each exposes its one-node step ([`node_effects`],
+//! [`node_complexity`]) so that the optimizer (`s1lisp-opt`) can run
+//! them once and then keep them current incrementally ("re-analysis to
+//! be performed incrementally") by re-running the step
+//! on just the nodes a rewrite touched and their ancestors.
 //!
 //! The phases, in Table 1's order:
 //!
@@ -37,8 +40,8 @@ pub mod env;
 pub mod specials;
 pub mod tails;
 
-pub use complexity::{complexity, Complexity};
-pub use effects::{effects, Effects};
+pub use complexity::{complexity, node_complexity, Complexity};
+pub use effects::{effects, is_called_lambda, node_effects, Effects};
 pub use env::{environment, EnvInfo};
 pub use specials::{special_placements, SpecialPlacement};
 pub use tails::{tail_nodes, tail_nodes_from, value_producers};

@@ -237,6 +237,49 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
+    /// The child nodes this construct holds, in evaluation-relevant
+    /// order (lambda default expressions and bodies included).
+    pub fn children(&self) -> Vec<NodeId> {
+        match self {
+            NodeKind::Constant(_) | NodeKind::VarRef(_) | NodeKind::Go(_) => Vec::new(),
+            NodeKind::Setq { value, .. } => vec![*value],
+            NodeKind::Return(v) => vec![*v],
+            NodeKind::If { test, then, els } => vec![*test, *then, *els],
+            NodeKind::Progn(body) => body.clone(),
+            NodeKind::Call { func, args } => {
+                let mut v = Vec::new();
+                if let CallFunc::Expr(f) = func {
+                    v.push(*f);
+                }
+                v.extend(args.iter().copied());
+                v
+            }
+            NodeKind::Lambda(l) => {
+                let mut v: Vec<NodeId> = l.optional.iter().map(|o| o.default).collect();
+                v.push(l.body);
+                v
+            }
+            NodeKind::Caseq {
+                key,
+                clauses,
+                default,
+            } => {
+                let mut v = vec![*key];
+                v.extend(clauses.iter().map(|c| c.body));
+                v.push(*default);
+                v
+            }
+            NodeKind::Catcher { tag, body } => vec![*tag, *body],
+            NodeKind::Progbody(items) => items
+                .iter()
+                .filter_map(|i| match i {
+                    ProgItem::Stmt(s) => Some(*s),
+                    ProgItem::Tag(_) => None,
+                })
+                .collect(),
+        }
+    }
+
     /// Short name of the construct, as in Table 2.
     pub fn construct_name(&self) -> &'static str {
         match self {
@@ -347,9 +390,9 @@ impl Tree {
         &self.node(id).kind
     }
 
-    /// Replaces the construct at `id`.
-    pub fn replace(&mut self, id: NodeId, kind: NodeKind) {
-        self.node_mut(id).kind = kind;
+    /// Replaces the construct at `id`, returning the one it held.
+    pub fn replace(&mut self, id: NodeId, kind: NodeKind) -> NodeKind {
+        std::mem::replace(&mut self.node_mut(id).kind, kind)
     }
 
     /// Immutable access to a variable.
@@ -436,44 +479,7 @@ impl Tree {
     /// The direct children of a node, in evaluation-relevant order
     /// (lambda default expressions and bodies included).
     pub fn children(&self, id: NodeId) -> Vec<NodeId> {
-        match self.kind(id) {
-            NodeKind::Constant(_) | NodeKind::VarRef(_) | NodeKind::Go(_) => Vec::new(),
-            NodeKind::Setq { value, .. } => vec![*value],
-            NodeKind::Return(v) => vec![*v],
-            NodeKind::If { test, then, els } => vec![*test, *then, *els],
-            NodeKind::Progn(body) => body.clone(),
-            NodeKind::Call { func, args } => {
-                let mut v = Vec::new();
-                if let CallFunc::Expr(f) = func {
-                    v.push(*f);
-                }
-                v.extend(args.iter().copied());
-                v
-            }
-            NodeKind::Lambda(l) => {
-                let mut v: Vec<NodeId> = l.optional.iter().map(|o| o.default).collect();
-                v.push(l.body);
-                v
-            }
-            NodeKind::Caseq {
-                key,
-                clauses,
-                default,
-            } => {
-                let mut v = vec![*key];
-                v.extend(clauses.iter().map(|c| c.body));
-                v.push(*default);
-                v
-            }
-            NodeKind::Catcher { tag, body } => vec![*tag, *body],
-            NodeKind::Progbody(items) => items
-                .iter()
-                .filter_map(|i| match i {
-                    ProgItem::Stmt(s) => Some(*s),
-                    ProgItem::Tag(_) => None,
-                })
-                .collect(),
-        }
+        self.kind(id).children()
     }
 
     /// Rewrites every child slot of `id` using `f` (used by transformations

@@ -1816,6 +1816,10 @@ impl<'a> Gen<'a> {
             return self.err("lambda-call with &optional/&rest parameters");
         }
         let mut bound_specials = 0u16;
+        // A `let` binds in parallel: its specials are bound only once
+        // every argument has been evaluated, so that a later argument
+        // still sees the outer bindings.
+        let mut specials = Vec::new();
         for (j, &param) in l.required.iter().enumerate() {
             let arg = args[j];
             // Local function? register, defer.
@@ -1854,12 +1858,7 @@ impl<'a> Gen<'a> {
             match self.ann.binding.var_alloc.get(&param) {
                 Some(VarAlloc::Special) => {
                     let vv = self.certify(arg, v)?;
-                    let sym = self.program.sym_id(self.tree.var(param).name.as_str());
-                    self.asm.push(Insn::SpecBind { sym, src: vv.op });
-                    self.release(vv);
-                    self.specials_bound += 1;
-                    bound_specials += 1;
-                    self.var_loc.insert(param, VLoc::Special(sym));
+                    specials.push((param, self.protect(vv)));
                 }
                 Some(VarAlloc::Heap) => {
                     let vv = self.certify(arg, v)?;
@@ -1890,6 +1889,14 @@ impl<'a> Gen<'a> {
                     }
                 }
             }
+        }
+        for (param, vv) in specials {
+            let sym = self.program.sym_id(self.tree.var(param).name.as_str());
+            self.asm.push(Insn::SpecBind { sym, src: vv.op });
+            self.release(vv);
+            self.specials_bound += 1;
+            bound_specials += 1;
+            self.var_loc.insert(param, VLoc::Special(sym));
         }
         if tail {
             self.gen_tail(l.body)?;
@@ -2334,11 +2341,12 @@ impl<'a> Gen<'a> {
                     self.asm.push(Insn::Push { src: v.op });
                     self.release(v);
                 }
-                let self_call = g.as_str() == self.fname;
-                if self.specials_bound > 0 && !self_call {
-                    // Unbinding before a cross-function tail call would
-                    // change what the callee sees: fall back to a full
-                    // call.
+                if self.specials_bound > 0 {
+                    // A call inside a special binding's extent is not a
+                    // tail call, whoever the callee is: unbinding first
+                    // would change what the callee (or the next
+                    // iteration of a self call) sees.  Fall back to a
+                    // full call.
                     let id = self.program.fn_id(g.as_str());
                     self.pool.record_call(self.pos());
                     self.asm.push(Insn::Call {
@@ -2347,11 +2355,7 @@ impl<'a> Gen<'a> {
                     });
                     return self.emit_return_from_a();
                 }
-                if self.specials_bound > 0 {
-                    self.asm.push(Insn::SpecUnbind {
-                        n: self.specials_bound,
-                    });
-                }
+                let self_call = g.as_str() == self.fname;
                 if self_call && self.simple && args.len() == self.lambda.required.len() {
                     // The whole function body is a loop for TNBIND.
                     self.pool.record_loop(0, self.pos());

@@ -114,10 +114,8 @@ impl PendingFunction {
     /// largest-first on this, so the biggest compilations start first
     /// and the stragglers are small.
     pub fn complexity_estimate(&self) -> u32 {
-        s1lisp_analysis::complexity(&self.inner.tree)
-            .get(&self.inner.tree.root)
-            .map(|c| c.0)
-            .unwrap_or(0)
+        s1lisp_analysis::complexity(&self.inner.tree)[self.inner.tree.root.index()]
+            .map_or(0, |c| c.0)
     }
 }
 

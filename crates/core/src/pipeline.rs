@@ -459,8 +459,9 @@ impl Compiler {
             // The five analysis passes run and time their Table-1 phase
             // and count what it found; their results are dropped after
             // the span ends.  Analysis is co-routined inside the
-            // optimizer (which re-runs what it consults every round),
-            // and the annotators re-derive what they need.
+            // optimizer, which analyses once and then re-analyses only
+            // what each rewrite touched; the annotators re-derive what
+            // they need.
             Pass::Environment => {
                 let sp = sink.span_begin("Environment analysis", &unit.name);
                 let _env = s1lisp_analysis::environment(unit.tree());
@@ -473,7 +474,7 @@ impl Compiler {
                 let sp = sink.span_begin("Side-effects analysis", &unit.name);
                 let fx = s1lisp_analysis::effects(unit.tree());
                 if sink.enabled() {
-                    sink.add("classified_nodes", fx.len() as u64);
+                    sink.add("classified_nodes", fx.iter().flatten().count() as u64);
                 }
                 sink.span_end(sp);
             }
@@ -481,7 +482,7 @@ impl Compiler {
                 let sp = sink.span_begin("Complexity analysis", &unit.name);
                 let cxm = s1lisp_analysis::complexity(unit.tree());
                 if sink.enabled() {
-                    sink.add("estimated_nodes", cxm.len() as u64);
+                    sink.add("estimated_nodes", cxm.iter().flatten().count() as u64);
                 }
                 sink.span_end(sp);
             }
@@ -509,6 +510,7 @@ impl Compiler {
                 let result = opt.fixpoint(unit.tree_mut(), Some(&name), self.guard);
                 if sink.enabled() {
                     sink.add("transformations", *result.as_ref().unwrap_or(&0) as u64);
+                    sink.add("nodes_visited", opt.nodes_visited as u64);
                     sink.add("nodes_before", nodes_before as u64);
                     sink.add("nodes_after", unit.tree().node_count() as u64);
                 }

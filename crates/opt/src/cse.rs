@@ -71,11 +71,11 @@ fn eliminate_one(tree: &mut Tree, names: &mut Interner, counter: &mut u32) -> bo
     // after alpha-renaming).
     let mut groups: HashMap<String, Vec<NodeId>> = HashMap::new();
     for node in subtree_nodes(tree, tree.root) {
-        let e = eff.get(&node).copied().unwrap_or_default();
+        let e = eff[node.index()].unwrap_or_default();
         if !e.duplicable() || e.reads_heap {
             continue;
         }
-        if sizes.get(&node).copied().unwrap_or(Complexity(0)) < MIN_SIZE {
+        if sizes[node.index()].unwrap_or_default() < MIN_SIZE {
             continue;
         }
         // Expressions reading assigned variables are not location-

@@ -29,12 +29,20 @@
 //! the paper's §7 debugging output, and every intermediate tree remains
 //! back-translatable to source.
 //!
-//! [`Optimizer::fixpoint`] is the one driver: each round re-runs the
-//! side-effects and complexity analyses over the whole tree, then
-//! applies the first applicable rule.  The paper's per-node flags
-//! ("re-analysis to be performed incrementally", §4.2) are not
-//! reproduced; both analyses are recomputed in full before every
-//! rewrite.
+//! [`Optimizer::fixpoint`] is the one driver.  Each round applies the
+//! first applicable rule in preorder (canonicalizing rules before the
+//! beta rules), as a full rescan would, but the driver analyses the
+//! tree once and then re-analyses incrementally, as §4.2's per-node
+//! flags were for ("re-analysis to be performed incrementally").  A
+//! rewrite recomputes the side-effects and complexity of the nodes it
+//! rewrote or made and of their ancestors, patches the backlinks of
+//! just the variables whose occurrences changed, and clears the
+//! per-node "no rule applies here" marks that its changes could
+//! falsify: those of the rewritten and new nodes and their ancestors,
+//! and — because the rules read variables' `setqs` where the variables
+//! are referenced — those of the ancestors of every reference to a
+//! variable whose `setqs` changed, which can lie anywhere in the
+//! function.  The next scan resumes past every subtree still marked.
 //!
 //! Common sub-expression elimination (§4.3 — designed but "not yet
 //! implemented" in 1982) is provided as the optional [`cse`] phase.
@@ -60,12 +68,14 @@
 #![warn(missing_docs)]
 
 pub mod cse;
+mod incremental;
 mod rules;
 mod transcript;
 
 pub use transcript::{Transcript, TranscriptEntry};
 
-use s1lisp_ast::Tree;
+use s1lisp_analysis::{Complexity, Effects};
+use s1lisp_ast::{NodeId, NodeKind, Tree};
 
 /// Per-transformation switches, for the ablation experiments (E12).
 #[derive(Clone, Debug)]
@@ -102,8 +112,9 @@ pub struct OptOptions {
     /// completely").  Requires the function's name, passed to
     /// [`Optimizer::fixpoint`].
     pub unroll: bool,
-    /// Upper bound on applied transformations (each is found by a full
-    /// tree scan, after which analyses are re-run).
+    /// Upper bound on applied transformations (each found by a scan
+    /// that resumes past every subtree no rule can apply in, and
+    /// followed by an incremental update of the analyses).
     pub max_rounds: usize,
 }
 
@@ -151,10 +162,17 @@ pub struct Optimizer {
     pub options: OptOptions,
     /// The paper-style transformation log.
     pub transcript: Transcript,
+    /// Nodes tested for a rule, over every fixpoint run: each test of a
+    /// node against the canonicalizing rules, and each against the
+    /// beta-conversion rules, counts once.
+    pub nodes_visited: usize,
     /// Private interner for compiler-introduced names (join points).
     pub(crate) names: s1lisp_reader::Interner,
     /// Gensym counter for join-point names.
     pub(crate) counter: u32,
+    /// The nodes the last rule rewrote in place, each with the
+    /// construct it held.
+    pub(crate) rewritten: Vec<(NodeId, NodeKind)>,
 }
 
 impl Optimizer {
@@ -183,9 +201,12 @@ impl Optimizer {
     /// [`OptOptions::max_rounds`] transformations have been applied,
     /// returning the number applied.
     ///
-    /// Each round rebuilds backlinks and re-runs the analyses the rules
-    /// consult (the paper's co-routining of analysis and optimization),
-    /// then applies the first applicable rule.  With
+    /// Each round applies the first applicable rule in preorder,
+    /// canonicalizing rules first — exactly what
+    /// [`Optimizer::canonical_at`] and [`Optimizer::beta_at`] would find
+    /// on a full rescan after a full re-analysis — and then updates the
+    /// analyses and backlinks for just what it changed (the paper's
+    /// co-routining of analysis and optimization).  With
     /// [`OptOptions::unroll`] on, knowing the function's own name
     /// (`self_name`) first integrates one self-recursive call (§5's
     /// "the integration of the procedure within itself achieves loop
@@ -217,19 +238,55 @@ impl Optimizer {
                 self.check(tree, 0)?;
             }
         }
-        for round in 1..=self.options.max_rounds {
-            tree.rebuild_backlinks();
-            let applied = rules::run_round(self, tree);
-            if applied == 0 {
-                break;
-            }
-            total += applied;
-            if guard {
-                self.check(tree, round)?;
+        if self.options.max_rounds > 0 {
+            let mut state = incremental::Incremental::new(tree);
+            for round in 1..=self.options.max_rounds {
+                if !state.step(self, tree) {
+                    break;
+                }
+                total += 1;
+                if guard {
+                    self.check(tree, round)?;
+                }
             }
         }
         tree.rebuild_backlinks();
         Ok(total)
+    }
+
+    /// Tries the canonicalizing rules at `node` and applies the first
+    /// that fits, returning whether one did.  This and
+    /// [`Optimizer::beta_at`] are the steps [`Optimizer::fixpoint`]
+    /// takes, exposed so that another driver — a full-rescan reference
+    /// to check the incremental one against — can run the same rules.
+    /// The rules read the tree's backlinks, which must be current.
+    pub fn canonical_at(&mut self, tree: &mut Tree, node: NodeId) -> bool {
+        self.rewritten.clear();
+        rules::apply_canonical(self, tree, node)
+    }
+
+    /// Tries the beta-conversion rules at `node` and applies the first
+    /// that fits, returning whether one did.  `effects` and
+    /// `complexity` are the analyses of the current tree, as
+    /// [`s1lisp_analysis::effects()`] and [`s1lisp_analysis::complexity()`]
+    /// return them; the backlinks must be current.
+    pub fn beta_at(
+        &mut self,
+        tree: &mut Tree,
+        node: NodeId,
+        effects: &[Option<Effects>],
+        complexity: &[Option<Complexity>],
+    ) -> bool {
+        self.rewritten.clear();
+        rules::apply_beta(
+            self,
+            tree,
+            node,
+            &rules::Cx {
+                effects,
+                complexity,
+            },
+        )
     }
 
     /// Validates the tree against the Table-2 invariants after round
@@ -380,6 +437,46 @@ mod tests {
             unparse(&tree, tree.root).to_string(),
             "(lambda () (frotz x '3))"
         );
+    }
+
+    /// Deleting `a`'s only `setq` (the dead arm, rewrite 2) makes the
+    /// reference `a` in `(let ((y a)) …)` trivial, so rewrite 3 fires
+    /// there: a node earlier in preorder than the deleted `setq`, and
+    /// not its ancestor.  Only the invalidation of everything that
+    /// reads `a`'s lists finds it.
+    #[test]
+    fn removing_a_setq_rescans_the_variables_readers() {
+        let (out, tr) = optimize(
+            "(defun f (a)
+               (progn (let ((y a)) (g y y))
+                      (let ((k '())) (if k (setq a 5) '()))
+                      a))",
+        );
+        let entries: Vec<(&str, &str, &str)> = tr
+            .entries
+            .iter()
+            .map(|e| (e.rule, e.before.as_str(), e.after.as_str()))
+            .collect();
+        assert_eq!(
+            entries,
+            [
+                (
+                    "META-SUBSTITUTE",
+                    "((lambda (k) (if k (setq a '5) '())) '())",
+                    "((lambda () (if '() (setq a '5) '())))"
+                ),
+                ("META-IF-CONSTANT-TEST", "(if '() (setq a '5) '())", "'()"),
+                (
+                    "META-SUBSTITUTE",
+                    "((lambda (y) (g y y)) a)",
+                    "((lambda () (g a a)))"
+                ),
+                ("META-CALL-LAMBDA", "((lambda () (g a a)))", "(g a a)"),
+                ("META-CALL-LAMBDA", "((lambda () '()))", "'()"),
+            ],
+            "{tr}"
+        );
+        assert_eq!(out, "(lambda (a) (progn (g a a) '() a))");
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The transformation rules.
 //!
 //! Each rule inspects one node and either rewrites it (returning `true`)
-//! or leaves it alone.  One driver scan applies the *first* applicable
-//! rule and returns, so backlinks and analyses are recomputed in full
-//! between rewrites.
+//! or leaves it alone.  The canonicalizing rules read only the tree and
+//! its backlinks; the beta-conversion rules also read the side-effect
+//! and complexity tables (`Cx`).  A rule that fires changes nothing
+//! outside the subtree of the node it was tried at, and it rewrites
+//! nodes in place only through `Optimizer::rewrite`, which logs each
+//! with what it held — the fixpoint driver's whole account of what to
+//! re-analyse and re-scan.  Every node a rule rewrites in place stays
+//! in the tree.  Whether a rule applies at a node depends only on that
+//! node's subtree and on the `refs`/`setqs` of variables referenced or
+//! bound inside it.
 
-use std::collections::HashMap;
-
-use s1lisp_analysis::{complexity, effects, Complexity, Effects};
+use s1lisp_analysis::{complexity, Complexity, Effects};
 use s1lisp_ast::{
     primop, subtree_nodes, unparse, CallFunc, Lambda, NodeId, NodeKind, Prim, Tree, VarId,
 };
@@ -33,12 +38,7 @@ pub(crate) fn unroll_once(o: &mut Optimizer, tree: &mut Tree, self_name: &str) -
         return 0;
     }
     // Unrolling doubles the body: keep it to small loops.
-    let sizes = complexity(tree);
-    if sizes
-        .get(&root.body)
-        .map(|c| *c > Complexity(40))
-        .unwrap_or(true)
-    {
+    if complexity(tree)[root.body.index()].is_none_or(|c| c > Complexity(40)) {
         return 0;
     }
     let sites: Vec<NodeId> = subtree_nodes(tree, root.body)
@@ -76,70 +76,55 @@ pub(crate) fn unroll_once(o: &mut Optimizer, tree: &mut Tree, self_name: &str) -
     count
 }
 
-/// Scans the tree and applies the first applicable transformation.
-/// Returns 1 if something fired, 0 at fixpoint.
-pub(crate) fn run_round(o: &mut Optimizer, tree: &mut Tree) -> usize {
-    let cx = Cx::analyze(tree);
-    // Canonicalizing rules run to quiescence before the beta-conversion
-    // rules, matching the paper's transcript order (assoc/commut
-    // reduction and sin→sinc appear before the substitutions in §7).
-    for node in subtree_nodes(tree, tree.root) {
-        if apply_canonical(o, tree, node) {
-            return 1;
-        }
-    }
-    for node in subtree_nodes(tree, tree.root) {
-        if apply_beta(o, tree, node, &cx) {
-            return 1;
-        }
-    }
-    0
+/// The analysis tables the beta rules consult, indexed by
+/// [`NodeId::index`] (`None`, or past the end, for nodes the analyses
+/// did not reach).
+pub(crate) struct Cx<'a> {
+    pub(crate) effects: &'a [Option<Effects>],
+    pub(crate) complexity: &'a [Option<Complexity>],
 }
 
-/// Cached analyses for the current scan.
-struct Cx {
-    effects: HashMap<NodeId, Effects>,
-    complexity: HashMap<NodeId, Complexity>,
-}
-
-impl Cx {
-    fn analyze(tree: &Tree) -> Cx {
-        Cx {
-            effects: effects(tree),
-            complexity: complexity(tree),
-        }
-    }
-
+impl Cx<'_> {
     fn eff(&self, n: NodeId) -> Effects {
-        self.effects.get(&n).copied().unwrap_or_default()
+        self.effects
+            .get(n.index())
+            .copied()
+            .flatten()
+            .unwrap_or_default()
     }
 
     fn size(&self, n: NodeId) -> Complexity {
-        self.complexity.get(&n).copied().unwrap_or(Complexity(99))
+        self.complexity
+            .get(n.index())
+            .copied()
+            .flatten()
+            .unwrap_or(Complexity(99))
     }
 }
 
+/// Tries the canonicalizing rules at `node` in their fixed order and
+/// applies the first that fits.
 #[allow(clippy::nonminimal_bool)] // each && guards one switchable rule
-fn apply_canonical(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
-    let opts = o.options.clone();
-    (opts.if_simplify && if_constant_test(o, tree, node))
-        || (opts.if_simplify && caseq_constant_key(o, tree, node))
-        || (opts.if_simplify && if_known_test(o, tree, node))
-        || (opts.if_lift && if_lift(o, tree, node))
-        || (opts.if_distribution && if_distribute(o, tree, node))
-        || (opts.assoc_commut && assoc_commut_nary(o, tree, node))
-        || (opts.assoc_commut && reverse_arguments(o, tree, node))
-        || (opts.assoc_commut && identity_elimination(o, tree, node))
-        || (opts.constant_fold && constant_fold(o, tree, node))
-        || (opts.sin_to_cycles && sin_to_cycles(o, tree, node))
+pub(crate) fn apply_canonical(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
+    (o.options.if_simplify && if_constant_test(o, tree, node))
+        || (o.options.if_simplify && caseq_constant_key(o, tree, node))
+        || (o.options.if_simplify && if_known_test(o, tree, node))
+        || (o.options.if_lift && if_lift(o, tree, node))
+        || (o.options.if_distribution && if_distribute(o, tree, node))
+        || (o.options.assoc_commut && assoc_commut_nary(o, tree, node))
+        || (o.options.assoc_commut && reverse_arguments(o, tree, node))
+        || (o.options.assoc_commut && identity_elimination(o, tree, node))
+        || (o.options.constant_fold && constant_fold(o, tree, node))
+        || (o.options.sin_to_cycles && sin_to_cycles(o, tree, node))
 }
 
+/// Tries the beta-conversion rules at `node` in their fixed order and
+/// applies the first that fits.
 #[allow(clippy::nonminimal_bool)] // each && guards one switchable rule
-fn apply_beta(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool {
-    let opts = o.options.clone();
-    (opts.call_lambda && call_lambda(o, tree, node))
-        || (opts.unused_args && delete_unused_argument(o, tree, node, cx))
-        || (opts.substitution && substitute(o, tree, node, cx))
+pub(crate) fn apply_beta(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool {
+    (o.options.call_lambda && call_lambda(o, tree, node))
+        || (o.options.unused_args && delete_unused_argument(o, tree, node, cx))
+        || (o.options.substitution && substitute(o, tree, node, cx))
 }
 
 /// Records a transformation, with before-form captured by the caller.
@@ -153,7 +138,7 @@ fn before(tree: &Tree, node: NodeId) -> String {
 }
 
 /// The called manifest lambda of a let, if `node` is one.
-fn let_lambda(tree: &Tree, node: NodeId) -> Option<(NodeId, Lambda, Vec<NodeId>)> {
+fn let_lambda(tree: &Tree, node: NodeId) -> Option<(NodeId, &Lambda, &[NodeId])> {
     let NodeKind::Call {
         func: CallFunc::Expr(f),
         args,
@@ -164,7 +149,7 @@ fn let_lambda(tree: &Tree, node: NodeId) -> Option<(NodeId, Lambda, Vec<NodeId>)
     let NodeKind::Lambda(l) = tree.kind(*f) else {
         return None;
     };
-    Some((*f, l.clone(), args.clone()))
+    Some((*f, l, args))
 }
 
 // ---------------------------------------------------------------- if rules
@@ -180,7 +165,7 @@ fn if_constant_test(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let chosen = if d.is_true() { then } else { els };
     let b = before(tree, node);
     let kind = tree.kind(chosen).clone();
-    tree.replace(node, kind);
+    o.rewrite(tree, node, kind);
     record(o, tree, "META-IF-CONSTANT-TEST", b, node);
     true
 }
@@ -191,25 +176,20 @@ fn caseq_constant_key(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool 
         key,
         clauses,
         default,
-    } = tree.kind(node).clone()
+    } = tree.kind(node)
     else {
         return false;
     };
-    let NodeKind::Constant(d) = tree.kind(key) else {
+    let NodeKind::Constant(d) = tree.kind(*key) else {
         return false;
     };
-    let mut chosen = default;
-    'search: for c in &clauses {
-        for k in &c.keys {
-            if k.eql(d) {
-                chosen = c.body;
-                break 'search;
-            }
-        }
-    }
+    let chosen = clauses
+        .iter()
+        .find(|c| c.keys.iter().any(|k| k.eql(d)))
+        .map_or(*default, |c| c.body);
     let b = before(tree, node);
     let kind = tree.kind(chosen).clone();
-    tree.replace(node, kind);
+    o.rewrite(tree, node, kind);
     record(o, tree, "META-CASEQ-CONSTANT-KEY", b, node);
     true
 }
@@ -244,7 +224,7 @@ fn if_known_test(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
             let b = before(tree, inner);
             let chosen = if truth { ithen } else { iels };
             let kind = tree.kind(chosen).clone();
-            tree.replace(inner, kind);
+            o.rewrite(tree, inner, kind);
             record(o, tree, "META-IF-KNOWN-TEST", b, inner);
             return true;
         }
@@ -260,14 +240,14 @@ fn if_lift(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let NodeKind::If { test, then, els } = *tree.kind(node) else {
         return false;
     };
-    match tree.kind(test).clone() {
+    match tree.kind(test) {
         NodeKind::Progn(body) => {
+            let mut new_body = body.clone();
             let b = before(tree, node);
-            let (&last, init) = body.split_last().expect("progn non-empty");
+            let last = new_body.pop().expect("progn non-empty");
             let inner_if = tree.if_(last, then, els);
-            let mut new_body = init.to_vec();
             new_body.push(inner_if);
-            tree.replace(node, NodeKind::Progn(new_body));
+            o.rewrite(tree, node, NodeKind::Progn(new_body));
             record(o, tree, "META-IF-LIFT", b, node);
             true
         }
@@ -275,17 +255,20 @@ fn if_lift(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
             func: CallFunc::Expr(f),
             args,
         } => {
-            let NodeKind::Lambda(mut l) = tree.kind(f).clone() else {
+            let f = *f;
+            let NodeKind::Lambda(l) = tree.kind(f) else {
                 return false;
             };
             if !l.is_simple() {
                 return false;
             }
+            let (args, mut l) = (args.clone(), l.clone());
             let b = before(tree, node);
             let inner_if = tree.if_(l.body, then, els);
             l.body = inner_if;
-            tree.replace(f, NodeKind::Lambda(l));
-            tree.replace(
+            o.rewrite(tree, f, NodeKind::Lambda(l));
+            o.rewrite(
+                tree,
                 node,
                 NodeKind::Call {
                     func: CallFunc::Expr(f),
@@ -337,7 +320,8 @@ fn if_distribute(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let join = tree.lambda(vec![f, g], new_if);
     let thunk_v = tree.lambda(Vec::new(), then);
     let thunk_w = tree.lambda(Vec::new(), els);
-    tree.replace(
+    o.rewrite(
+        tree,
         node,
         NodeKind::Call {
             func: CallFunc::Expr(join),
@@ -358,22 +342,23 @@ fn assoc_commut_nary(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let NodeKind::Call {
         func: CallFunc::Global(g),
         args,
-    } = tree.kind(node).clone()
+    } = tree.kind(node)
     else {
         return false;
     };
     if args.len() <= 2 || !primop(g.as_str()).map(|p| p.assoc_commut).unwrap_or(false) {
         return false;
     }
+    let (g, mut rev) = (g.clone(), args.clone());
     let b = before(tree, node);
-    let mut rev = args;
     rev.reverse();
     let mut acc = tree.call_global(g.clone(), vec![rev[0], rev[1]]);
     for &a in &rev[2..rev.len() - 1] {
         acc = tree.call_global(g.clone(), vec![acc, a]);
     }
     let last = *rev.last().expect("len > 2");
-    tree.replace(
+    o.rewrite(
+        tree,
         node,
         NodeKind::Call {
             func: CallFunc::Global(g),
@@ -389,27 +374,29 @@ fn reverse_arguments(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let NodeKind::Call {
         func: CallFunc::Global(g),
         args,
-    } = tree.kind(node).clone()
+    } = tree.kind(node)
     else {
         return false;
     };
-    let [x, y] = args.as_slice() else {
+    let &[x, y] = args.as_slice() else {
         return false;
     };
     if !primop(g.as_str()).map(|p| p.assoc_commut).unwrap_or(false) {
         return false;
     }
-    if !matches!(tree.kind(*y), NodeKind::Constant(_))
-        || matches!(tree.kind(*x), NodeKind::Constant(_))
+    if !matches!(tree.kind(y), NodeKind::Constant(_))
+        || matches!(tree.kind(x), NodeKind::Constant(_))
     {
         return false;
     }
+    let g = g.clone();
     let b = before(tree, node);
-    tree.replace(
+    o.rewrite(
+        tree,
         node,
         NodeKind::Call {
             func: CallFunc::Global(g),
-            args: vec![*y, *x],
+            args: vec![y, x],
         },
     );
     record(o, tree, "CONSIDER-REVERSING-ARGUMENTS", b, node);
@@ -422,11 +409,11 @@ fn identity_elimination(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> boo
     let NodeKind::Call {
         func: CallFunc::Global(g),
         args,
-    } = tree.kind(node).clone()
+    } = tree.kind(node)
     else {
         return false;
     };
-    let [x, y] = args.as_slice() else {
+    let &[x, y] = args.as_slice() else {
         return false;
     };
     let Some(id) = primop(g.as_str()).and_then(|p| p.identity) else {
@@ -434,16 +421,16 @@ fn identity_elimination(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> boo
     };
     let is_id =
         |tree: &Tree, n: NodeId| matches!(tree.kind(n), NodeKind::Constant(d) if id.matches(d));
-    let survivor = if is_id(tree, *x) {
-        *y
-    } else if is_id(tree, *y) {
-        *x
+    let survivor = if is_id(tree, x) {
+        y
+    } else if is_id(tree, y) {
+        x
     } else {
         return false;
     };
     let b = before(tree, node);
     let kind = tree.kind(survivor).clone();
-    tree.replace(node, kind);
+    o.rewrite(tree, node, kind);
     record(o, tree, "META-IDENTITY-ELIMINATION", b, node);
     true
 }
@@ -455,7 +442,7 @@ fn constant_fold(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let NodeKind::Call {
         func: CallFunc::Global(g),
         args,
-    } = tree.kind(node).clone()
+    } = tree.kind(node)
     else {
         return false;
     };
@@ -463,7 +450,7 @@ fn constant_fold(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         return false;
     };
     let mut datums = Vec::with_capacity(args.len());
-    for a in &args {
+    for a in args {
         let NodeKind::Constant(d) = tree.kind(*a) else {
             return false;
         };
@@ -473,7 +460,7 @@ fn constant_fold(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         return false;
     };
     let b = before(tree, node);
-    tree.replace(node, NodeKind::Constant(result));
+    o.rewrite(tree, node, NodeKind::Constant(result));
     record(o, tree, "META-COMPILE-TIME-EVAL", b, node);
     true
 }
@@ -487,7 +474,7 @@ fn sin_to_cycles(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let NodeKind::Call {
         func: CallFunc::Global(g),
         args,
-    } = tree.kind(node).clone()
+    } = tree.kind(node)
     else {
         return false;
     };
@@ -496,16 +483,18 @@ fn sin_to_cycles(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         "cos$f" => "cosc$f",
         _ => return false,
     };
-    let [x] = args.as_slice() else {
+    let &[x] = args.as_slice() else {
         return false;
     };
     let b = before(tree, node);
     let factor = tree.constant(Datum::Flonum(INVERSE_TWO_PI));
-    let scaled = tree.call_global(o.intern("*$f"), vec![*x, factor]);
-    tree.replace(
+    let scaled = tree.call_global(o.intern("*$f"), vec![x, factor]);
+    let func = CallFunc::Global(o.intern(replacement));
+    o.rewrite(
+        tree,
         node,
         NodeKind::Call {
-            func: CallFunc::Global(o.intern(replacement)),
+            func,
             args: vec![scaled],
         },
     );
@@ -525,9 +514,10 @@ fn call_lambda(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     if !args.is_empty() || !l.required.is_empty() || !l.is_simple() {
         return false;
     }
+    let body = l.body;
     let b = before(tree, node);
-    let kind = tree.kind(l.body).clone();
-    tree.replace(node, kind);
+    let kind = tree.kind(body).clone();
+    o.rewrite(tree, node, kind);
     record(o, tree, "META-CALL-LAMBDA", b, node);
     true
 }
@@ -542,25 +532,21 @@ fn delete_unused_argument(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: 
     if !l.is_simple() || args.len() != l.required.len() {
         return false;
     }
-    for (j, &vj) in l.required.iter().enumerate() {
+    let Some(j) = l.required.iter().zip(args).position(|(&vj, &aj)| {
         let var = tree.var(vj);
-        if var.special || !var.refs.is_empty() || !var.setqs.is_empty() {
-            continue;
-        }
-        if !cx.eff(args[j]).deletable() {
-            continue;
-        }
-        let b = before(tree, node);
-        remove_param(tree, node, f, j);
-        record(o, tree, "META-DELETE-UNUSED-ARGUMENT", b, node);
-        return true;
-    }
-    false
+        !var.special && var.refs.is_empty() && var.setqs.is_empty() && cx.eff(aj).deletable()
+    }) else {
+        return false;
+    };
+    let b = before(tree, node);
+    remove_param(o, tree, node, f, j);
+    record(o, tree, "META-DELETE-UNUSED-ARGUMENT", b, node);
+    true
 }
 
 /// Removes parameter `j` (and the matching argument) from the let at
 /// `node` whose lambda is `f`.
-fn remove_param(tree: &mut Tree, node: NodeId, f: NodeId, j: usize) {
+fn remove_param(o: &mut Optimizer, tree: &mut Tree, node: NodeId, f: NodeId, j: usize) {
     let NodeKind::Lambda(mut l) = tree.kind(f).clone() else {
         unreachable!()
     };
@@ -569,8 +555,8 @@ fn remove_param(tree: &mut Tree, node: NodeId, f: NodeId, j: usize) {
     };
     l.required.remove(j);
     args.remove(j);
-    tree.replace(f, NodeKind::Lambda(l));
-    tree.replace(node, NodeKind::Call { func, args });
+    o.rewrite(tree, f, NodeKind::Lambda(l));
+    o.rewrite(tree, node, NodeKind::Call { func, args });
 }
 
 /// Rule 3 (§5): substitution of the argument expression for occurrences
@@ -584,39 +570,28 @@ fn substitute(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool
     if !l.is_simple() || args.len() != l.required.len() {
         return false;
     }
-    for (j, &vj) in l.required.iter().enumerate() {
-        let var = tree.var(vj).clone();
+    // The first parameter that substitutes, and whether its argument
+    // is moved to its one reference rather than copied to each.
+    let mut plan = None;
+    for (j, (&vj, &aj)) in l.required.iter().zip(args).enumerate() {
+        let var = tree.var(vj);
         if var.special || !var.setqs.is_empty() || var.refs.is_empty() {
             continue;
         }
-        let aj = args[j];
         if is_trivial(tree, aj) {
             // Constant propagation / renaming: substitute everywhere.
-            let b = before(tree, node);
-            for &r in &var.refs {
-                let copy = tree.copy_subtree(aj);
-                let kind = tree.kind(copy).clone();
-                tree.replace(r, kind);
-            }
-            remove_param(tree, node, f, j);
-            record(o, tree, "META-SUBSTITUTE", b, node);
-            return true;
+            plan = Some((j, vj, aj, false));
+            break;
         }
-        let movable = movable_effects(tree, cx, aj);
-        if !movable {
+        if !movable_effects(tree, cx, aj) {
             continue;
         }
         if var.refs.len() == 1 {
-            let r = var.refs[0];
-            if !path_allows_move(tree, node, r) {
+            if !path_allows_move(tree, node, var.refs[0]) {
                 continue;
             }
-            let b = before(tree, node);
-            let kind = tree.kind(aj).clone();
-            tree.replace(r, kind);
-            remove_param(tree, node, f, j);
-            record(o, tree, "META-SUBSTITUTE", b, node);
-            return true;
+            plan = Some((j, vj, aj, true));
+            break;
         }
         // Conservative multi-reference substitution (common
         // sub-expression *introduction*, §4.3): only cheap, duplicable
@@ -626,18 +601,44 @@ fn substitute(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool
             && var.refs.len() <= 3
             && var.refs.iter().all(|&r| path_allows_move(tree, node, r))
         {
-            let b = before(tree, node);
-            for &r in &var.refs {
-                let copy = tree.copy_subtree(aj);
-                let kind = tree.kind(copy).clone();
-                tree.replace(r, kind);
-            }
-            remove_param(tree, node, f, j);
-            record(o, tree, "META-SUBSTITUTE", b, node);
-            return true;
+            plan = Some((j, vj, aj, false));
+            break;
         }
     }
-    false
+    let Some((j, vj, aj, moved)) = plan else {
+        return false;
+    };
+    let b = before(tree, node);
+    if moved {
+        let r = tree.var(vj).refs[0];
+        let kind = tree.kind(aj).clone();
+        o.rewrite(tree, r, kind);
+    } else {
+        for r in refs_in_backlink_order(tree, f, vj) {
+            let copy = tree.copy_subtree(aj);
+            let kind = tree.kind(copy).clone();
+            o.rewrite(tree, r, kind);
+        }
+    }
+    remove_param(o, tree, node, f, j);
+    record(o, tree, "META-SUBSTITUTE", b, node);
+    true
+}
+
+/// The references to `var` under `root`, in the order
+/// [`Tree::rebuild_backlinks`] lists them, so that the copies a
+/// substitution makes are numbered in a fixed order whatever order the
+/// driver's incremental `refs` lists are in.
+fn refs_in_backlink_order(tree: &Tree, root: NodeId, var: VarId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
+        if matches!(tree.kind(id), NodeKind::VarRef(v) if *v == var) {
+            out.push(id);
+        }
+        stack.extend(tree.children(id));
+    }
+    out
 }
 
 /// Constants and immutable lexical variable references substitute freely.
@@ -704,6 +705,13 @@ fn path_allows_move(tree: &Tree, call_node: NodeId, use_site: NodeId) -> bool {
 }
 
 impl Optimizer {
+    /// Rewrites node `id` in place, logging it with the construct it
+    /// held for the fixpoint driver.
+    fn rewrite(&mut self, tree: &mut Tree, id: NodeId, kind: NodeKind) {
+        let old = tree.replace(id, kind);
+        self.rewritten.push((id, old));
+    }
+
     /// Interns a fixed spelling in the optimizer's private interner
     /// (symbols compare by spelling, so these match the program's).
     pub(crate) fn intern(&mut self, s: &str) -> s1lisp_reader::Symbol {

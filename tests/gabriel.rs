@@ -2,8 +2,96 @@
 //! assembled the standard Lisp benchmark suite) run differentially:
 //! compiled-on-simulator vs the reference interpreter.
 
-use s1lisp::Value;
+use s1lisp::{BackendKind, Compiler, Value};
 use s1lisp_suite::{build, check_agree, fx};
+
+/// Runs `name` on `args` on the S-1 simulator (fully optimized and
+/// naive), on the bytecode evaluator and on the interpreter: each must
+/// return `want`.
+fn returns_on_every_engine(src: &str, name: &str, args: &[Value], want: &Value) {
+    const FUEL: u64 = 50_000_000;
+    for (config, mut c) in [
+        ("full", Compiler::new()),
+        ("naive", Compiler::unoptimized()),
+    ] {
+        c.compile_str(src).unwrap();
+        let interp = c.interpreter().call(name, args);
+        assert_eq!(interp.as_ref().ok(), Some(want), "interpreter: {interp:?}");
+        let mut m = c.machine();
+        m.fuel_per_run = FUEL;
+        let got = m.run(name, args);
+        assert_eq!(got.as_ref().ok(), Some(want), "S-1 {config}: {got:?}");
+    }
+    let mut bc = Compiler::new();
+    bc.backend = BackendKind::Bytecode;
+    bc.compile_str(src).unwrap();
+    let mut e = bc.evaluator();
+    e.fuel_per_run = FUEL;
+    let got = e.run(name, args);
+    assert_eq!(got.as_ref().ok(), Some(want), "bytecode: {got:?}");
+}
+
+/// A `let` binds its specials in parallel: the inner `let` swaps `x`
+/// and `y`, each initial value read from the outer bindings.
+#[test]
+fn parallel_let_binds_specials_after_every_argument() {
+    returns_on_every_engine(
+        "(defvar x 0) (defvar y 0)
+         (defun f (a b) (let ((x a) (y b)) (let ((x y) (y x)) (list x y))))",
+        "f",
+        &[fx(1), fx(2)],
+        &Value::list([fx(2), fx(1)]),
+    );
+}
+
+/// A self call inside a special binding's extent is not a tail call:
+/// each level's binding of `x` must be in force until the call returns.
+#[test]
+fn self_call_under_a_special_binding_keeps_the_binding() {
+    returns_on_every_engine(
+        "(defvar x 0)
+         (defun h (n) (if (= n 0) x (let ((x n)) (h (- n 1)))))",
+        "h",
+        &[fx(3)],
+        &fx(1),
+    );
+}
+
+/// Gabriel's STAK: TAK with its arguments passed in deep-bound special
+/// variables, rebound by parallel `let`s around self calls.
+#[test]
+fn stak_passes_arguments_in_specials() {
+    returns_on_every_engine(
+        "(defvar x) (defvar y) (defvar z)
+         (defun stak (x y z) (stak-aux))
+         (defun stak-aux ()
+           (if (not (< y x))
+               z
+               (let ((x (let ((x (- x 1)) (y y) (z z)) (stak-aux)))
+                     (y (let ((x (- y 1)) (y z) (z x)) (stak-aux)))
+                     (z (let ((x (- z 1)) (y x) (z y)) (stak-aux))))
+                 (stak-aux))))",
+        "stak",
+        &[fx(18), fx(12), fx(6)],
+        &fx(7),
+    );
+}
+
+/// Gabriel's CTAK: TAK returning through `catch`/`throw`.
+#[test]
+fn ctak_returns_through_catch_and_throw() {
+    returns_on_every_engine(
+        "(defun ctak (x y z) (catch 'ctak (ctak-aux x y z)))
+         (defun ctak-aux (x y z)
+           (cond ((not (< y x)) (throw 'ctak z))
+                 (t (ctak-aux (catch 'ctak (ctak-aux (- x 1) y z))
+                              (catch 'ctak (ctak-aux (- y 1) z x))
+                              (catch 'ctak (ctak-aux (- z 1) x y))))))",
+        "ctak",
+        &[fx(18), fx(12), fx(6)],
+        &fx(7),
+    );
+}
 
 #[test]
 fn div2_iterative_and_recursive() {
