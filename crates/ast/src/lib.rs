@@ -37,6 +37,6 @@ pub use tree::{
     CallFunc, CaseqClause, DeclaredType, Lambda, Node, NodeId, NodeKind, OptParam, ProgItem, Tree,
     Var, VarId,
 };
-pub use unparse::{clip_form, unparse, unparse_declared};
+pub use unparse::{clip_form, unparse, unparse_declared, unparse_pretty};
 pub use validate::{well_formed, WellFormedError};
 pub use visit::{postorder, subtree_nodes};

@@ -9,15 +9,17 @@
 //! their `quote` wrapper when they are self-evaluating ("for readability
 //! the back-translator actually omits quote-forms around numbers").
 
-use s1lisp_reader::{Datum, Symbol};
+use s1lisp_reader::Printer;
 
-use crate::tree::{CallFunc, DeclaredType, Lambda, NodeId, NodeKind, ProgItem, Tree};
+use crate::tree::{CallFunc, DeclaredType, Lambda, NodeId, NodeKind, ProgItem, Tree, VarId};
 
-/// Back-translates the subtree at `id` into a source datum.
+/// Back-translates the subtree at `id` into flat source text.
 ///
-/// The output is valid source for the frontend: re-converting it yields a
-/// tree with the same semantics (integration tests assert this round
-/// trip).
+/// The text is written straight from the tree through the reader's
+/// [`Printer`], exactly as printing the equivalent source datum would
+/// write it.  It is valid source for the frontend: re-reading and
+/// re-converting it yields a tree with the same semantics (integration
+/// tests assert this round trip).
 ///
 /// # Examples
 ///
@@ -30,19 +32,21 @@ use crate::tree::{CallFunc, DeclaredType, Lambda, NodeId, NodeKind, ProgItem, Tr
 /// let a = t.constant(Datum::Fixnum(1));
 /// let b = t.constant(Datum::Flonum(2.0));
 /// let e = t.call_global(i.intern("+$f"), vec![a, b]);
-/// assert_eq!(unparse(&t, e).to_string(), "(+$f '1 '2.0)");
+/// assert_eq!(unparse(&t, e), "(+$f '1 '2.0)");
 /// ```
-pub fn unparse(tree: &Tree, id: NodeId) -> Datum {
-    let mut u = Unparser {
-        tree,
-        declares: false,
-    };
-    u.node(id)
+pub fn unparse(tree: &Tree, id: NodeId) -> String {
+    Unparser::write(tree, id, false, Printer::flat()).into_string()
 }
 
-/// Back-translation that *preserves the variable annotations*: each
-/// lambda body opens with a `(declare (special …) (fixnum …)
-/// (flonum …))` form covering its parameters, and bare
+/// [`unparse`] laid out at `width` columns by [`Printer::pretty`]: the
+/// converted and optimized snapshots of a compiled function.
+pub fn unparse_pretty(tree: &Tree, id: NodeId, width: usize) -> String {
+    Unparser::write(tree, id, false, Printer::breakable()).pretty(width)
+}
+
+/// Back-translation that *preserves the variable annotations*, laid out
+/// at `width` columns: each lambda body opens with a `(declare (special
+/// …) (fixnum …) (flonum …))` form covering its parameters, and bare
 /// variable-reference statements inside `progbody` are wrapped in
 /// `(progn …)` so the reader cannot mistake them for go-tags.
 ///
@@ -50,18 +54,17 @@ pub fn unparse(tree: &Tree, id: NodeId) -> Datum {
 /// this variant exists for the guard pipeline's round-trip check, where
 /// re-converting the output must reproduce the *exact* tree fingerprint
 /// — including specialness and declared types.
-pub fn unparse_declared(tree: &Tree, id: NodeId) -> Datum {
-    let mut u = Unparser {
-        tree,
-        declares: true,
-    };
-    u.node(id)
+pub fn unparse_declared(tree: &Tree, id: NodeId, width: usize) -> String {
+    Unparser::write(tree, id, true, Printer::breakable()).pretty(width)
 }
 
 /// A one-line rendering of a subtree, clipped to 48 characters for
-/// event logs (telemetry events, dossier verdict lines).
+/// event logs (telemetry events, dossier verdict lines).  The walk stops
+/// once the text is certain to be clipped.
 pub fn clip_form(tree: &Tree, node: NodeId) -> String {
-    let s = unparse(tree, node).to_string();
+    // Past 4 × 48 bytes the text holds more than 48 characters, so it
+    // is clipped whatever the rest of the walk would write.
+    let s = Unparser::write(tree, node, false, Printer::clipped(4 * 48)).into_string();
     if s.chars().count() <= 48 {
         s
     } else {
@@ -70,191 +73,166 @@ pub fn clip_form(tree: &Tree, node: NodeId) -> String {
     }
 }
 
+/// The tree walk behind every back-translation.
 struct Unparser<'a> {
     tree: &'a Tree,
     declares: bool,
+    p: Printer,
 }
 
 impl Unparser<'_> {
-    fn sym(&self, name: &Symbol) -> Datum {
-        Datum::Sym(name.clone())
+    fn write(tree: &Tree, id: NodeId, declares: bool, p: Printer) -> Printer {
+        let mut u = Unparser { tree, declares, p };
+        u.node(id);
+        u.p
     }
 
-    fn node(&mut self, id: NodeId) -> Datum {
-        match self.tree.kind(id) {
-            NodeKind::Constant(d) => {
-                // All constants are internally explicitly quoted for
-                // uniformity; we keep the quote so the output is exact.
-                Datum::list([self.raw_sym("quote"), d.clone()])
-            }
-            NodeKind::VarRef(v) => self.sym(&self.tree.var(*v).name),
-            NodeKind::Setq { var, value } => Datum::list([
-                self.raw_sym("setq"),
-                self.sym(&self.tree.var(*var).name),
-                self.node(*value),
-            ]),
-            NodeKind::If { test, then, els } => Datum::list([
-                self.raw_sym("if"),
-                self.node(*test),
-                self.node(*then),
-                self.node(*els),
-            ]),
-            NodeKind::Progn(body) => {
-                let mut items = vec![self.raw_sym("progn")];
-                items.extend(body.iter().map(|&b| self.node(b)));
-                Datum::list(items)
-            }
+    fn var(&mut self, v: VarId) {
+        self.p.sym(self.tree.var(v).name.as_str());
+    }
+
+    /// Writes `(head items…)`.
+    fn form(&mut self, head: &str, items: impl FnOnce(&mut Self)) {
+        self.p.open();
+        self.p.sym(head);
+        items(self);
+        self.p.close();
+    }
+
+    fn node(&mut self, id: NodeId) {
+        if self.p.full() {
+            return;
+        }
+        let tree = self.tree;
+        match tree.kind(id) {
+            // All constants are internally explicitly quoted for
+            // uniformity; we keep the quote so the output is exact.
+            NodeKind::Constant(d) => self.form("quote", |u| u.p.datum(d)),
+            NodeKind::VarRef(v) => self.var(*v),
+            NodeKind::Setq { var, value } => self.form("setq", |u| {
+                u.var(*var);
+                u.node(*value);
+            }),
+            NodeKind::If { test, then, els } => self.form("if", |u| {
+                u.node(*test);
+                u.node(*then);
+                u.node(*els);
+            }),
+            NodeKind::Progn(body) => self.form("progn", |u| body.iter().for_each(|&b| u.node(b))),
             NodeKind::Call { func, args } => {
-                let head = match func {
-                    CallFunc::Global(g) => self.sym(g),
+                self.p.open();
+                match func {
+                    CallFunc::Global(g) => self.p.sym(g.as_str()),
                     CallFunc::Expr(e) => self.node(*e),
-                };
-                let mut items = vec![head];
-                items.extend(args.iter().map(|&a| self.node(a)));
-                Datum::list(items)
+                }
+                args.iter().for_each(|&a| self.node(a));
+                self.p.close();
             }
-            NodeKind::Lambda(l) => {
-                let mut params: Vec<Datum> = l
-                    .required
-                    .iter()
-                    .map(|v| self.sym(&self.tree.var(*v).name))
-                    .collect();
+            NodeKind::Lambda(l) => self.form("lambda", |u| {
+                u.p.open();
+                l.required.iter().for_each(|&v| u.var(v));
                 if !l.optional.is_empty() {
-                    params.push(self.raw_sym("&optional"));
+                    u.p.sym("&optional");
                     for o in &l.optional {
-                        params.push(Datum::list([
-                            self.sym(&self.tree.var(o.var).name),
-                            self.node(o.default),
-                        ]));
+                        u.p.open();
+                        u.var(o.var);
+                        u.node(o.default);
+                        u.p.close();
                     }
                 }
                 if let Some(r) = l.rest {
-                    params.push(self.raw_sym("&rest"));
-                    params.push(self.sym(&self.tree.var(r).name));
+                    u.p.sym("&rest");
+                    u.var(r);
                 }
-                let mut items = vec![self.raw_sym("lambda"), Datum::list(params)];
-                if self.declares {
-                    if let Some(d) = self.declare_form(l) {
-                        items.push(d);
-                    }
+                u.p.close();
+                if u.declares {
+                    u.declare_form(l);
                 }
-                items.push(self.node(l.body));
-                Datum::list(items)
-            }
+                u.node(l.body);
+            }),
             NodeKind::Caseq {
                 key,
                 clauses,
                 default,
-            } => {
-                let mut items = vec![self.raw_sym("caseq"), self.node(*key)];
+            } => self.form("caseq", |u| {
+                u.node(*key);
                 for c in clauses {
-                    items.push(Datum::list([
-                        Datum::list(c.keys.iter().cloned()),
-                        self.node(c.body),
-                    ]));
+                    u.p.open();
+                    u.p.open();
+                    c.keys.iter().for_each(|k| u.p.datum(k));
+                    u.p.close();
+                    u.node(c.body);
+                    u.p.close();
                 }
-                items.push(Datum::list([self.raw_sym("t"), self.node(*default)]));
-                Datum::list(items)
-            }
-            NodeKind::Catcher { tag, body } => {
-                Datum::list([self.raw_sym("catch"), self.node(*tag), self.node(*body)])
-            }
-            NodeKind::Progbody(items) => {
-                let mut out = vec![self.raw_sym("progbody")];
+                u.form("t", |u| u.node(*default));
+            }),
+            NodeKind::Catcher { tag, body } => self.form("catch", |u| {
+                u.node(*tag);
+                u.node(*body);
+            }),
+            NodeKind::Progbody(items) => self.form("progbody", |u| {
                 for i in items {
-                    out.push(match i {
-                        ProgItem::Tag(t) => Datum::Sym(t.clone()),
-                        ProgItem::Stmt(s) => {
-                            let d = self.node(*s);
-                            // In declare-preserving mode a bare symbol
-                            // statement would re-read as a go-tag; keep
-                            // it a statement with a `progn` wrapper
-                            // (which re-converts to the plain node).
-                            if self.declares && matches!(d, Datum::Sym(_)) {
-                                Datum::list([self.raw_sym("progn"), d])
-                            } else {
-                                d
-                            }
+                    match i {
+                        ProgItem::Tag(t) => u.p.sym(t.as_str()),
+                        // In declare-preserving mode a bare symbol
+                        // statement would re-read as a go-tag; keep it a
+                        // statement with a `progn` wrapper (which
+                        // re-converts to the plain node).
+                        ProgItem::Stmt(s)
+                            if u.declares && matches!(tree.kind(*s), NodeKind::VarRef(_)) =>
+                        {
+                            u.form("progn", |u| u.node(*s));
                         }
-                    });
+                        ProgItem::Stmt(s) => u.node(*s),
+                    }
                 }
-                Datum::list(out)
-            }
-            NodeKind::Go(tag) => Datum::list([self.raw_sym("go"), Datum::Sym(tag.clone())]),
-            NodeKind::Return(v) => Datum::list([self.raw_sym("return"), self.node(*v)]),
+            }),
+            NodeKind::Go(tag) => self.form("go", |u| u.p.sym(tag.as_str())),
+            NodeKind::Return(v) => self.form("return", |u| u.node(*v)),
         }
     }
 
-    /// The `(declare …)` form for a lambda's parameter annotations, or
-    /// `None` when no parameter is special or type-declared.
-    fn declare_form(&self, l: &Lambda) -> Option<Datum> {
-        let mut specials = Vec::new();
-        let mut fixnums = Vec::new();
-        let mut flonums = Vec::new();
+    /// The `(declare …)` form for a lambda's parameter annotations; none
+    /// when no parameter is special or type-declared.
+    fn declare_form(&mut self, l: &Lambda) {
+        let tree = self.tree;
+        let mut clauses: [(&str, Vec<&str>); 3] =
+            [("special", vec![]), ("fixnum", vec![]), ("flonum", vec![])];
         for p in l.all_params() {
-            let v = self.tree.var(p);
+            let v = tree.var(p);
             if v.special {
-                specials.push(self.sym(&v.name));
+                clauses[0].1.push(v.name.as_str());
             }
             match v.declared_type {
-                Some(DeclaredType::Fixnum) => fixnums.push(self.sym(&v.name)),
-                Some(DeclaredType::Flonum) => flonums.push(self.sym(&v.name)),
+                Some(DeclaredType::Fixnum) => clauses[1].1.push(v.name.as_str()),
+                Some(DeclaredType::Flonum) => clauses[2].1.push(v.name.as_str()),
                 None => {}
             }
         }
-        let mut clauses = Vec::new();
-        for (head, names) in [
-            ("special", specials),
-            ("fixnum", fixnums),
-            ("flonum", flonums),
-        ] {
-            if !names.is_empty() {
-                let mut c = vec![self.raw_sym(head)];
-                c.extend(names);
-                clauses.push(Datum::list(c));
+        if clauses.iter().all(|(_, names)| names.is_empty()) {
+            return;
+        }
+        self.form("declare", |u| {
+            for (head, names) in &clauses {
+                if !names.is_empty() {
+                    u.form(head, |u| names.iter().for_each(|n| u.p.sym(n)));
+                }
             }
-        }
-        if clauses.is_empty() {
-            return None;
-        }
-        let mut d = vec![self.raw_sym("declare")];
-        d.extend(clauses);
-        Some(Datum::list(d))
+        });
     }
-
-    /// Head symbols of special forms: these spellings are fixed by the
-    /// language, so we can synthesize them without an interner — but they
-    /// must compare equal to the frontend's interned versions when the
-    /// output is re-read, which the reader guarantees by interning on
-    /// read.  We therefore emit *fresh* symbols here; textual round-trips
-    /// go through the reader and re-intern.
-    fn raw_sym(&self, s: &str) -> Datum {
-        Datum::Sym(crate::unparse::fresh_symbol(s))
-    }
-}
-
-/// Creates an uninterned symbol with the given spelling (display-equal,
-/// not `eq`, to interned symbols of the same name).  Only used for the
-/// fixed special-form head words in back-translated output, which is
-/// consumed textually.
-fn fresh_symbol(s: &str) -> Symbol {
-    // A tiny private interner would also work; a one-off allocation keeps
-    // the unparser free of &mut Interner plumbing.
-    let mut scratch = s1lisp_reader::Interner::new();
-    scratch.intern(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::{Lambda, OptParam};
-    use s1lisp_reader::Interner;
+    use s1lisp_reader::{Datum, Interner};
 
     #[test]
     fn constants_print_quoted() {
         let mut t = Tree::new();
         let c = t.constant(Datum::Fixnum(42));
-        assert_eq!(unparse(&t, c).to_string(), "'42");
+        assert_eq!(unparse(&t, c), "'42");
     }
 
     #[test]
@@ -267,7 +245,7 @@ mod tests {
         let b = t.constant(Datum::Fixnum(2));
         let pg = t.progn(vec![a, b]);
         let e = t.if_(rp, pg, b);
-        assert_eq!(unparse(&t, e).to_string(), "(if p (progn '1 '2) '2)");
+        assert_eq!(unparse(&t, e), "(if p (progn '1 '2) '2)");
     }
 
     #[test]
@@ -284,10 +262,7 @@ mod tests {
             rest: None,
             body,
         }));
-        assert_eq!(
-            unparse(&t, lam).to_string(),
-            "(lambda (a &optional (b '3.0)) a)"
-        );
+        assert_eq!(unparse(&t, lam), "(lambda (a &optional (b '3.0)) a)");
     }
 
     #[test]
@@ -300,7 +275,7 @@ mod tests {
         let lam = t.lambda(vec![d], rd);
         let one = t.constant(Datum::Fixnum(1));
         let call = t.call_expr(lam, vec![one]);
-        assert_eq!(unparse(&t, call).to_string(), "((lambda (d) d) '1)");
+        assert_eq!(unparse(&t, call), "((lambda (d) d) '1)");
     }
 
     #[test]
@@ -315,9 +290,6 @@ mod tests {
             ProgItem::Stmt(r),
             ProgItem::Stmt(g),
         ]));
-        assert_eq!(
-            unparse(&t, pb).to_string(),
-            "(progbody top (return '1) (go top))"
-        );
+        assert_eq!(unparse(&t, pb), "(progbody top (return '1) (go top))");
     }
 }

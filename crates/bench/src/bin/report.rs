@@ -162,18 +162,8 @@ fn main() {
             print!("{}", s1lisp_bench::service_report(jobs, cache_dir.clone()));
             continue;
         }
-        match s1lisp_bench::run_experiment(&id) {
-            Some(report) => {
-                let title = s1lisp_bench::all_experiments()
-                    .into_iter()
-                    .find(|e| e.id == id)
-                    .map(|e| e.title)
-                    .unwrap_or("");
-                println!("==================================================================");
-                println!("{} — {}", id.to_uppercase(), title);
-                println!("==================================================================");
-                println!("{report}");
-            }
+        match s1lisp_bench::experiment_text(&id) {
+            Some(text) => print!("{text}"),
             None => eprintln!("unknown experiment {id} (want e1..e12 or service)"),
         }
     }

@@ -84,12 +84,18 @@ pub fn all_experiments() -> Vec<Experiment> {
     ]
 }
 
-/// Runs one experiment by id.
-pub fn run_experiment(id: &str) -> Option<String> {
-    all_experiments()
-        .into_iter()
-        .find(|e| e.id == id)
-        .map(|e| (e.run)())
+/// What `report <id>` prints for one experiment: a banner with its id
+/// and title, then its report.  Deterministic for every experiment, so
+/// the text of e1 … e12 is byte-golden (`tests/golden/report.txt`).
+pub fn experiment_text(id: &str) -> Option<String> {
+    let e = all_experiments().into_iter().find(|e| e.id == id)?;
+    let rule = "=".repeat(66);
+    Some(format!(
+        "{rule}\n{} — {}\n{rule}\n{}\n",
+        id.to_uppercase(),
+        e.title,
+        (e.run)()
+    ))
 }
 
 fn fx(n: i64) -> Value {
@@ -739,4 +745,18 @@ fn e12() -> String {
     }
     out.push_str("\n(naive = no source-level optimization, no tail calls, no pdl numbers,\n no special caching, no TNBIND, no representation analysis)\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn report_text_is_byte_golden() {
+        // Every number of e1 … e12, the §7 transcripts included, is
+        // pinned; a change that moves one shows here as a diff.
+        let text: String = super::all_experiments()
+            .iter()
+            .map(|e| super::experiment_text(e.id).expect("a listed id"))
+            .collect();
+        crate::check_golden("report.txt", &text).unwrap_or_else(|e| panic!("{e}"));
+    }
 }

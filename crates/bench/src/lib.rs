@@ -22,7 +22,7 @@ pub mod service;
 
 pub use backend::{backend_batch, backend_record};
 pub use durability::durability_record;
-pub use experiments::{all_experiments, run_experiment, Experiment};
+pub use experiments::{all_experiments, experiment_text, Experiment};
 pub use explain::{corpus_functions, explain_function};
 pub use flame::{batch_events, chrome_trace, flame_report};
 pub use json_report::{json_record, trap_record};

@@ -13,7 +13,7 @@
 
 use s1lisp_ast::{fingerprint, unparse_declared, well_formed, Tree};
 use s1lisp_frontend::Frontend;
-use s1lisp_reader::{pretty, read_str, Datum, Interner};
+use s1lisp_reader::{read_str, Datum, Interner};
 
 /// A structured guard violation: which function, at which pipeline
 /// stage, and what invariant broke.
@@ -69,7 +69,7 @@ pub(crate) fn round_trip(
         detail,
     };
     let want = fingerprint(tree);
-    let source = pretty(&unparse_declared(tree, tree.root), 78);
+    let source = unparse_declared(tree, tree.root, 78);
     let mut interner = Interner::new();
     let lambda = read_str(&source, &mut interner)
         .map_err(|e| err(format!("back-translation does not re-read: {e}\n{source}")))?;

@@ -107,16 +107,6 @@ impl PendingFunction {
     pub fn tree_fingerprint(&self) -> u64 {
         s1lisp_ast::fingerprint(&self.inner.tree)
     }
-
-    /// The whole-function object-code size estimate, from the same
-    /// complexity analysis the pipeline runs (Table 1's "Complexity
-    /// analysis" row).  The compilation service sorts batch queues
-    /// largest-first on this, so the biggest compilations start first
-    /// and the stragglers are small.
-    pub fn complexity_estimate(&self) -> u32 {
-        s1lisp_analysis::complexity(&self.inner.tree)[self.inner.tree.root.index()]
-            .map_or(0, |c| c.0)
-    }
 }
 
 /// The whole-pipeline compiler.

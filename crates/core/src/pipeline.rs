@@ -27,9 +27,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use s1lisp_annotate::{Annotations, BindingInfo, PdlInfo, RepInfo};
-use s1lisp_ast::{unparse, Tree};
+use s1lisp_ast::{unparse_pretty, Tree};
 use s1lisp_opt::{Optimizer, Transcript};
-use s1lisp_reader::pretty;
 use s1lisp_trace::fault::FaultSite;
 use s1lisp_trace::TraceSink;
 
@@ -74,7 +73,7 @@ impl UnitState {
     /// source.
     fn new(func: s1lisp_frontend::Function) -> UnitState {
         let name = func.name.as_str().to_string();
-        let converted = pretty(&unparse(&func.tree, func.tree.root), 78);
+        let converted = unparse_pretty(&func.tree, func.tree.root, 78);
         UnitState {
             func,
             name,
@@ -406,7 +405,7 @@ impl Compiler {
                 self.run_pass(pass, &mut unit, sink)?;
             }
         }
-        let optimized = pretty(&unparse(unit.tree(), unit.tree().root), 78);
+        let optimized = unparse_pretty(unit.tree(), unit.tree().root, 78);
         let UnitState {
             func,
             name,

@@ -219,12 +219,12 @@ impl BackendSelect {
 pub enum Schedule {
     /// Source order, as split.
     Fifo,
-    /// Largest function first, by the complexity analysis's
-    /// whole-function object-code size estimate
-    /// ([`s1lisp::PendingFunction::complexity_estimate`]); ties keep
-    /// source order.  The longest compilations start before the queue
-    /// thins out, so the batch does not end with one worker grinding a
-    /// big function while the rest idle.
+    /// Largest function first, by the byte length of its printed
+    /// `defun` form, which the split already holds, so ordering the
+    /// queue converts nothing; ties keep source order.  The longest
+    /// compilations start before the queue thins out, so the batch does
+    /// not end with one worker grinding a big function while the rest
+    /// idle.
     LargestFirst,
 }
 

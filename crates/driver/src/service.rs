@@ -18,6 +18,17 @@
 //! cosmetically from the classic serial path in multi-`defun` units.
 //! The pinned contract is jobs-invariance — `jobs = 1`, `2` and `8`
 //! byte-identical — not equality with `compile_str`.
+//!
+//! # One conversion per job
+//!
+//! The batch thread only splits units and orders the queue — for
+//! [`Schedule::LargestFirst`] by the printed form's byte length — and
+//! converts nothing.  A worker converts each job once, on the compiler
+//! that compiles it: the converted tree keys the cache (with the
+//! function's name and the option fingerprint), and on a miss the same
+//! compiler runs the remaining passes.  Only a watchdogged attempt
+//! (`time_budget`) converts again, on its own thread, because the
+//! tree's symbols cannot cross threads.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,7 +36,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use s1lisp::{
-    Artifact, BackendKind, CompileError, Compiler, FaultPlan, FaultSite, Machine, PassWatch, Value,
+    Artifact, BackendKind, CompileError, Compiler, FaultPlan, FaultSite, Machine, PassWatch,
+    PendingFunction, Value,
 };
 use s1lisp_ast::Fnv1a64;
 use s1lisp_frontend::{declaration, TopLevel};
@@ -470,10 +482,13 @@ pub struct CompileService {
     job_wall_us: Histogram,
 }
 
-/// The cache key: the converted tree's structural fingerprint mixed
-/// with the option fingerprint.
-fn cache_key(tree_fp: u64, options_fp: u64) -> u64 {
+/// The cache key: the function's name and its converted tree's
+/// structural fingerprint, mixed with the option fingerprint.  The tree
+/// is the lambda alone, so without the name two same-bodied functions
+/// would share one artifact, and its name.
+fn cache_key(name: &str, tree_fp: u64, options_fp: u64) -> u64 {
     let mut h = Fnv1a64::new();
+    h.write_str(name);
     h.write_u64(tree_fp);
     h.write_u64(options_fp);
     h.finish()
@@ -542,18 +557,35 @@ impl From<CompileError> for AttemptErr {
     }
 }
 
-/// One self-contained compilation attempt: builds a private compiler,
-/// converts, (optionally) trips the injected faults, and compiles.
-/// Runs inline or on a watchdogged thread; owns no shared state.
-fn attempt(job: &Job, config: &ServiceConfig, degraded: bool) -> Result<AttemptOk, AttemptErr> {
-    let mut c = job_compiler(config, job, degraded);
+/// Converts a job's form: the Preliminary phase, on `c`.
+fn convert(c: &mut Compiler, job: &Job) -> Result<PendingFunction, AttemptErr> {
     let mut pending = c.convert_str(&job.form)?;
-    let Some(p) = pending.pop().filter(|_| pending.is_empty()) else {
-        return Err(AttemptErr::plain(format!(
+    pending.pop().filter(|_| pending.is_empty()).ok_or_else(|| {
+        AttemptErr::plain(format!(
             "expected exactly one function in job {}",
             job.fn_name
-        )));
-    };
+        ))
+    })
+}
+
+/// One self-contained compilation attempt: builds a private compiler,
+/// converts, and compiles.  Runs on a watchdogged thread or as the
+/// degraded retry; owns no shared state.
+fn attempt(job: &Job, config: &ServiceConfig, degraded: bool) -> Result<AttemptOk, AttemptErr> {
+    let mut c = job_compiler(config, job, degraded);
+    let p = convert(&mut c, job)?;
+    compile(c, p, job, config, degraded)
+}
+
+/// Compiles a converted job on the compiler that converted it,
+/// tripping the injected faults first.
+fn compile(
+    mut c: Compiler,
+    p: PendingFunction,
+    job: &Job,
+    config: &ServiceConfig,
+    degraded: bool,
+) -> Result<AttemptOk, AttemptErr> {
     if !degraded {
         if let Some(fault) = config.fault.as_ref().filter(|f| f.function == job.fn_name) {
             match fault.mode {
@@ -593,15 +625,24 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs an attempt with panic isolation, and — when a time budget is
-/// configured — under a watchdog: the attempt runs on its own thread,
-/// recording each pass it enters in a [`PassWatch`], and the worker
-/// waits at most the budget.  A thread that runs over is abandoned
-/// (threads cannot be killed); it owns only job-local state, so the
-/// leak is bounded by process exit.
-fn guarded_attempt(job: &Job, config: &ServiceConfig, degraded: bool) -> AttemptOutcome {
+/// Compiles a job's converted function with panic isolation, and —
+/// when a time budget is configured — under a watchdog: the attempt
+/// runs on its own thread, recording each pass it enters in a
+/// [`PassWatch`], and the worker waits at most the budget.  The tree's
+/// symbols cannot cross threads, so the watched attempt converts the
+/// form again on its thread and `probe` is dropped.  A thread that runs
+/// over is abandoned (threads cannot be killed); it owns only job-local
+/// state, so the leak is bounded by process exit.
+fn guarded_attempt(
+    job: &Job,
+    config: &ServiceConfig,
+    probe: Compiler,
+    pending: PendingFunction,
+) -> AttemptOutcome {
     match config.time_budget {
-        None => match catch_unwind(AssertUnwindSafe(|| attempt(job, config, degraded))) {
+        None => match catch_unwind(AssertUnwindSafe(|| {
+            compile(probe, pending, job, config, false)
+        })) {
             Ok(Ok(ok)) => AttemptOutcome::Ok(Box::new(ok)),
             Ok(Err(e)) => AttemptOutcome::CompileError(e),
             Err(payload) => AttemptOutcome::Panicked(panic_detail(payload.as_ref())),
@@ -616,7 +657,7 @@ fn guarded_attempt(job: &Job, config: &ServiceConfig, degraded: bool) -> Attempt
                 .name(format!("s1lisp-attempt-{}", job.fn_name))
                 .spawn(move || {
                     watched.install();
-                    let r = catch_unwind(AssertUnwindSafe(|| attempt(&job, &config, degraded)))
+                    let r = catch_unwind(AssertUnwindSafe(|| attempt(&job, &config, false)))
                         .map_err(|p| panic_detail(p.as_ref()));
                     let _ = tx.send(r);
                 });
@@ -659,18 +700,10 @@ fn process_job(
     let phase_spans;
     // The cache probe needs the converted tree; conversion is the
     // Preliminary phase and never optimizes, so it runs outside the
-    // fault/budget guard.
+    // fault/budget guard, and on a miss the same compiler compiles it.
     let mut probe = job_compiler(config, job, false);
-    // The *cache* key carries the tenant salt (partitioning the shared
-    // cache); the *reported* fingerprint stays unsalted so the same
-    // function compiles to byte-identical artifacts for every tenant —
-    // the server-vs-`compile_batch` equivalence contract.
-    let (key, fingerprint) = match probe.convert_str(&job.form) {
-        Ok(pending) if pending.len() == 1 => {
-            let base = cache_key(pending[0].tree_fingerprint(), probe.options_fingerprint());
-            (base ^ job.tuning.key_salt, base)
-        }
-        Ok(_) => (0, 0),
+    let pending = match convert(&mut probe, job) {
+        Ok(pending) => pending,
         Err(e) => {
             return JobResult {
                 record: JobRecord {
@@ -685,16 +718,26 @@ fn process_job(
                 },
                 artifact: None,
                 incident: None,
-                failure: Some((job.fn_name.clone(), e.to_string())),
+                failure: Some((job.fn_name.clone(), e.detail)),
             }
         }
     };
+    // The *cache* key carries the tenant salt (partitioning the shared
+    // cache); the *reported* fingerprint stays unsalted so the same
+    // function compiles to byte-identical artifacts for every tenant —
+    // the server-vs-`compile_batch` equivalence contract.
+    let fingerprint = cache_key(
+        &job.fn_name,
+        pending.tree_fingerprint(),
+        probe.options_fingerprint(),
+    );
+    let key = fingerprint ^ job.tuning.key_salt;
     let (outcome, artifact) = if let Some(mut hit) = cache.get(key) {
         hit.fingerprint = fingerprint;
         phase_spans = sink_phase_spans(&probe);
         (Outcome::Hit, Some(hit))
     } else {
-        match guarded_attempt(job, config, false) {
+        match guarded_attempt(job, config, probe, pending) {
             AttemptOutcome::Ok(mut ok) => {
                 ok.artifact.fingerprint = fingerprint;
                 cache.put(key, &ok.artifact);
@@ -777,19 +820,6 @@ fn process_job(
 
 fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The size estimate a job is scheduled by: convert the form with the
-/// job's own option set and read the complexity analysis's
-/// whole-function object-code estimate.  A form that fails to convert
-/// estimates 0 — the job still runs (and records its failure) wherever
-/// it lands in the queue.
-fn size_estimate(job: &Job, config: &ServiceConfig) -> u32 {
-    let mut probe = job_compiler(config, job, false);
-    match probe.convert_str(&job.form) {
-        Ok(pending) if pending.len() == 1 => pending[0].complexity_estimate(),
-        _ => 0,
-    }
 }
 
 /// The per-job metric handles a worker observes into: queue wait is the
@@ -904,16 +934,11 @@ impl CompileService {
         let functions = jobs.len();
         let queue_peak = functions;
         let workers_used = config.jobs.max(1).min(functions.max(1));
-        if config.schedule == Schedule::LargestFirst && jobs.len() > 1 {
+        if config.schedule == Schedule::LargestFirst {
             // Largest first: the biggest compilations start before the
             // queue thins out.  Results are reassembled by `seq`, so
             // this affects wall-clock only, never output.
-            let mut keyed: Vec<(u32, Job)> = jobs
-                .into_iter()
-                .map(|j| (size_estimate(&j, config), j))
-                .collect();
-            keyed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.seq.cmp(&b.1.seq)));
-            jobs = keyed.into_iter().map(|(_, j)| j).collect();
+            jobs.sort_by_key(|j| (std::cmp::Reverse(j.form.len()), j.seq));
         }
         let queue = Mutex::new(jobs.into_iter().collect::<VecDeque<_>>());
         let worker_metrics = WorkerMetrics {

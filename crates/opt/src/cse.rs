@@ -93,10 +93,7 @@ fn eliminate_one(tree: &mut Tree, names: &mut Interner, counter: &mut u32) -> bo
         if !stable {
             continue;
         }
-        groups
-            .entry(unparse(tree, node).to_string())
-            .or_default()
-            .push(node);
+        groups.entry(unparse(tree, node)).or_default().push(node);
     }
     let mut candidates: Vec<(String, Vec<NodeId>)> = groups
         .into_iter()

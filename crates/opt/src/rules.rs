@@ -54,7 +54,7 @@ pub(crate) fn unroll_once(o: &mut Optimizer, tree: &mut Tree, self_name: &str) -
         let NodeKind::Call { args, .. } = tree.kind(site).clone() else {
             continue;
         };
-        let b = before(tree, site);
+        let b = unparse(tree, site);
         // A fresh copy of the whole function as a manifest lambda,
         // called with the site's arguments: ((lambda (params') body')
         // args…).  The beta rules then integrate it.
@@ -129,12 +129,8 @@ pub(crate) fn apply_beta(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &
 
 /// Records a transformation, with before-form captured by the caller.
 fn record(o: &mut Optimizer, tree: &Tree, rule: &'static str, before: String, node: NodeId) {
-    let after = unparse(tree, node).to_string();
+    let after = unparse(tree, node);
     o.transcript.record(rule, before, after);
-}
-
-fn before(tree: &Tree, node: NodeId) -> String {
-    unparse(tree, node).to_string()
 }
 
 /// The called manifest lambda of a let, if `node` is one.
@@ -163,7 +159,7 @@ fn if_constant_test(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         return false;
     };
     let chosen = if d.is_true() { then } else { els };
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     let kind = tree.kind(chosen).clone();
     o.rewrite(tree, node, kind);
     record(o, tree, "META-IF-CONSTANT-TEST", b, node);
@@ -187,7 +183,7 @@ fn caseq_constant_key(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool 
         .iter()
         .find(|c| c.keys.iter().any(|k| k.eql(d)))
         .map_or(*default, |c| c.body);
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     let kind = tree.kind(chosen).clone();
     o.rewrite(tree, node, kind);
     record(o, tree, "META-CASEQ-CONSTANT-KEY", b, node);
@@ -221,7 +217,7 @@ fn if_known_test(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
             if !matches!(*tree.kind(it), NodeKind::VarRef(w) if w == v) {
                 continue;
             }
-            let b = before(tree, inner);
+            let b = unparse(tree, inner);
             let chosen = if truth { ithen } else { iels };
             let kind = tree.kind(chosen).clone();
             o.rewrite(tree, inner, kind);
@@ -243,7 +239,7 @@ fn if_lift(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     match tree.kind(test) {
         NodeKind::Progn(body) => {
             let mut new_body = body.clone();
-            let b = before(tree, node);
+            let b = unparse(tree, node);
             let last = new_body.pop().expect("progn non-empty");
             let inner_if = tree.if_(last, then, els);
             new_body.push(inner_if);
@@ -263,7 +259,7 @@ fn if_lift(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
                 return false;
             }
             let (args, mut l) = (args.clone(), l.clone());
-            let b = before(tree, node);
+            let b = unparse(tree, node);
             let inner_if = tree.if_(l.body, then, els);
             l.body = inner_if;
             o.rewrite(tree, f, NodeKind::Lambda(l));
@@ -306,7 +302,7 @@ fn if_distribute(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     else {
         return false;
     };
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     let f = tree.add_var(o.gensym("f"));
     let g = tree.add_var(o.gensym("g"));
     let call = |tree: &mut Tree, v: VarId| {
@@ -350,7 +346,7 @@ fn assoc_commut_nary(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         return false;
     }
     let (g, mut rev) = (g.clone(), args.clone());
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     rev.reverse();
     let mut acc = tree.call_global(g.clone(), vec![rev[0], rev[1]]);
     for &a in &rev[2..rev.len() - 1] {
@@ -390,7 +386,7 @@ fn reverse_arguments(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         return false;
     }
     let g = g.clone();
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     o.rewrite(
         tree,
         node,
@@ -428,7 +424,7 @@ fn identity_elimination(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> boo
     } else {
         return false;
     };
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     let kind = tree.kind(survivor).clone();
     o.rewrite(tree, node, kind);
     record(o, tree, "META-IDENTITY-ELIMINATION", b, node);
@@ -459,7 +455,7 @@ fn constant_fold(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let Some(result) = s1lisp_interp::eval_primop(p, &datums) else {
         return false;
     };
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     o.rewrite(tree, node, NodeKind::Constant(result));
     record(o, tree, "META-COMPILE-TIME-EVAL", b, node);
     true
@@ -486,7 +482,7 @@ fn sin_to_cycles(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let &[x] = args.as_slice() else {
         return false;
     };
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     let factor = tree.constant(Datum::Flonum(INVERSE_TWO_PI));
     let scaled = tree.call_global(o.intern("*$f"), vec![x, factor]);
     let func = CallFunc::Global(o.intern(replacement));
@@ -515,7 +511,7 @@ fn call_lambda(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
         return false;
     }
     let body = l.body;
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     let kind = tree.kind(body).clone();
     o.rewrite(tree, node, kind);
     record(o, tree, "META-CALL-LAMBDA", b, node);
@@ -538,7 +534,7 @@ fn delete_unused_argument(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: 
     }) else {
         return false;
     };
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     remove_param(o, tree, node, f, j);
     record(o, tree, "META-DELETE-UNUSED-ARGUMENT", b, node);
     true
@@ -608,7 +604,7 @@ fn substitute(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool
     let Some((j, vj, aj, moved)) = plan else {
         return false;
     };
-    let b = before(tree, node);
+    let b = unparse(tree, node);
     if moved {
         let r = tree.var(vj).refs[0];
         let kind = tree.kind(aj).clone();

@@ -2,8 +2,9 @@
 //!
 //! This crate provides the *source form* of programs: the [`Datum`] type
 //! (atoms and conses), a symbol [`Interner`], a [`Reader`] front end, and
-//! printers (both machine-oriented [`Display`] output and a line-breaking
-//! [`pretty`] printer used by the compiler's back-translation transcript).
+//! the one [`Printer`] behind machine-oriented [`Display`] output, the
+//! line-breaking [`pretty`] layout, and the compiler's back-translation
+//! of its internal tree.
 //!
 //! The dialect follows the paper (Brooks, Gabriel & Steele, PLDI 1982): a
 //! lexically scoped Lisp in the MACLISP/Common Lisp lineage.  Numbers are
@@ -31,5 +32,5 @@ mod read;
 
 pub use datum::{Cons, Datum};
 pub use interner::{Interner, Symbol};
-pub use print::pretty;
+pub use print::{pretty, Printer};
 pub use read::{read_all_str, read_str, ReadError, Reader};

@@ -231,6 +231,54 @@ fn watchdog_overrun_degrades_with_the_pass_named() {
 }
 
 #[test]
+fn watched_and_inline_compiles_are_byte_identical() {
+    // Inline, a job compiles the tree its cache probe converted; under a
+    // time budget the watched attempt converts the form again on its own
+    // thread.  Both paths must produce the same artifacts.
+    let (_, inline) = corpus_batch(2);
+    let config = ServiceConfig {
+        jobs: 2,
+        time_budget: Some(Duration::from_secs(60)),
+        ..ServiceConfig::default()
+    };
+    let watched = CompileService::new(config).compile_batch(&service_units());
+    assert!(watched.failures.is_empty(), "{:?}", watched.failures);
+    assert!(watched.incidents.is_empty(), "{:?}", watched.incidents);
+    assert_eq!(inline.artifacts.len(), watched.artifacts.len());
+    for (a, b) in inline.artifacts.iter().zip(&watched.artifacts) {
+        assert_eq!(a.name, b.name);
+        assert_eq!(a.assembly, b.assembly, "assembly diverged for {}", a.name);
+        assert_eq!(a.dossier, b.dossier, "dossier diverged for {}", a.name);
+        assert_eq!(a.fingerprint, b.fingerprint, "{}", a.name);
+    }
+}
+
+#[test]
+fn same_bodied_functions_keep_their_own_names() {
+    // The converted tree is the lambda alone; the cache key carries the
+    // name, so `g` is compiled as `g`, not served `f`'s artifact.
+    let service = CompileService::new(ServiceConfig::with_jobs(1));
+    let units = [SourceUnit::new(
+        "u",
+        "(defun f (x) (+ x 1)) (defun g (x) (+ x 1))",
+    )];
+    let batch = service.compile_batch(&units);
+    assert!(batch.failures.is_empty(), "{:?}", batch.failures);
+    let names: Vec<&str> = batch.artifacts.iter().map(|a| a.name.as_str()).collect();
+    assert_eq!(names, ["f", "g"]);
+    let outcomes: Vec<Outcome> = batch.records.iter().map(|r| r.outcome).collect();
+    assert_eq!(outcomes, [Outcome::Compiled, Outcome::Compiled]);
+    let (f, g) = (batch.artifact("f").unwrap(), batch.artifact("g").unwrap());
+    assert_eq!(g.name, "g");
+    assert_ne!(f.fingerprint, g.fingerprint);
+    // A warm recompile hits both, each under its own name.
+    let warm = service.compile_batch(&units);
+    assert_eq!(warm.hit_rate_percent(), 100);
+    assert_eq!(warm.artifact("g").unwrap().assembly, g.assembly);
+    assert_eq!(warm.artifact("f").unwrap().assembly, f.assembly);
+}
+
+#[test]
 fn disk_tier_warms_a_fresh_service() {
     let dir = std::env::temp_dir().join(format!("s1lisp-driver-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

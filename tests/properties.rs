@@ -527,3 +527,405 @@ fn heap_exhaustion_is_a_clean_trap() {
     // The trap names its source: the faulting function and PC.
     assert_eq!(err.site().map(|(f, _)| f), Some("keep"));
 }
+
+// ------------------------------------------------------------- printer
+
+/// The reference the one-walk printer is checked against: the
+/// Datum-building back-translator and the quadratic layout that
+/// re-renders every subtree at every depth, as they were before both
+/// wrote text straight through `s1lisp_reader::Printer`.
+mod reference_printer {
+    use s1lisp_ast::{CallFunc, DeclaredType, Lambda, NodeId, NodeKind, ProgItem, Tree};
+    use s1lisp_reader::{Datum, Interner, Symbol};
+
+    /// Back-translates into a source datum.
+    pub fn unparse(tree: &Tree, id: NodeId, declares: bool) -> Datum {
+        let mut u = Unparser {
+            tree,
+            declares,
+            interner: Interner::new(),
+        };
+        u.node(id)
+    }
+
+    struct Unparser<'a> {
+        tree: &'a Tree,
+        declares: bool,
+        interner: Interner,
+    }
+
+    impl Unparser<'_> {
+        fn sym(&self, name: &Symbol) -> Datum {
+            Datum::Sym(name.clone())
+        }
+
+        fn word(&mut self, s: &str) -> Datum {
+            Datum::Sym(self.interner.intern(s))
+        }
+
+        fn node(&mut self, id: NodeId) -> Datum {
+            match self.tree.kind(id) {
+                NodeKind::Constant(d) => {
+                    // All constants are internally explicitly quoted for
+                    // uniformity; we keep the quote so the output is exact.
+                    Datum::list([self.word("quote"), d.clone()])
+                }
+                NodeKind::VarRef(v) => self.sym(&self.tree.var(*v).name),
+                NodeKind::Setq { var, value } => Datum::list([
+                    self.word("setq"),
+                    self.sym(&self.tree.var(*var).name),
+                    self.node(*value),
+                ]),
+                NodeKind::If { test, then, els } => Datum::list([
+                    self.word("if"),
+                    self.node(*test),
+                    self.node(*then),
+                    self.node(*els),
+                ]),
+                NodeKind::Progn(body) => {
+                    let mut items = vec![self.word("progn")];
+                    items.extend(body.iter().map(|&b| self.node(b)));
+                    Datum::list(items)
+                }
+                NodeKind::Call { func, args } => {
+                    let head = match func {
+                        CallFunc::Global(g) => self.sym(g),
+                        CallFunc::Expr(e) => self.node(*e),
+                    };
+                    let mut items = vec![head];
+                    items.extend(args.iter().map(|&a| self.node(a)));
+                    Datum::list(items)
+                }
+                NodeKind::Lambda(l) => {
+                    let mut params: Vec<Datum> = l
+                        .required
+                        .iter()
+                        .map(|v| self.sym(&self.tree.var(*v).name))
+                        .collect();
+                    if !l.optional.is_empty() {
+                        params.push(self.word("&optional"));
+                        for o in &l.optional {
+                            params.push(Datum::list([
+                                self.sym(&self.tree.var(o.var).name),
+                                self.node(o.default),
+                            ]));
+                        }
+                    }
+                    if let Some(r) = l.rest {
+                        params.push(self.word("&rest"));
+                        params.push(self.sym(&self.tree.var(r).name));
+                    }
+                    let mut items = vec![self.word("lambda"), Datum::list(params)];
+                    if self.declares {
+                        if let Some(d) = self.declare_form(l) {
+                            items.push(d);
+                        }
+                    }
+                    items.push(self.node(l.body));
+                    Datum::list(items)
+                }
+                NodeKind::Caseq {
+                    key,
+                    clauses,
+                    default,
+                } => {
+                    let mut items = vec![self.word("caseq"), self.node(*key)];
+                    for c in clauses {
+                        items.push(Datum::list([
+                            Datum::list(c.keys.iter().cloned()),
+                            self.node(c.body),
+                        ]));
+                    }
+                    items.push(Datum::list([self.word("t"), self.node(*default)]));
+                    Datum::list(items)
+                }
+                NodeKind::Catcher { tag, body } => {
+                    Datum::list([self.word("catch"), self.node(*tag), self.node(*body)])
+                }
+                NodeKind::Progbody(items) => {
+                    let mut out = vec![self.word("progbody")];
+                    for i in items {
+                        out.push(match i {
+                            ProgItem::Tag(t) => Datum::Sym(t.clone()),
+                            ProgItem::Stmt(s) => {
+                                let d = self.node(*s);
+                                // In declare-preserving mode a bare symbol
+                                // statement would re-read as a go-tag; keep
+                                // it a statement with a `progn` wrapper
+                                // (which re-converts to the plain node).
+                                if self.declares && matches!(d, Datum::Sym(_)) {
+                                    Datum::list([self.word("progn"), d])
+                                } else {
+                                    d
+                                }
+                            }
+                        });
+                    }
+                    Datum::list(out)
+                }
+                NodeKind::Go(tag) => Datum::list([self.word("go"), Datum::Sym(tag.clone())]),
+                NodeKind::Return(v) => Datum::list([self.word("return"), self.node(*v)]),
+            }
+        }
+
+        /// The `(declare …)` form for a lambda's parameter annotations, or
+        /// `None` when no parameter is special or type-declared.
+        fn declare_form(&mut self, l: &Lambda) -> Option<Datum> {
+            let mut specials = Vec::new();
+            let mut fixnums = Vec::new();
+            let mut flonums = Vec::new();
+            for p in l.all_params() {
+                let v = self.tree.var(p);
+                if v.special {
+                    specials.push(self.sym(&v.name));
+                }
+                match v.declared_type {
+                    Some(DeclaredType::Fixnum) => fixnums.push(self.sym(&v.name)),
+                    Some(DeclaredType::Flonum) => flonums.push(self.sym(&v.name)),
+                    None => {}
+                }
+            }
+            let mut clauses = Vec::new();
+            for (head, names) in [
+                ("special", specials),
+                ("fixnum", fixnums),
+                ("flonum", flonums),
+            ] {
+                if !names.is_empty() {
+                    let mut c = vec![self.word(head)];
+                    c.extend(names);
+                    clauses.push(Datum::list(c));
+                }
+            }
+            if clauses.is_empty() {
+                return None;
+            }
+            let mut d = vec![self.word("declare")];
+            d.extend(clauses);
+            Some(Datum::list(d))
+        }
+    }
+
+    /// Flat standard notation, written cell by cell.
+    pub fn flat(d: &Datum) -> String {
+        match d {
+            Datum::Cons(c) => {
+                if let Some(x) = quoted(d) {
+                    return format!("'{}", flat(&x));
+                }
+                let mut out = format!("({}", flat(&c.car()));
+                let mut cur = c.cdr();
+                loop {
+                    match cur {
+                        Datum::Cons(c) => {
+                            out.push(' ');
+                            out.push_str(&flat(&c.car()));
+                            cur = c.cdr();
+                        }
+                        Datum::Nil => break,
+                        tail => {
+                            out.push_str(" . ");
+                            out.push_str(&flat(&tail));
+                            break;
+                        }
+                    }
+                }
+                out.push(')');
+                out
+            }
+            Datum::Str(s) => format!("{:?}", &**s),
+            Datum::Char(c) => format!("#\\{c}"),
+            Datum::Sym(s) => s.as_str().to_string(),
+            Datum::Fixnum(n) => n.to_string(),
+            Datum::Nil => "()".to_string(),
+            // The flonum spelling is an atom's; the rule lives in the reader.
+            Datum::Flonum(_) => d.to_string(),
+        }
+    }
+
+    fn quoted(d: &Datum) -> Option<Datum> {
+        let items = d.proper_list()?;
+        match items.as_slice() {
+            [q, x] if q.as_symbol().is_some_and(|s| s.as_str() == "quote") => Some(x.clone()),
+            _ => None,
+        }
+    }
+
+    /// The layout, re-rendering each subtree flat at every depth.
+    pub fn pretty(d: &Datum, width: usize) -> String {
+        let mut out = String::new();
+        pp(&mut out, d, 0, width);
+        out
+    }
+
+    fn pp(out: &mut String, d: &Datum, indent: usize, width: usize) {
+        let flat = flat(d);
+        if indent + flat.len() <= width || d.is_atom() || flat.starts_with('\'') {
+            out.push_str(&flat);
+            return;
+        }
+        let Some(items) = d.proper_list() else {
+            out.push_str(&flat);
+            return;
+        };
+        out.push('(');
+        let head = items[0].as_symbol().map(|s| s.as_str());
+        let hang = matches!(head, Some("defun" | "lambda" | "let" | "if" | "setq"));
+        pp(out, &items[0], indent + 1, width);
+        let mut written = 1;
+        if hang && items.len() > 1 {
+            out.push(' ');
+            let col = indent + 1 + self::flat(&items[0]).len() + 1;
+            pp(out, &items[1], col, width);
+            written = 2;
+        }
+        for item in &items[written..] {
+            out.push('\n');
+            out.push_str(&" ".repeat(indent + 2));
+            pp(out, item, indent + 2, width);
+        }
+        out.push(')');
+    }
+
+    /// The event-log rendering: flat, clipped to 48 characters.
+    pub fn clip(d: &Datum) -> String {
+        let s = flat(d);
+        if s.chars().count() <= 48 {
+            s
+        } else {
+            format!("{}…", s.chars().take(47).collect::<String>())
+        }
+    }
+}
+
+/// Widths the printer oracle lays every form out at.
+const PRINT_WIDTHS: [usize; 4] = [20, 40, 78, 200];
+
+/// Every back-translation of `tree` — flat, laid out at each width,
+/// declare-preserving, and the clipped event-log form of every node —
+/// matches the reference, and so does printing the reference's datum.
+fn assert_printers_agree(tree: &Tree, what: &str, widths: &[usize]) {
+    use s1lisp_ast::{clip_form, unparse, unparse_declared, unparse_pretty};
+    let root = tree.root;
+    let plain = reference_printer::unparse(tree, root, false);
+    let declared = reference_printer::unparse(tree, root, true);
+    assert_eq!(
+        unparse(tree, root),
+        reference_printer::flat(&plain),
+        "{what}"
+    );
+    assert_eq!(
+        unparse_declared(tree, root, usize::MAX),
+        reference_printer::flat(&declared),
+        "{what}"
+    );
+    for d in [&plain, &declared] {
+        assert_eq!(d.to_string(), reference_printer::flat(d), "{what}");
+    }
+    for &w in widths {
+        let want = reference_printer::pretty(&plain, w);
+        assert_eq!(unparse_pretty(tree, root, w), want, "{what} at width {w}");
+        assert_eq!(
+            s1lisp_reader::pretty(&plain, w),
+            want,
+            "{what} at width {w}"
+        );
+        let want = reference_printer::pretty(&declared, w);
+        assert_eq!(
+            unparse_declared(tree, root, w),
+            want,
+            "{what} declared at width {w}"
+        );
+    }
+    for n in subtree_nodes(tree, root) {
+        let want = reference_printer::clip(&reference_printer::unparse(tree, n, false));
+        assert_eq!(clip_form(tree, n), want, "{what}");
+    }
+}
+
+/// Checks every function of `src`, as converted and as optimized.
+fn assert_source_prints_agree(src: &str, widths: &[usize]) {
+    let mut i = Interner::new();
+    let forms = read_all_str(src, &mut i).unwrap();
+    for f in Frontend::new(&mut i).convert_toplevel(&forms).unwrap() {
+        let name = f.name.as_str();
+        assert_printers_agree(&f.tree, &format!("{name} converted: {src}"), widths);
+        let mut tree = f.tree.clone();
+        Optimizer::new()
+            .fixpoint(&mut tree, Some(name), false)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_printers_agree(&tree, &format!("{name} optimized: {src}"), widths);
+    }
+}
+
+/// The one-walk printer writes every back-translation byte for byte as
+/// the Datum-building reference does: on both corpora, on the fuzz
+/// grammars, and on the shapes the corpora lack.
+#[test]
+fn printer_matches_the_datum_reference() {
+    use s1lisp_bench::corpus as bench;
+    for (_, src) in s1lisp_suite::corpus() {
+        assert_source_prints_agree(src, &PRINT_WIDTHS);
+    }
+    for src in [
+        bench::EXPTL,
+        bench::LOOPN,
+        bench::TESTFN,
+        bench::QUADRATIC,
+        bench::TAK,
+        bench::FIB_ITER,
+        bench::HORNER_LOOP,
+        bench::PDL_KERNEL,
+        bench::SPECIALS_LOOP,
+        bench::CLOSURES,
+        bench::DOT,
+        bench::QUADRATIC_TYPED,
+        bench::DERIV,
+        bench::HORNER_INLINE,
+        bench::GC_STRESS,
+        bench::EXPTL_TYPED,
+    ] {
+        assert_source_prints_agree(src, &PRINT_WIDTHS);
+    }
+    for src in [
+        // A constant that is itself a quote form.
+        "(defun q (x) (list ''x '(quote y) '(quote . z) '(quote a b) x))",
+        // String, character and flonum constants.
+        r#"(defun s (x) (list "a \"b\" c" #\z #\space 2.5 -2.5e30 1e-7 0.0 x))"#,
+        // A caseq key list that is itself `(quote a)`.
+        "(defun k (x) (caseq x ((quote a) 1) ((b c) 2) (t 3)))",
+        // &optional and &rest.
+        "(defun o (a &optional (b 2.0) c &rest r) (list a b c r))",
+        // Declarations, specials and a bare variable statement, for
+        // the declare-preserving form.
+        "(defvar *depth* 0)
+         (defun d (n *depth*)
+           (declare (fixnum n))
+           (let ((acc 0.0)) (declare (flonum acc))
+             (prog () top n (setq n (- n 1)) (if (> n 0) (go top)) (return acc))))",
+    ] {
+        assert_source_prints_agree(src, &PRINT_WIDTHS);
+    }
+    // A form exactly 78 columns wide prints on one line at 78 and
+    // breaks at 77.
+    let exact = (1..80)
+        .map(|n| format!("(defun w (x) (list x '{}))", "a".repeat(n)))
+        .find(|src| {
+            let mut i = Interner::new();
+            let forms = read_all_str(src, &mut i).unwrap();
+            let f = &Frontend::new(&mut i).convert_toplevel(&forms).unwrap()[0];
+            s1lisp_ast::unparse(&f.tree, f.tree.root).len() == 78
+        })
+        .expect("some padding makes the form 78 columns wide");
+    assert_source_prints_agree(&exact, &[77, 78, 79]);
+    let mut rng = SplitMix64::new(0x5115_0016);
+    for _case in 0..48 {
+        let body = random_expr(&mut rng, 4);
+        assert_source_prints_agree(&format!("(defun f (a b c) {body})"), &PRINT_WIDTHS);
+    }
+    for _case in 0..48 {
+        let depth = rng.range_usize(2, 5) as u32;
+        let body = random_assigning_expr(&mut rng, depth);
+        assert_source_prints_agree(&format!("(defun f (a b c) {body})"), &PRINT_WIDTHS);
+    }
+}
