@@ -7,7 +7,11 @@
 //! primitive table ([`Prim`]) dispatches on its number through
 //! [`s1lisp_interp::call_builtin`], so both backends share one reference
 //! definition of `+`, `car`, `+$f`, and friends.  Only `throw` and
-//! `apply`, which unwind and spread frames, run here.
+//! `apply`, which unwind and spread frames, run here.  The commonest
+//! calls (`zerop`, `+`, `-`, `*`, `=`, `<`, `>` on fixnums, `not`,
+//! `null`, `cons`) are answered on the operand stack first, by
+//! [`open_coded`], which must return exactly what the builtin would and
+//! leaves every other operand, an overflow included, to it.
 //!
 //! [`Evaluator::new`] links the module once, as the S-1 loader resolves
 //! call targets and special cells ahead of time: every constant-pool
@@ -234,6 +238,31 @@ impl Image {
     fn builtin(&self, p: Prim, args: &[Value]) -> Result<Value, BcTrap> {
         call_builtin(p, args, &self.t).or_else(|e| trap(e.to_string()))
     }
+}
+
+/// The open-coded primitives: `zerop`, `+`, `-`, `*`, `=`, `<` and `>`
+/// of fixnums, `not`/`null` of a plain value, and `cons` of two.  Each
+/// answers exactly what [`call_builtin`] answers for the same operands,
+/// which stay the single definition: `None` (an overflow, a flonum, a
+/// cell or closure operand, any other primitive or argument count)
+/// leaves the call to it.
+fn open_coded(image: &Image, p: Prim, args: &[BcValue]) -> Option<BcValue> {
+    use BcValue::V;
+    Some(match (p, args) {
+        (Prim::Zerop, [V(Value::Fixnum(x))]) => image.bool_value(*x == 0),
+        (Prim::Not | Prim::Null, [V(v)]) => image.bool_value(!v.is_true()),
+        (Prim::Cons, [V(a), V(d)]) => V(Value::cons(a.clone(), d.clone())),
+        (_, &[V(Value::Fixnum(x)), V(Value::Fixnum(y))]) => match p {
+            Prim::Add => V(Value::Fixnum(x.checked_add(y)?)),
+            Prim::Sub => V(Value::Fixnum(x.checked_sub(y)?)),
+            Prim::Mul => V(Value::Fixnum(x.checked_mul(y)?)),
+            Prim::NumEq => image.bool_value(x == y),
+            Prim::Lt => image.bool_value(x < y),
+            Prim::Gt => image.bool_value(x > y),
+            _ => return None,
+        },
+        _ => return None,
+    })
 }
 
 struct Frame {
@@ -606,11 +635,11 @@ impl State {
                     self.stack
                         .push(BcValue::V(Value::Func(Function::Global(name))));
                 }
-                Op::AddNum => self.arith(image, Prim::Add, |x, y| x.checked_add(y))?,
-                Op::SubNum => self.arith(image, Prim::Sub, |x, y| x.checked_sub(y))?,
-                Op::MulNum => self.arith(image, Prim::Mul, |x, y| x.checked_mul(y))?,
-                Op::LtNum => self.compare(image, Prim::Lt, |x, y| x < y)?,
-                Op::NumEq => self.compare(image, Prim::NumEq, |x, y| x == y)?,
+                Op::AddNum => self.fused(image, Prim::Add)?,
+                Op::SubNum => self.fused(image, Prim::Sub)?,
+                Op::MulNum => self.fused(image, Prim::Mul)?,
+                Op::LtNum => self.fused(image, Prim::Lt)?,
+                Op::NumEq => self.fused(image, Prim::NumEq)?,
             }
         }
     }
@@ -649,42 +678,12 @@ impl State {
         }
     }
 
-    /// Fused arithmetic: fixnum fast path, with the interpreter builtin
-    /// as the single source of truth for everything else (flonums,
-    /// contagion, overflow).
-    fn arith(
-        &mut self,
-        image: &Image,
-        p: Prim,
-        fast: fn(i64, i64) -> Option<i64>,
-    ) -> Result<(), BcTrap> {
-        let y = self.pop()?;
-        let x = self.pop()?;
-        if let (BcValue::V(Value::Fixnum(a)), BcValue::V(Value::Fixnum(b))) = (&x, &y) {
-            if let Some(r) = fast(*a, *b) {
-                self.stack.push(BcValue::V(Value::Fixnum(r)));
-                return Ok(());
-            }
-        }
-        let v = image.builtin(p, &[x.into_value()?, y.into_value()?])?;
-        self.stack.push(BcValue::V(v));
-        Ok(())
-    }
-
-    fn compare(
-        &mut self,
-        image: &Image,
-        p: Prim,
-        fast: fn(i64, i64) -> bool,
-    ) -> Result<(), BcTrap> {
-        let y = self.pop()?;
-        let x = self.pop()?;
-        if let (BcValue::V(Value::Fixnum(a)), BcValue::V(Value::Fixnum(b))) = (&x, &y) {
-            self.stack.push(image.bool_value(fast(*a, *b)));
-            return Ok(());
-        }
-        let v = image.builtin(p, &[x.into_value()?, y.into_value()?])?;
-        self.stack.push(BcValue::V(v));
+    /// A fused numeric op: the primitive `p` on the top two operands,
+    /// through [`State::builtin`] like a call of it.
+    fn fused(&mut self, image: &Image, p: Prim) -> Result<(), BcTrap> {
+        self.need(2)?;
+        let v = self.builtin(image, p, 2)?;
+        self.stack.push(v);
         Ok(())
     }
 
@@ -729,10 +728,16 @@ impl State {
         }
     }
 
-    /// Runs primitive `p` on the top `argc` operands, passed through
-    /// the reused scratch vector.
+    /// Runs primitive `p` on the top `argc` operands, popping them.  An
+    /// open-coded case ([`open_coded`]) is answered on the operand stack;
+    /// every other call, and every operand the fast path declines, goes
+    /// to the shared builtin through the reused scratch vector.
     fn builtin(&mut self, image: &Image, p: Prim, argc: usize) -> Result<BcValue, BcTrap> {
         let from = self.stack.len() - argc;
+        if let Some(v) = open_coded(image, p, &self.stack[from..]) {
+            self.stack.truncate(from);
+            return Ok(v);
+        }
         self.argv.clear();
         for v in self.stack.drain(from..) {
             self.argv.push(v.into_value()?);
@@ -868,5 +873,95 @@ impl State {
             handlers_base: self.handlers.len(),
         });
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A value or trap as text, for comparing the two paths.
+    fn shown(r: Result<BcValue, BcTrap>) -> Result<String, String> {
+        r.and_then(BcValue::into_value)
+            .map(|v| v.to_string())
+            .map_err(|t| t.message)
+    }
+
+    /// Every open-coded primitive answers exactly what the shared
+    /// builtin answers: the same value, or the same trap message.  The
+    /// operands cover fixnums at and past the edges (an overflow must
+    /// still be the builtin's "fixnum overflow"), flonums and mixed
+    /// pairs, a symbol and a list (the same type trap), and a captured
+    /// cell and a closure, which the fast path must leave to the
+    /// builtin rather than coerce.
+    #[test]
+    fn open_coded_primitives_match_the_builtins() {
+        let image = Image::link(Module::new(), &mut Specials::default());
+        let mut names = Interner::new();
+        let operands = [
+            BcValue::V(Value::Fixnum(0)),
+            BcValue::V(Value::Fixnum(1)),
+            BcValue::V(Value::Fixnum(-1)),
+            BcValue::V(Value::Fixnum(i64::MIN)),
+            BcValue::V(Value::Fixnum(i64::MAX)),
+            BcValue::V(Value::Flonum(1.5)),
+            BcValue::V(Value::Flonum(-0.0)),
+            BcValue::V(Value::Nil),
+            BcValue::V(Value::Sym(names.intern("foo"))),
+            BcValue::V(Value::list([Value::Fixnum(1), Value::Fixnum(2)])),
+            BcValue::Cell(Rc::new(RefCell::new(BcValue::V(Value::Fixnum(1))))),
+            BcValue::Closure(Rc::new(BcClosure {
+                proto: 0,
+                captures: Vec::new(),
+                name: "k".into(),
+            })),
+        ];
+        let unary = [Prim::Zerop, Prim::Not, Prim::Null];
+        let binary = [
+            Prim::Cons,
+            Prim::Add,
+            Prim::Sub,
+            Prim::Mul,
+            Prim::NumEq,
+            Prim::Lt,
+            Prim::Gt,
+        ];
+        let mut calls: Vec<(Prim, Vec<BcValue>)> = Vec::new();
+        for p in unary {
+            calls.extend(operands.iter().map(|x| (p, vec![x.clone()])));
+        }
+        for p in binary {
+            for x in &operands {
+                calls.extend(operands.iter().map(|y| (p, vec![x.clone(), y.clone()])));
+            }
+        }
+        let mut st = State::default();
+        let (mut open, mut overflows) = (0, 0);
+        for (p, args) in calls {
+            let fast = open_coded(&image, p, &args);
+            if fast.is_some() {
+                open += 1;
+            }
+            if args.iter().any(|a| !matches!(a, BcValue::V(_))) {
+                assert!(fast.is_none(), "{p:?} coerced a cell or closure");
+            }
+            st.stack.clone_from(&args);
+            let got = shown(st.builtin(&image, p, args.len()));
+            assert!(st.stack.is_empty(), "{p:?}: operands left behind");
+            let slow = args
+                .into_iter()
+                .map(BcValue::into_value)
+                .collect::<Result<Vec<_>, _>>()
+                .and_then(|argv| image.builtin(p, &argv));
+            let want = shown(slow.map(BcValue::V));
+            assert_eq!(got, want, "{p:?}");
+            overflows += usize::from(want.is_err_and(|e| e.contains("fixnum overflow")));
+        }
+        // +, -, *: six of the 25 fixnum pairs overflow under each.
+        assert_eq!(overflows, 18);
+        // zerop: 5 fixnums; not, null: 10 plain values each; cons: 10 × 10
+        // plain pairs; +, -, *: 25 fixnum pairs each less the overflows;
+        // =, <, >: 25 fixnum pairs each.
+        assert_eq!(open, 5 + 20 + 100 + (75 - 18) + 75);
     }
 }

@@ -26,7 +26,9 @@
 //! resolves each global name against the primitive table once, at link
 //! time, and dispatches primitive calls on their number through
 //! [`s1lisp_interp::call_builtin`], so both backends answer to the
-//! same reference definition of every primitive.
+//! same reference definition of every primitive; the few calls it
+//! open-codes for fixnums and conses must return exactly what that
+//! definition returns.
 
 #![warn(missing_docs)]
 

@@ -16,6 +16,8 @@
 //! the `&`-suffixed ones are fixnum-specific.  `sinc$f` is sine with the
 //! argument in *cycles* (the S-1 `SIN` instruction's convention).
 
+use std::cmp::Ordering::{self, Equal, Greater, Less};
+
 use s1lisp_ast::Prim;
 use s1lisp_reader::{Datum, Interner, Symbol};
 
@@ -120,14 +122,22 @@ fn fold_generic(
     Ok(acc)
 }
 
+/// Checks `ok` on the order of each adjacent pair.  Two fixnums are
+/// ordered as integers, any pair with a flonum as floats (`None` when a
+/// NaN leaves them unordered): a fixnum beyond 2^53 rounds on the way
+/// to a float, so `(= 9007199254740993 9007199254740992)` would hold.
 fn compare_chain(
     args: &[Value],
     who: &str,
     t: &Symbol,
-    ok: fn(f64, f64) -> bool,
+    ok: fn(Option<Ordering>) -> bool,
 ) -> Result<Value, LispError> {
     for w in args.windows(2) {
-        if !ok(num(&w[0], who)?, num(&w[1], who)?) {
+        let order = match (&w[0], &w[1]) {
+            (Value::Fixnum(a), Value::Fixnum(b)) => Some(a.cmp(b)),
+            (a, b) => num(a, who)?.partial_cmp(&num(b, who)?),
+        };
+        if !ok(order) {
             return Ok(Value::Nil);
         }
     }
@@ -248,12 +258,12 @@ fn dispatch(p: Prim, args: &[Value], t: &Symbol) -> Result<Value, LispError> {
             (b, e) => Ok(Value::Flonum(num(b, who)?.powf(num(e, who)?))),
         },
         // ---- comparisons and numeric predicates ----
-        Prim::NumEq => compare_chain(args, who, t, |a, b| a == b),
-        Prim::NumNe => compare_chain(args, who, t, |a, b| a != b),
-        Prim::Lt => compare_chain(args, who, t, |a, b| a < b),
-        Prim::Gt => compare_chain(args, who, t, |a, b| a > b),
-        Prim::Le => compare_chain(args, who, t, |a, b| a <= b),
-        Prim::Ge => compare_chain(args, who, t, |a, b| a >= b),
+        Prim::NumEq => compare_chain(args, who, t, |o| o == Some(Equal)),
+        Prim::NumNe => compare_chain(args, who, t, |o| o != Some(Equal)),
+        Prim::Lt => compare_chain(args, who, t, |o| o == Some(Less)),
+        Prim::Gt => compare_chain(args, who, t, |o| o == Some(Greater)),
+        Prim::Le => compare_chain(args, who, t, |o| matches!(o, Some(Less | Equal))),
+        Prim::Ge => compare_chain(args, who, t, |o| matches!(o, Some(Greater | Equal))),
         Prim::Zerop => num(&args[0], who).map(|x| bool_v(x == 0.0, t)),
         Prim::Plusp => num(&args[0], who).map(|x| bool_v(x > 0.0, t)),
         Prim::Minusp => num(&args[0], who).map(|x| bool_v(x < 0.0, t)),

@@ -282,6 +282,7 @@ impl Machine {
         let outcome = self.execute(fnid, code, &mut fault);
         self.last_run_wall_ns = dispatch_start.elapsed().as_nanos() as u64;
         self.last_run_insns = self.stats.insns - insns_before;
+        self.stats.heap = self.heap.allocs;
         match outcome {
             Ok(result) => self.extract(result),
             Err(trap) => {
@@ -378,7 +379,6 @@ impl Machine {
             let Some(insn) = code.insns.get(pc) else {
                 return Err(Trap::Explicit("fell off end of function"));
             };
-            let insn = insn.clone();
             if let Some(p) = self.profile.as_deref_mut() {
                 p.retire(fnid, pc, insn.opcode());
             }
@@ -574,16 +574,17 @@ impl Machine {
     // ---- instruction semantics ----
 
     /// Executes `insn` of function `fnid`, whose code is `code`; `pc`
-    /// already points past it.
+    /// already points past it.  The instruction is borrowed from `code`,
+    /// never copied: only `Dispatch` holds data that is not `Copy`.
     #[allow(clippy::too_many_lines)]
     fn step(
         &mut self,
-        insn: Insn,
+        insn: &Insn,
         fnid: u32,
         code: &Arc<FuncCode>,
         pc: &mut usize,
     ) -> Result<Step, Trap> {
-        match insn {
+        match *insn {
             Insn::Mov { dst, src } => {
                 self.stats.moves += 1;
                 let w = self.read(src)?;
@@ -649,7 +650,9 @@ impl Machine {
             }
             Insn::Neg { dst, src } => {
                 let (n, tagged) = self.read_int(src)?;
-                let r = n.checked_neg().ok_or(Trap::DivisionByZero)?;
+                let Some(r) = n.checked_neg() else {
+                    return Err(Trap::DivisionByZero);
+                };
                 self.write(
                     dst,
                     if tagged {
@@ -724,7 +727,7 @@ impl Machine {
                     Step::Next
                 })
             }
-            Insn::Dispatch { src, targets } => {
+            Insn::Dispatch { src, ref targets } => {
                 let (n, _) = self.read_int(src)?;
                 let Some(&t) = targets.get(n as usize) else {
                     return Err(Trap::WrongNumberOfArguments(format!(
@@ -1071,6 +1074,7 @@ impl Machine {
 
     // ---- operand access ----
 
+    #[inline]
     fn reg_value(&self, r: Reg) -> Word {
         match r {
             Reg::SP => Word::Raw((STACK_BASE + self.sp as u64) as i64),
@@ -1137,26 +1141,42 @@ impl Machine {
         }
     }
 
+    /// Reads an operand.  A register or a constant is read in line and
+    /// cannot fail, so no trap travels with the word; an addressed
+    /// operand goes out of line, through [`Machine::read_addressed`].
+    #[inline(always)]
     pub(crate) fn read(&mut self, op: Operand) -> Result<Word, Trap> {
         match op {
             Operand::Reg(r) => Ok(self.reg_value(r)),
             Operand::Const(w) => Ok(w),
-            _ => {
-                let addr = self.addr_of(op)?;
-                self.read_mem(addr)
-            }
+            _ => self.read_addressed(op),
         }
     }
 
+    #[inline(never)]
+    fn read_addressed(&self, op: Operand) -> Result<Word, Trap> {
+        let addr = self.addr_of(op)?;
+        self.read_mem(addr)
+    }
+
+    /// Writes an operand: a general register in line, everything else
+    /// (the stack registers and constants, which trap, and addressed
+    /// operands) through [`Machine::write_other`].
+    #[inline(always)]
     pub(crate) fn write(&mut self, op: Operand, w: Word) -> Result<(), Trap> {
         match op {
-            Operand::Reg(r) => {
-                if matches!(r, Reg::SP | Reg::FP | Reg::TP) {
-                    return Err(Trap::WrongType("cannot write stack registers".into()));
-                }
+            Operand::Reg(r) if !matches!(r, Reg::SP | Reg::FP | Reg::TP) => {
                 self.regs[r.0 as usize] = w;
                 Ok(())
             }
+            _ => self.write_other(op, w),
+        }
+    }
+
+    #[inline(never)]
+    fn write_other(&mut self, op: Operand, w: Word) -> Result<(), Trap> {
+        match op {
+            Operand::Reg(_) => Err(Trap::WrongType("cannot write stack registers".into())),
             Operand::Const(_) => Err(Trap::WrongType("cannot write a constant".into())),
             _ => {
                 let addr = self.addr_of(op)?;
@@ -1184,7 +1204,12 @@ impl Machine {
         }
         if addr >= STACK_BASE {
             let i = (addr - STACK_BASE) as usize;
-            return self.stack.get(i).copied().ok_or(Trap::StackOverflow);
+            // A `match`, not `ok_or`: an eagerly built trap is dropped on
+            // every successful read.
+            return match self.stack.get(i) {
+                Some(&w) => Ok(w),
+                None => Err(Trap::StackOverflow),
+            };
         }
         Ok(self.heap.read(addr))
     }
@@ -1234,12 +1259,21 @@ impl Machine {
     }
 
     /// Pops the top `n` words and calls the runtime routine for `prim`
-    /// on them.  The routine takes `&mut self`, so its arguments are
-    /// copied out of the stack first, into a fixed buffer on the host
-    /// stack.
+    /// on them.  Two fixnums under `+`, `-`, `=`, `<` or `>` are answered
+    /// here by [`runtime::fixnum_fast`], which returns exactly the word
+    /// the routine would; an overflow, any other operand and any other
+    /// primitive reach the routine.  The caller has already charged the
+    /// call's cost, so both ways retire the same count.  The routine
+    /// takes `&mut self`, so its arguments are copied out of the stack
+    /// first, into a fixed buffer on the host stack.
     fn rt_call_popped(&mut self, prim: Prim, n: usize) -> Result<runtime::RtResult, Trap> {
         self.sp -= n;
         let args = self.sp..self.sp + n;
+        if let &[Word::Ptr(Tag::Fixnum, x), Word::Ptr(Tag::Fixnum, y)] = &self.stack[args.clone()] {
+            if let Some(w) = runtime::fixnum_fast(prim, x as i64, y as i64) {
+                return Ok(runtime::RtResult::Value(w));
+            }
+        }
         if n <= RT_ARGS_INLINE {
             let mut buf = [Word::NIL; RT_ARGS_INLINE];
             buf[..n].copy_from_slice(&self.stack[args]);
@@ -1314,7 +1348,9 @@ impl Machine {
     ) -> Result<Step, Trap> {
         let (x, tx) = self.read_int(a)?;
         let (y, ty) = self.read_int(b)?;
-        let r = f(x, y).ok_or(Trap::DivisionByZero)?;
+        let Some(r) = f(x, y) else {
+            return Err(Trap::DivisionByZero);
+        };
         let w = if tx || ty {
             Word::fixnum(r)
         } else {
@@ -1346,7 +1382,11 @@ impl Machine {
     fn compare(&mut self, cond: Cond, a: Operand, b: Operand) -> Result<bool, Trap> {
         let x = self.read(a)?;
         let y = self.read(b)?;
-        let ord = runtime::num_compare(self, x, y)?;
+        let ord = match (x, y) {
+            (Word::Raw(p), Word::Raw(q)) => p.cmp(&q),
+            (Word::Ptr(Tag::Fixnum, p), Word::Ptr(Tag::Fixnum, q)) => (p as i64).cmp(&(q as i64)),
+            _ => runtime::num_compare(self, x, y)?,
+        };
         Ok(match cond {
             Cond::Eq => ord == std::cmp::Ordering::Equal,
             Cond::Ne => ord != std::cmp::Ordering::Equal,
@@ -1357,7 +1397,10 @@ impl Machine {
         })
     }
 
-    /// Heap allocation with collect-and-retry.
+    /// Heap allocation with collect-and-retry.  The heap keeps the
+    /// allocation counters; [`Machine::run`] and [`Machine::inject`]
+    /// mirror them into `stats.heap` when they return.
+    #[inline]
     pub(crate) fn alloc(&mut self, size: usize, kind: ObjKind) -> Result<u64, Trap> {
         self.alloc_holding(size, kind, &[])
     }
@@ -1374,7 +1417,6 @@ impl Machine {
         held: &[&[Word]],
     ) -> Result<u64, Trap> {
         if let Some(a) = self.heap.try_alloc(size, kind) {
-            self.stats.heap = self.heap.allocs;
             return Ok(a);
         }
         self.collect_and_alloc(size, kind, held)
@@ -1397,9 +1439,7 @@ impl Machine {
         roots.extend(self.catches.iter().map(|c| c.tag));
         roots.extend(self.const_cache.iter().flatten().copied());
         self.heap.collect(&roots);
-        let a = self.heap.try_alloc(size, kind).ok_or(Trap::HeapExhausted)?;
-        self.stats.heap = self.heap.allocs;
-        Ok(a)
+        self.heap.try_alloc(size, kind).ok_or(Trap::HeapExhausted)
     }
 
     // ---- host boundary ----
@@ -1407,7 +1447,9 @@ impl Machine {
     /// Builds machine data from a host [`Value`] (allocating on the
     /// heap for structure).
     pub fn inject(&mut self, v: &Value) -> Result<Word, Trap> {
-        runtime::inject(self, v, &mut Vec::new())
+        let w = runtime::inject(self, v, &mut Vec::new());
+        self.stats.heap = self.heap.allocs;
+        w
     }
 
     /// Reads machine data back into a host [`Value`].
@@ -1800,6 +1842,84 @@ mod tests {
         let mut m = Machine::new(p);
         assert_eq!(m.run("mk", &[fx(5), fx(10)]).unwrap(), fx(15));
         assert_eq!(m.stats.closures_made, 1);
+    }
+
+    /// A runtime call's outcome as text: the value it returns, or its
+    /// trap's message.
+    fn outcome(m: &Machine, r: Result<runtime::RtResult, Trap>) -> Result<String, String> {
+        match r {
+            Ok(runtime::RtResult::Value(w)) => m
+                .extract(w)
+                .map(|v| v.to_string())
+                .map_err(|t| t.to_string()),
+            Ok(runtime::RtResult::Throw { .. }) => Ok("throw".into()),
+            Err(t) => Err(t.to_string()),
+        }
+    }
+
+    /// The open-coded routines (`+`, `-`, `=`, `<`, `>` of two fixnums)
+    /// and `JmpIf`'s fixnum comparison answer exactly what the runtime
+    /// answers, on fixnums at and past the edges, on flonums, on mixed
+    /// operands, and on a symbol and a list (the same type trap).
+    #[test]
+    fn open_coded_routines_match_the_runtime() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let mut m = Machine::new(Program::new());
+        let mut names = Interner::new();
+        let values = [
+            fx(0),
+            fx(1),
+            fx(-1),
+            fx(i64::MIN),
+            fx(i64::MAX),
+            Value::Flonum(1.5),
+            Value::Flonum(-0.0),
+            Value::Sym(names.intern("foo")),
+            Value::list([fx(1), fx(2)]),
+        ];
+        let mut words: Vec<Word> = values.iter().map(|v| m.inject(v).unwrap()).collect();
+        words.extend([Word::Raw(3), Word::Raw(i64::MIN)]);
+        let mut open = 0;
+        for prim in [Prim::Add, Prim::Sub, Prim::NumEq, Prim::Lt, Prim::Gt] {
+            for &a in &words {
+                for &b in &words {
+                    m.push(a).unwrap();
+                    m.push(b).unwrap();
+                    let fast = m.rt_call_popped(prim, 2);
+                    let fast = outcome(&m, fast);
+                    let slow = runtime::rt_call(&mut m, prim, &[a, b]);
+                    let slow = outcome(&m, slow);
+                    assert_eq!(fast, slow, "{prim:?} {a} {b}");
+                    if let (Some(x), Some(y)) = (a.as_fixnum(), b.as_fixnum()) {
+                        match runtime::fixnum_fast(prim, x, y) {
+                            Some(_) => open += 1,
+                            None => assert!(
+                                fast.as_ref().is_err_and(|e| e.contains("fixnum overflow")),
+                                "{prim:?} {x} {y}: {fast:?}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+        // Six sums and six differences of the 25 fixnum pairs overflow.
+        assert_eq!(open, 5 * 25 - 12, "two-fixnum calls answered in line");
+        for cond in [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge] {
+            for &a in &words {
+                for &b in &words {
+                    let fast = m.compare(cond, Operand::Const(a), Operand::Const(b));
+                    let slow = runtime::num_compare(&m, a, b).map(|o| match cond {
+                        Cond::Eq => o == Equal,
+                        Cond::Ne => o != Equal,
+                        Cond::Lt => o == Less,
+                        Cond::Le => o != Greater,
+                        Cond::Gt => o == Greater,
+                        Cond::Ge => o != Less,
+                    });
+                    assert_eq!(fast, slow, "{cond:?} {a} {b}");
+                }
+            }
+        }
     }
 }
 

@@ -273,6 +273,22 @@ fn compare_chain(
     Ok(Word::T)
 }
 
+/// The open-coded case of a routine: `+`, `-`, `=`, `<` or `>` of two
+/// fixnums, answered with exactly the word [`rt_call`] returns for it.
+/// `None` for any other primitive and for an overflowing sum or
+/// difference, whose trap only the routine raises.
+#[inline]
+pub(crate) fn fixnum_fast(prim: Prim, x: i64, y: i64) -> Option<Word> {
+    match prim {
+        Prim::Add => x.checked_add(y).map(Word::fixnum),
+        Prim::Sub => x.checked_sub(y).map(Word::fixnum),
+        Prim::NumEq => Some(boolean(x == y)),
+        Prim::Lt => Some(boolean(x < y)),
+        Prim::Gt => Some(boolean(x > y)),
+        _ => None,
+    }
+}
+
 /// A flonum argument of a `$f` routine.
 fn flonum_arg(m: &Machine, w: Word, who: &str) -> Result<f64, Trap> {
     match num_of(m, w)? {

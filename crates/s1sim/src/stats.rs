@@ -46,7 +46,8 @@ pub struct MachineStats {
     pub certify_copies: u64,
     /// Closures constructed at run time.
     pub closures_made: u64,
-    /// Heap allocation counters (mirrored from the heap at read time).
+    /// Heap allocation counters, mirrored from the heap when
+    /// `Machine::run` or `Machine::inject` returns.
     pub heap: AllocStats,
 }
 

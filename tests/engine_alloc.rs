@@ -1,8 +1,9 @@
 //! The engines' hot loops allocate nothing per iteration: host
-//! allocations per `run` are the same at n = 100 and n = 100 000, on the
-//! S-1 simulator and on the bytecode evaluator, for a tail-recursive
-//! loop (`loopn`: calls, tail calls, a quoted result) and a special
-//! reader (`accumulate`: special reads, runtime routines).
+//! allocations per `run` are the same for a small and a large argument,
+//! on the S-1 simulator and on the bytecode evaluator, for a
+//! tail-recursive loop (`loopn`: calls, tail calls, a quoted result), a
+//! special reader (`accumulate`: special reads, runtime routines) and a
+//! deep recursion (`tak`: calls and the open-coded `<`, `-` and `not`).
 //!
 //! A fresh simulator costs its stack, not its heap's capacity: the heap
 //! grows with use, so `Machine::new` allocates under 2 MiB.
@@ -65,33 +66,49 @@ fn allocations(f: impl FnOnce()) -> (u64, u64) {
     (after.0 - before.0, after.1 - before.1)
 }
 
-/// A kernel: its source, its entry, and the globals it reads.
+/// A kernel: its source, its entry, the globals it reads, and a small
+/// and a large argument list.
 struct Kernel {
     src: &'static str,
     entry: &'static str,
     globals: &'static [(&'static str, i64)],
+    small: &'static [i64],
+    large: &'static [i64],
 }
 
-const KERNELS: [Kernel; 2] = [
+const KERNELS: [Kernel; 3] = [
     Kernel {
         src: corpus::LOOPN,
         entry: "loopn",
         globals: &[],
+        small: &[100],
+        large: &[100_000],
     },
     Kernel {
         src: corpus::SPECIALS_LOOP,
         entry: "accumulate",
         globals: &[("*step*", 2)],
+        small: &[100],
+        large: &[100_000],
+    },
+    Kernel {
+        src: corpus::TAK,
+        entry: "tak",
+        globals: &[],
+        small: &[6, 4, 2],
+        large: &[18, 12, 6],
     },
 ];
 
-/// Allocation calls and bytes of one run at n = 100 and at n = 100 000, after a
-/// warm-up run at n = 100 000 that lets every reused buffer reach its
-/// working size.
-fn small_and_large(mut run: impl FnMut(i64)) -> ((u64, u64), (u64, u64)) {
-    run(100_000);
-    let small = allocations(|| run(100));
-    let large = allocations(|| run(100_000));
+/// Allocation calls and bytes of one run on the small and on the large
+/// arguments, after a warm-up run on the large ones that lets every
+/// reused buffer reach its working size.
+fn small_and_large(k: &Kernel, mut run: impl FnMut(&[Value])) -> ((u64, u64), (u64, u64)) {
+    let args = |ns: &[i64]| ns.iter().map(|&n| Value::Fixnum(n)).collect::<Vec<_>>();
+    let (small_args, large_args) = (args(k.small), args(k.large));
+    run(&large_args);
+    let small = allocations(|| run(&small_args));
+    let large = allocations(|| run(&large_args));
     (small, large)
 }
 
@@ -109,13 +126,13 @@ fn simulator_runs_allocate_independently_of_iterations() {
         for &(name, v) in k.globals {
             m.set_global(name, &Value::Fixnum(v)).unwrap();
         }
-        let (small, large) = small_and_large(|n| {
-            m.run(k.entry, &[Value::Fixnum(n)]).expect("kernel runs");
+        let (small, large) = small_and_large(k, |args| {
+            m.run(k.entry, args).expect("kernel runs");
         });
         assert_eq!(
             small, large,
-            "{}: allocations at n=100 vs n=100000",
-            k.entry
+            "{}: allocations at {:?} vs {:?}",
+            k.entry, k.small, k.large
         );
     }
 }
@@ -127,13 +144,13 @@ fn evaluator_runs_allocate_independently_of_iterations() {
         for &(name, v) in k.globals {
             e.set_global(name, Value::Fixnum(v));
         }
-        let (small, large) = small_and_large(|n| {
-            e.run(k.entry, &[Value::Fixnum(n)]).expect("kernel runs");
+        let (small, large) = small_and_large(k, |args| {
+            e.run(k.entry, args).expect("kernel runs");
         });
         assert_eq!(
             small, large,
-            "{}: allocations at n=100 vs n=100000",
-            k.entry
+            "{}: allocations at {:?} vs {:?}",
+            k.entry, k.small, k.large
         );
     }
 }

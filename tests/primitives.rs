@@ -101,3 +101,62 @@ fn primitives_cannot_be_redefined() {
         }
     }
 }
+
+/// A run's printed value, or its trap.
+fn shown<V: std::fmt::Display, E: std::fmt::Display>(r: Result<V, E>) -> String {
+    match r {
+        Ok(v) => v.to_string(),
+        Err(e) => format!("trap: {e}"),
+    }
+}
+
+/// Two fixnums compare as integers everywhere: on the S-1 (optimized and
+/// not), on the bytecode, in the interpreter, and in the optimizer's
+/// constant folds.  2^53 + 1 and 2^53 round to the same float, so a
+/// comparison through `f64` would call them equal.
+#[test]
+fn big_fixnums_compare_exactly_on_every_engine() {
+    const BIG: i64 = 1 << 53;
+    let cases = [
+        ("=", "x y", "()"),
+        ("/=", "x y", "t"),
+        ("<", "y x", "t"),
+        (">", "x y", "t"),
+        ("<=", "x y", "()"),
+        (">=", "y x", "()"),
+    ];
+    let args = [fx(BIG + 1), fx(BIG)];
+    let mut failures = Vec::new();
+    for (op, operands, want) in cases {
+        let literal = operands.replace('x', &(BIG + 1).to_string());
+        let literal = literal.replace('y', &BIG.to_string());
+        let src = format!("(defun f (x y) ({op} {operands})) (defun folded () ({op} {literal}))");
+        let mut got = Vec::new();
+        for (engine, mut c) in [
+            ("s1 optimized", Compiler::new()),
+            ("s1 unoptimized", Compiler::unoptimized()),
+        ] {
+            c.compile_str(&src).expect("compiles");
+            let mut m = c.machine();
+            got.push((engine, "f", shown(m.run("f", &args))));
+            got.push((engine, "folded", shown(m.run("folded", &[]))));
+        }
+        let mut c = Compiler::new();
+        c.compile_str(&src).expect("compiles");
+        let i = c.interpreter();
+        got.push(("interpreter", "f", shown(i.call("f", &args))));
+        got.push(("interpreter", "folded", shown(i.call("folded", &[]))));
+        let mut c = Compiler::new();
+        c.backend = BackendKind::Bytecode;
+        c.compile_str(&src).expect("compiles");
+        let mut e = c.evaluator();
+        got.push(("bytecode", "f", shown(e.run("f", &args))));
+        got.push(("bytecode", "folded", shown(e.run("folded", &[]))));
+        for (engine, entry, result) in got {
+            if result != want {
+                failures.push(format!("({op} {operands}) {entry} on {engine}: {result}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
