@@ -97,7 +97,6 @@ mod tests {
                 snap.counters.iter().map(|(n, _)| n).collect::<Vec<_>>()
             );
         }
-        assert!(snap.gauge("service.queue_peak").is_some());
         assert!(snap.histogram("heap.alloc_size_words").is_some());
         assert!(snap.histogram("service.job_wall_us").is_some());
     }

@@ -260,7 +260,6 @@ fn run_service_batch(jobs: usize, warmup: usize, trials: usize) -> Json {
         ("p90_functions_per_sec", Json::uint(p90_ps)),
         ("median_wall_us", Json::uint(median_us)),
         ("p90_wall_us", Json::uint(p90_us)),
-        ("queue_peak", Json::uint(batch.stats.queue_peak as u64)),
         ("incidents", Json::uint(batch.incidents.len() as u64)),
         (
             "cold_hit_rate_permille",
@@ -804,7 +803,7 @@ pub fn summarize_entry(entry: &Json) -> String {
             let _ = writeln!(
                 out,
                 "  jobs={} functions={} median_functions_per_sec={} p90={} \
-                 queue_peak={} incidents={} warm_hit_rate={}‰",
+                 incidents={} warm_hit_rate={}‰",
                 row.get("jobs").and_then(Json::as_int).unwrap_or(0),
                 row.get("functions").and_then(Json::as_int).unwrap_or(0),
                 row.get("median_functions_per_sec")
@@ -813,7 +812,6 @@ pub fn summarize_entry(entry: &Json) -> String {
                 row.get("p90_functions_per_sec")
                     .and_then(Json::as_int)
                     .unwrap_or(0),
-                row.get("queue_peak").and_then(Json::as_int).unwrap_or(0),
                 row.get("incidents").and_then(Json::as_int).unwrap_or(0),
                 row.get("warm_hit_rate_permille")
                     .and_then(Json::as_int)

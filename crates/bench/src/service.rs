@@ -13,8 +13,8 @@
 use std::path::PathBuf;
 
 use s1lisp_driver::{
-    BackendSelect, BatchResult, CompileService, FaultInjection, FaultMode, FaultPlan, FaultSite,
-    OracleCase, ServiceConfig, SourceUnit,
+    BackendSelect, BatchResult, CompileService, FaultPlan, FaultSite, OracleCase, ServiceConfig,
+    SourceUnit,
 };
 use s1lisp_trace::json::Json;
 
@@ -89,17 +89,16 @@ fn quiet_batch_record(id: &str, title: &str, build: impl FnOnce() -> BatchResult
     ])
 }
 
-/// A demonstration record with a panic injected into one function's
-/// optimization, exercising the incident/degradation surface: the batch
-/// completes, `quadratic` comes back degraded, and every other function
-/// is untouched.
+/// A demonstration record with a panic forced into one function's
+/// source-level optimization, exercising the incident/degradation
+/// surface: the batch completes, `quadratic` comes back degraded, and
+/// every other function is untouched.
 pub fn service_fault_record() -> Json {
     let cfg = ServiceConfig {
         jobs: 4,
-        fault: Some(FaultInjection {
-            function: "quadratic".to_string(),
-            mode: FaultMode::Panic,
-        }),
+        fault_plan: Some(
+            FaultPlan::new(0).force(FaultSite::PhasePanic, "quadratic/Source-level optimization"),
+        ),
         ..ServiceConfig::default()
     };
     quiet_batch_record(
@@ -193,14 +192,7 @@ pub fn service_report(jobs: usize, cache_dir: Option<PathBuf>) -> String {
     let batch = service_batch(jobs, cache_dir);
     let mut out = String::new();
     let s = &batch.stats;
-    let _ = writeln!(
-        out,
-        "workers={} schedule={} functions={} queue_peak={}",
-        s.workers_used,
-        s.schedule.as_str(),
-        s.functions,
-        s.queue_peak
-    );
+    let _ = writeln!(out, "workers={} functions={}", s.workers_used, s.functions);
     let _ = writeln!(
         out,
         "hit_rate={}% hits={} misses={} evictions={} disk_hits={} \
@@ -265,22 +257,6 @@ mod tests {
         // e10's proclaimed special must have reached its job.
         let acc = batch.artifact("accumulate").unwrap();
         assert!(acc.assembly.contains("%SPEC"), "{}", acc.assembly);
-    }
-
-    #[test]
-    fn human_report_surfaces_schedule_and_queue_peak() {
-        let text = service_report(2, None);
-        let head = text.lines().next().unwrap_or_default();
-        assert!(head.contains("schedule=sorted"), "{head}");
-        // The peak is the whole batch (the queue only drains), so the
-        // surfaced value must equal the function count on the same line.
-        let field = |key: &str| {
-            head.split_whitespace()
-                .find_map(|w| w.strip_prefix(key))
-                .unwrap_or_else(|| panic!("no {key} in {head}"))
-                .to_string()
-        };
-        assert_eq!(field("queue_peak="), field("functions="), "{head}");
     }
 
     #[test]

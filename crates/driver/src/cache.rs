@@ -26,7 +26,10 @@
 //!
 //! A seeded [`FaultPlan`] can arm the `CacheRead`/`CacheWrite`/
 //! `CacheCorrupt` sites to inject exactly these failures,
-//! deterministically per cache key, for drills and tests.
+//! deterministically per function name, as every other driver fault
+//! site is keyed: a storm's cache faults depend on its seed and the
+//! functions, never on what the cache key hashes (a tenant salt, the
+//! options).
 //!
 //! All methods take `&self`: the cache is shared across worker threads
 //! behind one mutex (held only for map bookkeeping, never during
@@ -219,11 +222,11 @@ impl ArtifactCache {
             .map(|d| d.join(format!("{key:016x}.json")))
     }
 
-    /// How many attempts the fault plan dooms for `key` at `site`.
-    fn injected_failures(&self, site: FaultSite, key: u64) -> u32 {
-        self.fault_plan.as_ref().map_or(0, |p| {
-            p.failure_count(site, &format!("{key:016x}"), IO_ATTEMPTS)
-        })
+    /// How many attempts the fault plan dooms for `function` at `site`.
+    fn injected_failures(&self, site: FaultSite, function: &str) -> u32 {
+        self.fault_plan
+            .as_ref()
+            .map_or(0, |p| p.failure_count(site, function, IO_ATTEMPTS))
     }
 
     /// A completed disk operation (success or clean not-found) clears
@@ -243,8 +246,9 @@ impl ArtifactCache {
     }
 
     /// Looks `key` up in memory, then on disk.  A memory hit refreshes
-    /// recency; a disk hit is promoted into the memory tier.
-    pub fn get(&self, key: u64) -> Option<Artifact> {
+    /// recency; a disk hit is promoted into the memory tier.  `function`
+    /// names the artifact sought; it keys the read-side fault sites.
+    pub fn get(&self, key: u64, function: &str) -> Option<Artifact> {
         let mem_start = Instant::now();
         let mem_probe = {
             let mut tier = self.mem.lock().expect("cache lock");
@@ -267,7 +271,7 @@ impl ArtifactCache {
         // probe belongs in the same distribution as the earlier failures.
         let disk_timed = self.dir.is_some() && !self.disk_disabled();
         let disk_start = Instant::now();
-        let disk_probe = self.disk_get(key);
+        let disk_probe = self.disk_get(key, function);
         if disk_timed {
             self.disk_get_us
                 .observe(disk_start.elapsed().as_micros() as u64);
@@ -282,9 +286,9 @@ impl ArtifactCache {
         None
     }
 
-    fn disk_get(&self, key: u64) -> Option<Artifact> {
+    fn disk_get(&self, key: u64, function: &str) -> Option<Artifact> {
         let path = self.disk_path(key)?;
-        let doomed = self.injected_failures(FaultSite::CacheRead, key);
+        let doomed = self.injected_failures(FaultSite::CacheRead, function);
         // An absent entry maps to `Ok(None)` — a clean miss is not a
         // failure and must not burn retries.
         let read = fsio::with_io_retries(
@@ -313,7 +317,7 @@ impl ArtifactCache {
         };
         let mut text = text?;
         if let Some(plan) = &self.fault_plan {
-            if plan.fires(FaultSite::CacheCorrupt, &format!("{key:016x}")) {
+            if plan.fires(FaultSite::CacheCorrupt, function) {
                 // Truncation always unbalances the JSON object, so the
                 // parse below must fail and be counted.
                 text.truncate(text.len() / 2);
@@ -331,7 +335,8 @@ impl ArtifactCache {
         }
     }
 
-    /// Stores a clean artifact under `key` in both tiers.
+    /// Stores a clean artifact under `key` in both tiers; the artifact's
+    /// name keys the write-side fault site.
     pub fn put(&self, key: u64, artifact: &Artifact) {
         let start = Instant::now();
         self.insert_mem(key, artifact.clone());
@@ -344,7 +349,7 @@ impl ArtifactCache {
             return;
         };
         let body = artifact.to_json().to_string();
-        let doomed = self.injected_failures(FaultSite::CacheWrite, key);
+        let doomed = self.injected_failures(FaultSite::CacheWrite, &artifact.name);
         // Temp-then-rename (via the shared discipline) keeps a
         // concurrent reader (or a second process warming from the same
         // directory) from ever seeing a half-written entry.  No fsync:
@@ -475,11 +480,11 @@ mod tests {
         let cache = ArtifactCache::new(2, None);
         cache.put(1, &art("a"));
         cache.put(2, &art("b"));
-        assert!(cache.get(1).is_some()); // refresh 1; 2 is now coldest
+        assert!(cache.get(1, "a").is_some()); // refresh 1; 2 is now coldest
         cache.put(3, &art("c"));
-        assert!(cache.get(2).is_none());
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
+        assert!(cache.get(2, "b").is_none());
+        assert!(cache.get(1, "a").is_some());
+        assert!(cache.get(3, "c").is_some());
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.misses, 1);
@@ -495,13 +500,13 @@ mod tests {
         }
         // A fresh cache (cold memory) warms from disk.
         let cache = ArtifactCache::new(4, Some(dir.clone()));
-        let got = cache.get(7).expect("disk hit");
+        let got = cache.get(7, "seven").expect("disk hit");
         assert_eq!(got.name, "seven");
         assert_eq!(cache.stats().disk_hits, 1);
         // Corrupt entries degrade to misses and are counted.
         std::fs::write(dir.join(format!("{:016x}.json", 9u64)), "{not json").unwrap();
         let fresh = ArtifactCache::new(4, Some(dir.clone()));
-        assert!(fresh.get(9).is_none());
+        assert!(fresh.get(9, "nine").is_none());
         assert_eq!(fresh.stats().misses, 1);
         assert_eq!(fresh.stats().corrupt_reads, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -519,9 +524,10 @@ mod tests {
         let plan = FaultPlan::new(21).arm(FaultSite::CacheRead, 1000);
         let cache = ArtifactCache::tuned(16, Some(dir.clone()), None, Some(plan.clone()));
         for key in 0..8u64 {
-            let doomed = plan.failure_count(FaultSite::CacheRead, &format!("{key:016x}"), 3);
+            let name = format!("fn{key}");
+            let doomed = plan.failure_count(FaultSite::CacheRead, &name, 3);
             let before = cache.stats();
-            let got = cache.get(key);
+            let got = cache.get(key, &name);
             let after = cache.stats();
             if doomed < IO_ATTEMPTS {
                 // Retried past the transient failures and hit.
@@ -547,8 +553,7 @@ mod tests {
                 let plan = FaultPlan::new(s).arm(FaultSite::CacheWrite, 1000);
                 let mut run = 0u64;
                 (0..64u64).any(|key| {
-                    let doomed =
-                        plan.failure_count(FaultSite::CacheWrite, &format!("{key:016x}"), 3);
+                    let doomed = plan.failure_count(FaultSite::CacheWrite, &format!("fn{key}"), 3);
                     run = if doomed >= IO_ATTEMPTS { run + 1 } else { 0 };
                     run >= DISK_STRIKE_LIMIT
                 })
@@ -564,7 +569,7 @@ mod tests {
         assert!(cache.stats().io_errors >= DISK_STRIKE_LIMIT);
         // The memory tier still serves every entry: no batch fails.
         for key in 0..64u64 {
-            assert!(cache.get(key).is_some(), "key {key}");
+            assert!(cache.get(key, &format!("fn{key}")).is_some(), "key {key}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -578,7 +583,7 @@ mod tests {
         }
         let plan = FaultPlan::new(1).arm(FaultSite::CacheCorrupt, 1000);
         let cache = ArtifactCache::tuned(4, Some(dir.clone()), None, Some(plan));
-        assert!(cache.get(3).is_none());
+        assert!(cache.get(3, "three").is_none());
         let s = cache.stats();
         assert_eq!(s.corrupt_reads, 1);
         assert_eq!(s.misses, 1);
@@ -586,7 +591,7 @@ mod tests {
         // on the read path, and a clean reader still hits.
         let clean = ArtifactCache::new(4, Some(dir.clone()));
         assert!(cache.disk_path(3).is_some());
-        assert!(clean.get(3).is_some());
+        assert!(clean.get(3, "three").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -597,8 +602,8 @@ mod tests {
         cache.put(1, &art("a"));
         cache.put(2, &art("b"));
         cache.put(3, &art("c")); // evicts 1
-        assert!(cache.get(2).is_some());
-        assert!(cache.get(1).is_none());
+        assert!(cache.get(2, "b").is_some());
+        assert!(cache.get(1, "a").is_none());
         let s = cache.stats();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("cache.hits"), Some(s.hits));

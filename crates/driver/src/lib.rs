@@ -11,7 +11,10 @@
 //!   exactly when it fails a serial compile), and runs them on `jobs`
 //!   worker threads
 //!   (`std::thread` + `mpsc`; `jobs = 1` degenerates to the serial path
-//!   on the caller's thread).
+//!   on the caller's thread), largest function first.  Jobs compile
+//!   with [`s1lisp::Compiler::new`]'s switches — the paper's full
+//!   optimization — or, demoted or degraded, with transformations off;
+//!   the service adds scheduling, caching and containment, not switches.
 //! * **Memoization** — an [`ArtifactCache`] keyed by the converted
 //!   tree's structural fingerprint mixed with an option fingerprint;
 //!   LRU in memory, optionally persisted to disk as JSON.  A cache hit
@@ -22,7 +25,7 @@
 //!   a function whose pipeline panics or runs over budget is recompiled
 //!   with transformations off and the fault is recorded as an
 //!   [`Incident`].
-//! * **Observability** — cache hit/miss/evict counters, queue depth,
+//! * **Observability** — cache hit/miss/evict counters, queue wait,
 //!   per-worker and per-phase totals, one [`JobRecord`] per function,
 //!   all serializable for `report --json service`.
 //! * **Guarded compilation** — with [`ServiceConfig::guard`] set, every
@@ -30,10 +33,14 @@
 //!   back-translation round trip) and the differential oracle runs each
 //!   [`OracleCase`] on the batch's options and on a transformations-off
 //!   reference compile (with [`BackendSelect::Both`], also on bytecode
-//!   against S-1); a seeded [`FaultPlan`] can
-//!   deterministically inject cache I/O errors, corrupt reads, phase
-//!   panics, watchdog overruns, and miscompiles to drill the whole
-//!   containment surface ([`GuardReport`]).
+//!   against S-1).
+//! * **Fault injection** — [`ServiceConfig::fault_plan`] is the one
+//!   injector: a seeded [`FaultPlan`] deterministically injects cache
+//!   I/O errors, corrupt reads, phase panics, watchdog overruns, and
+//!   miscompiles to drill the whole containment surface
+//!   ([`GuardReport`]), and [`FaultPlan::force`] pins one exact
+//!   `(site, key)` — say, a panic in `tak`'s source-level optimization —
+//!   for a targeted drill.
 //!
 //! ```
 //! use s1lisp_driver::{CompileService, ServiceConfig, SourceUnit};
@@ -85,26 +92,6 @@ impl SourceUnit {
     }
 }
 
-/// Where and how to force a pipeline fault (test/demo hook for the
-/// degradation machinery).
-#[derive(Clone, Debug)]
-pub struct FaultInjection {
-    /// The function whose compilation should fault.
-    pub function: String,
-    /// Panic, or stall (to trip the time budget).
-    pub mode: FaultMode,
-}
-
-/// The kind of injected fault.
-#[derive(Clone, Copy, Debug)]
-pub enum FaultMode {
-    /// Panic between conversion and compilation, as an optimizer bug
-    /// would.
-    Panic,
-    /// Sleep this long first, so a per-function time budget expires.
-    Hang(Duration),
-}
-
 /// One differential-oracle case: after a guarded (or
 /// [`BackendSelect::Both`]) batch, call `entry` with the given
 /// arguments on each witness of each check and demand that subject and
@@ -145,12 +132,12 @@ pub struct BatchTuning {
     /// under the same options get distinct keys, so neither can warm-hit
     /// (or even observe the existence of) the other's artifacts.
     pub key_salt: u64,
-    /// Compile with every source-level transformation off (and CSE
-    /// disabled) — the configuration a tenant is demoted to once its
-    /// incident budget is exhausted.  Unlike the per-job degraded
-    /// *retry*, these are clean first-attempt compiles: they cache
-    /// normally (under the transformations-off option fingerprint) and
-    /// their artifacts are not marked degraded.
+    /// Compile with every source-level transformation off — the
+    /// configuration a tenant is demoted to once its incident budget is
+    /// exhausted.  Unlike the per-job degraded *retry*, these are clean
+    /// first-attempt compiles: they cache normally (under the
+    /// transformations-off option fingerprint) and their artifacts are
+    /// not marked degraded.
     pub transformations_off: bool,
 }
 
@@ -210,52 +197,15 @@ impl BackendSelect {
     }
 }
 
-/// How a batch's job queue is ordered before the workers drain it.
-///
-/// Because every job is hermetic and results are reassembled in source
-/// order, queue order affects only wall-clock, never output — pinned by
-/// the schedule-invariance test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Source order, as split.
-    Fifo,
-    /// Largest function first, by the byte length of its printed
-    /// `defun` form, which the split already holds, so ordering the
-    /// queue converts nothing; ties keep source order.  The longest
-    /// compilations start before the queue thins out, so the batch does
-    /// not end with one worker grinding a big function while the rest
-    /// idle.
-    LargestFirst,
-}
-
-impl Schedule {
-    /// Lower-case label for reports (`"fifo"` / `"sorted"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Schedule::Fifo => "fifo",
-            Schedule::LargestFirst => "sorted",
-        }
-    }
-}
-
-/// Service configuration.  The compiler options mirror the fields of
-/// [`s1lisp::Compiler`] and participate in the cache key; the rest
-/// shape scheduling and robustness.
+/// Service configuration: how batches are scheduled, cached, guarded
+/// and drilled.  The compiler switches are not here: every job compiles
+/// with [`Compiler::new`]'s (the paper's full optimization), on
+/// `backend`, and a demoted or degraded job with transformations off
+/// ([`ServiceConfig::compiler`]).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads (`1` = serial on the caller's thread).
     pub jobs: usize,
-    /// Queue order for each batch.  Output-invariant; the default
-    /// ([`Schedule::LargestFirst`]) minimizes straggler time.
-    pub schedule: Schedule,
-    /// Source-level optimization switches for every job.
-    pub opt_options: s1lisp::OptOptions,
-    /// Whether jobs run the CSE phase.
-    pub cse: bool,
-    /// Code-generation switches for every job.
-    pub codegen_options: s1lisp::CodegenOptions,
-    /// Whether jobs run branch tensioning.
-    pub tension_branches: bool,
     /// Which backend jobs compile with, and whether the oracle checks
     /// bytecode against S-1 ([`BackendSelect::Both`]).  The backend
     /// salts the option fingerprint, so the artifact cache is
@@ -272,43 +222,33 @@ pub struct ServiceConfig {
     /// Bound on entries in the persistent tier (the oldest are swept
     /// after each write); `None` leaves on-disk growth unbounded.
     pub disk_max_entries: Option<usize>,
-    /// Forced fault, for exercising the degraded path.
-    pub fault: Option<FaultInjection>,
     /// Guarded compilation: run the phase validators (well-formedness +
     /// back-translation round trip) on every job, route violations to
     /// the degraded path, and have the oracle check the batch's options
     /// against the transformations-off reference.
     pub guard: bool,
-    /// Seeded deterministic fault plan arming the cache, phase,
-    /// overrun, and oracle injection sites; `None` injects nothing.
+    /// The fault injector: a seeded plan arming the cache, phase,
+    /// overrun, and oracle sites, or forcing exact `(site, key)` pairs
+    /// (one function's phase panic, one job's overrun); `None` injects
+    /// nothing.
     pub fault_plan: Option<FaultPlan>,
     /// Oracle cases, run after the batch on every witness pair that
     /// `guard` and [`BackendSelect::Both`] turn on.
     pub oracle: Vec<OracleCase>,
-    /// Instruction budget per oracle execution (every witness), so a
-    /// diverging or runaway artifact traps instead of hanging.
-    pub oracle_fuel: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             jobs: 1,
-            schedule: Schedule::LargestFirst,
-            opt_options: s1lisp::OptOptions::default(),
-            cse: false,
-            codegen_options: s1lisp::CodegenOptions::default(),
-            tension_branches: true,
             backend: BackendSelect::S1,
             time_budget: None,
             cache_capacity: 512,
             cache_dir: None,
             disk_max_entries: None,
-            fault: None,
             guard: false,
             fault_plan: None,
             oracle: Vec::new(),
-            oracle_fuel: 100_000_000,
         }
     }
 }
@@ -323,22 +263,41 @@ impl ServiceConfig {
     }
 
     /// The compiler batch jobs, oracle witnesses and the compile
-    /// server's tenant images all start from: this configuration's
-    /// code-shaping options and primary backend, with every source
-    /// transformation and CSE off under `transformations_off` (tenant
-    /// demotion, degraded retry, oracle reference).  Guard validators
-    /// and the fault plan stay off; first-attempt jobs arm them.
+    /// server's tenant images all start from: [`Compiler::new`] on this
+    /// configuration's primary backend, with every source transformation
+    /// off under `transformations_off` (tenant demotion, degraded retry,
+    /// oracle reference).  Guard validators and the fault plan stay off;
+    /// first-attempt jobs arm them.
     pub fn compiler(&self, transformations_off: bool) -> Compiler {
         let mut c = Compiler::new();
         if transformations_off {
             c.opt_options = s1lisp::OptOptions::none();
-        } else {
-            c.opt_options = self.opt_options.clone();
-            c.cse = self.cse;
         }
-        c.codegen_options = self.codegen_options.clone();
-        c.tension_branches = self.tension_branches;
         c.backend = self.backend.primary();
         c
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn service_compilers_are_the_plain_compiler_configurations() {
+        let config = ServiceConfig::default();
+        assert_eq!(
+            config.compiler(false).options_fingerprint(),
+            Compiler::new().options_fingerprint()
+        );
+        let mut off = Compiler::new();
+        off.opt_options = s1lisp::OptOptions::none();
+        assert_eq!(
+            config.compiler(true).options_fingerprint(),
+            off.options_fingerprint()
+        );
+        assert_ne!(
+            config.compiler(true).options_fingerprint(),
+            config.compiler(false).options_fingerprint()
+        );
     }
 }

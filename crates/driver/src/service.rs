@@ -21,9 +21,9 @@
 //!
 //! # One conversion per job
 //!
-//! The batch thread only splits units and orders the queue — for
-//! [`Schedule::LargestFirst`] by the printed form's byte length — and
-//! converts nothing.  A worker converts each job once, on the compiler
+//! The batch thread only splits units and orders the queue — largest
+//! function first, by the printed form's byte length — and converts
+//! nothing.  A worker converts each job once, on the compiler
 //! that compiles it: the converted tree keys the cache (with the
 //! function's name and the option fingerprint), and on a miss the same
 //! compiler runs the remaining passes.  Only a watchdogged attempt
@@ -46,7 +46,7 @@ use s1lisp_trace::json::Json;
 use s1lisp_trace::metrics::{Histogram, MetricsRegistry, TIME_BUCKETS_US};
 
 use crate::cache::{ArtifactCache, CacheStats};
-use crate::{BatchTuning, FaultMode, OracleCase, Schedule, ServiceConfig, SourceUnit};
+use crate::{BatchTuning, OracleCase, ServiceConfig, SourceUnit};
 
 /// One function's worth of work: everything a worker needs, as plain
 /// data that crosses threads freely.
@@ -184,14 +184,11 @@ pub struct WorkerStats {
 pub struct BatchStats {
     /// Worker threads actually used (≤ the configured `jobs`).
     pub workers_used: usize,
-    /// Queue order the batch ran with.
-    pub schedule: Schedule,
-    /// Functions fanned out.
+    /// Functions fanned out (all enqueued at the start; the queue only
+    /// drains).
     pub functions: usize,
     /// Cache traffic caused by this batch.
     pub cache: CacheStats,
-    /// Jobs enqueued at the start (the queue only drains).
-    pub queue_peak: usize,
     /// Per-worker totals, by worker index.
     pub workers: Vec<WorkerStats>,
     /// Phase spans merged across every job: (phase, spans, wall
@@ -445,10 +442,8 @@ impl BatchResult {
         let artifacts = self.artifacts.iter().map(Artifact::to_json).collect();
         Json::obj(vec![
             ("workers_used", Json::uint(self.stats.workers_used as u64)),
-            ("schedule", Json::str(self.stats.schedule.as_str())),
             ("functions", Json::uint(self.stats.functions as u64)),
             ("hit_rate_percent", Json::uint(self.hit_rate_percent())),
-            ("queue_peak", Json::uint(self.stats.queue_peak as u64)),
             ("cache", cache),
             ("workers", Json::Arr(workers)),
             ("phases", Json::Arr(phases)),
@@ -574,28 +569,12 @@ fn convert(c: &mut Compiler, job: &Job) -> Result<PendingFunction, AttemptErr> {
 fn attempt(job: &Job, config: &ServiceConfig, degraded: bool) -> Result<AttemptOk, AttemptErr> {
     let mut c = job_compiler(config, job, degraded);
     let p = convert(&mut c, job)?;
-    compile(c, p, job, config, degraded)
+    compile(c, p, degraded)
 }
 
-/// Compiles a converted job on the compiler that converted it,
-/// tripping the injected faults first.
-fn compile(
-    mut c: Compiler,
-    p: PendingFunction,
-    job: &Job,
-    config: &ServiceConfig,
-    degraded: bool,
-) -> Result<AttemptOk, AttemptErr> {
-    if !degraded {
-        if let Some(fault) = config.fault.as_ref().filter(|f| f.function == job.fn_name) {
-            match fault.mode {
-                FaultMode::Panic => {
-                    panic!("injected optimizer fault in {}", job.fn_name)
-                }
-                FaultMode::Hang(d) => std::thread::sleep(d),
-            }
-        }
-    }
+/// Compiles a converted job on the compiler that converted it; a
+/// first attempt's fault plan trips in the pipeline's fault pass.
+fn compile(mut c: Compiler, p: PendingFunction, degraded: bool) -> Result<AttemptOk, AttemptErr> {
     let name = c.compile_pending(p)?;
     let mut artifact = c
         .artifact(&name)
@@ -640,9 +619,7 @@ fn guarded_attempt(
     pending: PendingFunction,
 ) -> AttemptOutcome {
     match config.time_budget {
-        None => match catch_unwind(AssertUnwindSafe(|| {
-            compile(probe, pending, job, config, false)
-        })) {
+        None => match catch_unwind(AssertUnwindSafe(|| compile(probe, pending, false))) {
             Ok(Ok(ok)) => AttemptOutcome::Ok(Box::new(ok)),
             Ok(Err(e)) => AttemptOutcome::CompileError(e),
             Err(payload) => AttemptOutcome::Panicked(panic_detail(payload.as_ref())),
@@ -732,7 +709,7 @@ fn process_job(
         probe.options_fingerprint(),
     );
     let key = fingerprint ^ job.tuning.key_salt;
-    let (outcome, artifact) = if let Some(mut hit) = cache.get(key) {
+    let (outcome, artifact) = if let Some(mut hit) = cache.get(key, &job.fn_name) {
         hit.fingerprint = fingerprint;
         phase_spans = sink_phase_spans(&probe);
         (Outcome::Hit, Some(hit))
@@ -932,14 +909,12 @@ impl CompileService {
             j.tuning = tuning;
         }
         let functions = jobs.len();
-        let queue_peak = functions;
         let workers_used = config.jobs.max(1).min(functions.max(1));
-        if config.schedule == Schedule::LargestFirst {
-            // Largest first: the biggest compilations start before the
-            // queue thins out.  Results are reassembled by `seq`, so
-            // this affects wall-clock only, never output.
-            jobs.sort_by_key(|j| (std::cmp::Reverse(j.form.len()), j.seq));
-        }
+        // Largest first, by the printed form's byte length (ties keep
+        // source order): the biggest compilations start before the
+        // queue thins out.  Results are reassembled by `seq`, so this
+        // affects wall-clock only, never output.
+        jobs.sort_by_key(|j| (std::cmp::Reverse(j.form.len()), j.seq));
         let queue = Mutex::new(jobs.into_iter().collect::<VecDeque<_>>());
         let worker_metrics = WorkerMetrics {
             queue_opened: Instant::now(),
@@ -1014,10 +989,8 @@ impl CompileService {
             specials,
             stats: BatchStats {
                 workers_used,
-                schedule: config.schedule,
                 functions,
                 cache: self.cache.stats().since(&before),
-                queue_peak,
                 workers,
                 phase_totals,
             },
@@ -1050,9 +1023,6 @@ impl CompileService {
         self.metrics
             .counter("service.jobs")
             .add(batch.stats.functions as u64);
-        self.metrics
-            .gauge("service.queue_peak")
-            .set(batch.stats.queue_peak as i64);
         self.metrics
             .gauge("cache.hit_rate_permille")
             .set(self.cache.stats().hit_rate_permille() as i64);
@@ -1139,6 +1109,10 @@ impl Check {
     }
 }
 
+/// Instruction budget per oracle execution (every witness), so a
+/// diverging or runaway artifact traps instead of hanging.
+const ORACLE_FUEL: u64 = 100_000_000;
+
 /// The differential oracle: every check the configuration turns on,
 /// and one serial compile of the batch's units per distinct witness.
 ///
@@ -1212,7 +1186,7 @@ impl Oracle {
             .unwrap_or_else(|| FaultPlan::new(0));
         for &check in &self.checks {
             for case in &config.oracle {
-                match self.judge_case(check, case, config.oracle_fuel, &plan, batch) {
+                match self.judge_case(check, case, &plan, batch) {
                     Ok(verdict) => check.verdicts(batch).push(verdict),
                     Err(e) => batch
                         .failures
@@ -1226,7 +1200,6 @@ impl Oracle {
         &self,
         check: Check,
         case: &OracleCase,
-        fuel: u64,
         plan: &FaultPlan,
         batch: &mut BatchResult,
     ) -> Result<OracleVerdict, String> {
@@ -1237,7 +1210,10 @@ impl Oracle {
             args.push(Value::from_datum(&d));
         }
         let (subject, reference) = check.witnesses(self.primary);
-        let run = |w: Witness| self.compiler(w).run_printed(&case.entry, &args, fuel);
+        let run = |w: Witness| {
+            self.compiler(w)
+                .run_printed(&case.entry, &args, ORACLE_FUEL)
+        };
         let mut verdict = OracleVerdict {
             entry: case.entry.clone(),
             matched: false,

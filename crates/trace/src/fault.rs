@@ -9,6 +9,11 @@
 //! stateful RNG stream would make fault scenarios unreplayable; here
 //! every scenario replays exactly from its seed regardless of thread
 //! interleaving.
+//!
+//! A plan can also *force* exact `(site, key)` pairs — a panic in one
+//! named function's phase, an overrun of one named job — which fire
+//! whatever the seed and the site's rate: the targeted drills the tests
+//! and demos use, through the same trip points as a seeded storm.
 
 use crate::rng::SplitMix64;
 
@@ -90,12 +95,14 @@ impl FaultSite {
 /// rate 1000 fires on every key.  Retryable I/O sites additionally
 /// decide a deterministic *failure count* — how many consecutive
 /// attempts fail before one succeeds — so bounded retry loops have
-/// reproducible outcomes too.
+/// reproducible outcomes too.  Forced `(site, key)` pairs
+/// ([`FaultPlan::force`]) fire on top of the rates.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// The seed every decision derives from.
     pub seed: u64,
     rates: [u16; FaultSite::ALL.len()],
+    forced: Vec<(FaultSite, String)>,
 }
 
 impl FaultPlan {
@@ -104,6 +111,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rates: [0; FaultSite::ALL.len()],
+            forced: Vec::new(),
         }
     }
 
@@ -122,6 +130,13 @@ impl FaultPlan {
         self
     }
 
+    /// Makes the fault at `site` fire for exactly `key`, whatever the
+    /// seed and the site's rate (builder style).
+    pub fn force(mut self, site: FaultSite, key: impl Into<String>) -> FaultPlan {
+        self.forced.push((site, key.into()));
+        self
+    }
+
     /// The armed rate of a site, in permille.
     pub fn rate(&self, site: FaultSite) -> u16 {
         self.rates[Self::index(site)]
@@ -129,17 +144,18 @@ impl FaultPlan {
 
     /// Whether any site is armed at all.
     pub fn is_armed(&self) -> bool {
-        self.rates.iter().any(|&r| r > 0)
+        !self.forced.is_empty() || self.rates.iter().any(|&r| r > 0)
     }
 
-    /// Whether the fault at `site` fires for `key`.  Pure: independent
-    /// of call order and of every other `(site, key)` decision.
+    /// Whether the fault at `site` fires for `key`: a forced pair always
+    /// does; otherwise the seeded draw decides.  Pure: independent of
+    /// call order and of every other `(site, key)` decision.
     pub fn fires(&self, site: FaultSite, key: &str) -> bool {
-        let rate = self.rate(site);
-        if rate == 0 {
-            return false;
+        if self.forced.iter().any(|(s, k)| *s == site && k == key) {
+            return true;
         }
-        self.draw(site, key).below(1000) < u64::from(rate)
+        let rate = self.rate(site);
+        rate > 0 && self.draw(site, key).below(1000) < u64::from(rate)
     }
 
     /// For retryable I/O sites: how many consecutive attempts fail
@@ -155,11 +171,12 @@ impl FaultPlan {
         1 + r.below(u64::from(max_failures)) as u32
     }
 
-    /// Summary of armed sites as `site:rate` pairs (for reports).
+    /// Summary of armed sites as `site:rate` pairs (for reports); a site
+    /// with only forced keys is listed at its rate, 0.
     pub fn armed_sites(&self) -> Vec<(&'static str, u16)> {
         FaultSite::ALL
             .iter()
-            .filter(|s| self.rate(**s) > 0)
+            .filter(|&&s| self.rate(s) > 0 || self.forced.iter().any(|(f, _)| *f == s))
             .map(|s| (s.name(), self.rate(*s)))
             .collect()
     }
@@ -267,5 +284,23 @@ mod tests {
             p.armed_sites(),
             vec![("phase-panic", 250), ("miscompile", 1000)]
         );
+    }
+
+    #[test]
+    fn forced_pairs_fire_for_every_seed_and_nothing_else() {
+        for seed in 0..64 {
+            let p =
+                FaultPlan::new(seed).force(FaultSite::PhasePanic, "tak/Source-level optimization");
+            assert!(p.is_armed());
+            assert!(p.fires(FaultSite::PhasePanic, "tak/Source-level optimization"));
+            assert!(!p.fires(FaultSite::PhasePanic, "tak/Code generation"));
+            assert!(!p.fires(FaultSite::PhasePanic, "tak"));
+            for site in FaultSite::ALL {
+                if site != FaultSite::PhasePanic {
+                    assert!(!p.fires(site, "tak/Source-level optimization"), "{site:?}");
+                }
+            }
+            assert_eq!(p.armed_sites(), vec![("phase-panic", 0)]);
+        }
     }
 }

@@ -118,7 +118,7 @@ fn main() {
     // twice through one service — the second batch is answered entirely
     // from the content-addressed artifact cache.
     println!("\n=== the compilation service: batch compile, then a warm recompile ===\n");
-    use s1lisp_driver::{CompileService, FaultInjection, FaultMode, ServiceConfig, SourceUnit};
+    use s1lisp_driver::{CompileService, FaultPlan, FaultSite, ServiceConfig, SourceUnit};
     let units = [SourceUnit::new(
         "tour",
         "(defun square (x) (* x x))
@@ -140,16 +140,16 @@ fn main() {
     }
     assert_eq!(cold.render_artifacts(), warm.render_artifacts());
 
-    // And its failure side: inject a panic into one function's
-    // optimization.  The batch completes; the victim is recompiled with
-    // transformations off and the incident is on the record.
+    // And its failure side: a fault plan forces a panic into one
+    // function's source-level optimization.  The batch completes; the
+    // victim is recompiled with transformations off and the incident is
+    // on the record.
     println!("\n=== fault isolation: a panic injected into cube's optimizer ===\n");
     let cfg = ServiceConfig {
         jobs: 2,
-        fault: Some(FaultInjection {
-            function: "cube".to_string(),
-            mode: FaultMode::Panic,
-        }),
+        fault_plan: Some(
+            FaultPlan::new(0).force(FaultSite::PhasePanic, "cube/Source-level optimization"),
+        ),
         ..ServiceConfig::default()
     };
     // Quiet the default panic hook for the demo — the injected panic is

@@ -5,20 +5,22 @@
 //! subsystem:
 //! * batch compiles at `jobs ∈ {1, 2, 8}` are **byte-identical** —
 //!   assembly and full dossier renders — over the whole experiment
-//!   corpus;
+//!   corpus, and their records come back in source order whatever
+//!   order the largest-first queue ran them in;
 //! * a warm-cache recompile is byte-identical too, and its job records
 //!   show the Preliminary phase *alone* (cache hits skip every
 //!   downstream phase);
-//! * an injected optimizer panic (or budget overrun) degrades exactly
-//!   the targeted function — recorded as an `Incident` — while every
-//!   other artifact matches the clean run byte for byte.
+//! * a panic or budget overrun that a `FaultPlan` forces on one
+//!   function degrades exactly that function — recorded as an
+//!   `Incident` — while every other artifact matches the clean run byte
+//!   for byte.
 
 use std::time::Duration;
 
 use s1lisp_bench::service_units;
 use s1lisp_driver::{
-    BatchResult, CompileService, FaultInjection, FaultMode, IncidentKind, Outcome, Schedule,
-    ServiceConfig, SourceUnit,
+    BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, Outcome, ServiceConfig,
+    SourceUnit,
 };
 
 fn corpus_batch(jobs: usize) -> (CompileService, BatchResult) {
@@ -32,9 +34,17 @@ fn parallel_and_serial_corpus_compiles_are_byte_identical() {
     let (_, serial) = corpus_batch(1);
     assert!(serial.failures.is_empty(), "{:?}", serial.failures);
     assert!(serial.stats.functions >= 12);
+    // Records come back in source order whatever order the largest-first
+    // queue ran them in.
+    let in_source_order = |batch: &BatchResult| {
+        let seqs: Vec<usize> = batch.records.iter().map(|r| r.seq).collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
+    };
+    in_source_order(&serial);
     let serial_render = serial.render_artifacts();
     for jobs in [2, 8] {
         let (_, parallel) = corpus_batch(jobs);
+        in_source_order(&parallel);
         assert_eq!(
             serial_render,
             parallel.render_artifacts(),
@@ -46,41 +56,6 @@ fn parallel_and_serial_corpus_compiles_are_byte_identical() {
             assert_eq!(a.assembly, b.assembly, "assembly diverged for {}", a.name);
             assert_eq!(a.fingerprint, b.fingerprint);
         }
-    }
-}
-
-#[test]
-fn sorted_and_fifo_schedules_are_byte_identical() {
-    // Size-sorted scheduling reorders only the queue; reassembly is by
-    // source order, so FIFO and largest-first batches must agree byte
-    // for byte at every worker count.
-    let fifo_render = {
-        let config = ServiceConfig {
-            jobs: 1,
-            schedule: Schedule::Fifo,
-            ..ServiceConfig::default()
-        };
-        let batch = CompileService::new(config).compile_batch(&service_units());
-        assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-        assert_eq!(batch.stats.schedule, Schedule::Fifo);
-        batch.render_artifacts()
-    };
-    for jobs in [1, 2, 8] {
-        let config = ServiceConfig {
-            jobs,
-            schedule: Schedule::LargestFirst,
-            ..ServiceConfig::default()
-        };
-        let batch = CompileService::new(config).compile_batch(&service_units());
-        assert_eq!(batch.stats.schedule, Schedule::LargestFirst);
-        // Records come back in source order regardless of queue order.
-        let seqs: Vec<usize> = batch.records.iter().map(|r| r.seq).collect();
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
-        assert_eq!(
-            fifo_render,
-            batch.render_artifacts(),
-            "sorted schedule at jobs={jobs} diverged from FIFO"
-        );
     }
 }
 
@@ -112,10 +87,9 @@ fn injected_panic_degrades_one_function_and_spares_the_rest() {
     let (_, clean) = corpus_batch(2);
     let config = ServiceConfig {
         jobs: 2,
-        fault: Some(FaultInjection {
-            function: "tak".to_string(),
-            mode: FaultMode::Panic,
-        }),
+        fault_plan: Some(
+            FaultPlan::new(0).force(FaultSite::PhasePanic, "tak/Source-level optimization"),
+        ),
         ..ServiceConfig::default()
     };
     let faulted = CompileService::new(config).compile_batch(&service_units());
@@ -158,10 +132,7 @@ fn budget_overrun_times_out_and_recovers() {
     let config = ServiceConfig {
         jobs: 2,
         time_budget: Some(Duration::from_millis(50)),
-        fault: Some(FaultInjection {
-            function: "slowpoke".to_string(),
-            mode: FaultMode::Hang(Duration::from_millis(400)),
-        }),
+        fault_plan: Some(FaultPlan::new(0).force(FaultSite::Overrun, "slowpoke")),
         ..ServiceConfig::default()
     };
     let units = [SourceUnit::new(
@@ -187,8 +158,6 @@ fn budget_overrun_times_out_and_recovers() {
 
 #[test]
 fn watchdog_overrun_degrades_with_the_pass_named() {
-    use s1lisp_driver::{FaultPlan, FaultSite};
-
     // An armed overrun stalls inside the pipeline's fault-injection
     // pass, just past the watchdog's budget.  The watchdog gives up on
     // every job, names the pass it caught each one in, and the service

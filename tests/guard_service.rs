@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use s1lisp_bench::service_units;
 use s1lisp_driver::{
-    BatchResult, CompileService, FaultPlan, FaultSite, IncidentKind, OracleCase, Outcome,
-    ServiceConfig, SourceUnit,
+    BatchResult, BatchTuning, CompileService, FaultPlan, FaultSite, IncidentKind, OracleCase,
+    Outcome, ServiceConfig, SourceUnit,
 };
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -67,6 +67,17 @@ fn storm_config(seed: u64, dir: Option<PathBuf>) -> ServiceConfig {
         ],
         ..ServiceConfig::default()
     }
+}
+
+/// A batch's incidents as sorted `(function, kind)` pairs.
+fn incident_summary(b: &BatchResult) -> Vec<(String, &'static str)> {
+    let mut v: Vec<(String, &'static str)> = b
+        .incidents
+        .iter()
+        .map(|i| (i.function.clone(), i.kind.as_str()))
+        .collect();
+    v.sort();
+    v
 }
 
 fn storm_batch(seed: u64, dir: Option<PathBuf>) -> BatchResult {
@@ -132,18 +143,47 @@ fn full_fault_storm_loses_no_functions_and_replays_from_its_seed() {
     // Replay: the same seed reproduces the same incident set.
     let dir2 = tempdir("storm-replay");
     let replay = quiet_panics(|| storm_batch(23, Some(dir2.clone())));
-    let summary = |b: &BatchResult| {
-        let mut v: Vec<(String, &'static str)> = b
-            .incidents
-            .iter()
-            .map(|i| (i.function.clone(), i.kind.as_str()))
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(summary(&batch), summary(&replay));
+    assert_eq!(incident_summary(&batch), incident_summary(&replay));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
+}
+
+#[test]
+fn cache_faults_follow_the_function_not_the_salted_key() {
+    // Every fault site is keyed by function name, the cache's too, so a
+    // tenant salt — which moves every cache key — must leave a seeded
+    // storm's incidents and cache faults where they were.  One worker,
+    // so the disk tier's consecutive-failure strikes count in one order.
+    let storm = |key_salt: u64| {
+        let dir = tempdir(&format!("salt-{key_salt:x}"));
+        let tuning = BatchTuning {
+            key_salt,
+            ..BatchTuning::default()
+        };
+        CompileService::new(ServiceConfig {
+            jobs: 1,
+            cache_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .compile_batch_with(&service_units(), tuning);
+        let config = ServiceConfig {
+            jobs: 1,
+            ..storm_config(23, Some(dir.clone()))
+        };
+        let batch = quiet_panics(|| {
+            CompileService::new(config).compile_batch_with(&service_units(), tuning)
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        batch
+    };
+    let (plain, salted) = (storm(0), storm(0x5a17_ed00_f00d));
+    let faults = |b: &BatchResult| {
+        let c = &b.stats.cache;
+        (c.io_retries, c.io_errors, c.corrupt_reads)
+    };
+    assert_ne!(faults(&plain), (0, 0, 0), "the storm reached the cache");
+    assert_eq!(faults(&plain), faults(&salted));
+    assert_eq!(incident_summary(&plain), incident_summary(&salted));
 }
 
 #[test]

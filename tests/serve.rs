@@ -5,7 +5,7 @@
 use s1lisp::Compiler;
 use s1lisp_bench::service_units;
 use s1lisp_driver::{
-    BackendSelect, CompileService, FaultInjection, FaultMode, ServiceConfig, SourceUnit,
+    BackendSelect, CompileService, FaultPlan, FaultSite, ServiceConfig, SourceUnit,
 };
 use s1lisp_server::{
     Body, CompileServer, Op, QueueConfig, ServeClient, ServerConfig, ServerHandle,
@@ -299,10 +299,9 @@ fn incident_budget_demotes_only_the_offending_tenant() {
     let handle = start(ServerConfig {
         incident_budget: 1,
         service: ServiceConfig {
-            fault: Some(FaultInjection {
-                function: "boom".into(),
-                mode: FaultMode::Panic,
-            }),
+            fault_plan: Some(
+                FaultPlan::new(0).force(FaultSite::PhasePanic, "boom/Source-level optimization"),
+            ),
             ..ServiceConfig::default()
         },
         ..ServerConfig::default()
@@ -386,10 +385,9 @@ fn run_replays_a_demoted_tenant_with_transformations_off() {
         incident_budget: 1,
         run_fuel: (optimized + reference) / 2,
         service: ServiceConfig {
-            fault: Some(FaultInjection {
-                function: "boom".into(),
-                mode: FaultMode::Panic,
-            }),
+            fault_plan: Some(
+                FaultPlan::new(0).force(FaultSite::PhasePanic, "boom/Source-level optimization"),
+            ),
             ..ServiceConfig::default()
         },
         ..ServerConfig::default()
