@@ -6,7 +6,9 @@
 //! (an S-1 [`Program`] or a bytecode [`Module`]) and the `defvar`
 //! initial values, all immutable and `Send + Sync`.  Every run gets a
 //! fresh engine from it — a [`Machine`] or an [`Evaluator`] with the
-//! initial values installed — so no run sees another's mutations.
+//! initial values installed — so no run sees another's mutations.  A
+//! machine shares the image's [`Program`] and copies it only if the run
+//! interns a name the program lacks.
 //!
 //! The differential oracle ([`Compiler::run_printed`]) and the compile
 //! server's `run` both reach the engines through
@@ -14,6 +16,8 @@
 //! relinks it only when the tenant's namespace changes.
 //!
 //! [`Compiler::run_printed`]: crate::Compiler::run_printed
+
+use std::sync::Arc;
 
 use s1lisp_bytecode::{Evaluator, Module};
 use s1lisp_interp::{Const, Value};
@@ -30,7 +34,7 @@ pub struct Image {
 /// The primary backend's linked code.
 #[derive(Debug)]
 enum Code {
-    S1(Box<Program>),
+    S1(Arc<Program>),
     Bytecode(Module),
 }
 
@@ -42,9 +46,9 @@ const _: () = {
 
 impl Image {
     /// Links S-1 code with its `defvar` initial values.
-    pub(crate) fn s1(program: Program, globals: Vec<(String, Const)>) -> Image {
+    pub(crate) fn s1(program: Arc<Program>, globals: Vec<(String, Const)>) -> Image {
         Image {
-            code: Code::S1(Box::new(program)),
+            code: Code::S1(program),
             globals,
         }
     }
@@ -65,7 +69,7 @@ impl Image {
     pub fn run_printed(&self, entry: &str, args: &[Value], fuel: u64) -> String {
         let outcome = match &self.code {
             Code::S1(program) => {
-                let mut m = machine((**program).clone(), &self.globals);
+                let mut m = machine(Arc::clone(program), &self.globals);
                 m.fuel_per_run = fuel;
                 m.run(entry, args).map_err(|t| t.to_string())
             }
@@ -83,7 +87,7 @@ impl Image {
 }
 
 /// A machine over `program` with `globals` installed.
-pub(crate) fn machine(program: Program, globals: &[(String, Const)]) -> Machine {
+pub(crate) fn machine(program: Arc<Program>, globals: &[(String, Const)]) -> Machine {
     let mut m = Machine::new(program);
     let mut names = Interner::new();
     for (name, v) in globals {

@@ -52,6 +52,8 @@ pub use s1lisp_opt::{OptOptions, Transcript};
 pub use s1lisp_s1sim::{Machine, MachineStats, Program, Trap};
 pub use s1lisp_trace::{MemorySink, PhaseAgg, TraceSink};
 
+use std::sync::Arc;
+
 use s1lisp_ast::Tree;
 use s1lisp_frontend::{toplevel, Frontend};
 use s1lisp_interp::Const;
@@ -144,7 +146,7 @@ pub struct Compiler {
     pub backend: BackendKind,
     /// Artifacts per compiled function, in compilation order.
     pub functions: Vec<CompiledFunction>,
-    program: Program,
+    program: Arc<Program>,
     bytecode: s1lisp_bytecode::Module,
     interp_sources: Vec<s1lisp_frontend::Function>,
     specials: Vec<String>,
@@ -173,7 +175,7 @@ impl Compiler {
             fault_plan: None,
             backend: BackendKind::default(),
             functions: Vec::new(),
-            program: Program::new(),
+            program: Arc::new(Program::new()),
             bytecode: s1lisp_bytecode::Module::new(),
             interp_sources: Vec::new(),
             specials: Vec::new(),
@@ -365,7 +367,7 @@ impl Compiler {
     /// A fresh machine loaded with everything compiled so far (with
     /// `defvar` initial values installed).
     pub fn machine(&self) -> Machine {
-        image::machine(self.program.clone(), &self.globals)
+        image::machine(Arc::clone(&self.program), &self.globals)
     }
 
     /// A reference interpreter over the same (unoptimized-semantics)
@@ -420,7 +422,7 @@ impl Compiler {
     pub fn image(&self) -> Image {
         let globals = self.globals.clone();
         match self.backend {
-            BackendKind::S1 => Image::s1(self.program.clone(), globals),
+            BackendKind::S1 => Image::s1(Arc::clone(&self.program), globals),
             BackendKind::Bytecode => Image::bytecode(self.bytecode.clone(), globals),
         }
     }

@@ -579,7 +579,7 @@ impl Compiler {
                     &unit.name,
                     unit.tree(),
                     &ann,
-                    &mut self.program,
+                    Arc::make_mut(&mut self.program),
                     &self.codegen_options,
                     sink,
                 );
@@ -600,7 +600,7 @@ impl Compiler {
                             sink.add("labels_retargeted", retargeted as u64);
                         }
                         sink.span_end(sp);
-                        self.program.define(code);
+                        Arc::make_mut(&mut self.program).define(code);
                     }
                 }
             }

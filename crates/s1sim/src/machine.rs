@@ -30,6 +30,10 @@ pub(crate) const SPECIAL_BASE: u64 = 1 << 50;
 /// Base address of global value slots.
 pub(crate) const GLOBAL_BASE: u64 = 1 << 51;
 
+/// Words a fresh machine's data stack starts with; it doubles from here
+/// as runs reach deeper, up to the machine's stack size.
+const STACK_MIN_WORDS: usize = 1024;
+
 /// Runtime-routine arguments a call copies into a fixed on-stack
 /// buffer; only a call with more than this many spills to the heap.
 const RT_ARGS_INLINE: usize = 8;
@@ -151,11 +155,17 @@ struct CatchFrame {
 
 /// The S-1 machine.
 pub struct Machine {
-    /// The loaded program.
-    pub program: Program,
+    /// The loaded program, shared with the image it came from until a
+    /// run interns a name the program lacks.
+    pub program: Arc<Program>,
     /// The register file.
     pub regs: [Word; 32],
+    /// The data stack.  It starts at [`STACK_MIN_WORDS`] and doubles,
+    /// up to `stack_limit`, when a push or a write passes its length; a
+    /// slot past its length reads NIL.
     stack: Vec<Word>,
+    /// Words the data stack may hold before a push traps.
+    stack_limit: usize,
     pub(crate) sp: usize,
     pub(crate) fp: usize,
     /// Deep-binding stack: (symbol id, value).
@@ -194,16 +204,23 @@ pub struct Machine {
 
 impl Machine {
     /// A machine with default sizes (64 Ki-word stack, 1 Mi-word heap).
-    pub fn new(program: Program) -> Machine {
+    pub fn new(program: impl Into<Arc<Program>>) -> Machine {
         Machine::with_sizes(program, 1 << 16, 1 << 20)
     }
 
-    /// A machine with explicit stack/heap sizes in words.
-    pub fn with_sizes(program: Program, stack_words: usize, heap_words: usize) -> Machine {
+    /// A machine with explicit stack/heap sizes in words.  Both are
+    /// limits, not allocations: the stack and the heap grow towards them
+    /// as a run reaches deeper.
+    pub fn with_sizes(
+        program: impl Into<Arc<Program>>,
+        stack_words: usize,
+        heap_words: usize,
+    ) -> Machine {
         Machine {
-            program,
+            program: program.into(),
             regs: [Word::NIL; 32],
-            stack: vec![Word::NIL; stack_words],
+            stack: vec![Word::NIL; stack_words.min(STACK_MIN_WORDS)],
+            stack_limit: stack_words,
             sp: 0,
             fp: 0,
             specials: Vec::new(),
@@ -225,7 +242,7 @@ impl Machine {
     /// Sets the global value of a special variable.
     pub fn set_global(&mut self, name: &str, value: &Value) -> Result<(), Trap> {
         let w = self.inject(value)?;
-        let sym = self.program.sym_id(name);
+        let sym = self.sym_id(name);
         match self.globals.iter_mut().find(|(s, _)| *s == sym) {
             Some(slot) => slot.1 = w,
             None => self.globals.push((sym, w)),
@@ -235,9 +252,34 @@ impl Machine {
 
     /// Reads the global value of a special variable.
     pub fn global(&self, name: &str) -> Option<Result<Value, Trap>> {
-        let id = self.program.symbols.iter().position(|s| s == name)? as u32;
+        let id = self.program.lookup_sym(name)?;
         let w = self.globals.iter().find(|(s, _)| *s == id)?.1;
         Some(self.extract(w))
+    }
+
+    /// Interns a symbol.  A name the program already has is looked up;
+    /// only a new one copies a shared program (see [`Arc::make_mut`]).
+    pub(crate) fn sym_id(&mut self, name: &str) -> u32 {
+        match self.program.lookup_sym(name) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.program).sym_id(name),
+        }
+    }
+
+    /// Interns a function name, as [`Machine::sym_id`] does a symbol.
+    pub(crate) fn fn_id(&mut self, name: &str) -> u32 {
+        match self.program.lookup_fn(name) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.program).fn_id(name),
+        }
+    }
+
+    /// Interns a string constant, as [`Machine::sym_id`] does a symbol.
+    pub(crate) fn str_id(&mut self, s: &str) -> u32 {
+        match self.program.lookup_str(s) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.program).str_id(s),
+        }
     }
 
     /// Calls function `name` with `args`, returning the result value.
@@ -549,9 +591,6 @@ impl Machine {
                     pc = c.resume;
                 }
             }
-            if self.sp > self.stats.max_stack_words {
-                self.stats.max_stack_words = self.sp;
-            }
         }
     }
 
@@ -576,7 +615,10 @@ impl Machine {
     /// Executes `insn` of function `fnid`, whose code is `code`; `pc`
     /// already points past it.  The instruction is borrowed from `code`,
     /// never copied: only `Dispatch` holds data that is not `Copy`.
+    /// Inlined into the fetch loop of [`Machine::execute`], its only
+    /// caller.
     #[allow(clippy::too_many_lines)]
+    #[inline(always)]
     fn step(
         &mut self,
         insn: &Insn,
@@ -1141,14 +1183,27 @@ impl Machine {
         }
     }
 
-    /// Reads an operand.  A register or a constant is read in line and
-    /// cannot fail, so no trap travels with the word; an addressed
-    /// operand goes out of line, through [`Machine::read_addressed`].
+    /// The stack index of frame slot `off` (an `(FP off)` or `(TP off)`
+    /// operand), if it lies within the stack's current length.
+    #[inline(always)]
+    fn frame_slot(&self, off: i32) -> Option<usize> {
+        let i = self.fp.checked_add_signed(off as isize)?;
+        (i < self.stack.len()).then_some(i)
+    }
+
+    /// Reads an operand.  A register, a constant or a frame slot within
+    /// the stack's length is read in line, so no trap travels with the
+    /// word; any other operand goes out of line, through
+    /// [`Machine::read_addressed`].
     #[inline(always)]
     pub(crate) fn read(&mut self, op: Operand) -> Result<Word, Trap> {
         match op {
             Operand::Reg(r) => Ok(self.reg_value(r)),
             Operand::Const(w) => Ok(w),
+            Operand::Ind(Reg::FP | Reg::TP, off) => match self.frame_slot(off) {
+                Some(i) => Ok(self.stack[i]),
+                None => self.read_addressed(op),
+            },
             _ => self.read_addressed(op),
         }
     }
@@ -1159,9 +1214,10 @@ impl Machine {
         self.read_mem(addr)
     }
 
-    /// Writes an operand: a general register in line, everything else
-    /// (the stack registers and constants, which trap, and addressed
-    /// operands) through [`Machine::write_other`].
+    /// Writes an operand: a general register or a frame slot within the
+    /// stack's length in line, everything else (the stack registers and
+    /// constants, which trap, and other addressed operands) through
+    /// [`Machine::write_other`].
     #[inline(always)]
     pub(crate) fn write(&mut self, op: Operand, w: Word) -> Result<(), Trap> {
         match op {
@@ -1169,6 +1225,13 @@ impl Machine {
                 self.regs[r.0 as usize] = w;
                 Ok(())
             }
+            Operand::Ind(Reg::FP | Reg::TP, off) => match self.frame_slot(off) {
+                Some(i) => {
+                    self.stack[i] = w;
+                    Ok(())
+                }
+                None => self.write_other(op, w),
+            },
             _ => self.write_other(op, w),
         }
     }
@@ -1208,6 +1271,7 @@ impl Machine {
             // every successful read.
             return match self.stack.get(i) {
                 Some(&w) => Ok(w),
+                None if i < self.stack_limit => Ok(Word::NIL),
                 None => Err(Trap::StackOverflow),
             };
         }
@@ -1237,13 +1301,11 @@ impl Machine {
         }
         if addr >= STACK_BASE {
             let i = (addr - STACK_BASE) as usize;
-            match self.stack.get_mut(i) {
-                Some(slot) => {
-                    *slot = w;
-                    return Ok(());
-                }
-                None => return Err(Trap::StackOverflow),
+            if i >= self.stack.len() {
+                self.grow_stack(i)?;
             }
+            self.stack[i] = w;
+            return Ok(());
         }
         self.heap.write(addr, w);
         Ok(())
@@ -1284,9 +1346,21 @@ impl Machine {
         }
     }
 
+    /// Grows the data stack to hold slot `i`: doubling, never past the
+    /// limit, where the slot traps instead.
+    #[cold]
+    fn grow_stack(&mut self, i: usize) -> Result<(), Trap> {
+        if i >= self.stack_limit {
+            return Err(Trap::StackOverflow);
+        }
+        let len = (i + 1).max(2 * self.stack.len()).min(self.stack_limit);
+        self.stack.resize(len, Word::NIL);
+        Ok(())
+    }
+
     fn push(&mut self, w: Word) -> Result<(), Trap> {
         if self.sp >= self.stack.len() {
-            return Err(Trap::StackOverflow);
+            self.grow_stack(self.sp)?;
         }
         self.stack[self.sp] = w;
         self.sp += 1;

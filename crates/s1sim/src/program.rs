@@ -116,6 +116,16 @@ impl Program {
         self.fn_ids.get(name).copied()
     }
 
+    /// Looks up a symbol id without interning.
+    pub fn lookup_sym(&self, name: &str) -> Option<u32> {
+        self.symbol_ids.get(name).copied()
+    }
+
+    /// Looks up a string constant's id without interning.
+    pub fn lookup_str(&self, s: &str) -> Option<u32> {
+        self.string_ids.get(s).copied()
+    }
+
     /// The shared fnid→name symbol table (see [`FnNameTable`]).
     pub fn names(&self) -> FnNameTable<'_> {
         FnNameTable {

@@ -605,7 +605,7 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
                 return Err(wrong("%function: wants a symbol"));
             };
             let name = m.program.symbols[sym as usize].clone();
-            let id = m.program.fn_id(&name);
+            let id = m.fn_id(&name);
             Word::Ptr(Tag::Function, u64::from(id))
         }
         // The type-specific operators normally compile in line; the
@@ -675,12 +675,12 @@ pub(crate) fn inject(m: &mut Machine, v: &Value, held: &mut Vec<Word>) -> Result
             if s.as_str() == "t" {
                 Word::T
             } else {
-                let id = m.program.sym_id(s.as_str());
+                let id = m.sym_id(s.as_str());
                 Word::Ptr(Tag::Symbol, u64::from(id))
             }
         }
         Value::Str(s) => {
-            let id = m.program.str_id(s);
+            let id = m.str_id(s);
             Word::Ptr(Tag::String, u64::from(id))
         }
         Value::Char(c) => Word::Ptr(Tag::Char, u64::from(u32::from(*c))),
@@ -695,7 +695,7 @@ pub(crate) fn inject(m: &mut Machine, v: &Value, held: &mut Vec<Word>) -> Result
             let name = v
                 .as_global_function()
                 .ok_or_else(|| wrong("cannot inject interpreter closures into the machine"))?;
-            let id = m.program.fn_id(name);
+            let id = m.fn_id(name);
             Word::Ptr(Tag::Function, u64::from(id))
         }
     })

@@ -5,8 +5,10 @@
 //! special reader (`accumulate`: special reads, runtime routines) and a
 //! deep recursion (`tak`: calls and the open-coded `<`, `-` and `not`).
 //!
-//! A fresh simulator costs its stack, not its heap's capacity: the heap
-//! grows with use, so `Machine::new` allocates under 2 MiB.
+//! A fresh simulator costs neither its stack's nor its heap's limit:
+//! both grow with use, and a machine shares its image's program, so
+//! `Machine::new`, and a whole served run of `exptl` on an image of the
+//! corpus, each allocate under 64 KiB.
 //!
 //! A counting global allocator tallies allocation calls and bytes per
 //! thread, so tests running in parallel do not see each other's.  Run
@@ -16,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use s1lisp::{BackendKind, Compiler, Value};
-use s1lisp_bench::corpus;
+use s1lisp_bench::{corpus, service_units};
 
 struct Counting;
 
@@ -156,8 +158,22 @@ fn evaluator_runs_allocate_independently_of_iterations() {
 }
 
 #[test]
-fn a_fresh_machine_allocates_under_two_mib() {
+fn a_fresh_machine_and_a_served_run_allocate_under_64_kib() {
     let c = compiler(corpus::LOOPN, BackendKind::S1);
     let (_, bytes) = allocations(|| drop(c.machine()));
-    assert!(bytes < 2 << 20, "Machine::new allocated {bytes} bytes");
+    assert!(bytes < 64 << 10, "Machine::new allocated {bytes} bytes");
+
+    let mut c = Compiler::new();
+    for unit in service_units() {
+        c.compile_str(&unit.source).expect("corpus compiles");
+    }
+    let image = c.image();
+    let args = [Value::Fixnum(3), Value::Fixnum(5), Value::Fixnum(1)];
+    let mut printed = String::new();
+    let (_, bytes) = allocations(|| printed = image.run_printed("exptl", &args, 100_000));
+    assert_eq!(printed, "243");
+    assert!(
+        bytes < 64 << 10,
+        "a served exptl run allocated {bytes} bytes"
+    );
 }
