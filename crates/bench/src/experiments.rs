@@ -501,7 +501,7 @@ fn e9() -> String {
 }
 
 /// The Horner loop written directly in S-1 assembly (best-possible code).
-fn hand_horner(n: i64) -> (Value, u64) {
+pub fn hand_horner(n: i64) -> (Value, u64) {
     use s1lisp_s1sim::{Asm, CallTarget, Cond, Insn, Machine, Operand, Program, Reg};
     let mut asm = Asm::new("hand", 1);
     // R9 = acc, R10 = x, R11 = n (raw), all registers.

@@ -337,7 +337,7 @@ impl Evaluator {
         st.clear();
         st.stack.extend(args.iter().map(|v| BcValue::V(v.clone())));
         let mut fuel = self.fuel_per_run;
-        let out = match st.enter(&self.image, ix, args.len(), None) {
+        let out = match st.enter(&self.image, ix, args.len(), 0, None) {
             Ok(()) => st.exec(&self.image, &mut self.specials, &mut fuel),
             Err(t) => Err(t),
         };
@@ -544,7 +544,8 @@ impl State {
                     self.save(cur.pc);
                     let done = match callee {
                         BcValue::Closure(c) => {
-                            self.enter(image, c.proto, a, Some(c))?;
+                            let base = self.stack.len() - a;
+                            self.enter(image, c.proto, a, base, Some(c))?;
                             None
                         }
                         BcValue::V(Value::Func(Function::Global(name))) => {
@@ -718,10 +719,12 @@ impl State {
                 Ok(None)
             }
             Callee::Proto(ix) => {
-                if tail {
-                    self.unwind_for_tail_call(argc);
-                }
-                self.enter(image, ix, argc, None)?;
+                let base = if tail {
+                    self.unwind_for_tail_call()
+                } else {
+                    self.stack.len() - argc
+                };
+                self.enter(image, ix, argc, base, None)?;
                 Ok(None)
             }
             Callee::Undefined => trap(format!("undefined function {name}")),
@@ -771,7 +774,7 @@ impl State {
         let n = self.stack.len() - from;
         match callee {
             BcValue::Closure(c) => {
-                self.enter(image, c.proto, n, Some(c))?;
+                self.enter(image, c.proto, n, from, Some(c))?;
                 Ok(None)
             }
             BcValue::V(Value::Func(Function::Global(name))) => {
@@ -814,26 +817,29 @@ impl State {
 
     /// Genuine tail call: the current frame is unwound first, so
     /// recursion depth stays constant (the bytecode analog of the
-    /// compiler's tail-call-to-jump transformation).  The top `argc`
-    /// operands slide down to the frame's operand base.
-    fn unwind_for_tail_call(&mut self, argc: usize) {
+    /// compiler's tail-call-to-jump transformation).  Returns the old
+    /// frame's operand base, where the callee's frame starts: the
+    /// arguments stay on top of the operand stack until
+    /// [`State::enter`] moves them, once, onto the slot stack.
+    fn unwind_for_tail_call(&mut self) -> usize {
         let old = self.frames.pop().expect("live frame");
-        let from = self.stack.len() - argc;
-        self.stack.drain(old.base..from);
         self.slots.truncate(old.slots);
         self.specials.truncate(old.specials_base);
         self.handlers.truncate(old.handlers_base);
+        old.base
     }
 
     /// Enters proto `ix` with the top `argc` operands as its arguments,
-    /// moving them onto the slot stack.  Parameters occupy slots `0..n`
-    /// in declaration order; excess arguments collect into the `&rest`
-    /// slot as a list.
+    /// moving them onto the slot stack, and starts its operands at
+    /// `base` (below the arguments for a call, the unwound frame's base
+    /// for a tail call).  Parameters occupy slots `0..n` in declaration
+    /// order; excess arguments collect into the `&rest` slot as a list.
     fn enter(
         &mut self,
         image: &Image,
         ix: usize,
         argc: usize,
+        base: usize,
         closure: Option<Rc<BcClosure>>,
     ) -> Result<(), BcTrap> {
         let proto = &image.protos[ix].proto;
@@ -857,6 +863,7 @@ impl State {
         }
         let slots = self.slots.len();
         self.slots.extend(self.stack.drain(from..));
+        self.stack.truncate(base);
         self.slots
             .resize(slots + proto.nslots as usize, BcValue::nil());
         if proto.rest {

@@ -12,7 +12,7 @@ use s1lisp_reader::{Datum, Symbol};
 use s1lisp_s1sim::{
     Asm, CallTarget, Cond, FuncCode, Insn, Label, Operand, Program, Reg, Tag, Word,
 };
-use s1lisp_tnbind::{pack, pack_backtracking, Location, PackRequest, TnId, TnPool};
+use s1lisp_tnbind::{pack, Location, PackRequest, TnId, TnPool};
 use s1lisp_trace::{NullSink, TraceSink};
 
 use crate::CodegenOptions;
@@ -56,6 +56,7 @@ pub fn compile(name: &str, tree: &Tree, program: &mut Program, opts: &CodegenOpt
         opts,
         &mut NullSink,
     )
+    .map(drop)
 }
 
 /// The emission back half of the pipeline: TNBIND + code generation
@@ -66,7 +67,8 @@ pub fn compile(name: &str, tree: &Tree, program: &mut Program, opts: &CodegenOpt
 /// contribute two; the counters describe only the final code).  This is
 /// the entry point the pass manager uses, with the annotations carried
 /// in the unit state rather than recomputed here; [`compile`] is the
-/// same work over freshly computed annotations, untraced.
+/// same work over freshly computed annotations, untraced.  Returns the
+/// names of the functions defined: `name` and its closure bodies.
 ///
 /// # Errors
 ///
@@ -78,7 +80,8 @@ pub fn emit_annotated(
     program: &mut Program,
     opts: &CodegenOptions,
     sink: &mut dyn TraceSink,
-) -> R<()> {
+) -> R<Vec<String>> {
+    let mut defined = Vec::new();
     let mut counter = 0u32;
     let mut work: Vec<(String, NodeId, Vec<VarId>)> = vec![(name.to_string(), tree.root, vec![])];
     while let Some((fname, lambda, captures)) = work.pop() {
@@ -94,9 +97,10 @@ pub fn emit_annotated(
             &mut counter,
             sink,
         )?;
+        defined.push(code.name.clone());
         program.define(code);
     }
-    Ok(())
+    Ok(defined)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -130,12 +134,7 @@ fn compile_lambda(
     // TNBIND: pack, then re-emit with winning variables promoted to
     // registers.
     let sp_tn = sink.span_begin("Target annotation", fname);
-    let req = PackRequest::default();
-    let packing = if opts.backtracking_pack {
-        pack_backtracking(&pool, &req, 8)
-    } else {
-        pack(&pool, &req)
-    };
+    let packing = pack(&pool, &PackRequest::default());
     let mut promote: HashMap<VarId, Reg> = HashMap::new();
     for (&var, &tn) in &var_tn {
         if let Location::Reg(r) = packing.location(tn) {
@@ -561,8 +560,10 @@ impl<'a> Gen<'a> {
         while let Some((var, lambda_node)) = self.blocks.pop() {
             self.emit_block(var, lambda_node)?;
         }
-        // Patch the temp-slot allocations.
-        for &site in &self.alloc_patch.clone() {
+        // Patch the temp-slot allocations; a frame with no temps
+        // allocates nothing, so its `ALLOC 0`s go.
+        let sites = std::mem::take(&mut self.alloc_patch);
+        for &site in &sites {
             self.asm.patch(
                 site,
                 Insn::AllocSlots {
@@ -571,7 +572,14 @@ impl<'a> Gen<'a> {
                 },
             );
         }
-        let code = std::mem::replace(&mut self.asm, Asm::new("done", 0)).finish();
+        let mut code = std::mem::replace(&mut self.asm, Asm::new("done", 0)).finish();
+        if self.temp_high == 0 && !sites.is_empty() {
+            let mut keep = vec![true; code.insns.len()];
+            for site in sites {
+                keep[site] = false;
+            }
+            code.retain(&keep);
+        }
         Ok((
             code,
             std::mem::take(&mut self.pool),
@@ -846,20 +854,8 @@ impl<'a> Gen<'a> {
             return self.err(format!("unlocated variable {}", self.tree.var(v).name));
         };
         match loc {
-            VLoc::Slot(i) => {
-                self.asm.push(Insn::Mov {
-                    dst: Operand::Ind(Reg::FP, i32::from(i)),
-                    src: value.op,
-                });
-                Ok(value)
-            }
-            VLoc::Reg(r) => {
-                self.asm.push(Insn::Mov {
-                    dst: Operand::Reg(r),
-                    src: value.op,
-                });
-                Ok(value)
-            }
+            VLoc::Slot(i) => Ok(self.store_home(Operand::Ind(Reg::FP, i32::from(i)), value)),
+            VLoc::Reg(r) => Ok(self.store_home(Operand::Reg(r), value)),
             VLoc::Cell(slot) => {
                 // Publishing into a heap cell is an unsafe operation.
                 let vv = self.certify(value_node, value)?;
@@ -896,6 +892,50 @@ impl<'a> Gen<'a> {
                 Ok(vv)
             }
         }
+    }
+
+    /// Stores `value` into a variable's register or frame slot, by
+    /// [`Gen::target`]ing it there when it can, else with a `MOV`.
+    fn store_home(&mut self, home: Operand, value: Val) -> Val {
+        let v = self.target(value, home);
+        if v.op != home {
+            self.asm.push(Insn::Mov {
+                dst: home,
+                src: v.op,
+            });
+        }
+        v
+    }
+
+    /// Targeting: when the instruction just emitted computed `v` into a
+    /// scratch place of its own, make it write `home` instead, so that
+    /// the value of a `setq` (or a `let` binding) is computed where the
+    /// variable lives and no `MOV` copies it there (§6.1: "no MOV
+    /// instructions … required").  Returns `home` as the value's place,
+    /// or `v` unchanged when the rewrite is not possible: the value is
+    /// not in a scratch place, a label follows the instruction, or the
+    /// 2½-address rule forbids the new destination even with the
+    /// sources of a commutative operation swapped.
+    fn target(&mut self, v: Val, home: Operand) -> Val {
+        if v.reg.is_none() && v.temp.is_none() || v.op == home {
+            return v;
+        }
+        let Some(last) = self.asm.last_unlabelled_mut() else {
+            return v;
+        };
+        let mut insn = last.clone();
+        match insn.result_mut() {
+            Some(dst) if *dst == v.op => *dst = home,
+            _ => return v,
+        }
+        if insn.check_two_and_a_half().is_some()
+            && !(insn.commute() && insn.check_two_and_a_half().is_none())
+        {
+            return v;
+        }
+        *last = insn;
+        self.release(v);
+        Val::borrowed(home)
     }
 
     /// Global special variables have no binder: locate them on first
@@ -1098,15 +1138,27 @@ impl<'a> Gen<'a> {
     }
 
     fn gen_effect(&mut self, node: NodeId) -> R<()> {
-        if matches!(
-            self.tree.kind(node),
-            NodeKind::Constant(_) | NodeKind::VarRef(_) | NodeKind::Lambda(_)
-        ) {
-            return Ok(());
+        match self.tree.kind(node) {
+            NodeKind::Constant(_) | NodeKind::VarRef(_) | NodeKind::Lambda(_) => Ok(()),
+            // Compiled for effect (§5): the arms run for effect too, and
+            // no result place is allocated or stored into.
+            &NodeKind::If { test, then, els } => {
+                let (tl, fl, join) = (self.asm.label(), self.asm.label(), self.asm.label());
+                self.gen_test(test, tl, fl)?;
+                self.asm.bind(tl);
+                self.gen_effect(then)?;
+                self.asm.push(Insn::Jmp { target: join });
+                self.asm.bind(fl);
+                self.gen_effect(els)?;
+                self.asm.bind(join);
+                Ok(())
+            }
+            _ => {
+                let v = self.gen(node)?;
+                self.release(v);
+                Ok(())
+            }
         }
-        let v = self.gen(node)?;
-        self.release(v);
-        Ok(())
     }
 
     // ------------------------------------------------------------- calls
@@ -1870,16 +1922,12 @@ impl<'a> Gen<'a> {
                 }
                 _ => {
                     if let Some(&r) = self.promote.get(&param) {
-                        self.asm.push(Insn::Mov {
-                            dst: Operand::Reg(r),
-                            src: v.op,
-                        });
+                        let v = self.store_home(Operand::Reg(r), v);
                         self.release(v);
                         self.var_loc.insert(param, VLoc::Reg(r));
                     } else {
                         let slot = self.alloc_temp_pinned();
-                        let dst = self.temp_op(slot);
-                        self.asm.push(Insn::Mov { dst, src: v.op });
+                        let v = self.store_home(self.temp_op(slot), v);
                         self.release(v);
                         let tn = *self.var_tn.entry(param).or_insert_with(|| {
                             self.pool.new_tn(self.tree.var(param).name.as_str())
@@ -2418,10 +2466,7 @@ impl<'a> Gen<'a> {
 
     fn finish_tail_value(&mut self, node: NodeId, v: Val) -> R<()> {
         let v = self.certify(node, v)?;
-        self.asm.push(Insn::Mov {
-            dst: Operand::Reg(Reg::A),
-            src: v.op,
-        });
+        let v = self.store_home(Operand::Reg(Reg::A), v);
         self.release(v);
         self.emit_ret();
         Ok(())
@@ -2857,51 +2902,5 @@ mod tests {
                 ("quadratic", vec![fl(1.0), fl(-2.0), fl(1.0)]),
             ],
         );
-    }
-}
-
-#[cfg(test)]
-mod backtracking_tests {
-    use super::*;
-    use s1lisp_frontend::Frontend;
-    use s1lisp_interp::Value;
-    use s1lisp_opt::Optimizer;
-    use s1lisp_reader::{read_all_str, Interner};
-    use s1lisp_s1sim::Machine;
-
-    #[test]
-    fn backtracking_pack_is_no_worse() {
-        let src = "(defun busy (a b c d)
-                     (let ((p (+ a b)) (q (+ c d)) (r (+ a c)) (s (+ b d)))
-                       (+ (* p q) (* r s) (* p s) (* q r))))";
-        let mut results = Vec::new();
-        for backtracking in [false, true] {
-            let mut i = Interner::new();
-            let forms = read_all_str(src, &mut i).unwrap();
-            let mut fe = Frontend::new(&mut i);
-            let mut f = fe.convert_toplevel(&forms).unwrap().remove(0);
-            Optimizer::new().optimize(&mut f.tree);
-            let mut program = Program::new();
-            let opts = CodegenOptions {
-                backtracking_pack: backtracking,
-                ..CodegenOptions::default()
-            };
-            compile("busy", &f.tree, &mut program, &opts).unwrap();
-            let mut m = Machine::new(program);
-            let v = m
-                .run(
-                    "busy",
-                    &[
-                        Value::Fixnum(1),
-                        Value::Fixnum(2),
-                        Value::Fixnum(3),
-                        Value::Fixnum(4),
-                    ],
-                )
-                .unwrap();
-            results.push((v, m.stats.insns));
-        }
-        assert_eq!(results[0].0, results[1].0);
-        assert!(results[1].1 <= results[0].1 + 2, "{results:?}");
     }
 }

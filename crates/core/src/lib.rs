@@ -65,7 +65,7 @@ use s1lisp_trace::NullSink;
 /// can change with no option flag changing (primop table edits, cost
 /// model tweaks, encoding changes), so stale disk-cache entries from
 /// older builds become unreachable instead of wrong.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// One compiled function's artifacts.
 #[derive(Debug, Clone)]
@@ -216,7 +216,6 @@ impl Compiler {
                 cache_specials: false,
                 register_allocation: false,
                 representation_analysis: false,
-                backtracking_pack: false,
             },
             tension_branches: false,
             ..Compiler::new()
@@ -496,7 +495,7 @@ impl Compiler {
         let o = &self.opt_options;
         let g = &self.codegen_options;
         let canonical = format!(
-            "v:{}/{} opt:{}{}{}{}{}{}{}{}{}{} rounds:{} cse:{} cg:{}{}{}{}{}{} tension:{}",
+            "v:{}/{} opt:{}{}{}{}{}{}{}{}{}{} rounds:{} cse:{} cg:{}{}{}{}{} tension:{}",
             env!("CARGO_PKG_VERSION"),
             CACHE_SCHEMA_VERSION,
             u8::from(o.call_lambda),
@@ -516,7 +515,6 @@ impl Compiler {
             u8::from(g.cache_specials),
             u8::from(g.register_allocation),
             u8::from(g.representation_analysis),
-            u8::from(g.backtracking_pack),
             u8::from(self.tension_branches),
         );
         // The backend name keeps per-backend artifacts apart: the same

@@ -66,6 +66,9 @@ struct UnitState {
     transformations: usize,
     /// Machine-dependent annotations, filled by the annotation passes.
     annotations: UnitAnnotations,
+    /// Every S-1 function the unit's code generation defined: the
+    /// `defun` itself and its `%closureN` bodies.
+    s1_functions: Vec<String>,
 }
 
 impl UnitState {
@@ -81,6 +84,7 @@ impl UnitState {
             transcript: Transcript::default(),
             transformations: 0,
             annotations: UnitAnnotations::default(),
+            s1_functions: Vec::new(),
         }
     }
 
@@ -588,21 +592,34 @@ impl Compiler {
                     rep: Some(ann.rep),
                     pdl: Some(ann.pdl),
                 };
-                result?;
+                unit.s1_functions = result?;
             }
             Pass::Peephole => {
-                if let Some(id) = self.program.lookup_fn(&unit.name) {
-                    if let Some(code) = self.program.func(id) {
-                        let mut code = (**code).clone();
-                        let sp = sink.span_begin("Peephole optimizer", &unit.name);
-                        let retargeted = s1lisp_codegen::tension_branches(&mut code);
-                        if sink.enabled() {
-                            sink.add("labels_retargeted", retargeted as u64);
-                        }
-                        sink.span_end(sp);
+                let sp = sink.span_begin("Peephole optimizer", &unit.name);
+                let mut total = s1lisp_codegen::Tensioned::default();
+                for name in &unit.s1_functions {
+                    let Some(code) = self
+                        .program
+                        .lookup_fn(name)
+                        .and_then(|id| self.program.func(id))
+                    else {
+                        continue;
+                    };
+                    let mut code = (**code).clone();
+                    let t = s1lisp_codegen::tension_branches(&mut code);
+                    total.retargeted += t.retargeted;
+                    total.inverted += t.inverted;
+                    total.deleted += t.deleted;
+                    if t != s1lisp_codegen::Tensioned::default() {
                         Arc::make_mut(&mut self.program).define(code);
                     }
                 }
+                if sink.enabled() {
+                    sink.add("labels_retargeted", total.retargeted as u64);
+                    sink.add("branches_inverted", total.inverted as u64);
+                    sink.add("insns_deleted", total.deleted as u64);
+                }
+                sink.span_end(sp);
             }
             Pass::BytecodeEmit => {
                 let (Some(binding), Some(rep), Some(pdl)) = (

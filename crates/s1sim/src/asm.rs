@@ -15,6 +15,9 @@ pub struct Asm {
     nslots: u16,
     insns: Vec<Insn>,
     labels: Vec<Option<usize>>,
+    /// Where the most recent label was bound (binding positions never
+    /// decrease).
+    last_bound: Option<usize>,
 }
 
 impl Asm {
@@ -25,6 +28,7 @@ impl Asm {
             nslots,
             insns: Vec::new(),
             labels: Vec::new(),
+            last_bound: None,
         }
     }
 
@@ -55,6 +59,17 @@ impl Asm {
         let slot = &mut self.labels[label as usize];
         assert!(slot.is_none(), "label {label} bound twice");
         *slot = Some(self.insns.len());
+        self.last_bound = Some(self.insns.len());
+    }
+
+    /// The last emitted instruction, if control reaches the next one
+    /// only through it: `None` when nothing was emitted or a label is
+    /// bound after it (a branch could arrive without executing it).
+    pub fn last_unlabelled_mut(&mut self) -> Option<&mut Insn> {
+        if self.last_bound == Some(self.insns.len()) {
+            return None;
+        }
+        self.insns.last_mut()
     }
 
     /// Allocates a label bound to the next instruction.

@@ -160,6 +160,22 @@ pub enum Cond {
     Ge,
 }
 
+impl Cond {
+    /// The condition that holds exactly when `self` does not.  Every
+    /// comparison orders its operands first (or traps), so `Lt` and `Ge`
+    /// (and each other pair) are exact complements.
+    pub fn negate(self) -> Cond {
+        match self {
+            Cond::Eq => Cond::Ne,
+            Cond::Ne => Cond::Eq,
+            Cond::Lt => Cond::Ge,
+            Cond::Le => Cond::Gt,
+            Cond::Gt => Cond::Le,
+            Cond::Ge => Cond::Lt,
+        }
+    }
+}
+
 /// A branch target: an index into the owning function's label table
 /// (bound by [`Asm::bind`](crate::Asm::bind)).
 pub type Label = u32;
@@ -767,6 +783,104 @@ impl Insn {
             Insn::LocalRet => "LOCAL-RET",
             Insn::Apply { .. } => "APPLY",
         }
+    }
+
+    /// Every label this instruction names: a branch or dispatch target,
+    /// a catch's resume point, a local block's entry.
+    pub fn targets(&self) -> &[Label] {
+        match self {
+            Insn::Jmp { target }
+            | Insn::JmpIf { target, .. }
+            | Insn::JmpNil { target, .. }
+            | Insn::JmpNotNil { target, .. }
+            | Insn::JmpTag { target, .. }
+            | Insn::JmpEq { target, .. }
+            | Insn::TailJmp { target, .. }
+            | Insn::PushCatch { target, .. }
+            | Insn::LocalCall { target } => std::slice::from_ref(target),
+            Insn::Dispatch { targets, .. } => targets,
+            _ => &[],
+        }
+    }
+
+    /// The destination of an instruction whose one effect on registers
+    /// and frame slots is to write its result there, after every source
+    /// is read: a code generator may redirect that result.
+    pub fn result_mut(&mut self) -> Option<&mut Operand> {
+        match self {
+            Insn::Mov { dst, .. }
+            | Insn::Movp { dst, .. }
+            | Insn::Add { dst, .. }
+            | Insn::Sub { dst, .. }
+            | Insn::Mult { dst, .. }
+            | Insn::Div { dst, .. }
+            | Insn::DivFloor { dst, .. }
+            | Insn::Rem { dst, .. }
+            | Insn::ModFloor { dst, .. }
+            | Insn::Neg { dst, .. }
+            | Insn::FAdd { dst, .. }
+            | Insn::FSub { dst, .. }
+            | Insn::FMult { dst, .. }
+            | Insn::FDiv { dst, .. }
+            | Insn::FMax { dst, .. }
+            | Insn::FMin { dst, .. }
+            | Insn::FNeg { dst, .. }
+            | Insn::FSin { dst, .. }
+            | Insn::FCos { dst, .. }
+            | Insn::FSqrt { dst, .. }
+            | Insn::FAtan { dst, .. }
+            | Insn::FExp { dst, .. }
+            | Insn::FLog { dst, .. }
+            | Insn::FloatIt { dst, .. }
+            | Insn::FixIt { dst, .. }
+            | Insn::ConsRt { dst, .. }
+            | Insn::Car { dst, .. }
+            | Insn::Cdr { dst, .. }
+            | Insn::BoxFlo { dst, .. }
+            | Insn::UnboxFlo { dst, .. }
+            | Insn::Certify { dst, .. }
+            | Insn::MakeCell { dst, .. }
+            | Insn::LoadCell { dst, .. }
+            | Insn::MakeClosure { dst, .. }
+            | Insn::LoadEnv { dst, .. }
+            | Insn::SpecLookup { dst, .. }
+            | Insn::SpecRead { dst, .. }
+            | Insn::RtCall { dst, .. }
+            | Insn::LoadFunction { dst, .. }
+            | Insn::LoadConst { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
+    /// Swaps the sources of a commutative arithmetic instruction (`ADD`,
+    /// `MULT`, `FADD`, `FMULT`); returns whether it was one.
+    pub fn commute(&mut self) -> bool {
+        match self {
+            Insn::Add { a, b, .. }
+            | Insn::Mult { a, b, .. }
+            | Insn::FAdd { a, b, .. }
+            | Insn::FMult { a, b, .. } => {
+                std::mem::swap(a, b);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Can control reach the next instruction after this one?  False
+    /// for jumps, returns, traps, throws and the computed dispatch.
+    pub fn falls_through(&self) -> bool {
+        !matches!(
+            self,
+            Insn::Jmp { .. }
+                | Insn::Dispatch { .. }
+                | Insn::TailCall { .. }
+                | Insn::TailJmp { .. }
+                | Insn::Ret
+                | Insn::Trap { .. }
+                | Insn::Throw { .. }
+                | Insn::LocalRet
+        )
     }
 
     /// The 2½-address legality check (§3): a three-operand arithmetic

@@ -23,6 +23,35 @@ pub struct FuncCode {
     pub labels: Vec<usize>,
 }
 
+impl FuncCode {
+    /// Deletes every instruction whose `keep` entry is false.  A label
+    /// bound to a deleted instruction moves to the next kept one, so a
+    /// branch to a deleted jump-to-next or to a deleted `ALLOC 0` lands
+    /// where control would have gone anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` does not have one entry per instruction.
+    pub fn retain(&mut self, keep: &[bool]) {
+        assert_eq!(keep.len(), self.insns.len(), "{}: keep mask", self.name);
+        // new_index[p]: instructions kept before p, which is the new
+        // index of the first kept instruction at or after p.
+        let mut new_index = Vec::with_capacity(keep.len() + 1);
+        let mut kept = 0;
+        for &k in keep {
+            new_index.push(kept);
+            kept += usize::from(k);
+        }
+        new_index.push(kept);
+        for l in &mut self.labels {
+            *l = new_index[*l];
+        }
+        let mut keep = keep.iter();
+        self.insns
+            .retain(|_| *keep.next().expect("one flag per insn"));
+    }
+}
+
 /// A borrowed view of the program's fnid→name table — the one shared
 /// resolver every diagnostic surface (execution profiles, post-mortems,
 /// stats rendering, trap site annotation) goes through, so a function id

@@ -23,9 +23,10 @@
 //! "Compilation time can be traded for run-time efficiency here by
 //! making the packing process more or less clever; for example, a
 //! packing method that backtracks can potentially produce better packings
-//! than one that does not" — both [`pack`] (greedy) and
-//! [`pack_backtracking`] are provided, plus the [`pack_naive`]
-//! all-in-memory baseline for the ablation experiments.
+//! than one that does not."  [`pack`] is greedy: a backtracking packer
+//! that retried rotated priority orders was measured to change no corpus
+//! program and was removed.  [`pack_naive`] is the all-in-memory baseline
+//! for the ablation experiments.
 //!
 //! # Examples
 //!
@@ -328,31 +329,6 @@ pub fn pack_naive(pool: &TnPool, req: &PackRequest) -> Packing {
     }
 }
 
-/// Backtracking packer: tries several priority orders and keeps the
-/// packing with the most TNs in registers ("a packing method that
-/// backtracks can potentially produce better packings", §6.1).
-pub fn pack_backtracking(pool: &TnPool, req: &PackRequest, tries: usize) -> Packing {
-    let mut best = pack(pool, req);
-    let ids: Vec<TnId> = pool.ids().filter(|&t| pool.tn(t).uses > 0).collect();
-    // Deterministic rotations of the priority order.
-    for k in 1..tries.max(1) {
-        if ids.is_empty() {
-            break;
-        }
-        let mut order = ids.clone();
-        let n = order.len();
-        order.rotate_left(k % n);
-        let candidate = pack_in_order(pool, req, &order);
-        if candidate.in_registers > best.in_registers
-            || (candidate.in_registers == best.in_registers
-                && candidate.slots_used < best.slots_used)
-        {
-            best = candidate;
-        }
-    }
-    best
-}
-
 fn pack_in_order(pool: &TnPool, req: &PackRequest, order: &[TnId]) -> Packing {
     let mut locations = vec![Location::Slot(u16::MAX); pool.len()];
     let mut assigned: HashMap<TnId, Location> = HashMap::new();
@@ -540,22 +516,6 @@ mod tests {
         assert!(matches!(p.location(b), Location::Slot(_)));
         assert_eq!(p.in_registers, 0);
         assert_eq!(p.slots_used, 2);
-    }
-
-    #[test]
-    fn backtracking_never_does_worse() {
-        let mut pool = TnPool::new();
-        for i in 0..12 {
-            let t = tn_with_range(&mut pool, &format!("t{i}"), i, i + 6);
-            if i % 3 == 0 {
-                pool.prefer_rt(t);
-            }
-        }
-        pool.record_call(9);
-        let req = PackRequest::default();
-        let greedy = pack(&pool, &req);
-        let better = pack_backtracking(&pool, &req, 8);
-        assert!(better.in_registers >= greedy.in_registers);
     }
 
     #[test]

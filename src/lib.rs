@@ -75,6 +75,86 @@ pub const SPECIALS_LOOP: &str = "(proclaim '(special *step*))
     (setq n (- n 1))
     (go top)))";
 
+/// Gabriel's STAK: TAK with its arguments passed in deep-bound special
+/// variables, rebound by parallel `let`s around self calls.
+pub const STAK: &str = "(defvar x) (defvar y) (defvar z)
+(defun stak (x y z) (stak-aux))
+(defun stak-aux ()
+  (if (not (< y x))
+      z
+      (let ((x (let ((x (- x 1)) (y y) (z z)) (stak-aux)))
+            (y (let ((x (- y 1)) (y z) (z x)) (stak-aux)))
+            (z (let ((x (- z 1)) (y x) (z y)) (stak-aux))))
+        (stak-aux))))";
+
+/// Gabriel's CTAK: TAK returning through `catch`/`throw`.
+pub const CTAK: &str = "(defun ctak (x y z) (catch 'ctak (ctak-aux x y z)))
+(defun ctak-aux (x y z)
+  (cond ((not (< y x)) (throw 'ctak z))
+        (t (ctak-aux (catch 'ctak (ctak-aux (- x 1) y z))
+                     (catch 'ctak (ctak-aux (- y 1) z x))
+                     (catch 'ctak (ctak-aux (- z 1) x y))))))";
+
+/// Gabriel's DIV2: halving a list iteratively (`do`) and recursively.
+pub const DIV2: &str = "(defun create-n (n)
+  (do ((i n (- i 1)) (a '() (cons '() a)))
+      ((= i 0) a)))
+(defun iterative-div2 (l)
+  (do ((l l (cddr l)) (a '() (cons (car l) a)))
+      ((null l) a)))
+(defun recursive-div2 (l)
+  (cond ((null l) '())
+        (t (cons (car l) (recursive-div2 (cddr l))))))
+(defun test-div2 (n)
+  (let ((l (create-n n)))
+    (list (length (iterative-div2 l))
+          (length (recursive-div2 l)))))";
+
+/// DESTRUCTIVE-flavored list surgery: `rplacd` onto the last cons in a
+/// `prog` loop.
+pub const DESTRUCTIVE: &str = "(defun attach (x l) (rplacd (last l) (cons x '())) l)
+(defun run (n)
+  (let ((l (list 1)))
+    (prog ()
+      top
+      (if (zerop n) (return l))
+      (attach n l)
+      (setq n (- n 1))
+      (go top))))";
+
+/// TAKL's `mas` over lists, with `shorterp` as the comparison.
+pub const TRIANGLE: &str = "(defun listn (n) (if (zerop n) '() (cons n (listn (- n 1)))))
+(defun mas (x y z)
+  (if (not (shorterp y x))
+      z
+      (mas (mas (cdr x) y z)
+           (mas (cdr y) z x)
+           (mas (cdr z) x y))))
+(defun shorterp (x y)
+  (and y (or (null x) (shorterp (cdr x) (cdr y)))))
+(defun run (a b c)
+  (length (mas (listn a) (listn b) (listn c))))";
+
+/// Tree flattening with an accumulator.
+pub const FLATTEN: &str = "(defun flatten (x acc)
+  (cond ((null x) acc)
+        ((atom x) (cons x acc))
+        (t (flatten (car x) (flatten (cdr x) acc)))))
+(defun run (x) (flatten x '()))";
+
+/// A fixnum puzzle loop: declared fixnums keep the arithmetic inline.
+pub const COLLATZ: &str = "(defun collatz-steps (n)
+  (declare (fixnum n))
+  (prog (steps)
+    (setq steps 0)
+    top
+    (if (= n 1) (return steps))
+    (if (evenp n)
+        (setq n (/ n 2))
+        (setq n (+ (* 3 n) 1)))
+    (setq steps (+ steps 1))
+    (go top)))";
+
 /// Every corpus entry, with a short id.
 pub fn corpus() -> Vec<(&'static str, &'static str)> {
     vec![

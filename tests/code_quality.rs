@@ -1,0 +1,339 @@
+//! Code-quality pins for the S-1 back end.
+//!
+//! §6.1 promises loops with "no MOV instructions … required" and §4.5
+//! leaves only branch tensioning to a peephole pass.  These tests hold
+//! the code generator to what it reached: no program may retire more
+//! instructions or occupy more code words than the recorded table, no
+//! allocation may move, E9's inline Horner loop is as short as the
+//! hand-written one, and the peephole pass leaves nothing for a second
+//! run to tension.
+
+use s1lisp::{Compiler, Value};
+use s1lisp_bench::corpus;
+use s1lisp_suite::{fl, fx, COLLATZ, CTAK, DESTRUCTIVE, DIV2, FLATTEN, STAK, TRIANGLE};
+
+/// One measured program: a source, the globals it reads and the calls
+/// that exercise it.
+struct Case {
+    id: &'static str,
+    src: &'static str,
+    globals: &'static [(&'static str, i64)],
+    calls: Vec<(&'static str, Vec<Value>)>,
+}
+
+fn case(id: &'static str, src: &'static str, calls: Vec<(&'static str, Vec<Value>)>) -> Case {
+    Case {
+        id,
+        src,
+        globals: &[],
+        calls,
+    }
+}
+
+fn sym(name: &str) -> Value {
+    Value::Sym(s1lisp_reader::Interner::new().intern(name))
+}
+
+/// The bench corpus (`corpus-*`), the benchmark's run-kernels set with
+/// its arguments (`kernel-*`) and the Gabriel programs (`gabriel-*`).
+fn cases() -> Vec<Case> {
+    let quad = || vec![fl(1.0), fl(-3.0), fl(2.0)];
+    vec![
+        case(
+            "corpus-exptl",
+            corpus::EXPTL,
+            vec![("exptl", vec![fx(3), fx(30), fx(1)])],
+        ),
+        case(
+            "corpus-exptl-typed",
+            corpus::EXPTL_TYPED,
+            vec![("exptl-typed", vec![fx(3), fx(30), fx(1)])],
+        ),
+        case(
+            "corpus-loopn",
+            corpus::LOOPN,
+            vec![("loopn", vec![fx(100_000)])],
+        ),
+        case(
+            "corpus-testfn",
+            corpus::TESTFN,
+            vec![
+                ("testfn", vec![fl(1.5), fl(2.5), fl(0.5)]),
+                ("testfn", vec![fl(1.5)]),
+            ],
+        ),
+        case(
+            "corpus-quadratic",
+            corpus::QUADRATIC,
+            vec![("quadratic", quad())],
+        ),
+        case(
+            "corpus-quadratic-typed",
+            corpus::QUADRATIC_TYPED,
+            vec![("quadratic-typed", quad())],
+        ),
+        case(
+            "corpus-tak",
+            corpus::TAK,
+            vec![("tak", vec![fx(14), fx(10), fx(6)])],
+        ),
+        case(
+            "corpus-fib-iter",
+            corpus::FIB_ITER,
+            vec![("fib-iter", vec![fx(60)])],
+        ),
+        case(
+            "corpus-sum-horner",
+            corpus::HORNER_LOOP,
+            vec![("sum-horner", vec![fx(2_000)])],
+        ),
+        case(
+            "corpus-pdl-loop",
+            corpus::PDL_KERNEL,
+            vec![("pdl-loop", vec![fx(2_000), fl(1.5), fl(2.5)])],
+        ),
+        Case {
+            id: "corpus-accumulate",
+            src: corpus::SPECIALS_LOOP,
+            globals: &[("*step*", 2)],
+            calls: vec![("accumulate", vec![fx(1_000)])],
+        },
+        case(
+            "corpus-closures",
+            corpus::CLOSURES,
+            vec![
+                ("use-let", vec![fx(7)]),
+                ("use-join", vec![fx(3)]),
+                ("use-join", vec![Value::Nil]),
+                ("escape-test", vec![fx(5)]),
+            ],
+        ),
+        case(
+            "corpus-dot-loop",
+            corpus::DOT,
+            vec![("dot-loop", vec![fx(2_000)])],
+        ),
+        case(
+            "corpus-deriv",
+            corpus::DERIV,
+            vec![("deriv-bench", vec![fx(8), sym("x")])],
+        ),
+        case(
+            "corpus-sum-horner-inline",
+            corpus::HORNER_INLINE,
+            vec![("sum-horner-inline", vec![fx(10_000)])],
+        ),
+        case(
+            "corpus-gc-stress",
+            corpus::GC_STRESS,
+            vec![("gc-stress", vec![fx(20)])],
+        ),
+        case(
+            "kernel-tak",
+            corpus::TAK,
+            vec![("tak", vec![fx(18), fx(12), fx(6)])],
+        ),
+        case(
+            "kernel-loopn",
+            corpus::LOOPN,
+            vec![("loopn", vec![fx(200_000)])],
+        ),
+        case(
+            "kernel-sum-horner",
+            corpus::HORNER_LOOP,
+            vec![("sum-horner", vec![fx(20_000)])],
+        ),
+        case(
+            "kernel-pdl-loop",
+            corpus::PDL_KERNEL,
+            vec![("pdl-loop", vec![fx(20_000), fl(1.5), fl(2.5)])],
+        ),
+        Case {
+            id: "kernel-accumulate",
+            src: corpus::SPECIALS_LOOP,
+            globals: &[("*step*", 2)],
+            calls: vec![("accumulate", vec![fx(50_000)])],
+        },
+        case(
+            "kernel-deriv-bench",
+            corpus::DERIV,
+            vec![("deriv-bench", vec![fx(200), sym("x")])],
+        ),
+        case(
+            "kernel-gc-stress",
+            corpus::GC_STRESS,
+            vec![("gc-stress", vec![fx(1_200)])],
+        ),
+        case(
+            "gabriel-stak",
+            STAK,
+            vec![("stak", vec![fx(18), fx(12), fx(6)])],
+        ),
+        case(
+            "gabriel-ctak",
+            CTAK,
+            vec![("ctak", vec![fx(18), fx(12), fx(6)])],
+        ),
+        case("gabriel-div2", DIV2, vec![("test-div2", vec![fx(60)])]),
+        case(
+            "gabriel-destructive",
+            DESTRUCTIVE,
+            vec![("run", vec![fx(12)])],
+        ),
+        case(
+            "gabriel-triangle",
+            TRIANGLE,
+            vec![("run", vec![fx(7), fx(5), fx(3)])],
+        ),
+        case("gabriel-flatten", FLATTEN, vec![("run", vec![fx(9)])]),
+        case(
+            "gabriel-collatz",
+            COLLATZ,
+            vec![("collatz-steps", vec![fx(97)])],
+        ),
+    ]
+}
+
+/// `(sim_insns, code_words, heap_alloc_words)` of a case under the full
+/// compiler.
+fn measure(c: &Case) -> (u64, u64, u64) {
+    let mut comp = Compiler::new();
+    comp.compile_str(c.src)
+        .unwrap_or_else(|e| panic!("{}: {e}", c.id));
+    let mut m = comp.machine();
+    for &(name, v) in c.globals {
+        m.set_global(name, &fx(v)).unwrap();
+    }
+    let (mut insns, mut heap) = (0, 0);
+    for (entry, args) in &c.calls {
+        let words = m.stats.heap.words;
+        m.run(entry, args)
+            .unwrap_or_else(|t| panic!("{} {entry}: {t}", c.id));
+        insns += m.last_run_insns;
+        heap += m.stats.heap.words - words;
+    }
+    (insns, comp.code_size_words() as u64, heap)
+}
+
+/// `(id, sim_insns, code_words, heap_alloc_words)` as the compiler
+/// stood before the code generator stopped emitting `ALLOC 0`, dead
+/// stores of discarded `if` values and copies into `setq` targets, and
+/// before the peephole pass inverted jumps over jumps and deleted dead
+/// code.  A row may only fall (instructions, words) or hold (heap).
+const BEFORE: &[(&str, u64, u64, u64)] = &[
+    ("corpus-exptl", 395, 43, 0),
+    ("corpus-exptl-typed", 199, 33, 0),
+    ("corpus-loopn", 2_100_006, 14, 0),
+    ("corpus-testfn", 90, 58, 7),
+    ("corpus-quadratic", 213, 70, 22),
+    ("corpus-quadratic-typed", 49, 53, 9),
+    ("corpus-tak", 37_678, 37, 0),
+    ("corpus-fib-iter", 2_410, 31, 0),
+    ("corpus-sum-horner", 102_012, 71, 2_006),
+    ("corpus-pdl-loop", 112_007, 60, 2_002),
+    ("corpus-accumulate", 37_010, 28, 0),
+    ("corpus-closures", 97, 72, 4),
+    ("corpus-dot-loop", 80_009, 56, 2_006),
+    ("corpus-deriv", 2_802, 119, 288),
+    ("corpus-sum-horner-inline", 150_010, 36, 1),
+    ("corpus-gc-stress", 260_645, 43, 20_000),
+    ("kernel-tak", 1_383_481, 37, 0),
+    ("kernel-loopn", 4_200_006, 14, 0),
+    ("kernel-sum-horner", 1_020_012, 71, 20_006),
+    ("kernel-pdl-loop", 1_120_007, 60, 20_002),
+    ("kernel-accumulate", 1_850_010, 28, 0),
+    ("kernel-deriv-bench", 68_850, 119, 7_200),
+    ("kernel-gc-stress", 15_638_405, 43, 1_200_000),
+    ("gabriel-stak", 1_940_061, 75, 0),
+    ("gabriel-ctak", 1_383_491, 70, 0),
+    ("gabriel-div2", 2_960, 97, 244),
+    ("gabriel-destructive", 739, 42, 26),
+    ("gabriel-triangle", 3_572, 102, 30),
+    ("gabriel-flatten", 16, 33, 2),
+    ("gabriel-collatz", 4_418, 34, 0),
+];
+
+#[test]
+fn no_program_is_slower_or_larger_than_the_recorded_table() {
+    let mut report = String::new();
+    let mut worse = Vec::new();
+    for c in cases() {
+        let (insns, words, heap) = measure(&c);
+        report.push_str(&format!("    (\"{}\", {insns}, {words}, {heap}),\n", c.id));
+        let Some(&(_, t_insns, t_words, t_heap)) = BEFORE.iter().find(|r| r.0 == c.id) else {
+            worse.push(format!("{}: no row in the table", c.id));
+            continue;
+        };
+        if insns > t_insns || words > t_words || heap != t_heap {
+            worse.push(format!(
+                "{}: insns {insns} (table {t_insns}), words {words} (table {t_words}), \
+                 heap {heap} (table {t_heap})",
+                c.id
+            ));
+        }
+    }
+    assert!(
+        worse.is_empty(),
+        "{}\nmeasured rows:\n{report}",
+        worse.join("\n")
+    );
+}
+
+/// E9's inline Horner loop retires no more instructions than the same
+/// loop written by hand in S-1 assembly.
+#[test]
+fn e9_inline_horner_is_as_short_as_hand_code() {
+    let n = 10_000;
+    let (_, hand) = s1lisp_bench::experiments::hand_horner(n);
+    let mut c = Compiler::new();
+    c.compile_str(corpus::HORNER_INLINE).unwrap();
+    let mut m = c.machine();
+    m.run("sum-horner-inline", &[fx(n)]).unwrap();
+    let ratio = m.last_run_insns as f64 / hand as f64;
+    assert!(
+        ratio <= 1.0,
+        "inline {} vs hand {hand}: ratio {ratio:.2}",
+        m.last_run_insns
+    );
+}
+
+/// A closure whose short-circuit test leaves a label on a jump until
+/// the peephole pass tensions it.
+const CLAMP: &str = "(defun make-clamp (lo hi)
+  (lambda (x) (if (and (< lo x) (< x hi)) x lo)))";
+
+/// For each function `src` defines: the labels one more
+/// `tension_branches` pass would retarget.
+fn retargetable(src: &str, tension: bool) -> Vec<(String, usize)> {
+    let mut comp = Compiler::new();
+    comp.tension_branches = tension;
+    comp.compile_str(src).unwrap();
+    let program = comp.program();
+    let mut out = Vec::new();
+    for (id, name) in program.fn_names.iter().enumerate() {
+        if let Some(code) = program.func(id as u32) {
+            let mut again = (**code).clone();
+            let t = s1lisp_codegen::tension_branches(&mut again);
+            out.push((name.clone(), t.retargeted));
+        }
+    }
+    out
+}
+
+/// The peephole pass runs on every function a unit defines, closure
+/// bodies included, and one run leaves no label pointing at a jump.
+#[test]
+fn a_second_peephole_pass_retargets_no_label() {
+    let untensioned: usize = retargetable(CLAMP, false)
+        .iter()
+        .filter(|(name, _)| name.contains("%closure"))
+        .map(|&(_, n)| n)
+        .sum();
+    assert!(untensioned > 0, "the closure body has labels to tension");
+    let sources = cases().into_iter().map(|c| (c.id, c.src));
+    for (id, src) in sources.chain([("clamp", CLAMP)]) {
+        for (name, n) in retargetable(src, true) {
+            assert_eq!(n, 0, "{id}: {name}");
+        }
+    }
+}

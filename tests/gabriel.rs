@@ -3,7 +3,9 @@
 //! compiled-on-simulator vs the reference interpreter.
 
 use s1lisp::{BackendKind, Compiler, Value};
-use s1lisp_suite::{build, check_agree, fx};
+use s1lisp_suite::{
+    build, check_agree, fx, COLLATZ, CTAK, DESTRUCTIVE, DIV2, FLATTEN, STAK, TRIANGLE,
+};
 
 /// Runs `name` on `args` on the S-1 simulator (fully optimized and
 /// naive), on the bytecode evaluator and on the interpreter: each must
@@ -61,55 +63,18 @@ fn self_call_under_a_special_binding_keeps_the_binding() {
 /// variables, rebound by parallel `let`s around self calls.
 #[test]
 fn stak_passes_arguments_in_specials() {
-    returns_on_every_engine(
-        "(defvar x) (defvar y) (defvar z)
-         (defun stak (x y z) (stak-aux))
-         (defun stak-aux ()
-           (if (not (< y x))
-               z
-               (let ((x (let ((x (- x 1)) (y y) (z z)) (stak-aux)))
-                     (y (let ((x (- y 1)) (y z) (z x)) (stak-aux)))
-                     (z (let ((x (- z 1)) (y x) (z y)) (stak-aux))))
-                 (stak-aux))))",
-        "stak",
-        &[fx(18), fx(12), fx(6)],
-        &fx(7),
-    );
+    returns_on_every_engine(STAK, "stak", &[fx(18), fx(12), fx(6)], &fx(7));
 }
 
 /// Gabriel's CTAK: TAK returning through `catch`/`throw`.
 #[test]
 fn ctak_returns_through_catch_and_throw() {
-    returns_on_every_engine(
-        "(defun ctak (x y z) (catch 'ctak (ctak-aux x y z)))
-         (defun ctak-aux (x y z)
-           (cond ((not (< y x)) (throw 'ctak z))
-                 (t (ctak-aux (catch 'ctak (ctak-aux (- x 1) y z))
-                              (catch 'ctak (ctak-aux (- y 1) z x))
-                              (catch 'ctak (ctak-aux (- z 1) x y))))))",
-        "ctak",
-        &[fx(18), fx(12), fx(6)],
-        &fx(7),
-    );
+    returns_on_every_engine(CTAK, "ctak", &[fx(18), fx(12), fx(6)], &fx(7));
 }
 
 #[test]
 fn div2_iterative_and_recursive() {
-    let (mut m, i) = build(
-        "(defun create-n (n)
-           (do ((i n (- i 1)) (a '() (cons '() a)))
-               ((= i 0) a)))
-         (defun iterative-div2 (l)
-           (do ((l l (cddr l)) (a '() (cons (car l) a)))
-               ((null l) a)))
-         (defun recursive-div2 (l)
-           (cond ((null l) '())
-                 (t (cons (car l) (recursive-div2 (cddr l))))))
-         (defun test-div2 (n)
-           (let ((l (create-n n)))
-             (list (length (iterative-div2 l))
-                   (length (recursive-div2 l)))))",
-    );
+    let (mut m, i) = build(DIV2);
     for n in [0i64, 2, 10, 60] {
         check_agree(&mut m, &i, "test-div2", &[fx(n)]);
     }
@@ -117,17 +82,7 @@ fn div2_iterative_and_recursive() {
 
 #[test]
 fn destructive_list_surgery() {
-    let (mut m, i) = build(
-        "(defun attach (x l) (rplacd (last l) (cons x '())) l)
-         (defun run (n)
-           (let ((l (list 1)))
-             (prog ()
-               top
-               (if (zerop n) (return l))
-               (attach n l)
-               (setq n (- n 1))
-               (go top))))",
-    );
+    let (mut m, i) = build(DESTRUCTIVE);
     for n in [0i64, 1, 5, 12] {
         check_agree(&mut m, &i, "run", &[fx(n)]);
     }
@@ -135,31 +90,13 @@ fn destructive_list_surgery() {
 
 #[test]
 fn triangle_style_counting() {
-    let (mut m, i) = build(
-        "(defun listn (n) (if (zerop n) '() (cons n (listn (- n 1)))))
-         (defun mas (x y z)
-           (if (not (shorterp y x))
-               z
-               (mas (mas (cdr x) y z)
-                    (mas (cdr y) z x)
-                    (mas (cdr z) x y))))
-         (defun shorterp (x y)
-           (and y (or (null x) (shorterp (cdr x) (cdr y)))))
-         (defun run (a b c)
-           (length (mas (listn a) (listn b) (listn c))))",
-    );
+    let (mut m, i) = build(TRIANGLE);
     check_agree(&mut m, &i, "run", &[fx(7), fx(5), fx(3)]);
 }
 
 #[test]
 fn flatten_with_accumulator() {
-    let (mut m, i) = build(
-        "(defun flatten (x acc)
-           (cond ((null x) acc)
-                 ((atom x) (cons x acc))
-                 (t (flatten (car x) (flatten (cdr x) acc)))))
-         (defun run (x) (flatten x '()))",
-    );
+    let (mut m, i) = build(FLATTEN);
     let nested = Value::list([
         fx(1),
         Value::list([fx(2), Value::list([fx(3), fx(4)]), fx(5)]),
@@ -174,19 +111,7 @@ fn flatten_with_accumulator() {
 fn fixnum_heavy_puzzle_kernel() {
     // A small constraint loop with declared fixnums: inference keeps the
     // arithmetic inline.
-    let (mut m, i) = build(
-        "(defun collatz-steps (n)
-           (declare (fixnum n))
-           (prog (steps)
-             (setq steps 0)
-             top
-             (if (= n 1) (return steps))
-             (if (evenp n)
-                 (setq n (/ n 2))
-                 (setq n (+ (* 3 n) 1)))
-             (setq steps (+ steps 1))
-             (go top)))",
-    );
+    let (mut m, i) = build(COLLATZ);
     for n in [1i64, 6, 27, 97] {
         check_agree(&mut m, &i, "collatz-steps", &[fx(n)]);
     }

@@ -19,7 +19,6 @@ fn configurations() -> Vec<(&'static str, Compiler)> {
         cache_specials: false,
         register_allocation: false,
         representation_analysis: false,
-        backtracking_pack: false,
     };
     let mut cse = Compiler::new();
     cse.cse = true;

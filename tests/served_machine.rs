@@ -35,7 +35,7 @@ fn the_stack_limit_traps_where_a_whole_stack_did() {
     let mut m = depth_machine(&c);
     let v = m.run("depth", &[Value::Fixnum(2000)]).expect("fits");
     assert_eq!(v.to_string(), "2000");
-    assert_eq!(m.stats.insns, 80_006);
+    assert_eq!(m.stats.insns, 74_005);
     assert_eq!(m.stats.max_stack_words, 4_002);
 
     let mut m = depth_machine(&c);
@@ -43,8 +43,8 @@ fn the_stack_limit_traps_where_a_whole_stack_did() {
         .run("depth", &[Value::Fixnum(5000)])
         .expect_err("overflows");
     assert_eq!(trap.cause(), &Trap::StackOverflow);
-    assert_eq!(trap.site(), Some(("depth", 9)));
-    assert_eq!(m.stats.insns, 47_088);
+    assert_eq!(trap.site(), Some(("depth", 7)));
+    assert_eq!(m.stats.insns, 42_992);
     assert_eq!(m.stats.max_call_depth, 2_047);
     assert_eq!(m.stats.max_stack_words, 4_096);
 }
