@@ -17,14 +17,15 @@
 //! No thresholds are gated: the trajectory records, it does not judge.
 //!
 //! `--compare [--tolerance N]` is the judging mode: measure the full
-//! matrix fresh, compare each workload's median throughput against the
-//! *best* entry in the committed trajectory, and its exact columns
-//! (`insns`, `gc_collections`, `journal_appends`) against the *latest*
-//! entry measured with the same warmup and trials.  It exits nonzero
-//! listing every workload that fell more than N percent (default 20)
-//! below its best baseline or whose exact columns changed at all; a
-//! commit that changes them on purpose appends its new entry.  The
-//! trajectory files are never modified.
+//! matrix fresh and compare each workload's median against the *best*
+//! entry in the committed trajectory — the lowest `median_wall_us` of
+//! an S-1 or bytecode kernel, the highest throughput of a service batch
+//! or serve burst — and its exact columns (`insns`, `gc_collections`,
+//! `journal_appends`) against the *latest* entry measured with the same
+//! warmup and trials.  It exits nonzero listing every workload more than
+//! N percent (default 20) worse than its best baseline or whose exact
+//! columns changed at all; a commit that changes them on purpose appends
+//! its new entry.  The trajectory files are never modified.
 
 use s1lisp_bench::{compare_golden, lookup, perfbench, schema_of};
 use s1lisp_trace::json::Json;
@@ -62,7 +63,7 @@ fn main() {
     if compare {
         let trials = trials.max(1);
         println!(
-            "perfbench --compare: tolerance {tolerance}% below best baseline, \
+            "perfbench --compare: tolerance {tolerance}% worse than the best baseline, \
              exact columns equal to the latest entry"
         );
         let mut regressed = false;

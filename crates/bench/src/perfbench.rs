@@ -594,7 +594,7 @@ pub fn load_trajectory(path: &Path) -> Result<Vec<Json>, String> {
     }
 }
 
-/// Default `--compare` tolerance, percent below the best baseline.
+/// Default `--compare` tolerance, percent worse than the best baseline.
 pub const DEFAULT_COMPARE_TOLERANCE: u64 = 20;
 
 /// One workload's fresh-vs-baseline verdict from [`compare_entry`].
@@ -606,19 +606,21 @@ pub struct Comparison {
     pub metric: &'static str,
     /// Freshly measured value.
     pub measured: u64,
-    /// For a throughput column, the best (maximum) median for this
-    /// workload across the baseline trajectory; for an exact column,
-    /// the value in the latest entry measured with the same warmup and
-    /// trials.
+    /// For a timed column, the best median for this workload across the
+    /// baseline trajectory (the lowest wall time, the highest
+    /// throughput); for an exact column, the value in the latest entry
+    /// measured with the same warmup and trials.
     pub baseline: u64,
-    /// The pass floor: `baseline * (100 - tolerance) / 100` for a
-    /// throughput column, the baseline itself for an exact one.
-    pub floor: u64,
+    /// The pass limit: at most `(baseline + 1) * (100 + tolerance) / 100`
+    /// for a wall time in whole microseconds, at least `baseline * (100 -
+    /// tolerance) / 100` for a throughput, the baseline itself for an
+    /// exact column.
+    pub limit: u64,
     /// Whether the column is an exact count, which must equal its
     /// baseline.
     pub exact: bool,
-    /// Whether `measured` fell below `floor` (throughput) or differs
-    /// from `baseline` (exact).
+    /// Whether `measured` is past `limit` (timed) or differs from
+    /// `baseline` (exact).
     pub regressed: bool,
 }
 
@@ -627,18 +629,38 @@ pub struct Comparison {
 /// latest entry's.
 pub const EXACT_COLUMNS: [&str; 3] = ["insns", "gc_collections", "journal_appends"];
 
-/// The `(key, throughput-metric)` pair a trajectory row is compared by:
-/// sim rows are keyed by `id`, service rows by `jobs=N`, serve rows by
-/// `clients=N`.
-fn row_key_metric(row: &Json) -> Option<(String, &'static str)> {
-    if let Some(id) = row.get("id").and_then(Json::as_str) {
-        return Some((id.to_string(), "median_insns_per_sec"));
-    }
-    if let Some(clients) = row.get("clients").and_then(Json::as_int) {
-        return Some((format!("clients={clients}"), "median_requests_per_sec"));
-    }
-    let jobs = row.get("jobs").and_then(Json::as_int)?;
-    Some((format!("jobs={jobs}"), "median_functions_per_sec"))
+/// How a trajectory row is judged: its workload key, its timed column,
+/// and whether lower is better in that column.
+struct Timed {
+    key: String,
+    metric: &'static str,
+    lower_is_better: bool,
+}
+
+/// The [`Timed`] verdict a trajectory row gets.  Engine rows (the S-1
+/// kernels and their `bc-` twins) are keyed by `id` and judged by
+/// `median_wall_us`: a change that deletes cheap instructions at equal
+/// wall time lowers instructions per second, so throughput in
+/// instructions would call it a regression.  Service rows (`jobs=N`)
+/// and serve rows (`clients=N`) are judged by their throughput.
+fn row_timed(row: &Json) -> Option<Timed> {
+    let (key, metric, lower_is_better) = if let Some(id) = row.get("id").and_then(Json::as_str) {
+        (id.to_string(), "median_wall_us", true)
+    } else if let Some(clients) = row.get("clients").and_then(Json::as_int) {
+        (
+            format!("clients={clients}"),
+            "median_requests_per_sec",
+            false,
+        )
+    } else {
+        let jobs = row.get("jobs").and_then(Json::as_int)?;
+        (format!("jobs={jobs}"), "median_functions_per_sec", false)
+    };
+    Some(Timed {
+        key,
+        metric,
+        lower_is_better,
+    })
 }
 
 fn entry_rows(entry: &Json) -> Vec<&Json> {
@@ -653,7 +675,7 @@ fn entry_rows(entry: &Json) -> Vec<&Json> {
 fn row_for<'a>(entry: &'a Json, workload: &str) -> Option<&'a Json> {
     entry_rows(entry)
         .into_iter()
-        .find(|r| row_key_metric(r).is_some_and(|(k, _)| k == workload))
+        .find(|r| row_timed(r).is_some_and(|t| t.key == workload))
 }
 
 /// An entry's `(warmup, trials)`: cumulative exact columns (collections
@@ -665,12 +687,15 @@ fn run_shape(entry: &Json) -> (Option<i64>, Option<i64>) {
 
 /// Compares a freshly measured entry against a baseline trajectory.
 ///
-/// Throughput: for every workload row in `fresh`, the baseline is the
-/// *best* (maximum) median recorded for that workload anywhere in
-/// `baselines` — comparing against the best ever, not the latest,
-/// keeps a slow regression from ratcheting the bar down one tolerable
-/// step at a time.  A workload passes while its measured median stays
-/// at or above `baseline * (100 - tolerance_percent) / 100`.
+/// Timing: for every workload row in `fresh`, the baseline is the
+/// *best* median recorded for that workload anywhere in `baselines` —
+/// the lowest `median_wall_us` of an engine row, the highest throughput
+/// of a service or serve row.  Comparing against the best ever, not the
+/// latest, keeps a slow regression from ratcheting the bar one
+/// tolerable step at a time.  An engine row passes while its measured
+/// median stays at or below `baseline * (100 + tolerance_percent) /
+/// 100`, a throughput row while it stays at or above `baseline * (100 -
+/// tolerance_percent) / 100`.
 ///
 /// Exact columns ([`EXACT_COLUMNS`]): each must equal its value in the
 /// *latest* baseline entry measured with the same warmup and trials
@@ -684,29 +709,46 @@ pub fn compare_entry(fresh: &Json, baselines: &[Json], tolerance_percent: u64) -
     let int = |row: &Json, column: &str| row.get(column).and_then(Json::as_int);
     let mut out = Vec::new();
     for row in entry_rows(fresh) {
-        let Some((workload, metric)) = row_key_metric(row) else {
+        let Some(Timed {
+            key: workload,
+            metric,
+            lower_is_better,
+        }) = row_timed(row)
+        else {
             continue;
         };
         let measured = int(row, metric).unwrap_or(0).max(0) as u64;
-        let baseline = baselines
+        let recorded = baselines
             .iter()
             .filter_map(|e| row_for(e, &workload))
-            .filter_map(|r| int(r, metric))
-            .max()
-            .unwrap_or(-1);
-        if baseline < 0 {
+            .filter_map(|r| int(r, metric));
+        let best = if lower_is_better {
+            recorded.min()
+        } else {
+            recorded.max()
+        };
+        let Some(baseline) = best else {
             continue; // New workload: nothing to regress against.
-        }
-        let baseline = baseline as u64;
-        let floor = baseline * (100 - tolerance) / 100;
+        };
+        let baseline = baseline.max(0) as u64;
+        let (limit, regressed) = if lower_is_better {
+            // Wall times are recorded in whole microseconds, truncated:
+            // the best run may have taken up to 1 µs more than it reads,
+            // which matters for a kernel that runs in 1 or 2 µs.
+            let ceiling = (baseline + 1) * (100 + tolerance) / 100;
+            (ceiling, measured > ceiling)
+        } else {
+            let floor = baseline * (100 - tolerance) / 100;
+            (floor, measured < floor)
+        };
         out.push(Comparison {
             workload: workload.clone(),
             metric,
             measured,
             baseline,
-            floor,
+            limit,
             exact: false,
-            regressed: measured < floor,
+            regressed,
         });
         let latest = baselines
             .iter()
@@ -725,7 +767,7 @@ pub fn compare_entry(fresh: &Json, baselines: &[Json], tolerance_percent: u64) -
                 metric: column,
                 measured,
                 baseline,
-                floor: baseline,
+                limit: baseline,
                 exact: true,
                 regressed: measured != baseline,
             });
@@ -751,8 +793,8 @@ pub fn format_comparisons(comparisons: &[Comparison]) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<10} {:<24} measured={:>12} {against}={:>12} floor={:>12}  {}",
-            c.workload, c.metric, c.measured, c.baseline, c.floor, verdict
+            "  {:<10} {:<24} measured={:>12} {against}={:>12} limit={:>12}  {}",
+            c.workload, c.metric, c.measured, c.baseline, c.limit, verdict
         );
     }
     out
@@ -888,15 +930,15 @@ mod tests {
     }
 
     /// A fabricated sim-style entry with one `tak` row at the given
-    /// throughput.
-    fn fab_sim(median: u64) -> Json {
+    /// median wall time.
+    fn fab_sim(median_us: u64) -> Json {
         Json::Obj(vec![
             ("schema".to_string(), Json::uint(1)),
             (
                 "workloads".to_string(),
                 Json::Arr(vec![Json::obj(vec![
                     ("id", Json::str("tak")),
-                    ("median_insns_per_sec", Json::uint(median)),
+                    ("median_wall_us", Json::uint(median_us)),
                 ])]),
             ),
         ])
@@ -916,18 +958,20 @@ mod tests {
     }
 
     #[test]
-    fn compare_passes_within_tolerance_and_fails_below_the_floor() {
-        // Best baseline is 1000 (not the later 800): floor at 20% is 800.
-        let baselines = [fab_sim(1000), fab_sim(800)];
-        let pass = compare_entry(&fab_sim(800), &baselines, 20);
+    fn compare_passes_within_tolerance_and_fails_above_the_ceiling() {
+        // Best baseline is the fastest, 1000 µs (not the later 1100):
+        // the ceiling at 20%, allowing the 1 µs the recorded value may
+        // have been truncated by, is 1001 * 1.2 = 1201.
+        let baselines = [fab_sim(1000), fab_sim(1100)];
+        let pass = compare_entry(&fab_sim(1201), &baselines, 20);
         assert_eq!(pass.len(), 1);
         assert_eq!(pass[0].workload, "tak");
-        assert_eq!(pass[0].metric, "median_insns_per_sec");
+        assert_eq!(pass[0].metric, "median_wall_us");
         assert_eq!(pass[0].baseline, 1000);
-        assert_eq!(pass[0].floor, 800);
+        assert_eq!(pass[0].limit, 1201);
         assert!(!pass[0].regressed);
-        // A synthetic regression one unit below the floor is caught.
-        let fail = compare_entry(&fab_sim(799), &baselines, 20);
+        // A synthetic regression one unit above the ceiling is caught.
+        let fail = compare_entry(&fab_sim(1202), &baselines, 20);
         assert!(fail[0].regressed);
         let rendered = format_comparisons(&fail);
         assert!(rendered.contains("REGRESSED"), "{rendered}");
@@ -953,7 +997,7 @@ mod tests {
         let got = compare_entry(&fresh, &baselines, 50);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].workload, "jobs=8");
-        assert_eq!(got[0].floor, 2500);
+        assert_eq!(got[0].limit, 2500);
         assert!(got[0].regressed);
     }
 
@@ -980,9 +1024,9 @@ mod tests {
         assert!(!got[0].regressed);
     }
 
-    /// A sim-style entry with one `tak` row: throughput, retired
+    /// A sim-style entry with one `tak` row: median wall time, retired
     /// instructions and collections, measured with `trials` trials.
-    fn fab_exact(median: u64, insns: u64, collections: u64, trials: u64) -> Json {
+    fn fab_exact(median_us: u64, insns: u64, collections: u64, trials: u64) -> Json {
         Json::Obj(vec![
             ("warmup".to_string(), Json::uint(1)),
             ("trials".to_string(), Json::uint(trials)),
@@ -991,7 +1035,7 @@ mod tests {
                 Json::Arr(vec![Json::obj(vec![
                     ("id", Json::str("tak")),
                     ("insns", Json::uint(insns)),
-                    ("median_insns_per_sec", Json::uint(median)),
+                    ("median_wall_us", Json::uint(median_us)),
                     ("gc_collections", Json::uint(collections)),
                 ])]),
             ),
@@ -1000,15 +1044,15 @@ mod tests {
 
     #[test]
     fn compare_fails_any_change_in_an_exact_column_from_the_latest_entry() {
-        let baselines = [fab_exact(1000, 500, 3, 5), fab_exact(900, 400, 3, 5)];
-        // Throughput within tolerance, exact columns equal to the latest
+        let baselines = [fab_exact(1000, 500, 3, 5), fab_exact(1100, 400, 3, 5)];
+        // Wall time within tolerance, exact columns equal to the latest
         // entry's (not the first's): all pass.
-        let got = compare_entry(&fab_exact(950, 400, 3, 5), &baselines, 20);
+        let got = compare_entry(&fab_exact(1050, 400, 3, 5), &baselines, 20);
         let columns: Vec<_> = got.iter().map(|c| (c.metric, c.exact)).collect();
         assert_eq!(
             columns,
             [
-                ("median_insns_per_sec", false),
+                ("median_wall_us", false),
                 ("insns", true),
                 ("gc_collections", true)
             ]
@@ -1016,7 +1060,7 @@ mod tests {
         assert!(got.iter().all(|c| !c.regressed), "{got:?}");
         // One more instruction, or one fewer collection, fails however
         // fast the run was.
-        for fresh in [fab_exact(2000, 401, 3, 5), fab_exact(2000, 400, 2, 5)] {
+        for fresh in [fab_exact(500, 401, 3, 5), fab_exact(500, 400, 2, 5)] {
             let got = compare_entry(&fresh, &baselines, 50);
             assert_eq!(got.iter().filter(|c| c.regressed).count(), 1, "{got:?}");
             assert!(got.iter().all(|c| c.exact || !c.regressed));
@@ -1037,10 +1081,15 @@ mod tests {
     #[test]
     fn compare_skips_workloads_with_no_baseline() {
         assert!(compare_entry(&fab_sim(1), &[], 20).is_empty());
-        // Zero tolerance means any drop regresses; full tolerance none.
+        // Zero tolerance means any slowdown past the recording's 1 µs
+        // resolution regresses; full tolerance allows twice the best.
         let baselines = [fab_sim(1000)];
-        assert!(compare_entry(&fab_sim(999), &baselines, 0)[0].regressed);
-        assert!(!compare_entry(&fab_sim(0), &baselines, 100)[0].regressed);
+        assert!(!compare_entry(&fab_sim(1001), &baselines, 0)[0].regressed);
+        assert!(compare_entry(&fab_sim(1002), &baselines, 0)[0].regressed);
+        assert!(!compare_entry(&fab_sim(2002), &baselines, 100)[0].regressed);
+        assert!(compare_entry(&fab_sim(2003), &baselines, 100)[0].regressed);
+        // A 1 µs kernel may read 3 µs without regressing at 50%.
+        assert!(!compare_entry(&fab_sim(3), &[fab_sim(1)], 50)[0].regressed);
     }
 
     #[test]

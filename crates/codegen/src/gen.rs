@@ -270,6 +270,16 @@ impl Val {
             temp: None,
         }
     }
+
+    /// A call's result, left in register A for its consumer to read
+    /// there (`PUSH A`, `%FLONUM-FETCH R A`, `MOV home A`) rather than
+    /// copied out first; a call compiled for effect copies nothing.
+    /// Only calls and throws write A, so the value lives exactly as
+    /// long as one in a scratch register: a consumer that runs a
+    /// sibling's calls first protects it, as it would a register.
+    fn in_a() -> Val {
+        Val::borrowed(Operand::Reg(Reg::A))
+    }
 }
 
 /// A local-function (join point) record.
@@ -309,6 +319,11 @@ struct Gen<'a> {
     free_temps: Vec<u16>,
     alloc_patch: Vec<usize>,
     body_label: Label,
+    /// Where a self tail call's parameter-passing goto lands: after the
+    /// prologue, with every parameter in its home (see
+    /// [`Gen::gen_self_loop`]).  Bound only in a function with a self
+    /// tail call and no special or heap-allocated parameter.
+    loop_label: Option<Label>,
     simple: bool,
     local_fns: HashMap<VarId, LocalFn>,
     blocks: Vec<(VarId, NodeId)>,
@@ -368,6 +383,7 @@ impl<'a> Gen<'a> {
             free_temps: Vec::new(),
             alloc_patch: Vec::new(),
             body_label: 0,
+            loop_label: None,
             simple: true,
             local_fns: HashMap::new(),
             blocks: Vec::new(),
@@ -477,20 +493,6 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Moves `v` into a place we own (for results that must survive
-    /// arbitrary later code, e.g. values read out of register A).
-    fn own(&mut self, v: Val) -> Val {
-        if v.reg.is_some() || v.temp.is_some() {
-            return v;
-        }
-        let dst = self.alloc_place();
-        self.asm.push(Insn::Mov {
-            dst: dst.op,
-            src: v.op,
-        });
-        dst
-    }
-
     /// Parks a value in a temp slot so it survives a call or a sibling
     /// assignment (constants need no protection).
     fn protect(&mut self, v: Val) -> Val {
@@ -568,7 +570,7 @@ impl<'a> Gen<'a> {
                 site,
                 Insn::AllocSlots {
                     n: self.temp_high,
-                    init: Word::Ptr(Tag::Gc, 12),
+                    init: Word::NIL,
                 },
             );
         }
@@ -719,21 +721,26 @@ impl<'a> Gen<'a> {
                     self.var_loc.insert(p, VLoc::Cell(slot));
                 }
                 _ => {
-                    // Declared raw representations: convert the incoming
-                    // pointer-format argument once, in place.
+                    // TNBIND promotion: pass 2 loads the parameter into
+                    // its register once, here.  A declared raw
+                    // representation converts the incoming pointer-format
+                    // argument on the way, into the register or in place.
+                    let home = match self.promote.get(&p) {
+                        Some(&r) => Operand::Reg(r),
+                        None => Operand::arg(i),
+                    };
                     if self.var_rep(p) == Rep::Swflo {
                         self.asm.push(Insn::UnboxFlo {
-                            dst: Operand::arg(i),
+                            dst: home,
+                            src: Operand::arg(i),
+                        });
+                    } else if home != Operand::arg(i) {
+                        self.asm.push(Insn::Mov {
+                            dst: home,
                             src: Operand::arg(i),
                         });
                     }
-                    // TNBIND promotion: pass 2 loads the parameter into
-                    // its register once, here.
-                    if let Some(&r) = self.promote.get(&p) {
-                        self.asm.push(Insn::Mov {
-                            dst: Operand::Reg(r),
-                            src: Operand::arg(i),
-                        });
+                    if let Operand::Reg(r) = home {
                         self.var_loc.insert(p, VLoc::Reg(r));
                     } else {
                         let tn = *self
@@ -788,7 +795,39 @@ impl<'a> Gen<'a> {
                 self.spec_cache.insert(name, slot);
             }
         }
+        let in_homes = all
+            .iter()
+            .all(|p| matches!(self.var_loc[p], VLoc::Slot(_) | VLoc::Reg(_)));
+        if self.simple && in_homes && self.has_self_loop() {
+            self.loop_label = Some(self.asm.here());
+        }
         Ok(())
+    }
+
+    /// Does the body make a self tail call that [`Gen::loops_in_place`]?
+    fn has_self_loop(&mut self) -> bool {
+        let sites: Vec<Vec<NodeId>> = self
+            .tails
+            .iter()
+            .filter_map(|&n| match self.tree.kind(n) {
+                NodeKind::Call {
+                    func: CallFunc::Global(g),
+                    args,
+                } if g.as_str() == self.fname => Some(args.clone()),
+                _ => None,
+            })
+            .collect();
+        sites.iter().any(|args| self.loops_in_place(args))
+    }
+
+    /// Can a self tail call with these arguments assign them in place
+    /// ([`Gen::gen_self_loop`])?  Not when an argument after the first
+    /// makes a call or an assignment: every earlier argument would have
+    /// to be protected across it and moved again, which costs more than
+    /// pushing it and sliding.
+    fn loops_in_place(&mut self, args: &[NodeId]) -> bool {
+        args.len() == self.lambda.required.len()
+            && !args.iter().skip(1).any(|&a| self.sibling_unsafe(a))
     }
 
     // -------------------------------------------------------- variables
@@ -957,15 +996,20 @@ impl<'a> Gen<'a> {
         if !self.ann.pdl.unsafe_p(node) {
             return Ok(v);
         }
+        Ok(self.certified(v))
+    }
+
+    /// Emits the certification of `v` (constants need none).
+    fn certified(&mut self, v: Val) -> Val {
         if matches!(v.op, Operand::Const(_)) {
-            return Ok(v);
+            return v;
         }
         if v.reg.is_some() {
             self.asm.push(Insn::Certify {
                 dst: v.op,
                 src: v.op,
             });
-            return Ok(v);
+            return v;
         }
         let dst = self.alloc_place();
         self.asm.push(Insn::Certify {
@@ -973,7 +1017,7 @@ impl<'a> Gen<'a> {
             src: v.op,
         });
         self.release(v);
-        Ok(dst)
+        dst
     }
 
     /// Remembers what a coercion did and to which form, for the
@@ -1191,7 +1235,7 @@ impl<'a> Gen<'a> {
                     nargs: args.len() as u8,
                 });
                 self.release(fv);
-                Ok(self.own(Val::borrowed(Operand::Reg(Reg::A))))
+                Ok(Val::in_a())
             }
         }
     }
@@ -1220,7 +1264,7 @@ impl<'a> Gen<'a> {
             f: CallTarget::Func(id),
             nargs: args.len() as u8,
         });
-        Ok(self.own(Val::borrowed(Operand::Reg(Reg::A))))
+        Ok(Val::in_a())
     }
 
     /// Primitives compiled via the run-time system.
@@ -1338,7 +1382,7 @@ impl<'a> Gen<'a> {
                 });
                 self.release(fv);
                 self.release(lv);
-                Ok(Some(self.own(Val::borrowed(Operand::Reg(Reg::A)))))
+                Ok(Some(Val::in_a()))
             }
             (Prim::Function, [x]) => {
                 if let NodeKind::Constant(Datum::Sym(s)) = self.tree.kind(*x) {
@@ -2000,7 +2044,7 @@ impl<'a> Gen<'a> {
             self.emit_return_from_a()?;
             return Ok(None);
         }
-        Ok(Some(self.own(Val::borrowed(Operand::Reg(Reg::A)))))
+        Ok(Some(Val::in_a()))
     }
 
     fn emit_block(&mut self, var: VarId, lambda_node: NodeId) -> R<()> {
@@ -2014,10 +2058,7 @@ impl<'a> Gen<'a> {
         } else {
             let v = self.gen_into(l.body, Rep::Pointer)?;
             let v = self.certify(l.body, v)?;
-            self.asm.push(Insn::Mov {
-                dst: Operand::Reg(Reg::A),
-                src: v.op,
-            });
+            let v = self.store_home(Operand::Reg(Reg::A), v);
             self.release(v);
             self.asm.push(Insn::LocalRet);
         }
@@ -2380,31 +2421,24 @@ impl<'a> Gen<'a> {
             } if primop(g.as_str()).is_none() => {
                 // A tail call to a user function: "more akin to a
                 // parameter-passing goto than to a recursive call" (§2).
-                if !self.opts.tail_calls {
+                // A call inside a special binding's extent is not a
+                // tail call, whoever the callee is: unbinding first would
+                // change what the callee (or the next iteration of a self
+                // call) sees.  Fall back to a full call.
+                if !self.opts.tail_calls || self.specials_bound > 0 {
                     let v = self.gen_global_call(node, &g, &args, false)?;
                     return self.finish_tail_value(node, v);
                 }
-                for &a in &args {
-                    let v = self.gen_into(a, Rep::Pointer)?;
-                    self.asm.push(Insn::Push { src: v.op });
-                    self.release(v);
+                let self_call = g.as_str() == self.fname
+                    && self.simple
+                    && args.len() == self.lambda.required.len();
+                if let (true, Some(top)) = (self_call, self.loop_label) {
+                    if self.loops_in_place(&args) {
+                        return self.gen_self_loop(&args, top);
+                    }
                 }
-                if self.specials_bound > 0 {
-                    // A call inside a special binding's extent is not a
-                    // tail call, whoever the callee is: unbinding first
-                    // would change what the callee (or the next
-                    // iteration of a self call) sees.  Fall back to a
-                    // full call.
-                    let id = self.program.fn_id(g.as_str());
-                    self.pool.record_call(self.pos());
-                    self.asm.push(Insn::Call {
-                        f: CallTarget::Func(id),
-                        nargs: args.len() as u8,
-                    });
-                    return self.emit_return_from_a();
-                }
-                let self_call = g.as_str() == self.fname;
-                if self_call && self.simple && args.len() == self.lambda.required.len() {
+                self.push_tail_args(&args)?;
+                if self_call {
                     // The whole function body is a loop for TNBIND.
                     self.pool.record_loop(0, self.pos());
                     self.asm.push(Insn::TailJmp {
@@ -2440,11 +2474,7 @@ impl<'a> Gen<'a> {
                 }
                 let fv = self.gen(f)?;
                 let fv = self.protect(fv);
-                for &a in &args {
-                    let v = self.gen_into(a, Rep::Pointer)?;
-                    self.asm.push(Insn::Push { src: v.op });
-                    self.release(v);
-                }
+                self.push_tail_args(&args)?;
                 self.asm.push(Insn::TailCall {
                     f: CallTarget::Value(fv.op),
                     nargs: args.len() as u8,
@@ -2462,6 +2492,137 @@ impl<'a> Gen<'a> {
                 self.finish_tail_value(node, v)
             }
         }
+    }
+
+    /// Pushes a tail call's arguments for `TailJmp` or `TailCall` to
+    /// slide down over the current frame.
+    fn push_tail_args(&mut self, args: &[NodeId]) -> R<()> {
+        for &a in args {
+            let v = self.gen_into(a, Rep::Pointer)?;
+            let v = self.certify_tail_arg(a, v);
+            self.asm.push(Insn::Push { src: v.op });
+            self.release(v);
+        }
+        Ok(())
+    }
+
+    /// A self tail call as a parameter-passing goto (§2): each argument
+    /// is computed in its parameter's representation and assigned to
+    /// the parameter's home (promoted register or frame slot), and a
+    /// counted `TailJmp` of no arguments lands on `top`, past the
+    /// prologue's `ALLOC`, unboxes and promotion loads.  An argument no
+    /// later argument reads is [`Gen::target`]ed straight into its home;
+    /// the rest wait in scratch places and are assigned together, as a
+    /// parallel move.  The caller has checked that the call
+    /// [`Gen::loops_in_place`], so a waiting value survives the later
+    /// arguments' code.
+    fn gen_self_loop(&mut self, args: &[NodeId], top: Label) -> R<()> {
+        let params = self.lambda.required.clone();
+        let mut moves: Vec<(VarId, Operand, Val)> = Vec::new();
+        for (j, (&a, &p)) in args.iter().zip(&params).enumerate() {
+            let home = match self.var_loc[&p] {
+                VLoc::Reg(r) => Operand::Reg(r),
+                VLoc::Slot(i) => Operand::Ind(Reg::FP, i32::from(i)),
+                other => return self.err(format!("self-loop parameter in {other:?}")),
+            };
+            let rep = self.var_rep(p);
+            let v = self.gen_into(a, rep)?;
+            let v = if rep == Rep::Pointer {
+                self.certify_tail_arg(a, v)
+            } else {
+                v
+            };
+            let read_later = args[j + 1..].iter().any(|&b| self.reads_var(b, p));
+            let read_waiting = moves.iter().any(|m| m.2.op == home);
+            let v = if read_later || read_waiting {
+                v
+            } else {
+                self.target(v, home)
+            };
+            self.record_var_use(p);
+            if v.op == home {
+                self.release(v);
+            } else {
+                moves.push((p, home, v));
+            }
+        }
+        // Sequentialize: assign a home no waiting value reads; when
+        // every remaining home is read (a cycle, as in `(f y x)`), park
+        // one of them in a scratch place first.
+        while !moves.is_empty() {
+            let free = (0..moves.len()).find(|&i| {
+                let home = moves[i].1;
+                moves
+                    .iter()
+                    .enumerate()
+                    .all(|(k, m)| k == i || m.2.op != home)
+            });
+            match free {
+                Some(i) => {
+                    let (p, home, v) = moves.remove(i);
+                    self.asm.push(Insn::Mov {
+                        dst: home,
+                        src: v.op,
+                    });
+                    self.record_var_use(p);
+                    self.release(v);
+                }
+                None => {
+                    let home = moves[0].1;
+                    let park = self.alloc_place();
+                    self.asm.push(Insn::Mov {
+                        dst: park.op,
+                        src: home,
+                    });
+                    let k = moves
+                        .iter()
+                        .position(|m| m.2.op == home)
+                        .expect("a cycle reads every home");
+                    let read = std::mem::replace(&mut moves[k].2, park);
+                    self.release(read);
+                }
+            }
+        }
+        self.pool.record_loop(0, self.pos());
+        self.asm.push(Insn::TailJmp {
+            nargs: 0,
+            target: top,
+        });
+        Ok(())
+    }
+
+    /// Does `node`'s subtree reference variable `v`?
+    fn reads_var(&self, node: NodeId, v: VarId) -> bool {
+        s1lisp_ast::subtree_nodes(self.tree, node)
+            .iter()
+            .any(|&n| matches!(self.tree.kind(n), NodeKind::VarRef(r) if *r == v))
+    }
+
+    /// Certifies a tail call's argument when it may be a pdl number
+    /// boxed in this frame, which the call reuses or replaces (§6.3).
+    /// An incoming pointer parameter the body never assigns points into
+    /// an older, live frame and passes as it is.
+    fn certify_tail_arg(&mut self, node: NodeId, v: Val) -> Val {
+        let in_frame = self.opts.pdl_numbers
+            && self.opts.representation_analysis
+            && (self.ann.pdl.stack_box(node)
+                || self.ann.pdl.unsafe_p(node) && !self.incoming_param(node));
+        if in_frame {
+            self.certified(v)
+        } else {
+            v
+        }
+    }
+
+    /// Is `node` a reference to one of this function's pointer-format
+    /// parameters that no `setq` assigns?
+    fn incoming_param(&self, node: NodeId) -> bool {
+        let NodeKind::VarRef(v) = *self.tree.kind(node) else {
+            return false;
+        };
+        self.lambda.all_params().contains(&v)
+            && self.tree.var(v).setqs.is_empty()
+            && self.var_rep(v) == Rep::Pointer
     }
 
     fn finish_tail_value(&mut self, node: NodeId, v: Val) -> R<()> {

@@ -6,7 +6,7 @@ fn op_str(program: &Program, op: Operand) -> String {
     match op {
         Operand::Reg(r) => format!("{r:?}"),
         Operand::Const(Word::Raw(n)) => format!("(? {n})"),
-        Operand::Const(Word::F(x)) => format!("(QUOTE {x})"),
+        Operand::Const(Word::F(x)) => format!("(QUOTE {})", float_str(x)),
         Operand::Const(Word::NIL) => "(SQ *:SQ-NIL)".to_string(),
         Operand::Const(Word::T) => "(SQ *:SQ-T)".to_string(),
         Operand::Const(Word::Ptr(tag, n)) => match tag {
@@ -35,6 +35,17 @@ fn op_str(program: &Program, op: Operand) -> String {
             idx_off,
             shift,
         } => format!("(REF ({base:?} {off}) (REF {idx_base:?} {idx_off})^{shift})"),
+    }
+}
+
+/// A flonum immediate as a float literal: `1.0`, never `1`, which
+/// would read as a fixnum.
+fn float_str(x: f64) -> String {
+    let s = x.to_string();
+    if x.is_finite() && !s.contains('.') {
+        format!("{s}.0")
+    } else {
+        s
     }
 }
 
@@ -121,7 +132,7 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
         }
         I::Push { src } => format!("((PUSH UP) SP {})", o(src)),
         I::Pop { dst } => format!("((POP UP) {} SP)", o(dst)),
-        I::AllocSlots { n, init } => format!("((ALLOC {n}) (? {init}))"),
+        I::AllocSlots { n, init } => format!("((ALLOC {n}) {})", o(&Operand::Const(*init))),
         I::FreeSlots { n } => format!("((FREE {n}))"),
         I::Call { f, nargs } => format!("(%CALL {f:?} {nargs})"),
         I::TailCall { f, nargs } => format!("(%TAILCALL {f:?} {nargs})"),

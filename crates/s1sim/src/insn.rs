@@ -502,7 +502,9 @@ pub enum Insn {
     },
     /// Tail self-jump: move the top `nargs` words into the argument slots
     /// and continue at a label of the *current* function (the compiled
-    /// form of `exptl`'s self-call).
+    /// form of `exptl`'s self-call).  With `nargs` 0 the arguments are
+    /// already in their homes: the jump moves nothing and leaves the
+    /// stack pointer and RTA alone, and still counts as a tail call.
     TailJmp {
         /// Argument count.
         nargs: u8,

@@ -516,8 +516,10 @@ impl Machine {
                 }
                 Step::TailJmp { nargs, target } => {
                     self.stats.tail_calls += 1;
-                    self.slide_args_to_frame(nargs);
-                    self.regs[Reg::RTA.0 as usize] = Word::Raw(nargs as i64);
+                    if nargs > 0 {
+                        self.slide_args_to_frame(nargs);
+                        self.regs[Reg::RTA.0 as usize] = Word::Raw(nargs as i64);
+                    }
                     pc = code.labels[target as usize];
                 }
                 Step::LocalRet => {

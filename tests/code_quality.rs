@@ -194,9 +194,9 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// `(sim_insns, code_words, heap_alloc_words)` of a case under the full
-/// compiler.
-fn measure(c: &Case) -> (u64, u64, u64) {
+/// `(sim_insns, code_words, heap_alloc_words, (tail_calls,
+/// max_call_depth))` of a case under the full compiler.
+fn measure(c: &Case) -> (u64, u64, u64, (u64, usize)) {
     let mut comp = Compiler::new();
     comp.compile_str(c.src)
         .unwrap_or_else(|e| panic!("{}: {e}", c.id));
@@ -212,45 +212,65 @@ fn measure(c: &Case) -> (u64, u64, u64) {
         insns += m.last_run_insns;
         heap += m.stats.heap.words - words;
     }
-    (insns, comp.code_size_words() as u64, heap)
+    (
+        insns,
+        comp.code_size_words() as u64,
+        heap,
+        (m.stats.tail_calls, m.stats.max_call_depth),
+    )
 }
 
 /// `(id, sim_insns, code_words, heap_alloc_words)` as the compiler
-/// stood before the code generator stopped emitting `ALLOC 0`, dead
-/// stores of discarded `if` values and copies into `setq` targets, and
-/// before the peephole pass inverted jumps over jumps and deleted dead
-/// code.  A row may only fall (instructions, words) or hold (heap).
-const BEFORE: &[(&str, u64, u64, u64)] = &[
-    ("corpus-exptl", 395, 43, 0),
-    ("corpus-exptl-typed", 199, 33, 0),
-    ("corpus-loopn", 2_100_006, 14, 0),
-    ("corpus-testfn", 90, 58, 7),
-    ("corpus-quadratic", 213, 70, 22),
-    ("corpus-quadratic-typed", 49, 53, 9),
-    ("corpus-tak", 37_678, 37, 0),
-    ("corpus-fib-iter", 2_410, 31, 0),
-    ("corpus-sum-horner", 102_012, 71, 2_006),
-    ("corpus-pdl-loop", 112_007, 60, 2_002),
-    ("corpus-accumulate", 37_010, 28, 0),
-    ("corpus-closures", 97, 72, 4),
-    ("corpus-dot-loop", 80_009, 56, 2_006),
-    ("corpus-deriv", 2_802, 119, 288),
-    ("corpus-sum-horner-inline", 150_010, 36, 1),
-    ("corpus-gc-stress", 260_645, 43, 20_000),
-    ("kernel-tak", 1_383_481, 37, 0),
-    ("kernel-loopn", 4_200_006, 14, 0),
-    ("kernel-sum-horner", 1_020_012, 71, 20_006),
-    ("kernel-pdl-loop", 1_120_007, 60, 20_002),
-    ("kernel-accumulate", 1_850_010, 28, 0),
-    ("kernel-deriv-bench", 68_850, 119, 7_200),
-    ("kernel-gc-stress", 15_638_405, 43, 1_200_000),
-    ("gabriel-stak", 1_940_061, 75, 0),
-    ("gabriel-ctak", 1_383_491, 70, 0),
-    ("gabriel-div2", 2_960, 97, 244),
-    ("gabriel-destructive", 739, 42, 26),
-    ("gabriel-triangle", 3_572, 102, 30),
-    ("gabriel-flatten", 16, 33, 2),
-    ("gabriel-collatz", 4_418, 34, 0),
+/// stands with self tail calls compiled as parameter-passing gotos and
+/// call results read out of register A.  A row may only fall
+/// (instructions, words) or hold (heap).
+const TABLE: &[(&str, u64, u64, u64)] = &[
+    ("corpus-exptl", 356, 34, 0),
+    ("corpus-exptl-typed", 160, 24, 0),
+    ("corpus-loopn", 1_700_005, 11, 0),
+    ("corpus-testfn", 79, 52, 7),
+    ("corpus-quadratic", 207, 63, 22),
+    ("corpus-quadratic-typed", 40, 43, 9),
+    ("corpus-tak", 32_046, 31, 0),
+    ("corpus-fib-iter", 2_168, 21, 0),
+    ("corpus-sum-horner", 76_009, 51, 2_006),
+    ("corpus-pdl-loop", 98_006, 48, 2_002),
+    ("corpus-accumulate", 33_009, 19, 0),
+    ("corpus-closures", 85, 58, 4),
+    ("corpus-dot-loop", 58_007, 39, 2_006),
+    ("corpus-deriv", 2_644, 102, 288),
+    ("corpus-sum-horner-inline", 100_008, 25, 1),
+    ("corpus-gc-stress", 210_524, 30, 20_000),
+    ("kernel-tak", 1_176_752, 31, 0),
+    ("kernel-loopn", 3_400_005, 11, 0),
+    ("kernel-sum-horner", 760_009, 51, 20_006),
+    ("kernel-pdl-loop", 980_006, 48, 20_002),
+    ("kernel-accumulate", 1_650_009, 19, 0),
+    ("kernel-deriv-bench", 65_044, 102, 7_200),
+    ("kernel-gc-stress", 12_631_204, 30, 1_200_000),
+    ("gabriel-stak", 1_796_940, 69, 0),
+    ("gabriel-ctak", 1_272_174, 61, 0),
+    ("gabriel-div2", 2_558, 68, 244),
+    ("gabriel-destructive", 665, 30, 26),
+    ("gabriel-triangle", 2_272, 80, 30),
+    ("gabriel-flatten", 12, 26, 2),
+    ("gabriel-collatz", 3_783, 20, 0),
+];
+
+/// `(id, tail_calls, max_call_depth)`: a self tail call that became a
+/// goto still counts as a tail call, and none of them pushes a frame
+/// (E4's loopn makes one tail call per iteration at depth 0).
+const TAIL_CALLS: &[(&str, u64, usize)] = &[
+    ("corpus-exptl", 5, 0),
+    ("corpus-loopn", 100_000, 0),
+    ("corpus-gc-stress", 10_000, 1),
+    ("kernel-tak", 15_902, 16),
+    ("kernel-loopn", 200_000, 0),
+    ("kernel-sum-horner", 0, 1),
+    ("kernel-pdl-loop", 0, 2),
+    ("kernel-accumulate", 0, 0),
+    ("kernel-deriv-bench", 1, 400),
+    ("kernel-gc-stress", 600_000, 1),
 ];
 
 #[test]
@@ -258,9 +278,9 @@ fn no_program_is_slower_or_larger_than_the_recorded_table() {
     let mut report = String::new();
     let mut worse = Vec::new();
     for c in cases() {
-        let (insns, words, heap) = measure(&c);
+        let (insns, words, heap, _) = measure(&c);
         report.push_str(&format!("    (\"{}\", {insns}, {words}, {heap}),\n", c.id));
-        let Some(&(_, t_insns, t_words, t_heap)) = BEFORE.iter().find(|r| r.0 == c.id) else {
+        let Some(&(_, t_insns, t_words, t_heap)) = TABLE.iter().find(|r| r.0 == c.id) else {
             worse.push(format!("{}: no row in the table", c.id));
             continue;
         };
@@ -277,6 +297,22 @@ fn no_program_is_slower_or_larger_than_the_recorded_table() {
         "{}\nmeasured rows:\n{report}",
         worse.join("\n")
     );
+}
+
+#[test]
+fn tail_calls_and_call_depth_hold_the_recorded_table() {
+    for c in cases() {
+        let Some(&(_, calls, depth)) = TAIL_CALLS.iter().find(|r| r.0 == c.id) else {
+            continue;
+        };
+        let (_, _, _, measured) = measure(&c);
+        assert_eq!(
+            measured,
+            (calls, depth),
+            "{}: (tail_calls, max_call_depth)",
+            c.id
+        );
+    }
 }
 
 /// E9's inline Horner loop retires no more instructions than the same

@@ -35,7 +35,7 @@ fn the_stack_limit_traps_where_a_whole_stack_did() {
     let mut m = depth_machine(&c);
     let v = m.run("depth", &[Value::Fixnum(2000)]).expect("fits");
     assert_eq!(v.to_string(), "2000");
-    assert_eq!(m.stats.insns, 74_005);
+    assert_eq!(m.stats.insns, 72_005);
     assert_eq!(m.stats.max_stack_words, 4_002);
 
     let mut m = depth_machine(&c);
