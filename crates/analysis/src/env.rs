@@ -3,9 +3,11 @@
 //! "For each subtree, determine the sets of variables read and written
 //! within that subtree.  For each variable binding, attach a list of all
 //! referent nodes." (§4.2.)  The referent lists are the tree's own
-//! backlinks; this phase computes the per-subtree read/write sets and
-//! each lambda's free variables (needed by binding annotation to decide
-//! which variables escape into closures).
+//! backlinks (`refs`/`setqs` on each variable), and the optimizer
+//! answers its read/write questions from them and from side-effects
+//! analysis.  What remains to compute here is each lambda's free
+//! variables, which binding annotation reads to decide which variables
+//! escape into closures.
 
 use std::collections::{HashMap, HashSet};
 
@@ -14,32 +16,12 @@ use s1lisp_ast::{NodeId, NodeKind, Tree, VarId};
 /// Environment facts for a whole tree.
 #[derive(Debug, Clone, Default)]
 pub struct EnvInfo {
-    /// Variables read anywhere within each subtree.
-    pub reads: HashMap<NodeId, HashSet<VarId>>,
-    /// Variables assigned (`setq`) anywhere within each subtree.
-    pub writes: HashMap<NodeId, HashSet<VarId>>,
     /// For each lambda node: variables referenced inside it but bound
     /// outside it (its free variables).
     pub free_vars: HashMap<NodeId, HashSet<VarId>>,
 }
 
 impl EnvInfo {
-    /// Variables read within `node`'s subtree.
-    pub fn reads_of(&self, node: NodeId) -> &HashSet<VarId> {
-        static EMPTY: std::sync::OnceLock<HashSet<VarId>> = std::sync::OnceLock::new();
-        self.reads
-            .get(&node)
-            .unwrap_or_else(|| EMPTY.get_or_init(HashSet::new))
-    }
-
-    /// Variables written within `node`'s subtree.
-    pub fn writes_of(&self, node: NodeId) -> &HashSet<VarId> {
-        static EMPTY: std::sync::OnceLock<HashSet<VarId>> = std::sync::OnceLock::new();
-        self.writes
-            .get(&node)
-            .unwrap_or_else(|| EMPTY.get_or_init(HashSet::new))
-    }
-
     /// Free variables of a lambda node (empty when it closes over
     /// nothing, i.e. no closure environment is needed).
     pub fn free_of(&self, lambda: NodeId) -> &HashSet<VarId> {
@@ -57,38 +39,20 @@ pub fn environment(tree: &Tree) -> EnvInfo {
     info
 }
 
-/// Post-order accumulation of read/write/free sets.  The third result is
-/// the set of *free* lexical variables of the subtree: referenced within
-/// it but bound by no lambda inside it.
-fn walk(
-    tree: &Tree,
-    node: NodeId,
-    info: &mut EnvInfo,
-) -> (HashSet<VarId>, HashSet<VarId>, HashSet<VarId>) {
-    let mut reads = HashSet::new();
-    let mut writes = HashSet::new();
+/// Post-order accumulation of free sets: returns the *free* lexical
+/// variables of the subtree, referenced or assigned within it but bound
+/// by no lambda inside it, and records the set of each lambda.
+fn walk(tree: &Tree, node: NodeId, info: &mut EnvInfo) -> HashSet<VarId> {
     let mut free = HashSet::new();
     match tree.kind(node) {
-        NodeKind::VarRef(v) => {
-            reads.insert(*v);
-            // Special variables are dynamically looked up, never captured.
-            if !tree.var(*v).special {
-                free.insert(*v);
-            }
-        }
-        NodeKind::Setq { var, .. } => {
-            writes.insert(*var);
-            if !tree.var(*var).special {
-                free.insert(*var);
-            }
+        // Special variables are dynamically looked up, never captured.
+        NodeKind::VarRef(v) | NodeKind::Setq { var: v, .. } if !tree.var(*v).special => {
+            free.insert(*v);
         }
         _ => {}
     }
     for child in tree.children(node) {
-        let (r, w, f) = walk(tree, child, info);
-        reads.extend(&r);
-        writes.extend(&w);
-        free.extend(&f);
+        free.extend(walk(tree, child, info));
     }
     if let NodeKind::Lambda(l) = tree.kind(node) {
         for p in l.all_params() {
@@ -96,87 +60,5 @@ fn walk(
         }
         info.free_vars.insert(node, free.clone());
     }
-    info.reads.insert(node, reads.clone());
-    info.writes.insert(node, writes.clone());
-    (reads, writes, free)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use s1lisp_frontend::Frontend;
-    use s1lisp_reader::{read_str, Interner};
-
-    fn analyze(src: &str) -> (Tree, EnvInfo) {
-        let mut i = Interner::new();
-        let form = read_str(src, &mut i).unwrap();
-        let mut fe = Frontend::new(&mut i);
-        let f = fe.convert_defun(&form).unwrap();
-        let info = environment(&f.tree);
-        (f.tree, info)
-    }
-
-    fn var_named(tree: &Tree, name: &str) -> VarId {
-        tree.var_ids()
-            .find(|&v| tree.var(v).name.as_str() == name)
-            .unwrap()
-    }
-
-    #[test]
-    fn read_and_write_sets() {
-        let (tree, info) = analyze("(defun f (a b) (setq a (+ a b)) a)");
-        let a = var_named(&tree, "a");
-        let b = var_named(&tree, "b");
-        assert!(info.reads_of(tree.root).contains(&a));
-        assert!(info.reads_of(tree.root).contains(&b));
-        assert!(info.writes_of(tree.root).contains(&a));
-        assert!(!info.writes_of(tree.root).contains(&b));
-    }
-
-    #[test]
-    fn lambda_free_variables() {
-        let (tree, info) = analyze("(defun make-adder (n) (lambda (x) (+ x n)))");
-        let n = var_named(&tree, "n");
-        let inner = s1lisp_ast::subtree_nodes(&tree, tree.root)
-            .into_iter()
-            .filter(|&id| matches!(tree.kind(id), NodeKind::Lambda(_)))
-            .nth(1)
-            .unwrap();
-        assert_eq!(info.free_of(inner).len(), 1);
-        assert!(info.free_of(inner).contains(&n));
-        // The outer lambda is closed.
-        assert!(info.free_of(tree.root).is_empty());
-    }
-
-    #[test]
-    fn specials_are_not_free() {
-        let (tree, info) = analyze("(defun f () (lambda () *level*))");
-        let inner = s1lisp_ast::subtree_nodes(&tree, tree.root)
-            .into_iter()
-            .filter(|&id| matches!(tree.kind(id), NodeKind::Lambda(_)))
-            .nth(1)
-            .unwrap();
-        assert!(info.free_of(inner).is_empty());
-        // But the read is still recorded.
-        let lvl = var_named(&tree, "*level*");
-        assert!(info.reads_of(inner).contains(&lvl));
-    }
-
-    #[test]
-    fn subtree_sets_are_local() {
-        let (tree, info) = analyze("(defun f (a b) (if a (setq b 1) b))");
-        let NodeKind::Lambda(l) = tree.kind(tree.root) else {
-            panic!()
-        };
-        let NodeKind::If { test, then, els } = tree.kind(l.body) else {
-            panic!()
-        };
-        let a = var_named(&tree, "a");
-        let b = var_named(&tree, "b");
-        assert!(info.reads_of(*test).contains(&a));
-        assert!(!info.reads_of(*test).contains(&b));
-        assert!(info.writes_of(*then).contains(&b));
-        assert!(info.writes_of(*els).is_empty());
-        assert!(info.reads_of(*els).contains(&b));
-    }
+    free
 }

@@ -5,9 +5,10 @@
 //! than to a recursive call, and can be implemented as such, as a simple
 //! unconditional branch."
 //!
-//! [`tail_nodes`] computes the set of nodes in tail position with respect
-//! to the root lambda: the nodes whose value *is* the function's value and
-//! after which no work remains.  A `call` in this set compiles to a jump.
+//! [`tail_nodes_from`] computes the set of nodes in tail position with
+//! respect to a lambda: the nodes whose value *is* the lambda's value
+//! and after which no work remains.  A `call` in this set compiles to a
+//! jump.
 //!
 //! [`value_producers`] is §4.2's "for each node, make a list of other
 //! nodes that potentially generate its value": the leaves that actually
@@ -18,13 +19,8 @@ use std::collections::HashSet;
 
 use s1lisp_ast::{CallFunc, NodeId, NodeKind, ProgItem, Tree};
 
-/// Nodes in tail position relative to the root lambda of `tree`.
-pub fn tail_nodes(tree: &Tree) -> HashSet<NodeId> {
-    tail_nodes_from(tree, tree.root)
-}
-
-/// Nodes in tail position relative to an arbitrary lambda node (used
-/// when compiling closure bodies as separate functions).
+/// Nodes in tail position relative to `lambda`: code generation asks
+/// once for each lambda it compiles, the root and each closure body.
 pub fn tail_nodes_from(tree: &Tree, lambda: NodeId) -> HashSet<NodeId> {
     let mut out = HashSet::new();
     if let NodeKind::Lambda(l) = tree.kind(lambda) {
@@ -146,7 +142,7 @@ mod tests {
         let form = read_str(src, &mut i).unwrap();
         let mut fe = Frontend::new(&mut i);
         let f = fe.convert_defun(&form).unwrap();
-        let t = tail_nodes(&f.tree);
+        let t = tail_nodes_from(&f.tree, f.tree.root);
         (f.tree, t)
     }
 

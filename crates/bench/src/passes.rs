@@ -76,7 +76,6 @@ mod tests {
     fn passes_report_lists_the_whole_schedule() {
         let text = passes_report();
         for name in [
-            "Environment analysis",
             "Source-level optimization",
             "Binding annotation",
             "Code generation",

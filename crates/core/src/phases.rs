@@ -14,7 +14,8 @@
 pub enum PhaseStatus {
     /// Fully implemented.
     Implemented,
-    /// Implemented as an optional extension (off by default).
+    /// Implemented as an optional extension, which a compiler option
+    /// switches on or off.
     OptionalExtension,
     /// Folded into another phase (noted in `module`).
     Subsumed,
@@ -52,29 +53,31 @@ pub fn phases() -> Vec<Phase> {
             description: "For each subtree, the sets of variables read and written; \
                           referent back-pointers per variable",
             bracketed_in_paper: false,
-            status: PhaseStatus::Implemented,
-            module: "s1lisp-analysis::env",
+            status: PhaseStatus::Subsumed,
+            module: "s1lisp-analysis::env (run by binding annotation)",
         },
         Phase {
             name: "Side-effects analysis",
             description: "Classify each subtree's side effects and sensitivities",
             bracketed_in_paper: false,
-            status: PhaseStatus::Implemented,
-            module: "s1lisp-analysis::effects",
+            status: PhaseStatus::Subsumed,
+            module: "s1lisp-analysis::effects (run by s1lisp-opt's one full analysis, \
+                     kept current incrementally)",
         },
         Phase {
             name: "Complexity analysis",
             description: "Preliminary object-code size estimate per subtree",
             bracketed_in_paper: false,
-            status: PhaseStatus::Implemented,
-            module: "s1lisp-analysis::complexity",
+            status: PhaseStatus::Subsumed,
+            module: "s1lisp-analysis::complexity (run by s1lisp-opt's one full analysis, \
+                     kept current incrementally)",
         },
         Phase {
             name: "Tail-recursion analysis",
             description: "Which nodes potentially generate each node's value; tail positions",
             bracketed_in_paper: false,
-            status: PhaseStatus::Implemented,
-            module: "s1lisp-analysis::tails",
+            status: PhaseStatus::Subsumed,
+            module: "s1lisp-analysis::tails (run by s1lisp-codegen for each lambda)",
         },
         Phase {
             name: "Data-type analysis",
@@ -101,8 +104,8 @@ pub fn phases() -> Vec<Phase> {
             name: "Special variable lookups",
             description: "When to search for deep-binding cells; cached pointers thereafter",
             bracketed_in_paper: false,
-            status: PhaseStatus::Implemented,
-            module: "s1lisp-analysis::specials + codegen entry caching",
+            status: PhaseStatus::Subsumed,
+            module: "s1lisp-codegen (entry cache of special-variable pointers)",
         },
         Phase {
             name: "Binding annotation",

@@ -14,12 +14,19 @@
 //! paths, so the `Compiler`, the driver service, and `explain`/dossiers
 //! all observe one pipeline description.
 //!
-//! Pass order is execution order (= trace-span order), which differs
-//! from Table 1's presentation order in one place the paper itself
-//! notes: special-variable placement is computed with the analysis
-//! quartet, before the source-level transformations.  The mapping from
-//! passes back to Table 1 rows ([`Pass::table1`]) is cross-checked
-//! against [`phases()`](crate::phases::phases) by test.
+//! Pass order is execution order (= trace-span order).  The five
+//! analysis rows of Table 1 have no pass of their own: source analysis
+//! and source-level optimization "are actually executed in a
+//! complicated co-routining manner for efficiency" (§4.2), so each
+//! analysis runs inside the pass that reads its result, and its time
+//! counts toward that pass's span.  Side effects and complexity run in
+//! source-level optimization (once, then kept current incrementally),
+//! environment analysis in binding annotation, tail positions in code
+//! generation (for each lambda), and special-variable lookups in code
+//! generation's entry cache; [`phases()`](crate::phases::phases) marks
+//! those rows [`Subsumed`](crate::phases::PhaseStatus::Subsumed).  The
+//! mapping from passes back to Table 1 rows ([`Pass::table1`]) is
+//! cross-checked against `phases()` by test.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,16 +122,6 @@ pub enum Pass {
     /// Cross-cutting: the guard validators — Table-2 well-formedness
     /// and the §7 back-translation round trip — after conversion.
     GuardConversion,
-    /// Environment analysis (Table 1): read/write sets per subtree.
-    Environment,
-    /// Side-effects analysis (Table 1): effect class per subtree.
-    Effects,
-    /// Complexity analysis (Table 1): object-code size estimates.
-    Complexity,
-    /// Tail-recursion analysis (Table 1): nodes in tail position.
-    Tails,
-    /// Special-variable lookup placement (Table 1).
-    Specials,
     /// Source-level optimization (Table 1, §5): [`Optimizer::fixpoint`],
     /// guarded under guarded compilation.
     SourceOpt,
@@ -160,31 +157,6 @@ impl Pass {
         match self {
             Pass::FaultTrip => ("Fault injection", &[], "s1lisp::phases::trip_phase_faults"),
             Pass::GuardConversion => ("Guard: conversion", &[], "s1lisp::guard"),
-            Pass::Environment => (
-                "Environment analysis",
-                &["Environment analysis"],
-                "s1lisp-analysis::env",
-            ),
-            Pass::Effects => (
-                "Side-effects analysis",
-                &["Side-effects analysis"],
-                "s1lisp-analysis::effects",
-            ),
-            Pass::Complexity => (
-                "Complexity analysis",
-                &["Complexity analysis"],
-                "s1lisp-analysis::complexity",
-            ),
-            Pass::Tails => (
-                "Tail-recursion analysis",
-                &["Tail-recursion analysis"],
-                "s1lisp-analysis::tails",
-            ),
-            Pass::Specials => (
-                "Special variable lookups",
-                &["Special variable lookups"],
-                "s1lisp-analysis::specials + codegen entry caching",
-            ),
             Pass::SourceOpt => (
                 "Source-level optimization",
                 &["Source-level optimization"],
@@ -250,10 +222,10 @@ impl Pass {
 
 /// Which code-generation backend closes the pipeline.
 ///
-/// The front of the schedule — guards, the analysis quartet,
-/// source-level optimization, and the three machine-dependent
-/// annotation passes — is backend-independent; the backend contributes
-/// only the emission tail of [`Compiler::pipeline`].
+/// The front of the schedule — guards, source-level optimization, and
+/// the three machine-dependent annotation passes — is
+/// backend-independent; the backend contributes only the emission tail
+/// of [`Compiler::pipeline`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// S-1 assembly via `s1lisp-codegen` + TNBIND, run on the
@@ -354,13 +326,15 @@ fn schedule_error(message: &str) -> CompileError {
 
 impl Compiler {
     /// The per-function pass schedule this compiler's switches build:
-    /// the fault trip point and conversion-side guard, the analysis
-    /// quartet plus special-variable placement, source-level
-    /// optimization (with its fixpoint rounds) and optional CSE, the
-    /// back-translation guard, the three machine-dependent annotation
-    /// passes, then the backend's emission tail — TNBIND + code
-    /// generation and the peephole optimizer for S-1, one emitter for
-    /// bytecode.  Each pass is paired with whether it is enabled;
+    /// the fault trip point and conversion-side guard, source-level
+    /// optimization (with its fixpoint rounds, analysing effects and
+    /// complexity as it goes) and optional CSE, the back-translation
+    /// guard, the three machine-dependent annotation passes (binding
+    /// annotation runs environment analysis), then the backend's
+    /// emission tail — TNBIND + code generation (which finds each
+    /// lambda's tail positions) and the peephole optimizer for S-1, one
+    /// emitter for bytecode.  No pass runs an analysis whose result it
+    /// drops.  Each pass is paired with whether it is enabled;
     /// disabled passes stay in the schedule (so `report --passes` and
     /// the Table-1 cross-check see them) but do not run.  This is the
     /// schedule [`Compiler::compile_str`], [`Compiler::eval`], and the
@@ -369,11 +343,6 @@ impl Compiler {
         let mut passes = vec![
             (Pass::FaultTrip, self.fault_plan.is_some()),
             (Pass::GuardConversion, self.guard),
-            (Pass::Environment, true),
-            (Pass::Effects, true),
-            (Pass::Complexity, true),
-            (Pass::Tails, true),
-            (Pass::Specials, true),
             (Pass::SourceOpt, true),
             (Pass::Cse, self.cse),
             (Pass::GuardBackTranslation, self.guard),
@@ -458,52 +427,6 @@ impl Compiler {
                 };
                 guard::validate_tree(&unit.name, stage, unit.tree())?;
                 guard::round_trip(&unit.name, stage, unit.tree())?;
-            }
-            // The five analysis passes run and time their Table-1 phase
-            // and count what it found; their results are dropped after
-            // the span ends.  Analysis is co-routined inside the
-            // optimizer, which analyses once and then re-analyses only
-            // what each rewrite touched; the annotators re-derive what
-            // they need.
-            Pass::Environment => {
-                let sp = sink.span_begin("Environment analysis", &unit.name);
-                let _env = s1lisp_analysis::environment(unit.tree());
-                if sink.enabled() {
-                    sink.add("nodes", unit.tree().node_count() as u64);
-                }
-                sink.span_end(sp);
-            }
-            Pass::Effects => {
-                let sp = sink.span_begin("Side-effects analysis", &unit.name);
-                let fx = s1lisp_analysis::effects(unit.tree());
-                if sink.enabled() {
-                    sink.add("classified_nodes", fx.iter().flatten().count() as u64);
-                }
-                sink.span_end(sp);
-            }
-            Pass::Complexity => {
-                let sp = sink.span_begin("Complexity analysis", &unit.name);
-                let cxm = s1lisp_analysis::complexity(unit.tree());
-                if sink.enabled() {
-                    sink.add("estimated_nodes", cxm.iter().flatten().count() as u64);
-                }
-                sink.span_end(sp);
-            }
-            Pass::Tails => {
-                let sp = sink.span_begin("Tail-recursion analysis", &unit.name);
-                let tails = s1lisp_analysis::tail_nodes(unit.tree());
-                if sink.enabled() {
-                    sink.add("tail_nodes", tails.len() as u64);
-                }
-                sink.span_end(sp);
-            }
-            Pass::Specials => {
-                let sp = sink.span_begin("Special variable lookups", &unit.name);
-                let placements = s1lisp_analysis::special_placements(unit.tree());
-                if sink.enabled() {
-                    sink.add("placements", placements.len() as u64);
-                }
-                sink.span_end(sp);
             }
             Pass::SourceOpt => {
                 let name = unit.name.clone();

@@ -4,12 +4,15 @@
 //! then pushed through reader → frontend → optimizer → codegen →
 //! simulator, with the reference interpreter as oracle at every level.
 
+use std::collections::{BTreeSet, HashSet};
+
 use s1lisp::{Compiler, Value};
-use s1lisp_analysis::{complexity, effects};
-use s1lisp_ast::{subtree_nodes, Tree};
+use s1lisp_analysis::{complexity, effects, environment};
+use s1lisp_ast::{subtree_nodes, NodeId, NodeKind, Tree, VarId};
 use s1lisp_frontend::Frontend;
 use s1lisp_opt::{OptOptions, Optimizer};
 use s1lisp_reader::{read_all_str, read_str, Interner};
+use s1lisp_suite::{COLLATZ, CTAK, DESTRUCTIVE, DIV2, FLATTEN, STAK, TRIANGLE};
 use s1lisp_trace::rng::SplitMix64;
 
 // ---------------------------------------------------------------- reader
@@ -229,6 +232,121 @@ fn optimizer_preserves_interpretation() {
             _ => panic!("optimizer changed semantics of {src}: {r1:?} vs {r2:?}"),
         }
     }
+}
+
+// -------------------------------------------------- environment analysis
+
+/// The free variables of `lambda` by definition, computed without the
+/// analysis: the non-special variables referenced or assigned inside it
+/// whose binding lambda lies outside it.
+fn reference_free_vars(tree: &Tree, lambda: NodeId) -> BTreeSet<VarId> {
+    let inside: HashSet<NodeId> = subtree_nodes(tree, lambda).into_iter().collect();
+    inside
+        .iter()
+        .filter_map(|&n| match tree.kind(n) {
+            NodeKind::VarRef(v) | NodeKind::Setq { var: v, .. } => Some(*v),
+            _ => None,
+        })
+        .filter(|&v| {
+            let var = tree.var(v);
+            !var.special && !var.binder.is_some_and(|b| inside.contains(&b))
+        })
+        .collect()
+}
+
+/// For each function `src` defines, compiled by `c`: the names of each
+/// lambda's free variables as `environment` finds them, lambdas in
+/// preorder, after checking every set against [`reference_free_vars`].
+fn checked_free_vars(src: &str, mut c: Compiler) -> Vec<Vec<Vec<String>>> {
+    c.compile_str(src)
+        .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+    let mut out = Vec::new();
+    for f in &c.functions {
+        let tree = &f.tree;
+        let names = |set: &BTreeSet<VarId>| -> Vec<String> {
+            set.iter()
+                .map(|&v| tree.var(v).name.as_str().to_string())
+                .collect()
+        };
+        let env = environment(tree);
+        let mut lambdas = Vec::new();
+        for l in subtree_nodes(tree, tree.root) {
+            if !matches!(tree.kind(l), NodeKind::Lambda(_)) {
+                continue;
+            }
+            let got: BTreeSet<VarId> = env.free_of(l).iter().copied().collect();
+            let want = reference_free_vars(tree, l);
+            let (got_names, want_names) = (names(&got), names(&want));
+            assert!(
+                got == want,
+                "{}: {got_names:?} vs {want_names:?} in {src}",
+                f.name
+            );
+            lambdas.push(got_names);
+        }
+        out.push(lambdas);
+    }
+    out
+}
+
+/// Environment analysis's free-variable sets — what binding annotation
+/// reads to decide which variables closures capture — agree with their
+/// definition for every lambda of the corpus, the Gabriel kernels and a
+/// set of closure probes, both as converted and as optimized.
+#[test]
+fn free_variables_match_their_definition() {
+    let probes = [
+        "(defun make-adder (n) (lambda (x) (+ x n)))",
+        "(defun f () (lambda () *level*))",
+        "(defun make-add (a) (lambda (b) (lambda (c) (+ a b c))))
+         (defun run (x y z) (funcall (funcall (make-add x) y) z))",
+        "(defun make-pair ()
+           (let ((n 0))
+             (cons (lambda () (setq n (+ n 1)) n)
+                   (lambda () n))))",
+        "(defun make-getters (n)
+           (prog (acc)
+             top
+             (if (zerop n) (return acc))
+             (setq acc (cons (lambda () n) acc))
+             (setq n (- n 1))
+             (go top)))",
+        "(proclaim '(special *scale*))
+         (defun scaled (x) (* x *scale*))
+         (defun with-scale (*scale* f x) (funcall f x))
+         (defun run (x) (with-scale 10 #'scaled x))",
+        "(defun all-constructs (x)
+           (catch 'tag
+             (prog (acc)
+               top
+               (setq acc (caseq x ((1) 'one) (t 'other)))
+               (if (null acc) (go top))
+               (return (progn (frotz (lambda () x)) acc)))))",
+        s1lisp_bench::corpus::CLOSURES,
+    ];
+    let gabriel = [STAK, CTAK, DIV2, DESTRUCTIVE, TRIANGLE, FLATTEN, COLLATZ];
+    let sources = s1lisp_suite::corpus()
+        .into_iter()
+        .map(|(_, src)| src)
+        .chain(gabriel)
+        .chain(probes);
+    let mut closing = 0;
+    for src in sources {
+        for c in [Compiler::unoptimized(), Compiler::new()] {
+            let sets = checked_free_vars(src, c);
+            closing += sets.iter().flatten().filter(|s| !s.is_empty()).count();
+        }
+    }
+    // The sweep is not vacuous: some lambdas close over variables.
+    assert!(closing >= 10, "{closing} closing lambdas");
+    // A closure over a parameter captures exactly it, and the defun
+    // around it is closed; a closure that reads only a special
+    // variable captures nothing, since specials are looked up
+    // dynamically.
+    let adder = checked_free_vars(probes[0], Compiler::unoptimized());
+    assert_eq!(adder, [vec![vec![], vec!["n".to_string()]]]);
+    let special = checked_free_vars(probes[1], Compiler::unoptimized());
+    assert_eq!(special, [vec![Vec::<String>::new(), vec![]]]);
 }
 
 // ------------------------------------------------ incremental optimizer
