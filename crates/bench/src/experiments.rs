@@ -128,6 +128,7 @@ fn e1() -> String {
             s1lisp::PhaseStatus::Implemented => "implemented",
             s1lisp::PhaseStatus::OptionalExtension => "optional extension",
             s1lisp::PhaseStatus::Subsumed => "subsumed",
+            s1lisp::PhaseStatus::NotBuilt => "not built",
         };
         let b = if p.bracketed_in_paper {
             " [bracketed in 1982]"

@@ -123,9 +123,6 @@ pub struct Compiler {
     pub interner: Interner,
     /// Source-level optimization switches.
     pub opt_options: OptOptions,
-    /// Whether to run the (optional) common sub-expression elimination
-    /// phase (§4.3).
-    pub cse: bool,
     /// Code-generation switches.
     pub codegen_options: CodegenOptions,
     /// Whether to run the branch-tensioning pass over generated code.
@@ -168,7 +165,6 @@ impl Compiler {
         Compiler {
             interner: Interner::new(),
             opt_options: OptOptions::default(),
-            cse: false,
             codegen_options: CodegenOptions::default(),
             tension_branches: true,
             guard: false,
@@ -482,8 +478,8 @@ impl Compiler {
     }
 
     /// A fingerprint of every switch that can change emitted code: the
-    /// source-level optimization options, CSE, the code-generation
-    /// options, and branch tensioning.  Mixed with a tree fingerprint
+    /// source-level optimization options, the code-generation options,
+    /// branch tensioning, and the backend.  Mixed with a tree fingerprint
     /// this keys the compilation service's artifact cache, so two
     /// compilers produce the same key exactly when they would produce
     /// the same artifact for the same converted tree.
@@ -499,21 +495,11 @@ impl Compiler {
         let o = &self.opt_options;
         let g = &self.codegen_options;
         let canonical = format!(
-            "v:{}/{} opt:{}{}{}{}{}{}{}{}{}{} rounds:{} cse:{} cg:{}{}{}{}{} tension:{}",
+            "v:{}/{} unroll:{} rounds:{} cg:{}{}{}{}{} tension:{}",
             env!("CARGO_PKG_VERSION"),
             CACHE_SCHEMA_VERSION,
-            u8::from(o.call_lambda),
-            u8::from(o.unused_args),
-            u8::from(o.substitution),
-            u8::from(o.if_distribution),
-            u8::from(o.if_simplify),
-            u8::from(o.if_lift),
-            u8::from(o.constant_fold),
-            u8::from(o.assoc_commut),
-            u8::from(o.sin_to_cycles),
             u8::from(o.unroll),
             o.max_rounds,
-            u8::from(self.cse),
             u8::from(g.tail_calls),
             u8::from(g.pdl_numbers),
             u8::from(g.cache_specials),
@@ -994,7 +980,7 @@ mod artifact_tests {
         assert_eq!(base, Compiler::new().options_fingerprint());
         assert_ne!(base, Compiler::unoptimized().options_fingerprint());
         let mut c = Compiler::new();
-        c.cse = true;
+        c.opt_options.unroll = true;
         assert_ne!(base, c.options_fingerprint());
         let mut c = Compiler::new();
         c.tension_branches = false;
@@ -1016,7 +1002,7 @@ mod artifact_tests {
         assert_eq!(bc.options_fingerprint(), bc2.options_fingerprint());
         // The salt composes with the other switches rather than
         // replacing them.
-        bc2.cse = true;
+        bc2.opt_options.unroll = true;
         assert_ne!(bc.options_fingerprint(), bc2.options_fingerprint());
     }
 

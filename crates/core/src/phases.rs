@@ -6,7 +6,8 @@
 //! the Table-1 rows each pass implements.  The two cannot drift: the
 //! `pipeline_is_consistent_with_table_1` test in `pipeline.rs` asserts
 //! that every Table-1 row here (except `Preliminary` and rows marked
-//! [`PhaseStatus::Subsumed`]) is claimed by exactly one scheduled pass,
+//! [`PhaseStatus::Subsumed`] or [`PhaseStatus::NotBuilt`]) is claimed
+//! by exactly one scheduled pass, that no pass claims a `NotBuilt` row,
 //! and that single-row passes carry this table's module string.
 
 /// Implementation status of a phase in this reproduction.
@@ -19,6 +20,9 @@ pub enum PhaseStatus {
     OptionalExtension,
     /// Folded into another phase (noted in `module`).
     Subsumed,
+    /// Bracketed in the paper and not built here; `module` names the
+    /// measurement that decided it.
+    NotBuilt,
 }
 
 /// One row of Table 1.
@@ -97,8 +101,9 @@ pub fn phases() -> Vec<Phase> {
             name: "Common subexpression elimination",
             description: "Expressed as source-level let-introducing transformations",
             bracketed_in_paper: true,
-            status: PhaseStatus::OptionalExtension,
-            module: "s1lisp-opt::cse",
+            status: PhaseStatus::NotBuilt,
+            module: "none: measured on E12's suite, it won no program's sim_insns \
+                     and lost two (EXPERIMENTS.md)",
         },
         Phase {
             name: "Special variable lookups",
@@ -186,6 +191,13 @@ mod tests {
         assert_eq!(ps.last().unwrap().name, "Peephole optimizer");
         // Everything is at least addressed.
         assert!(ps.iter().all(|p| !p.module.is_empty()));
+        // The one bracketed phase left unbuilt, as in 1982.
+        let cse = ps
+            .iter()
+            .find(|p| p.name == "Common subexpression elimination")
+            .unwrap();
+        assert_eq!(cse.status, PhaseStatus::NotBuilt);
+        assert!(cse.bracketed_in_paper);
     }
 
     #[test]

@@ -69,7 +69,7 @@ struct UnitState {
     /// The optimizer's transcript, filled by the source-level
     /// optimization pass.
     transcript: Transcript,
-    /// Source-level transformations applied so far (optimizer + CSE).
+    /// Source-level transformations the optimizer applied.
     transformations: usize,
     /// Machine-dependent annotations, filled by the annotation passes.
     annotations: UnitAnnotations,
@@ -125,8 +125,6 @@ pub enum Pass {
     /// Source-level optimization (Table 1, §5): [`Optimizer::fixpoint`],
     /// guarded under guarded compilation.
     SourceOpt,
-    /// Optional common sub-expression elimination (Table 1, §4.3).
-    Cse,
     /// Cross-cutting: the guard validators after the source-level
     /// transformations.
     GuardBackTranslation,
@@ -161,11 +159,6 @@ impl Pass {
                 "Source-level optimization",
                 &["Source-level optimization"],
                 "s1lisp-opt",
-            ),
-            Pass::Cse => (
-                "Common subexpression elimination",
-                &["Common subexpression elimination"],
-                "s1lisp-opt::cse",
             ),
             Pass::GuardBackTranslation => ("Guard: back-translation", &[], "s1lisp::guard"),
             Pass::Binding => (
@@ -328,7 +321,7 @@ impl Compiler {
     /// The per-function pass schedule this compiler's switches build:
     /// the fault trip point and conversion-side guard, source-level
     /// optimization (with its fixpoint rounds, analysing effects and
-    /// complexity as it goes) and optional CSE, the back-translation
+    /// complexity as it goes), the back-translation
     /// guard, the three machine-dependent annotation passes (binding
     /// annotation runs environment analysis), then the backend's
     /// emission tail — TNBIND + code generation (which finds each
@@ -344,7 +337,6 @@ impl Compiler {
             (Pass::FaultTrip, self.fault_plan.is_some()),
             (Pass::GuardConversion, self.guard),
             (Pass::SourceOpt, true),
-            (Pass::Cse, self.cse),
             (Pass::GuardBackTranslation, self.guard),
             (Pass::Binding, true),
             (Pass::Rep, true),
@@ -448,15 +440,6 @@ impl Compiler {
                 })?;
                 unit.transformations = applied;
                 unit.transcript = std::mem::take(&mut opt.transcript);
-            }
-            Pass::Cse => {
-                let sp = sink.span_begin("Common subexpression elimination", &unit.name);
-                let eliminated = s1lisp_opt::cse::eliminate(unit.tree_mut());
-                unit.transformations += eliminated;
-                if sink.enabled() {
-                    sink.add("eliminated", eliminated as u64);
-                }
-                sink.span_end(sp);
             }
             Pass::Binding => {
                 let binding =
@@ -610,7 +593,7 @@ mod tests {
         // Every per-function Table-1 row that is actually implemented
         // (Preliminary runs before the per-function pipeline; subsumed
         // rows have no pass of their own) is claimed by exactly one
-        // pass.
+        // pass, and no pass claims a row that is not built.
         for p in phases() {
             if p.name == "Preliminary" || p.status == PhaseStatus::Subsumed {
                 continue;
@@ -619,7 +602,8 @@ mod tests {
                 .iter()
                 .filter(|pass| pass.table1().contains(&p.name))
                 .count();
-            assert_eq!(claims, 1, "{} claimed {claims} times", p.name);
+            let built = usize::from(p.status != PhaseStatus::NotBuilt);
+            assert_eq!(claims, built, "{} claimed {claims} times", p.name);
         }
         // Single-row passes carry the same module attribution as the
         // table.
@@ -644,15 +628,12 @@ mod tests {
         assert!(!enabled(&c, Pass::FaultTrip));
         assert!(!enabled(&c, Pass::GuardConversion));
         assert!(!enabled(&c, Pass::GuardBackTranslation));
-        assert!(!enabled(&c, Pass::Cse));
         assert!(enabled(&c, Pass::SourceOpt));
         assert!(enabled(&c, Pass::S1Emit));
         assert!(enabled(&c, Pass::Peephole));
         let mut c = Compiler::new();
-        c.cse = true;
         c.guard = true;
         assert!(enabled(&c, Pass::GuardConversion));
-        assert!(enabled(&c, Pass::Cse));
     }
 
     #[test]

@@ -44,9 +44,6 @@
 //! variable whose `setqs` changed, which can lie anywhere in the
 //! function.  The next scan resumes past every subtree still marked.
 //!
-//! Common sub-expression elimination (§4.3 — designed but "not yet
-//! implemented" in 1982) is provided as the optional [`cse`] phase.
-//!
 //! # Examples
 //!
 //! ```
@@ -67,7 +64,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cse;
 mod incremental;
 mod rules;
 mod transcript;
@@ -77,34 +73,11 @@ pub use transcript::{Transcript, TranscriptEntry};
 use s1lisp_analysis::{Complexity, Effects};
 use s1lisp_ast::{NodeId, NodeKind, Tree};
 
-/// Per-transformation switches, for the ablation experiments (E12).
+/// The optimizer's two switches.  Every rule is always tried; E12's
+/// everything-off baseline is [`OptOptions::none`], whose zero round
+/// budget applies no transformation at all.
 #[derive(Clone, Debug)]
-#[allow(clippy::struct_excessive_bools)]
 pub struct OptOptions {
-    /// Rule 1: `((lambda () body))` ⇒ `body`.
-    pub call_lambda: bool,
-    /// Rule 2: deletion of unused parameters with effect-free arguments.
-    pub unused_args: bool,
-    /// Rule 3: substitution of argument expressions for variables
-    /// (subsumes constant propagation and procedure integration).
-    pub substitution: bool,
-    /// Distribution of `if` over an `if` test, introducing lambda-bound
-    /// join points.
-    pub if_distribution: bool,
-    /// Conditional simplification: constant tests, tests known true or
-    /// false from an enclosing test.
-    pub if_simplify: bool,
-    /// Semi-canonicalizing lifts of `progn` and lambda-calls out of `if`
-    /// tests.
-    pub if_lift: bool,
-    /// Compile-time evaluation of pure primitives on constants.
-    pub constant_fold: bool,
-    /// Reduction of n-ary associative/commutative calls to binary
-    /// compositions, constants-first argument ordering, and identity
-    /// elimination.
-    pub assoc_commut: bool,
-    /// The machine-inspired `sin$f` → `sinc$f` (cycles) rewrite (§7).
-    pub sin_to_cycles: bool,
     /// Unroll self-recursive calls once by procedure integration — the
     /// paper's "integration of the procedure within itself achieves loop
     /// unrolling", gated off by default exactly as in 1982 ("the
@@ -121,15 +94,6 @@ pub struct OptOptions {
 impl Default for OptOptions {
     fn default() -> OptOptions {
         OptOptions {
-            call_lambda: true,
-            unused_args: true,
-            substitution: true,
-            if_distribution: true,
-            if_simplify: true,
-            if_lift: true,
-            constant_fold: true,
-            assoc_commut: true,
-            sin_to_cycles: true,
             unroll: false,
             max_rounds: 2000,
         }
@@ -140,15 +104,6 @@ impl OptOptions {
     /// Everything off — the E12 baseline.
     pub fn none() -> OptOptions {
         OptOptions {
-            call_lambda: false,
-            unused_args: false,
-            substitution: false,
-            if_distribution: false,
-            if_simplify: false,
-            if_lift: false,
-            constant_fold: false,
-            assoc_commut: false,
-            sin_to_cycles: false,
             unroll: false,
             max_rounds: 0,
         }

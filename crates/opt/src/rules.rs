@@ -104,27 +104,25 @@ impl Cx<'_> {
 
 /// Tries the canonicalizing rules at `node` in their fixed order and
 /// applies the first that fits.
-#[allow(clippy::nonminimal_bool)] // each && guards one switchable rule
 pub(crate) fn apply_canonical(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
-    (o.options.if_simplify && if_constant_test(o, tree, node))
-        || (o.options.if_simplify && caseq_constant_key(o, tree, node))
-        || (o.options.if_simplify && if_known_test(o, tree, node))
-        || (o.options.if_lift && if_lift(o, tree, node))
-        || (o.options.if_distribution && if_distribute(o, tree, node))
-        || (o.options.assoc_commut && assoc_commut_nary(o, tree, node))
-        || (o.options.assoc_commut && reverse_arguments(o, tree, node))
-        || (o.options.assoc_commut && identity_elimination(o, tree, node))
-        || (o.options.constant_fold && constant_fold(o, tree, node))
-        || (o.options.sin_to_cycles && sin_to_cycles(o, tree, node))
+    if_constant_test(o, tree, node)
+        || caseq_constant_key(o, tree, node)
+        || if_known_test(o, tree, node)
+        || if_lift(o, tree, node)
+        || if_distribute(o, tree, node)
+        || assoc_commut_nary(o, tree, node)
+        || reverse_arguments(o, tree, node)
+        || identity_elimination(o, tree, node)
+        || constant_fold(o, tree, node)
+        || sin_to_cycles(o, tree, node)
 }
 
 /// Tries the beta-conversion rules at `node` in their fixed order and
 /// applies the first that fits.
-#[allow(clippy::nonminimal_bool)] // each && guards one switchable rule
 pub(crate) fn apply_beta(o: &mut Optimizer, tree: &mut Tree, node: NodeId, cx: &Cx) -> bool {
-    (o.options.call_lambda && call_lambda(o, tree, node))
-        || (o.options.unused_args && delete_unused_argument(o, tree, node, cx))
-        || (o.options.substitution && substitute(o, tree, node, cx))
+    call_lambda(o, tree, node)
+        || delete_unused_argument(o, tree, node, cx)
+        || substitute(o, tree, node, cx)
 }
 
 /// Records a transformation, with before-form captured by the caller.

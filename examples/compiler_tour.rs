@@ -30,6 +30,7 @@ fn main() {
             PhaseStatus::Implemented => " ",
             PhaseStatus::OptionalExtension => "+",
             PhaseStatus::Subsumed => "~",
+            PhaseStatus::NotBuilt => "-",
         };
         let bracket = if p.bracketed_in_paper {
             "[bracketed in 1982]"

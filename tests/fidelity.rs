@@ -58,37 +58,6 @@ fn optimized_trees_recompile_from_their_back_translation() {
     }
 }
 
-/// §4.3: separating CSE from the source-level optimizer "avoids the
-/// possibility of an endless cycle of introductions and eliminations."
-/// Optimize → CSE → optimize again must be a fixpoint: the second
-/// optimizer pass must not undo what CSE did.
-#[test]
-fn cse_and_optimizer_do_not_thrash() {
-    let src = "(defun f (a b)
-                 (list (+ (* a b) (* b b) 1)
-                       (+ (* a b) (* b b) 2)))";
-    let mut i = s1lisp_reader::Interner::new();
-    let form = s1lisp_reader::read_str(src, &mut i).unwrap();
-    let mut fe = s1lisp_frontend::Frontend::new(&mut i);
-    let mut f = fe.convert_defun(&form).unwrap();
-    let mut opt = s1lisp_opt::Optimizer::new();
-    opt.optimize(&mut f.tree);
-    let commoned = s1lisp_opt::cse::eliminate(&mut f.tree);
-    assert!(commoned >= 1, "CSE found the duplicate");
-    let after_cse = s1lisp_ast::unparse(&f.tree, f.tree.root).to_string();
-    // A second optimizer run must not reintroduce the duplicates …
-    let mut opt2 = s1lisp_opt::Optimizer::new();
-    opt2.optimize(&mut f.tree);
-    let after_second = s1lisp_ast::unparse(&f.tree, f.tree.root).to_string();
-    assert_eq!(
-        after_second.matches("(* a b)").count(),
-        1,
-        "thrash: optimizer undid CSE\nafter cse: {after_cse}\nafter opt: {after_second}"
-    );
-    // … and a second CSE run finds nothing new.
-    assert_eq!(s1lisp_opt::cse::eliminate(&mut f.tree), 0);
-}
-
 /// Values survive injection into the machine, garbage collection, and
 /// extraction.
 #[test]

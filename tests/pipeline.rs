@@ -20,14 +20,11 @@ fn configurations() -> Vec<(&'static str, Compiler)> {
         register_allocation: false,
         representation_analysis: false,
     };
-    let mut cse = Compiler::new();
-    cse.cse = true;
     vec![
         ("full", Compiler::new()),
         ("no-source-opt", no_opt),
         ("no-codegen-opts", no_codegen),
         ("naive", Compiler::unoptimized()),
-        ("with-cse", cse),
     ]
 }
 
@@ -98,9 +95,53 @@ fn clone_compiler(c: &Compiler) -> Compiler {
     let mut fresh = Compiler::new();
     fresh.opt_options = c.opt_options.clone();
     fresh.codegen_options = c.codegen_options.clone();
-    fresh.cse = c.cse;
     fresh.tension_branches = c.tension_branches;
     fresh
+}
+
+/// The artifact cache keys on `options_fingerprint()`, so every switch
+/// that shapes emitted code must salt it: flipping any one alone gives
+/// a key of its own, distinct from the default's and from every other
+/// flip's.
+#[test]
+fn every_code_shaping_switch_salts_the_fingerprint() {
+    let flipped = |flip: fn(&mut Compiler)| {
+        let mut c = Compiler::new();
+        flip(&mut c);
+        c.options_fingerprint()
+    };
+    let flips = [
+        (
+            "tail_calls",
+            flipped(|c| c.codegen_options.tail_calls ^= true),
+        ),
+        (
+            "pdl_numbers",
+            flipped(|c| c.codegen_options.pdl_numbers ^= true),
+        ),
+        (
+            "cache_specials",
+            flipped(|c| c.codegen_options.cache_specials ^= true),
+        ),
+        (
+            "register_allocation",
+            flipped(|c| c.codegen_options.register_allocation ^= true),
+        ),
+        (
+            "representation_analysis",
+            flipped(|c| c.codegen_options.representation_analysis ^= true),
+        ),
+        ("tension_branches", flipped(|c| c.tension_branches ^= true)),
+        ("unroll", flipped(|c| c.opt_options.unroll ^= true)),
+        ("max_rounds", flipped(|c| c.opt_options.max_rounds += 1)),
+        ("backend", flipped(|c| c.backend = BackendKind::Bytecode)),
+    ];
+    let base = Compiler::new().options_fingerprint();
+    let mut seen = BTreeSet::from([base]);
+    for (name, fp) in flips {
+        assert_ne!(fp, base, "{name} does not salt the fingerprint");
+        assert!(seen.insert(fp), "{name} collides with another switch");
+    }
 }
 
 #[test]
@@ -186,7 +227,6 @@ fn traced_spans_are_exactly_the_rows_of_the_enabled_passes() {
     for backend in [BackendKind::S1, BackendKind::Bytecode] {
         let mut c = Compiler::new();
         c.backend = backend;
-        c.cse = true;
         c.guard = true;
         c.enable_trace();
         for (id, src) in corpus() {
