@@ -333,7 +333,7 @@ struct Gen<'a> {
     pool: TnPool,
     var_tn: HashMap<VarId, TnId>,
     promote: HashMap<VarId, Reg>,
-    call_cache: HashMap<NodeId, bool>,
+    effects_cache: Vec<Option<(bool, bool)>>,
     metrics: GenMetrics,
 }
 
@@ -393,7 +393,7 @@ impl<'a> Gen<'a> {
             pool: TnPool::new(),
             var_tn: HashMap::new(),
             promote: HashMap::new(),
-            call_cache: HashMap::new(),
+            effects_cache: vec![None; tree.node_count()],
             metrics: GenMetrics::default(),
         }
     }
@@ -465,6 +465,17 @@ impl<'a> Gen<'a> {
         t
     }
 
+    /// Has control run straight from the prologue's one `ALLOC`, with no
+    /// label bound since?  Then a slot fresh from
+    /// [`Gen::alloc_temp_pinned`] still holds the NIL the `ALLOC`
+    /// stored, and binding it to NIL needs no `MOV`.
+    fn straight_from_alloc(&self) -> bool {
+        match self.alloc_patch[..] {
+            [site] => self.asm.last_bound().is_none_or(|at| at <= site),
+            _ => false,
+        }
+    }
+
     fn temp_op(&self, t: u16) -> Operand {
         Operand::Ind(Reg::FP, i32::from(self.nslots + t))
     }
@@ -516,42 +527,37 @@ impl<'a> Gen<'a> {
     /// clobber scratch registers; assignments may change borrowed
     /// variable slots.
     fn sibling_unsafe(&mut self, sibling: NodeId) -> bool {
-        if self.contains_call(sibling) {
-            return true;
-        }
-        s1lisp_ast::subtree_nodes(self.tree, sibling)
-            .iter()
-            .any(|&n| matches!(self.tree.kind(n), NodeKind::Setq { .. }))
+        let (calls, assigns) = self.effects(sibling);
+        calls || assigns
     }
 
-    /// Does evaluating `node` possibly transfer control into user code
-    /// (clobbering scratch registers)?
-    fn contains_call(&mut self, node: NodeId) -> bool {
-        if let Some(&c) = self.call_cache.get(&node) {
-            return c;
+    /// `(calls, assigns)` of a subtree: whether evaluating it may
+    /// transfer control into user code, and whether it assigns a
+    /// variable.  Memoized per node (in a table indexed by node, which
+    /// costs less than hashing) and combined from the children's, so
+    /// asking about every operand of a nested expression walks it once.
+    fn effects(&mut self, node: NodeId) -> (bool, bool) {
+        if let Some(e) = self.effects_cache[node.index()] {
+            return e;
         }
-        let mut found = false;
-        for n in s1lisp_ast::subtree_nodes(self.tree, node) {
-            match self.tree.kind(n) {
-                NodeKind::Call {
-                    func: CallFunc::Global(g),
-                    ..
-                } if leaves_function(g) => {
-                    found = true;
-                    break;
-                }
-                NodeKind::Call {
-                    func: CallFunc::Expr(f),
-                    ..
-                } if !matches!(self.tree.kind(*f), NodeKind::Lambda(_)) => {
-                    found = true;
-                    break;
-                }
-                _ => {}
-            }
+        let mut e = match self.tree.kind(node) {
+            NodeKind::Call {
+                func: CallFunc::Global(g),
+                ..
+            } => (leaves_function(g), false),
+            NodeKind::Call {
+                func: CallFunc::Expr(f),
+                ..
+            } => (!matches!(self.tree.kind(*f), NodeKind::Lambda(_)), false),
+            NodeKind::Setq { .. } => (false, true),
+            _ => (false, false),
+        };
+        for c in self.tree.children(node) {
+            let (calls, assigns) = self.effects(c);
+            e = (e.0 || calls, e.1 || assigns);
         }
-        self.call_cache.insert(node, found);
-        found
+        self.effects_cache[node.index()] = Some(e);
+        e
     }
 
     // ------------------------------------------------------ entry points
@@ -1402,6 +1408,9 @@ impl<'a> Gen<'a> {
                     Some(Rep::Swfix) => return self.inline_lowered_int(prim, args),
                     _ => {}
                 }
+                if let Some(v) = self.inline_generic(node, prim, args)? {
+                    return Ok(Some(v));
+                }
                 self.try_inline_typed(prim, args)
             }
             _ => Ok(None),
@@ -1484,6 +1493,46 @@ impl<'a> Gen<'a> {
                     acc = self.emit_float(op, acc, vb);
                 }
                 Ok(Some(acc))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Generic arithmetic that type inference left generic: one
+    /// `GENERIC` instruction in place of `PUSH`es and a `%CALLRT`.  Its
+    /// fixnum case runs in line; every other case runs the routine the
+    /// runtime call would, on the same arguments.
+    fn inline_generic(&mut self, node: NodeId, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
+        if self.rep_is(node) != Rep::Pointer {
+            return Ok(None);
+        }
+        match (prim, args) {
+            (Prim::OnePlus | Prim::OneMinus, [x]) => {
+                let v = self.gen_into(*x, Rep::Pointer)?;
+                let dst = self.alloc_place();
+                self.asm.push(Insn::Generic {
+                    prim,
+                    dst: dst.op,
+                    a: v.op,
+                    b: None,
+                });
+                self.release(v);
+                Ok(Some(dst))
+            }
+            (Prim::Add | Prim::Sub | Prim::Mul | Prim::Div, [x, y]) => {
+                let mut a = self.gen_into(*x, Rep::Pointer)?;
+                if self.sibling_unsafe(*y) {
+                    a = self.protect(a);
+                }
+                let b = self.gen_into(*y, Rep::Pointer)?;
+                let (dst, a) = self.arith_dst(a);
+                self.asm.push(Insn::Generic {
+                    prim,
+                    dst,
+                    a: a.op,
+                    b: Some(b.op),
+                });
+                Ok(Some(self.finish_arith(dst, a, b)))
             }
             _ => Ok(None),
         }
@@ -1971,8 +2020,10 @@ impl<'a> Gen<'a> {
                         self.var_loc.insert(param, VLoc::Reg(r));
                     } else {
                         let slot = self.alloc_temp_pinned();
-                        let v = self.store_home(self.temp_op(slot), v);
-                        self.release(v);
+                        if v.op != Operand::nil() || !self.straight_from_alloc() {
+                            let v = self.store_home(self.temp_op(slot), v);
+                            self.release(v);
+                        }
                         let tn = *self.var_tn.entry(param).or_insert_with(|| {
                             self.pool.new_tn(self.tree.var(param).name.as_str())
                         });
@@ -2919,6 +2970,40 @@ mod tests {
                  (go top)))",
             &[("sum-to", vec![fx(1000)])],
         );
+    }
+
+    /// A `let` binding a frame slot to NIL stores it unless control has
+    /// run straight from the `ALLOC` that filled the slot with NIL: in a
+    /// loop the store runs again on every iteration.  (The call keeps
+    /// the variables in frame slots, not registers.)
+    #[test]
+    fn nil_bindings_store_only_where_the_alloc_has_not_run_past() {
+        let m = check(
+            "(defun id (v) v)
+             (defun fresh (n)
+               (prog (seen)
+                 top
+                 (if (= n 0) (return seen))
+                 (let ((x nil))
+                   (setq seen (id x))
+                   (setq x n))
+                 (setq n (- n 1))
+                 (go top)))",
+            &[("fresh", vec![fx(3)])],
+        );
+        let code = m
+            .program
+            .func(m.program.lookup_fn("fresh").unwrap())
+            .unwrap();
+        let nil_stores = code
+            .insns
+            .iter()
+            .filter(
+                |i| matches!(i, Insn::Mov { dst: Operand::Ind(..), src } if *src == Operand::nil()),
+            )
+            .count();
+        // `seen`'s initial NIL follows the ALLOC; `x`'s is in the loop.
+        assert_eq!(nil_stores, 1, "{:?}", code.insns);
     }
 
     #[test]

@@ -187,6 +187,10 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
                 .unwrap_or("?"),
             o(src)
         ),
+        I::Generic { prim, dst, a, b } => match b {
+            Some(b) => format!("((GENERIC {}) {} {} {})", prim.name(), o(dst), o(a), o(b)),
+            None => format!("((GENERIC {}) {} {})", prim.name(), o(dst), o(a)),
+        },
         I::RtCall { prim, nargs, dst } => {
             format!("(%CALLRT {} {nargs} {})", prim.name(), o(dst))
         }

@@ -62,6 +62,12 @@ impl Asm {
         self.last_bound = Some(self.insns.len());
     }
 
+    /// The instruction index the most recent label was bound at, if
+    /// any: code emitted past it runs only by falling through from it.
+    pub fn last_bound(&self) -> Option<usize> {
+        self.last_bound
+    }
+
     /// The last emitted instruction, if control reaches the next one
     /// only through it: `None` when nothing was emitted or a label is
     /// bound after it (a branch could arrive without executing it).

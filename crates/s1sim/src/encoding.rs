@@ -58,7 +58,13 @@ pub fn encoded_size(insn: &Insn) -> usize {
         | Insn::BoxFlo { dst, src }
         | Insn::UnboxFlo { dst, src }
         | Insn::Certify { dst, src }
-        | Insn::MakeCell { dst, src } => vec![*dst, *src],
+        | Insn::MakeCell { dst, src }
+        | Insn::Generic {
+            dst,
+            a: src,
+            b: None,
+            ..
+        } => vec![*dst, *src],
         Insn::Add { dst, a, b }
         | Insn::Sub { dst, a, b }
         | Insn::Mult { dst, a, b }
@@ -71,7 +77,10 @@ pub fn encoded_size(insn: &Insn) -> usize {
         | Insn::FMult { dst, a, b }
         | Insn::FDiv { dst, a, b }
         | Insn::FMax { dst, a, b }
-        | Insn::FMin { dst, a, b } => {
+        | Insn::FMin { dst, a, b }
+        | Insn::Generic {
+            dst, a, b: Some(b), ..
+        } => {
             // 2½-address: when dst == a, only two specifiers are used;
             // when an RT register is involved it rides in the opcode.
             if dst == a {

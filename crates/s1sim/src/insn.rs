@@ -161,6 +161,19 @@ pub enum Cond {
 }
 
 impl Cond {
+    /// Whether the condition holds of two operands so ordered.
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match self {
+            Cond::Eq => ord == Equal,
+            Cond::Ne => ord != Equal,
+            Cond::Lt => ord == Less,
+            Cond::Le => ord != Greater,
+            Cond::Gt => ord == Greater,
+            Cond::Ge => ord != Less,
+        }
+    }
+
     /// The condition that holds exactly when `self` does not.  Every
     /// comparison orders its operands first (or traps), so `Lt` and `Ge`
     /// (and each other pair) are exact complements.
@@ -647,6 +660,22 @@ pub enum Insn {
         /// Value.
         src: Operand,
     },
+    /// Generic arithmetic (`+`, `-`, `*`, `/` of two operands, `1+` and
+    /// `1-` of one) in one 2½-address instruction: §3's tagged words make
+    /// "are these fixnums?" part of the operation.  When every operand
+    /// is a fixnum (raw or tagged) and the result fits, it computes the
+    /// fixnum in line; otherwise it calls the routine [`Insn::RtCall`]
+    /// would, on the same arguments and at the same charge.
+    Generic {
+        /// The primitive: `+`, `-`, `*`, `/`, `1+` or `1-`.
+        prim: Prim,
+        /// Destination.
+        dst: Operand,
+        /// First (or only) argument.
+        a: Operand,
+        /// Second argument; `None` for `1+` and `1-`.
+        b: Option<Operand>,
+    },
     /// Call a run-time-system routine (a "known primitive operation" too
     /// large to compile in line) on the top `nargs` stack words.
     RtCall {
@@ -774,6 +803,7 @@ impl Insn {
             Insn::SpecLookup { .. } => "SPEC-LOOKUP",
             Insn::SpecRead { .. } => "SPEC-READ",
             Insn::SpecWrite { .. } => "SPEC-WRITE",
+            Insn::Generic { .. } => "GENERIC",
             Insn::RtCall { .. } => "RT-CALL",
             Insn::PushCatch { .. } => "PUSH-CATCH",
             Insn::PopCatch => "POP-CATCH",
@@ -847,6 +877,7 @@ impl Insn {
             | Insn::LoadEnv { dst, .. }
             | Insn::SpecLookup { dst, .. }
             | Insn::SpecRead { dst, .. }
+            | Insn::Generic { dst, .. }
             | Insn::RtCall { dst, .. }
             | Insn::LoadFunction { dst, .. }
             | Insn::LoadConst { dst, .. } => Some(dst),
@@ -855,13 +886,26 @@ impl Insn {
     }
 
     /// Swaps the sources of a commutative arithmetic instruction (`ADD`,
-    /// `MULT`, `FADD`, `FMULT`); returns whether it was one.
+    /// `MULT`, `FADD`, `FMULT`); returns whether it was one.  `GENERIC`
+    /// `+` and `*` swap only beside a fixnum constant: their slow path
+    /// reports the first operand that is not a number, and a constant
+    /// fixnum is never that operand.
     pub fn commute(&mut self) -> bool {
+        let fixnum = |o: &Operand| matches!(o, Operand::Const(w) if w.as_integer().is_some());
         match self {
             Insn::Add { a, b, .. }
             | Insn::Mult { a, b, .. }
             | Insn::FAdd { a, b, .. }
             | Insn::FMult { a, b, .. } => {
+                std::mem::swap(a, b);
+                true
+            }
+            Insn::Generic {
+                prim: Prim::Add | Prim::Mul,
+                a,
+                b: Some(b),
+                ..
+            } if fixnum(a) || fixnum(b) => {
                 std::mem::swap(a, b);
                 true
             }
@@ -906,7 +950,10 @@ impl Insn {
             | Insn::FMult { dst, a, b }
             | Insn::FDiv { dst, a, b }
             | Insn::FMax { dst, a, b }
-            | Insn::FMin { dst, a, b } => (*dst, *a, *b),
+            | Insn::FMin { dst, a, b }
+            | Insn::Generic {
+                dst, a, b: Some(b), ..
+            } => (*dst, *a, *b),
             _ => return None,
         };
         let rt = |o: Operand| matches!(o, Operand::Reg(r) if r.is_rt());

@@ -22,7 +22,7 @@ use crate::word::{Tag, Word, STACK_BASE};
 
 /// Instruction-equivalent cost charged for a runtime-system call beyond
 /// the call instruction itself (entry/exit sequence plus generic type
-/// dispatch — see `Insn::RtCall` handling).
+/// dispatch — see `Machine::charge_rt_call`).
 pub(crate) const RT_CALL_COST: u64 = 8;
 
 /// Base address of special-binding value slots.
@@ -644,58 +644,19 @@ impl Machine {
                 self.write(dst, Word::Ptr(tag, addr))?;
                 Ok(Step::Next)
             }
-            Insn::Add { dst, a, b } => self.int_op(dst, a, b, i64::checked_add),
-            Insn::Sub { dst, a, b } => self.int_op(dst, a, b, i64::checked_sub),
-            Insn::Mult { dst, a, b } => self.int_op(dst, a, b, i64::checked_mul),
-            Insn::Div { dst, a, b } => {
-                self.int_op(
-                    dst,
-                    a,
-                    b,
-                    |x, y| {
-                        if y == 0 {
-                            None
-                        } else {
-                            x.checked_div(y)
-                        }
-                    },
-                )
-            }
+            Insn::Add { dst, a, b } => self.int_op(dst, a, b, "+", i64::checked_add),
+            Insn::Sub { dst, a, b } => self.int_op(dst, a, b, "-", i64::checked_sub),
+            Insn::Mult { dst, a, b } => self.int_op(dst, a, b, "*", i64::checked_mul),
+            Insn::Div { dst, a, b } => self.int_op(dst, a, b, "/", i64::checked_div),
             Insn::DivFloor { dst, a, b } => {
-                self.int_op(
-                    dst,
-                    a,
-                    b,
-                    |x, y| {
-                        if y == 0 {
-                            None
-                        } else {
-                            Some(x.div_euclid(y))
-                        }
-                    },
-                )
+                self.int_op(dst, a, b, "floor", i64::checked_div_euclid)
             }
-            Insn::Rem { dst, a, b } => {
-                self.int_op(dst, a, b, |x, y| if y == 0 { None } else { Some(x % y) })
-            }
-            Insn::ModFloor { dst, a, b } => {
-                self.int_op(
-                    dst,
-                    a,
-                    b,
-                    |x, y| {
-                        if y == 0 {
-                            None
-                        } else {
-                            Some(x.rem_euclid(y))
-                        }
-                    },
-                )
-            }
+            Insn::Rem { dst, a, b } => self.int_op(dst, a, b, "rem", i64::checked_rem),
+            Insn::ModFloor { dst, a, b } => self.int_op(dst, a, b, "mod", i64::checked_rem_euclid),
             Insn::Neg { dst, src } => {
                 let (n, tagged) = self.read_int(src)?;
                 let Some(r) = n.checked_neg() else {
-                    return Err(Trap::DivisionByZero);
+                    return Err(Trap::WrongType("-: fixnum overflow".into()));
                 };
                 self.write(
                     dst,
@@ -732,7 +693,12 @@ impl Machine {
             }
             Insn::Jmp { target } => Ok(Step::Jump(target)),
             Insn::JmpIf { cond, a, b, target } => {
-                let taken = self.compare(cond, a, b)?;
+                let integers = (self.peek(a).and_then(Word::as_integer))
+                    .zip(self.peek(b).and_then(Word::as_integer));
+                let taken = match integers {
+                    Some((x, y)) => cond.holds(x.cmp(&y)),
+                    None => self.compare(fnid, cond, a, b)?,
+                };
                 Ok(if taken {
                     Step::Jump(target)
                 } else {
@@ -970,16 +936,22 @@ impl Machine {
                 self.write_mem(addr, v)?;
                 Ok(Step::Next)
             }
-            Insn::RtCall { prim, nargs, dst } => {
-                // A runtime routine is a subroutine of many instructions
-                // on the real machine; charge an approximate open-coded
-                // length (entry/exit, dispatch, per-argument type
-                // checking) so instruction counts stay comparable with
-                // inline code.
-                self.stats.insns += RT_CALL_COST + 2 * u64::from(nargs);
-                if let Some(p) = self.profile.as_deref_mut() {
-                    p.attribute(fnid, RT_CALL_COST + 2 * u64::from(nargs));
+            Insn::Generic { prim, dst, a, b } => {
+                let fast = match (self.peek(a), b.map(|b| self.peek(b))) {
+                    (Some(x), None) => runtime::fixnum_fast(prim, &[x]),
+                    (Some(x), Some(Some(y))) => runtime::fixnum_fast(prim, &[x, y]),
+                    _ => None,
+                };
+                match fast {
+                    Some(w) => {
+                        self.write(dst, w)?;
+                        Ok(Step::Next)
+                    }
+                    None => self.generic(fnid, prim, dst, a, b),
                 }
+            }
+            Insn::RtCall { prim, nargs, dst } => {
+                self.charge_rt_call(fnid, nargs.into());
                 let result = self.rt_call_popped(prim, nargs as usize)?;
                 match result {
                     runtime::RtResult::Value(w) => {
@@ -1210,6 +1182,23 @@ impl Machine {
         }
     }
 
+    /// The word an operand read in line holds: a general register, a
+    /// constant, or a frame slot within the stack's length.  `None` for
+    /// every other operand, which [`Machine::read`] reaches out of line.
+    /// The dispatch loop's fast paths read through this, never building
+    /// a `Result`.
+    #[inline(always)]
+    fn peek(&self, op: Operand) -> Option<Word> {
+        match op {
+            Operand::Reg(r) if !matches!(r, Reg::SP | Reg::FP | Reg::TP) => {
+                Some(self.regs[r.0 as usize])
+            }
+            Operand::Const(w) => Some(w),
+            Operand::Ind(Reg::FP | Reg::TP, off) => self.frame_slot(off).map(|i| self.stack[i]),
+            _ => None,
+        }
+    }
+
     #[inline(never)]
     fn read_addressed(&self, op: Operand) -> Result<Word, Trap> {
         let addr = self.addr_of(op)?;
@@ -1322,21 +1311,34 @@ impl Machine {
         self.sp = self.fp + nargs;
     }
 
+    /// Charges a runtime-routine call of `nargs` arguments.  A routine
+    /// is a subroutine of many instructions on the real machine; it is
+    /// charged an approximate open-coded length (entry/exit, dispatch,
+    /// per-argument type checking) so instruction counts stay comparable
+    /// with inline code.  `RtCall`, `GENERIC`'s slow path and a `JmpIf`
+    /// on a boxed or non-number operand all pay this one price.
+    fn charge_rt_call(&mut self, fnid: u32, nargs: u64) {
+        let cost = RT_CALL_COST + 2 * nargs;
+        self.stats.insns += cost;
+        if let Some(p) = self.profile.as_deref_mut() {
+            p.attribute(fnid, cost);
+        }
+    }
+
     /// Pops the top `n` words and calls the runtime routine for `prim`
-    /// on them.  Two fixnums under `+`, `-`, `=`, `<` or `>` are answered
-    /// here by [`runtime::fixnum_fast`], which returns exactly the word
-    /// the routine would; an overflow, any other operand and any other
-    /// primitive reach the routine.  The caller has already charged the
-    /// call's cost, so both ways retire the same count.  The routine
-    /// takes `&mut self`, so its arguments are copied out of the stack
-    /// first, into a fixed buffer on the host stack.
+    /// on them.  Fixnum operands of the primitives
+    /// [`runtime::fixnum_fast`] open-codes are answered there, with
+    /// exactly the word the routine would return; an overflow, any other
+    /// operand and any other primitive reach the routine.  The caller
+    /// has already charged the call's cost, so both ways retire the same
+    /// count.  The routine takes `&mut self`, so its arguments are
+    /// copied out of the stack first, into a fixed buffer on the host
+    /// stack.
     fn rt_call_popped(&mut self, prim: Prim, n: usize) -> Result<runtime::RtResult, Trap> {
         self.sp -= n;
         let args = self.sp..self.sp + n;
-        if let &[Word::Ptr(Tag::Fixnum, x), Word::Ptr(Tag::Fixnum, y)] = &self.stack[args.clone()] {
-            if let Some(w) = runtime::fixnum_fast(prim, x as i64, y as i64) {
-                return Ok(runtime::RtResult::Value(w));
-            }
+        if let Some(w) = runtime::fixnum_fast(prim, &self.stack[args.clone()]) {
+            return Ok(runtime::RtResult::Value(w));
         }
         if n <= RT_ARGS_INLINE {
             let mut buf = [Word::NIL; RT_ARGS_INLINE];
@@ -1346,6 +1348,41 @@ impl Machine {
             let spilled = self.stack[args].to_vec();
             runtime::rt_call(self, prim, &spilled)
         }
+    }
+
+    /// `GENERIC` past the dispatch loop's fast path, which answers
+    /// fixnums in registers, constants and frame slots: fixnums elsewhere
+    /// still retire as the one instruction; anything else runs the
+    /// routine `RtCall` would, on the same arguments and at the same
+    /// charge.
+    #[inline(never)]
+    fn generic(
+        &mut self,
+        fnid: u32,
+        prim: Prim,
+        dst: Operand,
+        a: Operand,
+        b: Option<Operand>,
+    ) -> Result<Step, Trap> {
+        let x = self.read(a)?;
+        let (args, n) = match b {
+            Some(b) => ([x, self.read(b)?], 2),
+            None => ([x, Word::NIL], 1),
+        };
+        let w = match runtime::fixnum_fast(prim, &args[..n]) {
+            Some(w) => w,
+            None => {
+                self.charge_rt_call(fnid, n as u64);
+                match runtime::rt_call(self, prim, &args[..n])? {
+                    runtime::RtResult::Value(w) => w,
+                    runtime::RtResult::Throw { tag, value } => {
+                        return Ok(Step::ThrowTo { tag, value })
+                    }
+                }
+            }
+        };
+        self.write(dst, w)?;
+        Ok(Step::Next)
     }
 
     /// Grows the data stack to hold slot `i`: doubling, never past the
@@ -1415,17 +1452,21 @@ impl Machine {
         }
     }
 
+    /// An integer instruction: `f` is `None` for a zero divisor, which
+    /// traps as division by zero, or for a result that does not fit,
+    /// which traps as the routine for `who` does on fixnum overflow.
     fn int_op(
         &mut self,
         dst: Operand,
         a: Operand,
         b: Operand,
+        who: &str,
         f: fn(i64, i64) -> Option<i64>,
     ) -> Result<Step, Trap> {
         let (x, tx) = self.read_int(a)?;
         let (y, ty) = self.read_int(b)?;
         let Some(r) = f(x, y) else {
-            return Err(Trap::DivisionByZero);
+            return Err(int_trap(who, y));
         };
         let w = if tx || ty {
             Word::fixnum(r)
@@ -1455,22 +1496,34 @@ impl Machine {
         Ok(Step::Next)
     }
 
-    fn compare(&mut self, cond: Cond, a: Operand, b: Operand) -> Result<bool, Trap> {
+    /// `JmpIf`'s test past the dispatch loop's fast path, which compares
+    /// integers in registers, constants and frame slots.  Two unboxed
+    /// numbers (fixnums, raw integers and raw floats, in any mix) are
+    /// compared in line, as `runtime::num_compare` would compare them; a
+    /// boxed flonum, a non-number or a NaN leaves that case for
+    /// `num_compare`, charged as a two-argument routine.
+    #[inline(never)]
+    fn compare(&mut self, fnid: u32, cond: Cond, a: Operand, b: Operand) -> Result<bool, Trap> {
         let x = self.read(a)?;
         let y = self.read(b)?;
-        let ord = match (x, y) {
-            (Word::Raw(p), Word::Raw(q)) => p.cmp(&q),
-            (Word::Ptr(Tag::Fixnum, p), Word::Ptr(Tag::Fixnum, q)) => (p as i64).cmp(&(q as i64)),
-            _ => runtime::num_compare(self, x, y)?,
+        let unboxed = |w: Word| match w {
+            Word::F(f) => Some(f),
+            _ => w.as_integer().map(|n| n as f64),
         };
-        Ok(match cond {
-            Cond::Eq => ord == std::cmp::Ordering::Equal,
-            Cond::Ne => ord != std::cmp::Ordering::Equal,
-            Cond::Lt => ord == std::cmp::Ordering::Less,
-            Cond::Le => ord != std::cmp::Ordering::Greater,
-            Cond::Gt => ord == std::cmp::Ordering::Greater,
-            Cond::Ge => ord != std::cmp::Ordering::Less,
-        })
+        let ord = match (x.as_integer(), y.as_integer()) {
+            (Some(p), Some(q)) => p.cmp(&q),
+            _ => match unboxed(x)
+                .zip(unboxed(y))
+                .and_then(|(p, q)| p.partial_cmp(&q))
+            {
+                Some(ord) => ord,
+                None => {
+                    self.charge_rt_call(fnid, 2);
+                    runtime::num_compare(self, x, y)?
+                }
+            },
+        };
+        Ok(cond.holds(ord))
     }
 
     /// Heap allocation with collect-and-retry.  The heap keeps the
@@ -1531,6 +1584,20 @@ impl Machine {
     /// Reads machine data back into a host [`Value`].
     pub fn extract(&self, w: Word) -> Result<Value, Trap> {
         runtime::extract(self, w)
+    }
+}
+
+/// The trap of an integer instruction whose result is `None`: a zero
+/// divisor is a division by zero, anything else an overflow, raised as
+/// the routine for `who` raises it.  Out of line, so that the
+/// instructions' fast paths stay small.
+#[cold]
+#[inline(never)]
+fn int_trap(who: &str, divisor: i64) -> Trap {
+    if divisor == 0 {
+        Trap::DivisionByZero
+    } else {
+        Trap::WrongType(format!("{who}: fixnum overflow"))
     }
 }
 
@@ -1933,10 +2000,13 @@ mod tests {
         }
     }
 
-    /// The open-coded routines (`+`, `-`, `=`, `<`, `>` of two fixnums)
-    /// and `JmpIf`'s fixnum comparison answer exactly what the runtime
-    /// answers, on fixnums at and past the edges, on flonums, on mixed
-    /// operands, and on a symbol and a list (the same type trap).
+    /// The open-coded routines (`+`, `-`, `*`, `/`, `=`, `<`, `>` of two
+    /// fixnums, `1+` and `1-` of one), the `GENERIC` instruction and
+    /// `JmpIf`'s fixnum comparison answer exactly what the runtime
+    /// answers, on fixnums at and past the edges, raw integers, flonums,
+    /// mixed operands, and a symbol and a list (the same type trap);
+    /// `GENERIC` charges a routine call exactly when it leaves the fixnum
+    /// case, and `JmpIf` when an operand is boxed, not a number or NaN.
     #[test]
     fn open_coded_routines_match_the_runtime() {
         use std::cmp::Ordering::{Equal, Greater, Less};
@@ -1955,35 +2025,68 @@ mod tests {
         ];
         let mut words: Vec<Word> = values.iter().map(|v| m.inject(v).unwrap()).collect();
         words.extend([Word::Raw(3), Word::Raw(i64::MIN)]);
-        let mut open = 0;
-        for prim in [Prim::Add, Prim::Sub, Prim::NumEq, Prim::Lt, Prim::Gt] {
+        let mut operands: Vec<(Prim, Vec<Word>)> = Vec::new();
+        for prim in [Prim::OnePlus, Prim::OneMinus] {
+            operands.extend(words.iter().map(|&a| (prim, vec![a])));
+        }
+        for prim in [
+            Prim::Add,
+            Prim::Sub,
+            Prim::Mul,
+            Prim::Div,
+            Prim::NumEq,
+            Prim::Lt,
+            Prim::Gt,
+        ] {
             for &a in &words {
-                for &b in &words {
-                    m.push(a).unwrap();
-                    m.push(b).unwrap();
-                    let fast = m.rt_call_popped(prim, 2);
-                    let fast = outcome(&m, fast);
-                    let slow = runtime::rt_call(&mut m, prim, &[a, b]);
-                    let slow = outcome(&m, slow);
-                    assert_eq!(fast, slow, "{prim:?} {a} {b}");
-                    if let (Some(x), Some(y)) = (a.as_fixnum(), b.as_fixnum()) {
-                        match runtime::fixnum_fast(prim, x, y) {
-                            Some(_) => open += 1,
-                            None => assert!(
-                                fast.as_ref().is_err_and(|e| e.contains("fixnum overflow")),
-                                "{prim:?} {x} {y}: {fast:?}"
-                            ),
-                        }
-                    }
+                operands.extend(words.iter().map(|&b| (prim, vec![a, b])));
+            }
+        }
+        let mut open = 0;
+        for (prim, args) in operands {
+            let slow = runtime::rt_call(&mut m, prim, &args);
+            let slow = outcome(&m, slow);
+            for &w in &args {
+                m.push(w).unwrap();
+            }
+            let fast = m.rt_call_popped(prim, args.len());
+            assert_eq!(outcome(&m, fast), slow, "{prim:?} {args:?}");
+            if !matches!(prim, Prim::NumEq | Prim::Lt | Prim::Gt) {
+                let before = m.stats.insns;
+                let b = args.get(1).map(|&w| Operand::Const(w));
+                let generic = m
+                    .generic(0, prim, Operand::Reg(Reg::A), Operand::Const(args[0]), b)
+                    .map(|_| runtime::RtResult::Value(m.regs[Reg::A.0 as usize]));
+                assert_eq!(outcome(&m, generic), slow, "GENERIC {prim:?} {args:?}");
+                let charged = m.stats.insns - before;
+                match runtime::fixnum_fast(prim, &args) {
+                    Some(_) => assert_eq!(charged, 0, "{prim:?} {args:?}"),
+                    None => assert_eq!(charged, RT_CALL_COST + 2 * args.len() as u64),
+                }
+            }
+            if args.iter().all(|w| w.as_integer().is_some()) {
+                match runtime::fixnum_fast(prim, &args) {
+                    Some(_) => open += 1,
+                    None => assert!(
+                        slow.as_ref().is_err_and(|e| e.contains("fixnum overflow")
+                            || e.contains("overflow")
+                            || e == "division by zero"),
+                        "{prim:?} {args:?}: {slow:?}"
+                    ),
                 }
             }
         }
-        // Six sums and six differences of the 25 fixnum pairs overflow.
-        assert_eq!(open, 5 * 25 - 12, "two-fixnum calls answered in line");
+        // 7 integer words: 14 unary and 7 × 49 binary calls, less the 59
+        // that overflow or divide by zero.
+        assert_eq!(open, 14 + 7 * 49 - 59, "all-integer calls answered in line");
+        // Raw floats meet `JmpIf` only: no routine takes them.
+        words.extend([Word::F(2.5), Word::F(-0.0), Word::F(f64::NAN)]);
         for cond in [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge] {
             for &a in &words {
                 for &b in &words {
-                    let fast = m.compare(cond, Operand::Const(a), Operand::Const(b));
+                    let before = m.stats.insns;
+                    let fast = m.compare(0, cond, Operand::Const(a), Operand::Const(b));
+                    let charged = m.stats.insns - before;
                     let slow = runtime::num_compare(&m, a, b).map(|o| match cond {
                         Cond::Eq => o == Equal,
                         Cond::Ne => o != Equal,
@@ -1993,6 +2096,9 @@ mod tests {
                         Cond::Ge => o != Less,
                     });
                     assert_eq!(fast, slow, "{cond:?} {a} {b}");
+                    let unboxed = |w: Word| w.as_integer().is_some() || w.as_float().is_some();
+                    let in_line = unboxed(a) && unboxed(b) && slow.is_ok();
+                    assert_eq!(charged, if in_line { 0 } else { RT_CALL_COST + 4 });
                 }
             }
         }

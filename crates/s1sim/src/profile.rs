@@ -52,7 +52,9 @@ pub const DEFAULT_STACK_DEPTH_CAP: usize = 128;
 pub fn opcode_class(opcode: &str) -> &'static str {
     match opcode {
         "MOV" | "MOVP" | "LOAD-CONST" => "move",
-        "ADD" | "SUB" | "MULT" | "DIV" | "DIV-FLOOR" | "REM" | "MOD-FLOOR" | "NEG" => "int_arith",
+        "ADD" | "SUB" | "MULT" | "DIV" | "DIV-FLOOR" | "REM" | "MOD-FLOOR" | "NEG" | "GENERIC" => {
+            "int_arith"
+        }
         "FADD" | "FSUB" | "FMULT" | "FDIV" | "FMAX" | "FMIN" | "FNEG" | "FSIN" | "FCOS"
         | "FSQRT" | "FATAN" | "FEXP" | "FLOG" | "FLOAT-IT" | "FIX-IT" => "float_arith",
         "JMP" | "JMP-IF" | "JMP-NIL" | "JMP-NOT-NIL" | "JMP-TAG" | "JMP-EQ" | "DISPATCH" => {

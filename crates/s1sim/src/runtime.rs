@@ -273,18 +273,37 @@ fn compare_chain(
     Ok(Word::T)
 }
 
-/// The open-coded case of a routine: `+`, `-`, `=`, `<` or `>` of two
-/// fixnums, answered with exactly the word [`rt_call`] returns for it.
-/// `None` for any other primitive and for an overflowing sum or
-/// difference, whose trap only the routine raises.
+/// The open-coded case of a routine, on operands that are all fixnums
+/// (raw or tagged): `+`, `-`, `*`, `/`, `=`, `<` or `>` of two, `1+`
+/// or `1-` of one, answered with exactly the word [`rt_call`] returns
+/// for them.  `None` for any other primitive, operand or count, and for
+/// an overflow or a zero divisor, whose trap only the routine raises.
+/// Fixnum `/` truncates, as the routine's does.
 #[inline]
-pub(crate) fn fixnum_fast(prim: Prim, x: i64, y: i64) -> Option<Word> {
-    match prim {
-        Prim::Add => x.checked_add(y).map(Word::fixnum),
-        Prim::Sub => x.checked_sub(y).map(Word::fixnum),
-        Prim::NumEq => Some(boolean(x == y)),
-        Prim::Lt => Some(boolean(x < y)),
-        Prim::Gt => Some(boolean(x > y)),
+pub(crate) fn fixnum_fast(prim: Prim, args: &[Word]) -> Option<Word> {
+    match *args {
+        [x] => {
+            let x = x.as_integer()?;
+            match prim {
+                Prim::OnePlus => x.checked_add(1),
+                Prim::OneMinus => x.checked_sub(1),
+                _ => None,
+            }
+            .map(Word::fixnum)
+        }
+        [x, y] => {
+            let (x, y) = (x.as_integer()?, y.as_integer()?);
+            match prim {
+                Prim::Add => x.checked_add(y).map(Word::fixnum),
+                Prim::Sub => x.checked_sub(y).map(Word::fixnum),
+                Prim::Mul => x.checked_mul(y).map(Word::fixnum),
+                Prim::Div => x.checked_div(y).map(Word::fixnum),
+                Prim::NumEq => Some(boolean(x == y)),
+                Prim::Lt => Some(boolean(x < y)),
+                Prim::Gt => Some(boolean(x > y)),
+                _ => None,
+            }
+        }
         _ => None,
     }
 }

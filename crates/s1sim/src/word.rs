@@ -105,6 +105,17 @@ impl Word {
         }
     }
 
+    /// The integer a fixnum or a raw word holds: the operand the
+    /// machine's integer instructions accept.
+    #[inline]
+    pub fn as_integer(self) -> Option<i64> {
+        match self {
+            Word::Raw(n) => Some(n),
+            Word::Ptr(Tag::Fixnum, n) => Some(n as i64),
+            _ => None,
+        }
+    }
+
     /// The raw float, if this word is one.
     pub fn as_float(self) -> Option<f64> {
         match self {
