@@ -30,7 +30,7 @@
 //! let src = read_str("(defun f (x) (lambda () x))", &mut i).unwrap();
 //! let mut fe = Frontend::new(&mut i);
 //! let func = fe.convert_defun(&src).unwrap();
-//! let ann = Annotations::compute(&func.tree);
+//! let ann = Annotations::compute(&func.tree, "f");
 //! // x is captured by a real closure, so it must live in a heap cell.
 //! let x = func.tree.var_ids().find(|&v| func.tree.var(v).name.as_str() == "x").unwrap();
 //! assert_eq!(ann.binding.var_alloc[&x], s1lisp_annotate::VarAlloc::Heap);
@@ -63,11 +63,12 @@ pub struct Annotations {
 }
 
 impl Annotations {
-    /// Runs all three annotation phases (backlinks must be current).
-    pub fn compute(tree: &Tree) -> Annotations {
+    /// Runs all three annotation phases on the function `name`
+    /// (backlinks must be current).
+    pub fn compute(tree: &Tree, name: &str) -> Annotations {
         let binding = binding_annotation(tree);
         let rep = rep_annotation(tree, &binding);
-        let pdl = pdl_annotation(tree, &binding, &rep);
+        let pdl = pdl_annotation(tree, &binding, &rep, name);
         Annotations { binding, rep, pdl }
     }
 }
@@ -155,9 +156,10 @@ pub fn pdl_annotation_traced(
     sink: &mut dyn TraceSink,
 ) -> PdlInfo {
     let sp = sink.span_begin("Pdl number annotation", unit);
-    let pdl = pdl_annotation(tree, binding, rep);
+    let pdl = pdl_annotation(tree, binding, rep, unit);
     if sink.enabled() {
         sink.add("stack_box_sites", pdl.stack_boxes.len() as u64);
+        sink.add("entry_certified", pdl.entry_certified.len() as u64);
         sink.add(
             "pdlnump_nodes",
             pdl.pdlnump.values().filter(|&&b| b).count() as u64,

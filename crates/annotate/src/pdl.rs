@@ -15,10 +15,17 @@
 //! A node whose PDLOKP is non-false, whose PDLNUMP is true, whose WANTREP
 //! is POINTER, and whose ISREP is a boxable numeric representation gets a
 //! stack slot instead of a heap box.
+//!
+//! A parameter is maybe-unsafe because "a caller may pass a pdl number
+//! in".  In a self-tail loop (§2's parameter-passing goto) only the
+//! entry value comes from a caller: a parameter whose every loop
+//! assignment is pdl-free is certified once, at entry
+//! ([`PdlInfo::entry_certified`]), and its references are safe.
 
 use std::collections::{HashMap, HashSet};
 
-use s1lisp_ast::{primop, CallFunc, NodeId, NodeKind, ProgItem, Tree};
+use s1lisp_analysis::tail_nodes_from;
+use s1lisp_ast::{primop, CallFunc, NodeId, NodeKind, ProgItem, Tree, VarId};
 
 use crate::binding::{BindingInfo, VarAlloc};
 use crate::rep::{Rep, RepInfo};
@@ -39,6 +46,12 @@ pub struct PdlInfo {
     /// certification analysis: such values must be certified before
     /// reaching an unsafe operation or being returned.
     pub maybe_unsafe: HashMap<NodeId, bool>,
+    /// Parameters the function certifies once, on entry: each is used
+    /// in a place a pdl number may not go, other than as the returned
+    /// value, and every value a self tail call or a `setq` assigns it
+    /// is pdl-free (a generic or list result, a user call's result, or
+    /// another such parameter).  Their references are safe.
+    pub entry_certified: HashSet<VarId>,
 }
 
 impl PdlInfo {
@@ -53,11 +66,21 @@ impl PdlInfo {
     }
 }
 
-/// Runs pdl-number annotation.
-pub fn pdl_annotation(tree: &Tree, binding: &BindingInfo, rep: &RepInfo) -> PdlInfo {
+/// Runs pdl-number annotation on the function `name` (its self tail
+/// calls are the calls to `name`).
+pub fn pdl_annotation(tree: &Tree, binding: &BindingInfo, rep: &RepInfo, name: &str) -> PdlInfo {
     let mut info = PdlInfo::default();
     okp_pass(tree, tree.root, None, binding, &mut info);
-    nump_pass(tree, tree.root, binding, rep, &mut info);
+    let assigned = loop_assignments(tree, binding, rep, name, &info);
+    let mut certified: HashSet<VarId> = assigned.keys().copied().collect();
+    loop {
+        info.entry_certified = certified.clone();
+        nump_pass(tree, tree.root, binding, rep, &mut info);
+        certified.retain(|p| assigned[p].iter().all(|&value| !info.unsafe_p(value)));
+        if certified.len() == info.entry_certified.len() {
+            break;
+        }
+    }
     // "The TNBIND phase was then modified to attach an extra TN to a node
     // when all of the following conditions hold" (§6.3):
     for (&node, &auth) in &info.pdlokp {
@@ -78,6 +101,64 @@ pub fn pdl_annotation(tree: &Tree, binding: &BindingInfo, rep: &RepInfo) -> PdlI
         info.stack_boxes.insert(node);
     }
     info
+}
+
+/// The candidates for entry certification, each with the values that
+/// self tail calls and `setq`s assign it: the stack-allocated pointer
+/// parameters of a simple function with a self tail call, used in a
+/// place a pdl number may not go (PDLOKP false) that is not the
+/// function's value.  A function without a self tail call has none:
+/// certifying on entry would only add an instruction to every call.
+fn loop_assignments(
+    tree: &Tree,
+    binding: &BindingInfo,
+    rep: &RepInfo,
+    name: &str,
+    info: &PdlInfo,
+) -> HashMap<VarId, Vec<NodeId>> {
+    let mut out = HashMap::new();
+    let NodeKind::Lambda(l) = tree.kind(tree.root) else {
+        return out;
+    };
+    if !l.is_simple() {
+        return out;
+    }
+    let tails = tail_nodes_from(tree, tree.root);
+    let self_calls: Vec<&[NodeId]> = tails
+        .iter()
+        .filter_map(|&n| match tree.kind(n) {
+            NodeKind::Call {
+                func: CallFunc::Global(g),
+                args,
+            } if g.as_str() == name && args.len() == l.required.len() => Some(&args[..]),
+            _ => None,
+        })
+        .collect();
+    if self_calls.is_empty() {
+        return out;
+    }
+    for (j, &p) in l.required.iter().enumerate() {
+        let var = tree.var(p);
+        let used_unsafely = var
+            .refs
+            .iter()
+            .any(|r| info.pdlokp.get(r) == Some(&None) && !tails.contains(r));
+        if var.special
+            || binding.var_alloc.get(&p) != Some(&VarAlloc::Stack)
+            || rep.var_rep.get(&p).copied().unwrap_or(Rep::Pointer) != Rep::Pointer
+            || !used_unsafely
+        {
+            continue;
+        }
+        let mut values: Vec<NodeId> = self_calls.iter().map(|args| args[j]).collect();
+        for &sq in &var.setqs {
+            if let NodeKind::Setq { value, .. } = tree.kind(sq) {
+                values.push(*value);
+            }
+        }
+        out.insert(p, values);
+    }
+    out
 }
 
 /// Top-down PDLOKP pass.
@@ -215,10 +296,18 @@ fn nump_pass(
         // *raw-representation* variable produces one when a pointer is
         // required (the box happens at the reference).
         NodeKind::VarRef(v) => {
-            let stack = binding.var_alloc.get(v) == Some(&VarAlloc::Stack);
             let raw = rep.var_rep.get(v).copied().unwrap_or(Rep::Pointer);
             let produces = raw.is_raw_numeric() && raw != Rep::Swfix;
-            (produces, stack)
+            let unsafe_p = if produces {
+                // A raw float variable holds no pointer (pdl numbers
+                // exist only where floats are raw); its boxed value is
+                // a pdl number only where it is boxed on the stack.
+                authorized(node, info)
+            } else {
+                binding.var_alloc.get(v) == Some(&VarAlloc::Stack)
+                    && !info.entry_certified.contains(v)
+            };
+            (produces, unsafe_p)
         }
         NodeKind::Setq { value, .. } => get(*value, &child_results),
         NodeKind::If { then, els, .. } => {
@@ -232,11 +321,13 @@ fn nump_pass(
                 // "the result of (+$f x y) might well be a pdl number if
                 // a pointer result is required.  On the other hand, the
                 // result of (car x) is never a pdl number."  Generic
-                // operations lowered by type deduction count too.
+                // operations lowered by type deduction count too.  Only
+                // an authorized node is boxed on the stack: any other
+                // boxes its raw result in the heap, which is safe.
                 Some(p) => {
                     let numeric = typedish(g.as_str())
                         || (rep.is(node).is_raw_numeric() && rep.is(node) != Rep::Swfix);
-                    (numeric, numeric && p.pdl_safe)
+                    (numeric, numeric && p.pdl_safe && authorized(node, info))
                 }
                 // "values returned by procedures … are guaranteed safe".
                 None => (false, false),
@@ -266,6 +357,12 @@ fn nump_pass(
     (nump, unsafe_p)
 }
 
+/// Does `node`'s parent accept a pdl number from it (PDLOKP non-false)?
+/// A raw number nobody authorized is boxed in the heap.
+fn authorized(node: NodeId, info: &PdlInfo) -> bool {
+    info.pdlokp.get(&node).is_some_and(Option::is_some)
+}
+
 /// Operations producing raw numbers that would need boxing (known
 /// primitives only).
 fn typedish(name: &str) -> bool {
@@ -288,7 +385,8 @@ mod tests {
         let f = fe.convert_defun(&form).unwrap();
         let b = binding_annotation(&f.tree);
         let r = rep_annotation(&f.tree, &b);
-        let p = pdl_annotation(&f.tree, &b, &r);
+        let name = f.name.as_str().to_string();
+        let p = pdl_annotation(&f.tree, &b, &r, &name);
         (f.tree, p)
     }
 
@@ -380,6 +478,62 @@ mod tests {
             panic!()
         };
         assert!(p.unsafe_p(args[1]));
+    }
+
+    fn var(tree: &Tree, name: &str) -> VarId {
+        tree.var_ids()
+            .find(|&v| tree.var(v).name.as_str() == name)
+            .unwrap()
+    }
+
+    #[test]
+    fn loop_carried_parameters_certify_on_entry() {
+        // build-list: every back-edge value is a GENERIC or %CONS result,
+        // so n and acc are certified once, and the cons takes them as
+        // they are.
+        let (tree, p) = annotate(
+            "(defun build-list (n acc) (if (zerop n) acc (build-list (- n 1) (cons n acc))))",
+        );
+        let want: HashSet<VarId> = [var(&tree, "n"), var(&tree, "acc")].into();
+        assert_eq!(p.entry_certified, want);
+        let NodeKind::Call { args, .. } = tree.kind(find_call(&tree, "cons")).clone() else {
+            panic!()
+        };
+        assert!(!p.unsafe_p(args[0]) && !p.unsafe_p(args[1]));
+    }
+
+    #[test]
+    fn a_back_edge_that_may_be_a_pdl_number_keeps_the_use_site_certify() {
+        let (tree, p) =
+            annotate("(defun f (n x) (if (zerop n) (cons x '()) (f (- n 1) (+$f x 1.0))))");
+        assert!(p.entry_certified.is_empty());
+        let NodeKind::Call { args, .. } = tree.kind(find_call(&tree, "cons")).clone() else {
+            panic!()
+        };
+        assert!(p.unsafe_p(args[0]));
+    }
+
+    #[test]
+    fn a_parameter_fed_by_an_uncertified_one_is_not_certified() {
+        // y is used nowhere unsafe, so it is not certified; x's back edge
+        // reads y, so x may not be either.
+        let (_, p) = annotate("(defun f (n x y) (if (zerop n) (cons x '()) (f (- n 1) y x)))");
+        assert!(p.entry_certified.is_empty());
+    }
+
+    #[test]
+    fn only_a_self_tail_loop_certifies_on_entry() {
+        let (_, p) = annotate("(defun f (x y) (rplaca x y))");
+        assert!(p.entry_certified.is_empty());
+        // A returned parameter is certified on the way out, not in.
+        let (_, p) = annotate("(defun g (n x) (if (zerop n) x (g (- n 1) x)))");
+        assert!(p.entry_certified.is_empty());
+    }
+
+    #[test]
+    fn an_unauthorized_raw_result_is_boxed_in_the_heap_and_safe() {
+        let (tree, p) = annotate("(defun f (a b) (+$f a b))");
+        assert!(!p.unsafe_p(find_call(&tree, "+$f")));
     }
 
     #[test]

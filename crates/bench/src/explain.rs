@@ -11,6 +11,7 @@
 
 use s1lisp::Compiler;
 
+use crate::corpus;
 use crate::json_report::workload;
 
 /// Experiment ids searched, in order, for a workload defining the
@@ -19,19 +20,29 @@ const SEARCH_ORDER: [&str; 12] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
 ];
 
+/// The benchmark's run-kernels sources that no experiment workload
+/// carries, searched after the workloads: `build-list` and
+/// `gc-stress`, and `deriv-bench`'s program.
+const KERNEL_SOURCES: [&str; 2] = [corpus::GC_STRESS, corpus::DERIV];
+
 /// Renders the compilation dossier for one corpus function, or `None`
-/// if no experiment workload defines it.  With `include_wall` false the
-/// rendering omits wall-clock times and is deterministic across runs.
+/// if neither an experiment workload nor a run-kernels source defines
+/// it.  With `include_wall` false the rendering omits wall-clock times
+/// and is deterministic across runs.
 pub fn explain_function(name: &str, include_wall: bool) -> Option<String> {
     let marker = format!("(defun {name} ");
-    for id in SEARCH_ORDER {
-        let wl = workload(id).expect("search order lists known experiments");
-        if !wl.src.contains(&marker) {
+    let workloads = SEARCH_ORDER.iter().map(|id| {
+        workload(id)
+            .expect("search order lists known experiments")
+            .src
+    });
+    for src in workloads.chain(KERNEL_SOURCES) {
+        if !src.contains(&marker) {
             continue;
         }
         let mut c = Compiler::new();
         c.enable_trace();
-        c.compile_str(wl.src).expect("corpus workload compiles");
+        c.compile_str(src).expect("corpus workload compiles");
         if let Some(d) = c.explain(name) {
             return Some(d.render(include_wall));
         }
@@ -77,6 +88,14 @@ mod tests {
             assert!(text.contains(&format!("compilation dossier: {f}")), "{f}");
             assert!(text.contains("-- assembly --"), "{f}");
             assert!(text.contains("Table 1 phases"), "{f}");
+        }
+    }
+
+    #[test]
+    fn run_kernels_functions_explain() {
+        for f in ["build-list", "gc-stress", "deriv-bench"] {
+            let text = explain_function(f, false).unwrap_or_else(|| panic!("no dossier for {f}"));
+            assert!(text.contains(&format!("compilation dossier: {f}")), "{f}");
         }
     }
 

@@ -19,7 +19,7 @@ fn build(src: &str) -> (Evaluator, Interp) {
     let mut module = Module::new();
     let mut interp = Interp::new();
     for f in funcs {
-        let ann = Annotations::compute(&f.tree);
+        let ann = Annotations::compute(&f.tree, f.name.as_str());
         let protos = emit_unit(f.name.as_str(), &f.tree, &ann).expect("emit");
         module.define_unit(protos);
         interp.define(f);

@@ -51,7 +51,7 @@ pub fn compile(name: &str, tree: &Tree, program: &mut Program, opts: &CodegenOpt
     emit_annotated(
         name,
         tree,
-        &Annotations::compute(tree),
+        &Annotations::compute(tree, name),
         program,
         opts,
         &mut NullSink,
@@ -138,7 +138,9 @@ fn compile_lambda(
     let mut promote: HashMap<VarId, Reg> = HashMap::new();
     for (&var, &tn) in &var_tn {
         if let Location::Reg(r) = packing.location(tn) {
-            promote.insert(var, Reg(r));
+            if g.worth_promoting(var, &pool) {
+                promote.insert(var, Reg(r));
+            }
         }
     }
     if sink.enabled() {
@@ -154,7 +156,8 @@ fn compile_lambda(
         map.sort_by_key(|&(v, _)| v.index());
         for (v, tn) in map {
             let loc = match packing.location(tn) {
-                Location::Reg(r) => format!("R{r}"),
+                Location::Reg(r) if promote.contains_key(&v) => format!("R{r}"),
+                Location::Reg(r) => format!("R{r}, not worth promoting"),
                 Location::Slot(s) => format!("slot {s}"),
             };
             sink.event(
@@ -291,6 +294,19 @@ struct LocalFn {
     params: Vec<u16>,
 }
 
+/// The flonum unboxings one `let`'s initializations share (see
+/// [`Gen::shared_unbox`]).
+struct UnboxScope {
+    /// Pointer variables the initializations read as a flonum more than
+    /// once.
+    shared: HashSet<VarId>,
+    /// Each shared variable unboxed so far, with the scratch place that
+    /// holds its raw value and whether the place still holds it: a
+    /// label, a call or an assignment to the variable since the unbox
+    /// ends that.
+    held: Vec<(VarId, Val, bool)>,
+}
+
 /// An enclosing progbody context.
 struct PbCtx {
     tags: Vec<(Symbol, Label)>,
@@ -333,6 +349,12 @@ struct Gen<'a> {
     pool: TnPool,
     var_tn: HashMap<VarId, TnId>,
     promote: HashMap<VarId, Reg>,
+    /// Unbox scopes of the `let`s whose initializations are being
+    /// compiled, innermost last.
+    unbox_scopes: Vec<UnboxScope>,
+    /// Where pass 1 read each frame-slot variable, for
+    /// [`Gen::worth_promoting`].
+    var_reads: HashMap<VarId, Vec<u32>>,
     effects_cache: Vec<Option<(bool, bool)>>,
     metrics: GenMetrics,
 }
@@ -393,6 +415,8 @@ impl<'a> Gen<'a> {
             pool: TnPool::new(),
             var_tn: HashMap::new(),
             promote: HashMap::new(),
+            unbox_scopes: Vec::new(),
+            var_reads: HashMap::new(),
             effects_cache: vec![None; tree.node_count()],
             metrics: GenMetrics::default(),
         }
@@ -402,6 +426,34 @@ impl<'a> Gen<'a> {
 
     fn pos(&self) -> u32 {
         self.asm.len() as u32
+    }
+
+    /// Binds `l` here.  Control may arrive from elsewhere, so no unboxed
+    /// value is known to be held any more.
+    fn bind(&mut self, l: Label) {
+        self.forget_unboxed(None);
+        self.asm.bind(l);
+    }
+
+    /// Records a call for TNBIND: it clobbers the scratch registers,
+    /// unboxed values included.
+    fn note_call(&mut self) {
+        self.forget_unboxed(None);
+        self.pool.record_call(self.pos());
+    }
+
+    /// Marks the held unboxings of `var` (of every variable, for `None`)
+    /// as no longer valid.  Their places stay reserved until their scope
+    /// releases them, since a value read from one may still be waiting
+    /// for its consumer.
+    fn forget_unboxed(&mut self, var: Option<VarId>) {
+        for scope in &mut self.unbox_scopes {
+            for held in &mut scope.held {
+                if var.is_none_or(|v| v == held.0) {
+                    held.2 = false;
+                }
+            }
+        }
     }
 
     fn err<T>(&self, m: impl Into<String>) -> R<T> {
@@ -512,7 +564,7 @@ impl<'a> Gen<'a> {
             _ => {
                 let t = self.alloc_temp();
                 let op = self.temp_op(t);
-                self.asm.push(Insn::Mov { dst: op, src: v.op });
+                let v = self.store_home(op, v);
                 self.release(v);
                 Val {
                     op,
@@ -521,6 +573,24 @@ impl<'a> Gen<'a> {
                 }
             }
         }
+    }
+
+    /// Pushes a call's argument.  A constant the last instruction loaded
+    /// into a scratch place is pushed straight from the constant table.
+    fn push_arg(&mut self, v: Val) {
+        if v.reg.is_some() || v.temp.is_some() {
+            if let Some(last) = self.asm.last_unlabelled_mut() {
+                if let Insn::LoadConst { dst, idx } = *last {
+                    if dst == v.op {
+                        *last = Insn::PushConst { idx };
+                        self.release(v);
+                        return;
+                    }
+                }
+            }
+        }
+        self.asm.push(Insn::Push { src: v.op });
+        self.release(v);
     }
 
     /// Must `v` be protected while the sibling expression runs?  Calls
@@ -617,7 +687,7 @@ impl<'a> Gen<'a> {
             self.asm.push(Insn::Trap {
                 msg: "wrong number of arguments",
             });
-            self.asm.bind(ok);
+            self.bind(ok);
             self.body_label = self.asm.here();
             self.alloc_patch.push(self.asm.push(Insn::AllocSlots {
                 n: 0,
@@ -652,7 +722,7 @@ impl<'a> Gen<'a> {
                 src: Operand::Reg(Reg::RTA),
                 targets,
             });
-            self.asm.bind(trap);
+            self.bind(trap);
             self.asm.push(Insn::Trap {
                 msg: "wrong number of arguments",
             });
@@ -663,7 +733,7 @@ impl<'a> Gen<'a> {
             // passed", §7).
             for (idx, case) in cases.into_iter().enumerate() {
                 let supplied = req + idx as u16;
-                self.asm.bind(case);
+                self.bind(case);
                 let missing = (maxp - supplied) + u16::from(l.rest.is_some());
                 if missing > 0 {
                     self.asm.push(Insn::AllocSlots {
@@ -691,7 +761,7 @@ impl<'a> Gen<'a> {
                 self.asm.push(Insn::Jmp { target: body });
             }
             if let (Some(listify), Some(_)) = (listify, l.rest) {
-                self.asm.bind(listify);
+                self.bind(listify);
                 self.asm.push(Insn::ListifyArgs { fixed: maxp });
                 self.alloc_patch.push(self.asm.push(Insn::AllocSlots {
                     n: 0,
@@ -699,7 +769,7 @@ impl<'a> Gen<'a> {
                 }));
                 self.asm.push(Insn::Jmp { target: body });
             }
-            self.asm.bind(body);
+            self.bind(body);
             self.body_label = body;
         }
 
@@ -737,6 +807,13 @@ impl<'a> Gen<'a> {
                     };
                     if self.var_rep(p) == Rep::Swflo {
                         self.asm.push(Insn::UnboxFlo {
+                            dst: home,
+                            src: Operand::arg(i),
+                        });
+                    } else if self.ann.pdl.entry_certified.contains(&p) {
+                        // Certified once, before the loop label: every
+                        // value the loop assigns is pdl-free (§6.3).
+                        self.asm.push(Insn::Certify {
                             dst: home,
                             src: Operand::arg(i),
                         });
@@ -810,6 +887,23 @@ impl<'a> Gen<'a> {
         Ok(())
     }
 
+    /// Does promoting `v` to the register packing gave it save
+    /// anything?  A variable the body never reads gains nothing.  A
+    /// parameter costs a `MOV` into the register on entry, which pays
+    /// only when the body reads it inside a loop: a register operand
+    /// costs no fewer instructions than a frame slot.
+    fn worth_promoting(&self, v: VarId, pool: &TnPool) -> bool {
+        let reads = self.var_reads.get(&v).map_or(&[][..], Vec::as_slice);
+        if !self.lambda.all_params().contains(&v) {
+            return !reads.is_empty();
+        }
+        reads.iter().any(|&at| {
+            pool.loop_regions
+                .iter()
+                .any(|&(start, end)| start <= at && at <= end)
+        })
+    }
+
     /// Does the body make a self tail call that [`Gen::loops_in_place`]?
     fn has_self_loop(&mut self) -> bool {
         let sites: Vec<Vec<NodeId>> = self
@@ -848,6 +942,10 @@ impl<'a> Gen<'a> {
 
     fn load_var(&mut self, v: VarId) -> R<Val> {
         self.record_var_use(v);
+        if matches!(self.var_loc.get(&v), Some(VLoc::Slot(_))) {
+            let at = self.pos();
+            self.var_reads.entry(v).or_default().push(at);
+        }
         self.locate_lazily(v);
         let Some(&loc) = self.var_loc.get(&v) else {
             return self.err(format!("unlocated variable {}", self.tree.var(v).name));
@@ -894,6 +992,7 @@ impl<'a> Gen<'a> {
     /// for use as the `setq` result.
     fn store_var(&mut self, v: VarId, value: Val, value_node: NodeId) -> R<Val> {
         self.record_var_use(v);
+        self.forget_unboxed(Some(v));
         self.locate_lazily(v);
         let Some(&loc) = self.var_loc.get(&v) else {
             return self.err(format!("unlocated variable {}", self.tree.var(v).name));
@@ -1039,8 +1138,114 @@ impl<'a> Gen<'a> {
     // ------------------------------------------------------- expressions
 
     fn gen_into(&mut self, node: NodeId, want: Rep) -> R<Val> {
+        if want == Rep::Swflo {
+            if let Some(v) = self.shared_unbox(node)? {
+                return Ok(v);
+            }
+        }
         let v = self.gen(node)?;
         self.coerce(node, v, self.rep_is(node), want)
+    }
+
+    /// A pointer variable read as a flonum by an enclosing `let`'s
+    /// initializations more than once is unboxed once, on the first
+    /// read, into a place (an RT register when one is free, where it can
+    /// feed 2½-address arithmetic into any destination) that the scope
+    /// holds until its initializations are done; later reads use the
+    /// place.  `None` for any other node.
+    fn shared_unbox(&mut self, node: NodeId) -> R<Option<Val>> {
+        let NodeKind::VarRef(x) = *self.tree.kind(node) else {
+            return Ok(None);
+        };
+        let Some(si) = self
+            .unbox_scopes
+            .iter()
+            .rposition(|s| s.shared.contains(&x))
+        else {
+            return Ok(None);
+        };
+        if let Some(&(_, v, _)) = self.unbox_scopes[si].held.iter().find(|h| h.0 == x && h.2) {
+            return Ok(Some(Val::borrowed(v.op)));
+        }
+        let home = self.load_var(x)?;
+        self.metrics.coercions += 1;
+        self.metrics.unboxes += 1;
+        self.note_coercion("Pointer→Swflo (unbox, shared)", node);
+        let dst = self.alloc_rt().map_or_else(|| self.alloc_place(), Val::reg);
+        self.asm.push(Insn::UnboxFlo {
+            dst: dst.op,
+            src: home.op,
+        });
+        self.unbox_scopes[si].held.push((x, dst, true));
+        Ok(Some(Val::borrowed(dst.op)))
+    }
+
+    /// The unbox scope of a `let` whose initializations are `args`: the
+    /// pointer variables (in a frame slot or a register) that they read
+    /// as a flonum more than once.  `None` when there is none.
+    fn unbox_scope(&self, args: &[NodeId]) -> Option<UnboxScope> {
+        let mut reads: HashMap<VarId, usize> = HashMap::new();
+        for &a in args {
+            for n in s1lisp_ast::subtree_nodes(self.tree, a) {
+                if let NodeKind::VarRef(x) = *self.tree.kind(n) {
+                    if self.ann.rep.want(n) == Rep::Swflo
+                        && self.rep_is(n) == Rep::Pointer
+                        && matches!(self.var_loc.get(&x), Some(VLoc::Slot(_) | VLoc::Reg(_)))
+                    {
+                        *reads.entry(x).or_default() += 1;
+                    }
+                }
+            }
+        }
+        let shared: HashSet<VarId> = reads
+            .into_iter()
+            .filter(|&(_, n)| n > 1)
+            .map(|(x, _)| x)
+            .collect();
+        (!shared.is_empty()).then(|| UnboxScope {
+            shared,
+            held: Vec::new(),
+        })
+    }
+
+    /// Releases the places of the innermost unbox scope that no longer
+    /// hold their value (`all`: every place), between two of its
+    /// `let`'s initializations, where no value read from them waits.
+    fn release_unboxed(&mut self, all: bool) {
+        let Some(scope) = self.unbox_scopes.last_mut() else {
+            return;
+        };
+        let (keep, drop): (Vec<_>, Vec<_>) = scope.held.drain(..).partition(|h| h.2 && !all);
+        scope.held = keep;
+        for (_, v, _) in drop {
+            self.release(v);
+        }
+    }
+
+    /// The frame slot a pdl number for `node` may point into without a
+    /// copy: the home of a raw `let` variable that nothing assigns after
+    /// its binding, boxed for a call that authorizes it (PDLOKP), so the
+    /// pointer lives no longer than the call while the slot keeps its
+    /// value.
+    fn own_pdl_slot(&self, node: NodeId, v: Val) -> Option<Operand> {
+        let NodeKind::VarRef(x) = *self.tree.kind(node) else {
+            return None;
+        };
+        let auth = self.ann.pdl.pdlokp.get(&node).copied().flatten()?;
+        let for_call = matches!(
+            self.tree.kind(auth),
+            NodeKind::Call {
+                func: CallFunc::Global(_),
+                ..
+            }
+        );
+        let in_home = matches!(self.var_loc.get(&x),
+            Some(&VLoc::Slot(i)) if v.op == Operand::Ind(Reg::FP, i32::from(i)));
+        (for_call
+            && in_home
+            && self.tree.var(x).setqs.is_empty()
+            && !self.lambda.all_params().contains(&x))
+        .then_some(v.op)
     }
 
     fn coerce(&mut self, node: NodeId, v: Val, from: Rep, want: Rep) -> R<Val> {
@@ -1060,14 +1265,20 @@ impl<'a> Gen<'a> {
                     self.metrics.pdl_promotions += 1;
                     self.note_coercion("Swflo→Pointer (pdl box)", node);
                     // "Install value for PDL-allocated number" +
-                    // "Pointer to PDL slot" (Table 4).
-                    let slot = self.alloc_temp_pinned();
-                    let slot_op = self.temp_op(slot);
-                    self.asm.push(Insn::Mov {
-                        dst: slot_op,
-                        src: v.op,
-                    });
-                    self.release(v);
+                    // "Pointer to PDL slot" (Table 4).  A value just
+                    // computed is computed into the slot; a variable's
+                    // own slot serves when it holds the value as long as
+                    // the pointer lives.
+                    let slot_op = match self.own_pdl_slot(node, v) {
+                        Some(home) => home,
+                        None => {
+                            let slot = self.alloc_temp_pinned();
+                            let slot_op = self.temp_op(slot);
+                            let v = self.store_home(slot_op, v);
+                            self.release(v);
+                            slot_op
+                        }
+                    };
                     let dst = self.alloc_place();
                     self.asm.push(Insn::Movp {
                         tag: Tag::SingleFlonum,
@@ -1091,7 +1302,9 @@ impl<'a> Gen<'a> {
                 self.metrics.coercions += 1;
                 self.metrics.unboxes += 1;
                 self.note_coercion("Pointer→Swflo (unbox)", node);
-                let dst = self.alloc_place();
+                // An RT register lets the raw value feed 2½-address
+                // arithmetic whose result goes straight to its home.
+                let dst = self.alloc_rt().map_or_else(|| self.alloc_place(), Val::reg);
                 self.asm.push(Insn::UnboxFlo {
                     dst: dst.op,
                     src: v.op,
@@ -1117,7 +1330,7 @@ impl<'a> Gen<'a> {
                 let (tl, fl, join) = (self.asm.label(), self.asm.label(), self.asm.label());
                 self.gen_test(test, tl, fl)?;
                 let out = self.alloc_place();
-                self.asm.bind(tl);
+                self.bind(tl);
                 let v1 = self.gen_into(then, rep)?;
                 self.asm.push(Insn::Mov {
                     dst: out.op,
@@ -1125,14 +1338,14 @@ impl<'a> Gen<'a> {
                 });
                 self.release(v1);
                 self.asm.push(Insn::Jmp { target: join });
-                self.asm.bind(fl);
+                self.bind(fl);
                 let v2 = self.gen_into(els, rep)?;
                 self.asm.push(Insn::Mov {
                     dst: out.op,
                     src: v2.op,
                 });
                 self.release(v2);
-                self.asm.bind(join);
+                self.bind(join);
                 Ok(out)
             }
             NodeKind::Progn(body) => {
@@ -1195,12 +1408,12 @@ impl<'a> Gen<'a> {
             &NodeKind::If { test, then, els } => {
                 let (tl, fl, join) = (self.asm.label(), self.asm.label(), self.asm.label());
                 self.gen_test(test, tl, fl)?;
-                self.asm.bind(tl);
+                self.bind(tl);
                 self.gen_effect(then)?;
                 self.asm.push(Insn::Jmp { target: join });
-                self.asm.bind(fl);
+                self.bind(fl);
                 self.gen_effect(els)?;
-                self.asm.bind(join);
+                self.bind(join);
                 Ok(())
             }
             _ => {
@@ -1232,10 +1445,9 @@ impl<'a> Gen<'a> {
                 let fv = self.protect(fv);
                 for &a in args {
                     let v = self.gen_into(a, Rep::Pointer)?;
-                    self.asm.push(Insn::Push { src: v.op });
-                    self.release(v);
+                    self.push_arg(v);
                 }
-                self.pool.record_call(self.pos());
+                self.note_call();
                 self.asm.push(Insn::Call {
                     f: CallTarget::Value(fv.op),
                     nargs: args.len() as u8,
@@ -1261,11 +1473,10 @@ impl<'a> Gen<'a> {
         // A full call to a user (or not-yet-defined) function.
         for &a in args {
             let v = self.gen_into(a, Rep::Pointer)?;
-            self.asm.push(Insn::Push { src: v.op });
-            self.release(v);
+            self.push_arg(v);
         }
         let id = self.program.fn_id(name);
-        self.pool.record_call(self.pos());
+        self.note_call();
         self.asm.push(Insn::Call {
             f: CallTarget::Func(id),
             nargs: args.len() as u8,
@@ -1279,8 +1490,7 @@ impl<'a> Gen<'a> {
         for &a in args {
             let v = self.gen_into(a, Rep::Pointer)?;
             let v = if unsafe_op { self.certify(a, v)? } else { v };
-            self.asm.push(Insn::Push { src: v.op });
-            self.release(v);
+            self.push_arg(v);
         }
         let dst = self.alloc_place();
         self.asm.push(Insn::RtCall {
@@ -1381,7 +1591,7 @@ impl<'a> Gen<'a> {
                     fv
                 };
                 let lv = self.gen_into(rest[0], Rep::Pointer)?;
-                self.pool.record_call(self.pos());
+                self.note_call();
                 self.asm.push(Insn::Apply {
                     f: fv.op,
                     list: lv.op,
@@ -1525,7 +1735,7 @@ impl<'a> Gen<'a> {
                     a = self.protect(a);
                 }
                 let b = self.gen_into(*y, Rep::Pointer)?;
-                let (dst, a) = self.arith_dst(a);
+                let (dst, a) = self.arith_dst(a, b.op);
                 self.asm.push(Insn::Generic {
                     prim,
                     dst,
@@ -1642,9 +1852,18 @@ impl<'a> Gen<'a> {
         };
         match (prim, args) {
             (Prim::OnePlus | Prim::OneMinus, [x]) => {
+                // `GENERIC`, whose fixnum case is one instruction like
+                // `ADD`'s, so that an overflow traps as `1+`'s does.
                 let v = self.gen_into(*x, Rep::Pointer)?;
-                let one = Val::con(Word::fixnum(1));
-                Ok(Some(self.emit_int(op, v, one)))
+                let dst = self.alloc_place();
+                self.asm.push(Insn::Generic {
+                    prim,
+                    dst: dst.op,
+                    a: v.op,
+                    b: None,
+                });
+                self.release(v);
+                Ok(Some(dst))
             }
             (Prim::Sub, [x]) => {
                 let v = self.gen_into(*x, Rep::Pointer)?;
@@ -1676,13 +1895,20 @@ impl<'a> Gen<'a> {
 
     /// The 2½-address arithmetic discipline (§6.1): the destination is an
     /// RT register when one is free, else the first operand (in a place
-    /// we own), else a fresh place primed with a MOV.
-    fn arith_dst(&mut self, a: Val) -> (Operand, Val) {
+    /// we own), else any fresh register when a source is an RT register,
+    /// else a fresh place primed with a MOV.
+    fn arith_dst(&mut self, a: Val, b: Operand) -> (Operand, Val) {
         if let Some(rt) = self.alloc_rt() {
             return (Operand::Reg(rt), a);
         }
         if a.reg.is_some() || a.temp.is_some() {
             return (a.op, a);
+        }
+        let rt = |o: Operand| matches!(o, Operand::Reg(r) if r.is_rt());
+        if rt(a.op) || rt(b) {
+            if let Some(r) = self.alloc_reg() {
+                return (Operand::Reg(r), a);
+            }
         }
         let dst = self.alloc_place();
         self.asm.push(Insn::Mov {
@@ -1693,7 +1919,7 @@ impl<'a> Gen<'a> {
     }
 
     fn emit_float(&mut self, op: FloatOp, a: Val, b: Val) -> Val {
-        let (dst, a_owned) = self.arith_dst(a);
+        let (dst, a_owned) = self.arith_dst(a, b.op);
         let insn = match op {
             FloatOp::Add => Insn::FAdd {
                 dst,
@@ -1731,7 +1957,7 @@ impl<'a> Gen<'a> {
     }
 
     fn emit_int(&mut self, op: IntOp, a: Val, b: Val) -> Val {
-        let (dst, a_owned) = self.arith_dst(a);
+        let (dst, a_owned) = self.arith_dst(a, b.op);
         let insn = match op {
             IntOp::Add => Insn::Add {
                 dst,
@@ -1798,9 +2024,9 @@ impl<'a> Gen<'a> {
             NodeKind::If { test, then, els } => {
                 let (itl, ifl) = (self.asm.label(), self.asm.label());
                 self.gen_test(test, itl, ifl)?;
-                self.asm.bind(itl);
+                self.bind(itl);
                 self.gen_test(then, tl, fl)?;
-                self.asm.bind(ifl);
+                self.bind(ifl);
                 self.gen_test(els, tl, fl)
             }
             NodeKind::Progn(body) => {
@@ -1935,18 +2161,18 @@ impl<'a> Gen<'a> {
         };
         self.gen_test_call(node, &g, &args, tl, fl)?;
         let out = self.alloc_place();
-        self.asm.bind(tl);
+        self.bind(tl);
         self.asm.push(Insn::Mov {
             dst: out.op,
             src: Operand::Const(Word::T),
         });
         self.asm.push(Insn::Jmp { target: join });
-        self.asm.bind(fl);
+        self.bind(fl);
         self.asm.push(Insn::Mov {
             dst: out.op,
             src: Operand::nil(),
         });
-        self.asm.bind(join);
+        self.bind(join);
         Ok(out)
     }
 
@@ -1960,6 +2186,13 @@ impl<'a> Gen<'a> {
         if !l.is_simple() || args.len() != l.required.len() {
             return self.err("lambda-call with &optional/&rest parameters");
         }
+        let scoped = match self.unbox_scope(args) {
+            Some(scope) => {
+                self.unbox_scopes.push(scope);
+                true
+            }
+            None => false,
+        };
         let mut bound_specials = 0u16;
         // A `let` binds in parallel: its specials are bound only once
         // every argument has been evaluated, so that a later argument
@@ -2032,6 +2265,13 @@ impl<'a> Gen<'a> {
                     }
                 }
             }
+            if scoped {
+                self.release_unboxed(false);
+            }
+        }
+        if scoped {
+            self.release_unboxed(true);
+            self.unbox_scopes.pop();
         }
         for (param, vv) in specials {
             let sym = self.program.sym_id(self.tree.var(param).name.as_str());
@@ -2089,7 +2329,7 @@ impl<'a> Gen<'a> {
             // protocol total.
             return Ok(Some(Val::con(Word::NIL)));
         }
-        self.pool.record_call(self.pos());
+        self.note_call();
         self.asm.push(Insn::LocalCall { target: lf.label });
         if tail {
             self.emit_return_from_a()?;
@@ -2103,7 +2343,7 @@ impl<'a> Gen<'a> {
         let NodeKind::Lambda(l) = self.tree.kind(lambda_node).clone() else {
             unreachable!()
         };
-        self.asm.bind(lf.label);
+        self.bind(lf.label);
         if lf.tail_mode {
             self.gen_tail(l.body)?;
         } else {
@@ -2189,16 +2429,29 @@ impl<'a> Gen<'a> {
                 target: is_fix,
             });
             self.asm.push(Insn::Jmp { target: default_l });
-            self.asm.bind(is_fix);
-            let idx = self.alloc_place();
+            self.bind(is_fix);
+            // The index: `key - min`, 2½-address, into an RT register
+            // when one is free, else into a place the key is copied to.
+            let idx = match self.alloc_rt() {
+                Some(rt) => Val::reg(rt),
+                None => {
+                    let idx = self.alloc_place();
+                    self.asm.push(Insn::Mov {
+                        dst: idx.op,
+                        src: keyv.op,
+                    });
+                    idx
+                }
+            };
+            let a = if idx.reg.is_some_and(Reg::is_rt) {
+                keyv.op
+            } else {
+                idx.op
+            };
             self.asm.push(Insn::Sub {
-                dst: Operand::Reg(Reg::RTA),
-                a: keyv.op,
-                b: Operand::fixnum(plan.min),
-            });
-            self.asm.push(Insn::Mov {
                 dst: idx.op,
-                src: Operand::Reg(Reg::RTA),
+                a,
+                b: Operand::fixnum(plan.min),
             });
             self.asm.push(Insn::JmpIf {
                 cond: Cond::Lt,
@@ -2222,7 +2475,7 @@ impl<'a> Gen<'a> {
                 targets,
             });
             self.release(idx);
-            self.asm.bind(default_l);
+            self.bind(default_l);
             let dv = self.gen_into(default, rep)?;
             self.asm.push(Insn::Mov {
                 dst: out.op,
@@ -2231,7 +2484,7 @@ impl<'a> Gen<'a> {
             self.release(dv);
             self.asm.push(Insn::Jmp { target: join });
             for (clause, l) in clauses.iter().zip(clause_ls) {
-                self.asm.bind(l);
+                self.bind(l);
                 let cv = self.gen_into(clause.body, rep)?;
                 self.asm.push(Insn::Mov {
                     dst: out.op,
@@ -2240,7 +2493,7 @@ impl<'a> Gen<'a> {
                 self.release(cv);
                 self.asm.push(Insn::Jmp { target: join });
             }
-            self.asm.bind(join);
+            self.bind(join);
             self.release(keyv);
             return Ok(out);
         }
@@ -2262,8 +2515,7 @@ impl<'a> Gen<'a> {
                         // Non-immediate key: eql via the runtime.
                         self.asm.push(Insn::Push { src: keyv.op });
                         let kv = self.gen_constant(k, Rep::Pointer)?;
-                        self.asm.push(Insn::Push { src: kv.op });
-                        self.release(kv);
+                        self.push_arg(kv);
                         let t = self.alloc_place();
                         self.asm.push(Insn::RtCall {
                             prim: Prim::Eql,
@@ -2289,7 +2541,7 @@ impl<'a> Gen<'a> {
         self.release(dv);
         self.asm.push(Insn::Jmp { target: join });
         for (clause, hit) in clauses.iter().zip(labels) {
-            self.asm.bind(hit);
+            self.bind(hit);
             let cv = self.gen_into(clause.body, rep)?;
             self.asm.push(Insn::Mov {
                 dst: out.op,
@@ -2298,7 +2550,7 @@ impl<'a> Gen<'a> {
             self.release(cv);
             self.asm.push(Insn::Jmp { target: join });
         }
-        self.asm.bind(join);
+        self.bind(join);
         self.release(keyv);
         Ok(out)
     }
@@ -2312,7 +2564,7 @@ impl<'a> Gen<'a> {
             target: landing,
         });
         self.release(tv);
-        self.pool.record_call(self.pos());
+        self.note_call();
         let out = self.alloc_place();
         let bv = self.gen_into(body, Rep::Pointer)?;
         self.asm.push(Insn::Mov {
@@ -2322,12 +2574,12 @@ impl<'a> Gen<'a> {
         self.release(bv);
         self.asm.push(Insn::PopCatch);
         self.asm.push(Insn::Jmp { target: join });
-        self.asm.bind(landing);
+        self.bind(landing);
         self.asm.push(Insn::Mov {
             dst: out.op,
             src: Operand::Reg(Reg::A),
         });
-        self.asm.bind(join);
+        self.bind(join);
         Ok(out)
     }
 
@@ -2360,7 +2612,7 @@ impl<'a> Gen<'a> {
                         .last()
                         .and_then(|pb| pb.tags.iter().find(|(name, _)| name == t).map(|&(_, l)| l))
                         .expect("tag registered");
-                    self.asm.bind(label);
+                    self.bind(label);
                 }
                 ProgItem::Stmt(s) => self.gen_effect(*s)?,
             }
@@ -2375,7 +2627,7 @@ impl<'a> Gen<'a> {
                 src: Operand::nil(),
             });
             self.emit_ret();
-            self.asm.bind(exit);
+            self.bind(exit);
             // In tail mode, `return` sites emitted function returns
             // directly and jump here never happens, but the label must
             // bind.
@@ -2387,7 +2639,7 @@ impl<'a> Gen<'a> {
                 dst: op,
                 src: Operand::nil(),
             });
-            self.asm.bind(exit);
+            self.bind(exit);
             Ok(Val::borrowed(op))
         }
     }
@@ -2450,9 +2702,9 @@ impl<'a> Gen<'a> {
             NodeKind::If { test, then, els } => {
                 let (tl, fl) = (self.asm.label(), self.asm.label());
                 self.gen_test(test, tl, fl)?;
-                self.asm.bind(tl);
+                self.bind(tl);
                 self.gen_tail(then)?;
-                self.asm.bind(fl);
+                self.bind(fl);
                 self.gen_tail(els)
             }
             NodeKind::Progn(body) => {
@@ -2551,8 +2803,7 @@ impl<'a> Gen<'a> {
         for &a in args {
             let v = self.gen_into(a, Rep::Pointer)?;
             let v = self.certify_tail_arg(a, v);
-            self.asm.push(Insn::Push { src: v.op });
-            self.release(v);
+            self.push_arg(v);
         }
         Ok(())
     }
@@ -2561,21 +2812,55 @@ impl<'a> Gen<'a> {
     /// is computed in its parameter's representation and assigned to
     /// the parameter's home (promoted register or frame slot), and a
     /// counted `TailJmp` of no arguments lands on `top`, past the
-    /// prologue's `ALLOC`, unboxes and promotion loads.  An argument no
-    /// later argument reads is [`Gen::target`]ed straight into its home;
-    /// the rest wait in scratch places and are assigned together, as a
-    /// parallel move.  The caller has checked that the call
-    /// [`Gen::loops_in_place`], so a waiting value survives the later
-    /// arguments' code.
+    /// prologue's `ALLOC`, unboxes and promotion loads.
+    ///
+    /// The arguments are computed in dependency order: next comes the
+    /// first (in source order) whose parameter no argument still to be
+    /// computed reads, so that it is [`Gen::target`]ed straight into its
+    /// home — `(f (- n 1) (cons n acc))` computes the `cons` first.  An
+    /// argument that can trap waits for every earlier one that can, so
+    /// the first argument that traps still traps first, and arguments
+    /// with side effects keep their source order.  When every remaining
+    /// parameter is read (a cycle, as in `(f y x)`), the first argument
+    /// waits in a scratch place and the waiting values are assigned
+    /// together, as a parallel move.  The caller has checked that the
+    /// call [`Gen::loops_in_place`], so a waiting value survives the
+    /// later arguments' code.
     fn gen_self_loop(&mut self, args: &[NodeId], top: Label) -> R<()> {
         let params = self.lambda.required.clone();
-        let mut moves: Vec<(VarId, Operand, Val)> = Vec::new();
-        for (j, (&a, &p)) in args.iter().zip(&params).enumerate() {
-            let home = match self.var_loc[&p] {
+        let mut homes = Vec::with_capacity(params.len());
+        for p in &params {
+            homes.push(match self.var_loc[p] {
                 VLoc::Reg(r) => Operand::Reg(r),
                 VLoc::Slot(i) => Operand::Ind(Reg::FP, i32::from(i)),
                 other => return self.err(format!("self-loop parameter in {other:?}")),
+            });
+        }
+        let reorder = args.iter().all(|&a| self.reorderable(a));
+        let traps: Vec<bool> = args.iter().map(|&a| self.may_trap(a)).collect();
+        let mut pending: Vec<usize> = (0..args.len()).collect();
+        let mut moves: Vec<(VarId, Operand, Val)> = Vec::new();
+        while !pending.is_empty() {
+            // May argument `j`'s value go straight into its home?
+            let free = |g: &Self, pending: &[usize], moves: &[(VarId, Operand, Val)], j: usize| {
+                !pending
+                    .iter()
+                    .any(|&k| k != j && g.reads_var(args[k], params[j]))
+                    && !moves.iter().any(|m| m.2.op == homes[j])
             };
+            let first_trap = pending.iter().copied().find(|&j| traps[j]);
+            let pick = if reorder {
+                pending
+                    .iter()
+                    .position(|&j| {
+                        (!traps[j] || Some(j) == first_trap) && free(self, &pending, &moves, j)
+                    })
+                    .unwrap_or(0)
+            } else {
+                0
+            };
+            let j = pending.remove(pick);
+            let (a, p, home) = (args[j], params[j], homes[j]);
             let rep = self.var_rep(p);
             let v = self.gen_into(a, rep)?;
             let v = if rep == Rep::Pointer {
@@ -2583,12 +2868,10 @@ impl<'a> Gen<'a> {
             } else {
                 v
             };
-            let read_later = args[j + 1..].iter().any(|&b| self.reads_var(b, p));
-            let read_waiting = moves.iter().any(|m| m.2.op == home);
-            let v = if read_later || read_waiting {
-                v
-            } else {
+            let v = if free(self, &pending, &moves, j) {
                 self.target(v, home)
+            } else {
+                v
             };
             self.record_var_use(p);
             if v.op == home {
@@ -2640,6 +2923,60 @@ impl<'a> Gen<'a> {
             target: top,
         });
         Ok(())
+    }
+
+    /// May `node` be computed out of source order?  Only an expression
+    /// of constants, lexical variables, conditionals and primitives that
+    /// write nothing: no call, assignment, mutation or transfer of
+    /// control that another argument could observe.
+    fn reorderable(&self, node: NodeId) -> bool {
+        s1lisp_ast::subtree_nodes(self.tree, node)
+            .iter()
+            .all(|&n| match self.tree.kind(n) {
+                NodeKind::Constant(_) | NodeKind::If { .. } | NodeKind::Progn(_) => true,
+                NodeKind::VarRef(v) => !self.tree.var(*v).special,
+                NodeKind::Call {
+                    func: CallFunc::Global(g),
+                    ..
+                } => Prim::from_name(g.as_str()).is_some_and(|p| !p.info().writes),
+                _ => false,
+            })
+    }
+
+    /// Can computing `node` trap?  Everything can but constants,
+    /// lexical variables and the primitives that accept any argument
+    /// (allocation running out of memory aside).
+    fn may_trap(&self, node: NodeId) -> bool {
+        s1lisp_ast::subtree_nodes(self.tree, node)
+            .iter()
+            .any(|&n| match self.tree.kind(n) {
+                NodeKind::Constant(_) | NodeKind::If { .. } | NodeKind::Progn(_) => false,
+                NodeKind::VarRef(v) => self.tree.var(*v).special,
+                NodeKind::Call {
+                    func: CallFunc::Global(g),
+                    ..
+                } => !matches!(
+                    Prim::from_name(g.as_str()),
+                    Some(
+                        Prim::Cons
+                            | Prim::List
+                            | Prim::Eq
+                            | Prim::Null
+                            | Prim::Not
+                            | Prim::Atom
+                            | Prim::Consp
+                            | Prim::Listp
+                            | Prim::Symbolp
+                            | Prim::Numberp
+                            | Prim::Fixnump
+                            | Prim::Flonump
+                            | Prim::Stringp
+                            | Prim::Functionp
+                            | Prim::Identity
+                    )
+                ),
+                _ => true,
+            })
     }
 
     /// Does `node`'s subtree reference variable `v`?
@@ -3064,6 +3401,33 @@ mod tests {
             m2.stats.heap.flonums
         );
         assert!(m1.stats.pdl_numbers > 0);
+    }
+
+    /// A `let` shares one unbox of a flonum its initializations read
+    /// twice, but not past a join (the other arm never loaded it), a
+    /// call (which clobbers the register) or an assignment.
+    #[test]
+    fn shared_unboxes_end_at_joins_calls_and_assignments() {
+        let src = "(defun id (x) x)
+                   (defun join (p a b) (let ((d (if p (+$f a 1.0) 0.0)) (e (*$f a b))) (list d e d e)))
+                   (defun call (a b) (let ((d (+$f a b)) (e (progn (id 0) (*$f a b)))) (list d e d e)))
+                   (defun assign (a b) (let ((d (+$f a b)) (e (progn (setq a b) (*$f a b)))) (list d e d e)))
+                   (defun share (a b) (let ((d (+$f a b)) (e (*$f a b))) (list d e d e)))";
+        let (a, b) = (fl(1.5), fl(-2.0));
+        let m = check(
+            src,
+            &[
+                ("join", vec![Value::Nil, a.clone(), b.clone()]),
+                ("join", vec![fx(1), a.clone(), b.clone()]),
+                ("call", vec![a.clone(), b.clone()]),
+                ("assign", vec![a.clone(), b.clone()]),
+                ("share", vec![a, b]),
+            ],
+        );
+        // `share` unboxes each argument once.
+        let id = m.program.lookup_fn("share").unwrap();
+        let listing = crate::print::disassemble(&m.program, m.program.func(id).unwrap());
+        assert_eq!(listing.matches("%FLONUM-FETCH").count(), 2, "{listing}");
     }
 
     #[test]

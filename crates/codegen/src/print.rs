@@ -200,6 +200,7 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
         I::LoadFunction { dst, fnid } => format!("(%FUNCTION {} FN{fnid})", o(dst)),
         I::ListifyArgs { fixed } => format!("(%LISTIFY {fixed})"),
         I::LoadConst { dst, idx } => format!("(%CONSTANT {} K{idx})", o(dst)),
+        I::PushConst { idx } => format!("((PUSH UP) SP K{idx})"),
         I::LocalCall { target } => format!("(%LOCALCALL L{target:04})"),
         I::LocalRet => "(%LOCALRET)".to_string(),
         I::Apply { f, list } => format!("(%APPLY {} {})", o(f), o(list)),

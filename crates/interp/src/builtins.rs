@@ -219,32 +219,41 @@ fn dispatch(p: Prim, args: &[Value], t: &Symbol) -> Result<Value, LispError> {
             }
         }
         Prim::Abs => match &args[0] {
-            Value::Fixnum(n) => Ok(Value::Fixnum(n.abs())),
+            Value::Fixnum(n) => n
+                .checked_abs()
+                .map(Value::Fixnum)
+                .ok_or_else(|| err("abs: fixnum overflow")),
             v => num(v, who).map(|x| Value::Flonum(x.abs())),
         },
         Prim::Min => fold_generic(args, who, None, |a, b| Some(a.min(b)), f64::min),
         Prim::Max => fold_generic(args, who, None, |a, b| Some(a.max(b)), f64::max),
-        Prim::Floor => round_like(args, who, f64::floor, |a, b| a.div_euclid(b)),
+        Prim::Floor => round_like(args, who, f64::floor, i64::checked_div_euclid),
         Prim::Ceiling => round_like(args, who, f64::ceil, |a, b| {
-            a.div_euclid(b) + i64::from(a.rem_euclid(b) != 0)
+            Some(a.checked_div_euclid(b)? + i64::from(a.checked_rem_euclid(b)? != 0))
         }),
-        Prim::Truncate => round_like(args, who, f64::trunc, |a, b| a / b),
+        Prim::Truncate => round_like(args, who, f64::trunc, i64::checked_div),
         Prim::Round => round_like(
             args,
             who,
             |x| x.round_ties_even(),
             |a, b| {
-                let q = a as f64 / b as f64;
-                q.round_ties_even() as i64
+                a.checked_div(b)?;
+                Some((a as f64 / b as f64).round_ties_even() as i64)
             },
         ),
         Prim::Mod => match (&args[0], &args[1]) {
-            (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => Ok(Value::Fixnum(a.rem_euclid(*b))),
+            (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => a
+                .checked_rem_euclid(*b)
+                .map(Value::Fixnum)
+                .ok_or_else(|| err("mod: fixnum overflow")),
             (Value::Fixnum(_), Value::Fixnum(_)) => Err(err("mod: division by zero")),
             (a, b) => Ok(Value::Flonum(num(a, who)?.rem_euclid(num(b, who)?))),
         },
         Prim::Rem => match (&args[0], &args[1]) {
-            (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => Ok(Value::Fixnum(a % b)),
+            (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => a
+                .checked_rem(*b)
+                .map(Value::Fixnum)
+                .ok_or_else(|| err("rem: fixnum overflow")),
             (Value::Fixnum(_), Value::Fixnum(_)) => Err(err("rem: division by zero")),
             (a, b) => Ok(Value::Flonum(num(a, who)? % num(b, who)?)),
         },
@@ -449,7 +458,7 @@ fn round_like(
     args: &[Value],
     who: &str,
     f: fn(f64) -> f64,
-    fi: fn(i64, i64) -> i64,
+    fi: fn(i64, i64) -> Option<i64>,
 ) -> Result<Value, LispError> {
     match args {
         [Value::Fixnum(n)] => Ok(Value::Fixnum(*n)),
@@ -458,7 +467,9 @@ fn round_like(
             if *b == 0 {
                 Err(err(format!("{who}: division by zero")))
             } else {
-                Ok(Value::Fixnum(fi(*a, *b)))
+                fi(*a, *b)
+                    .map(Value::Fixnum)
+                    .ok_or_else(|| err(format!("{who}: fixnum overflow")))
             }
         }
         [a, b] => Ok(Value::Fixnum(f(num(a, who)? / num(b, who)?) as i64)),

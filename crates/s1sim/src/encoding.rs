@@ -139,6 +139,7 @@ pub fn encoded_size(insn: &Insn) -> usize {
         | Insn::ListifyArgs { .. }
         | Insn::LocalCall { .. }
         | Insn::LocalRet
+        | Insn::PushConst { .. }
         | Insn::PopCatch => vec![],
     };
     let size = 1 + ops.into_iter().map(operand_extra).sum::<usize>();

@@ -161,6 +161,18 @@ pub enum Cond {
 }
 
 impl Cond {
+    /// The comparison routine that tests the condition.
+    pub fn name(self) -> &'static str {
+        match self {
+            Cond::Eq => "=",
+            Cond::Ne => "/=",
+            Cond::Lt => "<",
+            Cond::Le => "<=",
+            Cond::Gt => ">",
+            Cond::Ge => ">=",
+        }
+    }
+
     /// Whether the condition holds of two operands so ordered.
     pub fn holds(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::{Equal, Greater, Less};
@@ -724,6 +736,12 @@ pub enum Insn {
         /// Constant table index.
         idx: u32,
     },
+    /// Push a constant from the program's constant table: the push form
+    /// of `LoadConst`, for a constant that is a call's argument.
+    PushConst {
+        /// Constant table index.
+        idx: u32,
+    },
     /// Call a local code block in the same frame (the paper's "special
     /// (fast) subroutine linkage that can avoid error checks … and can
     /// even use special register conventions", §4.4).
@@ -811,6 +829,7 @@ impl Insn {
             Insn::LoadFunction { .. } => "LOAD-FUNCTION",
             Insn::ListifyArgs { .. } => "LISTIFY-ARGS",
             Insn::LoadConst { .. } => "LOAD-CONST",
+            Insn::PushConst { .. } => "PUSH-CONST",
             Insn::LocalCall { .. } => "LOCAL-CALL",
             Insn::LocalRet => "LOCAL-RET",
             Insn::Apply { .. } => "APPLY",

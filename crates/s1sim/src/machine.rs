@@ -1011,25 +1011,13 @@ impl Machine {
                 Ok(Step::Next)
             }
             Insn::LoadConst { dst, idx } => {
-                let i = idx as usize;
-                if self.const_cache.len() <= i {
-                    self.const_cache.resize(i + 1, None);
-                }
-                let w = match self.const_cache[i] {
-                    Some(w) => w,
-                    None => {
-                        let v = self
-                            .program
-                            .constants
-                            .get(i)
-                            .ok_or_else(|| Trap::WrongType("bad constant index".into()))?
-                            .to_value(&mut Interner::new());
-                        let w = self.inject(&v)?;
-                        self.const_cache[i] = Some(w);
-                        w
-                    }
-                };
+                let w = self.constant(idx)?;
                 self.write(dst, w)?;
+                Ok(Step::Next)
+            }
+            Insn::PushConst { idx } => {
+                let w = self.constant(idx)?;
+                self.push(w)?;
                 Ok(Step::Next)
             }
             Insn::LocalCall { target } => {
@@ -1397,6 +1385,27 @@ impl Machine {
         Ok(())
     }
 
+    /// The word of constant `idx`, materialized in the heap on first use
+    /// and shared after.
+    fn constant(&mut self, idx: u32) -> Result<Word, Trap> {
+        let i = idx as usize;
+        if self.const_cache.len() <= i {
+            self.const_cache.resize(i + 1, None);
+        }
+        if let Some(w) = self.const_cache[i] {
+            return Ok(w);
+        }
+        let v = self
+            .program
+            .constants
+            .get(i)
+            .ok_or_else(|| Trap::WrongType("bad constant index".into()))?
+            .to_value(&mut Interner::new());
+        let w = self.inject(&v)?;
+        self.const_cache[i] = Some(w);
+        Ok(w)
+    }
+
     fn push(&mut self, w: Word) -> Result<(), Trap> {
         if self.sp >= self.stack.len() {
             self.grow_stack(self.sp)?;
@@ -1519,7 +1528,7 @@ impl Machine {
                 Some(ord) => ord,
                 None => {
                     self.charge_rt_call(fnid, 2);
-                    runtime::num_compare(self, x, y)?
+                    runtime::num_compare(self, x, y, cond.name())?
                 }
             },
         };
@@ -2087,7 +2096,7 @@ mod tests {
                     let before = m.stats.insns;
                     let fast = m.compare(0, cond, Operand::Const(a), Operand::Const(b));
                     let charged = m.stats.insns - before;
-                    let slow = runtime::num_compare(&m, a, b).map(|o| match cond {
+                    let slow = runtime::num_compare(&m, a, b, cond.name()).map(|o| match cond {
                         Cond::Eq => o == Equal,
                         Cond::Ne => o != Equal,
                         Cond::Lt => o == Less,

@@ -62,7 +62,7 @@ pub fn opcode_class(opcode: &str) -> &'static str {
         }
         "CALL" | "TAIL-CALL" | "TAIL-JMP" | "RET" | "LOCAL-CALL" | "LOCAL-RET" | "RT-CALL"
         | "APPLY" | "LOAD-FUNCTION" => "call",
-        "PUSH" | "POP" | "ALLOC-SLOTS" | "FREE-SLOTS" | "LISTIFY-ARGS" => "stack",
+        "PUSH" | "PUSH-CONST" | "POP" | "ALLOC-SLOTS" | "FREE-SLOTS" | "LISTIFY-ARGS" => "stack",
         "CONS-RT" | "CAR" | "CDR" | "BOX-FLO" | "UNBOX-FLO" | "CERTIFY" | "MAKE-CELL"
         | "LOAD-CELL" | "STORE-CELL" | "MAKE-CLOSURE" | "LOAD-ENV" => "heap",
         "SPEC-BIND" | "SPEC-UNBIND" | "SPEC-LOOKUP" | "SPEC-READ" | "SPEC-WRITE" => "special",

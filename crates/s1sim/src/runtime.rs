@@ -38,6 +38,12 @@ fn wrong(msg: impl Into<String>) -> Trap {
     Trap::WrongType(msg.into())
 }
 
+/// A fixnum result that does not fit, raised as the interpreter and the
+/// declared-fixnum instructions raise it.
+fn overflow(who: &str) -> Trap {
+    wrong(format!("{who}: fixnum overflow"))
+}
+
 // ---- small word predicates shared with the machine ----
 
 /// `eq`: word identity.  Boxed flonums are `eq` only when they are the
@@ -58,7 +64,7 @@ pub(crate) fn word_eq(a: Word, b: Word) -> bool {
 pub(crate) fn word_eql(m: &Machine, a: Word, b: Word) -> bool {
     match (a, b) {
         (Word::Ptr(Tag::SingleFlonum, _), Word::Ptr(Tag::SingleFlonum, _)) => {
-            match (float_of(m, a), float_of(m, b)) {
+            match (float_of(m, a, "eql"), float_of(m, b, "eql")) {
                 (Ok(x), Ok(y)) => x == y,
                 _ => false,
             }
@@ -102,8 +108,9 @@ impl Num {
     }
 }
 
-/// Reads a number from a pointer-format (or raw) word.
-pub(crate) fn num_of(m: &Machine, w: Word) -> Result<Num, Trap> {
+/// Reads a number from a pointer-format (or raw) word, for the routine
+/// `who` (named in the error, as the interpreter names it).
+pub(crate) fn num_of(m: &Machine, w: Word, who: &str) -> Result<Num, Trap> {
     match w {
         Word::Raw(n) => Ok(Num::Int(n)),
         Word::F(x) => Ok(Num::Flo(x)),
@@ -112,14 +119,22 @@ pub(crate) fn num_of(m: &Machine, w: Word) -> Result<Num, Trap> {
             Word::F(x) => Ok(Num::Flo(x)),
             other => Err(wrong(format!("corrupt flonum object: {other}"))),
         },
-        other => Err(wrong(format!("not a number: {other}"))),
+        other => Err(not_a_number(m, other, who)),
     }
+}
+
+/// The error for a non-number `w` given to `who`, with `w` printed as
+/// the interpreter prints the value.
+#[cold]
+fn not_a_number(m: &Machine, w: Word, who: &str) -> Trap {
+    let shown = extract(m, w).map_or_else(|_| w.to_string(), |v| v.to_string());
+    wrong(format!("{who}: not a number: {shown}"))
 }
 
 /// Reads a float, dereferencing a flonum pointer and converting raw
 /// integers/fixnums (generic call sites).
-pub(crate) fn float_of(m: &Machine, w: Word) -> Result<f64, Trap> {
-    match num_of(m, w)? {
+pub(crate) fn float_of(m: &Machine, w: Word, who: &str) -> Result<f64, Trap> {
+    match num_of(m, w, who)? {
         Num::Flo(x) => Ok(x),
         Num::Int(n) => Ok(n as f64),
     }
@@ -131,14 +146,19 @@ pub(crate) fn float_of(m: &Machine, w: Word) -> Result<f64, Trap> {
 pub(crate) fn strict_float_of(m: &Machine, w: Word) -> Result<f64, Trap> {
     match w {
         Word::F(x) => Ok(x),
-        Word::Ptr(Tag::SingleFlonum, _) => float_of(m, w),
+        Word::Ptr(Tag::SingleFlonum, _) => float_of(m, w, "unbox"),
         other => Err(wrong(format!("not a flonum: {other}"))),
     }
 }
 
-/// Numeric comparison for `JmpIf`.
-pub(crate) fn num_compare(m: &Machine, a: Word, b: Word) -> Result<std::cmp::Ordering, Trap> {
-    let (x, y) = (num_of(m, a)?, num_of(m, b)?);
+/// Numeric comparison for `JmpIf` and the comparison routine `who`.
+pub(crate) fn num_compare(
+    m: &Machine,
+    a: Word,
+    b: Word,
+    who: &str,
+) -> Result<std::cmp::Ordering, Trap> {
+    let (x, y) = (num_of(m, a, who)?, num_of(m, b, who)?);
     match (x, y) {
         (Num::Int(p), Num::Int(q)) => Ok(p.cmp(&q)),
         _ => x
@@ -222,7 +242,7 @@ fn from_words(m: &mut Machine, words: &[Word], tail: Word) -> Result<Word, Trap>
 }
 
 fn fix_of(m: &Machine, w: Word, who: &str) -> Result<i64, Trap> {
-    match num_of(m, w)? {
+    match num_of(m, w, who)? {
         Num::Int(n) => Ok(n),
         Num::Flo(_) => Err(wrong(format!("{who}: not a fixnum"))),
     }
@@ -244,16 +264,14 @@ fn fold_num(
             ))),
         };
     }
-    let mut acc = num_of(m, args[0])?;
+    let mut acc = num_of(m, args[0], who)?;
     if args.len() == 1 && unit.is_some() {
         return make_num(m, acc);
     }
     for &w in &args[1..] {
-        let y = num_of(m, w)?;
+        let y = num_of(m, w, who)?;
         acc = match (acc, y) {
-            (Num::Int(a), Num::Int(b)) => {
-                Num::Int(fi(a, b).ok_or_else(|| wrong(format!("{who}: fixnum overflow")))?)
-            }
+            (Num::Int(a), Num::Int(b)) => Num::Int(fi(a, b).ok_or_else(|| overflow(who))?),
             _ => Num::Flo(ff(acc.as_f64(), y.as_f64())),
         };
     }
@@ -263,10 +281,11 @@ fn fold_num(
 fn compare_chain(
     m: &Machine,
     args: &[Word],
+    who: &str,
     ok: fn(std::cmp::Ordering) -> bool,
 ) -> Result<Word, Trap> {
     for pair in args.windows(2) {
-        if !ok(num_compare(m, pair[0], pair[1])?) {
+        if !ok(num_compare(m, pair[0], pair[1], who)?) {
             return Ok(Word::NIL);
         }
     }
@@ -310,7 +329,7 @@ pub(crate) fn fixnum_fast(prim: Prim, args: &[Word]) -> Option<Word> {
 
 /// A flonum argument of a `$f` routine.
 fn flonum_arg(m: &Machine, w: Word, who: &str) -> Result<f64, Trap> {
-    match num_of(m, w)? {
+    match num_of(m, w, who)? {
         Num::Flo(x) => Ok(x),
         Num::Int(_) => Err(wrong(format!("{who}: not a flonum"))),
     }
@@ -339,9 +358,11 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
         Prim::Mul => fold_num(m, args, name, Some(1), i64::checked_mul, |a, b| a * b)?,
         Prim::Sub => {
             if args.len() == 1 {
-                let n = num_of(m, args[0])?;
+                let n = num_of(m, args[0], name)?;
                 let r = match n {
-                    Num::Int(v) => Num::Int(v.checked_neg().ok_or_else(|| wrong("-: overflow"))?),
+                    Num::Int(v) => {
+                        Num::Int(v.checked_neg().ok_or_else(|| wrong("-: fixnum overflow"))?)
+                    }
                     Num::Flo(x) => Num::Flo(-x),
                 };
                 make_num(m, r)?
@@ -353,15 +374,15 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
             if args
                 .iter()
                 .skip(1)
-                .any(|&w| matches!(num_of(m, w), Ok(Num::Int(0))))
+                .any(|&w| matches!(num_of(m, w, name), Ok(Num::Int(0))))
                 && args
                     .iter()
-                    .all(|&w| matches!(num_of(m, w), Ok(Num::Int(_))))
+                    .all(|&w| matches!(num_of(m, w, name), Ok(Num::Int(_))))
             {
                 return Err(Trap::DivisionByZero);
             }
             if args.len() == 1 {
-                let x = num_of(m, args[0])?.as_f64();
+                let x = num_of(m, args[0], name)?.as_f64();
                 make_num(m, Num::Flo(1.0 / x))?
             } else {
                 fold_num(m, args, name, None, i64::checked_div, |a, b| a / b)?
@@ -369,18 +390,18 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
         }
         Prim::OnePlus | Prim::OneMinus => {
             let delta = if prim == Prim::OnePlus { 1 } else { -1 };
-            let r = match num_of(m, args[0])? {
+            let r = match num_of(m, args[0], name)? {
                 Num::Int(v) => Num::Int(
                     v.checked_add(delta)
-                        .ok_or_else(|| wrong(format!("{name}: overflow")))?,
+                        .ok_or_else(|| wrong(format!("{name}: fixnum overflow")))?,
                 ),
                 Num::Flo(x) => Num::Flo(x + delta as f64),
             };
             make_num(m, r)?
         }
         Prim::Abs => {
-            let r = match num_of(m, args[0])? {
-                Num::Int(v) => Num::Int(v.abs()),
+            let r = match num_of(m, args[0], name)? {
+                Num::Int(v) => Num::Int(v.checked_abs().ok_or_else(|| overflow(name))?),
                 Num::Flo(x) => Num::Flo(x.abs()),
             };
             make_num(m, r)?
@@ -388,36 +409,44 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
         Prim::Min => fold_num(m, args, name, None, |a, b| Some(a.min(b)), f64::min)?,
         Prim::Max => fold_num(m, args, name, None, |a, b| Some(a.max(b)), f64::max)?,
         Prim::Floor | Prim::Ceiling | Prim::Truncate | Prim::Round => {
-            let x = num_of(m, args[0])?;
+            let x = num_of(m, args[0], name)?;
             let r = match (x, args.get(1)) {
                 (Num::Int(n), None) => n,
                 (Num::Flo(f), None) => round_to(prim, f),
-                (x, Some(&b)) => match (x, num_of(m, b)?) {
+                (x, Some(&b)) => match (x, num_of(m, b, name)?) {
                     (Num::Int(_), Num::Int(0)) => return Err(Trap::DivisionByZero),
                     (Num::Int(p), Num::Int(q)) => match prim {
-                        Prim::Floor => p.div_euclid(q),
-                        Prim::Ceiling => p.div_euclid(q) + i64::from(p.rem_euclid(q) != 0),
-                        Prim::Truncate => p / q,
-                        _ => (p as f64 / q as f64).round_ties_even() as i64,
-                    },
+                        Prim::Floor => p.checked_div_euclid(q),
+                        Prim::Ceiling => p
+                            .checked_rem_euclid(q)
+                            .and_then(|r| Some(p.checked_div_euclid(q)? + i64::from(r != 0))),
+                        Prim::Truncate => p.checked_div(q),
+                        _ => p
+                            .checked_div(q)
+                            .map(|_| (p as f64 / q as f64).round_ties_even() as i64),
+                    }
+                    .ok_or_else(|| overflow(name))?,
                     (x, y) => round_to(prim, x.as_f64() / y.as_f64()),
                 },
             };
             Word::fixnum(r)
         }
         Prim::Mod | Prim::Rem => {
-            let x = num_of(m, args[0])?;
-            let y = num_of(m, args[1])?;
+            let x = num_of(m, args[0], name)?;
+            let y = num_of(m, args[1], name)?;
             let r = match (x, y) {
                 (Num::Int(a), Num::Int(b)) => {
                     if b == 0 {
                         return Err(Trap::DivisionByZero);
                     }
-                    Num::Int(if prim == Prim::Mod {
-                        a.rem_euclid(b)
-                    } else {
-                        a % b
-                    })
+                    Num::Int(
+                        if prim == Prim::Mod {
+                            a.checked_rem_euclid(b)
+                        } else {
+                            a.checked_rem(b)
+                        }
+                        .ok_or_else(|| overflow(name))?,
+                    )
                 }
                 _ => {
                     let (a, b) = (x.as_f64(), y.as_f64());
@@ -431,25 +460,25 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
             make_num(m, r)?
         }
         Prim::Expt => {
-            let b = num_of(m, args[0])?;
-            let e = num_of(m, args[1])?;
+            let b = num_of(m, args[0], name)?;
+            let e = num_of(m, args[1], name)?;
             let r = match (b, e) {
                 (Num::Int(b), Num::Int(e)) if e >= 0 => {
                     let e = u32::try_from(e).map_err(|_| wrong("expt: exponent too large"))?;
-                    Num::Int(b.checked_pow(e).ok_or_else(|| wrong("expt: overflow"))?)
+                    Num::Int(b.checked_pow(e).ok_or_else(|| overflow(name))?)
                 }
                 _ => Num::Flo(b.as_f64().powf(e.as_f64())),
             };
             make_num(m, r)?
         }
-        Prim::NumEq => compare_chain(m, args, |o| o == Equal)?,
-        Prim::NumNe => compare_chain(m, args, |o| o != Equal)?,
-        Prim::Lt => compare_chain(m, args, |o| o == Less)?,
-        Prim::Gt => compare_chain(m, args, |o| o == Greater)?,
-        Prim::Le => compare_chain(m, args, |o| o != Greater)?,
-        Prim::Ge => compare_chain(m, args, |o| o != Less)?,
+        Prim::NumEq => compare_chain(m, args, name, |o| o == Equal)?,
+        Prim::NumNe => compare_chain(m, args, name, |o| o != Equal)?,
+        Prim::Lt => compare_chain(m, args, name, |o| o == Less)?,
+        Prim::Gt => compare_chain(m, args, name, |o| o == Greater)?,
+        Prim::Le => compare_chain(m, args, name, |o| o != Greater)?,
+        Prim::Ge => compare_chain(m, args, name, |o| o != Less)?,
         Prim::Zerop | Prim::Plusp | Prim::Minusp => {
-            let x = num_of(m, args[0])?.as_f64();
+            let x = num_of(m, args[0], name)?.as_f64();
             boolean(match prim {
                 Prim::Zerop => x == 0.0,
                 Prim::Plusp => x > 0.0,
@@ -461,13 +490,13 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
             boolean((n.rem_euclid(2) == 1) == (prim == Prim::Oddp))
         }
         Prim::Sqrt | Prim::Sin | Prim::Cos | Prim::Atan | Prim::Exp | Prim::Log => {
-            let x = num_of(m, args[0])?.as_f64();
+            let x = num_of(m, args[0], name)?.as_f64();
             let r = match prim {
                 Prim::Sqrt => x.sqrt(),
                 Prim::Sin => x.sin(),
                 Prim::Cos => x.cos(),
                 Prim::Atan => match args.get(1) {
-                    Some(&y) => x.atan2(num_of(m, y)?.as_f64()),
+                    Some(&y) => x.atan2(num_of(m, y, name)?.as_f64()),
                     None => x.atan(),
                 },
                 Prim::Exp => x.exp(),
@@ -476,10 +505,10 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
             make_num(m, Num::Flo(r))?
         }
         Prim::Float => {
-            let x = num_of(m, args[0])?.as_f64();
+            let x = num_of(m, args[0], name)?.as_f64();
             make_num(m, Num::Flo(x))?
         }
-        Prim::Fix => Word::fixnum(num_of(m, args[0])?.as_f64() as i64),
+        Prim::Fix => Word::fixnum(num_of(m, args[0], name)?.as_f64() as i64),
         Prim::Null | Prim::Not => boolean(!args[0].is_true()),
         Prim::Atom => boolean(!matches!(args[0], Word::Ptr(Tag::Cons, _))),
         Prim::Consp => boolean(matches!(args[0], Word::Ptr(Tag::Cons, _))),
@@ -668,7 +697,7 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
                     Prim::SubI => acc.checked_sub(y),
                     _ => acc.checked_mul(y),
                 }
-                .ok_or_else(|| wrong(format!("{name}: overflow")))?;
+                .ok_or_else(|| overflow(name))?;
             }
             Word::fixnum(acc)
         }

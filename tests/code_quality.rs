@@ -224,37 +224,43 @@ fn measure(c: &Case) -> (u64, u64, u64, (u64, usize)) {
 /// stands with generic `+ - * / 1+ 1-` compiled as one `GENERIC`
 /// instruction each, and a `JMPZ` on a boxed flonum charged as the
 /// runtime comparison it runs (which is why quadratic's row rose from
-/// 207).  A row may only fall (instructions, words) or hold (heap).
+/// 207); then with a self-tail loop's pdl-free parameters certified on
+/// entry and its arguments assigned in dependency order, a shared
+/// flonum unboxed once per `let`, raw values boxed from their own
+/// slots, constant arguments pushed by one instruction and parameters
+/// kept in their slots unless read in a loop (gc-stress 4,214,404 →
+/// 2,414,404).  A row may only fall (instructions, words) or hold
+/// (heap).
 const TABLE: &[(&str, u64, u64, u64)] = &[
     ("corpus-exptl", 160, 24, 0),
     ("corpus-exptl-typed", 160, 24, 0),
     ("corpus-loopn", 300_005, 9, 0),
-    ("corpus-testfn", 79, 52, 7),
-    ("corpus-quadratic", 214, 42, 22),
-    ("corpus-quadratic-typed", 40, 43, 9),
+    ("corpus-testfn", 61, 43, 7),
+    ("corpus-quadratic", 211, 39, 22),
+    ("corpus-quadratic-typed", 38, 40, 9),
     ("corpus-tak", 13_860, 25, 0),
     ("corpus-fib-iter", 608, 19, 0),
-    ("corpus-sum-horner", 76_007, 49, 2_006),
-    ("corpus-pdl-loop", 70_005, 45, 2_002),
+    ("corpus-sum-horner", 60_007, 41, 2_006),
+    ("corpus-pdl-loop", 48_005, 34, 2_002),
     ("corpus-accumulate", 5_009, 15, 0),
-    ("corpus-closures", 44, 53, 4),
-    ("corpus-dot-loop", 58_006, 38, 2_006),
-    ("corpus-deriv", 2_532, 100, 288),
-    ("corpus-sum-horner-inline", 100_008, 25, 1),
-    ("corpus-gc-stress", 70_244, 26, 20_000),
+    ("corpus-closures", 38, 48, 4),
+    ("corpus-dot-loop", 44_006, 31, 2_006),
+    ("corpus-deriv", 2_513, 97, 288),
+    ("corpus-sum-horner-inline", 100_007, 24, 1),
+    ("corpus-gc-stress", 40_244, 23, 20_000),
     ("kernel-tak", 508_868, 25, 0),
     ("kernel-loopn", 600_005, 9, 0),
-    ("kernel-sum-horner", 760_007, 49, 20_006),
-    ("kernel-pdl-loop", 700_005, 45, 20_002),
+    ("kernel-sum-horner", 600_007, 41, 20_006),
+    ("kernel-pdl-loop", 480_005, 34, 20_002),
     ("kernel-accumulate", 250_009, 15, 0),
-    ("kernel-deriv-bench", 62_244, 100, 7_200),
-    ("kernel-gc-stress", 4_214_404, 26, 1_200_000),
-    ("gabriel-stak", 1_129_056, 63, 0),
-    ("gabriel-ctak", 604_290, 55, 0),
-    ("gabriel-div2", 1_778, 67, 244),
-    ("gabriel-destructive", 497, 28, 26),
-    ("gabriel-triangle", 2_062, 78, 30),
-    ("gabriel-flatten", 12, 26, 2),
+    ("kernel-deriv-bench", 61_841, 97, 7_200),
+    ("kernel-gc-stress", 2_414_404, 23, 1_200_000),
+    ("gabriel-stak", 1_033_644, 57, 0),
+    ("gabriel-ctak", 604_289, 54, 0),
+    ("gabriel-div2", 1_716, 64, 244),
+    ("gabriel-destructive", 473, 26, 26),
+    ("gabriel-triangle", 2_028, 75, 30),
+    ("gabriel-flatten", 11, 25, 2),
     ("gabriel-collatz", 2_131, 18, 0),
 ];
 

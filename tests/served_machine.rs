@@ -35,7 +35,7 @@ fn the_stack_limit_traps_where_a_whole_stack_did() {
     let mut m = depth_machine(&c);
     let v = m.run("depth", &[Value::Fixnum(2000)]).expect("fits");
     assert_eq!(v.to_string(), "2000");
-    assert_eq!(m.stats.insns, 16_005);
+    assert_eq!(m.stats.insns, 14_004);
     assert_eq!(m.stats.max_stack_words, 2_001);
 
     let mut m = depth_machine(&c);
@@ -43,8 +43,8 @@ fn the_stack_limit_traps_where_a_whole_stack_did() {
         .run("depth", &[Value::Fixnum(5000)])
         .expect_err("overflows");
     assert_eq!(trap.cause(), &Trap::StackOverflow);
-    assert_eq!(trap.site(), Some(("depth", 7)));
-    assert_eq!(m.stats.insns, 24_575);
+    assert_eq!(trap.site(), Some(("depth", 6)));
+    assert_eq!(m.stats.insns, 20_479);
     assert_eq!(m.stats.max_call_depth, 4_095);
     assert_eq!(m.stats.max_stack_words, 4_096);
 }
