@@ -28,6 +28,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use s1lisp_ast::num;
 use s1lisp_ast::Prim;
 use s1lisp_interp::{call_builtin, Const, Function, Value};
 use s1lisp_reader::{Interner, Symbol};
@@ -242,10 +243,10 @@ impl Image {
 
 /// The open-coded primitives: `zerop`, `+`, `-`, `*`, `=`, `<` and `>`
 /// of fixnums, `not`/`null` of a plain value, and `cons` of two.  Each
-/// answers exactly what [`call_builtin`] answers for the same operands,
-/// which stay the single definition: `None` (an overflow, a flonum, a
-/// cell or closure operand, any other primitive or argument count)
-/// leaves the call to it.
+/// answers exactly what [`call_builtin`] answers for the same operands —
+/// the arithmetic through the shared `num::int_op` the builtin's rows
+/// use: `None` (an overflow, a flonum, a cell or closure operand, any
+/// other primitive or argument count) leaves the call to it.
 fn open_coded(image: &Image, p: Prim, args: &[BcValue]) -> Option<BcValue> {
     use BcValue::V;
     Some(match (p, args) {
@@ -253,9 +254,9 @@ fn open_coded(image: &Image, p: Prim, args: &[BcValue]) -> Option<BcValue> {
         (Prim::Not | Prim::Null, [V(v)]) => image.bool_value(!v.is_true()),
         (Prim::Cons, [V(a), V(d)]) => V(Value::cons(a.clone(), d.clone())),
         (_, &[V(Value::Fixnum(x)), V(Value::Fixnum(y))]) => match p {
-            Prim::Add => V(Value::Fixnum(x.checked_add(y)?)),
-            Prim::Sub => V(Value::Fixnum(x.checked_sub(y)?)),
-            Prim::Mul => V(Value::Fixnum(x.checked_mul(y)?)),
+            Prim::Add => V(Value::Fixnum(num::int_op(Prim::Add, x, y).ok()?)),
+            Prim::Sub => V(Value::Fixnum(num::int_op(Prim::Sub, x, y).ok()?)),
+            Prim::Mul => V(Value::Fixnum(num::int_op(Prim::Mul, x, y).ok()?)),
             Prim::NumEq => image.bool_value(x == y),
             Prim::Lt => image.bool_value(x < y),
             Prim::Gt => image.bool_value(x > y),

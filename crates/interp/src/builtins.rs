@@ -2,22 +2,24 @@
 //!
 //! These are the "known primitive operations" of Table 2's `call` node.
 //! Which operations exist, and how many arguments each takes, is the
-//! primitive table's decision ([`Prim`], in `s1lisp-ast`); this module
-//! gives their reference semantics.  [`call_builtin`] checks the
-//! argument count against the table once and then dispatches on the
-//! primitive's number, so no arm re-checks it.  The bytecode evaluator
-//! calls the same entry point, and the S-1 run-time system implements
-//! the same rows on machine words.
+//! primitive table's decision ([`Prim`], in `s1lisp-ast`), and so are
+//! the numeric rows themselves: `s1lisp_ast::num` defines them once,
+//! and this module only reads [`Value`]s as its operands and turns its
+//! answers and errors back into values.  The other rows' reference
+//! semantics are given here.  [`call_builtin`] checks the argument
+//! count against the table once and then dispatches on the primitive's
+//! number, so no arm re-checks it.  The bytecode evaluator calls the
+//! same entry point and the constant folder reaches it through
+//! [`eval_primop`]; the S-1 run-time system adapts the same numeric
+//! rows to machine words.
 //!
 //! Generic arithmetic (`+`, `*`, …) operates on fixnums and flonums with
 //! fixnum→flonum contagion.  The `$f`-suffixed operators are the paper's
 //! type-specific single-float operations ("`+$f` and `+$d` indicate
 //! single-precision and double-precision floating-point addition"), and
-//! the `&`-suffixed ones are fixnum-specific.  `sinc$f` is sine with the
-//! argument in *cycles* (the S-1 `SIN` instruction's convention).
+//! the `&`-suffixed ones are fixnum-specific.
 
-use std::cmp::Ordering::{self, Equal, Greater, Less};
-
+use s1lisp_ast::num::{self, Answer, Num, NumError};
 use s1lisp_ast::Prim;
 use s1lisp_reader::{Datum, Interner, Symbol};
 
@@ -57,34 +59,6 @@ fn err(msg: impl Into<String>) -> LispError {
     LispError::new(msg)
 }
 
-fn num(v: &Value, who: &str) -> Result<f64, LispError> {
-    match v {
-        Value::Fixnum(n) => Ok(*n as f64),
-        Value::Flonum(x) => Ok(*x),
-        other => Err(err(format!("{who}: not a number: {other}"))),
-    }
-}
-
-fn flo(v: &Value, who: &str) -> Result<f64, LispError> {
-    match v {
-        Value::Flonum(x) => Ok(*x),
-        // The $f operators dereference pointers at run time after a type
-        // check (§6.2); a fixnum is a wrong-type argument.
-        other => Err(err(format!("{who}: not a flonum: {other}"))),
-    }
-}
-
-fn fix(v: &Value, who: &str) -> Result<i64, LispError> {
-    match v {
-        Value::Fixnum(n) => Ok(*n),
-        other => Err(err(format!("{who}: not a fixnum: {other}"))),
-    }
-}
-
-fn both_fix(args: &[Value]) -> bool {
-    args.iter().all(|a| matches!(a, Value::Fixnum(_)))
-}
-
 fn bool_v(b: bool, t: &Symbol) -> Value {
     if b {
         Value::Sym(t.clone())
@@ -93,55 +67,19 @@ fn bool_v(b: bool, t: &Symbol) -> Value {
     }
 }
 
-fn fold_generic(
-    args: &[Value],
-    who: &str,
-    unit: Option<i64>,
-    fixop: fn(i64, i64) -> Option<i64>,
-    floop: fn(f64, f64) -> f64,
-) -> Result<Value, LispError> {
-    let mut iter = args.iter();
-    let first = match (iter.next(), unit) {
-        (Some(v), _) => v.clone(),
-        (None, Some(u)) => return Ok(Value::Fixnum(u)),
-        (None, None) => return Err(err(format!("{who}: wants at least 1 argument"))),
-    };
-    if args.len() == 1 && unit.is_some() {
-        num(&first, who)?; // type check
-        return Ok(first);
+fn number(v: &Value) -> Option<Num> {
+    match v {
+        Value::Fixnum(n) => Some(Num::Int(*n)),
+        Value::Flonum(x) => Some(Num::Flo(*x)),
+        _ => None,
     }
-    let mut acc = first;
-    for v in iter {
-        acc = match (&acc, v) {
-            (Value::Fixnum(a), Value::Fixnum(b)) => {
-                Value::Fixnum(fixop(*a, *b).ok_or_else(|| err(format!("{who}: fixnum overflow")))?)
-            }
-            _ => Value::Flonum(floop(num(&acc, who)?, num(v, who)?)),
-        };
-    }
-    Ok(acc)
 }
 
-/// Checks `ok` on the order of each adjacent pair.  Two fixnums are
-/// ordered as integers, any pair with a flonum as floats (`None` when a
-/// NaN leaves them unordered): a fixnum beyond 2^53 rounds on the way
-/// to a float, so `(= 9007199254740993 9007199254740992)` would hold.
-fn compare_chain(
-    args: &[Value],
-    who: &str,
-    t: &Symbol,
-    ok: fn(Option<Ordering>) -> bool,
-) -> Result<Value, LispError> {
-    for w in args.windows(2) {
-        let order = match (&w[0], &w[1]) {
-            (Value::Fixnum(a), Value::Fixnum(b)) => Some(a.cmp(b)),
-            (a, b) => num(a, who)?.partial_cmp(&num(b, who)?),
-        };
-        if !ok(order) {
-            return Ok(Value::Nil);
-        }
-    }
-    Ok(bool_v(true, t))
+/// A numeric row's error as the interpreter reports it, naming the
+/// offending operand as it prints.
+#[cold]
+fn num_error(p: Prim, e: NumError, args: &[Value]) -> LispError {
+    err(e.message(p.name(), |i| args[i].to_string()))
 }
 
 fn car_of(v: &Value, who: &str) -> Result<Value, LispError> {
@@ -181,140 +119,6 @@ fn list_items(v: &Value, who: &str) -> Result<Vec<Value>, LispError> {
 fn dispatch(p: Prim, args: &[Value], t: &Symbol) -> Result<Value, LispError> {
     let who = p.name();
     match p {
-        // ---- generic arithmetic ----
-        Prim::Add => fold_generic(args, who, Some(0), i64::checked_add, |a, b| a + b),
-        Prim::Sub => {
-            if args.len() == 1 {
-                match &args[0] {
-                    Value::Fixnum(n) => n
-                        .checked_neg()
-                        .map(Value::Fixnum)
-                        .ok_or_else(|| err("-: fixnum overflow")),
-                    v => num(v, who).map(|x| Value::Flonum(-x)),
-                }
-            } else {
-                fold_generic(args, who, None, i64::checked_sub, |a, b| a - b)
-            }
-        }
-        Prim::Mul => fold_generic(args, who, Some(1), i64::checked_mul, |a, b| a * b),
-        Prim::Div => {
-            if both_fix(args) && args.iter().skip(1).any(|v| matches!(v, Value::Fixnum(0))) {
-                Err(err("/: division by zero"))
-            } else if args.len() == 1 {
-                num(&args[0], who).map(|x| Value::Flonum(1.0 / x))
-            } else {
-                // Fixnum division truncates (the dialect has no rationals;
-                // see DESIGN.md).
-                fold_generic(args, who, None, i64::checked_div, |a, b| a / b)
-            }
-        }
-        Prim::OnePlus | Prim::OneMinus => {
-            let delta = if p == Prim::OnePlus { 1 } else { -1 };
-            match &args[0] {
-                Value::Fixnum(n) => n
-                    .checked_add(delta)
-                    .map(Value::Fixnum)
-                    .ok_or_else(|| err(format!("{who}: fixnum overflow"))),
-                v => num(v, who).map(|x| Value::Flonum(x + delta as f64)),
-            }
-        }
-        Prim::Abs => match &args[0] {
-            Value::Fixnum(n) => n
-                .checked_abs()
-                .map(Value::Fixnum)
-                .ok_or_else(|| err("abs: fixnum overflow")),
-            v => num(v, who).map(|x| Value::Flonum(x.abs())),
-        },
-        Prim::Min => fold_generic(args, who, None, |a, b| Some(a.min(b)), f64::min),
-        Prim::Max => fold_generic(args, who, None, |a, b| Some(a.max(b)), f64::max),
-        Prim::Floor => round_like(args, who, f64::floor, i64::checked_div_euclid),
-        Prim::Ceiling => round_like(args, who, f64::ceil, |a, b| {
-            Some(a.checked_div_euclid(b)? + i64::from(a.checked_rem_euclid(b)? != 0))
-        }),
-        Prim::Truncate => round_like(args, who, f64::trunc, i64::checked_div),
-        Prim::Round => round_like(
-            args,
-            who,
-            |x| x.round_ties_even(),
-            |a, b| {
-                a.checked_div(b)?;
-                Some((a as f64 / b as f64).round_ties_even() as i64)
-            },
-        ),
-        Prim::Mod => match (&args[0], &args[1]) {
-            (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => a
-                .checked_rem_euclid(*b)
-                .map(Value::Fixnum)
-                .ok_or_else(|| err("mod: fixnum overflow")),
-            (Value::Fixnum(_), Value::Fixnum(_)) => Err(err("mod: division by zero")),
-            (a, b) => Ok(Value::Flonum(num(a, who)?.rem_euclid(num(b, who)?))),
-        },
-        Prim::Rem => match (&args[0], &args[1]) {
-            (Value::Fixnum(a), Value::Fixnum(b)) if *b != 0 => a
-                .checked_rem(*b)
-                .map(Value::Fixnum)
-                .ok_or_else(|| err("rem: fixnum overflow")),
-            (Value::Fixnum(_), Value::Fixnum(_)) => Err(err("rem: division by zero")),
-            (a, b) => Ok(Value::Flonum(num(a, who)? % num(b, who)?)),
-        },
-        Prim::Expt => match (&args[0], &args[1]) {
-            (Value::Fixnum(b), Value::Fixnum(e)) if *e >= 0 => {
-                let e = u32::try_from(*e).map_err(|_| err("expt: exponent too large"))?;
-                b.checked_pow(e)
-                    .map(Value::Fixnum)
-                    .ok_or_else(|| err("expt: fixnum overflow"))
-            }
-            (b, e) => Ok(Value::Flonum(num(b, who)?.powf(num(e, who)?))),
-        },
-        // ---- comparisons and numeric predicates ----
-        Prim::NumEq => compare_chain(args, who, t, |o| o == Some(Equal)),
-        Prim::NumNe => compare_chain(args, who, t, |o| o != Some(Equal)),
-        Prim::Lt => compare_chain(args, who, t, |o| o == Some(Less)),
-        Prim::Gt => compare_chain(args, who, t, |o| o == Some(Greater)),
-        Prim::Le => compare_chain(args, who, t, |o| matches!(o, Some(Less | Equal))),
-        Prim::Ge => compare_chain(args, who, t, |o| matches!(o, Some(Greater | Equal))),
-        Prim::Zerop => num(&args[0], who).map(|x| bool_v(x == 0.0, t)),
-        Prim::Plusp => num(&args[0], who).map(|x| bool_v(x > 0.0, t)),
-        Prim::Minusp => num(&args[0], who).map(|x| bool_v(x < 0.0, t)),
-        Prim::Oddp => fix(&args[0], who).map(|n| bool_v(n.rem_euclid(2) == 1, t)),
-        Prim::Evenp => fix(&args[0], who).map(|n| bool_v(n.rem_euclid(2) == 0, t)),
-        // ---- type-specific arithmetic ----
-        Prim::AddF => binf(args, who, |a, b| a + b),
-        Prim::SubF => {
-            if args.len() == 1 {
-                flo(&args[0], who).map(|x| Value::Flonum(-x))
-            } else {
-                binf(args, who, |a, b| a - b)
-            }
-        }
-        Prim::MulF => binf(args, who, |a, b| a * b),
-        Prim::DivF => binf(args, who, |a, b| a / b),
-        Prim::MaxF => binf(args, who, f64::max),
-        Prim::MinF => binf(args, who, f64::min),
-        Prim::AbsF => un_flo(args, who, f64::abs),
-        Prim::AddI => bini(args, who, i64::checked_add),
-        Prim::SubI => bini(args, who, i64::checked_sub),
-        Prim::MulI => bini(args, who, i64::checked_mul),
-        // ---- transcendental ----
-        Prim::Sqrt => un_num(args, who, f64::sqrt),
-        Prim::SqrtF => un_flo(args, who, f64::sqrt),
-        Prim::Sin => un_num(args, who, f64::sin),
-        Prim::Cos => un_num(args, who, f64::cos),
-        Prim::SinF => un_flo(args, who, f64::sin),
-        Prim::CosF => un_flo(args, who, f64::cos),
-        // Sine/cosine with argument in *cycles*: the S-1's native
-        // convention (§7: "the S-1 SIN instruction assumes its argument
-        // to be in cycles").
-        Prim::SincF => un_flo(args, who, |x| (x * 2.0 * std::f64::consts::PI).sin()),
-        Prim::CoscF => un_flo(args, who, |x| (x * 2.0 * std::f64::consts::PI).cos()),
-        Prim::Atan => match args {
-            [y, x] => Ok(Value::Flonum(num(y, who)?.atan2(num(x, who)?))),
-            _ => un_num(args, who, f64::atan),
-        },
-        Prim::Exp => un_num(args, who, f64::exp),
-        Prim::Log => un_num(args, who, f64::ln),
-        Prim::Float => num(&args[0], who).map(Value::Flonum),
-        Prim::Fix => num(&args[0], who).map(|x| Value::Fixnum(x as i64)),
         // ---- predicates ----
         Prim::Null | Prim::Not => Ok(bool_v(!args[0].is_true(), t)),
         Prim::Atom => Ok(bool_v(!matches!(args[0], Value::Cons(_)), t)),
@@ -370,12 +174,16 @@ fn dispatch(p: Prim, args: &[Value], t: &Symbol) -> Result<Value, LispError> {
         }),
         Prim::Length => list_items(&args[0], who).map(|v| Value::Fixnum(v.len() as i64)),
         Prim::Nth => {
-            let n = fix(&args[0], who)?;
+            let Value::Fixnum(n) = args[0] else {
+                return Err(num_error(p, NumError::NotAFixnum(0), args));
+            };
             let items = list_items(&args[1], who)?;
             Ok(items.get(n as usize).cloned().unwrap_or(Value::Nil))
         }
         Prim::Nthcdr => {
-            let n = fix(&args[0], who)?;
+            let Value::Fixnum(n) = args[0] else {
+                return Err(num_error(p, NumError::NotAFixnum(0), args));
+            };
             let mut cur = args[1].clone();
             for _ in 0..n {
                 cur = cdr_of(&cur, who)?;
@@ -451,54 +259,14 @@ fn dispatch(p: Prim, args: &[Value], t: &Symbol) -> Result<Value, LispError> {
         // The evaluator runs these before dispatch; as function values
         // they have never been callable.
         Prim::Throw | Prim::Apply | Prim::Function => Err(err(format!("undefined function {who}"))),
+        // Every other row is numeric.
+        _ => match num::apply(p, args, number).expect("a numeric row") {
+            Ok(Answer::Num(Num::Int(n))) => Ok(Value::Fixnum(n)),
+            Ok(Answer::Num(Num::Flo(x))) => Ok(Value::Flonum(x)),
+            Ok(Answer::Bool(b)) => Ok(bool_v(b, t)),
+            Err(e) => Err(num_error(p, e, args)),
+        },
     }
-}
-
-fn round_like(
-    args: &[Value],
-    who: &str,
-    f: fn(f64) -> f64,
-    fi: fn(i64, i64) -> Option<i64>,
-) -> Result<Value, LispError> {
-    match args {
-        [Value::Fixnum(n)] => Ok(Value::Fixnum(*n)),
-        [v] => Ok(Value::Fixnum(f(num(v, who)?) as i64)),
-        [Value::Fixnum(a), Value::Fixnum(b)] => {
-            if *b == 0 {
-                Err(err(format!("{who}: division by zero")))
-            } else {
-                fi(*a, *b)
-                    .map(Value::Fixnum)
-                    .ok_or_else(|| err(format!("{who}: fixnum overflow")))
-            }
-        }
-        [a, b] => Ok(Value::Fixnum(f(num(a, who)? / num(b, who)?) as i64)),
-        _ => Err(err(format!("{who}: wants 1 or 2 arguments"))),
-    }
-}
-
-fn binf(args: &[Value], who: &str, f: fn(f64, f64) -> f64) -> Result<Value, LispError> {
-    let mut acc = flo(&args[0], who)?;
-    for v in &args[1..] {
-        acc = f(acc, flo(v, who)?);
-    }
-    Ok(Value::Flonum(acc))
-}
-
-fn bini(args: &[Value], who: &str, f: fn(i64, i64) -> Option<i64>) -> Result<Value, LispError> {
-    let mut acc = fix(&args[0], who)?;
-    for v in &args[1..] {
-        acc = f(acc, fix(v, who)?).ok_or_else(|| err(format!("{who}: fixnum overflow")))?;
-    }
-    Ok(Value::Fixnum(acc))
-}
-
-fn un_num(args: &[Value], who: &str, f: fn(f64) -> f64) -> Result<Value, LispError> {
-    Ok(Value::Flonum(f(num(&args[0], who)?)))
-}
-
-fn un_flo(args: &[Value], who: &str, f: fn(f64) -> f64) -> Result<Value, LispError> {
-    Ok(Value::Flonum(f(flo(&args[0], who)?)))
 }
 
 #[cfg(test)]

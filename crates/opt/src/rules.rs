@@ -398,7 +398,8 @@ fn reverse_arguments(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
 }
 
 /// "Table-driven elimination of identity operands" (§5): `(+ x 0)` ⇒ `x`,
-/// `(*$f 1.0 x)` ⇒ `x`.
+/// `(*$f 1.0 x)` ⇒ `x`.  A constant survivor is left to the folder, which
+/// answers as the engines do: `(+ 0 'foo)` is a type error, not `foo`.
 fn identity_elimination(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> bool {
     let NodeKind::Call {
         func: CallFunc::Global(g),
@@ -422,6 +423,9 @@ fn identity_elimination(o: &mut Optimizer, tree: &mut Tree, node: NodeId) -> boo
     } else {
         return false;
     };
+    if matches!(tree.kind(survivor), NodeKind::Constant(_)) {
+        return false;
+    }
     let b = unparse(tree, node);
     let kind = tree.kind(survivor).clone();
     o.rewrite(tree, node, kind);
@@ -821,6 +825,9 @@ mod tests {
         assert_eq!(optimize("(defun f (x) (* 1 x))"), "(lambda (x) x)");
         // 0.0 is not the fixnum identity for +.
         let out = optimize("(defun f (x) (+ x 0.0))");
+        assert!(out.contains("+"), "{out}");
+        // A constant survivor is the folder's: a wrong type stays a call.
+        let out = optimize("(defun f () (+ 0 'foo))");
         assert!(out.contains("+"), "{out}");
     }
 

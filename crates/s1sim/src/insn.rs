@@ -186,9 +186,11 @@ impl Cond {
         }
     }
 
-    /// The condition that holds exactly when `self` does not.  Every
-    /// comparison orders its operands first (or traps), so `Lt` and `Ge`
-    /// (and each other pair) are exact complements.
+    /// The condition that holds exactly when `self` does not.  That is
+    /// sound because of the shared numeric rule (`s1lisp_ast::num`):
+    /// every comparison, on every engine, orders its operands or traps —
+    /// a NaN operand is `comparison with NaN`, never a false answer — so
+    /// `Lt` and `Ge` (and each other pair) are exact complements.
     pub fn negate(self) -> Cond {
         match self {
             Cond::Eq => Cond::Ne,

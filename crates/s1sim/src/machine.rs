@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use s1lisp_ast::num::{self, Num, NumError};
 use s1lisp_ast::Prim;
 use s1lisp_interp::Value;
 use s1lisp_reader::Interner;
@@ -644,15 +645,13 @@ impl Machine {
                 self.write(dst, Word::Ptr(tag, addr))?;
                 Ok(Step::Next)
             }
-            Insn::Add { dst, a, b } => self.int_op(dst, a, b, "+", i64::checked_add),
-            Insn::Sub { dst, a, b } => self.int_op(dst, a, b, "-", i64::checked_sub),
-            Insn::Mult { dst, a, b } => self.int_op(dst, a, b, "*", i64::checked_mul),
-            Insn::Div { dst, a, b } => self.int_op(dst, a, b, "/", i64::checked_div),
-            Insn::DivFloor { dst, a, b } => {
-                self.int_op(dst, a, b, "floor", i64::checked_div_euclid)
-            }
-            Insn::Rem { dst, a, b } => self.int_op(dst, a, b, "rem", i64::checked_rem),
-            Insn::ModFloor { dst, a, b } => self.int_op(dst, a, b, "mod", i64::checked_rem_euclid),
+            Insn::Add { dst, a, b } => self.int_op(dst, a, b, Prim::Add),
+            Insn::Sub { dst, a, b } => self.int_op(dst, a, b, Prim::Sub),
+            Insn::Mult { dst, a, b } => self.int_op(dst, a, b, Prim::Mul),
+            Insn::Div { dst, a, b } => self.int_op(dst, a, b, Prim::Div),
+            Insn::DivFloor { dst, a, b } => self.int_op(dst, a, b, Prim::Floor),
+            Insn::Rem { dst, a, b } => self.int_op(dst, a, b, Prim::Rem),
+            Insn::ModFloor { dst, a, b } => self.int_op(dst, a, b, Prim::Mod),
             Insn::Neg { dst, src } => {
                 let (n, tagged) = self.read_int(src)?;
                 let Some(r) = n.checked_neg() else {
@@ -1461,21 +1460,16 @@ impl Machine {
         }
     }
 
-    /// An integer instruction: `f` is `None` for a zero divisor, which
-    /// traps as division by zero, or for a result that does not fit,
-    /// which traps as the routine for `who` does on fixnum overflow.
-    fn int_op(
-        &mut self,
-        dst: Operand,
-        a: Operand,
-        b: Operand,
-        who: &str,
-        f: fn(i64, i64) -> Option<i64>,
-    ) -> Result<Step, Trap> {
+    /// An integer instruction computing the row `prim` of two fixnums
+    /// through the shared `num::int_op`: a zero divisor traps as
+    /// division by zero, and a result that does not fit as the routine
+    /// for `prim` does on fixnum overflow.
+    fn int_op(&mut self, dst: Operand, a: Operand, b: Operand, prim: Prim) -> Result<Step, Trap> {
         let (x, tx) = self.read_int(a)?;
         let (y, ty) = self.read_int(b)?;
-        let Some(r) = f(x, y) else {
-            return Err(int_trap(who, y));
+        let r = match num::int_op(prim, x, y) {
+            Ok(r) => r,
+            Err(e) => return Err(int_trap(prim, e)),
         };
         let w = if tx || ty {
             Word::fixnum(r)
@@ -1508,29 +1502,26 @@ impl Machine {
     /// `JmpIf`'s test past the dispatch loop's fast path, which compares
     /// integers in registers, constants and frame slots.  Two unboxed
     /// numbers (fixnums, raw integers and raw floats, in any mix) are
-    /// compared in line, as `runtime::num_compare` would compare them; a
-    /// boxed flonum, a non-number or a NaN leaves that case for
-    /// `num_compare`, charged as a two-argument routine.
+    /// ordered in line by the shared `num::order`; a boxed flonum, a
+    /// non-number or a NaN leaves that case for `runtime::num_compare`,
+    /// charged as a two-argument routine.
     #[inline(never)]
     fn compare(&mut self, fnid: u32, cond: Cond, a: Operand, b: Operand) -> Result<bool, Trap> {
         let x = self.read(a)?;
         let y = self.read(b)?;
         let unboxed = |w: Word| match w {
-            Word::F(f) => Some(f),
-            _ => w.as_integer().map(|n| n as f64),
+            Word::F(f) => Some(Num::Flo(f)),
+            _ => w.as_integer().map(Num::Int),
         };
-        let ord = match (x.as_integer(), y.as_integer()) {
-            (Some(p), Some(q)) => p.cmp(&q),
-            _ => match unboxed(x)
-                .zip(unboxed(y))
-                .and_then(|(p, q)| p.partial_cmp(&q))
-            {
-                Some(ord) => ord,
-                None => {
-                    self.charge_rt_call(fnid, 2);
-                    runtime::num_compare(self, x, y, cond.name())?
-                }
-            },
+        let ord = match unboxed(x)
+            .zip(unboxed(y))
+            .and_then(|(p, q)| num::order(p, q).ok())
+        {
+            Some(ord) => ord,
+            None => {
+                self.charge_rt_call(fnid, 2);
+                runtime::num_compare(self, x, y, cond.name())?
+            }
         };
         Ok(cond.holds(ord))
     }
@@ -1596,17 +1587,16 @@ impl Machine {
     }
 }
 
-/// The trap of an integer instruction whose result is `None`: a zero
-/// divisor is a division by zero, anything else an overflow, raised as
-/// the routine for `who` raises it.  Out of line, so that the
-/// instructions' fast paths stay small.
+/// The trap of an integer instruction computing `prim`: a zero divisor
+/// is a division by zero, an overflow raised as the routine for `prim`
+/// raises it.  Out of line, so that the instructions' fast paths stay
+/// small.
 #[cold]
 #[inline(never)]
-fn int_trap(who: &str, divisor: i64) -> Trap {
-    if divisor == 0 {
-        Trap::DivisionByZero
-    } else {
-        Trap::WrongType(format!("{who}: fixnum overflow"))
+fn int_trap(prim: Prim, e: NumError) -> Trap {
+    match e {
+        NumError::DivisionByZero => Trap::DivisionByZero,
+        e => Trap::WrongType(e.message(prim.name(), |_| String::new())),
     }
 }
 

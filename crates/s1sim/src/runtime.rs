@@ -9,9 +9,17 @@
 //! Each routine is a row of the primitive table ([`Prim`]): the
 //! instruction carries the row's number, and [`rt_call`] checks the
 //! argument count against the table once, before it reads any argument,
-//! then dispatches with an exhaustive `match`.  A wrong-arity call is a
+//! then dispatches on the number.  A wrong-arity call is a
 //! `WrongNumberOfArguments` trap, never an out-of-bounds read.
+//!
+//! The numeric rows are not written here: `s1lisp_ast::num` defines
+//! them once, for every engine and the constant folder.  This module
+//! only reads words as their operands (`num_of`, dereferencing a boxed
+//! flonum), boxes their answers (`make_num`), and raises their errors as
+//! traps: a zero divisor as `DivisionByZero`, anything else as a
+//! `WrongType` with the interpreter's message.
 
+use s1lisp_ast::num::{self, Answer, Num, NumError};
 use s1lisp_ast::Prim;
 use s1lisp_interp::Value;
 use s1lisp_reader::{Interner, Symbol};
@@ -38,12 +46,6 @@ fn wrong(msg: impl Into<String>) -> Trap {
     Trap::WrongType(msg.into())
 }
 
-/// A fixnum result that does not fit, raised as the interpreter and the
-/// declared-fixnum instructions raise it.
-fn overflow(who: &str) -> Trap {
-    wrong(format!("{who}: fixnum overflow"))
-}
-
 // ---- small word predicates shared with the machine ----
 
 /// `eq`: word identity.  Boxed flonums are `eq` only when they are the
@@ -64,10 +66,7 @@ pub(crate) fn word_eq(a: Word, b: Word) -> bool {
 pub(crate) fn word_eql(m: &Machine, a: Word, b: Word) -> bool {
     match (a, b) {
         (Word::Ptr(Tag::SingleFlonum, _), Word::Ptr(Tag::SingleFlonum, _)) => {
-            match (float_of(m, a, "eql"), float_of(m, b, "eql")) {
-                (Ok(x), Ok(y)) => x == y,
-                _ => false,
-            }
+            matches!((num_of(m, a), num_of(m, b)), (Some(x), Some(y)) if x == y)
         }
         _ => word_eq(a, b),
     }
@@ -90,53 +89,32 @@ fn word_equal(m: &Machine, a: Word, b: Word, depth: usize) -> Result<bool, Trap>
     }
 }
 
-/// A number extracted from a word.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Num {
-    /// Integer.
-    Int(i64),
-    /// Float.
-    Flo(f64),
-}
-
-impl Num {
-    fn as_f64(self) -> f64 {
-        match self {
-            Num::Int(n) => n as f64,
-            Num::Flo(x) => x,
-        }
-    }
-}
-
-/// Reads a number from a pointer-format (or raw) word, for the routine
-/// `who` (named in the error, as the interpreter names it).
-pub(crate) fn num_of(m: &Machine, w: Word, who: &str) -> Result<Num, Trap> {
+/// Reads a number from a pointer-format (or raw) word: `None` for a
+/// non-number (or a flonum box that does not hold a float).
+pub(crate) fn num_of(m: &Machine, w: Word) -> Option<Num> {
     match w {
-        Word::Raw(n) => Ok(Num::Int(n)),
-        Word::F(x) => Ok(Num::Flo(x)),
-        Word::Ptr(Tag::Fixnum, n) => Ok(Num::Int(n as i64)),
-        Word::Ptr(Tag::SingleFlonum, addr) => match m.read_mem(addr)? {
-            Word::F(x) => Ok(Num::Flo(x)),
-            other => Err(wrong(format!("corrupt flonum object: {other}"))),
+        Word::Raw(n) => Some(Num::Int(n)),
+        Word::F(x) => Some(Num::Flo(x)),
+        Word::Ptr(Tag::Fixnum, n) => Some(Num::Int(n as i64)),
+        Word::Ptr(Tag::SingleFlonum, addr) => match m.read_mem(addr) {
+            Ok(Word::F(x)) => Some(Num::Flo(x)),
+            _ => None,
         },
-        other => Err(not_a_number(m, other, who)),
+        _ => None,
     }
 }
 
-/// The error for a non-number `w` given to `who`, with `w` printed as
-/// the interpreter prints the value.
+/// A numeric row's error raised by `who` on `args`: a zero divisor is
+/// `DivisionByZero`, anything else a `WrongType` carrying the shared
+/// message, with the offending operand printed as the interpreter
+/// prints the value.
 #[cold]
-fn not_a_number(m: &Machine, w: Word, who: &str) -> Trap {
-    let shown = extract(m, w).map_or_else(|_| w.to_string(), |v| v.to_string());
-    wrong(format!("{who}: not a number: {shown}"))
-}
-
-/// Reads a float, dereferencing a flonum pointer and converting raw
-/// integers/fixnums (generic call sites).
-pub(crate) fn float_of(m: &Machine, w: Word, who: &str) -> Result<f64, Trap> {
-    match num_of(m, w, who)? {
-        Num::Flo(x) => Ok(x),
-        Num::Int(n) => Ok(n as f64),
+fn num_trap(m: &Machine, who: &str, e: NumError, args: &[Word]) -> Trap {
+    match e {
+        NumError::DivisionByZero => Trap::DivisionByZero,
+        e => wrong(e.message(who, |i| {
+            extract(m, args[i]).map_or_else(|_| args[i].to_string(), |v| v.to_string())
+        })),
     }
 }
 
@@ -144,28 +122,24 @@ pub(crate) fn float_of(m: &Machine, w: Word, who: &str) -> Result<f64, Trap> {
 /// "a run-time data-type check" (§6.2) and reject fixnums, matching the
 /// reference interpreter.
 pub(crate) fn strict_float_of(m: &Machine, w: Word) -> Result<f64, Trap> {
-    match w {
-        Word::F(x) => Ok(x),
-        Word::Ptr(Tag::SingleFlonum, _) => float_of(m, w, "unbox"),
-        other => Err(wrong(format!("not a flonum: {other}"))),
+    match num_of(m, w) {
+        Some(Num::Flo(x)) => Ok(x),
+        _ => Err(wrong(format!("not a flonum: {w}"))),
     }
 }
 
-/// Numeric comparison for `JmpIf` and the comparison routine `who`.
+/// Numeric comparison for `JmpIf` past its in-line cases, raising the
+/// errors of the comparison `who`.
 pub(crate) fn num_compare(
     m: &Machine,
     a: Word,
     b: Word,
     who: &str,
 ) -> Result<std::cmp::Ordering, Trap> {
-    let (x, y) = (num_of(m, a, who)?, num_of(m, b, who)?);
-    match (x, y) {
-        (Num::Int(p), Num::Int(q)) => Ok(p.cmp(&q)),
-        _ => x
-            .as_f64()
-            .partial_cmp(&y.as_f64())
-            .ok_or_else(|| wrong("comparison with NaN")),
-    }
+    let x = num_of(m, a).ok_or(NumError::NotANumber(0));
+    let y = num_of(m, b).ok_or(NumError::NotANumber(1));
+    x.and_then(|x| num::order(x, y?))
+        .map_err(|e| num_trap(m, who, e, &[a, b]))
 }
 
 /// `car` (nil yields nil).
@@ -241,55 +215,11 @@ fn from_words(m: &mut Machine, words: &[Word], tail: Word) -> Result<Word, Trap>
     Ok(out)
 }
 
-fn fix_of(m: &Machine, w: Word, who: &str) -> Result<i64, Trap> {
-    match num_of(m, w, who)? {
-        Num::Int(n) => Ok(n),
-        Num::Flo(_) => Err(wrong(format!("{who}: not a fixnum"))),
-    }
-}
-
-fn fold_num(
-    m: &mut Machine,
-    args: &[Word],
-    who: &str,
-    unit: Option<i64>,
-    fi: fn(i64, i64) -> Option<i64>,
-    ff: fn(f64, f64) -> f64,
-) -> Result<Word, Trap> {
-    if args.is_empty() {
-        return match unit {
-            Some(u) => Ok(Word::fixnum(u)),
-            None => Err(Trap::WrongNumberOfArguments(format!(
-                "{who}: wants at least 1 argument"
-            ))),
-        };
-    }
-    let mut acc = num_of(m, args[0], who)?;
-    if args.len() == 1 && unit.is_some() {
-        return make_num(m, acc);
-    }
-    for &w in &args[1..] {
-        let y = num_of(m, w, who)?;
-        acc = match (acc, y) {
-            (Num::Int(a), Num::Int(b)) => Num::Int(fi(a, b).ok_or_else(|| overflow(who))?),
-            _ => Num::Flo(ff(acc.as_f64(), y.as_f64())),
-        };
-    }
-    make_num(m, acc)
-}
-
-fn compare_chain(
-    m: &Machine,
-    args: &[Word],
-    who: &str,
-    ok: fn(std::cmp::Ordering) -> bool,
-) -> Result<Word, Trap> {
-    for pair in args.windows(2) {
-        if !ok(num_compare(m, pair[0], pair[1], who)?) {
-            return Ok(Word::NIL);
-        }
-    }
-    Ok(Word::T)
+/// The count `nth` and `nthcdr` take first.
+fn fixnum_arg(m: &Machine, who: &str, args: &[Word]) -> Result<i64, Trap> {
+    args[0]
+        .as_integer()
+        .ok_or_else(|| num_trap(m, who, NumError::NotAFixnum(0), args))
 }
 
 /// The open-coded case of a routine, on operands that are all fixnums
@@ -297,15 +227,16 @@ fn compare_chain(
 /// or `1-` of one, answered with exactly the word [`rt_call`] returns
 /// for them.  `None` for any other primitive, operand or count, and for
 /// an overflow or a zero divisor, whose trap only the routine raises.
-/// Fixnum `/` truncates, as the routine's does.
+/// The arithmetic is the shared `num::int_op`, each arm naming its row
+/// so that the call inlines to the one checked operation.
 #[inline]
 pub(crate) fn fixnum_fast(prim: Prim, args: &[Word]) -> Option<Word> {
     match *args {
         [x] => {
             let x = x.as_integer()?;
             match prim {
-                Prim::OnePlus => x.checked_add(1),
-                Prim::OneMinus => x.checked_sub(1),
+                Prim::OnePlus => num::int_op(Prim::Add, x, 1).ok(),
+                Prim::OneMinus => num::int_op(Prim::Sub, x, 1).ok(),
                 _ => None,
             }
             .map(Word::fixnum)
@@ -313,10 +244,10 @@ pub(crate) fn fixnum_fast(prim: Prim, args: &[Word]) -> Option<Word> {
         [x, y] => {
             let (x, y) = (x.as_integer()?, y.as_integer()?);
             match prim {
-                Prim::Add => x.checked_add(y).map(Word::fixnum),
-                Prim::Sub => x.checked_sub(y).map(Word::fixnum),
-                Prim::Mul => x.checked_mul(y).map(Word::fixnum),
-                Prim::Div => x.checked_div(y).map(Word::fixnum),
+                Prim::Add => num::int_op(Prim::Add, x, y).ok().map(Word::fixnum),
+                Prim::Sub => num::int_op(Prim::Sub, x, y).ok().map(Word::fixnum),
+                Prim::Mul => num::int_op(Prim::Mul, x, y).ok().map(Word::fixnum),
+                Prim::Div => num::int_op(Prim::Div, x, y).ok().map(Word::fixnum),
                 Prim::NumEq => Some(boolean(x == y)),
                 Prim::Lt => Some(boolean(x < y)),
                 Prim::Gt => Some(boolean(x > y)),
@@ -327,188 +258,14 @@ pub(crate) fn fixnum_fast(prim: Prim, args: &[Word]) -> Option<Word> {
     }
 }
 
-/// A flonum argument of a `$f` routine.
-fn flonum_arg(m: &Machine, w: Word, who: &str) -> Result<f64, Trap> {
-    match num_of(m, w, who)? {
-        Num::Flo(x) => Ok(x),
-        Num::Int(_) => Err(wrong(format!("{who}: not a flonum"))),
-    }
-}
-
-/// `floor`, `ceiling`, `truncate` or `round` of a float.
-fn round_to(prim: Prim, f: f64) -> i64 {
-    (match prim {
-        Prim::Floor => f.floor(),
-        Prim::Ceiling => f.ceil(),
-        Prim::Truncate => f.trunc(),
-        _ => f.round_ties_even(),
-    }) as i64
-}
-
 /// Runs the routine for `prim`: one arity check against the primitive
 /// table, before any argument is read, then dispatch on the number.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtResult, Trap> {
-    use std::cmp::Ordering::{Equal, Greater, Less};
     prim.check_arity(args.len())
         .map_err(Trap::WrongNumberOfArguments)?;
     let name = prim.name();
     let v = match prim {
-        Prim::Add => fold_num(m, args, name, Some(0), i64::checked_add, |a, b| a + b)?,
-        Prim::Mul => fold_num(m, args, name, Some(1), i64::checked_mul, |a, b| a * b)?,
-        Prim::Sub => {
-            if args.len() == 1 {
-                let n = num_of(m, args[0], name)?;
-                let r = match n {
-                    Num::Int(v) => {
-                        Num::Int(v.checked_neg().ok_or_else(|| wrong("-: fixnum overflow"))?)
-                    }
-                    Num::Flo(x) => Num::Flo(-x),
-                };
-                make_num(m, r)?
-            } else {
-                fold_num(m, args, name, None, i64::checked_sub, |a, b| a - b)?
-            }
-        }
-        Prim::Div => {
-            if args
-                .iter()
-                .skip(1)
-                .any(|&w| matches!(num_of(m, w, name), Ok(Num::Int(0))))
-                && args
-                    .iter()
-                    .all(|&w| matches!(num_of(m, w, name), Ok(Num::Int(_))))
-            {
-                return Err(Trap::DivisionByZero);
-            }
-            if args.len() == 1 {
-                let x = num_of(m, args[0], name)?.as_f64();
-                make_num(m, Num::Flo(1.0 / x))?
-            } else {
-                fold_num(m, args, name, None, i64::checked_div, |a, b| a / b)?
-            }
-        }
-        Prim::OnePlus | Prim::OneMinus => {
-            let delta = if prim == Prim::OnePlus { 1 } else { -1 };
-            let r = match num_of(m, args[0], name)? {
-                Num::Int(v) => Num::Int(
-                    v.checked_add(delta)
-                        .ok_or_else(|| wrong(format!("{name}: fixnum overflow")))?,
-                ),
-                Num::Flo(x) => Num::Flo(x + delta as f64),
-            };
-            make_num(m, r)?
-        }
-        Prim::Abs => {
-            let r = match num_of(m, args[0], name)? {
-                Num::Int(v) => Num::Int(v.checked_abs().ok_or_else(|| overflow(name))?),
-                Num::Flo(x) => Num::Flo(x.abs()),
-            };
-            make_num(m, r)?
-        }
-        Prim::Min => fold_num(m, args, name, None, |a, b| Some(a.min(b)), f64::min)?,
-        Prim::Max => fold_num(m, args, name, None, |a, b| Some(a.max(b)), f64::max)?,
-        Prim::Floor | Prim::Ceiling | Prim::Truncate | Prim::Round => {
-            let x = num_of(m, args[0], name)?;
-            let r = match (x, args.get(1)) {
-                (Num::Int(n), None) => n,
-                (Num::Flo(f), None) => round_to(prim, f),
-                (x, Some(&b)) => match (x, num_of(m, b, name)?) {
-                    (Num::Int(_), Num::Int(0)) => return Err(Trap::DivisionByZero),
-                    (Num::Int(p), Num::Int(q)) => match prim {
-                        Prim::Floor => p.checked_div_euclid(q),
-                        Prim::Ceiling => p
-                            .checked_rem_euclid(q)
-                            .and_then(|r| Some(p.checked_div_euclid(q)? + i64::from(r != 0))),
-                        Prim::Truncate => p.checked_div(q),
-                        _ => p
-                            .checked_div(q)
-                            .map(|_| (p as f64 / q as f64).round_ties_even() as i64),
-                    }
-                    .ok_or_else(|| overflow(name))?,
-                    (x, y) => round_to(prim, x.as_f64() / y.as_f64()),
-                },
-            };
-            Word::fixnum(r)
-        }
-        Prim::Mod | Prim::Rem => {
-            let x = num_of(m, args[0], name)?;
-            let y = num_of(m, args[1], name)?;
-            let r = match (x, y) {
-                (Num::Int(a), Num::Int(b)) => {
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    Num::Int(
-                        if prim == Prim::Mod {
-                            a.checked_rem_euclid(b)
-                        } else {
-                            a.checked_rem(b)
-                        }
-                        .ok_or_else(|| overflow(name))?,
-                    )
-                }
-                _ => {
-                    let (a, b) = (x.as_f64(), y.as_f64());
-                    Num::Flo(if prim == Prim::Mod {
-                        a.rem_euclid(b)
-                    } else {
-                        a % b
-                    })
-                }
-            };
-            make_num(m, r)?
-        }
-        Prim::Expt => {
-            let b = num_of(m, args[0], name)?;
-            let e = num_of(m, args[1], name)?;
-            let r = match (b, e) {
-                (Num::Int(b), Num::Int(e)) if e >= 0 => {
-                    let e = u32::try_from(e).map_err(|_| wrong("expt: exponent too large"))?;
-                    Num::Int(b.checked_pow(e).ok_or_else(|| overflow(name))?)
-                }
-                _ => Num::Flo(b.as_f64().powf(e.as_f64())),
-            };
-            make_num(m, r)?
-        }
-        Prim::NumEq => compare_chain(m, args, name, |o| o == Equal)?,
-        Prim::NumNe => compare_chain(m, args, name, |o| o != Equal)?,
-        Prim::Lt => compare_chain(m, args, name, |o| o == Less)?,
-        Prim::Gt => compare_chain(m, args, name, |o| o == Greater)?,
-        Prim::Le => compare_chain(m, args, name, |o| o != Greater)?,
-        Prim::Ge => compare_chain(m, args, name, |o| o != Less)?,
-        Prim::Zerop | Prim::Plusp | Prim::Minusp => {
-            let x = num_of(m, args[0], name)?.as_f64();
-            boolean(match prim {
-                Prim::Zerop => x == 0.0,
-                Prim::Plusp => x > 0.0,
-                _ => x < 0.0,
-            })
-        }
-        Prim::Oddp | Prim::Evenp => {
-            let n = fix_of(m, args[0], name)?;
-            boolean((n.rem_euclid(2) == 1) == (prim == Prim::Oddp))
-        }
-        Prim::Sqrt | Prim::Sin | Prim::Cos | Prim::Atan | Prim::Exp | Prim::Log => {
-            let x = num_of(m, args[0], name)?.as_f64();
-            let r = match prim {
-                Prim::Sqrt => x.sqrt(),
-                Prim::Sin => x.sin(),
-                Prim::Cos => x.cos(),
-                Prim::Atan => match args.get(1) {
-                    Some(&y) => x.atan2(num_of(m, y, name)?.as_f64()),
-                    None => x.atan(),
-                },
-                Prim::Exp => x.exp(),
-                _ => x.ln(),
-            };
-            make_num(m, Num::Flo(r))?
-        }
-        Prim::Float => {
-            let x = num_of(m, args[0], name)?.as_f64();
-            make_num(m, Num::Flo(x))?
-        }
-        Prim::Fix => Word::fixnum(num_of(m, args[0], name)?.as_f64() as i64),
         Prim::Null | Prim::Not => boolean(!args[0].is_true()),
         Prim::Atom => boolean(!matches!(args[0], Word::Ptr(Tag::Cons, _))),
         Prim::Consp => boolean(matches!(args[0], Word::Ptr(Tag::Cons, _))),
@@ -562,12 +319,12 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
         }
         Prim::Length => Word::fixnum(list_words(m, args[0], name)?.len() as i64),
         Prim::Nth => {
-            let n = fix_of(m, args[0], name)?;
+            let n = fixnum_arg(m, name, args)?;
             let ws = list_words(m, args[1], name)?;
             ws.get(n as usize).copied().unwrap_or(Word::NIL)
         }
         Prim::Nthcdr => {
-            let n = fix_of(m, args[0], name)?;
+            let n = fixnum_arg(m, name, args)?;
             let mut w = args[1];
             for _ in 0..n {
                 w = cdr(m, w)?;
@@ -656,50 +413,13 @@ pub(crate) fn rt_call(m: &mut Machine, prim: Prim, args: &[Word]) -> Result<RtRe
             let id = m.fn_id(&name);
             Word::Ptr(Tag::Function, u64::from(id))
         }
-        // The type-specific operators normally compile in line; the
-        // runtime versions exist for `funcall`/`apply` through values.
-        Prim::AbsF | Prim::SqrtF | Prim::SinF | Prim::CosF | Prim::SincF | Prim::CoscF => {
-            let x = flonum_arg(m, args[0], name)?;
-            let r = match prim {
-                Prim::AbsF => x.abs(),
-                Prim::SqrtF => x.sqrt(),
-                Prim::SinF => x.sin(),
-                Prim::CosF => x.cos(),
-                Prim::SincF => (x * std::f64::consts::TAU).sin(),
-                _ => (x * std::f64::consts::TAU).cos(),
-            };
-            make_num(m, Num::Flo(r))?
-        }
-        Prim::AddF | Prim::SubF | Prim::MulF | Prim::DivF | Prim::MaxF | Prim::MinF => {
-            let mut acc = flonum_arg(m, args[0], name)?;
-            if args.len() == 1 {
-                acc = -acc; // only `-$f` takes one argument
+        // Every other row is numeric.
+        _ => {
+            let r = num::apply(prim, args, |&w| num_of(m, w)).expect("a numeric row");
+            match r.map_err(|e| num_trap(m, name, e, args))? {
+                Answer::Num(n) => make_num(m, n)?,
+                Answer::Bool(b) => boolean(b),
             }
-            for &a in &args[1..] {
-                let y = flonum_arg(m, a, name)?;
-                acc = match prim {
-                    Prim::AddF => acc + y,
-                    Prim::SubF => acc - y,
-                    Prim::MulF => acc * y,
-                    Prim::DivF => acc / y,
-                    Prim::MaxF => acc.max(y),
-                    _ => acc.min(y),
-                };
-            }
-            make_num(m, Num::Flo(acc))?
-        }
-        Prim::AddI | Prim::SubI | Prim::MulI => {
-            let mut acc = fix_of(m, args[0], name)?;
-            for &a in &args[1..] {
-                let y = fix_of(m, a, name)?;
-                acc = match prim {
-                    Prim::AddI => acc.checked_add(y),
-                    Prim::SubI => acc.checked_sub(y),
-                    _ => acc.checked_mul(y),
-                }
-                .ok_or_else(|| overflow(name))?;
-            }
-            Word::fixnum(acc)
         }
     };
     Ok(RtResult::Value(v))

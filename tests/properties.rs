@@ -60,11 +60,16 @@ fn random_datum(rng: &mut SplitMix64, depth: u32) -> String {
 
 /// A random arithmetic/control expression over fixnum variables a, b, c
 /// — including nonlocal exits (`catch`/`throw`, `prog`/`return`), so the
-/// differential fuzz exercises the catcher and progbody paths.
+/// differential fuzz exercises the catcher and progbody paths.  One leaf
+/// in eight is a constant at or next to the fixnum bounds, so overflow
+/// traps are drawn too.
 fn random_expr(rng: &mut SplitMix64, depth: u32) -> String {
     if depth == 0 || rng.below(3) == 0 {
-        return match rng.below(2) {
-            0 => rng.range_i64(-20, 20).to_string(),
+        return match rng.below(8) {
+            0 => rng
+                .pick(&[i64::MIN, i64::MIN + 1, i64::MAX, -1, 0])
+                .to_string(),
+            1..=3 => rng.range_i64(-20, 20).to_string(),
             _ => (*rng.pick(&["a", "b", "c"])).to_string(),
         };
     }
@@ -121,6 +126,24 @@ fn random_expr(rng: &mut SplitMix64, depth: u32) -> String {
     }
 }
 
+/// An S-1 trap as the interpreter words the same error: a `WrongType`
+/// carries the interpreter's message, and a `DivisionByZero` none.
+fn machine_error(t: &s1lisp::Trap) -> String {
+    match t.cause() {
+        s1lisp::Trap::WrongType(m) => m.clone(),
+        other => other.to_string(),
+    }
+}
+
+/// An interpreter's error message, with the operator a division by zero
+/// names dropped, as [`machine_error`] has none to give.
+fn lisp_error(message: &str) -> String {
+    match message.strip_suffix(": division by zero") {
+        Some(_) => "division by zero".to_string(),
+        None => message.to_string(),
+    }
+}
+
 /// Compiled code and the interpreter agree on random expressions —
 /// and the optimizer preserves that agreement.
 #[test]
@@ -144,7 +167,9 @@ fn compiled_matches_interpreted() {
             let want = interp.call("f", &args);
             match (&want, &got) {
                 (Ok(w), Ok(g)) => assert_eq!(g, w, "{src} {args:?}"),
-                (Err(_), Err(_)) => {}
+                (Err(w), Err(g)) => {
+                    assert_eq!(machine_error(g), lisp_error(&w.message), "{src} {args:?}")
+                }
                 _ => panic!("divergence on {src}: {want:?} vs {got:?}"),
             }
         }
@@ -189,9 +214,11 @@ fn backends_agree_on_random_programs() {
 
         match (&s1_r, &bc_r) {
             (Ok(x), Ok(y)) => assert_eq!(x, y, "seed {seed:#x}: {src} {args:?}"),
-            // Both trapping is agreement: trap wording and fuel
-            // metering are backend-specific.
-            (Err(_), Err(_)) => {}
+            (Err(x), Err(y)) => assert_eq!(
+                machine_error(x),
+                lisp_error(y.message.strip_prefix("lisp error: ").unwrap_or(&y.message)),
+                "seed {seed:#x}: {src} {args:?}"
+            ),
             _ => panic!(
                 "seed {seed:#x}: backends diverged on {src} {args:?}: \
                  s1 {s1_r:?} vs bytecode {bc_r:?}"
@@ -228,7 +255,7 @@ fn optimizer_preserves_interpretation() {
         let r2 = i2.call("f", &args);
         match (&r1, &r2) {
             (Ok(x), Ok(y)) => assert_eq!(x, y, "{src}"),
-            (Err(_), Err(_)) => {}
+            (Err(x), Err(y)) => assert_eq!(x.message, y.message, "{src}"),
             _ => panic!("optimizer changed semantics of {src}: {r1:?} vs {r2:?}"),
         }
     }
