@@ -522,6 +522,7 @@ pub fn hand_horner(n: i64) -> (Value, u64) {
     let done = asm.label();
     asm.push(Insn::JmpIf {
         cond: Cond::Eq,
+        prim: Cond::Eq.prim(),
         a: Operand::Reg(Reg(11)),
         b: Operand::fixnum(0),
         target: done,

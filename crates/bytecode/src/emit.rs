@@ -2,8 +2,17 @@
 //!
 //! The input is the same annotated tree the S-1 code generator
 //! consumes; the binding annotation decides slot layout (plain slot,
-//! heap value cell, or special stack) and the representation
-//! analysis's lowering map selects fused numeric opcodes.
+//! heap value cell, or special stack).  Code is compiled the way the
+//! S-1's code generator compiles it, in three contexts:
+//!
+//! * **Value** ([`Emitter::node`]) pushes exactly one value.  Generic
+//!   `+ - * /`, `1+`, `1-` and `cons` are one op each, whether or not
+//!   representation analysis lowered them.
+//! * **Test** ([`Emitter::test`], §5, E3) pushes nothing and jumps:
+//!   `not`/`null` flip the sense, and `zerop`, `eq` and the two-argument
+//!   comparisons are one compare-and-branch op carrying the `Prim`.
+//! * **Effect** ([`Emitter::effect`]) pushes nothing: a `setq` is one
+//!   store and a constant arm emits nothing.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -128,6 +137,23 @@ impl FnCtx {
         self.op(op, 0, 0);
     }
 
+    /// A compare-and-branch on the test primitive `prim`.
+    fn test_jump(&mut self, op: Op, prim: Prim, label: usize) {
+        self.jump(op, label);
+        self.code.last_mut().expect("just pushed").b = prim as u16;
+    }
+
+    /// Leaves an arm of a conditional for its join point `label`; an arm
+    /// in tail position returns at once, since the join would only
+    /// return.
+    fn join(&mut self, tail: bool, label: usize) {
+        if tail {
+            self.op(Op::Return, 0, 0);
+        } else {
+            self.jump(Op::Jump, label);
+        }
+    }
+
     fn arg_sup(&mut self, param: u32, label: usize) {
         self.fixups.push((self.code.len(), label, true));
         self.op(Op::ArgSup, param, 0);
@@ -161,6 +187,39 @@ fn datum_tag(d: &Datum) -> &'static str {
         Datum::Str(_) => "t",
         Datum::Char(_) => "c",
         Datum::Cons(_) => "l",
+    }
+}
+
+fn split_progn(body: &[NodeId]) -> Result<(&NodeId, &[NodeId]), EmitError> {
+    body.split_last().ok_or(EmitError {
+        message: "empty progn".into(),
+    })
+}
+
+/// The op for a generic arithmetic call (or `cons`) of `argc`
+/// arguments, if it has one.
+fn generic_op(p: Prim, argc: usize) -> Option<Op> {
+    Some(match (p, argc) {
+        (Prim::Add, 2) => Op::Add,
+        (Prim::Sub, 2) => Op::Sub,
+        (Prim::Mul, 2) => Op::Mul,
+        (Prim::Div, 2) => Op::Div,
+        (Prim::OnePlus, 1) => Op::Inc,
+        (Prim::OneMinus, 1) => Op::Dec,
+        (Prim::Cons, 2) => Op::Cons,
+        _ => return None,
+    })
+}
+
+/// Whether `p` on `argc` arguments compiles to a compare-and-branch
+/// in test position.
+fn branch_test(p: Prim, argc: usize) -> bool {
+    match p {
+        Prim::Zerop => argc == 1,
+        Prim::Eq | Prim::NumEq | Prim::NumNe | Prim::Lt | Prim::Gt | Prim::Le | Prim::Ge => {
+            argc == 2
+        }
+        _ => false,
     }
 }
 
@@ -293,32 +352,26 @@ impl<'a> Emitter<'a> {
                 self.write_var(cx, var)?;
             }
             NodeKind::If { test, then, els } => {
-                self.node(cx, test, false)?;
                 let l_else = cx.new_label();
                 let l_end = cx.new_label();
-                cx.jump(Op::JumpIfNil, l_else);
-                cx.height -= 1;
+                self.test(cx, test, false, l_else)?;
                 let h = cx.height;
                 self.node(cx, then, tail)?;
-                cx.jump(Op::Jump, l_end);
+                cx.join(tail, l_end);
                 cx.place(l_else);
                 cx.height = h;
                 self.node(cx, els, tail)?;
                 cx.place(l_end);
             }
             NodeKind::Progn(body) => {
-                let (last, init) = body.split_last().ok_or(EmitError {
-                    message: "empty progn".into(),
-                })?;
+                let (last, init) = split_progn(&body)?;
                 for &n in init {
-                    self.node(cx, n, false)?;
-                    cx.op(Op::Pop, 0, 0);
-                    cx.height -= 1;
+                    self.effect(cx, n)?;
                 }
                 self.node(cx, *last, tail)?;
             }
             NodeKind::Call { func, args } => match func {
-                CallFunc::Global(g) => self.global_call(cx, node, &g, &args, tail)?,
+                CallFunc::Global(g) => self.global_call(cx, &g, &args, tail)?,
                 CallFunc::Expr(e) => {
                     if let NodeKind::Lambda(lam) = self.tree.kind(e).clone() {
                         self.let_call(cx, &lam, &args, tail)?;
@@ -357,12 +410,12 @@ impl<'a> Emitter<'a> {
                     }
                 }
                 self.node(cx, default, tail)?;
-                cx.jump(Op::Jump, l_end);
+                cx.join(tail, l_end);
                 for (c, l) in clauses.iter().zip(&body_labels) {
                     cx.place(*l);
                     cx.height = h;
                     self.node(cx, c.body, tail)?;
-                    cx.jump(Op::Jump, l_end);
+                    cx.join(tail, l_end);
                 }
                 cx.place(l_end);
                 cx.height = h + 1;
@@ -412,11 +465,7 @@ impl<'a> Emitter<'a> {
                             cx.place(label);
                             cx.height = base;
                         }
-                        ProgItem::Stmt(n) => {
-                            self.node(cx, *n, false)?;
-                            cx.op(Op::Pop, 0, 0);
-                            cx.height -= 1;
-                        }
+                        ProgItem::Stmt(n) => self.effect(cx, *n)?,
                     }
                 }
                 cx.op(Op::Nil, 0, 0);
@@ -441,7 +490,9 @@ impl<'a> Emitter<'a> {
                 if cx.specials > specials {
                     cx.op(Op::Unbind, cx.specials - specials, 0);
                 }
-                cx.op(Op::Crop, base, 0);
+                if cx.height != base {
+                    cx.op(Op::Crop, base, 0);
+                }
                 cx.jump(Op::Jump, label);
                 cx.height = h + 1; // unreachable continuation
             }
@@ -459,9 +510,149 @@ impl<'a> Emitter<'a> {
                 if cx.specials > specials {
                     cx.op(Op::Unbind, cx.specials - specials, 0);
                 }
-                cx.op(Op::CropKeep, base, 0);
+                if cx.height != base + 1 {
+                    cx.op(Op::CropKeep, base, 0);
+                }
                 cx.jump(Op::Jump, label);
                 cx.height = h + 1; // unreachable continuation
+            }
+        }
+        Ok(())
+    }
+
+    /// Emits `node` as a test (§5, E3): control reaches `label` when the
+    /// truth of its value is `sense` and falls through otherwise, with
+    /// nothing pushed.  `not` and `null` flip the sense, `zerop`, `eq`
+    /// and the two-argument comparisons are one compare-and-branch op,
+    /// and a conditional tests its arms in turn.
+    fn test(
+        &mut self,
+        cx: &mut FnCtx,
+        node: NodeId,
+        sense: bool,
+        label: usize,
+    ) -> Result<(), EmitError> {
+        match self.tree.kind(node).clone() {
+            NodeKind::Constant(d) => {
+                if d.is_true() == sense {
+                    cx.jump(Op::Jump, label);
+                }
+            }
+            NodeKind::Progn(body) => {
+                let (last, init) = split_progn(&body)?;
+                for &n in init {
+                    self.effect(cx, n)?;
+                }
+                self.test(cx, *last, sense, label)?;
+            }
+            NodeKind::If { test, then, els } => {
+                // `(and a b)` and `(or a b)` have a constant arm: the test
+                // falls through or reaches `label` directly when it
+                // selects that arm.
+                let truth = |n: NodeId| match self.tree.kind(n) {
+                    NodeKind::Constant(d) => Some(d.is_true()),
+                    _ => None,
+                };
+                let l_end = cx.new_label();
+                let exit = |arm: bool| if arm == sense { label } else { l_end };
+                if let Some(e) = truth(els) {
+                    self.test(cx, test, false, exit(e))?;
+                    self.test(cx, then, sense, label)?;
+                } else if let Some(t) = truth(then) {
+                    self.test(cx, test, true, exit(t))?;
+                    self.test(cx, els, sense, label)?;
+                } else {
+                    let l_else = cx.new_label();
+                    self.test(cx, test, false, l_else)?;
+                    self.test(cx, then, sense, label)?;
+                    cx.jump(Op::Jump, l_end);
+                    cx.place(l_else);
+                    self.test(cx, els, sense, label)?;
+                }
+                cx.place(l_end);
+            }
+            NodeKind::Call {
+                func: CallFunc::Global(g),
+                args,
+            } => match Prim::from_name(g.as_str()) {
+                Some(Prim::Not | Prim::Null) if args.len() == 1 => {
+                    self.test(cx, args[0], !sense, label)?;
+                }
+                Some(p) if branch_test(p, args.len()) => {
+                    for &a in &args {
+                        self.node(cx, a, false)?;
+                    }
+                    let op = if sense { Op::TestTrue } else { Op::TestNil };
+                    cx.test_jump(op, p, label);
+                    cx.height -= args.len() as u32;
+                }
+                _ => self.value_test(cx, node, sense, label)?,
+            },
+            _ => self.value_test(cx, node, sense, label)?,
+        }
+        Ok(())
+    }
+
+    /// Any other test: the value, then `jump.t` or `jump.nil`.
+    fn value_test(
+        &mut self,
+        cx: &mut FnCtx,
+        node: NodeId,
+        sense: bool,
+        label: usize,
+    ) -> Result<(), EmitError> {
+        self.node(cx, node, false)?;
+        let op = if sense { Op::JumpIfTrue } else { Op::JumpIfNil };
+        cx.jump(op, label);
+        cx.height -= 1;
+        Ok(())
+    }
+
+    /// Emits `node` as a statement, for its effect alone: nothing is
+    /// pushed.  A constant or a lexical variable emits nothing, a `setq`
+    /// is one store, and a conditional tests as a test.
+    fn effect(&mut self, cx: &mut FnCtx, node: NodeId) -> Result<(), EmitError> {
+        match self.tree.kind(node).clone() {
+            NodeKind::Constant(_) => {}
+            NodeKind::VarRef(v) if !self.tree.var(v).special => {}
+            NodeKind::Setq { var, value } => {
+                self.node(cx, value, false)?;
+                self.write_var(cx, var)?;
+            }
+            NodeKind::Progn(body) => {
+                for n in body {
+                    self.effect(cx, n)?;
+                }
+            }
+            NodeKind::If { test, then, els } => {
+                let inert = |n: NodeId| matches!(self.tree.kind(n), NodeKind::Constant(_));
+                let l_end = cx.new_label();
+                if inert(els) {
+                    self.test(cx, test, false, l_end)?;
+                    self.effect(cx, then)?;
+                } else if inert(then) {
+                    self.test(cx, test, true, l_end)?;
+                    self.effect(cx, els)?;
+                } else {
+                    let l_else = cx.new_label();
+                    self.test(cx, test, false, l_else)?;
+                    self.effect(cx, then)?;
+                    cx.jump(Op::Jump, l_end);
+                    cx.place(l_else);
+                    self.effect(cx, els)?;
+                }
+                cx.place(l_end);
+            }
+            NodeKind::Go(_) | NodeKind::Return(_) => {
+                // Control leaves: there is no continuation to pop for.
+                let h = cx.height;
+                self.node(cx, node, false)?;
+                cx.height = h;
+            }
+            _ => {
+                self.node(cx, node, false)?;
+                cx.op(Op::Pop, 0, 0);
+                cx.height -= 1;
             }
         }
         Ok(())
@@ -509,7 +700,6 @@ impl<'a> Emitter<'a> {
     fn global_call(
         &mut self,
         cx: &mut FnCtx,
-        node: NodeId,
         g: &s1lisp_reader::Symbol,
         args: &[NodeId],
         tail: bool,
@@ -533,24 +723,19 @@ impl<'a> Emitter<'a> {
                 return Ok(());
             }
         }
-        // Fused numeric opcodes where representation analysis lowered
-        // the generic operator to machine arithmetic.
-        if args.len() == 2 && self.ann.rep.lowered.contains_key(&node) {
-            let fused = match prim {
-                Some(Prim::Add) => Some(Op::AddNum),
-                Some(Prim::Sub) => Some(Op::SubNum),
-                Some(Prim::Mul) => Some(Op::MulNum),
-                Some(Prim::Lt) => Some(Op::LtNum),
-                Some(Prim::NumEq) => Some(Op::NumEq),
-                _ => None,
-            };
-            if let Some(op) = fused {
-                self.node(cx, args[0], false)?;
-                self.node(cx, args[1], false)?;
-                cx.op(op, 0, 0);
-                cx.height -= 1;
-                return Ok(());
+        // A genuine tail call only when no handler or special binding
+        // of this frame must survive the callee.
+        let tail_call = tail && cx.catches == 0 && cx.specials == 0;
+        // One op per generic operator.  A tail call stays a `tcall`,
+        // which also returns the value.
+        let op = prim.and_then(|p| generic_op(p, args.len()));
+        if let Some(op) = op.filter(|_| !tail_call) {
+            for &a in args {
+                self.node(cx, a, false)?;
             }
+            cx.op(op, 0, 0);
+            cx.height -= args.len() as u32 - 1;
+            return Ok(());
         }
         for &a in args {
             self.node(cx, a, false)?;
@@ -559,13 +744,7 @@ impl<'a> Emitter<'a> {
         let argc = u16::try_from(args.len()).map_err(|_| EmitError {
             message: "too many arguments".into(),
         })?;
-        // A genuine tail call only when no handler or special binding
-        // of this frame must survive the callee.
-        let op = if tail && cx.catches == 0 && cx.specials == 0 {
-            Op::TailCall
-        } else {
-            Op::Call
-        };
+        let op = if tail_call { Op::TailCall } else { Op::Call };
         cx.op(op, k, argc);
         cx.height -= args.len() as u32;
         cx.height += 1;

@@ -13,6 +13,13 @@
 //! [`open_coded`], which must return exactly what the builtin would and
 //! leaves every other operand, an overflow included, to it.
 //!
+//! The generic ops (`add` … `dec`, `cons`) and the compare-and-branch
+//! ops (`test.nil`, `test.t`) answer fixnums — and plain values for
+//! `eq` and `cons` — in line, and send every other operand to
+//! [`State::builtin`] under the source operator's [`Prim`], as the
+//! S-1's `GENERIC` does, so their values and trap messages are the
+//! call's.  A self tail call reuses its frame ([`State::reenter`]).
+//!
 //! [`Evaluator::new`] links the module once, as the S-1 loader resolves
 //! call targets and special cells ahead of time: every constant-pool
 //! entry of every proto gets a linked [`Entry`] — the constant
@@ -351,6 +358,7 @@ impl Evaluator {
 /// The running frame's code, linked pool and bases, cached out of the
 /// frame stack and reloaded after every call, return and throw.
 struct Cursor<'a> {
+    proto: usize,
     code: &'a [Insn],
     entries: &'a [Entry],
     pc: usize,
@@ -363,6 +371,7 @@ impl<'a> Cursor<'a> {
         let f = st.frames.last().expect("live frame");
         let linked = &image.protos[f.proto];
         Cursor {
+            proto: f.proto,
             code: &linked.proto.code,
             entries: &linked.entries,
             pc: f.pc,
@@ -525,13 +534,22 @@ impl State {
                     let name = cur.entries[a].name()?;
                     self.need(b)?;
                     let tail = insn.op == Op::TailCall;
-                    if let Callee::Prim(p) = name.callee {
-                        if !tail && !matches!(p, Prim::Throw | Prim::Apply) {
+                    match name.callee {
+                        Callee::Prim(p) if !tail && !matches!(p, Prim::Throw | Prim::Apply) => {
                             // Leaves the frame as it is: no cursor reload.
                             let v = self.builtin(image, p, b)?;
                             self.stack.push(v);
                             continue;
                         }
+                        Callee::Proto(ix)
+                            if tail
+                                && ix == cur.proto
+                                && self.reenter(&image.protos[ix].proto, b) =>
+                        {
+                            cur.pc = 0;
+                            continue;
+                        }
+                        _ => {}
                     }
                     self.save(cur.pc);
                     if let Some(v) = self.call(image, name.callee, name.sym.as_str(), b, tail)? {
@@ -637,11 +655,21 @@ impl State {
                     self.stack
                         .push(BcValue::V(Value::Func(Function::Global(name))));
                 }
-                Op::AddNum => self.fused(image, Prim::Add)?,
-                Op::SubNum => self.fused(image, Prim::Sub)?,
-                Op::MulNum => self.fused(image, Prim::Mul)?,
-                Op::LtNum => self.fused(image, Prim::Lt)?,
-                Op::NumEq => self.fused(image, Prim::NumEq)?,
+                Op::Add => self.arith(image, Prim::Add)?,
+                Op::Sub => self.arith(image, Prim::Sub)?,
+                Op::Mul => self.arith(image, Prim::Mul)?,
+                Op::Div => self.arith(image, Prim::Div)?,
+                Op::Inc => self.step(image, Prim::OnePlus, Prim::Add)?,
+                Op::Dec => self.step(image, Prim::OneMinus, Prim::Sub)?,
+                Op::Cons => self.cons(image)?,
+                Op::TestNil | Op::TestTrue => {
+                    let Some(&p) = Prim::ALL.get(b) else {
+                        return trap("test of an unknown primitive");
+                    };
+                    if self.test(image, p)? == (insn.op == Op::TestTrue) {
+                        cur.pc = a;
+                    }
+                }
             }
         }
     }
@@ -680,13 +708,88 @@ impl State {
         }
     }
 
-    /// A fused numeric op: the primitive `p` on the top two operands,
-    /// through [`State::builtin`] like a call of it.
-    fn fused(&mut self, image: &Image, p: Prim) -> Result<(), BcTrap> {
-        self.need(2)?;
-        let v = self.builtin(image, p, 2)?;
+    /// The primitive `p` on the top `argc` operands, through
+    /// [`State::builtin`] like a call of it.
+    fn slow(&mut self, image: &Image, p: Prim, argc: usize) -> Result<(), BcTrap> {
+        self.need(argc)?;
+        let v = self.builtin(image, p, argc)?;
         self.stack.push(v);
         Ok(())
+    }
+
+    /// A generic binary op: two fixnums answer in line through the
+    /// shared `num::int_op`; every other operand, an overflow included,
+    /// goes to the builtin, which raises its own error.
+    #[inline(always)]
+    fn arith(&mut self, image: &Image, p: Prim) -> Result<(), BcTrap> {
+        if let [.., BcValue::V(Value::Fixnum(x)), BcValue::V(Value::Fixnum(y))] =
+            self.stack.as_slice()
+        {
+            if let Ok(r) = num::int_op(p, *x, *y) {
+                self.stack.pop();
+                *self.stack.last_mut().expect("matched above") = BcValue::V(Value::Fixnum(r));
+                return Ok(());
+            }
+        }
+        self.slow(image, p, 2)
+    }
+
+    /// `cons`: two plain values in line, a cell or closure operand
+    /// through the builtin.
+    #[inline(always)]
+    fn cons(&mut self, image: &Image) -> Result<(), BcTrap> {
+        if let [.., BcValue::V(x), BcValue::V(y)] = self.stack.as_slice() {
+            let v = Value::cons(x.clone(), y.clone());
+            self.stack.pop();
+            *self.stack.last_mut().expect("matched above") = BcValue::V(v);
+            return Ok(());
+        }
+        self.slow(image, Prim::Cons, 2)
+    }
+
+    /// `1+` (`p`) or `1-`: the fixnum case as the binary row `by` with 1.
+    #[inline(always)]
+    fn step(&mut self, image: &Image, p: Prim, by: Prim) -> Result<(), BcTrap> {
+        if let Some(BcValue::V(Value::Fixnum(x))) = self.stack.last_mut() {
+            if let Ok(r) = num::int_op(by, *x, 1) {
+                *x = r;
+                return Ok(());
+            }
+        }
+        self.slow(image, p, 1)
+    }
+
+    /// Pops the operands of the test primitive `p` and says whether it
+    /// holds: fixnums, and any plain values under `eq`, in line; every
+    /// other operand through the builtin.
+    #[inline(always)]
+    fn test(&mut self, image: &Image, p: Prim) -> Result<bool, BcTrap> {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let fast = match (p, self.stack.as_slice()) {
+            (Prim::Zerop, [.., BcValue::V(Value::Fixnum(x))]) => Some((*x == 0, 1)),
+            (Prim::Eq, [.., BcValue::V(x), BcValue::V(y)]) => Some((x.eq_p(y), 2)),
+            (_, [.., BcValue::V(Value::Fixnum(x)), BcValue::V(Value::Fixnum(y))]) => {
+                let ord = x.cmp(y);
+                match p {
+                    Prim::NumEq => Some((ord == Equal, 2)),
+                    Prim::NumNe => Some((ord != Equal, 2)),
+                    Prim::Lt => Some((ord == Less, 2)),
+                    Prim::Gt => Some((ord == Greater, 2)),
+                    Prim::Le => Some((ord != Greater, 2)),
+                    Prim::Ge => Some((ord != Less, 2)),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        if let Some((holds, argc)) = fast {
+            let n = self.stack.len();
+            self.stack.truncate(n - argc);
+            return Ok(holds);
+        }
+        let argc = if p == Prim::Zerop { 1 } else { 2 };
+        self.need(argc)?;
+        Ok(self.builtin(image, p, argc)?.is_true())
     }
 
     /// Calls `callee` (named `name`) on the top `argc` operands: a proto
@@ -830,6 +933,35 @@ impl State {
         old.base
     }
 
+    /// A self tail call as a parameter-passing goto, checked when the
+    /// call runs: when the running frame has no closure and the call
+    /// passes exactly `proto`'s required arguments (it has no optional
+    /// or rest parameter), the arguments move into the parameter slots,
+    /// every other slot is reset to NIL and the operand stack is cropped
+    /// to the frame's base — the state [`State::enter`] would build —
+    /// and the caller jumps to pc 0.  `false` leaves the call to `enter`.
+    fn reenter(&mut self, proto: &FuncProto, argc: usize) -> bool {
+        let f = self.frames.last().expect("live frame");
+        if f.closure.is_some()
+            || proto.optional != 0
+            || proto.rest
+            || argc != proto.required as usize
+        {
+            return false;
+        }
+        let (slots, base) = (f.slots, f.base);
+        self.specials.truncate(f.specials_base);
+        self.handlers.truncate(f.handlers_base);
+        let from = self.stack.len() - argc;
+        let mut args = self.stack.drain(from..);
+        for slot in &mut self.slots[slots..] {
+            *slot = args.next().unwrap_or_else(BcValue::nil);
+        }
+        drop(args);
+        self.stack.truncate(base);
+        true
+    }
+
     /// Enters proto `ix` with the top `argc` operands as its arguments,
     /// moving them onto the slot stack, and starts its operands at
     /// `base` (below the arguments for a call, the unwound frame's base
@@ -895,13 +1027,28 @@ mod tests {
             .map_err(|t| t.message)
     }
 
-    /// Every open-coded primitive answers exactly what the shared
-    /// builtin answers: the same value, or the same trap message.  The
-    /// operands cover fixnums at and past the edges (an overflow must
-    /// still be the builtin's "fixnum overflow"), flonums and mixed
-    /// pairs, a symbol and a list (the same type trap), and a captured
-    /// cell and a closure, which the fast path must leave to the
-    /// builtin rather than coerce.
+    /// The shared builtin's answer for `p` on `args`.
+    fn reference(image: &Image, p: Prim, args: &[BcValue]) -> Result<String, String> {
+        let argv = args
+            .iter()
+            .cloned()
+            .map(BcValue::into_value)
+            .collect::<Result<Vec<_>, _>>();
+        shown(
+            argv.and_then(|argv| image.builtin(p, &argv))
+                .map(BcValue::V),
+        )
+    }
+
+    /// Every open-coded primitive, and every generic and compare-and-
+    /// branch op, answers exactly what the shared builtin answers: the
+    /// same value (a branch op, the same truth), or the same trap
+    /// message.  The operands cover fixnums at and past the edges (an
+    /// overflow must still be the builtin's "fixnum overflow", a zero
+    /// divisor its "division by zero"), flonums, NaN and mixed pairs, a
+    /// symbol and a list (the same type trap), and a captured cell and
+    /// a closure, which the fast paths must leave to the builtin rather
+    /// than coerce.
     #[test]
     fn open_coded_primitives_match_the_builtins() {
         let image = Image::link(Module::new(), &mut Specials::default());
@@ -914,6 +1061,7 @@ mod tests {
             BcValue::V(Value::Fixnum(i64::MAX)),
             BcValue::V(Value::Flonum(1.5)),
             BcValue::V(Value::Flonum(-0.0)),
+            BcValue::V(Value::Flonum(f64::NAN)),
             BcValue::V(Value::Nil),
             BcValue::V(Value::Sym(names.intern("foo"))),
             BcValue::V(Value::list([Value::Fixnum(1), Value::Fixnum(2)])),
@@ -956,20 +1104,75 @@ mod tests {
             st.stack.clone_from(&args);
             let got = shown(st.builtin(&image, p, args.len()));
             assert!(st.stack.is_empty(), "{p:?}: operands left behind");
-            let slow = args
-                .into_iter()
-                .map(BcValue::into_value)
-                .collect::<Result<Vec<_>, _>>()
-                .and_then(|argv| image.builtin(p, &argv));
-            let want = shown(slow.map(BcValue::V));
+            let want = reference(&image, p, &args);
             assert_eq!(got, want, "{p:?}");
             overflows += usize::from(want.is_err_and(|e| e.contains("fixnum overflow")));
         }
         // +, -, *: six of the 25 fixnum pairs overflow under each.
         assert_eq!(overflows, 18);
-        // zerop: 5 fixnums; not, null: 10 plain values each; cons: 10 × 10
+        // zerop: 5 fixnums; not, null: 11 plain values each; cons: 11 × 11
         // plain pairs; +, -, *: 25 fixnum pairs each less the overflows;
         // =, <, >: 25 fixnum pairs each.
-        assert_eq!(open, 5 + 20 + 100 + (75 - 18) + 75);
+        assert_eq!(open, 5 + 22 + 121 + (75 - 18) + 75);
+
+        // The generic ops, as `exec` runs them.
+        type OpFn = fn(&mut State, &Image) -> Result<(), BcTrap>;
+        let ops: [(Prim, usize, OpFn); 7] = [
+            (Prim::Add, 2, |st, im| st.arith(im, Prim::Add)),
+            (Prim::Sub, 2, |st, im| st.arith(im, Prim::Sub)),
+            (Prim::Mul, 2, |st, im| st.arith(im, Prim::Mul)),
+            (Prim::Div, 2, |st, im| st.arith(im, Prim::Div)),
+            (Prim::OnePlus, 1, |st, im| {
+                st.step(im, Prim::OnePlus, Prim::Add)
+            }),
+            (Prim::OneMinus, 1, |st, im| {
+                st.step(im, Prim::OneMinus, Prim::Sub)
+            }),
+            (Prim::Cons, 2, State::cons),
+        ];
+        let tests = [
+            Prim::Zerop,
+            Prim::Eq,
+            Prim::NumEq,
+            Prim::NumNe,
+            Prim::Lt,
+            Prim::Gt,
+            Prim::Le,
+            Prim::Ge,
+        ];
+        let tuples = |arity: usize| -> Vec<Vec<BcValue>> {
+            if arity == 1 {
+                return operands.iter().map(|x| vec![x.clone()]).collect();
+            }
+            operands
+                .iter()
+                .flat_map(|x| operands.iter().map(|y| vec![x.clone(), y.clone()]))
+                .collect()
+        };
+        let mut errors = 0;
+        for (p, arity, op) in ops {
+            for args in tuples(arity) {
+                st.stack.clone_from(&args);
+                let got = shown(op(&mut st, &image).and_then(|()| st.pop()));
+                assert!(st.stack.is_empty(), "{p:?}: operands left behind");
+                let want = reference(&image, p, &args);
+                assert_eq!(got, want, "{p:?} op on {args:?}");
+                errors += usize::from(want.is_err());
+            }
+        }
+        for p in tests {
+            let arity = if p == Prim::Zerop { 1 } else { 2 };
+            for args in tuples(arity) {
+                st.stack.clone_from(&args);
+                let got = shown(st.test(&image, p).map(|b| image.bool_value(b)));
+                assert!(st.stack.is_empty(), "{p:?}: operands left behind");
+                let want = reference(&image, p, &args);
+                assert_eq!(got, want, "{p:?} test on {args:?}");
+                errors += usize::from(want.is_err());
+            }
+        }
+        // Every error path is reached: overflows, a zero divisor, NaN,
+        // non-numbers.
+        assert!(errors > 500, "{errors}");
     }
 }

@@ -19,16 +19,16 @@
 //! The machine-dependent annotations drive layout here exactly as they
 //! drive S-1 code generation: `binding` allocation decides whether a
 //! variable lives in a plain frame slot, a heap value cell (captured by
-//! closures), or on the special stack, and the representation
-//! analysis's lowering decisions select fused numeric opcodes.
+//! closures), or on the special stack, and tests compile to jumps as
+//! the S-1 code generator compiles them.
 //!
 //! Primitive semantics are *shared*, not reimplemented: the evaluator
 //! resolves each global name against the primitive table once, at link
 //! time, and dispatches primitive calls on their number through
 //! [`s1lisp_interp::call_builtin`], so both backends answer to the
-//! same reference definition of every primitive; the few calls it
-//! open-codes for fixnums and conses must return exactly what that
-//! definition returns.
+//! same reference definition of every primitive; the few calls and ops
+//! it answers in line for fixnums and conses must return exactly what
+//! that definition returns.
 
 #![warn(missing_docs)]
 
@@ -127,16 +127,26 @@ pub enum Op {
     CropKeep = 34,
     /// Push the global function value named by pool entry `a`.
     GlobalFn = 35,
-    /// Fused generic `+` (fixnum fast path, builtin fallback).
-    AddNum = 36,
-    /// Fused generic `-`.
-    SubNum = 37,
-    /// Fused generic `*`.
-    MulNum = 38,
-    /// Fused generic `<`.
-    LtNum = 39,
-    /// Fused generic `=`.
-    NumEq = 40,
+    /// Generic `+` of the top two operands (fixnums in line, every
+    /// other operand through the shared builtin).
+    Add = 36,
+    /// Generic two-argument `-`.
+    Sub = 37,
+    /// Generic `*`.
+    Mul = 38,
+    /// Generic two-argument `/`.
+    Div = 39,
+    /// Generic `1+`.
+    Inc = 40,
+    /// Generic `1-`.
+    Dec = 41,
+    /// `cons` of the top two operands.
+    Cons = 42,
+    /// Pop the operands of the test primitive numbered `b` (`zerop`,
+    /// `eq` or a two-argument comparison); jump to `a` if it fails.
+    TestNil = 43,
+    /// As [`Op::TestNil`], but jump to `a` if the test holds.
+    TestTrue = 44,
 }
 
 impl Op {
@@ -179,11 +189,15 @@ impl Op {
             Op::Crop => "crop",
             Op::CropKeep => "crop.keep",
             Op::GlobalFn => "global.fn",
-            Op::AddNum => "add",
-            Op::SubNum => "sub",
-            Op::MulNum => "mul",
-            Op::LtNum => "lt",
-            Op::NumEq => "numeq",
+            Op::Add => "add",
+            Op::Sub => "sub",
+            Op::Mul => "mul",
+            Op::Div => "div",
+            Op::Inc => "inc",
+            Op::Dec => "dec",
+            Op::Cons => "cons",
+            Op::TestNil => "test.nil",
+            Op::TestTrue => "test.t",
         }
     }
 
@@ -225,11 +239,15 @@ impl Op {
             Op::Crop,
             Op::CropKeep,
             Op::GlobalFn,
-            Op::AddNum,
-            Op::SubNum,
-            Op::MulNum,
-            Op::LtNum,
-            Op::NumEq,
+            Op::Add,
+            Op::Sub,
+            Op::Mul,
+            Op::Div,
+            Op::Inc,
+            Op::Dec,
+            Op::Cons,
+            Op::TestNil,
+            Op::TestTrue,
         ];
         ALL.get(b as usize).copied()
     }

@@ -84,13 +84,7 @@ fn loopn_runs_in_constant_frames() {
 
 #[test]
 fn tak_agrees() {
-    let src = "(defun tak (x y z)
-      (if (not (< y x))
-          z
-          (tak (tak (- x 1) y z)
-               (tak (- y 1) z x)
-               (tak (- z 1) x y))))";
-    assert_eq!(agree(src, "tak", &[fx(10), fx(6), fx(3)]), "4");
+    assert_eq!(agree(TAK, "tak", &[fx(10), fx(6), fx(3)]), "4");
 }
 
 #[test]
@@ -279,21 +273,40 @@ fn arity_errors_trap_on_both_engines() {
     assert_eq!(agree(src, "two", &[fx(1), fx(2), fx(3)]), "trap");
 }
 
+const TAK: &str = "(defun tak (x y z)
+  (if (not (< y x))
+      z
+      (tak (tak (- x 1) y z)
+           (tak (- y 1) z x)
+           (tak (- z 1) x y))))";
+
 #[test]
-fn listing_reflects_fused_arithmetic() {
-    // `tak` is all fixnum compares and decrements; representation
-    // analysis lowers them, so the listing must show fused opcodes
-    // rather than generic calls.
-    let src = "(defun dec (x) (declare (fixnum x)) (- x 1))";
-    let (eval, _) = build(src);
-    let listing = eval.module().listing("dec").expect("listing");
-    assert!(listing.contains("(sub"), "expected fused `-`:\n{listing}");
+fn listing_compiles_tests_as_jumps() {
+    // E3 on the bytecode: undeclared tak calls none of `<`, `not` or
+    // `-`, and `(if (not (< y x)) …)` is one compare-and-branch op.
+    let (eval, _) = build(TAK);
+    let listing = eval.module().listing("tak").expect("listing");
+    let consts = listing.lines().nth(1).expect("consts line");
+    for op in ["<", "not", "-"] {
+        assert!(
+            !consts
+                .split_whitespace()
+                .any(|c| c.trim_end_matches(')') == op),
+            "tak still calls {op}:\n{listing}"
+        );
+    }
+    let code: Vec<&str> = listing.lines().skip(2).collect();
+    assert!(code[0].contains("(load 1 0)"), "{listing}");
+    assert!(code[1].contains("(load 0 0)"), "{listing}");
+    assert!(code[2].contains("(test.t "), "{listing}");
+    assert_eq!(code.iter().filter(|l| l.contains("(sub ")).count(), 3);
 }
 
 #[test]
 fn gc_stress_allocation_churn() {
-    // `build-list` is *not* tail recursive, and the interpreter caps
-    // call depth at 150 — stay under it so both engines run it out.
+    // `build-list` is tail recursive, and its self tail call reuses its
+    // frame.  The interpreter caps call depth at 150, so the shared run
+    // stays under it; the bytecode alone then builds a longer list.
     let src = "(defun build-list (n acc)
       (if (zerop n) acc (build-list (- n 1) (cons n acc))))
     (defun gc-stress (m)
@@ -304,6 +317,39 @@ fn gc_stress_allocation_churn() {
         (setq m (- m 1))
         (go top)))";
     assert_eq!(agree(src, "gc-stress", &[fx(20)]), "done");
+    let (mut eval, _) = build(src);
+    let v = eval
+        .run("build-list", &[fx(2_000), Value::Nil])
+        .expect("build-list");
+    assert!(v.to_string().starts_with("(1 2 3 "));
+}
+
+#[test]
+fn self_tail_calls_off_the_fast_path_bind_as_before() {
+    // The wrong argument count still traps, on both engines.
+    let src = "(defun short (n) (if (zerop n) 'done (short)))
+    (defun long (n) (if (zerop n) 'done (long (- n 1) n)))";
+    assert_eq!(agree(src, "short", &[fx(1)]), "trap");
+    assert_eq!(agree(src, "long", &[fx(1)]), "trap");
+    assert_eq!(agree(src, "short", &[fx(0)]), "done");
+    // Optional parameters default afresh on each self call, and a rest
+    // parameter collects afresh.
+    let src = "(defun opt (n &optional (acc n) (k 'unset))
+      (if (zerop n) (list acc k) (opt (- n 1) (+ acc n))))
+    (defun opt-all (n &optional (acc 0))
+      (if (zerop n) acc (opt-all (- n 1) (+ acc n))))
+    (defun opt-one (n &optional (acc 100))
+      (if (zerop n) acc (opt-one (- n 1))))
+    (defun rst (n &rest r)
+      (if (zerop n) r (rst (- n 1) n r)))";
+    assert_eq!(agree(src, "opt", &[fx(3)]), "(9 unset)");
+    assert_eq!(agree(src, "opt-all", &[fx(4)]), "10");
+    assert_eq!(agree(src, "opt-one", &[fx(3), fx(7)]), "100");
+    assert_eq!(agree(src, "rst", &[fx(2)]), "(1 (2 ()))");
+    // A closure's self call by name reaches the global, not the closure.
+    let src =
+        "(defun outer (n) (let ((f (lambda (k) (if (zerop k) n (outer (- k 1)))))) (funcall f n)))";
+    assert_eq!(agree(src, "outer", &[fx(3)]), "0");
 }
 
 #[test]

@@ -680,6 +680,7 @@ impl<'a> Gen<'a> {
             let ok = self.asm.label();
             self.asm.push(Insn::JmpIf {
                 cond: Cond::Eq,
+                prim: Cond::Eq.prim(),
                 a: Operand::Reg(Reg::RTA),
                 b: Operand::Const(Word::Raw(i64::from(req))),
                 target: ok,
@@ -700,6 +701,7 @@ impl<'a> Gen<'a> {
             if let Some(listify) = listify {
                 self.asm.push(Insn::JmpIf {
                     cond: Cond::Ge,
+                    prim: Cond::Ge.prim(),
                     a: Operand::Reg(Reg::RTA),
                     b: Operand::Const(Word::Raw(i64::from(maxp))),
                     target: listify,
@@ -2071,7 +2073,7 @@ impl<'a> Gen<'a> {
             Some(Prim::Ge) => Some(Cond::Ge),
             _ => None,
         };
-        if let (Some(c), [a, b]) = (cond, args) {
+        if let (Some(c), Some(p), [a, b]) = (cond, prim, args) {
             let va = self.gen(*a)?;
             let va = if self.sibling_unsafe(*b) {
                 self.protect(va)
@@ -2081,6 +2083,7 @@ impl<'a> Gen<'a> {
             let vb = self.gen(*b)?;
             self.asm.push(Insn::JmpIf {
                 cond: c,
+                prim: p,
                 a: va.op,
                 b: vb.op,
                 target: tl,
@@ -2095,6 +2098,7 @@ impl<'a> Gen<'a> {
                 let v = self.gen(*x)?;
                 self.asm.push(Insn::JmpIf {
                     cond: Cond::Eq,
+                    prim: Prim::Zerop,
                     a: v.op,
                     b: Operand::fixnum(0),
                     target: tl,
@@ -2455,12 +2459,14 @@ impl<'a> Gen<'a> {
             });
             self.asm.push(Insn::JmpIf {
                 cond: Cond::Lt,
+                prim: Cond::Lt.prim(),
                 a: idx.op,
                 b: Operand::fixnum(0),
                 target: default_l,
             });
             self.asm.push(Insn::JmpIf {
                 cond: Cond::Ge,
+                prim: Cond::Ge.prim(),
                 a: idx.op,
                 b: Operand::fixnum(plan.span),
                 target: default_l,

@@ -117,8 +117,11 @@ pub fn tension_branches(code: &mut s1lisp_s1sim::FuncCode) -> Tensioned {
             continue;
         }
         let inverse = match code.insns[i] {
-            Insn::JmpIf { cond, a, b, .. } => Insn::JmpIf {
+            Insn::JmpIf {
+                cond, prim, a, b, ..
+            } => Insn::JmpIf {
                 cond: cond.negate(),
+                prim,
                 a,
                 b,
                 target: over,
@@ -199,6 +202,7 @@ impl Default for CodegenOptions {
 
 #[cfg(test)]
 mod tension_tests {
+    use s1lisp_ast::Prim;
     use s1lisp_interp::Value;
     use s1lisp_s1sim::{Asm, Cond, FuncCode, Insn, Machine, Operand, Program, Reg, Word};
 
@@ -290,6 +294,7 @@ mod tension_tests {
         });
         a.push(Insn::JmpIf {
             cond: Cond::Eq,
+            prim: Prim::Zerop,
             a: Operand::arg(0),
             b: Operand::fixnum(0),
             target: x,
@@ -312,6 +317,7 @@ mod tension_tests {
             code.insns[1],
             Insn::JmpIf {
                 cond: Cond::Ne,
+                prim: Prim::Zerop,
                 a: Operand::arg(0),
                 b: Operand::fixnum(0),
                 target: y,

@@ -117,7 +117,9 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
         I::FloatIt { dst, src } => format!("(FLOAT {} {})", o(dst), o(src)),
         I::FixIt { dst, src } => format!("(FIX {} {})", o(dst), o(src)),
         I::Jmp { target } => format!("(JMPA () L{target:04})"),
-        I::JmpIf { cond, a, b, target } => {
+        I::JmpIf {
+            cond, a, b, target, ..
+        } => {
             format!("((JMPZ {cond:?}) {} {} L{target:04})", o(a), o(b))
         }
         I::JmpNil { src, target } => format!("((JMPNIL) {} L{target:04})", o(src)),

@@ -65,7 +65,7 @@ use s1lisp_trace::NullSink;
 /// can change with no option flag changing (primop table edits, cost
 /// model tweaks, encoding changes), so stale disk-cache entries from
 /// older builds become unreachable instead of wrong.
-pub const CACHE_SCHEMA_VERSION: u32 = 5;
+pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
 /// One compiled function's artifacts.
 #[derive(Debug, Clone)]

@@ -161,15 +161,15 @@ pub enum Cond {
 }
 
 impl Cond {
-    /// The comparison routine that tests the condition.
-    pub fn name(self) -> &'static str {
+    /// The comparison row that tests the condition.
+    pub fn prim(self) -> Prim {
         match self {
-            Cond::Eq => "=",
-            Cond::Ne => "/=",
-            Cond::Lt => "<",
-            Cond::Le => "<=",
-            Cond::Gt => ">",
-            Cond::Ge => ">=",
+            Cond::Eq => Prim::NumEq,
+            Cond::Ne => Prim::NumNe,
+            Cond::Lt => Prim::Lt,
+            Cond::Le => Prim::Le,
+            Cond::Gt => Prim::Gt,
+            Cond::Ge => Prim::Ge,
         }
     }
 
@@ -440,6 +440,9 @@ pub enum Insn {
     JmpIf {
         /// The condition.
         cond: Cond,
+        /// The source row the test compiles (`zerop`, `<`, …), whose
+        /// name a trap carries; inverting `cond` leaves it as it is.
+        prim: Prim,
         /// Left operand.
         a: Operand,
         /// Right operand.
@@ -991,6 +994,13 @@ impl Insn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Code is a vector of instructions; carrying the source row in
+    /// `JmpIf` must not make every instruction larger.
+    #[test]
+    fn an_instruction_stays_56_bytes() {
+        assert_eq!(std::mem::size_of::<Insn>(), 56);
+    }
 
     #[test]
     fn register_names() {

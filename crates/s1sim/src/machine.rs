@@ -691,12 +691,18 @@ impl Machine {
                 Ok(Step::Next)
             }
             Insn::Jmp { target } => Ok(Step::Jump(target)),
-            Insn::JmpIf { cond, a, b, target } => {
+            Insn::JmpIf {
+                cond,
+                prim,
+                a,
+                b,
+                target,
+            } => {
                 let integers = (self.peek(a).and_then(Word::as_integer))
                     .zip(self.peek(b).and_then(Word::as_integer));
                 let taken = match integers {
                     Some((x, y)) => cond.holds(x.cmp(&y)),
-                    None => self.compare(fnid, cond, a, b)?,
+                    None => self.compare(fnid, cond, prim, a, b)?,
                 };
                 Ok(if taken {
                     Step::Jump(target)
@@ -1504,9 +1510,17 @@ impl Machine {
     /// numbers (fixnums, raw integers and raw floats, in any mix) are
     /// ordered in line by the shared `num::order`; a boxed flonum, a
     /// non-number or a NaN leaves that case for `runtime::num_compare`,
-    /// charged as a two-argument routine.
+    /// charged as a two-argument routine, whose errors name the source
+    /// row `prim`.
     #[inline(never)]
-    fn compare(&mut self, fnid: u32, cond: Cond, a: Operand, b: Operand) -> Result<bool, Trap> {
+    fn compare(
+        &mut self,
+        fnid: u32,
+        cond: Cond,
+        prim: Prim,
+        a: Operand,
+        b: Operand,
+    ) -> Result<bool, Trap> {
         let x = self.read(a)?;
         let y = self.read(b)?;
         let unboxed = |w: Word| match w {
@@ -1520,7 +1534,7 @@ impl Machine {
             Some(ord) => ord,
             None => {
                 self.charge_rt_call(fnid, 2);
-                runtime::num_compare(self, x, y, cond.name())?
+                runtime::num_compare(self, x, y, prim.name())?
             }
         };
         Ok(cond.holds(ord))
@@ -1637,6 +1651,49 @@ mod tests {
         Value::Fixnum(n)
     }
 
+    /// A read-back keeps the heap's sharing: `(cons x x)` comes back as
+    /// one host cons in both fields, and a DAG of 64 such levels (2^64
+    /// conses as a tree) comes back at once.  A circular list is still
+    /// refused.
+    #[test]
+    fn extract_keeps_sharing_and_refuses_cycles() {
+        let mut m = Machine::new(Program::new());
+        let cons =
+            |m: &mut Machine, a: Word, d: Word| match runtime::rt_call(m, Prim::Cons, &[a, d]) {
+                Ok(runtime::RtResult::Value(w)) => w,
+                _ => panic!("cons failed"),
+            };
+        let x = m.inject(&Value::list([fx(1), fx(2)])).unwrap();
+        let pair = cons(&mut m, x, x);
+        let v = m.extract(pair).unwrap();
+        assert_eq!(v.to_string(), "((1 2) 1 2)");
+        let Value::Cons(cell) = &v else { panic!("{v}") };
+        let (Value::Cons(a), Value::Cons(d)) = (&*cell.car.borrow(), &*cell.cdr.borrow()) else {
+            panic!("{v}")
+        };
+        assert!(std::rc::Rc::ptr_eq(a, d));
+
+        let mut dag = x;
+        for _ in 0..64 {
+            dag = cons(&mut m, dag, dag);
+        }
+        assert!(matches!(m.extract(dag), Ok(Value::Cons(_))));
+
+        // The refusal comes 100 000 levels down: past a test thread's
+        // stack.
+        let last = runtime::cdr(&m, x).unwrap();
+        runtime::rt_call(&mut m, Prim::Rplacd, &[last, x]).unwrap();
+        let err = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(1 << 29)
+                .spawn_scoped(s, || m.extract(x).unwrap_err().to_string())
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+        assert!(err.contains("circular"), "{err}");
+    }
+
     /// ((1+ x)) hand-assembled.
     #[test]
     fn simple_add_function() {
@@ -1738,6 +1795,7 @@ mod tests {
         let done = a.label();
         a.push(Insn::JmpIf {
             cond: Cond::Eq,
+            prim: Prim::Zerop,
             a: Operand::arg(0),
             b: Operand::fixnum(0),
             target: done,
@@ -2084,16 +2142,18 @@ mod tests {
             for &a in &words {
                 for &b in &words {
                     let before = m.stats.insns;
-                    let fast = m.compare(0, cond, Operand::Const(a), Operand::Const(b));
+                    let fast =
+                        m.compare(0, cond, cond.prim(), Operand::Const(a), Operand::Const(b));
                     let charged = m.stats.insns - before;
-                    let slow = runtime::num_compare(&m, a, b, cond.name()).map(|o| match cond {
-                        Cond::Eq => o == Equal,
-                        Cond::Ne => o != Equal,
-                        Cond::Lt => o == Less,
-                        Cond::Le => o != Greater,
-                        Cond::Gt => o == Greater,
-                        Cond::Ge => o != Less,
-                    });
+                    let slow =
+                        runtime::num_compare(&m, a, b, cond.prim().name()).map(|o| match cond {
+                            Cond::Eq => o == Equal,
+                            Cond::Ne => o != Equal,
+                            Cond::Lt => o == Less,
+                            Cond::Le => o != Greater,
+                            Cond::Gt => o == Greater,
+                            Cond::Ge => o != Less,
+                        });
                     assert_eq!(fast, slow, "{cond:?} {a} {b}");
                     let unboxed = |w: Word| w.as_integer().is_some() || w.as_float().is_some();
                     let in_line = unboxed(a) && unboxed(b) && slow.is_ok();
@@ -2348,6 +2408,7 @@ mod new_insn_tests {
             let yes = t.label();
             t.push(Insn::JmpIf {
                 cond,
+                prim: cond.prim(),
                 a: Operand::arg(0),
                 b: Operand::arg(1),
                 target: yes,

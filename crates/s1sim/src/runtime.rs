@@ -19,6 +19,8 @@
 //! traps: a zero divisor as `DivisionByZero`, anything else as a
 //! `WrongType` with the interpreter's message.
 
+use std::collections::HashMap;
+
 use s1lisp_ast::num::{self, Answer, Num, NumError};
 use s1lisp_ast::Prim;
 use s1lisp_interp::Value;
@@ -475,16 +477,22 @@ pub(crate) fn extract(m: &Machine, w: Word) -> Result<Value, Trap> {
         m,
         names: Interner::new(),
         by_id: Vec::new(),
+        conses: HashMap::new(),
     }
     .value(w, 0)
 }
 
 /// One read-back: its symbols are made once per symbol id (and `t`
-/// once), however often they occur in the structure.
+/// once), however often they occur in the structure, and each heap cons
+/// becomes one host cons, so shared structure stays shared and a DAG
+/// is read in time linear in its size.  A cons is recorded only once
+/// both its fields are read, so a cycle still runs into the depth
+/// refusal.
 struct ReadBack<'m> {
     m: &'m Machine,
     names: Interner,
     by_id: Vec<Option<Symbol>>,
+    conses: HashMap<u64, Value>,
 }
 
 impl ReadBack<'_> {
@@ -534,10 +542,17 @@ impl ReadBack<'_> {
             Word::Ptr(Tag::Char, c) => {
                 Value::Char(char::from_u32(c as u32).ok_or_else(|| wrong("bad character"))?)
             }
-            Word::Ptr(Tag::Cons, addr) => Value::cons(
-                self.value(m.read_mem(addr)?, depth + 1)?,
-                self.value(m.read_mem(addr + 1)?, depth + 1)?,
-            ),
+            Word::Ptr(Tag::Cons, addr) => {
+                if let Some(v) = self.conses.get(&addr) {
+                    return Ok(v.clone());
+                }
+                let v = Value::cons(
+                    self.value(m.read_mem(addr)?, depth + 1)?,
+                    self.value(m.read_mem(addr + 1)?, depth + 1)?,
+                );
+                self.conses.insert(addr, v.clone());
+                v
+            }
             Word::Ptr(Tag::Function, id) => {
                 let name = m
                     .program
