@@ -503,7 +503,9 @@ fn e9() -> String {
 
 /// The Horner loop written directly in S-1 assembly (best-possible code).
 pub fn hand_horner(n: i64) -> (Value, u64) {
-    use s1lisp_s1sim::{Asm, CallTarget, Cond, Insn, Machine, Operand, Program, Reg};
+    use s1lisp_s1sim::{
+        Asm, CallTarget, Cond, FloatOp, Insn, IntOp, Machine, Operand, Program, Reg,
+    };
     let mut asm = Asm::new("hand", 1);
     // R9 = acc, R10 = x, R11 = n (raw), all registers.
     asm.push(Insn::Mov {
@@ -528,47 +530,56 @@ pub fn hand_horner(n: i64) -> (Value, u64) {
         target: done,
     });
     // horner: ((1.0*x - 2.0)*x + 3.0)*x - 4.0, accumulated.
-    asm.push(Insn::FMult {
+    asm.push(Insn::Float {
+        op: FloatOp::Mult,
         dst: Operand::Reg(Reg::RTA),
         a: Operand::Reg(Reg(10)),
         b: Operand::float(1.0),
     });
-    asm.push(Insn::FAdd {
+    asm.push(Insn::Float {
+        op: FloatOp::Add,
         dst: Operand::Reg(Reg::RTA),
         a: Operand::Reg(Reg::RTA),
         b: Operand::float(-2.0),
     });
-    asm.push(Insn::FMult {
+    asm.push(Insn::Float {
+        op: FloatOp::Mult,
         dst: Operand::Reg(Reg::RTA),
         a: Operand::Reg(Reg::RTA),
         b: Operand::Reg(Reg(10)),
     });
-    asm.push(Insn::FAdd {
+    asm.push(Insn::Float {
+        op: FloatOp::Add,
         dst: Operand::Reg(Reg::RTA),
         a: Operand::Reg(Reg::RTA),
         b: Operand::float(3.0),
     });
-    asm.push(Insn::FMult {
+    asm.push(Insn::Float {
+        op: FloatOp::Mult,
         dst: Operand::Reg(Reg::RTA),
         a: Operand::Reg(Reg::RTA),
         b: Operand::Reg(Reg(10)),
     });
-    asm.push(Insn::FAdd {
+    asm.push(Insn::Float {
+        op: FloatOp::Add,
         dst: Operand::Reg(Reg::RTA),
         a: Operand::Reg(Reg::RTA),
         b: Operand::float(-4.0),
     });
-    asm.push(Insn::FAdd {
+    asm.push(Insn::Float {
+        op: FloatOp::Add,
         dst: Operand::Reg(Reg(9)),
         a: Operand::Reg(Reg(9)),
         b: Operand::Reg(Reg::RTA),
     });
-    asm.push(Insn::FAdd {
+    asm.push(Insn::Float {
+        op: FloatOp::Add,
         dst: Operand::Reg(Reg(10)),
         a: Operand::Reg(Reg(10)),
         b: Operand::float(0.001),
     });
-    asm.push(Insn::Sub {
+    asm.push(Insn::Int {
+        op: IntOp::Sub,
         dst: Operand::Reg(Reg(11)),
         a: Operand::Reg(Reg(11)),
         b: Operand::fixnum(1),

@@ -319,7 +319,7 @@ fn gc_stress_allocation_churn() {
     assert_eq!(agree(src, "gc-stress", &[fx(20)]), "done");
     let (mut eval, _) = build(src);
     let v = eval
-        .run("build-list", &[fx(2_000), Value::Nil])
+        .run("build-list", &[fx(100_000), Value::Nil])
         .expect("build-list");
     assert!(v.to_string().starts_with("(1 2 3 "));
 }

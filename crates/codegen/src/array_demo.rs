@@ -25,7 +25,9 @@
 //! array base addresses preloaded in registers R16 (A), R17 (B), R18 (C),
 //! R19 (Z); the scalar `d` in R20 as a raw float.
 
-use s1lisp_s1sim::{Asm, FuncCode, Insn, Machine, Operand, Program, Reg, Trap, Value, Word};
+use s1lisp_s1sim::{
+    Asm, FloatOp, FuncCode, Insn, IntOp, Machine, Operand, Program, Reg, Trap, Value, Word,
+};
 use s1lisp_tnbind::{pack, pack_naive, Location, PackRequest, TnPool};
 
 /// Base-address register conventions for the demo.
@@ -158,10 +160,10 @@ pub fn compile_statement(stmt: Statement, alloc: Allocator, name: &str) -> (Func
             });
         }
     };
-    let mult = |d: Operand, a: Operand, b: Operand| Insn::Mult { dst: d, a, b };
-    let add = |d: Operand, a: Operand, b: Operand| Insn::Add { dst: d, a, b };
-    let fmult = |d: Operand, a: Operand, b: Operand| Insn::FMult { dst: d, a, b };
-    let fadd = |d: Operand, a: Operand, b: Operand| Insn::FAdd { dst: d, a, b };
+    let int = |op: IntOp| move |dst, a, b| Insn::Int { op, dst, a, b };
+    let float = |op: FloatOp| move |dst, a, b| Insn::Float { op, dst, a, b };
+    let (mult, add) = (int(IntOp::Mult), int(IntOp::Add));
+    let (fmult, fadd) = (float(FloatOp::Mult), float(FloatOp::Add));
     // Element operand: base register indexed by wherever the subscript
     // landed.
     let elem = |base: Reg, sub: Operand| match sub {
@@ -324,7 +326,8 @@ mod tests {
         let uses_idxmem = code.insns.iter().any(|i| {
             matches!(
                 i,
-                Insn::FAdd {
+                Insn::Float {
+                    op: FloatOp::Add,
                     dst: Operand::IdxMem { .. },
                     ..
                 }

@@ -10,7 +10,8 @@ use s1lisp_ast::{
 use s1lisp_interp::Const;
 use s1lisp_reader::{Datum, Symbol};
 use s1lisp_s1sim::{
-    Asm, CallTarget, Cond, FuncCode, Insn, Label, Operand, Program, Reg, Tag, Word,
+    Asm, CallTarget, Cond, FloatOp, FloatUnOp, FuncCode, Insn, IntOp, Label, Operand, Program, Reg,
+    Tag, Word,
 };
 use s1lisp_tnbind::{pack, Location, PackRequest, TnId, TnPool};
 use s1lisp_trace::{NullSink, TraceSink};
@@ -1632,31 +1633,17 @@ impl<'a> Gen<'a> {
     /// A generic arithmetic call deduced to be all-float (the type
     /// inference extension): compile with the float instructions.
     fn inline_lowered_generic(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
-        // Unary transcendentals first.
-        if let (Prim::Sqrt | Prim::Exp | Prim::Log | Prim::Atan, [x]) = (prim, args) {
-            let v = self.gen_into(*x, Rep::Swflo)?;
-            let dst = self.alloc_place();
-            let insn = match prim {
-                Prim::Sqrt => Insn::FSqrt {
-                    dst: dst.op,
-                    src: v.op,
-                },
-                Prim::Exp => Insn::FExp {
-                    dst: dst.op,
-                    src: v.op,
-                },
-                Prim::Log => Insn::FLog {
-                    dst: dst.op,
-                    src: v.op,
-                },
-                _ => Insn::FAtan {
-                    dst: dst.op,
-                    src: v.op,
-                },
-            };
-            self.asm.push(insn);
-            self.release(v);
-            return Ok(Some(dst));
+        let unary = match prim {
+            Prim::Sqrt => Some(FloatUnOp::Sqrt),
+            Prim::Exp => Some(FloatUnOp::Exp),
+            Prim::Log => Some(FloatUnOp::Log),
+            Prim::Atan => Some(FloatUnOp::Atan),
+            Prim::Sub => Some(FloatUnOp::Neg),
+            _ => None,
+        };
+        if let (Some(op), [x]) = (unary, args) {
+            let insn = |dst, src| Insn::FloatUn { op, dst, src };
+            return self.emit_unary(*x, Rep::Swflo, insn).map(Some);
         }
         let op = match prim {
             Prim::Add | Prim::OnePlus => FloatOp::Add,
@@ -1667,45 +1654,22 @@ impl<'a> Gen<'a> {
             Prim::Min => FloatOp::Min,
             _ => return Ok(None),
         };
+        let insn = |dst, a, b| Insn::Float { op, dst, a, b };
+        let one = Val::con(Word::F(1.0));
         match (prim, args) {
             (Prim::OnePlus | Prim::OneMinus, [x]) => {
                 let v = self.gen_into(*x, Rep::Swflo)?;
-                let one = Val::con(Word::F(1.0));
-                Ok(Some(self.emit_float(op, v, one)))
-            }
-            (Prim::Sub, [x]) => {
-                let v = self.gen_into(*x, Rep::Swflo)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::FNeg {
-                    dst: dst.op,
-                    src: v.op,
-                });
-                self.release(v);
-                Ok(Some(dst))
+                Ok(Some(self.emit_binary(insn, v, one)))
             }
             (Prim::Div, [x]) => {
                 let v = self.gen_into(*x, Rep::Swflo)?;
-                Ok(Some(self.emit_float(
-                    FloatOp::Div,
-                    Val::con(Word::F(1.0)),
-                    v,
-                )))
+                Ok(Some(self.emit_binary(insn, one, v)))
             }
+            // Single-operand identity-ish forms.
             (Prim::Add | Prim::Mul | Prim::Max | Prim::Min, [x]) => {
-                // Single-operand identity-ish forms.
                 Ok(Some(self.gen_into(*x, Rep::Swflo)?))
             }
-            (_, [first, rest @ ..]) if !rest.is_empty() => {
-                let mut acc = self.gen_into(*first, Rep::Swflo)?;
-                for &b in rest {
-                    if self.sibling_unsafe(b) {
-                        acc = self.protect(acc);
-                    }
-                    let vb = self.gen_into(b, Rep::Swflo)?;
-                    acc = self.emit_float(op, acc, vb);
-                }
-                Ok(Some(acc))
-            }
+            (_, [_, _, ..]) => self.emit_chain(args, Rep::Swflo, insn).map(Some),
             _ => Ok(None),
         }
     }
@@ -1720,31 +1684,22 @@ impl<'a> Gen<'a> {
         }
         match (prim, args) {
             (Prim::OnePlus | Prim::OneMinus, [x]) => {
-                let v = self.gen_into(*x, Rep::Pointer)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::Generic {
-                    prim,
-                    dst: dst.op,
-                    a: v.op,
-                    b: None,
-                });
-                self.release(v);
-                Ok(Some(dst))
-            }
-            (Prim::Add | Prim::Sub | Prim::Mul | Prim::Div, [x, y]) => {
-                let mut a = self.gen_into(*x, Rep::Pointer)?;
-                if self.sibling_unsafe(*y) {
-                    a = self.protect(a);
-                }
-                let b = self.gen_into(*y, Rep::Pointer)?;
-                let (dst, a) = self.arith_dst(a, b.op);
-                self.asm.push(Insn::Generic {
+                let insn = |dst, a| Insn::Generic {
                     prim,
                     dst,
-                    a: a.op,
-                    b: Some(b.op),
-                });
-                Ok(Some(self.finish_arith(dst, a, b)))
+                    a,
+                    b: None,
+                };
+                self.emit_unary(*x, Rep::Pointer, insn).map(Some)
+            }
+            (Prim::Add | Prim::Sub | Prim::Mul | Prim::Div, [_, _]) => {
+                let insn = |dst, a, b| Insn::Generic {
+                    prim,
+                    dst,
+                    a,
+                    b: Some(b),
+                };
+                self.emit_chain(args, Rep::Pointer, insn).map(Some)
             }
             _ => Ok(None),
         }
@@ -1752,6 +1707,20 @@ impl<'a> Gen<'a> {
 
     /// Typed arithmetic, inline (the payoff of representation analysis).
     fn try_inline_typed(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
+        let unary = match prim {
+            Prim::SubF => Some(FloatUnOp::Neg),
+            Prim::SincF => Some(FloatUnOp::Sin),
+            Prim::CoscF => Some(FloatUnOp::Cos),
+            Prim::SqrtF => Some(FloatUnOp::Sqrt),
+            _ => None,
+        };
+        if let (Some(op), [x]) = (unary, args) {
+            let insn = |dst, src| Insn::FloatUn { op, dst, src };
+            return self.emit_unary(*x, Rep::Swflo, insn).map(Some);
+        }
+        if args.len() < 2 {
+            return Ok(None);
+        }
         let float_op = match prim {
             Prim::AddF => Some(FloatOp::Add),
             Prim::SubF => Some(FloatOp::Sub),
@@ -1762,58 +1731,8 @@ impl<'a> Gen<'a> {
             _ => None,
         };
         if let Some(op) = float_op {
-            if args.len() == 1 && prim == Prim::SubF {
-                let v = self.gen_into(args[0], Rep::Swflo)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::FNeg {
-                    dst: dst.op,
-                    src: v.op,
-                });
-                self.release(v);
-                return Ok(Some(dst));
-            }
-            if args.len() < 2 {
-                return Ok(None);
-            }
-            let mut acc = self.gen_into(args[0], Rep::Swflo)?;
-            for &b in &args[1..] {
-                if self.sibling_unsafe(b) {
-                    acc = self.protect(acc);
-                }
-                let vb = self.gen_into(b, Rep::Swflo)?;
-                acc = self.emit_float(op, acc, vb);
-            }
-            return Ok(Some(acc));
-        }
-        let unary = match prim {
-            Prim::SincF => Some(UnFloat::Sin),
-            Prim::CoscF => Some(UnFloat::Cos),
-            Prim::SqrtF => Some(UnFloat::Sqrt),
-            _ => None,
-        };
-        if let Some(op) = unary {
-            if args.len() != 1 {
-                return Ok(None);
-            }
-            let v = self.gen_into(args[0], Rep::Swflo)?;
-            let dst = self.alloc_place();
-            let insn = match op {
-                UnFloat::Sin => Insn::FSin {
-                    dst: dst.op,
-                    src: v.op,
-                },
-                UnFloat::Cos => Insn::FCos {
-                    dst: dst.op,
-                    src: v.op,
-                },
-                UnFloat::Sqrt => Insn::FSqrt {
-                    dst: dst.op,
-                    src: v.op,
-                },
-            };
-            self.asm.push(insn);
-            self.release(v);
-            return Ok(Some(dst));
+            let insn = |dst, a, b| Insn::Float { op, dst, a, b };
+            return self.emit_chain(args, Rep::Swflo, insn).map(Some);
         }
         let int_op = match prim {
             Prim::AddI => Some(IntOp::Add),
@@ -1822,18 +1741,8 @@ impl<'a> Gen<'a> {
             _ => None,
         };
         if let Some(op) = int_op {
-            if args.len() < 2 {
-                return Ok(None);
-            }
-            let mut acc = self.gen_into(args[0], Rep::Pointer)?;
-            for &b in &args[1..] {
-                if self.sibling_unsafe(b) {
-                    acc = self.protect(acc);
-                }
-                let vb = self.gen_into(b, Rep::Pointer)?;
-                acc = self.emit_int(op, acc, vb);
-            }
-            return Ok(Some(acc));
+            let insn = |dst, a, b| Insn::Int { op, dst, a, b };
+            return self.emit_chain(args, Rep::Pointer, insn).map(Some);
         }
         Ok(None)
     }
@@ -1856,41 +1765,25 @@ impl<'a> Gen<'a> {
             (Prim::OnePlus | Prim::OneMinus, [x]) => {
                 // `GENERIC`, whose fixnum case is one instruction like
                 // `ADD`'s, so that an overflow traps as `1+`'s does.
-                let v = self.gen_into(*x, Rep::Pointer)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::Generic {
+                let insn = |dst, a| Insn::Generic {
                     prim,
-                    dst: dst.op,
-                    a: v.op,
+                    dst,
+                    a,
                     b: None,
-                });
-                self.release(v);
-                Ok(Some(dst))
+                };
+                self.emit_unary(*x, Rep::Pointer, insn).map(Some)
             }
             (Prim::Sub, [x]) => {
-                let v = self.gen_into(*x, Rep::Pointer)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::Neg {
-                    dst: dst.op,
-                    src: v.op,
-                });
-                self.release(v);
-                Ok(Some(dst))
+                let insn = |dst, src| Insn::Neg { dst, src };
+                self.emit_unary(*x, Rep::Pointer, insn).map(Some)
             }
-            (Prim::Floor | Prim::Mod | Prim::Rem, [_]) => Ok(None), // unary floor is identity via rt
-            (Prim::Div, [_]) => Ok(None),                           // (/ n) is a float reciprocal
             (Prim::Add | Prim::Mul, [x]) => Ok(Some(self.gen_into(*x, Rep::Pointer)?)),
-            (_, [first, rest @ ..]) if !rest.is_empty() => {
-                let mut acc = self.gen_into(*first, Rep::Pointer)?;
-                for &b in rest {
-                    if self.sibling_unsafe(b) {
-                        acc = self.protect(acc);
-                    }
-                    let vb = self.gen_into(b, Rep::Pointer)?;
-                    acc = self.emit_int(op, acc, vb);
-                }
-                Ok(Some(acc))
+            (_, [_, _, ..]) => {
+                let insn = |dst, a, b| Insn::Int { op, dst, a, b };
+                self.emit_chain(args, Rep::Pointer, insn).map(Some)
             }
+            // Unary `floor`, `mod` and `rem` go to the runtime; `(/ n)`
+            // is a float reciprocal.
             _ => Ok(None),
         }
     }
@@ -1920,88 +1813,52 @@ impl<'a> Gen<'a> {
         (dst.op, dst)
     }
 
-    fn emit_float(&mut self, op: FloatOp, a: Val, b: Val) -> Val {
-        let (dst, a_owned) = self.arith_dst(a, b.op);
-        let insn = match op {
-            FloatOp::Add => Insn::FAdd {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            FloatOp::Sub => Insn::FSub {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            FloatOp::Mult => Insn::FMult {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            FloatOp::Div => Insn::FDiv {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            FloatOp::Max => Insn::FMax {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            FloatOp::Min => Insn::FMin {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-        };
-        self.asm.push(insn);
-        self.finish_arith(dst, a_owned, b)
+    /// One-operand arithmetic: `x` computed in `rep`, then `insn(dst,
+    /// src)` into a fresh place.
+    fn emit_unary(
+        &mut self,
+        x: NodeId,
+        rep: Rep,
+        insn: impl FnOnce(Operand, Operand) -> Insn,
+    ) -> R<Val> {
+        let v = self.gen_into(x, rep)?;
+        let dst = self.alloc_place();
+        self.asm.push(insn(dst.op, v.op));
+        self.release(v);
+        Ok(dst)
     }
 
-    fn emit_int(&mut self, op: IntOp, a: Val, b: Val) -> Val {
-        let (dst, a_owned) = self.arith_dst(a, b.op);
-        let insn = match op {
-            IntOp::Add => Insn::Add {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            IntOp::Sub => Insn::Sub {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            IntOp::Mult => Insn::Mult {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            IntOp::Div => Insn::Div {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            IntOp::DivFloor => Insn::DivFloor {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            IntOp::Rem => Insn::Rem {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-            IntOp::ModFloor => Insn::ModFloor {
-                dst,
-                a: a_owned.op,
-                b: b.op,
-            },
-        };
-        self.asm.push(insn);
-        self.finish_arith(dst, a_owned, b)
+    /// An n-ary chain folded from the left, `(op a b c)` as
+    /// `(op (op a b) c)`: each argument computed in `rep`, the running
+    /// value protected from a sibling that may clobber it.
+    fn emit_chain(
+        &mut self,
+        args: &[NodeId],
+        rep: Rep,
+        insn: impl Fn(Operand, Operand, Operand) -> Insn,
+    ) -> R<Val> {
+        let (first, rest) = args.split_first().expect("a chain has operands");
+        let mut acc = self.gen_into(*first, rep)?;
+        for &b in rest {
+            if self.sibling_unsafe(b) {
+                acc = self.protect(acc);
+            }
+            let vb = self.gen_into(b, rep)?;
+            acc = self.emit_binary(&insn, acc, vb);
+        }
+        Ok(acc)
     }
 
-    fn finish_arith(&mut self, dst: Operand, a: Val, b: Val) -> Val {
+    /// One 2½-address instruction `insn(dst, a, b)`, its destination
+    /// chosen by [`Gen::arith_dst`].
+    fn emit_binary(
+        &mut self,
+        insn: impl FnOnce(Operand, Operand, Operand) -> Insn,
+        a: Val,
+        b: Val,
+    ) -> Val {
+        let (dst, a) = self.arith_dst(a, b.op);
+        self.asm.push(insn(dst, a.op, b.op));
         self.release(b);
         if dst == a.op {
             return a;
@@ -2452,7 +2309,8 @@ impl<'a> Gen<'a> {
             } else {
                 idx.op
             };
-            self.asm.push(Insn::Sub {
+            self.asm.push(Insn::Int {
+                op: IntOp::Sub,
                 dst: idx.op,
                 a,
                 b: Operand::fixnum(plan.min),
@@ -3026,34 +2884,6 @@ impl<'a> Gen<'a> {
         self.emit_ret();
         Ok(())
     }
-}
-
-#[derive(Clone, Copy)]
-enum FloatOp {
-    Add,
-    Sub,
-    Mult,
-    Div,
-    Max,
-    Min,
-}
-
-#[derive(Clone, Copy)]
-enum UnFloat {
-    Sin,
-    Cos,
-    Sqrt,
-}
-
-#[derive(Clone, Copy)]
-enum IntOp {
-    Add,
-    Sub,
-    Mult,
-    Div,
-    DivFloor,
-    Rem,
-    ModFloor,
 }
 
 /// A jump-table plan for a `caseq` whose keys are dense fixnums.

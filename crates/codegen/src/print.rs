@@ -93,27 +93,12 @@ fn insn_str(p: &Program, insn: &Insn) -> String {
     match insn {
         I::Mov { dst, src } => format!("(MOV {} {})", o(dst), o(src)),
         I::Movp { tag, dst, src } => format!("((MOVP *:DTP-{tag:?}) {} {})", o(dst), o(src)),
-        I::Add { dst, a, b } => format!("(ADD {} {} {})", o(dst), o(a), o(b)),
-        I::Sub { dst, a, b } => format!("(SUB {} {} {})", o(dst), o(a), o(b)),
-        I::Mult { dst, a, b } => format!("(MULT {} {} {})", o(dst), o(a), o(b)),
-        I::Div { dst, a, b } => format!("(DIV {} {} {})", o(dst), o(a), o(b)),
-        I::DivFloor { dst, a, b } => format!("(DIVF {} {} {})", o(dst), o(a), o(b)),
-        I::Rem { dst, a, b } => format!("(REM {} {} {})", o(dst), o(a), o(b)),
-        I::ModFloor { dst, a, b } => format!("(MODF {} {} {})", o(dst), o(a), o(b)),
+        I::Int { op, dst, a, b } => format!("({} {} {} {})", op.listing(), o(dst), o(a), o(b)),
         I::Neg { dst, src } => format!("(NEG {} {})", o(dst), o(src)),
-        I::FAdd { dst, a, b } => format!("((FADD S) {} {} {})", o(dst), o(a), o(b)),
-        I::FSub { dst, a, b } => format!("((FSUB S) {} {} {})", o(dst), o(a), o(b)),
-        I::FMult { dst, a, b } => format!("((FMULT S) {} {} {})", o(dst), o(a), o(b)),
-        I::FDiv { dst, a, b } => format!("((FDIV S) {} {} {})", o(dst), o(a), o(b)),
-        I::FMax { dst, a, b } => format!("((FMAX S) {} {} {})", o(dst), o(a), o(b)),
-        I::FMin { dst, a, b } => format!("((FMIN S) {} {} {})", o(dst), o(a), o(b)),
-        I::FNeg { dst, src } => format!("((FNEG S) {} {})", o(dst), o(src)),
-        I::FSin { dst, src } => format!("((FSIN S) {} {})", o(dst), o(src)),
-        I::FCos { dst, src } => format!("((FCOS S) {} {})", o(dst), o(src)),
-        I::FSqrt { dst, src } => format!("((FSQRT S) {} {})", o(dst), o(src)),
-        I::FAtan { dst, src } => format!("((FATAN S) {} {})", o(dst), o(src)),
-        I::FExp { dst, src } => format!("((FEXP S) {} {})", o(dst), o(src)),
-        I::FLog { dst, src } => format!("((FLOG S) {} {})", o(dst), o(src)),
+        I::Float { op, dst, a, b } => {
+            format!("({} {} {} {})", op.listing(), o(dst), o(a), o(b))
+        }
+        I::FloatUn { op, dst, src } => format!("({} {} {})", op.listing(), o(dst), o(src)),
         I::FloatIt { dst, src } => format!("(FLOAT {} {})", o(dst), o(src)),
         I::FixIt { dst, src } => format!("(FIX {} {})", o(dst), o(src)),
         I::Jmp { target } => format!("(JMPA () L{target:04})"),

@@ -17,6 +17,20 @@ pub struct ConsCell {
     pub cdr: RefCell<Value>,
 }
 
+/// Drops the cdr spine a cell at a time, so a long list drops in
+/// constant stack.
+impl Drop for ConsCell {
+    fn drop(&mut self) {
+        let mut next = std::mem::take(self.cdr.get_mut());
+        while let Value::Cons(cell) = next {
+            next = match Rc::try_unwrap(cell) {
+                Ok(mut cell) => std::mem::take(cell.cdr.get_mut()),
+                Err(_) => break,
+            };
+        }
+    }
+}
+
 /// A lexical closure: a lambda node, the tree it lives in, and the
 /// captured environment.
 #[derive(Debug)]
@@ -137,7 +151,20 @@ impl Value {
             Value::Sym(s) => Datum::Sym(s.clone()),
             Value::Str(s) => Datum::Str(s.clone()),
             Value::Char(c) => Datum::Char(*c),
-            Value::Cons(c) => Datum::cons(c.car.borrow().to_datum()?, c.cdr.borrow().to_datum()?),
+            Value::Cons(_) => {
+                // The cdr chain iteratively, so a long list converts in
+                // constant stack.
+                let mut cars = Vec::new();
+                let mut rest = self.clone();
+                while let Value::Cons(c) = rest {
+                    cars.push(c.car.borrow().to_datum()?);
+                    rest = c.cdr.borrow().clone();
+                }
+                let tail = rest.to_datum()?;
+                cars.into_iter()
+                    .rev()
+                    .fold(tail, |cdr, car| Datum::cons(car, cdr))
+            }
             Value::Func(_) => return None,
         })
     }
@@ -319,6 +346,33 @@ mod tests {
         assert!(Value::Flonum(2.0).eql_p(&Value::Flonum(2.0)));
         assert!(!Value::Fixnum(2).eql_p(&Value::Flonum(2.0)));
         assert_eq!(a, b); // PartialEq is equal_p
+    }
+
+    #[test]
+    fn long_lists_print_and_drop_in_constant_stack() {
+        // A recursive walk of the cdr spine overflows a 2 MiB stack well
+        // before 200,000 cells.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let n = 200_000;
+                let list = (1..=n)
+                    .rev()
+                    .fold(Value::Nil, |cdr, k| Value::cons(Value::Fixnum(k), cdr));
+                let text = list.to_string();
+                assert!(text.starts_with("(1 2 3 "), "{}", &text[..20]);
+                assert!(text.ends_with(" 199999 200000)"));
+                // A shared tail survives its list's drop.
+                let tail = match &list {
+                    Value::Cons(c) => c.cdr.borrow().clone(),
+                    _ => unreachable!("a cons"),
+                };
+                drop(list);
+                assert!(tail.to_string().starts_with("(2 3 "));
+            })
+            .expect("spawn a test thread")
+            .join()
+            .expect("the list printed and dropped");
     }
 
     #[test]

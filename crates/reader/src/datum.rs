@@ -41,6 +41,20 @@ impl Cons {
     }
 }
 
+/// Drops the cdr spine a cell at a time, so a long list drops in
+/// constant stack.
+impl Drop for Cons {
+    fn drop(&mut self) {
+        let mut next = std::mem::take(self.cdr.get_mut());
+        while let Datum::Cons(cell) = next {
+            next = match Rc::try_unwrap(cell) {
+                Ok(mut cell) => std::mem::take(cell.cdr.get_mut()),
+                Err(_) => break,
+            };
+        }
+    }
+}
+
 /// A Lisp datum: the external (source) representation of programs and data.
 ///
 /// # Examples

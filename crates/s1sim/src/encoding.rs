@@ -44,13 +44,7 @@ pub fn encoded_size(insn: &Insn) -> usize {
         Insn::Mov { dst, src }
         | Insn::Movp { dst, src, .. }
         | Insn::Neg { dst, src }
-        | Insn::FNeg { dst, src }
-        | Insn::FSin { dst, src }
-        | Insn::FCos { dst, src }
-        | Insn::FSqrt { dst, src }
-        | Insn::FAtan { dst, src }
-        | Insn::FExp { dst, src }
-        | Insn::FLog { dst, src }
+        | Insn::FloatUn { dst, src, .. }
         | Insn::FloatIt { dst, src }
         | Insn::FixIt { dst, src }
         | Insn::Car { dst, src }
@@ -65,19 +59,8 @@ pub fn encoded_size(insn: &Insn) -> usize {
             b: None,
             ..
         } => vec![*dst, *src],
-        Insn::Add { dst, a, b }
-        | Insn::Sub { dst, a, b }
-        | Insn::Mult { dst, a, b }
-        | Insn::Div { dst, a, b }
-        | Insn::DivFloor { dst, a, b }
-        | Insn::Rem { dst, a, b }
-        | Insn::ModFloor { dst, a, b }
-        | Insn::FAdd { dst, a, b }
-        | Insn::FSub { dst, a, b }
-        | Insn::FMult { dst, a, b }
-        | Insn::FDiv { dst, a, b }
-        | Insn::FMax { dst, a, b }
-        | Insn::FMin { dst, a, b }
+        Insn::Int { dst, a, b, .. }
+        | Insn::Float { dst, a, b, .. }
         | Insn::Generic {
             dst, a, b: Some(b), ..
         } => {
@@ -159,11 +142,12 @@ pub fn program_size_words(program: &Program) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::Reg;
+    use crate::insn::{FloatOp, IntOp, Reg};
 
     #[test]
     fn simple_forms_are_one_word() {
-        let i = Insn::Add {
+        let i = Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::Ind(Reg::FP, 0),
             b: Operand::Ind(Reg::FP, 1),
@@ -202,7 +186,8 @@ mod tests {
 
     #[test]
     fn size_never_exceeds_three() {
-        let i = Insn::FAdd {
+        let i = Insn::Float {
+            op: FloatOp::Add,
             dst: Operand::Ind(Reg::TP, -500),
             a: Operand::Ind(Reg::TP, -500),
             b: Operand::Ind(Reg::FP, -400),

@@ -203,6 +203,175 @@ impl Cond {
     }
 }
 
+/// The operation of an [`Insn::Int`]: §3's one format, "a 12-bit opcode
+/// and two 12-bit operand specifiers", with the opcode as a field.  A
+/// new integer operation is one row here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IntOp {
+    /// `+`.
+    Add,
+    /// `-`.
+    Sub,
+    /// `*`.
+    Mult,
+    /// Truncating division (the S-1 had all sixteen rounding modes as
+    /// primitive instructions, §3).
+    Div,
+    /// Division rounding toward negative infinity (`floor`).
+    DivFloor,
+    /// Remainder of the truncating division.
+    Rem,
+    /// Remainder of the floor division (`mod`).
+    ModFloor,
+}
+
+impl IntOp {
+    /// Mnemonic (for retired-opcode histograms), listing head, and the
+    /// source row whose fixnum case the operation computes.
+    fn row(self) -> (&'static str, &'static str, Prim) {
+        match self {
+            IntOp::Add => ("ADD", "ADD", Prim::Add),
+            IntOp::Sub => ("SUB", "SUB", Prim::Sub),
+            IntOp::Mult => ("MULT", "MULT", Prim::Mul),
+            IntOp::Div => ("DIV", "DIV", Prim::Div),
+            IntOp::DivFloor => ("DIV-FLOOR", "DIVF", Prim::Floor),
+            IntOp::Rem => ("REM", "REM", Prim::Rem),
+            IntOp::ModFloor => ("MOD-FLOOR", "MODF", Prim::Mod),
+        }
+    }
+
+    /// The mnemonic, as [`Insn::opcode`] reports it.
+    pub fn mnemonic(self) -> &'static str {
+        self.row().0
+    }
+
+    /// The head of the instruction in a listing (`DIVF`).
+    pub fn listing(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The source row computed by `s1lisp_ast::num::int_op`, whose
+    /// errors the instruction raises as that row's routine would.
+    pub fn prim(self) -> Prim {
+        self.row().2
+    }
+}
+
+/// The operation of an [`Insn::Float`] on two raw floats.  A new
+/// operation is one row here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FloatOp {
+    /// Add.
+    Add,
+    /// Subtract.
+    Sub,
+    /// Multiply.
+    Mult,
+    /// Divide.
+    Div,
+    /// Maximum (Table 4's `FMAX`).
+    Max,
+    /// Minimum.
+    Min,
+}
+
+impl FloatOp {
+    /// Mnemonic and listing head.
+    fn row(self) -> (&'static str, &'static str) {
+        match self {
+            FloatOp::Add => ("FADD", "(FADD S)"),
+            FloatOp::Sub => ("FSUB", "(FSUB S)"),
+            FloatOp::Mult => ("FMULT", "(FMULT S)"),
+            FloatOp::Div => ("FDIV", "(FDIV S)"),
+            FloatOp::Max => ("FMAX", "(FMAX S)"),
+            FloatOp::Min => ("FMIN", "(FMIN S)"),
+        }
+    }
+
+    /// The mnemonic, as [`Insn::opcode`] reports it.
+    pub fn mnemonic(self) -> &'static str {
+        self.row().0
+    }
+
+    /// The head of the instruction in a listing (`(FADD S)`).
+    pub fn listing(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The result of the operation on `x` and `y`.
+    #[inline]
+    pub fn apply(self, x: f64, y: f64) -> f64 {
+        match self {
+            FloatOp::Add => x + y,
+            FloatOp::Sub => x - y,
+            FloatOp::Mult => x * y,
+            FloatOp::Div => x / y,
+            FloatOp::Max => x.max(y),
+            FloatOp::Min => x.min(y),
+        }
+    }
+}
+
+/// The operation of an [`Insn::FloatUn`] on one raw float.  A new
+/// operation is one row here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FloatUnOp {
+    /// Negate.
+    Neg,
+    /// The S-1 `SIN` instruction: argument in **cycles** (§7).
+    Sin,
+    /// Cosine, argument in cycles.
+    Cos,
+    /// Square root.
+    Sqrt,
+    /// Arctangent (radians).
+    Atan,
+    /// e^x.
+    Exp,
+    /// Natural logarithm.
+    Log,
+}
+
+impl FloatUnOp {
+    /// Mnemonic and listing head.
+    fn row(self) -> (&'static str, &'static str) {
+        match self {
+            FloatUnOp::Neg => ("FNEG", "(FNEG S)"),
+            FloatUnOp::Sin => ("FSIN", "(FSIN S)"),
+            FloatUnOp::Cos => ("FCOS", "(FCOS S)"),
+            FloatUnOp::Sqrt => ("FSQRT", "(FSQRT S)"),
+            FloatUnOp::Atan => ("FATAN", "(FATAN S)"),
+            FloatUnOp::Exp => ("FEXP", "(FEXP S)"),
+            FloatUnOp::Log => ("FLOG", "(FLOG S)"),
+        }
+    }
+
+    /// The mnemonic, as [`Insn::opcode`] reports it.
+    pub fn mnemonic(self) -> &'static str {
+        self.row().0
+    }
+
+    /// The head of the instruction in a listing (`(FSIN S)`).
+    pub fn listing(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The result of the operation on `x`.
+    #[inline]
+    pub fn apply(self, x: f64) -> f64 {
+        use std::f64::consts::TAU;
+        match self {
+            FloatUnOp::Neg => -x,
+            FloatUnOp::Sin => (x * TAU).sin(),
+            FloatUnOp::Cos => (x * TAU).cos(),
+            FloatUnOp::Sqrt => x.sqrt(),
+            FloatUnOp::Atan => x.atan(),
+            FloatUnOp::Exp => x.exp(),
+            FloatUnOp::Log => x.ln(),
+        }
+    }
+}
+
 /// A branch target: an index into the owning function's label table
 /// (bound by [`Asm::bind`](crate::Asm::bind)).
 pub type Label = u32;
@@ -239,70 +408,16 @@ pub enum Insn {
         /// Addressed operand (must be a memory operand).
         src: Operand,
     },
-    // ---- integer arithmetic (2½-address) ----
-    /// Integer add: `dst := a + b`.
-    Add {
+    // ---- arithmetic (2½-address) ----
+    /// Integer arithmetic: `dst := a op b`.
+    Int {
+        /// The operation.
+        op: IntOp,
         /// Destination.
         dst: Operand,
-        /// First source.
+        /// First source (the dividend of a division).
         a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Integer subtract: `dst := a - b`.
-    Sub {
-        /// Destination.
-        dst: Operand,
-        /// First source.
-        a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Integer multiply: `dst := a * b`.
-    Mult {
-        /// Destination.
-        dst: Operand,
-        /// First source.
-        a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Integer divide (truncating; the S-1 had all sixteen rounding
-    /// modes as primitive instructions, §3): `dst := a / b`.
-    Div {
-        /// Destination.
-        dst: Operand,
-        /// Dividend.
-        a: Operand,
-        /// Divisor.
-        b: Operand,
-    },
-    /// Integer division, floor rounding (`f l o o r` is "a primitive
-    /// instruction", §3).
-    DivFloor {
-        /// Destination.
-        dst: Operand,
-        /// Dividend.
-        a: Operand,
-        /// Divisor.
-        b: Operand,
-    },
-    /// Integer remainder (truncating pair of [`Insn::Div`]).
-    Rem {
-        /// Destination.
-        dst: Operand,
-        /// Dividend.
-        a: Operand,
-        /// Divisor.
-        b: Operand,
-    },
-    /// Integer remainder, floor rounding (`mod`).
-    ModFloor {
-        /// Destination.
-        dst: Operand,
-        /// Dividend.
-        a: Operand,
-        /// Divisor.
+        /// Second source (the divisor of a division).
         b: Operand,
     },
     /// Integer negate: `dst := -src`.
@@ -312,9 +427,10 @@ pub enum Insn {
         /// Source.
         src: Operand,
     },
-    // ---- floating-point arithmetic (2½-address, raw floats) ----
-    /// Floating add.
-    FAdd {
+    /// Floating arithmetic on raw floats: `dst := a op b`.
+    Float {
+        /// The operation.
+        op: FloatOp,
         /// Destination.
         dst: Operand,
         /// First source.
@@ -322,95 +438,10 @@ pub enum Insn {
         /// Second source.
         b: Operand,
     },
-    /// Floating subtract.
-    FSub {
-        /// Destination.
-        dst: Operand,
-        /// First source.
-        a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Floating multiply.
-    FMult {
-        /// Destination.
-        dst: Operand,
-        /// First source.
-        a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Floating divide.
-    FDiv {
-        /// Destination.
-        dst: Operand,
-        /// First source.
-        a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Floating maximum (Table 4's `FMAX`).
-    FMax {
-        /// Destination.
-        dst: Operand,
-        /// First source.
-        a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Floating minimum.
-    FMin {
-        /// Destination.
-        dst: Operand,
-        /// First source.
-        a: Operand,
-        /// Second source.
-        b: Operand,
-    },
-    /// Floating negate.
-    FNeg {
-        /// Destination.
-        dst: Operand,
-        /// Source.
-        src: Operand,
-    },
-    /// The S-1 `SIN` instruction — argument in **cycles** (§7).
-    FSin {
-        /// Destination.
-        dst: Operand,
-        /// Source (cycles).
-        src: Operand,
-    },
-    /// Cosine, argument in cycles.
-    FCos {
-        /// Destination.
-        dst: Operand,
-        /// Source (cycles).
-        src: Operand,
-    },
-    /// Square root.
-    FSqrt {
-        /// Destination.
-        dst: Operand,
-        /// Source.
-        src: Operand,
-    },
-    /// Arctangent (radians).
-    FAtan {
-        /// Destination.
-        dst: Operand,
-        /// Source.
-        src: Operand,
-    },
-    /// e^x.
-    FExp {
-        /// Destination.
-        dst: Operand,
-        /// Source.
-        src: Operand,
-    },
-    /// Natural logarithm.
-    FLog {
+    /// One-operand floating arithmetic on a raw float: `dst := op src`.
+    FloatUn {
+        /// The operation.
+        op: FloatUnOp,
         /// Destination.
         dst: Operand,
         /// Source.
@@ -771,27 +802,10 @@ impl Insn {
         match self {
             Insn::Mov { .. } => "MOV",
             Insn::Movp { .. } => "MOVP",
-            Insn::Add { .. } => "ADD",
-            Insn::Sub { .. } => "SUB",
-            Insn::Mult { .. } => "MULT",
-            Insn::Div { .. } => "DIV",
-            Insn::DivFloor { .. } => "DIV-FLOOR",
-            Insn::Rem { .. } => "REM",
-            Insn::ModFloor { .. } => "MOD-FLOOR",
+            Insn::Int { op, .. } => op.mnemonic(),
             Insn::Neg { .. } => "NEG",
-            Insn::FAdd { .. } => "FADD",
-            Insn::FSub { .. } => "FSUB",
-            Insn::FMult { .. } => "FMULT",
-            Insn::FDiv { .. } => "FDIV",
-            Insn::FMax { .. } => "FMAX",
-            Insn::FMin { .. } => "FMIN",
-            Insn::FNeg { .. } => "FNEG",
-            Insn::FSin { .. } => "FSIN",
-            Insn::FCos { .. } => "FCOS",
-            Insn::FSqrt { .. } => "FSQRT",
-            Insn::FAtan { .. } => "FATAN",
-            Insn::FExp { .. } => "FEXP",
-            Insn::FLog { .. } => "FLOG",
+            Insn::Float { op, .. } => op.mnemonic(),
+            Insn::FloatUn { op, .. } => op.mnemonic(),
             Insn::FloatIt { .. } => "FLOAT-IT",
             Insn::FixIt { .. } => "FIX-IT",
             Insn::Jmp { .. } => "JMP",
@@ -866,27 +880,10 @@ impl Insn {
         match self {
             Insn::Mov { dst, .. }
             | Insn::Movp { dst, .. }
-            | Insn::Add { dst, .. }
-            | Insn::Sub { dst, .. }
-            | Insn::Mult { dst, .. }
-            | Insn::Div { dst, .. }
-            | Insn::DivFloor { dst, .. }
-            | Insn::Rem { dst, .. }
-            | Insn::ModFloor { dst, .. }
+            | Insn::Int { dst, .. }
             | Insn::Neg { dst, .. }
-            | Insn::FAdd { dst, .. }
-            | Insn::FSub { dst, .. }
-            | Insn::FMult { dst, .. }
-            | Insn::FDiv { dst, .. }
-            | Insn::FMax { dst, .. }
-            | Insn::FMin { dst, .. }
-            | Insn::FNeg { dst, .. }
-            | Insn::FSin { dst, .. }
-            | Insn::FCos { dst, .. }
-            | Insn::FSqrt { dst, .. }
-            | Insn::FAtan { dst, .. }
-            | Insn::FExp { dst, .. }
-            | Insn::FLog { dst, .. }
+            | Insn::Float { dst, .. }
+            | Insn::FloatUn { dst, .. }
             | Insn::FloatIt { dst, .. }
             | Insn::FixIt { dst, .. }
             | Insn::ConsRt { dst, .. }
@@ -917,10 +914,18 @@ impl Insn {
     pub fn commute(&mut self) -> bool {
         let fixnum = |o: &Operand| matches!(o, Operand::Const(w) if w.as_integer().is_some());
         match self {
-            Insn::Add { a, b, .. }
-            | Insn::Mult { a, b, .. }
-            | Insn::FAdd { a, b, .. }
-            | Insn::FMult { a, b, .. } => {
+            Insn::Int {
+                op: IntOp::Add | IntOp::Mult,
+                a,
+                b,
+                ..
+            }
+            | Insn::Float {
+                op: FloatOp::Add | FloatOp::Mult,
+                a,
+                b,
+                ..
+            } => {
                 std::mem::swap(a, b);
                 true
             }
@@ -962,19 +967,8 @@ impl Insn {
     /// honest (§6.1: "for the best code a clever dance is often needed").
     pub fn check_two_and_a_half(&self) -> Option<String> {
         let (dst, a, b) = match self {
-            Insn::Add { dst, a, b }
-            | Insn::Sub { dst, a, b }
-            | Insn::Mult { dst, a, b }
-            | Insn::Div { dst, a, b }
-            | Insn::DivFloor { dst, a, b }
-            | Insn::Rem { dst, a, b }
-            | Insn::ModFloor { dst, a, b }
-            | Insn::FAdd { dst, a, b }
-            | Insn::FSub { dst, a, b }
-            | Insn::FMult { dst, a, b }
-            | Insn::FDiv { dst, a, b }
-            | Insn::FMax { dst, a, b }
-            | Insn::FMin { dst, a, b }
+            Insn::Int { dst, a, b, .. }
+            | Insn::Float { dst, a, b, .. }
             | Insn::Generic {
                 dst, a, b: Some(b), ..
             } => (*dst, *a, *b),
@@ -1018,7 +1012,8 @@ mod tests {
         let m3 = Operand::Ind(Reg::FP, 2);
         let rta = Operand::Reg(Reg::RTA);
         // SUB M1,M2  (dst==a)
-        assert!(Insn::Sub {
+        assert!(Insn::Int {
+            op: IntOp::Sub,
             dst: m1,
             a: m1,
             b: m2
@@ -1026,7 +1021,8 @@ mod tests {
         .check_two_and_a_half()
         .is_none());
         // SUB RTA,M1,M2
-        assert!(Insn::Sub {
+        assert!(Insn::Int {
+            op: IntOp::Sub,
             dst: rta,
             a: m1,
             b: m2
@@ -1034,7 +1030,8 @@ mod tests {
         .check_two_and_a_half()
         .is_none());
         // SUB M1,RTA,M2
-        assert!(Insn::Sub {
+        assert!(Insn::Int {
+            op: IntOp::Sub,
             dst: m1,
             a: rta,
             b: m2
@@ -1042,7 +1039,8 @@ mod tests {
         .check_two_and_a_half()
         .is_none());
         // Three distinct memory operands: illegal.
-        assert!(Insn::Sub {
+        assert!(Insn::Int {
+            op: IntOp::Sub,
             dst: m1,
             a: m2,
             b: m3
@@ -1055,7 +1053,8 @@ mod tests {
             Operand::Reg(Reg(10)),
             Operand::Reg(Reg(11)),
         );
-        assert!(Insn::Add {
+        assert!(Insn::Int {
+            op: IntOp::Add,
             dst: r9,
             a: r10,
             b: r11

@@ -30,12 +30,13 @@
 //! Hand-assembled `(1+ x)`:
 //!
 //! ```
-//! use s1lisp_s1sim::{Asm, Insn, Machine, Operand, Program, Reg, Word};
+//! use s1lisp_s1sim::{Asm, Insn, IntOp, Machine, Operand, Program, Reg, Word};
 //! use s1lisp_interp::Value;
 //!
 //! let mut asm = Asm::new("inc1", 1);
 //! // 2½-address discipline: route the result through RTA (§6.1).
-//! asm.push(Insn::Add {
+//! asm.push(Insn::Int {
+//!     op: IntOp::Add,
 //!     dst: Operand::Reg(Reg::RTA),
 //!     a: Operand::arg(0),
 //!     b: Operand::fixnum(1),
@@ -66,7 +67,7 @@ mod word;
 pub use asm::Asm;
 pub use encoding::{encoded_size, program_size_words};
 pub use heap::{AllocStats, Heap, HeapTelemetry, LiveSample, ObjKind, ALLOC_SIZE_BOUNDS};
-pub use insn::{CallTarget, Cond, Insn, Label, Operand, Reg};
+pub use insn::{CallTarget, Cond, FloatOp, FloatUnOp, Insn, IntOp, Label, Operand, Reg};
 pub use machine::{Machine, Trap};
 pub use postmortem::{FrameAt, PostMortem, RetiredAt};
 pub use profile::{opcode_class, ExecProfile, Retired, StackFrameCycles, DEFAULT_STACK_DEPTH_CAP};

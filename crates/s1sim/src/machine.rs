@@ -645,13 +645,7 @@ impl Machine {
                 self.write(dst, Word::Ptr(tag, addr))?;
                 Ok(Step::Next)
             }
-            Insn::Add { dst, a, b } => self.int_op(dst, a, b, Prim::Add),
-            Insn::Sub { dst, a, b } => self.int_op(dst, a, b, Prim::Sub),
-            Insn::Mult { dst, a, b } => self.int_op(dst, a, b, Prim::Mul),
-            Insn::Div { dst, a, b } => self.int_op(dst, a, b, Prim::Div),
-            Insn::DivFloor { dst, a, b } => self.int_op(dst, a, b, Prim::Floor),
-            Insn::Rem { dst, a, b } => self.int_op(dst, a, b, Prim::Rem),
-            Insn::ModFloor { dst, a, b } => self.int_op(dst, a, b, Prim::Mod),
+            Insn::Int { op, dst, a, b } => self.int_op(dst, a, b, op.prim()),
             Insn::Neg { dst, src } => {
                 let (n, tagged) = self.read_int(src)?;
                 let Some(r) = n.checked_neg() else {
@@ -667,19 +661,17 @@ impl Machine {
                 )?;
                 Ok(Step::Next)
             }
-            Insn::FAdd { dst, a, b } => self.flo_op(dst, a, b, |x, y| x + y),
-            Insn::FSub { dst, a, b } => self.flo_op(dst, a, b, |x, y| x - y),
-            Insn::FMult { dst, a, b } => self.flo_op(dst, a, b, |x, y| x * y),
-            Insn::FDiv { dst, a, b } => self.flo_op(dst, a, b, |x, y| x / y),
-            Insn::FMax { dst, a, b } => self.flo_op(dst, a, b, f64::max),
-            Insn::FMin { dst, a, b } => self.flo_op(dst, a, b, f64::min),
-            Insn::FNeg { dst, src } => self.flo_un(dst, src, |x| -x),
-            Insn::FSin { dst, src } => self.flo_un(dst, src, |x| (x * std::f64::consts::TAU).sin()),
-            Insn::FCos { dst, src } => self.flo_un(dst, src, |x| (x * std::f64::consts::TAU).cos()),
-            Insn::FSqrt { dst, src } => self.flo_un(dst, src, f64::sqrt),
-            Insn::FAtan { dst, src } => self.flo_un(dst, src, f64::atan),
-            Insn::FExp { dst, src } => self.flo_un(dst, src, f64::exp),
-            Insn::FLog { dst, src } => self.flo_un(dst, src, f64::ln),
+            Insn::Float { op, dst, a, b } => {
+                let x = self.read_float(a)?;
+                let y = self.read_float(b)?;
+                self.write(dst, Word::F(op.apply(x, y)))?;
+                Ok(Step::Next)
+            }
+            Insn::FloatUn { op, dst, src } => {
+                let x = self.read_float(src)?;
+                self.write(dst, Word::F(op.apply(x)))?;
+                Ok(Step::Next)
+            }
             Insn::FloatIt { dst, src } => {
                 let (n, _) = self.read_int(src)?;
                 self.write(dst, Word::F(n as f64))?;
@@ -698,8 +690,8 @@ impl Machine {
                 b,
                 target,
             } => {
-                let integers = (self.peek(a).and_then(Word::as_integer))
-                    .zip(self.peek(b).and_then(Word::as_integer));
+                let integers = (self.peek(&a).and_then(|w| w.as_integer()))
+                    .zip(self.peek(&b).and_then(|w| w.as_integer()));
                 let taken = match integers {
                     Some((x, y)) => cond.holds(x.cmp(&y)),
                     None => self.compare(fnid, cond, prim, a, b)?,
@@ -942,9 +934,9 @@ impl Machine {
                 Ok(Step::Next)
             }
             Insn::Generic { prim, dst, a, b } => {
-                let fast = match (self.peek(a), b.map(|b| self.peek(b))) {
-                    (Some(x), None) => runtime::fixnum_fast(prim, &[x]),
-                    (Some(x), Some(Some(y))) => runtime::fixnum_fast(prim, &[x, y]),
+                let fast = match (self.peek(&a), b.as_ref().map(|b| self.peek(b))) {
+                    (Some(&x), None) => runtime::fixnum_fast(prim, &[x]),
+                    (Some(&x), Some(Some(&y))) => runtime::fixnum_fast(prim, &[x, y]),
                     _ => None,
                 };
                 match fast {
@@ -1158,20 +1150,13 @@ impl Machine {
         (i < self.stack.len()).then_some(i)
     }
 
-    /// Reads an operand.  A register, a constant or a frame slot within
-    /// the stack's length is read in line, so no trap travels with the
-    /// word; any other operand goes out of line, through
-    /// [`Machine::read_addressed`].
+    /// Reads an operand: the word [`Machine::peek`] sees in line, or,
+    /// past it, out of line through [`Machine::read_other`].
     #[inline(always)]
-    pub(crate) fn read(&mut self, op: Operand) -> Result<Word, Trap> {
-        match op {
-            Operand::Reg(r) => Ok(self.reg_value(r)),
-            Operand::Const(w) => Ok(w),
-            Operand::Ind(Reg::FP | Reg::TP, off) => match self.frame_slot(off) {
-                Some(i) => Ok(self.stack[i]),
-                None => self.read_addressed(op),
-            },
-            _ => self.read_addressed(op),
+    pub(crate) fn read(&self, op: Operand) -> Result<Word, Trap> {
+        match self.peek(&op) {
+            Some(&w) => Ok(w),
+            None => self.read_other(op),
         }
     }
 
@@ -1179,23 +1164,29 @@ impl Machine {
     /// constant, or a frame slot within the stack's length.  `None` for
     /// every other operand, which [`Machine::read`] reaches out of line.
     /// The dispatch loop's fast paths read through this, never building
-    /// a `Result`.
+    /// a `Result`.  A reference, so that the word is copied whole: an
+    /// `Option<Word>` makes the compiler move it field by field.
     #[inline(always)]
-    fn peek(&self, op: Operand) -> Option<Word> {
+    fn peek<'a>(&'a self, op: &'a Operand) -> Option<&'a Word> {
         match op {
-            Operand::Reg(r) if !matches!(r, Reg::SP | Reg::FP | Reg::TP) => {
-                Some(self.regs[r.0 as usize])
+            Operand::Reg(r) if !matches!(*r, Reg::SP | Reg::FP | Reg::TP) => {
+                Some(&self.regs[r.0 as usize])
             }
             Operand::Const(w) => Some(w),
-            Operand::Ind(Reg::FP | Reg::TP, off) => self.frame_slot(off).map(|i| self.stack[i]),
+            Operand::Ind(Reg::FP | Reg::TP, off) => self.frame_slot(*off).map(|i| &self.stack[i]),
             _ => None,
         }
     }
 
+    /// Every operand [`Machine::peek`] leaves: the SP, FP and TP
+    /// registers, addressed operands, and frame slots past the stack's
+    /// length.
     #[inline(never)]
-    fn read_addressed(&self, op: Operand) -> Result<Word, Trap> {
-        let addr = self.addr_of(op)?;
-        self.read_mem(addr)
+    fn read_other(&self, op: Operand) -> Result<Word, Trap> {
+        match op {
+            Operand::Reg(r) => Ok(self.reg_value(r)),
+            _ => self.read_mem(self.addr_of(op)?),
+        }
     }
 
     /// Writes an operand: a general register or a frame slot within the
@@ -1486,25 +1477,6 @@ impl Machine {
         Ok(Step::Next)
     }
 
-    fn flo_op(
-        &mut self,
-        dst: Operand,
-        a: Operand,
-        b: Operand,
-        f: fn(f64, f64) -> f64,
-    ) -> Result<Step, Trap> {
-        let x = self.read_float(a)?;
-        let y = self.read_float(b)?;
-        self.write(dst, Word::F(f(x, y)))?;
-        Ok(Step::Next)
-    }
-
-    fn flo_un(&mut self, dst: Operand, src: Operand, f: fn(f64) -> f64) -> Result<Step, Trap> {
-        let x = self.read_float(src)?;
-        self.write(dst, Word::F(f(x)))?;
-        Ok(Step::Next)
-    }
-
     /// `JmpIf`'s test past the dispatch loop's fast path, which compares
     /// integers in registers, constants and frame slots.  Two unboxed
     /// numbers (fixnums, raw integers and raw floats, in any mix) are
@@ -1646,6 +1618,7 @@ enum Callee {
 mod tests {
     use super::*;
     use crate::asm::Asm;
+    use crate::insn::{FloatOp, IntOp};
 
     fn fx(n: i64) -> Value {
         Value::Fixnum(n)
@@ -1698,7 +1671,8 @@ mod tests {
     #[test]
     fn simple_add_function() {
         let mut asm = Asm::new("inc1", 1);
-        asm.push(Insn::Add {
+        asm.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0),
             b: Operand::fixnum(1),
@@ -1721,7 +1695,8 @@ mod tests {
     #[test]
     fn last_run_insns_is_a_per_run_delta() {
         let mut asm = Asm::new("inc1", 1);
-        asm.push(Insn::Add {
+        asm.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0),
             b: Operand::fixnum(1),
@@ -1751,7 +1726,8 @@ mod tests {
         let double_id = p.fn_id("double");
         // double(x) = x + x
         let mut d = Asm::new("double", 1);
-        d.push(Insn::Add {
+        d.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0),
             b: Operand::arg(0),
@@ -1800,7 +1776,8 @@ mod tests {
             b: Operand::fixnum(0),
             target: done,
         });
-        a.push(Insn::Sub {
+        a.push(Insn::Int {
+            op: IntOp::Sub,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0),
             b: Operand::fixnum(1),
@@ -1835,7 +1812,8 @@ mod tests {
             dst: Operand::Reg(Reg(9)),
             src: Operand::arg(0),
         });
-        a.push(Insn::FMult {
+        a.push(Insn::Float {
+            op: FloatOp::Mult,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::Reg(Reg(9)),
             b: Operand::Reg(Reg(9)),
@@ -1868,7 +1846,8 @@ mod tests {
             dst: Operand::Reg(Reg(9)),
             src: Operand::arg(0),
         });
-        a.push(Insn::FAdd {
+        a.push(Insn::Float {
+            op: FloatOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::Reg(Reg(9)),
             b: Operand::float(1.0),
@@ -2004,7 +1983,8 @@ mod tests {
             dst: Operand::Reg(Reg(10)),
             cell: Operand::Reg(Reg(9)),
         });
-        body.push(Insn::Add {
+        body.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0),
             b: Operand::Reg(Reg(10)),
@@ -2168,7 +2148,7 @@ mod tests {
 mod new_insn_tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::insn::{CallTarget, Cond};
+    use crate::insn::{CallTarget, Cond, FloatOp, IntOp};
 
     fn fx(n: i64) -> Value {
         Value::Fixnum(n)
@@ -2221,7 +2201,8 @@ mod new_insn_tests {
         let mut a = Asm::new("f", 1);
         let block = a.label();
         a.push(Insn::LocalCall { target: block });
-        a.push(Insn::Add {
+        a.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::Reg(Reg::A),
             b: Operand::fixnum(10),
@@ -2232,7 +2213,8 @@ mod new_insn_tests {
         });
         a.push(Insn::Ret);
         a.bind(block);
-        a.push(Insn::Add {
+        a.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0), // same frame: sees f's argument
             b: Operand::fixnum(1),
@@ -2325,7 +2307,8 @@ mod new_insn_tests {
             dst: Operand::Reg(Reg(9)),
             src: Operand::arg(0),
         });
-        a.push(Insn::FAdd {
+        a.push(Insn::Float {
+            op: FloatOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::Idx {
                 base: Reg(16),
@@ -2365,7 +2348,8 @@ mod new_insn_tests {
         let g_id = p.fn_id("g");
         // f(x): tail-call g(x+1).
         let mut f = Asm::new("f", 1);
-        f.push(Insn::Add {
+        f.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0),
             b: Operand::fixnum(1),
@@ -2380,7 +2364,8 @@ mod new_insn_tests {
         p.define(f.finish());
         // g(x): x * 2.
         let mut g = Asm::new("g", 1);
-        g.push(Insn::Mult {
+        g.push(Insn::Int {
+            op: IntOp::Mult,
             dst: Operand::Reg(Reg::RTA),
             a: Operand::arg(0),
             b: Operand::fixnum(2),

@@ -227,7 +227,7 @@ impl Program {
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::insn::{Operand, Reg};
+    use crate::insn::{IntOp, Operand, Reg};
 
     #[test]
     fn interning_is_stable() {
@@ -269,7 +269,8 @@ mod tests {
     fn illegal_code_is_rejected() {
         let mut p = Program::new();
         let mut asm = Asm::new("bad", 3);
-        asm.push(Insn::Add {
+        asm.push(Insn::Int {
+            op: IntOp::Add,
             dst: Operand::Ind(Reg::FP, 0),
             a: Operand::Ind(Reg::FP, 1),
             b: Operand::Ind(Reg::FP, 2),
