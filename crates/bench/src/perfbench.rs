@@ -163,16 +163,6 @@ fn run_sim_kernel(k: &SimKernel, warmup: usize, trials: usize) -> Json {
     ])
 }
 
-/// The kernels the bytecode backend is benchmarked on (`bc-*` rows):
-/// the four Gabriel-style kernels, without the GC stressor — the stack
-/// evaluator allocates on the host heap and has no collector to meter.
-fn bc_kernels() -> Vec<SimKernel> {
-    sim_kernels()
-        .into_iter()
-        .filter(|k| k.id != "gc-stress")
-        .collect()
-}
-
 /// Times `trials` runs of one kernel compiled by the *bytecode* backend
 /// and run on the stack evaluator.  The row shape matches
 /// [`run_sim_kernel`]'s (ids are prefixed `bc-`, and the GC columns are
@@ -481,17 +471,17 @@ fn entry_header(repo_root: &Path, warmup: usize, trials: usize) -> Vec<(&'static
 }
 
 /// One `BENCH_sim.json` entry: the full kernel matrix on the S-1
-/// simulator, then the four `bc-*` rows on the bytecode evaluator.
+/// simulator, then the same kernels as `bc-*` rows on the bytecode
+/// evaluator (`bc-gc-stress` included: the evaluator conses on the host
+/// heap, so its GC columns are zero, but its wall time is the engine's
+/// allocation path).
 pub fn sim_entry(repo_root: &Path, warmup: usize, trials: usize) -> Json {
-    let mut workloads: Vec<Json> = sim_kernels()
+    let kernels = sim_kernels();
+    let mut workloads: Vec<Json> = kernels
         .iter()
         .map(|k| run_sim_kernel(k, warmup, trials))
         .collect();
-    workloads.extend(
-        bc_kernels()
-            .iter()
-            .map(|k| run_bc_kernel(k, warmup, trials)),
-    );
+    workloads.extend(kernels.iter().map(|k| run_bc_kernel(k, warmup, trials)));
     let mut fields = entry_header(repo_root, warmup, trials);
     fields.push(("workloads", Json::Arr(workloads)));
     Json::obj(fields)

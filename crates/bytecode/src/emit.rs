@@ -13,6 +13,10 @@
 //!   comparisons are one compare-and-branch op carrying the `Prim`.
 //! * **Effect** ([`Emitter::effect`]) pushes nothing: a `setq` is one
 //!   store and a constant arm emits nothing.
+//!
+//! Those ops read their trailing operands in place when they need no
+//! code ([`Emitter::operands`]): `(- n 1)` is one `(sub (slot 0) (quote
+//! 1))`, as the S-1's is one `GENERIC` on `(FP 0)` and `(QUOTE 1)`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,7 +26,7 @@ use s1lisp_ast::{subtree_nodes, CallFunc, Lambda, NodeId, NodeKind, Prim, ProgIt
 use s1lisp_interp::Const;
 use s1lisp_reader::Datum;
 
-use crate::{FuncProto, Insn, Op};
+use crate::{Addr, FuncProto, Insn, Op};
 
 /// Emission failure (an unsupported shape, an unresolvable `go`, …).
 #[derive(Clone, Debug)]
@@ -100,7 +104,9 @@ struct FnCtx {
     catches: u32,
     progs: Vec<ProgScope>,
     labels: Vec<Option<u32>>,
-    fixups: Vec<(usize, usize, bool)>, // (insn index, label, patch b?)
+    /// `(insn index, label, patch b?)`: `a` holds a jump's target, `b`
+    /// a prologue's or compare-and-branch's.
+    fixups: Vec<(usize, usize, bool)>,
 }
 
 impl FnCtx {
@@ -137,10 +143,16 @@ impl FnCtx {
         self.op(op, 0, 0);
     }
 
+    /// An addressed op on operands `x` and `y`.
+    fn addressed(&mut self, op: Op, [x, y]: [Addr; 2]) {
+        self.code.push(Insn::addressed(op, x, y));
+    }
+
     /// A compare-and-branch on the test primitive `prim`.
-    fn test_jump(&mut self, op: Op, prim: Prim, label: usize) {
-        self.jump(op, label);
-        self.code.last_mut().expect("just pushed").b = prim as u16;
+    fn test_jump(&mut self, op: Op, prim: Prim, operands: [Addr; 2], label: usize) {
+        self.fixups.push((self.code.len(), label, true));
+        self.addressed(op, operands);
+        self.code.last_mut().expect("just pushed").c = prim as u8;
     }
 
     /// Leaves an arm of a conditional for its join point `label`; an arm
@@ -283,7 +295,7 @@ impl<'a> Emitter<'a> {
             };
             if patch_b {
                 cx.code[at].b = u16::try_from(target).map_err(|_| EmitError {
-                    message: "code too large for a 16-bit prologue target".into(),
+                    message: format!("code too large for a 16-bit jump target ({target})"),
                 })?;
             } else {
                 cx.code[at].a = target;
@@ -579,12 +591,9 @@ impl<'a> Emitter<'a> {
                     self.test(cx, args[0], !sense, label)?;
                 }
                 Some(p) if branch_test(p, args.len()) => {
-                    for &a in &args {
-                        self.node(cx, a, false)?;
-                    }
+                    let operands = self.operands(cx, &args)?;
                     let op = if sense { Op::TestTrue } else { Op::TestNil };
-                    cx.test_jump(op, p, label);
-                    cx.height -= args.len() as u32;
+                    cx.test_jump(op, p, operands, label);
                 }
                 _ => self.value_test(cx, node, sense, label)?,
             },
@@ -656,6 +665,44 @@ impl<'a> Emitter<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The operands of an addressed op (at most two): pushes the leading
+    /// ones in order and addresses the trailing ones that need no code
+    /// ([`Emitter::address`]), so every operand is still evaluated in
+    /// source order, the addressed ones when the op runs.  The op pops
+    /// what was pushed, and the stack height says so already.
+    fn operands(&mut self, cx: &mut FnCtx, args: &[NodeId]) -> Result<[Addr; 2], EmitError> {
+        let mut addrs = [Addr::STACK; 2];
+        let mut pushed = args.len();
+        while let Some(addr) = pushed
+            .checked_sub(1)
+            .and_then(|i| self.address(cx, args[i]))
+        {
+            pushed -= 1;
+            addrs[pushed] = addr;
+        }
+        for &a in &args[..pushed] {
+            self.node(cx, a, false)?;
+        }
+        cx.height -= pushed as u32;
+        Ok(addrs)
+    }
+
+    /// Where an operand that needs no code is read in place: a constant
+    /// in the pool, or a lexical variable in a plain frame slot.  `None`
+    /// for any other operand, including a special, captured or
+    /// heap-allocated variable and an index past the address field.
+    fn address(&self, cx: &mut FnCtx, node: NodeId) -> Option<Addr> {
+        match self.tree.kind(node) {
+            NodeKind::Constant(d) => Addr::quote(cx.konst(d)),
+            NodeKind::VarRef(v)
+                if !cx.captures.contains_key(v) && self.alloc(*v) == VarAlloc::Stack =>
+            {
+                Addr::slot(cx.slot(*v))
+            }
+            _ => None,
+        }
     }
 
     fn read_var(&mut self, cx: &mut FnCtx, v: VarId) -> Result<(), EmitError> {
@@ -730,11 +777,9 @@ impl<'a> Emitter<'a> {
         // which also returns the value.
         let op = prim.and_then(|p| generic_op(p, args.len()));
         if let Some(op) = op.filter(|_| !tail_call) {
-            for &a in args {
-                self.node(cx, a, false)?;
-            }
-            cx.op(op, 0, 0);
-            cx.height -= args.len() as u32 - 1;
+            let operands = self.operands(cx, args)?;
+            cx.addressed(op, operands);
+            cx.height += 1;
             return Ok(());
         }
         for &a in args {

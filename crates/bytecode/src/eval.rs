@@ -14,11 +14,15 @@
 //! leaves every other operand, an overflow included, to it.
 //!
 //! The generic ops (`add` … `dec`, `cons`) and the compare-and-branch
-//! ops (`test.nil`, `test.t`) answer fixnums — and plain values for
-//! `eq` and `cons` — in line, and send every other operand to
-//! [`State::builtin`] under the source operator's [`Prim`], as the
-//! S-1's `GENERIC` does, so their values and trap messages are the
-//! call's.  A self tail call reuses its frame ([`State::reenter`]).
+//! ops (`test.nil`, `test.t`) read each operand where its [`Addr`]
+//! says — popped from the operand stack, or in place from a frame slot
+//! or the linked constant pool ([`State::operand`]) — and answer
+//! fixnums, and plain values for `eq` and `cons`, in line.  On any other
+//! operand, [`State::slow`] pushes the addressed ones among those on the
+//! stack and sends them all to [`State::builtin`] under the source
+//! operator's [`Prim`], as the S-1's `GENERIC` does, so their values and
+//! trap messages are the call's.  A self tail call reuses its frame
+//! ([`State::reenter`]).
 //!
 //! [`Evaluator::new`] links the module once, as the S-1 loader resolves
 //! call targets and special cells ahead of time: every constant-pool
@@ -40,7 +44,7 @@ use s1lisp_ast::Prim;
 use s1lisp_interp::{call_builtin, Const, Function, Value};
 use s1lisp_reader::{Interner, Symbol};
 
-use crate::{FuncProto, Insn, Module, Op};
+use crate::{Addr, FuncProto, Insn, Module, Op, Operand};
 
 /// A runtime trap: wrong arity, undefined function, uncaught throw,
 /// fuel exhaustion, …  The cross-backend oracle treats any trap on
@@ -271,6 +275,15 @@ fn open_coded(image: &Image, p: Prim, args: &[BcValue]) -> Option<BcValue> {
         },
         _ => return None,
     })
+}
+
+/// How many of the first `argc` operands of `insn` are on the stack.
+#[inline(always)]
+fn popped(insn: Insn, argc: usize) -> usize {
+    [insn.x(), insn.y()][..argc]
+        .iter()
+        .filter(|a| a.is_stack())
+        .count()
 }
 
 struct Frame {
@@ -655,19 +668,19 @@ impl State {
                     self.stack
                         .push(BcValue::V(Value::Func(Function::Global(name))));
                 }
-                Op::Add => self.arith(image, Prim::Add)?,
-                Op::Sub => self.arith(image, Prim::Sub)?,
-                Op::Mul => self.arith(image, Prim::Mul)?,
-                Op::Div => self.arith(image, Prim::Div)?,
-                Op::Inc => self.step(image, Prim::OnePlus, Prim::Add)?,
-                Op::Dec => self.step(image, Prim::OneMinus, Prim::Sub)?,
-                Op::Cons => self.cons(image)?,
+                Op::Add => self.arith(image, &cur, insn, Prim::Add)?,
+                Op::Sub => self.arith(image, &cur, insn, Prim::Sub)?,
+                Op::Mul => self.arith(image, &cur, insn, Prim::Mul)?,
+                Op::Div => self.arith(image, &cur, insn, Prim::Div)?,
+                Op::Inc => self.step(image, &cur, insn, Prim::OnePlus, Prim::Add)?,
+                Op::Dec => self.step(image, &cur, insn, Prim::OneMinus, Prim::Sub)?,
+                Op::Cons => self.cons(image, &cur, insn)?,
                 Op::TestNil | Op::TestTrue => {
-                    let Some(&p) = Prim::ALL.get(b) else {
+                    let Some(&p) = Prim::ALL.get(usize::from(insn.c)) else {
                         return trap("test of an unknown primitive");
                     };
-                    if self.test(image, p)? == (insn.op == Op::TestTrue) {
-                        cur.pc = a;
+                    if self.test(image, &cur, insn, p)? == (insn.op == Op::TestTrue) {
+                        cur.pc = b;
                     }
                 }
             }
@@ -708,88 +721,153 @@ impl State {
         }
     }
 
-    /// The primitive `p` on the top `argc` operands, through
-    /// [`State::builtin`] like a call of it.
-    fn slow(&mut self, image: &Image, p: Prim, argc: usize) -> Result<(), BcTrap> {
-        self.need(argc)?;
-        let v = self.builtin(image, p, argc)?;
+    /// An addressed operand, read in place: a stack operand `depth`
+    /// below the top (`None` past the bottom), a slot of the running
+    /// frame, or a linked pool constant.
+    #[inline(always)]
+    fn operand<'s>(&'s self, cur: &'s Cursor, addr: Addr, depth: usize) -> Option<&'s BcValue> {
+        match addr.operand() {
+            Operand::Stack => self.stack.get(self.stack.len().wrapping_sub(depth + 1)),
+            Operand::Slot(i) => self.slots.get(cur.slots + i),
+            Operand::Quote(k) => cur.entries.get(k).map(|e| &e.value),
+        }
+    }
+
+    /// An addressed op's operands `x` and `y` in place: `y` is the top
+    /// of the stack when it is a stack operand, and `x` the value below.
+    #[inline(always)]
+    fn operands<'s>(
+        &'s self,
+        cur: &'s Cursor,
+        insn: Insn,
+    ) -> (Option<&'s BcValue>, Option<&'s BcValue>) {
+        let y = insn.y();
+        let x = self.operand(cur, insn.x(), usize::from(y.is_stack()));
+        (x, self.operand(cur, y, 0))
+    }
+
+    /// The primitive `p` on the first `argc` operands of `insn`, through
+    /// [`State::builtin`] like a call of it: each addressed operand is
+    /// pushed among the stack ones first, so all of them are on top of
+    /// the stack in order.
+    fn slow(
+        &mut self,
+        image: &Image,
+        cur: &Cursor,
+        insn: Insn,
+        p: Prim,
+        argc: usize,
+    ) -> Result<BcValue, BcTrap> {
+        let on_stack = popped(insn, argc);
+        self.need(on_stack)?;
+        let from = self.stack.len() - on_stack;
+        for (at, addr) in (from..).zip([insn.x(), insn.y()].into_iter().take(argc)) {
+            if !addr.is_stack() {
+                let Some(v) = self.operand(cur, addr, 0).cloned() else {
+                    return trap("operand address out of range");
+                };
+                self.stack.insert(at, v);
+            }
+        }
+        self.builtin(image, p, argc)
+    }
+
+    /// Replaces the `popped` stack operands of an op with its result.
+    #[inline(always)]
+    fn settle_op(&mut self, popped: usize, v: BcValue) {
+        self.stack.truncate(self.stack.len() - popped);
         self.stack.push(v);
-        Ok(())
     }
 
     /// A generic binary op: two fixnums answer in line through the
     /// shared `num::int_op`; every other operand, an overflow included,
     /// goes to the builtin, which raises its own error.
     #[inline(always)]
-    fn arith(&mut self, image: &Image, p: Prim) -> Result<(), BcTrap> {
-        if let [.., BcValue::V(Value::Fixnum(x)), BcValue::V(Value::Fixnum(y))] =
-            self.stack.as_slice()
+    fn arith(&mut self, image: &Image, cur: &Cursor, insn: Insn, p: Prim) -> Result<(), BcTrap> {
+        if let (Some(BcValue::V(Value::Fixnum(x))), Some(BcValue::V(Value::Fixnum(y)))) =
+            self.operands(cur, insn)
         {
             if let Ok(r) = num::int_op(p, *x, *y) {
-                self.stack.pop();
-                *self.stack.last_mut().expect("matched above") = BcValue::V(Value::Fixnum(r));
+                self.settle_op(popped(insn, 2), BcValue::V(Value::Fixnum(r)));
                 return Ok(());
             }
         }
-        self.slow(image, p, 2)
+        let v = self.slow(image, cur, insn, p, 2)?;
+        self.stack.push(v);
+        Ok(())
     }
 
     /// `cons`: two plain values in line, a cell or closure operand
     /// through the builtin.
     #[inline(always)]
-    fn cons(&mut self, image: &Image) -> Result<(), BcTrap> {
-        if let [.., BcValue::V(x), BcValue::V(y)] = self.stack.as_slice() {
+    fn cons(&mut self, image: &Image, cur: &Cursor, insn: Insn) -> Result<(), BcTrap> {
+        if let (Some(BcValue::V(x)), Some(BcValue::V(y))) = self.operands(cur, insn) {
             let v = Value::cons(x.clone(), y.clone());
-            self.stack.pop();
-            *self.stack.last_mut().expect("matched above") = BcValue::V(v);
+            self.settle_op(popped(insn, 2), BcValue::V(v));
             return Ok(());
         }
-        self.slow(image, Prim::Cons, 2)
+        let v = self.slow(image, cur, insn, Prim::Cons, 2)?;
+        self.stack.push(v);
+        Ok(())
     }
 
     /// `1+` (`p`) or `1-`: the fixnum case as the binary row `by` with 1.
     #[inline(always)]
-    fn step(&mut self, image: &Image, p: Prim, by: Prim) -> Result<(), BcTrap> {
-        if let Some(BcValue::V(Value::Fixnum(x))) = self.stack.last_mut() {
+    fn step(
+        &mut self,
+        image: &Image,
+        cur: &Cursor,
+        insn: Insn,
+        p: Prim,
+        by: Prim,
+    ) -> Result<(), BcTrap> {
+        if let Some(BcValue::V(Value::Fixnum(x))) = self.operand(cur, insn.x(), 0) {
             if let Ok(r) = num::int_op(by, *x, 1) {
-                *x = r;
+                self.settle_op(popped(insn, 1), BcValue::V(Value::Fixnum(r)));
                 return Ok(());
             }
         }
-        self.slow(image, p, 1)
+        let v = self.slow(image, cur, insn, p, 1)?;
+        self.stack.push(v);
+        Ok(())
     }
 
-    /// Pops the operands of the test primitive `p` and says whether it
-    /// holds: fixnums, and any plain values under `eq`, in line; every
-    /// other operand through the builtin.
+    /// Pops the stack operands of the test primitive `p` and says
+    /// whether it holds: fixnums, and any plain values under `eq`, in
+    /// line; every other operand through the builtin.
     #[inline(always)]
-    fn test(&mut self, image: &Image, p: Prim) -> Result<bool, BcTrap> {
+    fn test(&mut self, image: &Image, cur: &Cursor, insn: Insn, p: Prim) -> Result<bool, BcTrap> {
         use std::cmp::Ordering::{Equal, Greater, Less};
-        let fast = match (p, self.stack.as_slice()) {
-            (Prim::Zerop, [.., BcValue::V(Value::Fixnum(x))]) => Some((*x == 0, 1)),
-            (Prim::Eq, [.., BcValue::V(x), BcValue::V(y)]) => Some((x.eq_p(y), 2)),
-            (_, [.., BcValue::V(Value::Fixnum(x)), BcValue::V(Value::Fixnum(y))]) => {
-                let ord = x.cmp(y);
-                match p {
-                    Prim::NumEq => Some((ord == Equal, 2)),
-                    Prim::NumNe => Some((ord != Equal, 2)),
-                    Prim::Lt => Some((ord == Less, 2)),
-                    Prim::Gt => Some((ord == Greater, 2)),
-                    Prim::Le => Some((ord != Greater, 2)),
-                    Prim::Ge => Some((ord != Less, 2)),
-                    _ => None,
-                }
+        let argc = if p == Prim::Zerop { 1 } else { 2 };
+        let fast = if argc == 1 {
+            match self.operand(cur, insn.x(), 0) {
+                Some(BcValue::V(Value::Fixnum(x))) => Some(*x == 0),
+                _ => None,
             }
-            _ => None,
+        } else {
+            match self.operands(cur, insn) {
+                (Some(BcValue::V(x)), Some(BcValue::V(y))) if p == Prim::Eq => Some(x.eq_p(y)),
+                (Some(BcValue::V(Value::Fixnum(x))), Some(BcValue::V(Value::Fixnum(y)))) => {
+                    let ord = x.cmp(y);
+                    match p {
+                        Prim::NumEq => Some(ord == Equal),
+                        Prim::NumNe => Some(ord != Equal),
+                        Prim::Lt => Some(ord == Less),
+                        Prim::Gt => Some(ord == Greater),
+                        Prim::Le => Some(ord != Greater),
+                        Prim::Ge => Some(ord != Less),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            }
         };
-        if let Some((holds, argc)) = fast {
+        if let Some(holds) = fast {
             let n = self.stack.len();
-            self.stack.truncate(n - argc);
+            self.stack.truncate(n - popped(insn, argc));
             return Ok(holds);
         }
-        let argc = if p == Prim::Zerop { 1 } else { 2 };
-        self.need(argc)?;
-        Ok(self.builtin(image, p, argc)?.is_true())
+        Ok(self.slow(image, cur, insn, p, argc)?.is_true())
     }
 
     /// Calls `callee` (named `name`) on the top `argc` operands: a proto
@@ -1115,18 +1193,44 @@ mod tests {
         // =, <, >: 25 fixnum pairs each.
         assert_eq!(open, 5 + 22 + 121 + (75 - 18) + 75);
 
-        // The generic ops, as `exec` runs them.
-        type OpFn = fn(&mut State, &Image) -> Result<(), BcTrap>;
+        // The generic and compare-and-branch ops, as `exec` runs them,
+        // under every addressing of their operands: each on the stack, in
+        // a frame slot, or in the constant pool.  Slot `i` and pool entry
+        // `i` both hold `operands[i]`, cells and closures included.
+        let entries: Vec<Entry> = operands
+            .iter()
+            .map(|v| Entry {
+                value: v.clone(),
+                name: None,
+            })
+            .collect();
+        let cur = Cursor {
+            proto: 0,
+            code: &[],
+            entries: &entries,
+            pc: 0,
+            slots: 0,
+            base: 0,
+        };
+        type OpFn = fn(&mut State, &Image, &Cursor, Insn) -> Result<(), BcTrap>;
         let ops: [(Prim, usize, OpFn); 7] = [
-            (Prim::Add, 2, |st, im| st.arith(im, Prim::Add)),
-            (Prim::Sub, 2, |st, im| st.arith(im, Prim::Sub)),
-            (Prim::Mul, 2, |st, im| st.arith(im, Prim::Mul)),
-            (Prim::Div, 2, |st, im| st.arith(im, Prim::Div)),
-            (Prim::OnePlus, 1, |st, im| {
-                st.step(im, Prim::OnePlus, Prim::Add)
+            (Prim::Add, 2, |st, im, cur, i| {
+                st.arith(im, cur, i, Prim::Add)
             }),
-            (Prim::OneMinus, 1, |st, im| {
-                st.step(im, Prim::OneMinus, Prim::Sub)
+            (Prim::Sub, 2, |st, im, cur, i| {
+                st.arith(im, cur, i, Prim::Sub)
+            }),
+            (Prim::Mul, 2, |st, im, cur, i| {
+                st.arith(im, cur, i, Prim::Mul)
+            }),
+            (Prim::Div, 2, |st, im, cur, i| {
+                st.arith(im, cur, i, Prim::Div)
+            }),
+            (Prim::OnePlus, 1, |st, im, cur, i| {
+                st.step(im, cur, i, Prim::OnePlus, Prim::Add)
+            }),
+            (Prim::OneMinus, 1, |st, im, cur, i| {
+                st.step(im, cur, i, Prim::OneMinus, Prim::Sub)
             }),
             (Prim::Cons, 2, State::cons),
         ];
@@ -1140,39 +1244,77 @@ mod tests {
             Prim::Le,
             Prim::Ge,
         ];
-        let tuples = |arity: usize| -> Vec<Vec<BcValue>> {
-            if arity == 1 {
-                return operands.iter().map(|x| vec![x.clone()]).collect();
+        // Each operand tuple (as indices into `operands`) under each
+        // addressing: the instruction, and the stack it starts from.
+        let addressings = |arity: usize| -> Vec<(Vec<BcValue>, Insn, Vec<BcValue>)> {
+            let at = |mode: usize, i: usize| match mode {
+                0 => Addr::STACK,
+                1 => Addr::slot(i as u32).unwrap(),
+                _ => Addr::quote(i as u32).unwrap(),
+            };
+            let n = operands.len();
+            let mut out = Vec::new();
+            for i in 0..n.pow(arity as u32) {
+                let ix: Vec<usize> = if arity == 1 {
+                    vec![i]
+                } else {
+                    vec![i / n, i % n]
+                };
+                for modes in 0..3usize.pow(arity as u32) {
+                    let m = [modes % 3, modes / 3];
+                    let x = at(m[0], ix[0]);
+                    let y = if arity == 1 {
+                        Addr::STACK
+                    } else {
+                        at(m[1], ix[1])
+                    };
+                    let args: Vec<BcValue> = ix.iter().map(|&k| operands[k].clone()).collect();
+                    let stack = args
+                        .iter()
+                        .zip([x, y])
+                        .filter(|(_, a)| a.is_stack())
+                        .map(|(v, _)| v.clone())
+                        .collect();
+                    out.push((args, Insn::addressed(Op::Add, x, y), stack));
+                }
             }
-            operands
-                .iter()
-                .flat_map(|x| operands.iter().map(|y| vec![x.clone(), y.clone()]))
-                .collect()
+            out
         };
-        let mut errors = 0;
+        st.slots = operands.to_vec();
+        let (mut errors, mut runs) = (0, 0);
         for (p, arity, op) in ops {
-            for args in tuples(arity) {
-                st.stack.clone_from(&args);
-                let got = shown(op(&mut st, &image).and_then(|()| st.pop()));
+            for (args, insn, stack) in addressings(arity) {
+                st.stack = stack;
+                let got = shown(op(&mut st, &image, &cur, insn).and_then(|()| st.pop()));
                 assert!(st.stack.is_empty(), "{p:?}: operands left behind");
                 let want = reference(&image, p, &args);
-                assert_eq!(got, want, "{p:?} op on {args:?}");
+                assert_eq!(got, want, "{p:?} op on {args:?} at {insn:?}");
                 errors += usize::from(want.is_err());
+                runs += 1;
             }
         }
         for p in tests {
             let arity = if p == Prim::Zerop { 1 } else { 2 };
-            for args in tuples(arity) {
-                st.stack.clone_from(&args);
-                let got = shown(st.test(&image, p).map(|b| image.bool_value(b)));
+            for (args, insn, stack) in addressings(arity) {
+                st.stack = stack;
+                let got = shown(st.test(&image, &cur, insn, p).map(|b| image.bool_value(b)));
                 assert!(st.stack.is_empty(), "{p:?}: operands left behind");
                 let want = reference(&image, p, &args);
-                assert_eq!(got, want, "{p:?} test on {args:?}");
+                assert_eq!(got, want, "{p:?} test on {args:?} at {insn:?}");
                 errors += usize::from(want.is_err());
+                runs += 1;
             }
         }
+        // Slots and pool entries are read, never moved out.
+        assert_eq!(st.slots.len(), operands.len());
+        for (slot, v) in st.slots.iter().zip(&operands) {
+            assert_eq!(shown(Ok(slot.clone())), shown(Ok(v.clone())));
+        }
+        // 13 operands: the unary ops 3 × 13 addressings each, the binary
+        // ones 9 × 169.
+        assert_eq!(runs, 3 * 3 * 13 + 12 * 9 * 169);
         // Every error path is reached: overflows, a zero divisor, NaN,
         // non-numbers.
-        assert!(errors > 500, "{errors}");
+        assert!(errors > 9 * 500, "{errors}");
     }
 }

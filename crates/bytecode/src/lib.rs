@@ -5,9 +5,15 @@
 //! analysis and annotation passes — to a compact linear bytecode:
 //!
 //! * **Fixed-width instructions** — every [`Insn`] is one opcode plus
-//!   two immediate operands, packing into a single 64-bit word
-//!   ([`Insn::encode`]/[`Insn::decode`]); code size is exactly
-//!   `insns × INSN_BYTES`.
+//!   three immediate fields (`a`, `b`, `c`), packing into a single
+//!   64-bit word ([`Insn::encode`]/[`Insn::decode`]); code size is
+//!   exactly `insns × INSN_BYTES`.
+//! * **Operand addresses** — the generic ops (`add` … `dec`), `cons`
+//!   and the compare-and-branch ops name each operand by an [`Addr`],
+//!   as the S-1's 2½-address instructions name `(FP i)` and
+//!   `(QUOTE k)`: the operand stack's top, a frame slot, or a
+//!   constant-pool entry, read in place.  Both operands on the stack is
+//!   the all-zero address, the plain stack-machine form.
 //! * **Constant pools** — each [`FuncProto`] carries its own pool of
 //!   source datums; instructions reference constants, global names, and
 //!   special-variable names by pool index.
@@ -42,6 +48,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use s1lisp_ast::Prim;
 use s1lisp_interp::Const;
 
 /// Bytes per encoded instruction (fixed width).
@@ -127,8 +134,9 @@ pub enum Op {
     CropKeep = 34,
     /// Push the global function value named by pool entry `a`.
     GlobalFn = 35,
-    /// Generic `+` of the top two operands (fixnums in line, every
-    /// other operand through the shared builtin).
+    /// Generic `+` of operands [`Insn::x`] and [`Insn::y`], pushing the
+    /// sum (fixnums in line, every other operand through the shared
+    /// builtin).
     Add = 36,
     /// Generic two-argument `-`.
     Sub = 37,
@@ -136,16 +144,17 @@ pub enum Op {
     Mul = 38,
     /// Generic two-argument `/`.
     Div = 39,
-    /// Generic `1+`.
+    /// Generic `1+` of operand [`Insn::x`].
     Inc = 40,
     /// Generic `1-`.
     Dec = 41,
-    /// `cons` of the top two operands.
+    /// `cons` of operands [`Insn::x`] and [`Insn::y`].
     Cons = 42,
-    /// Pop the operands of the test primitive numbered `b` (`zerop`,
-    /// `eq` or a two-argument comparison); jump to `a` if it fails.
+    /// Test primitive number `c` (`zerop`, `eq` or a two-argument
+    /// comparison) on operand [`Insn::x`] (and [`Insn::y`]); jump to `b`
+    /// if it fails.
     TestNil = 43,
-    /// As [`Op::TestNil`], but jump to `a` if the test holds.
+    /// As [`Op::TestNil`], but jump to `b` if the test holds.
     TestTrue = 44,
 }
 
@@ -253,34 +262,128 @@ impl Op {
     }
 }
 
-/// One fixed-width instruction: an opcode and two immediates.
+/// Where an addressed op finds one operand: the operand stack, a slot of
+/// the running frame, or an entry of its constant pool.  Sixteen bits,
+/// the mode in the top two and the index in the other fourteen; the
+/// stack is zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Addr(u16);
+
+/// An [`Addr`], decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Operand {
+    /// Popped from the operand stack.
+    Stack,
+    /// Frame slot `i`, read in place (the S-1's `(FP i)`).
+    Slot(usize),
+    /// Constant-pool entry `k` (the S-1's `(QUOTE k)`).
+    Quote(usize),
+}
+
+impl Addr {
+    /// An operand on the operand stack.
+    pub const STACK: Addr = Addr(0);
+    /// The largest slot or pool index an address can name.
+    pub const MAX_INDEX: u32 = (1 << 14) - 1;
+
+    fn indexed(mode: u16, i: u32) -> Option<Addr> {
+        (i <= Addr::MAX_INDEX).then_some(Addr(mode << 14 | i as u16))
+    }
+
+    /// Frame slot `i`; `None` past [`Addr::MAX_INDEX`].
+    pub fn slot(i: u32) -> Option<Addr> {
+        Addr::indexed(1, i)
+    }
+
+    /// Constant-pool entry `k`; `None` past [`Addr::MAX_INDEX`].
+    pub fn quote(k: u32) -> Option<Addr> {
+        Addr::indexed(2, k)
+    }
+
+    /// Whether the operand is on the operand stack.
+    pub fn is_stack(self) -> bool {
+        self == Addr::STACK
+    }
+
+    /// The decoded address (the unused fourth mode reads as a pool
+    /// entry).
+    #[inline(always)]
+    pub fn operand(self) -> Operand {
+        let i = usize::from(self.0 & Addr::MAX_INDEX as u16);
+        match self.0 >> 14 {
+            0 => Operand::Stack,
+            1 => Operand::Slot(i),
+            _ => Operand::Quote(i),
+        }
+    }
+}
+
+/// One fixed-width instruction: an opcode and three immediates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Insn {
     /// The opcode.
     pub op: Op,
-    /// First operand (pool index, slot, jump target, …).
+    /// First operand (pool index, slot, jump target, …); an addressed
+    /// op's two operand addresses, [`Insn::x`] in the low half and
+    /// [`Insn::y`] in the high half.
     pub a: u32,
-    /// Second operand (argument count, secondary target).
+    /// Second operand (argument count, a prologue or compare-and-branch
+    /// jump target).
     pub b: u16,
+    /// Third operand (a compare-and-branch's test primitive).
+    pub c: u8,
 }
 
 impl Insn {
     /// Builds an instruction.
     pub fn new(op: Op, a: u32, b: u16) -> Insn {
-        Insn { op, a, b }
+        Insn { op, a, b, c: 0 }
+    }
+
+    /// Builds an addressed op on operands `x` (leading) and `y`.
+    pub fn addressed(op: Op, x: Addr, y: Addr) -> Insn {
+        Insn::new(op, u32::from(x.0) | u32::from(y.0) << 16, 0)
+    }
+
+    /// An addressed op's first (or only) operand.
+    #[inline(always)]
+    pub fn x(self) -> Addr {
+        Addr(self.a as u16)
+    }
+
+    /// An addressed op's second operand.
+    #[inline(always)]
+    pub fn y(self) -> Addr {
+        Addr((self.a >> 16) as u16)
+    }
+
+    /// How many operands an addressed op reads (`None` for any other
+    /// op).
+    fn arity(self) -> Option<usize> {
+        match self.op {
+            Op::Inc | Op::Dec => Some(1),
+            Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Cons => Some(2),
+            Op::TestNil | Op::TestTrue if self.c == Prim::Zerop as u8 => Some(1),
+            Op::TestNil | Op::TestTrue => Some(2),
+            _ => None,
+        }
     }
 
     /// Packs into one 64-bit code word:
-    /// `op:8 | pad:8 | b:16 | a:32` (low to high).
+    /// `op:8 | c:8 | b:16 | a:32` (low to high).
     pub fn encode(self) -> u64 {
-        (self.op as u64) | ((self.b as u64) << 16) | ((self.a as u64) << 32)
+        (self.op as u64)
+            | (u64::from(self.c) << 8)
+            | (u64::from(self.b) << 16)
+            | (u64::from(self.a) << 32)
     }
 
     /// Unpacks an encoded word; `None` on an unknown opcode.
     pub fn decode(word: u64) -> Option<Insn> {
         Some(Insn {
             op: Op::from_u8((word & 0xff) as u8)?,
-            b: ((word >> 16) & 0xffff) as u16,
+            c: (word >> 8) as u8,
+            b: (word >> 16) as u16,
             a: (word >> 32) as u32,
         })
     }
@@ -398,18 +501,44 @@ impl Module {
             "  (consts{})",
             p.consts.iter().map(|d| format!(" {d}")).collect::<String>()
         );
-        for (i, insn) in p.code.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  ({i:>3} ({} {} {}))",
-                insn.op.mnemonic(),
-                insn.a,
-                insn.b
-            );
+        for (i, &insn) in p.code.iter().enumerate() {
+            let _ = writeln!(out, "  ({i:>3} {})", insn_str(p, insn));
         }
         out.push_str(")\n");
         Some(out)
     }
+}
+
+/// One instruction as listed: `(op a b)`, or for an addressed op its
+/// operands as the S-1 prints them, `(sub (slot 0) (quote 1))`, with a
+/// compare-and-branch's primitive first and its target last.
+fn insn_str(p: &FuncProto, insn: Insn) -> String {
+    let op = insn.op.mnemonic();
+    let Some(arity) = insn.arity() else {
+        return format!("({op} {} {})", insn.a, insn.b);
+    };
+    let test = matches!(insn.op, Op::TestNil | Op::TestTrue);
+    let mut out = format!("({op}");
+    if test {
+        let prim = Prim::ALL.get(usize::from(insn.c));
+        out.push(' ');
+        out.push_str(prim.map_or("?", |p| p.name()));
+    }
+    for addr in [insn.x(), insn.y()].into_iter().take(arity) {
+        match addr.operand() {
+            Operand::Stack => out.push_str(" stack"),
+            Operand::Slot(i) => out.push_str(&format!(" (slot {i})")),
+            Operand::Quote(k) => match p.consts.get(k) {
+                Some(d) => out.push_str(&format!(" (quote {d})")),
+                None => out.push_str(&format!(" (quote ?{k})")),
+            },
+        }
+    }
+    if test {
+        out.push_str(&format!(" {}", insn.b));
+    }
+    out.push(')');
+    out
 }
 
 #[cfg(test)]
@@ -418,15 +547,45 @@ mod insn_tests {
 
     #[test]
     fn every_insn_encodes_to_one_word_and_back() {
+        assert_eq!(std::mem::size_of::<Insn>(), 8);
         for raw in 0..=0xff_u8 {
             let Some(op) = Op::from_u8(raw) else { continue };
-            let insn = Insn::new(op, 0xdead_beef, 0xcafe);
+            let insn = Insn {
+                c: 0x5a,
+                ..Insn::new(op, 0xdead_beef, 0xcafe)
+            };
             let word = insn.encode();
+            assert_eq!(word >> 8 & 0xff, 0x5a, "{op:?}: c is the second byte");
             assert_eq!(Insn::decode(word), Some(insn), "{op:?}");
         }
+        // Both operand addresses survive the round trip, in their own
+        // halves of `a`.
+        let (x, y) = (
+            Addr::slot(Addr::MAX_INDEX).unwrap(),
+            Addr::quote(3).unwrap(),
+        );
+        let insn = Insn::decode(Insn::addressed(Op::Sub, x, y).encode()).unwrap();
+        assert_eq!((insn.x(), insn.y()), (x, y));
+        assert_eq!(insn.x().operand(), Operand::Slot(Addr::MAX_INDEX as usize));
+        assert_eq!(insn.y().operand(), Operand::Quote(3));
         // Unknown opcodes decode to None (corrupt code words are
         // detected, not misexecuted).
         assert_eq!(Insn::decode(0xff), None);
+    }
+
+    #[test]
+    fn addresses_name_the_stack_a_slot_or_a_constant() {
+        // Both operands on the stack is the all-zero address.
+        assert_eq!(Insn::addressed(Op::Add, Addr::STACK, Addr::STACK).a, 0);
+        assert!(Addr::STACK.is_stack());
+        assert_eq!(Addr::STACK.operand(), Operand::Stack);
+        assert_eq!(Addr::slot(7).map(Addr::operand), Some(Operand::Slot(7)));
+        assert_eq!(Addr::quote(0).map(Addr::operand), Some(Operand::Quote(0)));
+        assert!(!Addr::quote(0).unwrap().is_stack());
+        // An index past the field has no address: the emitter pushes
+        // that operand instead.
+        assert_eq!(Addr::slot(Addr::MAX_INDEX + 1), None);
+        assert_eq!(Addr::quote(Addr::MAX_INDEX + 1), None);
     }
 
     #[test]
@@ -439,15 +598,30 @@ mod insn_tests {
             rest: false,
             nslots: 1,
             ncaptures: 0,
-            code: vec![Insn::new(Op::Load, 0, 0), Insn::new(Op::Return, 0, 0)],
-            consts: vec![],
+            code: vec![
+                Insn::new(Op::Load, 0, 0),
+                Insn::addressed(Op::Sub, Addr::STACK, Addr::quote(0).unwrap()),
+                Insn {
+                    c: Prim::Lt as u8,
+                    b: 4,
+                    ..Insn::addressed(Op::TestNil, Addr::slot(0).unwrap(), Addr::STACK)
+                },
+                Insn::addressed(Op::Dec, Addr::slot(0).unwrap(), Addr::STACK),
+                Insn::new(Op::Return, 0, 0),
+            ],
+            consts: vec![Const::Fixnum(1)],
         }]);
         let l1 = m.listing("f").unwrap();
         let l2 = m.listing("f").unwrap();
         assert_eq!(l1, l2);
         assert!(l1.contains("defbytecode f"));
-        assert!(l1.contains("(load 0 0)"));
-        assert_eq!(m.proto(0).code_bytes(), 2 * INSN_BYTES);
+        assert!(l1.contains("(consts 1)"));
+        assert!(l1.contains("(  0 (load 0 0))"));
+        assert!(l1.contains("(  1 (sub stack (quote 1)))"));
+        assert!(l1.contains("(  2 (test.nil < (slot 0) stack 4))"));
+        assert!(l1.contains("(  3 (dec (slot 0)))"));
+        assert!(l1.contains("(  4 (ret 0 0))"));
+        assert_eq!(m.proto(0).code_bytes(), 5 * INSN_BYTES);
     }
 
     #[test]

@@ -283,7 +283,9 @@ const TAK: &str = "(defun tak (x y z)
 #[test]
 fn listing_compiles_tests_as_jumps() {
     // E3 on the bytecode: undeclared tak calls none of `<`, `not` or
-    // `-`, and `(if (not (< y x)) …)` is one compare-and-branch op.
+    // `-`, and `(if (not (< y x)) …)` is one compare-and-branch op.  Its
+    // operands need no code, so the op reads them in place, as the S-1
+    // reads `(FP i)` and `(QUOTE 1)`: each `(- v 1)` is one `sub`.
     let (eval, _) = build(TAK);
     let listing = eval.module().listing("tak").expect("listing");
     let consts = listing.lines().nth(1).expect("consts line");
@@ -296,10 +298,97 @@ fn listing_compiles_tests_as_jumps() {
         );
     }
     let code: Vec<&str> = listing.lines().skip(2).collect();
-    assert!(code[0].contains("(load 1 0)"), "{listing}");
-    assert!(code[1].contains("(load 0 0)"), "{listing}");
-    assert!(code[2].contains("(test.t "), "{listing}");
+    assert!(
+        code[0].ends_with("(test.t < (slot 1) (slot 0) 3))"),
+        "{listing}"
+    );
+    for slot in 0..3 {
+        let sub = format!("(sub (slot {slot}) (quote 1))");
+        assert_eq!(
+            code.iter().filter(|l| l.contains(&sub)).count(),
+            1,
+            "{listing}"
+        );
+    }
     assert_eq!(code.iter().filter(|l| l.contains("(sub ")).count(), 3);
+    assert!(!listing.contains("(const "), "{listing}");
+}
+
+#[test]
+fn only_plain_slots_and_constants_are_addressed() {
+    // A special, a variable an escaping closure writes (heap-allocated
+    // in its frame, a capture in the closure) and the trailing operand after
+    // one that needs code are pushed; the values agree either way.  (A
+    // generic op in tail position is a `tcall`, hence the `list`s.)
+    let src = "(defvar *k* 3)
+    (defun spec (n) (list (- n *k*)))
+    (defun heap (n)
+      (let ((f (lambda () (setq n (- n 1)))))
+        (apply f '())
+        (list (cons 10 n))))
+    (defun lead (n) (list (* (car (spec n)) 2)))
+    (defun trail (n) (list (+ 2 (car (spec n)))))";
+    let (eval, _) = build(src);
+    let m = eval.module();
+    let listing = |name: &str| m.listing(name).expect(name);
+    let spec = listing("spec");
+    assert!(spec.contains("(load.spec "), "{spec}");
+    assert!(spec.contains("(sub stack stack)"), "{spec}");
+    let heap = listing("heap");
+    assert!(heap.contains("(load.cell "), "{heap}");
+    assert!(heap.contains("(cons stack stack)"), "{heap}");
+    let closure = listing("heap::λ0");
+    assert!(closure.contains("(load.cap 0 0)"), "{closure}");
+    assert!(closure.contains("(sub stack (quote 1))"), "{closure}");
+    assert!(listing("lead").contains("(mul stack (quote 2))"));
+    assert!(listing("trail").contains("(add stack stack)"));
+    assert_eq!(agree(src, "spec", &[fx(5)]), "(2)");
+    assert_eq!(agree(src, "heap", &[fx(5)]), "((10 . 4))");
+    assert_eq!(agree(src, "lead", &[fx(5)]), "(4)");
+    assert_eq!(agree(src, "trail", &[fx(5)]), "(4)");
+}
+
+/// `(defun NAME (x) (progn (f 0) (f 1) … (f N-1)) TAIL)`: each call
+/// interns one more pool constant and emits three instructions.
+fn wide(name: &str, n: usize, tail: &str) -> String {
+    let calls: String = (0..n).map(|k| format!(" (f {k})")).collect();
+    format!("(defun f (k) k) (defun {name} (x) (progn{calls}) {tail})")
+}
+
+#[test]
+fn oversized_fields_take_the_stack_form_or_fail_to_emit() {
+    // A constant whose pool index is past an address's field is pushed.
+    let n = s1lisp_bytecode::Addr::MAX_INDEX as usize + 10;
+    let src = wide("far", n, &format!("(list (- x 0) (- x {}))", n - 1));
+    let (mut eval, _) = build(&src);
+    let listing = eval.module().listing("far").expect("listing");
+    assert!(
+        listing.contains("(sub (slot 0) (quote 0))"),
+        "near constants stay addressed"
+    );
+    assert!(
+        listing.contains("(sub stack stack)"),
+        "the far constant is pushed"
+    );
+    let got = eval.run("far", &[fx(n as i64)]).unwrap();
+    assert_eq!(got, Value::list([fx(n as i64), fx(1)]));
+    // A compare-and-branch whose target is past its 16-bit field does
+    // not emit at all.
+    let src = wide("long", 22_000, "");
+    let src = src
+        .replacen("(progn", "(if (< x 0) (progn", 1)
+        .replacen(") )", ") x))", 1);
+    let mut interner = Interner::new();
+    let forms = read_all_str(&src, &mut interner).expect("read");
+    let funcs = Frontend::new(&mut interner)
+        .convert_toplevel(&forms)
+        .expect("convert");
+    let f = funcs
+        .iter()
+        .find(|f| f.name.as_str() == "long")
+        .expect("long");
+    let err = emit_unit("long", &f.tree, &Annotations::compute(&f.tree, "long")).unwrap_err();
+    assert!(err.message.contains("16-bit jump target"), "{err}");
 }
 
 #[test]

@@ -137,7 +137,19 @@ impl Value {
             Datum::Sym(s) => Value::Sym(s.clone()),
             Datum::Str(s) => Value::Str(s.clone()),
             Datum::Char(c) => Value::Char(*c),
-            Datum::Cons(c) => Value::cons(Value::from_datum(&c.car()), Value::from_datum(&c.cdr())),
+            Datum::Cons(_) => {
+                // The cdr chain iteratively, as in `to_datum`.
+                let mut cars = Vec::new();
+                let mut rest = d.clone();
+                while let Datum::Cons(c) = rest {
+                    cars.push(Value::from_datum(&c.car()));
+                    rest = c.cdr();
+                }
+                let tail = Value::from_datum(&rest);
+                cars.into_iter()
+                    .rev()
+                    .fold(tail, |cdr, car| Value::cons(car, cdr))
+            }
         }
     }
 
@@ -195,16 +207,28 @@ impl Value {
         }
     }
 
-    /// `equal`: structural equality.
+    /// `equal`: structural equality.  The cdr chains are walked in a
+    /// loop, so long lists compare in constant stack.
     pub fn equal_p(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Cons(a), Value::Cons(b)) => {
-                Rc::ptr_eq(a, b)
-                    || (a.car.borrow().equal_p(&b.car.borrow())
-                        && a.cdr.borrow().equal_p(&b.cdr.borrow()))
+        let (Value::Cons(a), Value::Cons(b)) = (self, other) else {
+            return match (self, other) {
+                (Value::Str(a), Value::Str(b)) => a == b,
+                _ => self.eql_p(other),
+            };
+        };
+        let (mut a, mut b) = (a.clone(), b.clone());
+        loop {
+            if Rc::ptr_eq(&a, &b) {
+                return true;
             }
-            (Value::Str(a), Value::Str(b)) => a == b,
-            _ => self.eql_p(other),
+            if !a.car.borrow().equal_p(&b.car.borrow()) {
+                return false;
+            }
+            let next = (a.cdr.borrow().clone(), b.cdr.borrow().clone());
+            match next {
+                (Value::Cons(x), Value::Cons(y)) => (a, b) = (x, y),
+                (x, y) => return x.equal_p(&y),
+            }
         }
     }
 
@@ -373,6 +397,35 @@ mod tests {
             .expect("spawn a test thread")
             .join()
             .expect("the list printed and dropped");
+    }
+
+    #[test]
+    fn long_lists_compare_and_convert_in_constant_stack() {
+        // `equal_p` and `from_datum` walk the cdr chain in a loop, as
+        // `to_datum` does: a recursive walk overflows a 2 MiB stack well
+        // before 200,000 cells.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let n = 200_000;
+                let list = |last: i64| {
+                    (1..=n).rev().fold(Value::Nil, |cdr, k| {
+                        Value::cons(Value::Fixnum(if k == n { last } else { k }), cdr)
+                    })
+                };
+                let (a, b) = (list(n), list(n));
+                assert!(a.equal_p(&b));
+                assert_eq!(a, b);
+                assert!(!a.equal_p(&list(0)), "the last element differs");
+                assert!(!a.equal_p(&Value::Nil));
+                let datum = a.to_datum().expect("a datum");
+                let back = Value::from_datum(&datum);
+                assert!(back.equal_p(&a));
+                assert!(!back.eq_p(&a), "a fresh list");
+            })
+            .expect("spawn a test thread")
+            .join()
+            .expect("the lists compared and converted");
     }
 
     #[test]

@@ -1626,8 +1626,8 @@ mod tests {
 
     /// A read-back keeps the heap's sharing: `(cons x x)` comes back as
     /// one host cons in both fields, and a DAG of 64 such levels (2^64
-    /// conses as a tree) comes back at once.  A circular list is still
-    /// refused.
+    /// conses as a tree) comes back at once.  A long list reads back in
+    /// constant host stack, and a circular one is still refused.
     #[test]
     fn extract_keeps_sharing_and_refuses_cycles() {
         let mut m = Machine::new(Program::new());
@@ -1652,19 +1652,33 @@ mod tests {
         }
         assert!(matches!(m.extract(dag), Ok(Value::Cons(_))));
 
-        // The refusal comes 100 000 levels down: past a test thread's
-        // stack.
+        // The cdr chain reads back in a loop: a 100 000-element list
+        // fits a 2 MiB thread, and one element more, or a circular list,
+        // meets the refusal 100 000 levels down.
+        let mut long = Word::NIL;
+        for k in (1..=100_000).rev() {
+            long = cons(&mut m, Word::fixnum(k), long);
+        }
+        let longer = cons(&mut m, Word::fixnum(0), long);
         let last = runtime::cdr(&m, x).unwrap();
         runtime::rt_call(&mut m, Prim::Rplacd, &[last, x]).unwrap();
-        let err = std::thread::scope(|s| {
-            std::thread::Builder::new()
-                .stack_size(1 << 29)
-                .spawn_scoped(s, || m.extract(x).unwrap_err().to_string())
-                .unwrap()
-                .join()
-                .unwrap()
-        });
-        assert!(err.contains("circular"), "{err}");
+        let m = &m;
+        let on_small_stack = |w: Word| {
+            std::thread::scope(|s| {
+                std::thread::Builder::new()
+                    .stack_size(2 << 20)
+                    .spawn_scoped(s, move || m.extract(w).map(|v| v.to_string()))
+                    .unwrap()
+                    .join()
+                    .unwrap()
+            })
+        };
+        let text = on_small_stack(long).unwrap();
+        assert!(text.starts_with("(1 2 3 ") && text.ends_with(" 99999 100000)"));
+        for w in [longer, x] {
+            let err = on_small_stack(w).unwrap_err().to_string();
+            assert!(err.contains("too deep or circular"), "{err}");
+        }
     }
 
     /// ((1+ x)) hand-assembled.

@@ -542,16 +542,31 @@ impl ReadBack<'_> {
             Word::Ptr(Tag::Char, c) => {
                 Value::Char(char::from_u32(c as u32).ok_or_else(|| wrong("bad character"))?)
             }
-            Word::Ptr(Tag::Cons, addr) => {
-                if let Some(v) = self.conses.get(&addr) {
-                    return Ok(v.clone());
-                }
-                let v = Value::cons(
-                    self.value(m.read_mem(addr)?, depth + 1)?,
-                    self.value(m.read_mem(addr + 1)?, depth + 1)?,
-                );
-                self.conses.insert(addr, v.clone());
-                v
+            Word::Ptr(Tag::Cons, _) => {
+                // The cdr chain in a loop, each link one level deeper, so
+                // a long list reads back in constant host stack; only the
+                // cars recurse.
+                let (mut w, mut depth) = (w, depth);
+                let mut spine = Vec::new();
+                let tail = loop {
+                    let Word::Ptr(Tag::Cons, addr) = w else {
+                        break self.value(w, depth)?;
+                    };
+                    if let Some(v) = self.conses.get(&addr) {
+                        break v.clone();
+                    }
+                    if depth > 100_000 {
+                        return Err(wrong("extract: structure too deep or circular"));
+                    }
+                    spine.push((addr, self.value(m.read_mem(addr)?, depth + 1)?));
+                    w = m.read_mem(addr + 1)?;
+                    depth += 1;
+                };
+                spine.into_iter().rev().fold(tail, |cdr, (addr, car)| {
+                    let v = Value::cons(car, cdr);
+                    self.conses.insert(addr, v.clone());
+                    v
+                })
             }
             Word::Ptr(Tag::Function, id) => {
                 let name = m

@@ -304,39 +304,40 @@ const TAIL_CALLS: &[(&str, u64, usize)] = &[
 /// `(id, bc_insns)`: the instructions the bytecode evaluator retires
 /// over a case's calls under the full compiler, as it stands with tests
 /// compiled as jumps, one op per generic operator, statements compiled
-/// for effect and self tail calls made in place (kernel-gc-stress
-/// 6,027,607 → 5,418,005).  A row may only fall.
+/// for effect, self tail calls made in place (kernel-gc-stress
+/// 6,027,607 → 5,418,005) and trailing operands that need no code read
+/// in place (5,418,005 → 2,413,204).  A row may only fall.
 const BYTECODE: &[(&str, u64)] = &[
-    ("corpus-exptl", 82),
-    ("corpus-exptl-typed", 82),
-    ("corpus-loopn", 700_005),
+    ("corpus-exptl", 48),
+    ("corpus-exptl-typed", 48),
+    ("corpus-loopn", 300_003),
     ("corpus-testfn", 58),
-    ("corpus-quadratic", 35),
-    ("corpus-quadratic-typed", 35),
-    ("corpus-tak", 16_026),
-    ("corpus-fib-iter", 1_332),
-    ("corpus-sum-horner", 66_013),
-    ("corpus-pdl-loop", 56_007),
-    ("corpus-accumulate", 11_009),
-    ("corpus-closures", 39),
-    ("corpus-dot-loop", 44_009),
-    ("corpus-deriv", 668),
-    ("corpus-sum-horner-inline", 250_009),
-    ("corpus-gc-stress", 90_305),
-    ("kernel-tak", 588_379),
-    ("kernel-loopn", 1_400_005),
-    ("kernel-sum-horner", 660_013),
-    ("kernel-pdl-loop", 560_007),
-    ("kernel-accumulate", 550_009),
-    ("kernel-deriv-bench", 16_220),
-    ("kernel-gc-stress", 5_418_005),
-    ("gabriel-stak", 1_240_369),
-    ("gabriel-ctak", 731_505),
-    ("gabriel-div2", 1_863),
-    ("gabriel-destructive", 248),
-    ("gabriel-triangle", 2_507),
+    ("corpus-quadratic", 23),
+    ("corpus-quadratic-typed", 23),
+    ("corpus-tak", 9_962),
+    ("corpus-fib-iter", 970),
+    ("corpus-sum-horner", 60_012),
+    ("corpus-pdl-loop", 50_006),
+    ("corpus-accumulate", 8_008),
+    ("corpus-closures", 37),
+    ("corpus-dot-loop", 38_008),
+    ("corpus-deriv", 601),
+    ("corpus-sum-horner-inline", 220_008),
+    ("corpus-gc-stress", 40_224),
+    ("kernel-tak", 365_749),
+    ("kernel-loopn", 600_003),
+    ("kernel-sum-horner", 600_012),
+    ("kernel-pdl-loop", 500_006),
+    ("kernel-accumulate", 400_008),
+    ("kernel-deriv-bench", 14_617),
+    ("kernel-gc-stress", 2_413_204),
+    ("gabriel-stak", 1_192_663),
+    ("gabriel-ctak", 508_875),
+    ("gabriel-div2", 1_471),
+    ("gabriel-destructive", 187),
+    ("gabriel-triangle", 2_459),
     ("gabriel-flatten", 11),
-    ("gabriel-collatz", 1_941),
+    ("gabriel-collatz", 1_231),
 ];
 
 /// Instructions the bytecode evaluator retires over a case's calls.

@@ -7,7 +7,7 @@
 //! `Compiler::unoptimized` (which keeps the runtime calls) and in the
 //! reference interpreter.
 
-use s1lisp::{Compiler, Machine, Trap, Value};
+use s1lisp::{BackendKind, Compiler, Machine, Trap, Value};
 use s1lisp_reader::Interner;
 use s1lisp_s1sim::ExecProfile;
 use s1lisp_suite::{fl, fx};
@@ -259,4 +259,64 @@ fn declared_fixnum_overflow_traps_as_the_interpreter_does() {
         c.machine().run("twice", &[fx(big - 1)]).unwrap(),
         fx(2 * (big - 1))
     );
+}
+
+/// An operand's code may write a variable that a later operand reads.
+/// The bytecode reads a trailing operand that needs no code in place
+/// when the op runs, after every leading operand's code, so each engine
+/// computes the source-order value: the interpreter's.
+#[test]
+fn operands_see_the_writes_of_earlier_operands_on_every_engine() {
+    const SRC: &str = "(defun sub-after (n) (list (- (progn (setq n 5) n) n)))
+(defun sub-before (n) (list (- n (progn (setq n 5) n))))
+(defun cons-after (x) (list (cons (setq x 1) x)))
+(defun cons-before (x) (list (cons x (setq x 1))))
+(defun less-after (n) (if (< (progn (setq n 5) n) n) 'lt 'ge))
+(defun eq-after (x) (if (eq (setq x 'a) x) 'same 'differ))
+(defun inc-after (n) (list (1+ (progn (setq n 7) n)) n))";
+    let cases = [
+        ("sub-after", "(0)"),
+        ("sub-before", "(5)"),
+        ("cons-after", "((1 . 1))"),
+        ("cons-before", "((10 . 1))"),
+        ("less-after", "ge"),
+        ("eq-after", "same"),
+        ("inc-after", "(8 7)"),
+    ];
+    let mut engines = Vec::new();
+    for backend in [BackendKind::S1, BackendKind::Bytecode] {
+        for full in [true, false] {
+            let mut c = if full {
+                Compiler::new()
+            } else {
+                Compiler::unoptimized()
+            };
+            c.backend = backend;
+            c.compile_str(SRC).expect("compiles");
+            engines.push((format!("{} full={full}", backend.name()), c));
+        }
+    }
+    // The naive bytecode reads the trailing `n` in place.
+    let listing = engines[3].1.disassemble("sub-after").expect("defined");
+    assert!(listing.contains("(sub stack (slot 0))"), "{listing}");
+    let args = [fx(10)];
+    for (name, want) in cases {
+        let reference = engines[0].1.interpreter().call(name, &args);
+        assert_eq!(
+            reference.map(|v| v.to_string()).as_deref(),
+            Ok(want),
+            "{name}"
+        );
+        for (engine, c) in &engines {
+            let got = match c.backend {
+                BackendKind::S1 => c.machine().run(name, &args).map_err(|t| t.to_string()),
+                BackendKind::Bytecode => c.evaluator().run(name, &args).map_err(|t| t.message),
+            };
+            assert_eq!(
+                got.map(|v| v.to_string()).as_deref(),
+                Ok(want),
+                "{name} on {engine}"
+            );
+        }
+    }
 }
