@@ -25,7 +25,7 @@
 use std::collections::{HashMap, HashSet};
 
 use s1lisp_analysis::tail_nodes_from;
-use s1lisp_ast::{primop, CallFunc, NodeId, NodeKind, ProgItem, Tree, VarId};
+use s1lisp_ast::{primop, CallFunc, Inline, NodeId, NodeKind, ProgItem, Tree, VarId};
 
 use crate::binding::{BindingInfo, VarAlloc};
 use crate::rep::{Rep, RepInfo};
@@ -325,7 +325,7 @@ fn nump_pass(
                 // an authorized node is boxed on the stack: any other
                 // boxes its raw result in the heap, which is safe.
                 Some(p) => {
-                    let numeric = typedish(g.as_str())
+                    let numeric = matches!(p.inline, Inline::Flonum | Inline::Fixnum)
                         || (rep.is(node).is_raw_numeric() && rep.is(node) != Rep::Swfix);
                     (numeric, numeric && p.pdl_safe && authorized(node, info))
                 }
@@ -361,12 +361,6 @@ fn nump_pass(
 /// A raw number nobody authorized is boxed in the heap.
 fn authorized(node: NodeId, info: &PdlInfo) -> bool {
     info.pdlokp.get(&node).is_some_and(Option::is_some)
-}
-
-/// Operations producing raw numbers that would need boxing (known
-/// primitives only).
-fn typedish(name: &str) -> bool {
-    primop(name).is_some() && (name.ends_with("$f") || name.ends_with('&'))
 }
 
 #[cfg(test)]

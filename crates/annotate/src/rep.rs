@@ -13,7 +13,10 @@
 
 use std::collections::HashMap;
 
-use s1lisp_ast::{CallFunc, DeclaredType, NodeId, NodeKind, NumKind, Prim, ProgItem, Tree, VarId};
+use s1lisp_ast::{
+    CallFunc, DeclaredType, Inline, NodeId, NodeKind, NumKind, Prim, ProgItem, Tree, VarId,
+};
+use s1lisp_reader::Datum;
 
 use crate::binding::{BindingInfo, VarAlloc};
 
@@ -130,65 +133,39 @@ impl RepInfo {
 }
 
 /// Representation of a typed primitive's operands and result, if the
-/// operation is type-specific: the `$f` family is single-word float,
-/// the `&` family fixnum.
-fn typed_op(prim: Prim) -> Option<(Rep, Rep)> {
-    match prim {
-        Prim::AddF
-        | Prim::SubF
-        | Prim::MulF
-        | Prim::DivF
-        | Prim::MaxF
-        | Prim::MinF
-        | Prim::AbsF
-        | Prim::SqrtF
-        | Prim::SinF
-        | Prim::CosF
-        | Prim::SincF
-        | Prim::CoscF => Some((Rep::Swflo, Rep::Swflo)),
-        Prim::AddI | Prim::SubI | Prim::MulI => Some((Rep::Swfix, Rep::Swfix)),
+/// row's class is type-specific: the `$f` family single-word float, the
+/// `&` family fixnum.
+fn typed_rep(prim: Prim) -> Option<Rep> {
+    match prim.info().inline {
+        Inline::Flonum => Some(Rep::Swflo),
+        Inline::Fixnum => Some(Rep::Swfix),
         _ => None,
     }
 }
 
-/// Generic operators eligible for float lowering (their all-float
-/// reference semantics coincide with the `$f` instructions).
-fn lowerable(prim: Prim) -> bool {
-    matches!(
-        prim,
-        Prim::Add
-            | Prim::Sub
-            | Prim::Mul
-            | Prim::Div
-            | Prim::Max
-            | Prim::Min
-            | Prim::OnePlus
-            | Prim::OneMinus
-            // Unary transcendentals whose S-1 instruction uses the same
-            // convention as the generic operator (sin/cos are *not* here:
-            // the hardware takes cycles, the generic functions radians).
-            | Prim::Sqrt
-            | Prim::Exp
-            | Prim::Log
-            | Prim::Atan
-    )
+/// Whether `n` delivers raw `rep` (SWFLO or SWFIX), or is a constant
+/// that loads as one.
+fn delivers(tree: &Tree, info: &RepInfo, n: NodeId, rep: Rep) -> bool {
+    info.is(n) == rep
+        || match tree.kind(n) {
+            NodeKind::Constant(Datum::Flonum(_)) => rep == Rep::Swflo,
+            NodeKind::Constant(Datum::Fixnum(_)) => rep == Rep::Swfix,
+            _ => false,
+        }
 }
 
-/// Generic operators with a fixnum instruction twin (the S-1 has all
-/// sixteen rounding modes as primitive instructions, §3).
-fn lowerable_int(prim: Prim) -> bool {
-    matches!(
-        prim,
-        Prim::Add
-            | Prim::Sub
-            | Prim::Mul
-            | Prim::Div
-            | Prim::OnePlus
-            | Prim::OneMinus
-            | Prim::Rem
-            | Prim::Mod
-            | Prim::Floor
-    )
+/// Type deduction: the raw representation a generic call of `prim`
+/// lowers to, all of whose operands deliver it, when the row's operation
+/// is defined there.  A flonum-valued row (`sqrt`) lowers to SWFLO only.
+fn lowered(tree: &Tree, info: &RepInfo, prim: Prim, args: &[NodeId]) -> Option<Rep> {
+    let (op, result) = (prim.info().op?, prim.info().result);
+    [Rep::Swflo, Rep::Swfix].into_iter().find(|&rep| {
+        let defined = match rep {
+            Rep::Swflo => op.on_flonums() && matches!(result, NumKind::Generic | NumKind::Flonum),
+            _ => op.on_fixnums() && result == NumKind::Generic,
+        };
+        defined && !args.is_empty() && args.iter().all(|&a| delivers(tree, info, a, rep))
+    })
 }
 
 /// Runs both passes, iterating once more when type deduction lowers a
@@ -268,13 +245,7 @@ fn infer_var_reps(tree: &Tree, binding: &BindingInfo, info: &mut RepInfo) -> boo
             continue;
         };
         let Some(&init) = args.get(j) else { continue };
-        let float_delivering = |n: NodeId| {
-            info.is(n) == Rep::Swflo
-                || matches!(
-                    tree.kind(n),
-                    NodeKind::Constant(s1lisp_reader::Datum::Flonum(_))
-                )
-        };
+        let float_delivering = |n: NodeId| delivers(tree, info, n, Rep::Swflo);
         if !float_delivering(init) {
             continue;
         }
@@ -315,8 +286,7 @@ fn want_pass(tree: &Tree, node: NodeId, want: Rep, info: &mut RepInfo) {
         NodeKind::Call { func, args } => match func {
             CallFunc::Global(g) => {
                 let arg_want = Prim::from_name(g.as_str())
-                    .and_then(typed_op)
-                    .map(|(operand, _)| operand)
+                    .and_then(typed_rep)
                     .or_else(|| info.lowered.get(&node).copied());
                 for &a in args {
                     want_pass(tree, a, arg_want.unwrap_or(Rep::Pointer), info);
@@ -395,8 +365,8 @@ fn is_pass(tree: &Tree, node: NodeId, info: &mut RepInfo) -> Rep {
     let want = info.want(node);
     let rep = match tree.kind(node) {
         NodeKind::Constant(d) => match d {
-            s1lisp_reader::Datum::Fixnum(_) if want == Rep::Swfix => Rep::Swfix,
-            s1lisp_reader::Datum::Flonum(_) if want == Rep::Swflo => Rep::Swflo,
+            Datum::Fixnum(_) if want == Rep::Swfix => Rep::Swfix,
+            Datum::Flonum(_) if want == Rep::Swflo => Rep::Swflo,
             _ => Rep::Pointer,
         },
         NodeKind::VarRef(v) => info.var_rep[v],
@@ -406,42 +376,17 @@ fn is_pass(tree: &Tree, node: NodeId, info: &mut RepInfo) -> Rep {
         NodeKind::Call { func, args } => match func {
             CallFunc::Global(g) => {
                 let prim = Prim::from_name(g.as_str());
-                let result = prim.map(|p| p.info().result);
-                if let Some((_, result)) = prim.and_then(typed_op) {
-                    result
-                } else if matches!(result, Some(NumKind::Generic | NumKind::Flonum))
-                    && prim.is_some_and(lowerable)
-                    && !args.is_empty()
-                    && args.iter().all(|&a| {
-                        info.is(a) == Rep::Swflo
-                            || matches!(
-                                tree.kind(a),
-                                NodeKind::Constant(s1lisp_reader::Datum::Flonum(_))
-                            )
-                    })
-                {
-                    // Type deduction: all operands are (or can be loaded
-                    // as) raw floats — compile like the $f twin.
-                    info.lowered.insert(node, Rep::Swflo);
-                    Rep::Swflo
-                } else if result == Some(NumKind::Generic)
-                    && prim.is_some_and(lowerable_int)
-                    && !args.is_empty()
-                    && args.iter().all(|&a| {
-                        info.is(a) == Rep::Swfix
-                            || matches!(
-                                tree.kind(a),
-                                NodeKind::Constant(s1lisp_reader::Datum::Fixnum(_))
-                            )
-                    })
-                {
-                    // All-fixnum generic arithmetic: the fixnum
-                    // instruction twin (fixnums are immediate, so this is
-                    // an instruction-selection decision only).
-                    info.lowered.insert(node, Rep::Swfix);
-                    Rep::Swfix
+                if let Some(rep) = prim.and_then(typed_rep) {
+                    rep
+                } else if let Some(rep) = prim.and_then(|p| lowered(tree, info, p, args)) {
+                    // All operands are (or can be loaded as) raw: compile
+                    // like the `$f` (or `&`) twin.  Fixnums are
+                    // immediate, so that is an instruction-selection
+                    // decision only.
+                    info.lowered.insert(node, rep);
+                    rep
                 } else {
-                    match result {
+                    match prim.map(|p| p.info().result) {
                         // A comparison "delivers" a jump when one is
                         // wanted; otherwise it materializes t/nil.
                         Some(NumKind::Boolean) if want == Rep::Jump => Rep::Jump,
@@ -504,13 +449,13 @@ mod tests {
         for &prim in Prim::ALL {
             let name = prim.name();
             let want = if name.ends_with("$f") {
-                Some((Rep::Swflo, Rep::Swflo))
+                Some(Rep::Swflo)
             } else if name.ends_with('&') {
-                Some((Rep::Swfix, Rep::Swfix))
+                Some(Rep::Swfix)
             } else {
                 None
             };
-            assert_eq!(typed_op(prim), want, "{name}");
+            assert_eq!(typed_rep(prim), want, "{name}");
         }
     }
 

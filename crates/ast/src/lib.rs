@@ -35,7 +35,7 @@ mod validate;
 mod visit;
 
 pub use hash::{fingerprint, fnv1a_str, Fnv1a64};
-pub use prim::{primop, Identity, NumKind, Prim, Primop};
+pub use prim::{primop, Identity, Inline, NumKind, NumOp, Prim, Primop};
 pub use tree::{
     CallFunc, CaseqClause, DeclaredType, Lambda, Node, NodeId, NodeKind, OptParam, ProgItem, Tree,
     Var, VarId,

@@ -8,7 +8,9 @@
 //! [`Answer`] back into its own values — the interpreter and the
 //! bytecode evaluator into `Value`s (through the interpreter's builtins,
 //! which the folder also calls), the S-1 run-time system into machine
-//! words.  The rows, their checks and their errors live only here.
+//! words.  The rows, their checks and their errors live only here, and
+//! so do the fixnum cases the engines answer in line ([`fixnum`]) and
+//! the relation each comparison tests ([`holds`]).
 //!
 //! The rules every row keeps:
 //!
@@ -214,6 +216,35 @@ pub fn int_op(p: Prim, a: i64, b: i64) -> Result<i64, NumError> {
     r.ok_or(NumError::Overflow)
 }
 
+/// The fixnum case of row `p`: its answer on the fixnums `args`, which
+/// the engines' fast paths compute in line, each before (and in place
+/// of) the row.  `None` for an overflow, a zero divisor, or a row or
+/// operand count without such a case; [`apply`] answers those.  Each
+/// arm names its row, so that an inlined call is the one checked
+/// operation.
+#[inline(always)]
+pub fn fixnum(p: Prim, args: &[i64]) -> Option<Answer> {
+    use Prim::{Add, Div, Ge, Gt, Le, Lt, Mul, NumEq, NumNe, OneMinus, OnePlus, Sub, Zerop};
+    let int = |r: Result<i64, NumError>| r.ok().map(|n| Answer::Num(Num::Int(n)));
+    match *args {
+        [x] => match p {
+            OnePlus => int(int_op(Add, x, 1)),
+            OneMinus => int(int_op(Sub, x, 1)),
+            Zerop => Some(Answer::Bool(holds(p, x.cmp(&0)))),
+            _ => None,
+        },
+        [x, y] => match p {
+            Add => int(int_op(Add, x, y)),
+            Sub => int(int_op(Sub, x, y)),
+            Mul => int(int_op(Mul, x, y)),
+            Div => int(int_op(Div, x, y)),
+            NumEq | NumNe | Lt | Gt | Le | Ge => Some(Answer::Bool(holds(p, x.cmp(&y)))),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// How two numbers are ordered: as integers when both are fixnums, as
 /// floats otherwise; a NaN orders nothing.
 ///
@@ -232,7 +263,12 @@ pub fn order(x: Num, y: Num) -> Result<Ordering, NumError> {
 
 /// Whether the comparison or sign predicate `p` holds of two operands so
 /// ordered (the sign predicates compare their operand with 0).
-fn holds(p: Prim, o: Ordering) -> bool {
+///
+/// # Panics
+///
+/// For any other row: a caller's bug, not a Lisp error.
+#[inline]
+pub fn holds(p: Prim, o: Ordering) -> bool {
     match p {
         Prim::NumEq | Prim::Zerop => o == Ordering::Equal,
         Prim::NumNe => o != Ordering::Equal,

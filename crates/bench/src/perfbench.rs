@@ -431,27 +431,36 @@ fn git_rev(repo_root: &Path) -> String {
     };
     match git(&["rev-parse", "HEAD"]) {
         Some(rev) if !rev.trim().is_empty() => {
-            let changed = git(&["diff", "--name-only", "HEAD"]).unwrap_or_default();
-            rev_label(rev.trim(), &changed)
+            let diff = git(&["diff", "HEAD"]).unwrap_or_default();
+            rev_label(rev.trim(), &diff)
         }
         _ => "unknown".to_string(),
     }
 }
 
-/// The `rev` an entry records: `rev`, plus `+dirty` when `changed` (the
-/// paths `git diff --name-only HEAD` prints, one per line) names a file
-/// other than a `BENCH_*.json` log, so an entry measured on an
-/// uncommitted tree never passes for its parent commit.
-fn rev_label(rev: &str, changed: &str) -> String {
+/// The `rev` an entry records: `rev`, plus `+dirty.<hash>` when `diff`
+/// (what `git diff HEAD` prints) changes a file other than a
+/// `BENCH_*.json` log, so an entry measured on an uncommitted tree never
+/// passes for its parent commit, and two different such trees never
+/// pass for each other.  The hash is the FNV-1a of the diff without the
+/// logs' sections, in 16 hex digits.
+fn rev_label(rev: &str, diff: &str) -> String {
     let is_log = |file: &str| file.starts_with("BENCH_") && file.ends_with(".json");
-    let dirty = changed
-        .lines()
-        .filter_map(|path| path.rsplit('/').next())
-        .any(|file| !file.is_empty() && !is_log(file));
-    if dirty {
-        format!("{rev}+dirty")
-    } else {
+    let mut kept = String::new();
+    let mut keep = true;
+    for line in diff.split_inclusive('\n') {
+        if let Some(paths) = line.strip_prefix("diff --git ") {
+            let file = paths.trim_end().rsplit('/').next().unwrap_or_default();
+            keep = !is_log(file);
+        }
+        if keep {
+            kept.push_str(line);
+        }
+    }
+    if kept.is_empty() {
         rev.to_string()
+    } else {
+        format!("{rev}+dirty.{:016x}", s1lisp_ast::fnv1a_str(&kept))
     }
 }
 
@@ -796,7 +805,13 @@ pub fn summarize_entry(entry: &Json) -> String {
     let mut out = String::new();
     let rev = entry.get("rev").and_then(Json::as_str).unwrap_or("?");
     let date = entry.get("date").and_then(Json::as_str).unwrap_or("?");
-    let _ = writeln!(out, "rev {} date {date}", &rev[..rev.len().min(12)]);
+    // The commit hash cut at 12 characters, a `+dirty.<hash>` kept whole.
+    let (commit, dirty) = rev.split_at(rev.find('+').unwrap_or(rev.len()));
+    let _ = writeln!(
+        out,
+        "rev {}{dirty} date {date}",
+        &commit[..commit.len().min(12)]
+    );
     for row in entry_rows(entry) {
         if let Some(id) = row.get("id").and_then(Json::as_str) {
             let _ = writeln!(
@@ -860,20 +875,44 @@ mod tests {
 
     #[test]
     fn rev_label_marks_trees_with_changes_beyond_the_logs() {
+        let section = |path: &str, change: &str| {
+            format!("diff --git a/{path} b/{path}\n--- a/{path}\n+++ b/{path}\n@@ -1 +1 @@\n-x\n+{change}\n")
+        };
+        let logs = section("BENCH_sim.json", "1") + &section("BENCH_service.json", "2");
         assert_eq!(rev_label("abc", ""), "abc");
-        assert_eq!(
-            rev_label("abc", "BENCH_sim.json\nBENCH_service.json\n"),
-            "abc"
+        assert_eq!(rev_label("abc", &logs), "abc");
+        let code = section("crates/bench/src/perfbench.rs", "y");
+        let label = rev_label("abc", &code);
+        let hash = label.strip_prefix("abc+dirty.").expect(&label);
+        assert!(
+            hash.len() == 16 && hash.chars().all(|c| c.is_ascii_hexdigit()),
+            "{label}"
         );
-        assert_eq!(
-            rev_label("abc", "crates/bench/src/perfbench.rs\n"),
-            "abc+dirty"
+        // The logs' sections do not count, wherever they fall.
+        assert_eq!(rev_label("abc", &(logs.clone() + &code)), label);
+        assert_eq!(rev_label("abc", &(code.clone() + &logs)), label);
+        // Another change is another label.
+        assert_ne!(
+            rev_label("abc", &section("crates/bench/src/perfbench.rs", "z")),
+            label
         );
-        assert_eq!(
-            rev_label("abc", "BENCH_sim.json\nROADMAP.md\n"),
-            "abc+dirty"
+        let roadmap = section("ROADMAP.md", "y");
+        assert!(rev_label("abc", &(logs + &roadmap)).starts_with("abc+dirty."));
+        assert!(rev_label("abc", &section("BENCH_notes.md", "y")).starts_with("abc+dirty."));
+    }
+
+    #[test]
+    fn a_summary_cuts_the_commit_and_keeps_the_dirty_suffix() {
+        let rev = "7524295b1c3e9f0a1b2c3d4e5f6a7b8c9d0e1f2a+dirty.0123456789abcdef";
+        let entry = Json::obj(vec![
+            ("rev", Json::str(rev)),
+            ("date", Json::str("2026-10-20")),
+        ]);
+        let summary = summarize_entry(&entry);
+        assert!(
+            summary.starts_with("rev 7524295b1c3e+dirty.0123456789abcdef date 2026-10-20"),
+            "{summary}"
         );
-        assert_eq!(rev_label("abc", "BENCH_notes.md\n"), "abc+dirty");
     }
 
     #[test]

@@ -5,24 +5,28 @@
 //! heap value cell, or special stack).  Code is compiled the way the
 //! S-1's code generator compiles it, in three contexts:
 //!
-//! * **Value** ([`Emitter::node`]) pushes exactly one value.  Generic
-//!   `+ - * /`, `1+`, `1-` and `cons` are one op each, whether or not
-//!   representation analysis lowered them.
-//! * **Test** ([`Emitter::test`], §5, E3) pushes nothing and jumps:
-//!   `not`/`null` flip the sense, and `zerop`, `eq` and the two-argument
-//!   comparisons are one compare-and-branch op carrying the `Prim`.
+//! * **Value** ([`Emitter::node`]) pushes exactly one value.  A row
+//!   whose in-line class (`s1lisp_ast::Inline`) is generic arithmetic or
+//!   `cons` is one `prim` op carrying the `Prim`, whether or not
+//!   representation analysis lowered it.
+//! * **Test** ([`Emitter::test`], §5, E3) pushes nothing and jumps: a
+//!   negation row flips the sense, and a compare-and-branch row or `eq`
+//!   is one compare-and-branch op carrying the `Prim`.
 //! * **Effect** ([`Emitter::effect`]) pushes nothing: a `setq` is one
 //!   store and a constant arm emits nothing.
 //!
-//! Those ops read their trailing operands in place when they need no
-//! code ([`Emitter::operands`]): `(- n 1)` is one `(sub (slot 0) (quote
-//! 1))`, as the S-1's is one `GENERIC` on `(FP 0)` and `(QUOTE 1)`.
+//! Any other class compiles as a call.  The ops read their trailing
+//! operands in place when they need no code ([`Emitter::operands`]):
+//! `(- n 1)` is one `(- (slot 0) (quote 1))`, as the S-1's is one
+//! `GENERIC` on `(FP 0)` and `(QUOTE 1)`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use s1lisp_annotate::{Annotations, VarAlloc};
-use s1lisp_ast::{subtree_nodes, CallFunc, Lambda, NodeId, NodeKind, Prim, ProgItem, Tree, VarId};
+use s1lisp_ast::{
+    subtree_nodes, CallFunc, Inline, Lambda, NodeId, NodeKind, Prim, ProgItem, Tree, VarId,
+};
 use s1lisp_interp::Const;
 use s1lisp_reader::Datum;
 
@@ -60,6 +64,7 @@ pub fn emit_unit(name: &str, tree: &Tree, ann: &Annotations) -> Result<Vec<FuncP
     let mut em = Emitter {
         tree,
         ann,
+        cells: written_by_closures(tree),
         protos: Vec::new(),
         next_closure: 0,
         entry: name.to_string(),
@@ -71,6 +76,9 @@ pub fn emit_unit(name: &str, tree: &Tree, ann: &Annotations) -> Result<Vec<FuncP
 struct Emitter<'a> {
     tree: &'a Tree,
     ann: &'a Annotations,
+    /// Variables that live in a cell whatever the binding annotation
+    /// says: [`written_by_closures`].
+    cells: HashSet<VarId>,
     /// Protos in batch order; `None` while still being emitted.
     protos: Vec<Option<FuncProto>>,
     next_closure: u32,
@@ -143,16 +151,15 @@ impl FnCtx {
         self.op(op, 0, 0);
     }
 
-    /// An addressed op on operands `x` and `y`.
-    fn addressed(&mut self, op: Op, [x, y]: [Addr; 2]) {
-        self.code.push(Insn::addressed(op, x, y));
+    /// An addressed op applying `prim` to operands `x` and `y`.
+    fn addressed(&mut self, op: Op, prim: Prim, [x, y]: [Addr; 2]) {
+        self.code.push(Insn::addressed(op, prim, x, y));
     }
 
     /// A compare-and-branch on the test primitive `prim`.
     fn test_jump(&mut self, op: Op, prim: Prim, operands: [Addr; 2], label: usize) {
         self.fixups.push((self.code.len(), label, true));
-        self.addressed(op, operands);
-        self.code.last_mut().expect("just pushed").c = prim as u8;
+        self.addressed(op, prim, operands);
     }
 
     /// Leaves an arm of a conditional for its join point `label`; an arm
@@ -208,31 +215,33 @@ fn split_progn(body: &[NodeId]) -> Result<(&NodeId, &[NodeId]), EmitError> {
     })
 }
 
-/// The op for a generic arithmetic call (or `cons`) of `argc`
-/// arguments, if it has one.
-fn generic_op(p: Prim, argc: usize) -> Option<Op> {
-    Some(match (p, argc) {
-        (Prim::Add, 2) => Op::Add,
-        (Prim::Sub, 2) => Op::Sub,
-        (Prim::Mul, 2) => Op::Mul,
-        (Prim::Div, 2) => Op::Div,
-        (Prim::OnePlus, 1) => Op::Inc,
-        (Prim::OneMinus, 1) => Op::Dec,
-        (Prim::Cons, 2) => Op::Cons,
-        _ => return None,
-    })
-}
-
-/// Whether `p` on `argc` arguments compiles to a compare-and-branch
-/// in test position.
-fn branch_test(p: Prim, argc: usize) -> bool {
-    match p {
-        Prim::Zerop => argc == 1,
-        Prim::Eq | Prim::NumEq | Prim::NumNe | Prim::Lt | Prim::Gt | Prim::Le | Prim::Ge => {
-            argc == 2
-        }
-        _ => false,
-    }
+/// The lexical variables that a lambda other than a `let` writes
+/// without binding them.  Such a lambda is a closure here, which holds a
+/// by-value copy of a variable that stays in a frame slot, so its write
+/// would be lost; the binding annotation can leave such a variable on
+/// the stack, as it does for a local function only ever called.
+fn written_by_closures(tree: &Tree) -> HashSet<VarId> {
+    let is_let = |lambda: NodeId| {
+        tree.node(lambda).parent.is_some_and(|p| {
+            matches!(tree.kind(p), NodeKind::Call { func: CallFunc::Expr(f), .. } if *f == lambda)
+        })
+    };
+    tree.var_ids()
+        .filter(|&v| {
+            let var = tree.var(v);
+            !var.special
+                && var.setqs.iter().any(|&setq| {
+                    let mut n = setq;
+                    while let Some(up) = tree.node(n).parent.filter(|&up| Some(up) != var.binder) {
+                        if matches!(tree.kind(up), NodeKind::Lambda(_)) && !is_let(up) {
+                            return true;
+                        }
+                        n = up;
+                    }
+                    false
+                })
+        })
+        .collect()
 }
 
 impl<'a> Emitter<'a> {
@@ -332,6 +341,9 @@ impl<'a> Emitter<'a> {
     fn alloc(&self, v: VarId) -> VarAlloc {
         if self.tree.var(v).special {
             return VarAlloc::Special;
+        }
+        if self.cells.contains(&v) {
+            return VarAlloc::Heap;
         }
         self.ann
             .binding
@@ -586,17 +598,18 @@ impl<'a> Emitter<'a> {
             NodeKind::Call {
                 func: CallFunc::Global(g),
                 args,
-            } => match Prim::from_name(g.as_str()) {
-                Some(Prim::Not | Prim::Null) if args.len() == 1 => {
-                    self.test(cx, args[0], !sense, label)?;
+            } => {
+                let prim = Prim::from_name(g.as_str()).filter(|p| args.len() == p.operands());
+                match prim.map(|p| (p, p.info().inline)) {
+                    Some((_, Inline::Negate)) => self.test(cx, args[0], !sense, label)?,
+                    Some((p, Inline::Compare | Inline::Eq)) => {
+                        let operands = self.operands(cx, &args)?;
+                        let op = if sense { Op::TestTrue } else { Op::TestNil };
+                        cx.test_jump(op, p, operands, label);
+                    }
+                    _ => self.value_test(cx, node, sense, label)?,
                 }
-                Some(p) if branch_test(p, args.len()) => {
-                    let operands = self.operands(cx, &args)?;
-                    let op = if sense { Op::TestTrue } else { Op::TestNil };
-                    cx.test_jump(op, p, operands, label);
-                }
-                _ => self.value_test(cx, node, sense, label)?,
-            },
+            }
             _ => self.value_test(cx, node, sense, label)?,
         }
         Ok(())
@@ -773,12 +786,16 @@ impl<'a> Emitter<'a> {
         // A genuine tail call only when no handler or special binding
         // of this frame must survive the callee.
         let tail_call = tail && cx.catches == 0 && cx.specials == 0;
-        // One op per generic operator.  A tail call stays a `tcall`,
-        // which also returns the value.
-        let op = prim.and_then(|p| generic_op(p, args.len()));
-        if let Some(op) = op.filter(|_| !tail_call) {
+        // One op for a generic operator or `cons`.  A tail call stays a
+        // `tcall`, which also returns the value.
+        let in_line = prim.filter(|p| {
+            matches!(p.info().inline, Inline::Generic | Inline::Cons)
+                && args.len() == p.operands()
+                && !tail_call
+        });
+        if let Some(p) = in_line {
             let operands = self.operands(cx, args)?;
-            cx.addressed(op, operands);
+            cx.addressed(Op::Prim, p, operands);
             cx.height += 1;
             return Ok(());
         }
@@ -898,9 +915,6 @@ impl<'a> Emitter<'a> {
                 if self.alloc(v) == VarAlloc::Heap {
                     cx.op(Op::PushCellSlot, s, 0);
                 } else {
-                    // A by-value snapshot: the annotator kept this
-                    // variable on the stack, so nothing can mutate it
-                    // behind the closure's back.
                     cx.op(Op::Load, s, 0);
                     cx.op(Op::BoxTop, 0, 0);
                 }

@@ -7,22 +7,22 @@
 //! primitive table ([`Prim`]) dispatches on its number through
 //! [`s1lisp_interp::call_builtin`], so both backends share one reference
 //! definition of `+`, `car`, `+$f`, and friends.  Only `throw` and
-//! `apply`, which unwind and spread frames, run here.  The commonest
-//! calls (`zerop`, `+`, `-`, `*`, `=`, `<`, `>` on fixnums, `not`,
-//! `null`, `cons`) are answered on the operand stack first, by
-//! [`open_coded`], which must return exactly what the builtin would and
-//! leaves every other operand, an overflow included, to it.
+//! `apply`, which unwind and spread frames, run here.  A call of a row
+//! that [`open_coded`] answers — as the row's in-line class says: a
+//! numeric row's fixnum case (`num::fixnum`), a negation, `eq` or
+//! `cons` — is answered on the operand stack first; it must return
+//! exactly what the builtin would and leaves every other operand, an
+//! overflow included, to it.
 //!
-//! The generic ops (`add` … `dec`, `cons`) and the compare-and-branch
-//! ops (`test.nil`, `test.t`) read each operand where its [`Addr`]
-//! says — popped from the operand stack, or in place from a frame slot
-//! or the linked constant pool ([`State::operand`]) — and answer
-//! fixnums, and plain values for `eq` and `cons`, in line.  On any other
-//! operand, [`State::slow`] pushes the addressed ones among those on the
-//! stack and sends them all to [`State::builtin`] under the source
-//! operator's [`Prim`], as the S-1's `GENERIC` does, so their values and
-//! trap messages are the call's.  A self tail call reuses its frame
-//! ([`State::reenter`]).
+//! The `prim` op and the compare-and-branch ops (`test.nil`, `test.t`)
+//! carry their row, and read each operand where its [`Addr`] says —
+//! popped from the operand stack, or in place from a frame slot or the
+//! linked constant pool ([`State::operand`]) — and answer through
+//! [`open_coded`] too ([`State::prim`]).  On any other operand,
+//! [`State::slow`] pushes the addressed ones among those on the stack
+//! and sends them all to [`State::builtin`] under the row, as the S-1's
+//! `GENERIC` does, so their values and trap messages are the call's.  A
+//! self tail call reuses its frame ([`State::reenter`]).
 //!
 //! [`Evaluator::new`] links the module once, as the S-1 loader resolves
 //! call targets and special cells ahead of time: every constant-pool
@@ -39,8 +39,8 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use s1lisp_ast::num;
-use s1lisp_ast::Prim;
+use s1lisp_ast::num::{self, Answer, Num};
+use s1lisp_ast::{Inline, Prim};
 use s1lisp_interp::{call_builtin, Const, Function, Value};
 use s1lisp_reader::{Interner, Symbol};
 
@@ -252,27 +252,44 @@ impl Image {
     }
 }
 
-/// The open-coded primitives: `zerop`, `+`, `-`, `*`, `=`, `<` and `>`
-/// of fixnums, `not`/`null` of a plain value, and `cons` of two.  Each
-/// answers exactly what [`call_builtin`] answers for the same operands —
-/// the arithmetic through the shared `num::int_op` the builtin's rows
-/// use: `None` (an overflow, a flonum, a cell or closure operand, any
-/// other primitive or argument count) leaves the call to it.
-fn open_coded(image: &Image, p: Prim, args: &[BcValue]) -> Option<BcValue> {
+/// What an open-coded row answers: a value, or the truth a test
+/// branches on without making `t`.
+enum Open {
+    Value(BcValue),
+    Truth(bool),
+}
+
+impl Open {
+    fn into_value(self, image: &Image) -> BcValue {
+        match self {
+            Open::Value(v) => v,
+            Open::Truth(b) => image.bool_value(b),
+        }
+    }
+}
+
+/// The open-coded rows, as each row says: a numeric row's fixnum case
+/// (`num::fixnum`), a negation of a plain value, and `eq` and `cons` of
+/// two.  Each answers exactly what [`call_builtin`] answers for the same
+/// operands: `None` (an overflow, a flonum, a cell or closure operand, a
+/// row or count without such a case) leaves the call to it.
+#[inline(always)]
+fn open_coded(p: Prim, args: &[&BcValue]) -> Option<Open> {
     use BcValue::V;
-    Some(match (p, args) {
-        (Prim::Zerop, [V(Value::Fixnum(x))]) => image.bool_value(*x == 0),
-        (Prim::Not | Prim::Null, [V(v)]) => image.bool_value(!v.is_true()),
-        (Prim::Cons, [V(a), V(d)]) => V(Value::cons(a.clone(), d.clone())),
-        (_, &[V(Value::Fixnum(x)), V(Value::Fixnum(y))]) => match p {
-            Prim::Add => V(Value::Fixnum(num::int_op(Prim::Add, x, y).ok()?)),
-            Prim::Sub => V(Value::Fixnum(num::int_op(Prim::Sub, x, y).ok()?)),
-            Prim::Mul => V(Value::Fixnum(num::int_op(Prim::Mul, x, y).ok()?)),
-            Prim::NumEq => image.bool_value(x == y),
-            Prim::Lt => image.bool_value(x < y),
-            Prim::Gt => image.bool_value(x > y),
-            _ => return None,
-        },
+    let fixnum = match *args {
+        [V(Value::Fixnum(x))] => num::fixnum(p, &[*x]),
+        [V(Value::Fixnum(x)), V(Value::Fixnum(y))] => num::fixnum(p, &[*x, *y]),
+        _ => None,
+    };
+    match fixnum {
+        Some(Answer::Num(Num::Int(n))) => return Some(Open::Value(V(Value::Fixnum(n)))),
+        Some(Answer::Bool(b)) => return Some(Open::Truth(b)),
+        _ => {}
+    }
+    Some(match (p.info().inline, args) {
+        (Inline::Negate, [V(v)]) => Open::Truth(!v.is_true()),
+        (Inline::Eq, [V(x), V(y)]) => Open::Truth(x.eq_p(y)),
+        (Inline::Cons, [V(a), V(d)]) => Open::Value(V(Value::cons(a.clone(), d.clone()))),
         _ => return None,
     })
 }
@@ -668,18 +685,16 @@ impl State {
                     self.stack
                         .push(BcValue::V(Value::Func(Function::Global(name))));
                 }
-                Op::Add => self.arith(image, &cur, insn, Prim::Add)?,
-                Op::Sub => self.arith(image, &cur, insn, Prim::Sub)?,
-                Op::Mul => self.arith(image, &cur, insn, Prim::Mul)?,
-                Op::Div => self.arith(image, &cur, insn, Prim::Div)?,
-                Op::Inc => self.step(image, &cur, insn, Prim::OnePlus, Prim::Add)?,
-                Op::Dec => self.step(image, &cur, insn, Prim::OneMinus, Prim::Sub)?,
-                Op::Cons => self.cons(image, &cur, insn)?,
+                Op::Prim => {
+                    let v = self.prim(image, &cur, insn)?.into_value(image);
+                    self.stack.push(v);
+                }
                 Op::TestNil | Op::TestTrue => {
-                    let Some(&p) = Prim::ALL.get(usize::from(insn.c)) else {
-                        return trap("test of an unknown primitive");
+                    let holds = match self.prim(image, &cur, insn)? {
+                        Open::Truth(b) => b,
+                        Open::Value(v) => v.is_true(),
                     };
-                    if self.test(image, &cur, insn, p)? == (insn.op == Op::TestTrue) {
+                    if holds == (insn.op == Op::TestTrue) {
                         cur.pc = b;
                     }
                 }
@@ -772,102 +787,31 @@ impl State {
         self.builtin(image, p, argc)
     }
 
-    /// Replaces the `popped` stack operands of an op with its result.
+    /// The row of the addressed op `insn` on its operands, popping the
+    /// stack ones: in line where [`open_coded`] answers; every other
+    /// operand, an overflow included, goes to the builtin, which raises
+    /// its own error.
     #[inline(always)]
-    fn settle_op(&mut self, popped: usize, v: BcValue) {
-        self.stack.truncate(self.stack.len() - popped);
-        self.stack.push(v);
-    }
-
-    /// A generic binary op: two fixnums answer in line through the
-    /// shared `num::int_op`; every other operand, an overflow included,
-    /// goes to the builtin, which raises its own error.
-    #[inline(always)]
-    fn arith(&mut self, image: &Image, cur: &Cursor, insn: Insn, p: Prim) -> Result<(), BcTrap> {
-        if let (Some(BcValue::V(Value::Fixnum(x))), Some(BcValue::V(Value::Fixnum(y)))) =
-            self.operands(cur, insn)
-        {
-            if let Ok(r) = num::int_op(p, *x, *y) {
-                self.settle_op(popped(insn, 2), BcValue::V(Value::Fixnum(r)));
-                return Ok(());
-            }
-        }
-        let v = self.slow(image, cur, insn, p, 2)?;
-        self.stack.push(v);
-        Ok(())
-    }
-
-    /// `cons`: two plain values in line, a cell or closure operand
-    /// through the builtin.
-    #[inline(always)]
-    fn cons(&mut self, image: &Image, cur: &Cursor, insn: Insn) -> Result<(), BcTrap> {
-        if let (Some(BcValue::V(x)), Some(BcValue::V(y))) = self.operands(cur, insn) {
-            let v = Value::cons(x.clone(), y.clone());
-            self.settle_op(popped(insn, 2), BcValue::V(v));
-            return Ok(());
-        }
-        let v = self.slow(image, cur, insn, Prim::Cons, 2)?;
-        self.stack.push(v);
-        Ok(())
-    }
-
-    /// `1+` (`p`) or `1-`: the fixnum case as the binary row `by` with 1.
-    #[inline(always)]
-    fn step(
-        &mut self,
-        image: &Image,
-        cur: &Cursor,
-        insn: Insn,
-        p: Prim,
-        by: Prim,
-    ) -> Result<(), BcTrap> {
-        if let Some(BcValue::V(Value::Fixnum(x))) = self.operand(cur, insn.x(), 0) {
-            if let Ok(r) = num::int_op(by, *x, 1) {
-                self.settle_op(popped(insn, 1), BcValue::V(Value::Fixnum(r)));
-                return Ok(());
-            }
-        }
-        let v = self.slow(image, cur, insn, p, 1)?;
-        self.stack.push(v);
-        Ok(())
-    }
-
-    /// Pops the stack operands of the test primitive `p` and says
-    /// whether it holds: fixnums, and any plain values under `eq`, in
-    /// line; every other operand through the builtin.
-    #[inline(always)]
-    fn test(&mut self, image: &Image, cur: &Cursor, insn: Insn, p: Prim) -> Result<bool, BcTrap> {
-        use std::cmp::Ordering::{Equal, Greater, Less};
-        let argc = if p == Prim::Zerop { 1 } else { 2 };
+    fn prim(&mut self, image: &Image, cur: &Cursor, insn: Insn) -> Result<Open, BcTrap> {
+        let Some(p) = insn.prim() else {
+            return trap("op of an unknown primitive");
+        };
+        let argc = p.operands();
         let fast = if argc == 1 {
-            match self.operand(cur, insn.x(), 0) {
-                Some(BcValue::V(Value::Fixnum(x))) => Some(*x == 0),
-                _ => None,
-            }
+            self.operand(cur, insn.x(), 0)
+                .and_then(|x| open_coded(p, &[x]))
         } else {
             match self.operands(cur, insn) {
-                (Some(BcValue::V(x)), Some(BcValue::V(y))) if p == Prim::Eq => Some(x.eq_p(y)),
-                (Some(BcValue::V(Value::Fixnum(x))), Some(BcValue::V(Value::Fixnum(y)))) => {
-                    let ord = x.cmp(y);
-                    match p {
-                        Prim::NumEq => Some(ord == Equal),
-                        Prim::NumNe => Some(ord != Equal),
-                        Prim::Lt => Some(ord == Less),
-                        Prim::Gt => Some(ord == Greater),
-                        Prim::Le => Some(ord != Greater),
-                        Prim::Ge => Some(ord != Less),
-                        _ => None,
-                    }
-                }
+                (Some(x), Some(y)) => open_coded(p, &[x, y]),
                 _ => None,
             }
         };
-        if let Some(holds) = fast {
+        if let Some(answer) = fast {
             let n = self.stack.len();
             self.stack.truncate(n - popped(insn, argc));
-            return Ok(holds);
+            return Ok(answer);
         }
-        Ok(self.slow(image, cur, insn, p, argc)?.is_true())
+        self.slow(image, cur, insn, p, argc).map(Open::Value)
     }
 
     /// Calls `callee` (named `name`) on the top `argc` operands: a proto
@@ -919,9 +863,14 @@ impl State {
     /// to the shared builtin through the reused scratch vector.
     fn builtin(&mut self, image: &Image, p: Prim, argc: usize) -> Result<BcValue, BcTrap> {
         let from = self.stack.len() - argc;
-        if let Some(v) = open_coded(image, p, &self.stack[from..]) {
+        let fast = match &self.stack[from..] {
+            [x] => open_coded(p, &[x]),
+            [x, y] => open_coded(p, &[x, y]),
+            _ => None,
+        };
+        if let Some(answer) = fast {
             self.stack.truncate(from);
-            return Ok(v);
+            return Ok(answer.into_value(image));
         }
         self.argv.clear();
         for v in self.stack.drain(from..) {
@@ -1118,10 +1067,10 @@ mod tests {
         )
     }
 
-    /// Every open-coded primitive, and every generic and compare-and-
-    /// branch op, answers exactly what the shared builtin answers: the
-    /// same value (a branch op, the same truth), or the same trap
-    /// message.  The operands cover fixnums at and past the edges (an
+    /// Every row with an in-line class, called and as its `prim` or
+    /// compare-and-branch op, answers exactly what the shared builtin
+    /// answers: the same value (a branch op, the same truth), or the same
+    /// trap message.  The operands cover fixnums at and past the edges (an
     /// overflow must still be the builtin's "fixnum overflow", a zero
     /// divisor its "division by zero"), flonums, NaN and mixed pairs, a
     /// symbol and a list (the same type trap), and a captured cell and
@@ -1150,29 +1099,32 @@ mod tests {
                 name: "k".into(),
             })),
         ];
-        let unary = [Prim::Zerop, Prim::Not, Prim::Null];
-        let binary = [
-            Prim::Cons,
-            Prim::Add,
-            Prim::Sub,
-            Prim::Mul,
-            Prim::NumEq,
-            Prim::Lt,
-            Prim::Gt,
-        ];
+        // Every row with an in-line class, on its in-line operand count.
+        let rows: Vec<Prim> = Prim::ALL
+            .iter()
+            .copied()
+            .filter(|p| {
+                !matches!(
+                    p.info().inline,
+                    Inline::Call | Inline::Flonum | Inline::Fixnum
+                )
+            })
+            .collect();
         let mut calls: Vec<(Prim, Vec<BcValue>)> = Vec::new();
-        for p in unary {
-            calls.extend(operands.iter().map(|x| (p, vec![x.clone()])));
-        }
-        for p in binary {
+        for &p in &rows {
             for x in &operands {
-                calls.extend(operands.iter().map(|y| (p, vec![x.clone(), y.clone()])));
+                if p.operands() == 1 {
+                    calls.push((p, vec![x.clone()]));
+                } else {
+                    calls.extend(operands.iter().map(|y| (p, vec![x.clone(), y.clone()])));
+                }
             }
         }
         let mut st = State::default();
         let (mut open, mut overflows) = (0, 0);
         for (p, args) in calls {
-            let fast = open_coded(&image, p, &args);
+            let refs: Vec<&BcValue> = args.iter().collect();
+            let fast = open_coded(p, &refs);
             if fast.is_some() {
                 open += 1;
             }
@@ -1186,12 +1138,15 @@ mod tests {
             assert_eq!(got, want, "{p:?}");
             overflows += usize::from(want.is_err_and(|e| e.contains("fixnum overflow")));
         }
-        // +, -, *: six of the 25 fixnum pairs overflow under each.
-        assert_eq!(overflows, 18);
-        // zerop: 5 fixnums; not, null: 11 plain values each; cons: 11 × 11
-        // plain pairs; +, -, *: 25 fixnum pairs each less the overflows;
-        // =, <, >: 25 fixnum pairs each.
-        assert_eq!(open, 5 + 22 + 121 + (75 - 18) + 75);
+        // +, -, *: six of the 25 fixnum pairs overflow under each; `/`
+        // one, `1+` and `1-` one fixnum each.
+        assert_eq!(overflows, 18 + 1 + 2);
+        // zerop: 5 fixnums; 1+, 1-: 5 each less the overflows; not,
+        // null: 11 plain values each; eq, cons: 11 × 11 plain pairs each;
+        // +, -, *, /: 25 fixnum pairs each less the overflows and, for
+        // `/`, the five zero divisors; the six comparisons: 25 fixnum
+        // pairs each.  `car`, `cdr`, `consp` and `atom` are calls.
+        assert_eq!(open, 5 + 8 + 22 + 242 + (100 - 19 - 5) + 150);
 
         // The generic and compare-and-branch ops, as `exec` runs them,
         // under every addressing of their operands: each on the stack, in
@@ -1212,41 +1167,15 @@ mod tests {
             slots: 0,
             base: 0,
         };
-        type OpFn = fn(&mut State, &Image, &Cursor, Insn) -> Result<(), BcTrap>;
-        let ops: [(Prim, usize, OpFn); 7] = [
-            (Prim::Add, 2, |st, im, cur, i| {
-                st.arith(im, cur, i, Prim::Add)
-            }),
-            (Prim::Sub, 2, |st, im, cur, i| {
-                st.arith(im, cur, i, Prim::Sub)
-            }),
-            (Prim::Mul, 2, |st, im, cur, i| {
-                st.arith(im, cur, i, Prim::Mul)
-            }),
-            (Prim::Div, 2, |st, im, cur, i| {
-                st.arith(im, cur, i, Prim::Div)
-            }),
-            (Prim::OnePlus, 1, |st, im, cur, i| {
-                st.step(im, cur, i, Prim::OnePlus, Prim::Add)
-            }),
-            (Prim::OneMinus, 1, |st, im, cur, i| {
-                st.step(im, cur, i, Prim::OneMinus, Prim::Sub)
-            }),
-            (Prim::Cons, 2, State::cons),
-        ];
-        let tests = [
-            Prim::Zerop,
-            Prim::Eq,
-            Prim::NumEq,
-            Prim::NumNe,
-            Prim::Lt,
-            Prim::Gt,
-            Prim::Le,
-            Prim::Ge,
-        ];
+        let ops = rows.iter().copied().filter_map(|p| match p.info().inline {
+            Inline::Generic | Inline::Cons => Some((Op::Prim, p)),
+            Inline::Compare | Inline::Eq => Some((Op::TestNil, p)),
+            _ => None,
+        });
         // Each operand tuple (as indices into `operands`) under each
         // addressing: the instruction, and the stack it starts from.
-        let addressings = |arity: usize| -> Vec<(Vec<BcValue>, Insn, Vec<BcValue>)> {
+        let addressings = |op: Op, p: Prim| -> Vec<(Vec<BcValue>, Insn, Vec<BcValue>)> {
+            let arity = p.operands();
             let at = |mode: usize, i: usize| match mode {
                 0 => Addr::STACK,
                 1 => Addr::slot(i as u32).unwrap(),
@@ -1275,32 +1204,20 @@ mod tests {
                         .filter(|(_, a)| a.is_stack())
                         .map(|(v, _)| v.clone())
                         .collect();
-                    out.push((args, Insn::addressed(Op::Add, x, y), stack));
+                    out.push((args, Insn::addressed(op, p, x, y), stack));
                 }
             }
             out
         };
         st.slots = operands.to_vec();
         let (mut errors, mut runs) = (0, 0);
-        for (p, arity, op) in ops {
-            for (args, insn, stack) in addressings(arity) {
+        for (op, p) in ops {
+            for (args, insn, stack) in addressings(op, p) {
                 st.stack = stack;
-                let got = shown(op(&mut st, &image, &cur, insn).and_then(|()| st.pop()));
+                let got = shown(st.prim(&image, &cur, insn).map(|a| a.into_value(&image)));
                 assert!(st.stack.is_empty(), "{p:?}: operands left behind");
                 let want = reference(&image, p, &args);
-                assert_eq!(got, want, "{p:?} op on {args:?} at {insn:?}");
-                errors += usize::from(want.is_err());
-                runs += 1;
-            }
-        }
-        for p in tests {
-            let arity = if p == Prim::Zerop { 1 } else { 2 };
-            for (args, insn, stack) in addressings(arity) {
-                st.stack = stack;
-                let got = shown(st.test(&image, &cur, insn, p).map(|b| image.bool_value(b)));
-                assert!(st.stack.is_empty(), "{p:?}: operands left behind");
-                let want = reference(&image, p, &args);
-                assert_eq!(got, want, "{p:?} test on {args:?} at {insn:?}");
+                assert_eq!(got, want, "{p:?} {op:?} on {args:?} at {insn:?}");
                 errors += usize::from(want.is_err());
                 runs += 1;
             }

@@ -8,12 +8,14 @@
 //!   three immediate fields (`a`, `b`, `c`), packing into a single
 //!   64-bit word ([`Insn::encode`]/[`Insn::decode`]); code size is
 //!   exactly `insns × INSN_BYTES`.
-//! * **Operand addresses** — the generic ops (`add` … `dec`), `cons`
-//!   and the compare-and-branch ops name each operand by an [`Addr`],
-//!   as the S-1's 2½-address instructions name `(FP i)` and
+//! * **Operand addresses** — the `prim` op (a generic arithmetic row or
+//!   `cons`, as the row's in-line class says) and the compare-and-branch
+//!   ops carry their [`Prim`] in [`Insn::c`] and name each operand by an
+//!   [`Addr`], as the S-1's 2½-address instructions name `(FP i)` and
 //!   `(QUOTE k)`: the operand stack's top, a frame slot, or a
 //!   constant-pool entry, read in place.  Both operands on the stack is
-//!   the all-zero address, the plain stack-machine form.
+//!   the all-zero address, the plain stack-machine form.  A listing
+//!   prints the row's name, `(- (slot 0) (quote 1))`.
 //! * **Constant pools** — each [`FuncProto`] carries its own pool of
 //!   source datums; instructions reference constants, global names, and
 //!   special-variable names by pool index.
@@ -134,28 +136,16 @@ pub enum Op {
     CropKeep = 34,
     /// Push the global function value named by pool entry `a`.
     GlobalFn = 35,
-    /// Generic `+` of operands [`Insn::x`] and [`Insn::y`], pushing the
-    /// sum (fixnums in line, every other operand through the shared
-    /// builtin).
-    Add = 36,
-    /// Generic two-argument `-`.
-    Sub = 37,
-    /// Generic `*`.
-    Mul = 38,
-    /// Generic two-argument `/`.
-    Div = 39,
-    /// Generic `1+` of operand [`Insn::x`].
-    Inc = 40,
-    /// Generic `1-`.
-    Dec = 41,
-    /// `cons` of operands [`Insn::x`] and [`Insn::y`].
-    Cons = 42,
-    /// Test primitive number `c` (`zerop`, `eq` or a two-argument
-    /// comparison) on operand [`Insn::x`] (and [`Insn::y`]); jump to `b`
-    /// if it fails.
-    TestNil = 43,
+    /// The primitive number `c` (a generic arithmetic row or `cons`) on
+    /// operand [`Insn::x`] (and [`Insn::y`]), pushing its value: fixnums
+    /// and conses in line, every other operand through the shared
+    /// builtin.
+    Prim = 36,
+    /// Test primitive number `c` (a comparison or `eq`) on operand
+    /// [`Insn::x`] (and [`Insn::y`]); jump to `b` if it fails.
+    TestNil = 37,
     /// As [`Op::TestNil`], but jump to `b` if the test holds.
-    TestTrue = 44,
+    TestTrue = 38,
 }
 
 impl Op {
@@ -198,13 +188,7 @@ impl Op {
             Op::Crop => "crop",
             Op::CropKeep => "crop.keep",
             Op::GlobalFn => "global.fn",
-            Op::Add => "add",
-            Op::Sub => "sub",
-            Op::Mul => "mul",
-            Op::Div => "div",
-            Op::Inc => "inc",
-            Op::Dec => "dec",
-            Op::Cons => "cons",
+            Op::Prim => "prim",
             Op::TestNil => "test.nil",
             Op::TestTrue => "test.t",
         }
@@ -248,13 +232,7 @@ impl Op {
             Op::Crop,
             Op::CropKeep,
             Op::GlobalFn,
-            Op::Add,
-            Op::Sub,
-            Op::Mul,
-            Op::Div,
-            Op::Inc,
-            Op::Dec,
-            Op::Cons,
+            Op::Prim,
             Op::TestNil,
             Op::TestTrue,
         ];
@@ -330,7 +308,7 @@ pub struct Insn {
     /// Second operand (argument count, a prologue or compare-and-branch
     /// jump target).
     pub b: u16,
-    /// Third operand (a compare-and-branch's test primitive).
+    /// Third operand (an addressed op's primitive number).
     pub c: u8,
 }
 
@@ -340,9 +318,13 @@ impl Insn {
         Insn { op, a, b, c: 0 }
     }
 
-    /// Builds an addressed op on operands `x` (leading) and `y`.
-    pub fn addressed(op: Op, x: Addr, y: Addr) -> Insn {
-        Insn::new(op, u32::from(x.0) | u32::from(y.0) << 16, 0)
+    /// Builds an addressed op applying `prim` to operands `x` (leading)
+    /// and `y`.
+    pub fn addressed(op: Op, prim: Prim, x: Addr, y: Addr) -> Insn {
+        Insn {
+            c: prim as u8,
+            ..Insn::new(op, u32::from(x.0) | u32::from(y.0) << 16, 0)
+        }
     }
 
     /// An addressed op's first (or only) operand.
@@ -357,14 +339,12 @@ impl Insn {
         Addr((self.a >> 16) as u16)
     }
 
-    /// How many operands an addressed op reads (`None` for any other
-    /// op).
-    fn arity(self) -> Option<usize> {
+    /// The row an addressed op applies (`None` for any other op, or an
+    /// unknown row number).
+    #[inline(always)]
+    pub fn prim(self) -> Option<Prim> {
         match self.op {
-            Op::Inc | Op::Dec => Some(1),
-            Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Cons => Some(2),
-            Op::TestNil | Op::TestTrue if self.c == Prim::Zerop as u8 => Some(1),
-            Op::TestNil | Op::TestTrue => Some(2),
+            Op::Prim | Op::TestNil | Op::TestTrue => Prim::ALL.get(usize::from(self.c)).copied(),
             _ => None,
         }
     }
@@ -510,21 +490,21 @@ impl Module {
 }
 
 /// One instruction as listed: `(op a b)`, or for an addressed op its
-/// operands as the S-1 prints them, `(sub (slot 0) (quote 1))`, with a
-/// compare-and-branch's primitive first and its target last.
+/// row's name and its operands as the S-1 prints them, `(- (slot 0)
+/// (quote 1))`, with a compare-and-branch's op first and its target
+/// last.
 fn insn_str(p: &FuncProto, insn: Insn) -> String {
     let op = insn.op.mnemonic();
-    let Some(arity) = insn.arity() else {
+    let Some(prim) = insn.prim() else {
         return format!("({op} {} {})", insn.a, insn.b);
     };
-    let test = matches!(insn.op, Op::TestNil | Op::TestTrue);
-    let mut out = format!("({op}");
-    if test {
-        let prim = Prim::ALL.get(usize::from(insn.c));
-        out.push(' ');
-        out.push_str(prim.map_or("?", |p| p.name()));
-    }
-    for addr in [insn.x(), insn.y()].into_iter().take(arity) {
+    let test = insn.op != Op::Prim;
+    let mut out = if test {
+        format!("({op} {}", prim.name())
+    } else {
+        format!("({}", prim.name())
+    };
+    for addr in [insn.x(), insn.y()].into_iter().take(prim.operands()) {
         match addr.operand() {
             Operand::Stack => out.push_str(" stack"),
             Operand::Slot(i) => out.push_str(&format!(" (slot {i})")),
@@ -564,8 +544,8 @@ mod insn_tests {
             Addr::slot(Addr::MAX_INDEX).unwrap(),
             Addr::quote(3).unwrap(),
         );
-        let insn = Insn::decode(Insn::addressed(Op::Sub, x, y).encode()).unwrap();
-        assert_eq!((insn.x(), insn.y()), (x, y));
+        let insn = Insn::decode(Insn::addressed(Op::Prim, Prim::Sub, x, y).encode()).unwrap();
+        assert_eq!((insn.x(), insn.y(), insn.prim()), (x, y, Some(Prim::Sub)));
         assert_eq!(insn.x().operand(), Operand::Slot(Addr::MAX_INDEX as usize));
         assert_eq!(insn.y().operand(), Operand::Quote(3));
         // Unknown opcodes decode to None (corrupt code words are
@@ -576,7 +556,10 @@ mod insn_tests {
     #[test]
     fn addresses_name_the_stack_a_slot_or_a_constant() {
         // Both operands on the stack is the all-zero address.
-        assert_eq!(Insn::addressed(Op::Add, Addr::STACK, Addr::STACK).a, 0);
+        assert_eq!(
+            Insn::addressed(Op::Prim, Prim::Add, Addr::STACK, Addr::STACK).a,
+            0
+        );
         assert!(Addr::STACK.is_stack());
         assert_eq!(Addr::STACK.operand(), Operand::Stack);
         assert_eq!(Addr::slot(7).map(Addr::operand), Some(Operand::Slot(7)));
@@ -600,13 +583,17 @@ mod insn_tests {
             ncaptures: 0,
             code: vec![
                 Insn::new(Op::Load, 0, 0),
-                Insn::addressed(Op::Sub, Addr::STACK, Addr::quote(0).unwrap()),
+                Insn::addressed(Op::Prim, Prim::Sub, Addr::STACK, Addr::quote(0).unwrap()),
                 Insn {
-                    c: Prim::Lt as u8,
                     b: 4,
-                    ..Insn::addressed(Op::TestNil, Addr::slot(0).unwrap(), Addr::STACK)
+                    ..Insn::addressed(Op::TestNil, Prim::Lt, Addr::slot(0).unwrap(), Addr::STACK)
                 },
-                Insn::addressed(Op::Dec, Addr::slot(0).unwrap(), Addr::STACK),
+                Insn::addressed(
+                    Op::Prim,
+                    Prim::OneMinus,
+                    Addr::slot(0).unwrap(),
+                    Addr::STACK,
+                ),
                 Insn::new(Op::Return, 0, 0),
             ],
             consts: vec![Const::Fixnum(1)],
@@ -617,9 +604,9 @@ mod insn_tests {
         assert!(l1.contains("defbytecode f"));
         assert!(l1.contains("(consts 1)"));
         assert!(l1.contains("(  0 (load 0 0))"));
-        assert!(l1.contains("(  1 (sub stack (quote 1)))"));
+        assert!(l1.contains("(  1 (- stack (quote 1)))"));
         assert!(l1.contains("(  2 (test.nil < (slot 0) stack 4))"));
-        assert!(l1.contains("(  3 (dec (slot 0)))"));
+        assert!(l1.contains("(  3 (1- (slot 0)))"));
         assert!(l1.contains("(  4 (ret 0 0))"));
         assert_eq!(m.proto(0).code_bytes(), 5 * INSN_BYTES);
     }

@@ -285,7 +285,7 @@ fn listing_compiles_tests_as_jumps() {
     // E3 on the bytecode: undeclared tak calls none of `<`, `not` or
     // `-`, and `(if (not (< y x)) …)` is one compare-and-branch op.  Its
     // operands need no code, so the op reads them in place, as the S-1
-    // reads `(FP i)` and `(QUOTE 1)`: each `(- v 1)` is one `sub`.
+    // reads `(FP i)` and `(QUOTE 1)`: each `(- v 1)` is one `-` op.
     let (eval, _) = build(TAK);
     let listing = eval.module().listing("tak").expect("listing");
     let consts = listing.lines().nth(1).expect("consts line");
@@ -303,14 +303,14 @@ fn listing_compiles_tests_as_jumps() {
         "{listing}"
     );
     for slot in 0..3 {
-        let sub = format!("(sub (slot {slot}) (quote 1))");
+        let sub = format!("(- (slot {slot}) (quote 1))");
         assert_eq!(
             code.iter().filter(|l| l.contains(&sub)).count(),
             1,
             "{listing}"
         );
     }
-    assert_eq!(code.iter().filter(|l| l.contains("(sub ")).count(), 3);
+    assert_eq!(code.iter().filter(|l| l.contains("(- ")).count(), 3);
     assert!(!listing.contains("(const "), "{listing}");
 }
 
@@ -333,15 +333,15 @@ fn only_plain_slots_and_constants_are_addressed() {
     let listing = |name: &str| m.listing(name).expect(name);
     let spec = listing("spec");
     assert!(spec.contains("(load.spec "), "{spec}");
-    assert!(spec.contains("(sub stack stack)"), "{spec}");
+    assert!(spec.contains("(- stack stack)"), "{spec}");
     let heap = listing("heap");
     assert!(heap.contains("(load.cell "), "{heap}");
     assert!(heap.contains("(cons stack stack)"), "{heap}");
     let closure = listing("heap::λ0");
     assert!(closure.contains("(load.cap 0 0)"), "{closure}");
-    assert!(closure.contains("(sub stack (quote 1))"), "{closure}");
-    assert!(listing("lead").contains("(mul stack (quote 2))"));
-    assert!(listing("trail").contains("(add stack stack)"));
+    assert!(closure.contains("(- stack (quote 1))"), "{closure}");
+    assert!(listing("lead").contains("(* stack (quote 2))"));
+    assert!(listing("trail").contains("(+ stack stack)"));
     assert_eq!(agree(src, "spec", &[fx(5)]), "(2)");
     assert_eq!(agree(src, "heap", &[fx(5)]), "((10 . 4))");
     assert_eq!(agree(src, "lead", &[fx(5)]), "(4)");
@@ -363,11 +363,11 @@ fn oversized_fields_take_the_stack_form_or_fail_to_emit() {
     let (mut eval, _) = build(&src);
     let listing = eval.module().listing("far").expect("listing");
     assert!(
-        listing.contains("(sub (slot 0) (quote 0))"),
+        listing.contains("(- (slot 0) (quote 0))"),
         "near constants stay addressed"
     );
     assert!(
-        listing.contains("(sub stack stack)"),
+        listing.contains("(- stack stack)"),
         "the far constant is pushed"
     );
     let got = eval.run("far", &[fx(n as i64)]).unwrap();

@@ -5,7 +5,8 @@ use std::collections::{HashMap, HashSet};
 use s1lisp_analysis::tail_nodes_from;
 use s1lisp_annotate::{Annotations, LambdaStrategy, Rep, VarAlloc};
 use s1lisp_ast::{
-    clip_form, primop, CallFunc, Lambda, NodeId, NodeKind, Prim, ProgItem, Tree, VarId,
+    clip_form, primop, CallFunc, Inline, Lambda, NodeId, NodeKind, NumOp, Prim, ProgItem, Tree,
+    VarId,
 };
 use s1lisp_interp::Const;
 use s1lisp_reader::{Datum, Symbol};
@@ -573,6 +574,15 @@ impl<'a> Gen<'a> {
                     temp: Some(t),
                 }
             }
+        }
+    }
+
+    /// `v`, protected from `sibling` when that may clobber it.
+    fn protect_from(&mut self, v: Val, sibling: NodeId) -> Val {
+        if self.sibling_unsafe(sibling) {
+            self.protect(v)
+        } else {
+            v
         }
     }
 
@@ -1513,63 +1523,48 @@ impl<'a> Gen<'a> {
         Ok(dst)
     }
 
-    /// Inline code for selected primitives.  Returns `None` to fall back
-    /// to the runtime.
+    /// Inline code for the primitives whose row's class has S-1 code.
+    /// Returns `None` to fall back to the runtime.
     fn try_inline(&mut self, node: NodeId, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
-        // Comparisons and type predicates: compile as a test and
-        // materialize (in test position `gen_test` intercepts them
-        // before this point).
-        if has_inline_test(prim, args.len()) {
-            return self.materialize_test(node).map(Some);
+        if args.len() == prim.operands() {
+            match (prim.info().inline, args) {
+                // Comparisons and type predicates: compile as a test and
+                // materialize (in test position `gen_test` intercepts
+                // them before this point).
+                (Inline::Compare | Inline::Eq | Inline::Negate | Inline::Tag(_), _) => {
+                    return self.materialize_test(node).map(Some);
+                }
+                (Inline::Car, [x]) => {
+                    let insn = |dst, src| Insn::Car { dst, src };
+                    return self.emit_unary(*x, Rep::Pointer, insn).map(Some);
+                }
+                (Inline::Cdr, [x]) => {
+                    let insn = |dst, src| Insn::Cdr { dst, src };
+                    return self.emit_unary(*x, Rep::Pointer, insn).map(Some);
+                }
+                (Inline::Cons, [a, d]) => {
+                    let va = self.gen_into(*a, Rep::Pointer)?;
+                    let va = self.certify(*a, va)?;
+                    let va = self.protect_from(va, *d);
+                    let vd = self.gen_into(*d, Rep::Pointer)?;
+                    let vd = self.certify(*d, vd)?;
+                    let dst = self.alloc_place();
+                    self.asm.push(Insn::ConsRt {
+                        dst: dst.op,
+                        car: va.op,
+                        cdr: vd.op,
+                    });
+                    self.release(va);
+                    self.release(vd);
+                    return Ok(Some(dst));
+                }
+                _ => {}
+            }
         }
         match (prim, args) {
-            (Prim::Car, [x]) => {
-                let v = self.gen_into(*x, Rep::Pointer)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::Car {
-                    dst: dst.op,
-                    src: v.op,
-                });
-                self.release(v);
-                Ok(Some(dst))
-            }
-            (Prim::Cdr, [x]) => {
-                let v = self.gen_into(*x, Rep::Pointer)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::Cdr {
-                    dst: dst.op,
-                    src: v.op,
-                });
-                self.release(v);
-                Ok(Some(dst))
-            }
-            (Prim::Cons, [a, d]) => {
-                let va = self.gen_into(*a, Rep::Pointer)?;
-                let va = self.certify(*a, va)?;
-                let va = if self.sibling_unsafe(*d) {
-                    self.protect(va)
-                } else {
-                    va
-                };
-                let vd = self.gen_into(*d, Rep::Pointer)?;
-                let vd = self.certify(*d, vd)?;
-                let dst = self.alloc_place();
-                self.asm.push(Insn::ConsRt {
-                    dst: dst.op,
-                    car: va.op,
-                    cdr: vd.op,
-                });
-                self.release(va);
-                self.release(vd);
-                Ok(Some(dst))
-            }
             (Prim::Throw, [tag, value]) => {
                 let vt = self.gen_into(*tag, Rep::Pointer)?;
-                let vt = if self.sibling_unsafe(*value) {
-                    self.protect(vt)
-                } else {
-                    vt
-                };
+                let vt = self.protect_from(vt, *value);
                 let vv = self.gen_into(*value, Rep::Pointer)?;
                 let vv = self.certify(*value, vv)?;
                 self.asm.push(Insn::Throw {
@@ -1588,11 +1583,7 @@ impl<'a> Gen<'a> {
                     return self.err("apply with spread arguments is not supported");
                 }
                 let fv = self.gen_into(*f, Rep::Pointer)?;
-                let fv = if self.sibling_unsafe(rest[0]) {
-                    self.protect(fv)
-                } else {
-                    fv
-                };
+                let fv = self.protect_from(fv, rest[0]);
                 let lv = self.gen_into(rest[0], Rep::Pointer)?;
                 self.note_call();
                 self.asm.push(Insn::Apply {
@@ -1615,58 +1606,95 @@ impl<'a> Gen<'a> {
                 }
                 Ok(None)
             }
-            _ if self.opts.representation_analysis => {
-                match self.ann.rep.lowered.get(&node) {
-                    Some(Rep::Swflo) => return self.inline_lowered_generic(prim, args),
-                    Some(Rep::Swfix) => return self.inline_lowered_int(prim, args),
-                    _ => {}
-                }
-                if let Some(v) = self.inline_generic(node, prim, args)? {
-                    return Ok(Some(v));
-                }
-                self.try_inline_typed(prim, args)
-            }
+            _ if self.opts.representation_analysis => self.inline_arith(node, prim, args),
             _ => Ok(None),
         }
     }
 
-    /// A generic arithmetic call deduced to be all-float (the type
-    /// inference extension): compile with the float instructions.
-    fn inline_lowered_generic(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
-        let unary = match prim {
-            Prim::Sqrt => Some(FloatUnOp::Sqrt),
-            Prim::Exp => Some(FloatUnOp::Exp),
-            Prim::Log => Some(FloatUnOp::Log),
-            Prim::Atan => Some(FloatUnOp::Atan),
-            Prim::Sub => Some(FloatUnOp::Neg),
-            _ => None,
-        };
-        if let (Some(op), [x]) = (unary, args) {
-            let insn = |dst, src| Insn::FloatUn { op, dst, src };
-            return self.emit_unary(*x, Rep::Swflo, insn).map(Some);
-        }
-        let op = match prim {
-            Prim::Add | Prim::OnePlus => FloatOp::Add,
-            Prim::Sub | Prim::OneMinus => FloatOp::Sub,
-            Prim::Mul => FloatOp::Mult,
-            Prim::Div => FloatOp::Div,
-            Prim::Max => FloatOp::Max,
-            Prim::Min => FloatOp::Min,
+    /// Arithmetic in line, the payoff of representation analysis: a
+    /// typed row, or a generic one that type deduction lowered, on raw
+    /// operands; else a generic row as one `GENERIC` instruction in
+    /// place of `PUSH`es and a `%CALLRT`.
+    fn inline_arith(&mut self, node: NodeId, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
+        let raw = match (self.ann.rep.lowered.get(&node), prim.info().inline) {
+            (Some(&rep), _) => rep,
+            (None, Inline::Flonum) => Rep::Swflo,
+            (None, Inline::Fixnum) => Rep::Swfix,
+            (None, Inline::Generic)
+                if args.len() == prim.operands() && self.rep_is(node) == Rep::Pointer =>
+            {
+                return self.emit_generic(prim, args).map(Some);
+            }
             _ => return Ok(None),
         };
-        let insn = |dst, a, b| Insn::Float { op, dst, a, b };
+        let Some(op) = prim.info().op.filter(|_| prim.accepts(args.len())) else {
+            return Ok(None);
+        };
+        match raw {
+            Rep::Swflo => self.inline_flonum(prim, op, args),
+            _ => self.inline_fixnum(prim, op, args),
+        }
+    }
+
+    /// One `GENERIC`: its fixnum case runs in line; every other case
+    /// runs the routine the runtime call would, on the same arguments.
+    fn emit_generic(&mut self, prim: Prim, args: &[NodeId]) -> R<Val> {
+        if let [x] = args {
+            let insn = |dst, a| Insn::Generic {
+                prim,
+                dst,
+                a,
+                b: None,
+            };
+            return self.emit_unary(*x, Rep::Pointer, insn);
+        }
+        let insn = |dst, a, b| Insn::Generic {
+            prim,
+            dst,
+            a,
+            b: Some(b),
+        };
+        self.emit_chain(args, Rep::Pointer, insn)
+    }
+
+    /// The operation `op` of row `prim` on raw flonums, with the float
+    /// instructions.
+    fn inline_flonum(&mut self, prim: Prim, op: NumOp, args: &[NodeId]) -> R<Option<Val>> {
+        let Some(binary) = float_op(op) else {
+            return match (float_un_op(op), args) {
+                (Some(op), [x]) => {
+                    let insn = |dst, src| Insn::FloatUn { op, dst, src };
+                    self.emit_unary(*x, Rep::Swflo, insn).map(Some)
+                }
+                _ => Ok(None),
+            };
+        };
+        let insn = |dst, a, b| Insn::Float {
+            op: binary,
+            dst,
+            a,
+            b,
+        };
         let one = Val::con(Word::F(1.0));
-        match (prim, args) {
-            (Prim::OnePlus | Prim::OneMinus, [x]) => {
+        match (op, args) {
+            // `1+` and `1-`.
+            (_, [x]) if prim.operands() == 1 => {
                 let v = self.gen_into(*x, Rep::Swflo)?;
                 Ok(Some(self.emit_binary(insn, v, one)))
             }
-            (Prim::Div, [x]) => {
+            (NumOp::Sub, [x]) => {
+                let insn = |dst, src| Insn::FloatUn {
+                    op: FloatUnOp::Neg,
+                    dst,
+                    src,
+                };
+                self.emit_unary(*x, Rep::Swflo, insn).map(Some)
+            }
+            (NumOp::Div, [x]) => {
                 let v = self.gen_into(*x, Rep::Swflo)?;
                 Ok(Some(self.emit_binary(insn, one, v)))
             }
-            // Single-operand identity-ish forms.
-            (Prim::Add | Prim::Mul | Prim::Max | Prim::Min, [x]) => {
+            (NumOp::Add | NumOp::Mul | NumOp::Max | NumOp::Min, [x]) => {
                 Ok(Some(self.gen_into(*x, Rep::Swflo)?))
             }
             (_, [_, _, ..]) => self.emit_chain(args, Rep::Swflo, insn).map(Some),
@@ -1674,116 +1702,28 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Generic arithmetic that type inference left generic: one
-    /// `GENERIC` instruction in place of `PUSH`es and a `%CALLRT`.  Its
-    /// fixnum case runs in line; every other case runs the routine the
-    /// runtime call would, on the same arguments.
-    fn inline_generic(&mut self, node: NodeId, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
-        if self.rep_is(node) != Rep::Pointer {
+    /// The operation `op` of row `prim` on fixnums, with the integer
+    /// instructions (fixnums are immediate words, so no conversions are
+    /// involved).
+    fn inline_fixnum(&mut self, prim: Prim, op: NumOp, args: &[NodeId]) -> R<Option<Val>> {
+        let Some(int) = int_op(op) else {
             return Ok(None);
-        }
-        match (prim, args) {
-            (Prim::OnePlus | Prim::OneMinus, [x]) => {
-                let insn = |dst, a| Insn::Generic {
-                    prim,
-                    dst,
-                    a,
-                    b: None,
-                };
-                self.emit_unary(*x, Rep::Pointer, insn).map(Some)
-            }
-            (Prim::Add | Prim::Sub | Prim::Mul | Prim::Div, [_, _]) => {
-                let insn = |dst, a, b| Insn::Generic {
-                    prim,
-                    dst,
-                    a,
-                    b: Some(b),
-                };
-                self.emit_chain(args, Rep::Pointer, insn).map(Some)
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Typed arithmetic, inline (the payoff of representation analysis).
-    fn try_inline_typed(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
-        let unary = match prim {
-            Prim::SubF => Some(FloatUnOp::Neg),
-            Prim::SincF => Some(FloatUnOp::Sin),
-            Prim::CoscF => Some(FloatUnOp::Cos),
-            Prim::SqrtF => Some(FloatUnOp::Sqrt),
-            _ => None,
         };
-        if let (Some(op), [x]) = (unary, args) {
-            let insn = |dst, src| Insn::FloatUn { op, dst, src };
-            return self.emit_unary(*x, Rep::Swflo, insn).map(Some);
-        }
-        if args.len() < 2 {
-            return Ok(None);
-        }
-        let float_op = match prim {
-            Prim::AddF => Some(FloatOp::Add),
-            Prim::SubF => Some(FloatOp::Sub),
-            Prim::MulF => Some(FloatOp::Mult),
-            Prim::DivF => Some(FloatOp::Div),
-            Prim::MaxF => Some(FloatOp::Max),
-            Prim::MinF => Some(FloatOp::Min),
-            _ => None,
-        };
-        if let Some(op) = float_op {
-            let insn = |dst, a, b| Insn::Float { op, dst, a, b };
-            return self.emit_chain(args, Rep::Swflo, insn).map(Some);
-        }
-        let int_op = match prim {
-            Prim::AddI => Some(IntOp::Add),
-            Prim::SubI => Some(IntOp::Sub),
-            Prim::MulI => Some(IntOp::Mult),
-            _ => None,
-        };
-        if let Some(op) = int_op {
-            let insn = |dst, a, b| Insn::Int { op, dst, a, b };
-            return self.emit_chain(args, Rep::Pointer, insn).map(Some);
-        }
-        Ok(None)
-    }
-
-    /// All-fixnum generic arithmetic deduced by type inference: fixnum
-    /// instruction selection (fixnums are immediate words, so no
-    /// conversions are involved).
-    fn inline_lowered_int(&mut self, prim: Prim, args: &[NodeId]) -> R<Option<Val>> {
-        let op = match prim {
-            Prim::Add | Prim::OnePlus => IntOp::Add,
-            Prim::Sub | Prim::OneMinus => IntOp::Sub,
-            Prim::Mul => IntOp::Mult,
-            Prim::Div => IntOp::Div,
-            Prim::Floor => IntOp::DivFloor,
-            Prim::Rem => IntOp::Rem,
-            Prim::Mod => IntOp::ModFloor,
-            _ => return Ok(None),
-        };
-        match (prim, args) {
-            (Prim::OnePlus | Prim::OneMinus, [x]) => {
-                // `GENERIC`, whose fixnum case is one instruction like
-                // `ADD`'s, so that an overflow traps as `1+`'s does.
-                let insn = |dst, a| Insn::Generic {
-                    prim,
-                    dst,
-                    a,
-                    b: None,
-                };
-                self.emit_unary(*x, Rep::Pointer, insn).map(Some)
-            }
-            (Prim::Sub, [x]) => {
+        match (op, args) {
+            // `1+` and `1-`: `GENERIC`, whose fixnum case is one
+            // instruction like `ADD`'s, so that an overflow traps as the
+            // row's does.
+            (_, [_]) if prim.operands() == 1 => self.emit_generic(prim, args).map(Some),
+            (NumOp::Sub, [x]) => {
                 let insn = |dst, src| Insn::Neg { dst, src };
                 self.emit_unary(*x, Rep::Pointer, insn).map(Some)
             }
-            (Prim::Add | Prim::Mul, [x]) => Ok(Some(self.gen_into(*x, Rep::Pointer)?)),
+            (NumOp::Add | NumOp::Mul, [x]) => Ok(Some(self.gen_into(*x, Rep::Pointer)?)),
             (_, [_, _, ..]) => {
-                let insn = |dst, a, b| Insn::Int { op, dst, a, b };
+                let insn = |dst, a, b| Insn::Int { op: int, dst, a, b };
                 self.emit_chain(args, Rep::Pointer, insn).map(Some)
             }
-            // Unary `floor`, `mod` and `rem` go to the runtime; `(/ n)`
-            // is a float reciprocal.
+            // `(/ n)` is a float reciprocal: the runtime's.
             _ => Ok(None),
         }
     }
@@ -1840,9 +1780,7 @@ impl<'a> Gen<'a> {
         let (first, rest) = args.split_first().expect("a chain has operands");
         let mut acc = self.gen_into(*first, rep)?;
         for &b in rest {
-            if self.sibling_unsafe(b) {
-                acc = self.protect(acc);
-            }
+            acc = self.protect_from(acc, b);
             let vb = self.gen_into(b, rep)?;
             acc = self.emit_binary(&insn, acc, vb);
         }
@@ -1920,58 +1858,34 @@ impl<'a> Gen<'a> {
         tl: Label,
         fl: Label,
     ) -> R<()> {
-        let prim = Prim::from_name(g.as_str());
-        let cond = match prim {
-            Some(Prim::NumEq) => Some(Cond::Eq),
-            Some(Prim::NumNe) => Some(Cond::Ne),
-            Some(Prim::Lt) => Some(Cond::Lt),
-            Some(Prim::Le) => Some(Cond::Le),
-            Some(Prim::Gt) => Some(Cond::Gt),
-            Some(Prim::Ge) => Some(Cond::Ge),
-            _ => None,
-        };
-        if let (Some(c), Some(p), [a, b]) = (cond, prim, args) {
-            let va = self.gen(*a)?;
-            let va = if self.sibling_unsafe(*b) {
-                self.protect(va)
-            } else {
-                va
-            };
-            let vb = self.gen(*b)?;
-            self.asm.push(Insn::JmpIf {
-                cond: c,
-                prim: p,
-                a: va.op,
-                b: vb.op,
-                target: tl,
-            });
-            self.release(va);
-            self.release(vb);
-            self.asm.push(Insn::Jmp { target: fl });
-            return Ok(());
-        }
-        match (prim, args) {
-            (Some(Prim::Zerop), [x]) => {
-                let v = self.gen(*x)?;
+        let prim = Prim::from_name(g.as_str()).filter(|p| args.len() == p.operands());
+        match (prim, prim.map(|p| p.info().inline), args) {
+            (Some(p), Some(Inline::Compare), [a, rest @ ..]) => {
+                let va = self.gen(*a)?;
+                let (va, vb) = match rest {
+                    [b] => {
+                        let va = self.protect_from(va, *b);
+                        (va, self.gen(*b)?)
+                    }
+                    // A sign test compares its operand with 0.
+                    _ => (va, Val::con(Word::fixnum(0))),
+                };
                 self.asm.push(Insn::JmpIf {
-                    cond: Cond::Eq,
-                    prim: Prim::Zerop,
-                    a: v.op,
-                    b: Operand::fixnum(0),
+                    cond: Cond::testing(p),
+                    prim: p,
+                    a: va.op,
+                    b: vb.op,
                     target: tl,
                 });
-                self.release(v);
+                self.release(va);
+                self.release(vb);
                 self.asm.push(Insn::Jmp { target: fl });
                 Ok(())
             }
-            (Some(Prim::Null | Prim::Not), [x]) => self.gen_test(*x, fl, tl),
-            (Some(Prim::Eq), [a, b]) => {
+            (_, Some(Inline::Negate), [x]) => self.gen_test(*x, fl, tl),
+            (_, Some(Inline::Eq), [a, b]) => {
                 let va = self.gen_into(*a, Rep::Pointer)?;
-                let va = if self.sibling_unsafe(*b) {
-                    self.protect(va)
-                } else {
-                    va
-                };
+                let va = self.protect_from(va, *b);
                 let vb = self.gen_into(*b, Rep::Pointer)?;
                 self.asm.push(Insn::JmpEq {
                     a: va.op,
@@ -1983,8 +1897,8 @@ impl<'a> Gen<'a> {
                 self.asm.push(Insn::Jmp { target: fl });
                 Ok(())
             }
-            (Some(Prim::Consp), [x]) => self.tag_test(*x, Tag::Cons, tl, fl),
-            (Some(Prim::Atom), [x]) => self.tag_test(*x, Tag::Cons, fl, tl),
+            (_, Some(Inline::Tag(true)), [x]) => self.tag_test(*x, Tag::Cons, tl, fl),
+            (_, Some(Inline::Tag(false)), [x]) => self.tag_test(*x, Tag::Cons, fl, tl),
             _ => {
                 let v = self.gen_into(node, Rep::Pointer)?;
                 self.asm.push(Insn::JmpNotNil {
@@ -2819,26 +2733,7 @@ impl<'a> Gen<'a> {
                 NodeKind::Call {
                     func: CallFunc::Global(g),
                     ..
-                } => !matches!(
-                    Prim::from_name(g.as_str()),
-                    Some(
-                        Prim::Cons
-                            | Prim::List
-                            | Prim::Eq
-                            | Prim::Null
-                            | Prim::Not
-                            | Prim::Atom
-                            | Prim::Consp
-                            | Prim::Listp
-                            | Prim::Symbolp
-                            | Prim::Numberp
-                            | Prim::Fixnump
-                            | Prim::Flonump
-                            | Prim::Stringp
-                            | Prim::Functionp
-                            | Prim::Identity
-                    )
-                ),
+                } => Prim::from_name(g.as_str()).is_none_or(|p| p.info().traps),
                 _ => true,
             })
     }
@@ -2932,25 +2827,44 @@ fn leaves_function(g: &Symbol) -> bool {
     )
 }
 
-/// Comparisons and type predicates that `gen_test_call` compiles as a
-/// test.  Each test form takes exactly its row's least argument count;
-/// a chained comparison such as `(< a b c)` goes to the runtime.
-fn has_inline_test(prim: Prim, nargs: usize) -> bool {
-    matches!(
-        prim,
-        Prim::NumEq
-            | Prim::NumNe
-            | Prim::Lt
-            | Prim::Gt
-            | Prim::Le
-            | Prim::Ge
-            | Prim::Zerop
-            | Prim::Null
-            | Prim::Not
-            | Prim::Eq
-            | Prim::Consp
-            | Prim::Atom
-    ) && nargs == prim.info().min_args
+/// The S-1 instruction computing `op` on two raw fixnums.
+fn int_op(op: NumOp) -> Option<IntOp> {
+    Some(match op {
+        NumOp::Add => IntOp::Add,
+        NumOp::Sub => IntOp::Sub,
+        NumOp::Mul => IntOp::Mult,
+        NumOp::Div => IntOp::Div,
+        NumOp::FloorDiv => IntOp::DivFloor,
+        NumOp::Rem => IntOp::Rem,
+        NumOp::Mod => IntOp::ModFloor,
+        _ => return None,
+    })
+}
+
+/// The S-1 instruction computing `op` on two raw flonums.
+fn float_op(op: NumOp) -> Option<FloatOp> {
+    Some(match op {
+        NumOp::Add => FloatOp::Add,
+        NumOp::Sub => FloatOp::Sub,
+        NumOp::Mul => FloatOp::Mult,
+        NumOp::Div => FloatOp::Div,
+        NumOp::Max => FloatOp::Max,
+        NumOp::Min => FloatOp::Min,
+        _ => return None,
+    })
+}
+
+/// The S-1 instruction computing `op` on one raw flonum.
+fn float_un_op(op: NumOp) -> Option<FloatUnOp> {
+    Some(match op {
+        NumOp::Sqrt => FloatUnOp::Sqrt,
+        NumOp::Exp => FloatUnOp::Exp,
+        NumOp::Log => FloatUnOp::Log,
+        NumOp::Atan => FloatUnOp::Atan,
+        NumOp::SinCycles => FloatUnOp::Sin,
+        NumOp::CosCycles => FloatUnOp::Cos,
+        _ => return None,
+    })
 }
 
 /// Whether a (special) variable has any reference (we only cache specials
@@ -3011,6 +2925,18 @@ mod tests {
 
     fn fl(x: f64) -> Value {
         Value::Flonum(x)
+    }
+
+    /// The S-1 has instructions for an operation on each raw
+    /// representation the operation is defined on, and on no other:
+    /// representation analysis lowers a generic row on that promise.
+    #[test]
+    fn every_operation_has_its_instructions() {
+        for op in Prim::ALL.iter().filter_map(|p| p.info().op) {
+            assert_eq!(int_op(op).is_some(), op.on_fixnums(), "{op:?}");
+            let flonum = float_op(op).is_some() || float_un_op(op).is_some();
+            assert_eq!(flonum, op.on_flonums(), "{op:?}");
+        }
     }
 
     #[test]

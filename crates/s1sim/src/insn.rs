@@ -7,7 +7,7 @@
 //! be in three distinct places, provided that one of them is one of the
 //! two registers named RTA and RTB" (§3).
 
-use s1lisp_ast::Prim;
+use s1lisp_ast::{num, Prim};
 
 use crate::word::{Tag, Word};
 
@@ -173,17 +173,29 @@ impl Cond {
         }
     }
 
-    /// Whether the condition holds of two operands so ordered.
+    /// Whether the condition holds of two operands so ordered: its
+    /// row's relation.
+    #[inline]
     pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        num::holds(self.prim(), ord)
+    }
+
+    /// The condition that tests the comparison or sign row `p`: the one
+    /// whose relation is the row's.
+    ///
+    /// # Panics
+    ///
+    /// When `p` is not such a row.
+    pub fn testing(p: Prim) -> Cond {
         use std::cmp::Ordering::{Equal, Greater, Less};
-        match self {
-            Cond::Eq => ord == Equal,
-            Cond::Ne => ord != Equal,
-            Cond::Lt => ord == Less,
-            Cond::Le => ord != Greater,
-            Cond::Gt => ord == Greater,
-            Cond::Ge => ord != Less,
-        }
+        [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge]
+            .into_iter()
+            .find(|c| {
+                [Less, Equal, Greater]
+                    .iter()
+                    .all(|&o| c.holds(o) == num::holds(p, o))
+            })
+            .expect("a comparison row")
     }
 
     /// The condition that holds exactly when `self` does not.  That is
@@ -708,14 +720,15 @@ pub enum Insn {
         /// Value.
         src: Operand,
     },
-    /// Generic arithmetic (`+`, `-`, `*`, `/` of two operands, `1+` and
-    /// `1-` of one) in one 2½-address instruction: §3's tagged words make
+    /// Generic arithmetic (a row of the generic class, `s1lisp_ast::
+    /// Inline::Generic`: `+` of two operands, `1+` of one, …) in one
+    /// 2½-address instruction: §3's tagged words make
     /// "are these fixnums?" part of the operation.  When every operand
     /// is a fixnum (raw or tagged) and the result fits, it computes the
     /// fixnum in line; otherwise it calls the routine [`Insn::RtCall`]
     /// would, on the same arguments and at the same charge.
     Generic {
-        /// The primitive: `+`, `-`, `*`, `/`, `1+` or `1-`.
+        /// The primitive.
         prim: Prim,
         /// Destination.
         dst: Operand,
@@ -907,10 +920,10 @@ impl Insn {
     }
 
     /// Swaps the sources of a commutative arithmetic instruction (`ADD`,
-    /// `MULT`, `FADD`, `FMULT`); returns whether it was one.  `GENERIC`
-    /// `+` and `*` swap only beside a fixnum constant: their slow path
-    /// reports the first operand that is not a number, and a constant
-    /// fixnum is never that operand.
+    /// `MULT`, `FADD`, `FMULT`); returns whether it was one.  A `GENERIC`
+    /// whose row the table marks commutative (`+`, `*`) swaps only beside
+    /// a fixnum constant: its slow path reports the first operand that is
+    /// not a number, and a constant fixnum is never that operand.
     pub fn commute(&mut self) -> bool {
         let fixnum = |o: &Operand| matches!(o, Operand::Const(w) if w.as_integer().is_some());
         match self {
@@ -930,11 +943,11 @@ impl Insn {
                 true
             }
             Insn::Generic {
-                prim: Prim::Add | Prim::Mul,
+                prim,
                 a,
                 b: Some(b),
                 ..
-            } if fixnum(a) || fixnum(b) => {
+            } if prim.info().assoc_commut && (fixnum(a) || fixnum(b)) => {
                 std::mem::swap(a, b);
                 true
             }

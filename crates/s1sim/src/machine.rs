@@ -1619,6 +1619,7 @@ mod tests {
     use super::*;
     use crate::asm::Asm;
     use crate::insn::{FloatOp, IntOp};
+    use s1lisp_ast::Inline;
 
     fn fx(n: i64) -> Value {
         Value::Fixnum(n)
@@ -1679,6 +1680,40 @@ mod tests {
             let err = on_small_stack(w).unwrap_err().to_string();
             assert!(err.contains("too deep or circular"), "{err}");
         }
+    }
+
+    /// The cdr chain injects in a loop as it reads back: a 100 000-element
+    /// list crosses into the machine and back on a 2 MiB thread.  The
+    /// cars are built left to right and the conses from the tail, as a
+    /// recursion on the cdr builds them.
+    #[test]
+    fn a_long_list_injects_on_a_small_stack() {
+        let text = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut m = Machine::new(Program::new());
+                let w = m.inject(&Value::list((1..=100_000).map(fx))).unwrap();
+                m.extract(w).map(|v| v.to_string())
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+            .unwrap();
+        assert!(text.starts_with("(1 2 3 ") && text.ends_with(" 99999 100000)"));
+
+        let mut m = Machine::new(Program::new());
+        let w = m
+            .inject(&Value::list([Value::Flonum(1.5), Value::Flonum(2.5)]))
+            .unwrap();
+        let addr = |w: Word| match w {
+            Word::Ptr(_, a) => a,
+            other => panic!("{other}"),
+        };
+        let (first, rest) = (runtime::car(&m, w).unwrap(), runtime::cdr(&m, w).unwrap());
+        let second = runtime::car(&m, rest).unwrap();
+        let order = [first, second, rest, w].map(addr);
+        assert!(order.is_sorted(), "{order:?}");
+        assert_eq!(m.stats.heap.words, 2 + 2 * 2, "{:?}", m.stats.heap);
     }
 
     /// ((1+ x)) hand-assembled.
@@ -2051,8 +2086,8 @@ mod tests {
         }
     }
 
-    /// The open-coded routines (`+`, `-`, `*`, `/`, `=`, `<`, `>` of two
-    /// fixnums, `1+` and `1-` of one), the `GENERIC` instruction and
+    /// The open-coded routines (the fixnum case of each generic and
+    /// compare-and-branch row), the `GENERIC` instruction and
     /// `JmpIf`'s fixnum comparison answer exactly what the runtime
     /// answers, on fixnums at and past the edges, raw integers, flonums,
     /// mixed operands, and a symbol and a list (the same type trap);
@@ -2076,21 +2111,19 @@ mod tests {
         ];
         let mut words: Vec<Word> = values.iter().map(|v| m.inject(v).unwrap()).collect();
         words.extend([Word::Raw(3), Word::Raw(i64::MIN)]);
+        // The generic and compare-and-branch rows, on their in-line
+        // operand counts.
         let mut operands: Vec<(Prim, Vec<Word>)> = Vec::new();
-        for prim in [Prim::OnePlus, Prim::OneMinus] {
-            operands.extend(words.iter().map(|&a| (prim, vec![a])));
-        }
-        for prim in [
-            Prim::Add,
-            Prim::Sub,
-            Prim::Mul,
-            Prim::Div,
-            Prim::NumEq,
-            Prim::Lt,
-            Prim::Gt,
-        ] {
+        for &prim in Prim::ALL {
+            if !matches!(prim.info().inline, Inline::Generic | Inline::Compare) {
+                continue;
+            }
             for &a in &words {
-                operands.extend(words.iter().map(|&b| (prim, vec![a, b])));
+                if prim.operands() == 1 {
+                    operands.push((prim, vec![a]));
+                } else {
+                    operands.extend(words.iter().map(|&b| (prim, vec![a, b])));
+                }
             }
         }
         let mut open = 0;
@@ -2102,7 +2135,7 @@ mod tests {
             }
             let fast = m.rt_call_popped(prim, args.len());
             assert_eq!(outcome(&m, fast), slow, "{prim:?} {args:?}");
-            if !matches!(prim, Prim::NumEq | Prim::Lt | Prim::Gt) {
+            if prim.info().inline == Inline::Generic {
                 let before = m.stats.insns;
                 let b = args.get(1).map(|&w| Operand::Const(w));
                 let generic = m
@@ -2127,9 +2160,14 @@ mod tests {
                 }
             }
         }
-        // 7 integer words: 14 unary and 7 × 49 binary calls, less the 59
+        // 7 integer words: 3 × 7 unary (`1+`, `1-`, `zerop`) and 10 × 49
+        // binary calls (`+ - * /` and the six comparisons), less the 59
         // that overflow or divide by zero.
-        assert_eq!(open, 14 + 7 * 49 - 59, "all-integer calls answered in line");
+        assert_eq!(
+            open,
+            3 * 7 + 10 * 49 - 59,
+            "all-integer calls answered in line"
+        );
         // Raw floats meet `JmpIf` only: no routine takes them.
         words.extend([Word::F(2.5), Word::F(-0.0), Word::F(f64::NAN)]);
         for cond in [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge] {

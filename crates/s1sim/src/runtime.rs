@@ -114,10 +114,14 @@ pub(crate) fn num_of(m: &Machine, w: Word) -> Option<Num> {
 fn num_trap(m: &Machine, who: &str, e: NumError, args: &[Word]) -> Trap {
     match e {
         NumError::DivisionByZero => Trap::DivisionByZero,
-        e => wrong(e.message(who, |i| {
-            extract(m, args[i]).map_or_else(|_| args[i].to_string(), |v| v.to_string())
-        })),
+        e => wrong(e.message(who, |i| shown(m, args[i]))),
     }
+}
+
+/// A word as the interpreter prints the value it stands for, or as
+/// itself when it does not read back.
+fn shown(m: &Machine, w: Word) -> String {
+    extract(m, w).map_or_else(|_| w.to_string(), |v| v.to_string())
 }
 
 /// Strict flonum dereference for `UnboxFlo`: the `$f` operators perform
@@ -149,7 +153,7 @@ pub(crate) fn car(m: &Machine, w: Word) -> Result<Word, Trap> {
     match w {
         Word::Ptr(Tag::Nil, _) => Ok(Word::NIL),
         Word::Ptr(Tag::Cons, addr) => m.read_mem(addr),
-        other => Err(wrong(format!("car: not a list: {other}"))),
+        other => Err(wrong(format!("car: not a list: {}", shown(m, other)))),
     }
 }
 
@@ -158,7 +162,7 @@ pub(crate) fn cdr(m: &Machine, w: Word) -> Result<Word, Trap> {
     match w {
         Word::Ptr(Tag::Nil, _) => Ok(Word::NIL),
         Word::Ptr(Tag::Cons, addr) => m.read_mem(addr + 1),
-        other => Err(wrong(format!("cdr: not a list: {other}"))),
+        other => Err(wrong(format!("cdr: not a list: {}", shown(m, other)))),
     }
 }
 
@@ -224,39 +228,22 @@ fn fixnum_arg(m: &Machine, who: &str, args: &[Word]) -> Result<i64, Trap> {
         .ok_or_else(|| num_trap(m, who, NumError::NotAFixnum(0), args))
 }
 
-/// The open-coded case of a routine, on operands that are all fixnums
-/// (raw or tagged): `+`, `-`, `*`, `/`, `=`, `<` or `>` of two, `1+`
-/// or `1-` of one, answered with exactly the word [`rt_call`] returns
-/// for them.  `None` for any other primitive, operand or count, and for
-/// an overflow or a zero divisor, whose trap only the routine raises.
-/// The arithmetic is the shared `num::int_op`, each arm naming its row
-/// so that the call inlines to the one checked operation.
+/// The open-coded case of a routine, on one or two operands that are
+/// all fixnums (raw or tagged): the row's fixnum case, `num::fixnum`,
+/// answered with exactly the word [`rt_call`] returns.  `None` where the
+/// row has no such case, for any other operand or count, and for an
+/// overflow or a zero divisor, whose trap only the routine raises.
 #[inline]
 pub(crate) fn fixnum_fast(prim: Prim, args: &[Word]) -> Option<Word> {
-    match *args {
-        [x] => {
-            let x = x.as_integer()?;
-            match prim {
-                Prim::OnePlus => num::int_op(Prim::Add, x, 1).ok(),
-                Prim::OneMinus => num::int_op(Prim::Sub, x, 1).ok(),
-                _ => None,
-            }
-            .map(Word::fixnum)
-        }
-        [x, y] => {
-            let (x, y) = (x.as_integer()?, y.as_integer()?);
-            match prim {
-                Prim::Add => num::int_op(Prim::Add, x, y).ok().map(Word::fixnum),
-                Prim::Sub => num::int_op(Prim::Sub, x, y).ok().map(Word::fixnum),
-                Prim::Mul => num::int_op(Prim::Mul, x, y).ok().map(Word::fixnum),
-                Prim::Div => num::int_op(Prim::Div, x, y).ok().map(Word::fixnum),
-                Prim::NumEq => Some(boolean(x == y)),
-                Prim::Lt => Some(boolean(x < y)),
-                Prim::Gt => Some(boolean(x > y)),
-                _ => None,
-            }
-        }
+    let answer = match *args {
+        [x] => num::fixnum(prim, &[x.as_integer()?]),
+        [x, y] => num::fixnum(prim, &[x.as_integer()?, y.as_integer()?]),
         _ => None,
+    };
+    match answer? {
+        Answer::Num(Num::Int(n)) => Some(Word::fixnum(n)),
+        Answer::Bool(b) => Some(boolean(b)),
+        Answer::Num(Num::Flo(_)) => None,
     }
 }
 
@@ -454,12 +441,11 @@ pub(crate) fn inject(m: &mut Machine, v: &Value, held: &mut Vec<Word>) -> Result
             Word::Ptr(Tag::String, u64::from(id))
         }
         Value::Char(c) => Word::Ptr(Tag::Char, u64::from(u32::from(*c))),
-        Value::Cons(cell) => {
-            let a = inject(m, &cell.car.borrow(), held)?;
-            held.push(a);
-            let d = inject(m, &cell.cdr.borrow(), held);
-            held.pop();
-            cons(m, a, d?, held)?
+        Value::Cons(_) => {
+            let base = held.len();
+            let list = inject_list(m, v, held);
+            held.truncate(base);
+            list?
         }
         Value::Func(_) => {
             let name = v
@@ -469,6 +455,29 @@ pub(crate) fn inject(m: &mut Machine, v: &Value, held: &mut Vec<Word>) -> Result
             Word::Ptr(Tag::Function, u64::from(id))
         }
     })
+}
+
+/// A list, by [`inject`]: the cdr chain in a loop, as
+/// `ReadBack::value` reads it back, so a long list injects in constant
+/// host stack; only the cars recurse.  The cars are built left to right
+/// and held, then consed from the tail, each cons holding the cars
+/// before it: the allocations a recursion on the cdr would make, in its
+/// order.
+fn inject_list(m: &mut Machine, v: &Value, held: &mut Vec<Word>) -> Result<Word, Trap> {
+    let base = held.len();
+    let mut link = v.clone();
+    while let Value::Cons(cell) = &link {
+        let a = inject(m, &cell.car.borrow(), held)?;
+        held.push(a);
+        let next = cell.cdr.borrow().clone();
+        link = next;
+    }
+    let mut list = inject(m, &link, held)?;
+    while held.len() > base {
+        let a = held.pop().expect("a held car");
+        list = cons(m, a, list, held)?;
+    }
+    Ok(list)
 }
 
 /// Reads machine data back into a host value.

@@ -2,7 +2,7 @@
 //! same program compiled-on-simulator and interpreted, and requires
 //! agreement.
 
-use s1lisp::Value;
+use s1lisp::{BackendKind, Compiler, Value};
 use s1lisp_suite::{build, check_agree, fl, fx};
 
 fn sym(s: &str) -> Value {
@@ -66,6 +66,47 @@ fn closures_share_mutable_state_pairwise() {
              (funcall (cdr p))))",
     );
     check_agree(&mut m, &i, "run", &[]);
+}
+
+/// A local function — a lambda its `let` binds and only calls — that
+/// writes a variable of an enclosing `let` writes that one variable on
+/// every engine and configuration: the interpreter, the S-1 and the
+/// bytecode, whose closure must hold the variable in a cell, not a copy.
+#[test]
+fn a_local_function_writes_the_enclosing_variable_on_every_engine() {
+    const HEAP2: &str = "(defun heap2 (m)
+           (let ((n m))
+             (let ((f (lambda () (setq n (- n 1)))))
+               (funcall f)
+               (list (cons 10 n)))))";
+    for full in [true, false] {
+        for backend in [BackendKind::S1, BackendKind::Bytecode] {
+            let mut c = if full {
+                Compiler::new()
+            } else {
+                Compiler::unoptimized()
+            };
+            c.backend = backend;
+            c.compile_str(HEAP2).expect("compiles");
+            let interpreted = c.interpreter().call("heap2", &[fx(5)]);
+            assert_eq!(interpreted.unwrap().to_string(), "((10 . 4))");
+            let got = match backend {
+                BackendKind::S1 => c
+                    .machine()
+                    .run("heap2", &[fx(5)])
+                    .map_err(|t| t.to_string()),
+                BackendKind::Bytecode => {
+                    c.evaluator().run("heap2", &[fx(5)]).map_err(|t| t.message)
+                }
+            };
+            assert_eq!(
+                got.map(|v| v.to_string()).as_deref(),
+                Ok("((10 . 4))"),
+                "{} full={full}",
+                backend.name()
+            );
+        }
+    }
 }
 
 #[test]

@@ -298,7 +298,7 @@ fn operands_see_the_writes_of_earlier_operands_on_every_engine() {
     }
     // The naive bytecode reads the trailing `n` in place.
     let listing = engines[3].1.disassemble("sub-after").expect("defined");
-    assert!(listing.contains("(sub stack (slot 0))"), "{listing}");
+    assert!(listing.contains("(- stack (slot 0))"), "{listing}");
     let args = [fx(10)];
     for (name, want) in cases {
         let reference = engines[0].1.interpreter().call(name, &args);
