@@ -21,12 +21,13 @@
 //! The crate also owns the table of known primitive operations
 //! ([`Prim`], [`primop`]): the one list of names, arities and
 //! optimizer-visible facts that every later layer reads — and, in
-//! [`num`], the one definition of its numeric rows, which every engine
-//! and the constant folder call.
+//! [`num`] and [`lists`], the one definition of its numeric and list
+//! rows, which every engine and the constant folder call.
 
 #![warn(missing_docs)]
 
 mod hash;
+pub mod lists;
 pub mod num;
 mod prim;
 mod tree;

@@ -39,7 +39,7 @@ mod error;
 mod eval;
 mod value;
 
-pub use builtins::{call_builtin, eval_primop};
+pub use builtins::{call_builtin, eval_primop, Values};
 pub use error::LispError;
 pub use eval::{Interp, InterpStats};
 pub use value::{Const, Function, Value};
